@@ -42,6 +42,11 @@ class NonReducedRank(ValueError):
     """Decomposition requested for a form whose rank witness is non-reduced."""
 
 
+class CertificateError(ArithmeticError):
+    """An exact certificate failed its own check; raised explicitly so that
+    the check also runs under ``python -O``."""
+
+
 @dataclass(frozen=True)
 class CatalecticantMatrix:
     degree: int
@@ -365,7 +370,8 @@ def _decompose_rational(
     scalars = _solve_terms(f, points, Fraction(1), Fraction)
     terms = tuple((s, p) for s, p in zip(scalars, points))
     diff = f - _exact_reconstruction(terms, f.degree)
-    assert diff.is_zero()
+    if not diff.is_zero():
+        raise CertificateError("rational decomposition does not reconstruct the form")
     return Decomposition(f.degree, terms, mpmath.mpf(0), "rational", bits)
 
 
@@ -388,8 +394,8 @@ def _decompose_quadratic(
         col = _power_column(a, b, f.degree, field.one)
         for j in range(f.degree + 1):
             total[j] = total[j] + s * col[j]
-    for j, c in enumerate(f.coeffs):
-        assert total[j] == field.from_rational(c)
+    if any(total[j] != field.from_rational(c) for j, c in enumerate(f.coeffs)):
+        raise CertificateError("quadratic decomposition does not reconstruct the form")
     emb = sorted(
         isolate_roots(field.modulus, bits), key=lambda r: (r.is_real, r.approx_re, r.approx_im)
     )[-1].refine(bits)

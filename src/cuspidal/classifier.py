@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .apolarity import rank as sylvester_rank
+from .apolarity import CertificateError, RankCertificate, rank as sylvester_rank
 from .binform import (
     POINT_A,
     BinaryForm,
@@ -253,8 +253,11 @@ def _guard_form(f: BinaryForm, frame: ProjectionFrame | None):
 def classify_e4(M: BinaryForm, frame: ProjectionFrame | None = None) -> ClassifierVerdict:
     """Prediction when rank equals border rank with a reduced computing set."""
     frame = _guard_form(M, frame)
+    return _classify_e4(frame, sylvester_rank(M))
+
+
+def _classify_e4(frame: ProjectionFrame, cert: RankCertificate) -> ClassifierVerdict:
     n = frame.n
-    cert = sylvester_rank(M)
     if cert.rank != cert.border_rank or cert.witness_kind != "squarefree":
         raise ClassifierError(
             "rank must equal border rank with a reduced computing set; "
@@ -314,16 +317,25 @@ _ONE_A = ZeroScheme(((POINT_A.linear_form(), 1),))
 def classify_e3(B: BinaryForm, frame: ProjectionFrame | None = None) -> ClassifierVerdict:
     """Prediction when border rank w is strictly below rank (non-reduced W)."""
     frame = _guard_form(B, frame)
+    return _classify_e3(B, frame, sylvester_rank(B))
+
+
+def _classify_e3(
+    B: BinaryForm, frame: ProjectionFrame, cert: RankCertificate
+) -> ClassifierVerdict:
     n = frame.n
     d = frame.d
-    cert = sylvester_rank(B)
     if cert.rank == cert.border_rank:
         raise ClassifierError(
             "border rank equals rank; the reduced-set classification applies"
         )
     w = cert.border_rank
     # a border-gap witness has a one-dimensional kernel, so W is unique
-    assert cert.kernel_dimension == 1 and 2 * w <= n + 2
+    if cert.kernel_dimension != 1 or 2 * w > n + 2:
+        raise CertificateError(
+            f"border-gap certificate with kernel dimension "
+            f"{cert.kernel_dimension} and border rank {w} at n = {n}"
+        )
     W = cert.witness_scheme
     m = W.multiplicity_at(POINT_A)
     inputs = {
@@ -438,10 +450,15 @@ def classify_e3(B: BinaryForm, frame: ProjectionFrame | None = None) -> Classifi
 def classify(f: BinaryForm, frame: ProjectionFrame | None = None) -> ClassifierVerdict:
     """Dispatch on the border-rank gap."""
     frame = _guard_form(f, frame)
-    cert = sylvester_rank(f)
+    return _classify(f, frame, sylvester_rank(f))
+
+
+def _classify(
+    f: BinaryForm, frame: ProjectionFrame, cert: RankCertificate
+) -> ClassifierVerdict:
     if cert.rank == cert.border_rank:
-        return classify_e4(f, frame)
-    return classify_e3(f, frame)
+        return _classify_e4(frame, cert)
+    return _classify_e3(f, frame, cert)
 
 
 # -- instance generation -------------------------------------------------------
@@ -602,7 +619,7 @@ def generate_instance(spec: InstanceSpec) -> GeneratedInstance:
             continue
         if cert.witness_scheme != W:
             continue
-        truth = classify_e3(B, frame)
+        truth = _classify_e3(B, frame, cert)
         if truth.case_tag != spec.case_tag:
             continue
         return GeneratedInstance(spec=spec, form=B, scheme=W, truth=truth)
@@ -669,7 +686,7 @@ def _generate_e4(
             ):
                 continue
         try:
-            truth = classify_e4(M, frame)
+            truth = _classify_e4(frame, cert)
         except ClassifierError:
             continue
         if truth.case_tag != spec.case_tag:
@@ -703,7 +720,7 @@ def crosscheck(
     }
     verdict = None
     try:
-        verdict = classify(f, frame)
+        verdict = _classify(f, frame, cert)
         report["theorem"] = verdict.theorem
         report["case"] = verdict.case_tag
         report["prediction"] = verdict.to_json()["prediction"]

@@ -14,10 +14,11 @@ respect to the cuspidal curve is the minimum of the classical rank of
 B(lambda) over the pencil, and :func:`x_rank` computes that minimum exactly:
 
 * lambda enters the level-r Hankel matrix only in the two cells with
-  j + k = 1, so every minor is a polynomial of degree at most 2 in lambda.
-  The lambda where the level-r kernel jumps are the roots of the gcd of the
-  maximal minors (the gcd generates the ideal of common roots, Q[lambda]
-  being a principal ideal domain), hence rational or quadratic irrationals.
+  j + k = 1, so rows 2.. are constant.  Multiplying rows 0 and 1 by a basis
+  of the kernel K of the constant rows leaves a 2 x dim K matrix affine in
+  lambda; the lambda where the level-r kernel jumps are the roots of its
+  gcd (dim K = 1) or determinant (dim K = 2), a polynomial of degree at
+  most 2, hence rational or quadratic irrationals.
 * Levels are scanned upward.  The first level whose kernel is nontrivial
   for every lambda is the generic first-kernel level of the pencil; a lift
   first acquiring a kernel at level r has rank at least r, so whole levels
@@ -159,9 +160,17 @@ class ProjectedPoint:
 
     @classmethod
     def from_json(cls, blob: dict) -> "ProjectedPoint":
+        if not isinstance(blob, dict) or "n" not in blob or "coords" not in blob:
+            raise ProjectionError('a projected point is an object with "n" and "coords"')
+        if not isinstance(blob["coords"], list):
+            raise ProjectionError('"coords" must be a list')
         if blob.get("deleted_slot", 1) != 1:
             raise ProjectionError("only slot-1 projections are supported")
-        return cls(int(blob["n"]), tuple(Fraction(c) for c in blob["coords"]))
+        try:
+            n, coords = int(blob["n"]), tuple(Fraction(c) for c in blob["coords"])
+        except TypeError as exc:
+            raise ProjectionError(f"malformed projected point: {exc}") from None
+        return cls(n, coords)
 
     def __str__(self) -> str:
         return "(" + ":".join(str(c) for c in self.coords) + ")"
@@ -229,104 +238,48 @@ def cusp_curve_point(n, t) -> ProjectedPoint:
     return ProjectedPoint(n, tuple([vec[0]] + vec[2:]))
 
 
-# -- the lambda-linear Hankel matrix and its special values ------------------
-
-
-def _lambda_hankel(P: ProjectedPoint, r: int) -> list[list[list[Fraction]]]:
-    """Level-r Hankel matrix of the pencil, entries as polynomials in lambda.
-
-    Entry (j, k) is a_{j+k}; the deleted slot contributes the linear
-    polynomial lambda/d, every other slot a constant from P.
-    """
-    d = P.n + 1
-    a = P.apolar_with_slot(None)
-    rows = []
-    for j in range(d - r + 1):
-        row = []
-        for k in range(r + 1):
-            i = j + k
-            if i == 1:
-                row.append([Fraction(0), Fraction(1, d)])
-            else:
-                c = a[i]
-                row.append([Fraction(c)] if c else [])
-        rows.append(row)
-    return rows
-
-
-def _poly_rank(rows: list[list[list[Fraction]]]) -> int:
-    """Rank over the rational function field, by fraction-free elimination."""
-    m = [[list(e) for e in row] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    prev: list[Fraction] = [Fraction(1)]
-    rank = 0
-    row = 0
-    for col in range(nc):
-        piv = next((i for i in range(row, nr) if not univar.is_zero(m[i][col])), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        for i in range(row + 1, nr):
-            for j in range(col + 1, nc):
-                num = univar.sub(
-                    univar.mul(m[row][col], m[i][j]),
-                    univar.mul(m[i][col], m[row][j]),
-                )
-                m[i][j] = univar.div_exact(num, prev)
-            m[i][col] = []
-        prev = m[row][col]
-        rank += 1
-        row += 1
-    return rank
-
-
-def _poly_det(rows: list[list[list[Fraction]]]) -> list[Fraction]:
-    """Determinant of a square polynomial matrix, up to sign (Bareiss)."""
-    k = len(rows)
-    m = [[list(e) for e in row] for row in rows]
-    prev: list[Fraction] = [Fraction(1)]
-    for col in range(k):
-        piv = next((i for i in range(col, k) if not univar.is_zero(m[i][col])), None)
-        if piv is None:
-            return []
-        m[col], m[piv] = m[piv], m[col]
-        for i in range(col + 1, k):
-            for j in range(col + 1, k):
-                num = univar.sub(
-                    univar.mul(m[col][col], m[i][j]),
-                    univar.mul(m[i][col], m[col][j]),
-                )
-                m[i][j] = univar.div_exact(num, prev)
-            m[i][col] = []
-        prev = m[col][col]
-    return m[k - 1][k - 1]
+# -- the special values of the pencil ---------------------------------------
 
 
 def special_lambdas(P: ProjectedPoint, r: int, precision_bits: int = 192):
     """Exact lambda values where the level-r kernel of the pencil jumps.
 
-    Returns ALL_LAMBDA when the kernel is nontrivial for every lambda
-    (identically deficient columns, or more columns than rows).  Otherwise
-    the root set of the gcd of all maximal minors: rationals first in
-    increasing order, then algebraic numbers grouped by minimal polynomial.
+    Rows 2.. of the level-r Hankel matrix are constant; let K be their
+    kernel.  The full kernel at lambda is the set of v in K killed by rows 0
+    and 1, whose products with a basis of K form a 2 x dim K matrix affine
+    in lambda.  dim K = 0 gives no special lambda and dim K >= 3 gives
+    ALL_LAMBDA; otherwise the special values are the roots of the gcd of
+    the two entries (dim K = 1) or of the 2 x 2 determinant (dim K = 2), a
+    polynomial of degree at most 2, and ALL_LAMBDA when it vanishes
+    identically.  Returned as rationals first in increasing order, then
+    algebraic numbers grouped by minimal polynomial.
     """
     d = P.n + 1
     if not 1 <= r <= (d + 2) // 2:
         raise ProjectionError(f"level must lie in 1..{(d + 2) // 2}")
-    rows = _lambda_hankel(P, r)
-    nr, nc = len(rows), r + 1
-    if nr < nc or _poly_rank(rows) < nc:
+    a = P.apolar_with_slot(None)
+    kernel = linalg.nullspace(
+        [[a[j + k] for k in range(r + 1)] for j in range(2, d - r + 1)], ncols=r + 1
+    )
+    if len(kernel) >= 3:
         return ALL_LAMBDA
-    g: list[Fraction] = []
-    for rsel in itertools.combinations(range(nr), nc):
-        minor = _poly_det([rows[i] for i in rsel])
-        g = univar.gcd(g, minor) if g else univar.trim(minor)
-        if g and univar.degree(g) == 0:
-            return []
+    if not kernel:
+        return []
+    # (row 0 . v, row 1 . v) as polynomials in lambda; a_1 = lambda/d
+    pencil = [
+        (
+            univar.trim([sum(a[k] * v[k] for k in range(r + 1) if k != 1), v[1] / d]),
+            univar.trim([sum(a[k + 1] * v[k] for k in range(1, r + 1)), v[0] / d]),
+        )
+        for v in kernel
+    ]
+    if len(pencil) == 1:
+        g = univar.gcd(*pencil[0])
+    else:
+        (p0, p1), (q0, q1) = pencil
+        g = univar.sub(univar.mul(p0, q1), univar.mul(p1, q0))
     if not g:
-        # full generic column rank guarantees some nonzero minor
-        raise AssertionError("all maximal minors vanished despite full rank")
+        return ALL_LAMBDA
     if univar.degree(g) == 0:
         return []
     rats: list[Fraction] = []
@@ -498,6 +451,8 @@ def x_rank(
     nf_degree_bound), adds a deterministic generic certificate, and returns
     the minimum.  Levels at or above the running minimum are pruned, which
     is exact: a lift first acquiring a kernel at level r has rank >= r.
+    Special lambda are at most quadratic (see special_lambdas), so any
+    nf_degree_bound >= 2 leaves the scan complete.
     """
     if rng is None:
         rng = random.Random(0x57A7)

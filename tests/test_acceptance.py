@@ -74,17 +74,31 @@ GAP_SEEDS = 30
 SUMMARY_PATH = pathlib.Path(__file__).resolve().parent.parent / "acceptance_summary.txt"
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _fresh_summary():
-    SUMMARY_PATH.write_text("")
-    yield
+def _rewrite_summary(idx: int, line: str | None) -> None:
+    """Put line in place of check idx's summary line (drop it for None),
+    keeping the lines of the other checks in check order."""
+    tag = f"[acceptance {idx:02d}]"
+    kept = []
+    if SUMMARY_PATH.exists():
+        kept = [
+            ln for ln in SUMMARY_PATH.read_text().splitlines()
+            if ln and not ln.startswith(tag)
+        ]
+    if line is not None:
+        kept.append(line)
+    SUMMARY_PATH.write_text("".join(ln + "\n" for ln in sorted(kept)))
+
+
+@pytest.fixture(autouse=True)
+def _summary_slot(request):
+    """A check that runs replaces its own summary line and no other."""
+    _rewrite_summary(int(request.node.name[len("test_c"):][:2]), None)
 
 
 def _verdict(idx: int, ok: bool, detail: str) -> None:
     line = f"[acceptance {idx:02d}] {'PASS' if ok else 'FAIL'} | {detail}"
     print(line, flush=True)
-    with SUMMARY_PATH.open("a") as fh:
-        fh.write(line + "\n")
+    _rewrite_summary(idx, line)
     assert ok, f"acceptance {idx:02d}: {detail}"
 
 

@@ -5,9 +5,10 @@ from math import comb
 import mpmath
 import pytest
 
-from cuspidal import linalg
+from cuspidal import apolarity, linalg
 from cuspidal.apolarity import (
     AmbiguousScheme,
+    CertificateError,
     Decomposition,
     NonReducedRank,
     RankCertificate,
@@ -323,6 +324,32 @@ class TestDecompose:
         back = Decomposition.from_json(blob)
         assert back.degree == dec.degree and back.field_tag == dec.field_tag
         assert verify_decomposition(f, back) < mpmath.mpf(2) ** -100
+
+
+class TestCertificateChecks:
+    """The reconstruction checks are explicit raises, not bare asserts."""
+
+    @pytest.fixture
+    def wrong_last_scalar(self, monkeypatch):
+        solve = apolarity._solve_terms
+
+        def planted(*args):
+            scalars = solve(*args)
+            scalars[-1] = scalars[-1] + scalars[-1]
+            return scalars
+
+        monkeypatch.setattr(apolarity, "_solve_terms", planted)
+
+    def test_rational_path(self, wrong_last_scalar):
+        with pytest.raises(CertificateError):
+            decompose(CUBE_SUM, 96)
+
+    def test_quadratic_path(self, wrong_last_scalar):
+        with pytest.raises(CertificateError):
+            decompose(form(0, 1, -1, 0), 128)
+
+    def test_is_an_arithmetic_error(self):
+        assert issubclass(CertificateError, ArithmeticError)
 
 
 class TestVerifyDecomposition:

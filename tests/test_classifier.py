@@ -1,9 +1,12 @@
 """Case classification, instance generation, and the crosscheck loop."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from cuspidal import classifier
+from cuspidal.apolarity import CertificateError
 from cuspidal.binform import (
     POINT_A,
     BinaryForm,
@@ -223,6 +226,17 @@ class TestClassifyNoGap:
 
 
 class TestClassifyGap:
+    def test_bad_gap_certificate_raises(self, monkeypatch):
+        # a border-gap certificate claiming a two-dimensional kernel
+        real = classifier.sylvester_rank
+        monkeypatch.setattr(
+            classifier,
+            "sylvester_rank",
+            lambda f: dataclasses.replace(real(f), kernel_dimension=2),
+        )
+        with pytest.raises(CertificateError):
+            classify_e3(form_from_avec(8, [1, 1, 1, 0, 0, 0, 0, 0, 0]))
+
     def test_triple_cusp_preimage(self):
         # n=7, w=3, scheme 3A: value n+3-w = 7
         B = form_from_avec(8, [1, 1, 1, 0, 0, 0, 0, 0, 0])

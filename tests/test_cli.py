@@ -130,6 +130,23 @@ class TestProjectionCommands:
         assert code == 1
         assert recs[0]["error"]["type"] == "ProjectionError"
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{}',
+            '{"n": 5}',
+            '{"n": 5, "coords": 3}',
+            '[1,2]',
+            '{"n": null, "coords": ["1"]}',
+            '{"n": 3, "coords": ["1", null, "0", "0"]}',
+        ],
+    )
+    def test_malformed_xrank_record(self, capsys, monkeypatch, line):
+        code, recs = run(capsys, monkeypatch, ["xrank"], stdin=line + "\n")
+        assert code == 1
+        assert len(recs) == 1
+        assert recs[0]["error"]["type"] == "ProjectionError"
+
 
 class TestClassifyAndGenerate:
     def test_generate_classify_frozen_case(self, capsys, monkeypatch):

@@ -1,12 +1,14 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from cuspidal import univar
+from cuspidal import linalg, ratfactor, univar
 from cuspidal.apolarity import RankCertificate, rank
 from cuspidal.binform import BinaryForm, P1Point, ZeroFormError, random_form
-from cuspidal.numberfield import AlgebraicNumber
+from cuspidal.classifier import InstanceSpec, generate_instance
+from cuspidal.numberfield import AlgebraicNumber, isolate_roots
 from cuspidal.projection import (
     ALL_LAMBDA,
     FieldCertificate,
@@ -169,8 +171,6 @@ class TestCuspCurvePoint:
 
 def _hand_minor_gcd(rows):
     """gcd of all 2x2 minors of a 4x2 polynomial matrix, straight ad-bc."""
-    import itertools
-
     g = []
     for i, j in itertools.combinations(range(4), 2):
         det = univar.sub(
@@ -179,6 +179,192 @@ def _hand_minor_gcd(rows):
         )
         g = univar.gcd(g, det) if g else univar.trim(det)
     return g
+
+
+# -- reference oracle: the special lambda as the roots of the gcd of all
+# maximal minors of the whole lambda-Hankel matrix over Q[lambda], a route
+# that shares no step with the two-row reduction before the root tail
+
+
+def _lambda_hankel(P, r):
+    """Level-r Hankel matrix of the pencil, entries as polynomials in lambda."""
+    d = P.n + 1
+    a = P.apolar_with_slot(None)
+    rows = []
+    for j in range(d - r + 1):
+        row = []
+        for k in range(r + 1):
+            if j + k == 1:
+                row.append([F(0), F(1, d)])
+            else:
+                row.append([F(a[j + k])] if a[j + k] else [])
+        rows.append(row)
+    return rows
+
+
+def _poly_rank(rows):
+    """Rank over the rational function field, by fraction-free elimination."""
+    m = [[list(e) for e in row] for row in rows]
+    nr, nc = len(m), len(m[0])
+    prev = [F(1)]
+    rank_ = 0
+    for col in range(nc):
+        piv = next((i for i in range(rank_, nr) if not univar.is_zero(m[i][col])), None)
+        if piv is None:
+            continue
+        m[rank_], m[piv] = m[piv], m[rank_]
+        for i in range(rank_ + 1, nr):
+            for j in range(col + 1, nc):
+                num = univar.sub(
+                    univar.mul(m[rank_][col], m[i][j]),
+                    univar.mul(m[i][col], m[rank_][j]),
+                )
+                m[i][j] = univar.div_exact(num, prev)
+            m[i][col] = []
+        prev = m[rank_][col]
+        rank_ += 1
+    return rank_
+
+
+def _poly_det(rows):
+    """Determinant of a square polynomial matrix, up to sign (Bareiss)."""
+    k = len(rows)
+    m = [[list(e) for e in row] for row in rows]
+    prev = [F(1)]
+    for col in range(k):
+        piv = next((i for i in range(col, k) if not univar.is_zero(m[i][col])), None)
+        if piv is None:
+            return []
+        m[col], m[piv] = m[piv], m[col]
+        for i in range(col + 1, k):
+            for j in range(col + 1, k):
+                num = univar.sub(
+                    univar.mul(m[col][col], m[i][j]),
+                    univar.mul(m[i][col], m[col][j]),
+                )
+                m[i][j] = univar.div_exact(num, prev)
+            m[i][col] = []
+        prev = m[col][col]
+    return m[k - 1][k - 1]
+
+
+def _minor_gcd_lambdas(P, r):
+    """special_lambdas computed from the gcd of every maximal minor."""
+    rows = _lambda_hankel(P, r)
+    nr, nc = len(rows), r + 1
+    if nr < nc or _poly_rank(rows) < nc:
+        return ALL_LAMBDA
+    g = []
+    for rsel in itertools.combinations(range(nr), nc):
+        minor = _poly_det([rows[i] for i in rsel])
+        g = univar.gcd(g, minor) if g else univar.trim(minor)
+        if g and univar.degree(g) == 0:
+            return []
+    assert g, "full generic column rank guarantees a nonzero minor"
+    if univar.degree(g) == 0:
+        return []
+    rats, algs = [], []
+    for fac, _mult in ratfactor.irreducible_factors(g):
+        if len(fac) == 2:
+            rats.append(-fac[0] / fac[1])
+        else:
+            algs.extend(isolate_roots(fac, 192))
+    rats.sort()
+    algs.sort(key=lambda z: (z.minpoly, z.approx_re, z.approx_im))
+    return rats + algs
+
+
+def _constant_kernel_dim(P, r):
+    d = P.n + 1
+    a = P.apolar_with_slot(None)
+    rows = [[a[j + k] for k in range(r + 1)] for j in range(2, d - r + 1)]
+    return len(linalg.nullspace(rows, ncols=r + 1))
+
+
+def _assert_matches_oracle(P):
+    """Every level of P agrees with the minor-gcd route; returns the
+    constant-row kernel dimension met at each level."""
+    dims = []
+    for r in range(1, (P.n + 1 + 2) // 2 + 1):
+        got = special_lambdas(P, r)
+        want = _minor_gcd_lambdas(P, r)
+        if want is ALL_LAMBDA:
+            assert got is ALL_LAMBDA, (P, r)
+        else:
+            assert got == want, (P, r)
+            assert all(z.degree <= 2 for z in got if isinstance(z, AlgebraicNumber))
+        dims.append(_constant_kernel_dim(P, r))
+    return dims
+
+
+# one small cell per generated case tag
+TAG_CELLS = [
+    ("e4_i", 5, 2),
+    ("e4_ii", 5, 3),
+    ("e4_iii", 5, 4),
+    ("e3_2", 7, 3),
+    ("e3_3_wminus1", 7, 4),
+    ("e3_3_wminus2", 7, 4),
+    ("e3_3_cusp", 6, 2),
+    ("e3_4_exact", 5, 2),
+    ("e3_4_interval", 5, 3),
+    ("e3_5", 6, 3),
+]
+
+
+class TestSpecialLambdasOracle:
+    def test_random_pencils_every_level(self):
+        rng = random.Random(8128)
+        dims = set()
+        for d in range(4, 11):
+            for trial in range(8):
+                f = random_form(d, rng)
+                if trial % 2:
+                    # sparse coordinates reach the degenerate branches
+                    f = BinaryForm(
+                        d, tuple(c if rng.random() < 0.4 else F(0) for c in f.coeffs)
+                    )
+                try:
+                    P = project(f)
+                except (ProjectionError, ZeroFormError):
+                    continue
+                dims.update(_assert_matches_oracle(P))
+        assert {0, 1, 2}.issubset(dims) and max(dims) >= 3
+
+    @pytest.mark.parametrize("tag,n,level", TAG_CELLS)
+    def test_generated_instance_every_level(self, tag, n, level):
+        f = generate_instance(InstanceSpec(tag, n, level, seed=1)).form
+        _assert_matches_oracle(project(f))
+
+    def test_branch_dim_zero(self):
+        p = ProjectedPoint(3, (F(0), F(0), F(1), F(0)))
+        assert _constant_kernel_dim(p, 1) == 0
+        assert special_lambdas(p, 1) == [] == _minor_gcd_lambdas(p, 1)
+
+    def test_branch_dim_one(self):
+        # K is spanned by (1, 0); row 0 gives 0 and row 1 gives lambda/4
+        p = ProjectedPoint(3, (F(0), F(0), F(0), F(1)))
+        assert _constant_kernel_dim(p, 1) == 1
+        assert special_lambdas(p, 1) == [F(0)] == _minor_gcd_lambdas(p, 1)
+
+    def test_branch_dim_two(self):
+        p = ProjectedPoint(3, (F(1), F(1), F(0), F(-1)))
+        assert _constant_kernel_dim(p, 2) == 2
+        got = special_lambdas(p, 2)
+        assert got == _minor_gcd_lambdas(p, 2)
+        assert [z.degree for z in got] == [2, 2]
+
+    def test_branch_dim_two_vanishing_determinant(self):
+        p = ProjectedPoint(3, (F(0), F(0), F(1), F(0)))
+        assert _constant_kernel_dim(p, 2) == 2
+        assert special_lambdas(p, 2) is ALL_LAMBDA
+        assert _minor_gcd_lambdas(p, 2) is ALL_LAMBDA
+
+    def test_branch_dim_three(self):
+        p = ProjectedPoint(5, (F(1), F(0), F(0), F(0), F(0), F(0)))
+        assert _constant_kernel_dim(p, 2) >= 3
+        assert special_lambdas(p, 2) is ALL_LAMBDA
+        assert _minor_gcd_lambdas(p, 2) is ALL_LAMBDA
 
 
 class TestSpecialLambdas:
