@@ -16,6 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 import mpmath
@@ -23,6 +24,7 @@ import mpmath
 from . import linalg, ratfactor, univar
 from .binform import (
     BinaryForm,
+    CertificateError,
     PrecisionError,
     ZeroFormError,
     ZeroScheme,
@@ -40,11 +42,6 @@ class AmbiguousScheme(ValueError):
 
 class NonReducedRank(ValueError):
     """Decomposition requested for a form whose rank witness is non-reduced."""
-
-
-class CertificateError(ArithmeticError):
-    """An exact certificate failed its own check; raised explicitly so that
-    the check also runs under ``python -O``."""
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,7 @@ def _first_kernel(f: BinaryForm) -> tuple[int, list[BinaryForm]]:
         basis = kernel_basis(catalecticant(f, r))
         if basis:
             return r, basis
-    raise AssertionError("no kernel up to the guaranteed level")
+    raise CertificateError("no kernel up to the guaranteed level")
 
 
 def border_rank(f: BinaryForm) -> int:
@@ -162,16 +159,24 @@ class RankCertificate:
 
     ``witness_kind`` is "squarefree" (rank equals border rank, ``witness_form``
     is a square-free kernel element whose roots give a minimal decomposition)
-    or "nonreduced" (rank is d+2-w, ``witness_scheme`` is the non-reduced
-    border scheme).  ``kernel_dimension`` is the kernel dimension at level w.
+    or "nonreduced" (rank is d+2-w, ``witness_form`` is the kernel generator
+    and its scheme is the non-reduced border scheme).  ``kernel_dimension``
+    is the kernel dimension at level w.
+
+    ``witness_scheme``, the zero scheme of ``witness_form``, is factored on
+    first read and then cached: the rank itself never needs it, and a fiber
+    scan reads it for the winning lift only.
     """
 
     border_rank: int
     rank: int
     witness_kind: str
     witness_form: BinaryForm
-    witness_scheme: ZeroScheme
     kernel_dimension: int
+
+    @cached_property
+    def witness_scheme(self) -> ZeroScheme:
+        return squarefree_decompose(self.witness_form)
 
     def to_json(self) -> dict:
         return {
@@ -189,11 +194,9 @@ def rank(f: BinaryForm) -> RankCertificate:
     w, basis = _first_kernel(f)
     g = find_squarefree_in_kernel(basis)
     if g is not None:
-        g = g.normalized()
-        return RankCertificate(w, w, "squarefree", g, squarefree_decompose(g), len(basis))
-    gen = basis[0].normalized()
+        return RankCertificate(w, w, "squarefree", g.normalized(), len(basis))
     return RankCertificate(
-        w, f.degree + 2 - w, "nonreduced", gen, squarefree_decompose(gen), len(basis)
+        w, f.degree + 2 - w, "nonreduced", basis[0].normalized(), len(basis)
     )
 
 
@@ -360,7 +363,7 @@ def _solve_terms(f: BinaryForm, points: list[tuple], one, lift) -> list:
     rhs = [lift(c) for c in f.coeffs]
     sol = linalg.solve(rows, rhs)
     if sol is None:
-        raise AssertionError("power-sum system is inconsistent")
+        raise CertificateError("power-sum system is inconsistent")
     return list(sol)
 
 

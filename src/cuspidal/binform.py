@@ -32,8 +32,21 @@ class PrecisionError(ArithmeticError):
     """Working precision could not certify separated root clusters."""
 
 
+class CertificateError(ArithmeticError):
+    """An exact certificate failed its own check; raised explicitly so that
+    the check also runs under ``python -O``."""
+
+
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_INTEGER_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
 _FORM_RE = re.compile(r"^\s*d\s*=\s*(\d+)\s*;\s*\[(.*)\]\s*$")
+
+
+def is_integer_literal(value) -> bool:
+    """True for a JSON integer that is not a bool, or a decimal integer string."""
+    if isinstance(value, str):
+        return _INTEGER_RE.fullmatch(value) is not None
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _as_fraction(text: str) -> Fraction:
@@ -366,7 +379,8 @@ class ZeroScheme:
             if m < k:
                 raise ValueError(f"multiplicity at {p} is {m} < {k}")
             rest = divide_forms(g, lin)
-            assert rest is not None
+            if rest is None:
+                raise CertificateError(f"{lin} does not divide a factor vanishing at {p}")
             if rest.degree > 0:
                 out.append((rest, m))
             if m - k > 0:
@@ -384,7 +398,8 @@ class ZeroScheme:
                 out.append((g, m))
                 continue
             rest = divide_forms(g, lin)
-            assert rest is not None
+            if rest is None:
+                raise CertificateError(f"{lin} does not divide a factor vanishing at {p}")
             if rest.degree > 0:
                 out.append((rest, m))
             out.append((lin, m + k))

@@ -7,6 +7,8 @@ computation error or failed check (structured error JSON on stdout), 2 usage.
 Forms are accepted in the text grammar ``d=<int>; [q0,q1,...]`` or as JSON
 records carrying "degree" and "coeffs" (either at the top level or under
 "form"), so subcommands pipe into each other: generate | classify | verify.
+A "degree" (and the "n" of an xrank record) is a JSON integer or a string
+of a decimal integer; a float or a boolean is an error, never truncated.
 
 Defaults come from flags first, then the environment (CUSPIDAL_PRECISION_BITS,
 CUSPIDAL_SEED, CUSPIDAL_NF_BOUND), then built-ins (192 bits, seed 0, degree
@@ -25,7 +27,7 @@ import mpmath
 
 from . import apolarity
 from .apolarity import Decomposition, decompose, verify_decomposition
-from .binform import BinaryForm, GrammarError, parse_form
+from .binform import BinaryForm, GrammarError, is_integer_literal, parse_form
 from .classifier import (
     InstanceSpec,
     classify,
@@ -57,6 +59,8 @@ def _form_json(f: BinaryForm) -> dict:
 
 def _form_from_record(rec: dict) -> BinaryForm:
     if "degree" in rec and "coeffs" in rec:
+        if not is_integer_literal(rec["degree"]):
+            raise GrammarError(f'"degree" must be an integer, got {rec["degree"]!r}')
         return BinaryForm(
             int(rec["degree"]), tuple(Fraction(str(c)) for c in rec["coeffs"])
         )

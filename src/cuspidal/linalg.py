@@ -1,9 +1,12 @@
 """Exact linear algebra for small dense systems.
 
-The rational fast path clears denominators row by row and runs fraction-free
-(Bareiss) elimination over the integers, so no floating point ever enters a
-rank decision.  A plain Gaussian path over any exact field backs the number
-field computations and doubles as an independent oracle for the integer path.
+The rational path clears denominators once per row and then stays in the
+integers: fraction-free (Bareiss) elimination gives the echelon form, kernel
+vectors are back-substituted in integers, and span membership reduces the
+target against the echelon rows of one elimination.  Rationals come back only
+in the final canonical vector, so no floating point ever enters a rank
+decision.  A plain Gaussian path over any exact field backs the number field
+computations and doubles as an independent oracle for the integer path.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ Matrix = Sequence[Sequence[Fraction]]
 
 
 def _int_rows(rows: Matrix) -> list[list[int]]:
+    """Each row times the lcm of its denominators.  Entries are int or Fraction."""
     out = []
     for row in rows:
         den = 1
         for c in row:
-            den = int_lcm(den, Fraction(c).denominator)
-        out.append([int(Fraction(c) * den) for c in row])
+            den = int_lcm(den, c.denominator)
+        out.append([c.numerator * (den // c.denominator) for c in row])
     return out
 
 
@@ -78,7 +82,12 @@ def canonical_vector(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def nullspace(rows: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel, canonicalized, one vector per free column."""
+    """Basis of the right kernel, canonicalized, one vector per free column.
+
+    Each vector is back-substituted in integers from the Bareiss echelon
+    form: x starts as the unit vector of its free column, and at each pivot
+    x is rescaled so that the pivot entry comes out integral.
+    """
     rows = [list(r) for r in rows]
     if not rows:
         if ncols is None:
@@ -94,13 +103,18 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ..
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
     for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
+        x = [0] * ncols
+        x[f] = 1
         for k in range(len(pivots) - 1, -1, -1):
             pc = pivots[k]
             row = ech[k]
-            acc = sum((Fraction(row[j]) * x[j] for j in range(pc + 1, ncols)), Fraction(0))
-            x[pc] = -acc / row[pc]
+            acc = sum(row[j] * x[j] for j in range(pc + 1, ncols))
+            if acc:
+                g = int_gcd(acc, row[pc])
+                scale = row[pc] // g
+                if scale != 1:
+                    x = [c * scale for c in x]
+                x[pc] = -acc // g
         basis.append(canonical_vector(x))
     return basis
 
@@ -138,10 +152,20 @@ def nullspace_plain(rows: Matrix, ncols: int | None = None) -> list[tuple[Fracti
 
 
 def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
-    """Exact membership of target in the row span of vectors."""
-    vecs = [list(v) for v in vectors]
-    base = rank(vecs)
-    return rank(vecs + [list(target)]) == base
+    """Exact membership of target in the row span of vectors.
+
+    One Bareiss elimination brings the vectors to echelon form; the target,
+    cleared of denominators, is then reduced against the echelon rows in
+    integers and lies in the span iff nothing is left.
+    """
+    (t,) = _int_rows([target])
+    ech, pivots = _bareiss(_int_rows(vectors))
+    for row, pc in zip(ech, pivots):
+        c = t[pc]
+        if c:
+            piv = row[pc]
+            t = [a * piv - c * b for a, b in zip(t, row)]
+    return not any(t)
 
 
 # Generic field elimination (duck-typed entries: Fraction or number field

@@ -39,8 +39,8 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg, ratfactor, univar
-from .apolarity import RankCertificate, rank as sylvester_rank
-from .binform import BinaryForm, NumericRoot, P1Point, ZeroFormError
+from .apolarity import CertificateError, RankCertificate, rank as sylvester_rank
+from .binform import BinaryForm, NumericRoot, P1Point, ZeroFormError, is_integer_literal
 from .numberfield import AlgebraicNumber, NFElement, NumberField, isolate_roots
 
 
@@ -166,6 +166,8 @@ class ProjectedPoint:
             raise ProjectionError('"coords" must be a list')
         if blob.get("deleted_slot", 1) != 1:
             raise ProjectionError("only slot-1 projections are supported")
+        if not is_integer_literal(blob["n"]):
+            raise ProjectionError(f'"n" must be an integer, got {blob["n"]!r}')
         try:
             n, coords = int(blob["n"]), tuple(Fraction(c) for c in blob["coords"])
         except TypeError as exc:
@@ -373,8 +375,8 @@ def field_rank_certificate(ff: FieldForm) -> FieldCertificate:
                 continue
             if _field_is_square_free(combo, r):
                 return FieldCertificate(r, r, "squarefree", tuple(field.modulus))
-        raise AssertionError("two-dimensional kernel without square-free member")
-    raise AssertionError("no kernel level found for a nonzero form")
+        raise CertificateError("two-dimensional kernel without square-free member")
+    raise CertificateError("no kernel level found for a nonzero form")
 
 
 # -- the fiber minimization ---------------------------------------------------
@@ -487,7 +489,7 @@ def x_rank(
             per_level[r] = fresh
     if w_gen is None:
         # columns outnumber rows at the cap, so the cap level is AllLambda
-        raise AssertionError("no generic kernel level found below the cap")
+        raise CertificateError("no generic kernel level found below the cap")
 
     # generic certificate: rational lambda away from every special value.
     # Square-freeness of the generic witness is an open condition whose
@@ -507,7 +509,7 @@ def x_rank(
         tried += 1
         cert = sylvester_rank(lift(P, lam))
         if cert.border_rank != w_gen:
-            raise AssertionError("nonspecial lambda off the generic kernel level")
+            raise CertificateError("nonspecial lambda off the generic kernel level")
         if generic_cert is None:
             generic_cert, generic_lam = cert, lam
         if cert.witness_kind == "squarefree":
@@ -520,7 +522,7 @@ def x_rank(
             if probe not in seen_rat:
                 break
         if sylvester_rank(lift(P, probe)).rank != generic_cert.rank:
-            raise AssertionError("generic-fiber probe disagrees with the grid")
+            raise CertificateError("generic-fiber probe disagrees with the grid")
     candidates.append((generic_cert.rank, generic_lam, generic_cert))
 
     # special lambda, by level, with exact pruning
@@ -534,7 +536,7 @@ def x_rank(
             if isinstance(lam, Fraction):
                 cert = sylvester_rank(lift(P, lam))
                 if cert.border_rank != r:
-                    raise AssertionError("special lambda at the wrong first level")
+                    raise CertificateError("special lambda at the wrong first level")
                 candidates.append((cert.rank, lam, cert))
                 best = min(best, cert.rank)
             else:

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 from math import comb
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -208,6 +213,21 @@ class TestRank:
         assert (cert.border_rank, cert.rank, cert.witness_kind) == (2, 2, "squarefree")
         assert is_square_free(cert.witness_form)
 
+    def test_witness_scheme_built_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return squarefree_decompose(g)
+
+        monkeypatch.setattr(apolarity, "squarefree_decompose", counted)
+        cert = rank(U4T)
+        assert calls == []
+        scheme = cert.witness_scheme
+        assert scheme == squarefree_decompose(cert.witness_form)
+        assert cert.witness_scheme is scheme
+        assert calls == [cert.witness_form]
+
     def test_seed42_degree7_generic(self):
         f = random_form(7, random.Random(42), bound=100)
         cert = rank(f)
@@ -350,6 +370,43 @@ class TestCertificateChecks:
 
     def test_is_an_arithmetic_error(self):
         assert issubclass(CertificateError, ArithmeticError)
+
+    def test_checks_survive_python_O(self):
+        """Plant faults under ``python -O``, which strips bare asserts: the
+        power-sum system check and the scheme point surgery must still raise."""
+        child = textwrap.dedent(
+            """
+            import sys
+            from fractions import Fraction
+            from cuspidal import apolarity, binform, linalg
+
+            if __debug__:
+                sys.exit("not running under -O")
+            linalg.solve = lambda rows, rhs: None
+            try:
+                apolarity.decompose(binform.BinaryForm(3, tuple(map(Fraction, "1001"))), 96)
+            except apolarity.CertificateError:
+                pass
+            else:
+                sys.exit("inconsistent power-sum system went unnoticed")
+            binform.divide_forms = lambda f, g: None
+            W = binform.squarefree_decompose(binform.BinaryForm(2, tuple(map(Fraction, "010"))))
+            pt, _ = W.rational_points()[0]
+            for surgery in (W.remove_point, W.add_point):
+                try:
+                    surgery(pt, 1)
+                except apolarity.CertificateError:
+                    continue
+                sys.exit(surgery.__name__ + " went on without a quotient")
+            """
+        )
+        src = Path(apolarity.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", child],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
 
 
 class TestVerifyDecomposition:

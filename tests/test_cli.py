@@ -1,10 +1,12 @@
 """Command-line interface: schemas, exit codes, piping, configuration."""
 
+import dataclasses
 import io
 import json
 
 import pytest
 
+from cuspidal import projection
 from cuspidal.cli import main
 
 
@@ -59,6 +61,26 @@ class TestRankCommands:
         code, recs = run(capsys, monkeypatch, ["rank", "degree five"])
         assert code == 1
         assert recs[0]["error"]["type"] == "GrammarError"
+
+    @pytest.mark.parametrize("degree", ['4.7', '4.0', '"4.7"', 'null', '"four"'])
+    def test_non_integral_degree_rejected(self, capsys, monkeypatch, degree):
+        rec = '{"degree": %s, "coeffs": ["1", "0", "0", "0", "1"]}' % degree
+        code, recs = run(capsys, monkeypatch, ["rank", rec])
+        assert code == 1
+        assert len(recs) == 1
+        assert recs[0]["error"]["type"] == "GrammarError"
+
+    def test_boolean_degree_is_not_one(self, capsys, monkeypatch):
+        rec = '{"degree": true, "coeffs": ["1", "1"]}'
+        code, recs = run(capsys, monkeypatch, ["rank", rec])
+        assert code == 1
+        assert recs[0]["error"]["type"] == "GrammarError"
+
+    def test_degree_as_integer_string_accepted(self, capsys, monkeypatch):
+        rec = json.dumps({"degree": "4", "coeffs": ["1", "0", "0", "0", "1"]})
+        code, recs = run(capsys, monkeypatch, ["rank", rec])
+        assert code == 0
+        assert recs[0]["d"] == 4 and recs[0]["r"] == 2
 
     def test_unknown_subcommand_exits_2(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as err:
@@ -139,6 +161,11 @@ class TestProjectionCommands:
             '[1,2]',
             '{"n": null, "coords": ["1"]}',
             '{"n": 3, "coords": ["1", null, "0", "0"]}',
+            '{"n": 5.9, "coords": ["1", "0", "0", "0", "0", "1"]}',
+            '{"n": 3.0, "coords": ["1", "0", "0", "1"]}',
+            '{"n": "5.9", "coords": ["1", "0", "0", "0", "0", "1"]}',
+            '{"n": true, "coords": ["1", "0"]}',
+            '{"n": [5], "coords": ["1", "0", "0", "0", "0", "1"]}',
         ],
     )
     def test_malformed_xrank_record(self, capsys, monkeypatch, line):
@@ -146,6 +173,28 @@ class TestProjectionCommands:
         assert code == 1
         assert len(recs) == 1
         assert recs[0]["error"]["type"] == "ProjectionError"
+
+    @pytest.mark.parametrize("n", ['5', '"5"', '" +5 "'])
+    def test_xrank_integer_n_spellings(self, capsys, monkeypatch, n):
+        line = '{"n": %s, "coords": ["1", "0", "0", "0", "0", "1"]}' % n
+        code, recs = run(capsys, monkeypatch, ["xrank"], stdin=line + "\n")
+        assert code == 0
+        assert recs[0]["n"] == 5
+
+    def test_certificate_failure_is_json_error(self, capsys, monkeypatch):
+        real = projection.sylvester_rank
+
+        def wrong_border_rank(f):
+            cert = real(f)
+            return dataclasses.replace(cert, border_rank=cert.border_rank + 1)
+
+        monkeypatch.setattr(projection, "sylvester_rank", wrong_border_rank)
+        code, recs = run(
+            capsys, monkeypatch, ["xrank", "--n", "6", "--coords", "1,0,0,0,0,0,1"]
+        )
+        assert code == 1
+        assert len(recs) == 1
+        assert recs[0]["error"]["type"] == "CertificateError"
 
 
 class TestClassifyAndGenerate:

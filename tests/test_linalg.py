@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb
 
 from cuspidal import linalg
+from cuspidal.apolarity import catalecticant
+from cuspidal.binform import BinaryForm
 
 
 def F(a, b=1):
@@ -63,3 +66,108 @@ def test_solve_consistent_and_inconsistent():
     for row, b in zip(rows, rhs):
         assert sum(a * xi for a, xi in zip(row, x)) == b
     assert linalg.solve(rows, [F(5), F(6), F(12)]) is None
+
+
+# -- integer kernel against the Fraction oracles, on structured matrices ------
+
+
+def _signed_unit_rows(rng, nrows, ncols):
+    return [[rng.choice((-1, 0, 0, 1)) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _low_rank_rows(rng, nrows, ncols):
+    k = rng.randint(1, min(nrows, ncols))
+    left = [[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k)] for _ in range(nrows)]
+    right = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(k)]
+    return [
+        [sum(left[i][t] * right[t][j] for t in range(k)) for j in range(ncols)]
+        for i in range(nrows)
+    ]
+
+
+def _hankel_rows(rng, nrows, ncols):
+    """Catalecticant of a random form, or of a sum of a few powers (low rank)."""
+    d = nrows + ncols - 2
+    if rng.random() < 0.5:
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d + 1)]
+    else:
+        coeffs = [F(0)] * (d + 1)
+        for _ in range(rng.randint(1, 3)):
+            tau, s = F(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-3, 3)
+            for i in range(d + 1):
+                coeffs[i] += s * comb(d, i) * tau**i
+    if not any(coeffs):
+        coeffs[0] = F(1)
+    return [list(row) for row in catalecticant(BinaryForm(d, tuple(coeffs)), ncols - 1).rows]
+
+
+def _mixed_rows(rng, nrows, ncols):
+    return [
+        [
+            rng.randint(-5, 5) if rng.random() < 0.5 else F(rng.randint(-9, 9), rng.randint(1, 7))
+            for _ in range(ncols)
+        ]
+        for _ in range(nrows)
+    ]
+
+
+_KINDS = (_signed_unit_rows, _low_rank_rows, _hankel_rows, _mixed_rows)
+
+
+def _structured_cases(seed, count):
+    """Seeded matrices up to 10 x 12 of every kind, some with zero rows and
+    some with rows negated so that pivots come out negative."""
+    rng = random.Random(seed)
+    for i in range(count):
+        nrows, ncols = rng.randint(1, 10), rng.randint(1, 12)
+        m = _KINDS[i % len(_KINDS)](rng, nrows, ncols)
+        if rng.random() < 0.3:
+            m.insert(rng.randint(0, len(m)), [0] * ncols)
+        if rng.random() < 0.5:
+            m = [[-c for c in row] if rng.random() < 0.5 else row for row in m]
+        yield rng, m
+
+
+def _oracle_rank(rows):
+    return linalg.rank_field([[F(c) for c in row] for row in rows])
+
+
+def test_structured_cases_cover_every_shape():
+    mats = [m for _, m in _structured_cases(21, 400)]
+    assert max(len(m) for m in mats) == 11 and max(len(m[0]) for m in mats) == 12
+    assert any(not any(row) for m in mats for row in m)
+    assert any(isinstance(c, int) for m in mats for row in m for c in row)
+    assert any(isinstance(c, Fraction) for m in mats for row in m for c in row)
+    ranks = [(_oracle_rank(m), min(len(m), len(m[0]))) for m in mats]
+    assert any(r < full for r, full in ranks) and any(r == full for r, full in ranks)
+    assert any(
+        row[pc] < 0 for m in mats for row, pc in zip(*linalg._bareiss(linalg._int_rows(m)))
+    )
+
+
+def test_integer_kernel_matches_fraction_oracles():
+    for _, m in _structured_cases(22, 400):
+        basis = linalg.nullspace(m)
+        assert basis == linalg.nullspace_plain(m)
+        r = linalg.rank(m)
+        assert r == _oracle_rank(m)
+        assert r + len(basis) == len(m[0])
+
+
+def test_in_span_matches_rank_oracle():
+    members = 0
+    for rng, m in _structured_cases(23, 300):
+        ncols = len(m[0])
+        vecs = m[: rng.randint(0, len(m))]
+        targets = [
+            [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ncols)],
+            [sum(rng.randint(-3, 3) * F(row[j]) for row in vecs) for j in range(ncols)],
+            [0] * ncols,
+        ]
+        for t in targets:
+            want = _oracle_rank(vecs + [t]) == _oracle_rank(vecs)
+            assert linalg.in_span(vecs, t) == want
+            members += want
+    assert 300 < members < 900
+    assert linalg.in_span([], [F(0), 0])
+    assert not linalg.in_span([], [F(0), F(1, 3)])

@@ -1,11 +1,12 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from cuspidal import linalg, ratfactor, univar
-from cuspidal.apolarity import RankCertificate, rank
+from cuspidal import linalg, projection, ratfactor, univar
+from cuspidal.apolarity import CertificateError, RankCertificate, rank
 from cuspidal.binform import BinaryForm, P1Point, ZeroFormError, random_form
 from cuspidal.classifier import InstanceSpec, generate_instance
 from cuspidal.numberfield import AlgebraicNumber, isolate_roots
@@ -459,6 +460,17 @@ class TestXRank:
         assert res.witness_certificate.witness_kind == "squarefree"
         assert res.witness_set_on_X is None
         assert res.complete
+
+    def test_wrong_border_rank_raises(self, monkeypatch):
+        real = projection.sylvester_rank
+
+        def wrong_border_rank(f):
+            cert = real(f)
+            return dataclasses.replace(cert, border_rank=cert.border_rank + 1)
+
+        monkeypatch.setattr(projection, "sylvester_rank", wrong_border_rank)
+        with pytest.raises(CertificateError):
+            x_rank(ProjectedPoint(6, (F(1), F(0), F(0), F(0), F(0), F(0), F(1))))
 
     def test_degree_bound_flag(self):
         p = ProjectedPoint(3, (F(1), F(1), F(0), F(-1)))
