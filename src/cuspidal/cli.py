@@ -11,8 +11,7 @@ A "degree" (and the "n" of an xrank record) is a JSON integer or a string
 of a decimal integer; a float or a boolean is an error, never truncated.
 
 Defaults come from flags first, then the environment (CUSPIDAL_PRECISION_BITS,
-CUSPIDAL_SEED, CUSPIDAL_NF_BOUND), then built-ins (192 bits, seed 0, degree
-bound 4).
+CUSPIDAL_SEED), then built-ins (192 bits, seed 0).
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .projection import ProjectedPoint, project, x_rank
 
 ENV_PRECISION = "CUSPIDAL_PRECISION_BITS"
 ENV_SEED = "CUSPIDAL_SEED"
-ENV_NF_BOUND = "CUSPIDAL_NF_BOUND"
 
 _FAILURES = (ValueError, ArithmeticError, RuntimeError)
 
@@ -183,11 +181,7 @@ def cmd_xrank(args) -> int:
     try:
         points = _points(args)
         for P in points:
-            res = x_rank(
-                P,
-                nf_degree_bound=args.nf_bound,
-                precision_bits=args.precision_bits,
-            )
+            res = x_rank(P, precision_bits=args.precision_bits)
             _emit({"n": P.n, **res.to_json()})
     except _FAILURES as exc:
         return _fail(exc)
@@ -324,7 +318,7 @@ def cmd_verify(args) -> int:
         for line in lines:
             try:
                 f = _parse_form_text(line)
-                rep = crosscheck(f, nf_degree_bound=args.nf_bound)
+                rep = crosscheck(f)
                 check({"check": "crosscheck", **rep}, _crosscheck_ok(rep))
             except _FAILURES as exc:
                 check(
@@ -353,7 +347,7 @@ def cmd_verify(args) -> int:
         for tag, n, level in _VERIFY_BATTERY:
             try:
                 inst = generate_instance(InstanceSpec(tag, n, level, seed=args.seed))
-                rep = crosscheck(inst.form, nf_degree_bound=args.nf_bound)
+                rep = crosscheck(inst.form)
                 check(
                     {"check": "crosscheck", "case_expected": tag, **rep},
                     rep.get("case") == tag and _crosscheck_ok(rep),
@@ -397,8 +391,6 @@ def _build_parser(defaults) -> argparse.ArgumentParser:
         p.add_argument("--precision-bits", type=int,
                        default=defaults["precision"], help="working precision")
         p.add_argument("--seed", type=int, default=defaults["seed"])
-        p.add_argument("--nf-bound", type=int, default=defaults["nf_bound"],
-                       help="largest algebraic degree explored exactly")
         if with_input:
             p.add_argument("input", nargs="?", help="form text or JSON record")
             p.add_argument("--file", help="read inputs from a file")
@@ -460,7 +452,6 @@ def main(argv=None) -> int:
     defaults = {
         "precision": _env_int(ENV_PRECISION, 192),
         "seed": _env_int(ENV_SEED, 0),
-        "nf_bound": _env_int(ENV_NF_BOUND, 4),
     }
     parser = _build_parser(defaults)
     args = parser.parse_args(argv)

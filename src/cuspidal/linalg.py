@@ -5,8 +5,7 @@ integers: fraction-free (Bareiss) elimination gives the echelon form, kernel
 vectors are back-substituted in integers, and span membership reduces the
 target against the echelon rows of one elimination.  Rationals come back only
 in the final canonical vector, so no floating point ever enters a rank
-decision.  A plain Gaussian path over any exact field backs the number field
-computations and doubles as an independent oracle for the integer path.
+decision.  ``solve`` works over any exact field.
 """
 
 from __future__ import annotations
@@ -64,6 +63,24 @@ def rank(rows: Matrix) -> int:
     return len(pivots)
 
 
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, by Bareiss elimination."""
+    m = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(m)):
+        sel = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if sel is None:
+            return 0
+        if sel != k:
+            m[k], m[sel] = m[sel], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * prev
+
+
 def canonical_vector(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale to primitive integer entries with the first nonzero entry positive."""
     den = 1
@@ -119,36 +136,27 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ..
     return basis
 
 
-def nullspace_plain(rows: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ...]]:
-    """Independent kernel oracle: textbook Gauss-Jordan over Fraction."""
-    rows = [[Fraction(c) for c in r] for r in rows]
-    if not rows:
-        return nullspace(rows, ncols)
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    prow = 0
-    for col in range(ncols):
-        sel = next((i for i in range(prow, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[prow], rows[sel] = rows[sel], rows[prow]
-        piv = rows[prow][col]
-        rows[prow] = [c / piv for c in rows[prow]]
-        for i in range(len(rows)):
-            if i != prow and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[prow])]
-        pivots.append(col)
-        prow += 1
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for k, pc in enumerate(pivots):
-            x[pc] = -rows[k][f]
-        basis.append(canonical_vector(x))
-    return basis
+def free_column_basis(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
+    """The basis ``nullspace`` returns for any matrix whose kernel is the
+    span of the given independent vectors, in the same order.
+
+    A column of such a matrix is free exactly when some kernel vector ends
+    there, and the basis vector of free column f is the kernel vector that
+    ends at f and vanishes on the other free columns.  Eliminating from the
+    last column down finds both.
+    """
+    rows = [list(v) for v in vectors]
+    ends: list[int] = []
+    for i, row in enumerate(rows):
+        col = max((j for j, c in enumerate(row) if c), default=None)
+        if col is None:
+            raise ValueError("dependent vectors have no free-column basis")
+        for k, other in enumerate(rows):
+            if k != i and other[col]:
+                f = other[col] / row[col]
+                rows[k] = [a - f * b for a, b in zip(other, row)]
+        ends.append(col)
+    return [canonical_vector(rows[i]) for i in sorted(range(len(rows)), key=ends.__getitem__)]
 
 
 def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
@@ -166,68 +174,6 @@ def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -
             piv = row[pc]
             t = [a * piv - c * b for a, b in zip(t, row)]
     return not any(t)
-
-
-# Generic field elimination (duck-typed entries: Fraction or number field
-# elements).  Used where coefficients live in an extension of the rationals.
-
-def nullspace_field(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple]:
-    rows = [list(r) for r in rows]
-    if not rows:
-        if ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    prow = 0
-    for col in range(ncols):
-        sel = next((i for i in range(prow, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[prow], rows[sel] = rows[sel], rows[prow]
-        piv = rows[prow][col]
-        rows[prow] = [c / piv for c in rows[prow]]
-        for i in range(len(rows)):
-            if i != prow and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[prow])]
-        pivots.append(col)
-        prow += 1
-    if not pivots:
-        raise ValueError("zero matrix over a field needs explicit handling")
-    one = rows[0][pivots[0]]
-    zero = one - one
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        x = [zero] * ncols
-        x[f] = one
-        for k, pc in enumerate(pivots):
-            x[pc] = zero - rows[k][f]
-        basis.append(tuple(x))
-    return basis
-
-
-def rank_field(rows: Sequence[Sequence]) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    pivots = 0
-    prow = 0
-    for col in range(ncols):
-        sel = next((i for i in range(prow, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[prow], rows[sel] = rows[sel], rows[prow]
-        piv = rows[prow][col]
-        for i in range(prow + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / piv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[prow])]
-        pivots += 1
-        prow += 1
-    return pivots
 
 
 def solve(rows: Matrix, rhs: Sequence) -> list | None:

@@ -333,7 +333,8 @@ def isolate_roots(poly: Sequence, precision_bits: int) -> list[AlgebraicNumber]:
 
     Returns one :class:`AlgebraicNumber` per complex root.  Disks are pairwise
     disjoint with an eightfold margin, which makes the reality test (imaginary
-    part within the disk radius) sound.  Raises :class:`PrecisionError` when no
+    part within the disk radius) sound; a quadratic's roots are real exactly
+    when its discriminant is positive.  Raises :class:`PrecisionError` when no
     working precision up to eight times the request separates the roots.
     """
     p = _as_fraction_list(poly)
@@ -381,10 +382,11 @@ def _try_isolate(ints: tuple[int, ...], work: int):
             for j in range(i + 1, len(roots)):
                 if abs(roots[i] - roots[j]) <= 8 * (radii[i] + radii[j]):
                     return None
+        exact_real = ints[1] ** 2 - 4 * ints[0] * ints[2] > 0 if deg == 2 else None
         out = []
         for z, rad in zip(roots, radii):
             zc = mpmath.mpc(z)
-            real = abs(zc.imag) <= rad
+            real = abs(zc.imag) <= rad if exact_real is None else exact_real
             re = _mpf_to_fraction(zc.real)
             im = Fraction(0) if real else _mpf_to_fraction(zc.imag)
             out.append(

@@ -15,18 +15,27 @@ B(lambda) over the pencil, and :func:`x_rank` computes that minimum exactly:
 
 * lambda enters the level-r Hankel matrix only in the two cells with
   j + k = 1, so rows 2.. are constant.  Multiplying rows 0 and 1 by a basis
-  of the kernel K of the constant rows leaves a 2 x dim K matrix affine in
-  lambda; the lambda where the level-r kernel jumps are the roots of its
-  gcd (dim K = 1) or determinant (dim K = 2), a polynomial of degree at
-  most 2, hence rational or quadratic irrationals.
-* Levels are scanned upward.  The first level whose kernel is nontrivial
-  for every lambda is the generic first-kernel level of the pencil; a lift
-  first acquiring a kernel at level r has rank at least r, so whole levels
-  are pruned exactly once the running minimum is that small.
-* At the generic level the square-free-witness dichotomy is decided on a
-  rational grid wider than the lambda-degree of the relevant discriminant,
-  making the generic certificate deterministic; a pair of seeded random
-  probes cross-checks it.
+  of the kernel K of the constant rows leaves a 2 x dim K block affine in
+  lambda, and the level-r kernel of B(lambda) is K c for c in the kernel of
+  that block at lambda.  The lambda where the kernel jumps are the roots of
+  the block's gcd (dim K = 1) or determinant (dim K = 2), a polynomial of
+  degree at most 2, hence rational or quadratic irrationals.
+* Levels are scanned upward once, on the pencil alone.  The first level
+  whose kernel is nontrivial for every lambda is the generic first-kernel
+  level w_gen; a special lambda's first kernel level is the first level
+  where it appears.  No lift is eliminated afresh: its kernel at that known
+  level is read off the pencil, basis for basis as ``linalg.nullspace``
+  gives it, and certified by the same dichotomy as ``apolarity.rank``.
+* At a quadratic lambda dim K = 2 and the kernel is one vector
+  v0 + lambda v1 with v0, v1 rational, so the certificate is one rational
+  test: whether the minimal polynomial of lambda divides the discriminant
+  of the form g0 + x g1.
+* A lift first acquiring a kernel at level r has rank at least r, so whole
+  levels are pruned exactly once the running minimum is that small.
+* At w_gen the square-free-witness dichotomy is decided on a rational grid
+  wider than the lambda-degree of the relevant discriminant, making the
+  generic certificate deterministic; a pair of seeded random lifts,
+  certified independently by ``apolarity.rank``, cross-checks it.
 """
 
 from __future__ import annotations
@@ -39,9 +48,9 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg, ratfactor, univar
-from .apolarity import CertificateError, RankCertificate, rank as sylvester_rank
+from .apolarity import CertificateError, RankCertificate, _certify, rank as sylvester_rank
 from .binform import BinaryForm, NumericRoot, P1Point, ZeroFormError, is_integer_literal
-from .numberfield import AlgebraicNumber, NFElement, NumberField, isolate_roots
+from .numberfield import AlgebraicNumber, isolate_roots
 
 
 class ProjectionError(ValueError):
@@ -192,30 +201,15 @@ def project(f: BinaryForm) -> ProjectedPoint:
     return ProjectedPoint(d - 1, tuple(rest))
 
 
-@dataclass(frozen=True)
-class FieldForm:
-    """A lift whose deleted coefficient is an algebraic number: apolar
-    coordinate vector over Q[x]/(minpoly), the generator playing lambda."""
-
-    field: NumberField
-    degree: int
-    a_coeffs: tuple[NFElement, ...]
-
-
-def lift(P: ProjectedPoint, lam):
+def lift(P: ProjectedPoint, lam) -> BinaryForm:
     """The lift of P whose deleted monomial coefficient c_1 equals lam.
 
-    Rational lam gives an exact BinaryForm; an AlgebraicNumber gives a
-    FieldForm, since its coefficients leave the rationals.
+    Only rational lam has a lift here; the fiber scan certifies algebraic
+    lambda from the pencil without forming the lift.
     """
-    d = P.n + 1
     if isinstance(lam, AlgebraicNumber):
-        field = NumberField([Fraction(c) for c in lam.minpoly])
-        a = P.apolar_with_slot(field.gen / d)
-        coeffs = tuple(
-            field.from_rational(c) if not isinstance(c, NFElement) else c for c in a
-        )
-        return FieldForm(field, d, coeffs)
+        raise ProjectionError("lifts are formed at rational lambda only")
+    d = P.n + 1
     lam = Fraction(lam)
     a = P.apolar_with_slot(lam / d)
     return BinaryForm(d, tuple(a[i] * comb(d, i) for i in range(d + 1)))
@@ -240,22 +234,92 @@ def cusp_curve_point(n, t) -> ProjectedPoint:
     return ProjectedPoint(n, tuple([vec[0]] + vec[2:]))
 
 
-# -- the special values of the pencil ---------------------------------------
+# -- the pencil of one level -------------------------------------------------
 
 
-def special_lambdas(P: ProjectedPoint, r: int, precision_bits: int = 192):
-    """Exact lambda values where the level-r kernel of the pencil jumps.
+@dataclass(frozen=True)
+class _Pencil:
+    """Level-r structure of the lift pencil of a degree-d point: a basis K of
+    the kernel of the constant Hankel rows 2.., and for each basis vector v
+    the pair (row 0 . v, row 1 . v), each as (constant, slope) in lambda."""
 
-    Rows 2.. of the level-r Hankel matrix are constant; let K be their
-    kernel.  The full kernel at lambda is the set of v in K killed by rows 0
-    and 1, whose products with a basis of K form a 2 x dim K matrix affine
-    in lambda.  dim K = 0 gives no special lambda and dim K >= 3 gives
-    ALL_LAMBDA; otherwise the special values are the roots of the gcd of
-    the two entries (dim K = 1) or of the 2 x 2 determinant (dim K = 2), a
-    polynomial of degree at most 2, and ALL_LAMBDA when it vanishes
-    identically.  Returned as rationals first in increasing order, then
-    algebraic numbers grouped by minimal polynomial.
-    """
+    d: int
+    r: int
+    kernel: list[tuple[Fraction, ...]]
+    rows: list[tuple[tuple, tuple]]
+
+    def special_values(self, precision_bits: int):
+        """(key, lambda) for every lambda where the level-r kernel jumps, or
+        ALL_LAMBDA.  The key is lambda itself when rational, and (minimal
+        polynomial, index in isolate_roots order) when algebraic."""
+        if len(self.kernel) >= 3:
+            return ALL_LAMBDA
+        if not self.kernel:
+            return []
+        polys = [(univar.trim(p), univar.trim(q)) for p, q in self.rows]
+        if len(polys) == 1:
+            g = univar.gcd(*polys[0])
+        else:
+            (p0, p1), (q0, q1) = polys
+            g = univar.sub(univar.mul(p0, q1), univar.mul(p1, q0))
+        if not g:
+            return ALL_LAMBDA
+        if univar.degree(g) == 0:
+            return []
+        rats: list[Fraction] = []
+        algs: list[tuple] = []
+        for fac, _mult in ratfactor.irreducible_factors(g):
+            if len(fac) == 2:
+                rats.append(-fac[0] / fac[1])
+            else:
+                roots = isolate_roots(fac, precision_bits)
+                algs.extend(((z.minpoly, i), z) for i, z in enumerate(roots))
+        rats.sort()
+        algs.sort(key=lambda kz: kz[0])
+        return [(lam, lam) for lam in rats] + algs
+
+    def kernel_at(self, lam: Fraction) -> list[tuple[Fraction, ...]]:
+        """Level-r kernel of the lift at rational lam, basis for basis as
+        ``linalg.nullspace`` gives it for the lift's catalecticant."""
+        block = [[c + s * lam for c, s in pair] for pair in zip(*self.rows)]
+        combos = linalg.nullspace(block) if self.kernel else []
+        vecs = [[sum(c * v[i] for c, v in zip(cs, self.kernel)) for i in range(self.r + 1)]
+                for cs in combos]
+        return linalg.free_column_basis(vecs)
+
+    def certificate(self, lam: Fraction) -> RankCertificate:
+        """Rank certificate of the lift at a rational lam whose first kernel
+        level is r, equal field for field to ``apolarity.rank`` of the lift."""
+        return _certify(self.d, self.r, [BinaryForm(self.r, v) for v in self.kernel_at(lam)])
+
+    def field_certificate(self, minpoly: tuple[int, ...]) -> "FieldCertificate":
+        """Rank certificate of the lifts at the roots of a quadratic minpoly.
+
+        The block has rank one there, so its kernel is spanned by c(lambda)
+        = (y, -x) for a row (x, y) of the block that is not identically
+        zero; c, and with it v = K c = v0 + lambda v1, is affine in lambda.
+        The kernel form g0 + lambda g1 is square-free iff lambda is not a
+        root of the discriminant of g0 + x g1.
+        """
+        if len(self.kernel) != 2:
+            raise CertificateError(f"algebraic lambda with dim K = {len(self.kernel)}")
+        x, y = next(
+            (row for row in zip(*self.rows) if any(row[0]) or any(row[1])),
+            ((0, 0), (0, 0)),
+        )
+        k0, k1 = self.kernel
+        v0 = [y[0] * a - x[0] * b for a, b in zip(k0, k1)]
+        v1 = [y[1] * a - x[1] * b for a, b in zip(k0, k1)]
+        if not any(v0) and not any(v1):
+            raise CertificateError("the kernel vector vanishes at an algebraic lambda")
+        modulus = tuple(univar.monic([Fraction(c) for c in minpoly]))
+        _, rem = univar.divmod_(_discriminant(v0, v1), modulus)
+        if rem:
+            return FieldCertificate(self.r, self.r, "squarefree", modulus)
+        return FieldCertificate(self.r, self.d + 2 - self.r, "nonreduced", modulus)
+
+
+def _pencil(P: ProjectedPoint, r: int) -> _Pencil:
     d = P.n + 1
     if not 1 <= r <= (d + 2) // 2:
         raise ProjectionError(f"level must lie in 1..{(d + 2) // 2}")
@@ -263,40 +327,51 @@ def special_lambdas(P: ProjectedPoint, r: int, precision_bits: int = 192):
     kernel = linalg.nullspace(
         [[a[j + k] for k in range(r + 1)] for j in range(2, d - r + 1)], ncols=r + 1
     )
-    if len(kernel) >= 3:
-        return ALL_LAMBDA
-    if not kernel:
-        return []
-    # (row 0 . v, row 1 . v) as polynomials in lambda; a_1 = lambda/d
-    pencil = [
+    # a_1 = lambda/d is the only entry of rows 0 and 1 that moves
+    rows = [
         (
-            univar.trim([sum(a[k] * v[k] for k in range(r + 1) if k != 1), v[1] / d]),
-            univar.trim([sum(a[k + 1] * v[k] for k in range(1, r + 1)), v[0] / d]),
+            (sum(a[k] * v[k] for k in range(r + 1) if k != 1), v[1] / d),
+            (sum(a[k + 1] * v[k] for k in range(1, r + 1)), v[0] / d),
         )
         for v in kernel
     ]
-    if len(pencil) == 1:
-        g = univar.gcd(*pencil[0])
-    else:
-        (p0, p1), (q0, q1) = pencil
-        g = univar.sub(univar.mul(p0, q1), univar.mul(p1, q0))
-    if not g:
-        return ALL_LAMBDA
-    if univar.degree(g) == 0:
-        return []
-    rats: list[Fraction] = []
-    algs: list[AlgebraicNumber] = []
-    for fac, _mult in ratfactor.irreducible_factors(g):
-        if len(fac) == 2:
-            rats.append(-fac[0] / fac[1])
-        else:
-            algs.extend(isolate_roots(fac, precision_bits))
-    rats.sort()
-    algs.sort(key=lambda z: (z.minpoly, z.approx_re, z.approx_im))
-    return rats + algs
+    return _Pencil(d, r, kernel, rows)
 
 
-# -- rank of a lift over a number field --------------------------------------
+def _discriminant(v0, v1) -> list:
+    """Res(g_u, g_t) of the binary form g = g0 + x g1 (coefficient i at
+    u^(r-i) t^i) as a polynomial in x, up to a constant factor.  It vanishes
+    exactly where g has a repeated root on P^1, u^2 dividing g included.
+    The Sylvester matrix of the two partials, both of formal degree r-1, is
+    affine in x, so its determinant has degree at most 2r-2 and is
+    interpolated from its integer values at x = 0..2r-2."""
+    r = len(v0) - 1
+    den = math.lcm(*(c.denominator for c in (*v0, *v1)))
+    g0 = [int(c * den) for c in v0]
+    g1 = [int(c * den) for c in v1]
+    npts = 2 * r - 1
+    diffs: list = []
+    for x in range(npts):
+        g = [a + x * b for a, b in zip(g0, g1)]
+        partials = ([(r - i) * g[i] for i in range(r)], [(i + 1) * g[i + 1] for i in range(r)])
+        sylvester = [[0] * i + p + [0] * (r - 2 - i) for p in partials for i in range(r - 1)]
+        diffs.append(Fraction(linalg.det(sylvester)))
+    # Newton divided differences at the nodes 0..npts-1, then back to coefficients
+    for k in range(1, npts):
+        for i in range(npts - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / k
+    poly: list = []
+    for i in range(npts - 1, -1, -1):
+        poly = univar.add(univar.mul(poly, [Fraction(-i), Fraction(1)]), [diffs[i]])
+    return poly
+
+
+def special_lambdas(P: ProjectedPoint, r: int, precision_bits: int = 192):
+    """Exact lambda values where the level-r kernel of the pencil jumps, or
+    ALL_LAMBDA: rationals first in increasing order, then algebraic numbers
+    grouped by minimal polynomial."""
+    got = _pencil(P, r).special_values(precision_bits)
+    return got if got is ALL_LAMBDA else [lam for _key, lam in got]
 
 
 @dataclass(frozen=True)
@@ -324,61 +399,6 @@ class FieldCertificate:
         }
 
 
-def _field_is_square_free(coeffs: list, degree: int) -> bool:
-    """Square-freeness of a binary form given by coefficients over a field.
-
-    coeffs[i] multiplies u^{degree-i} t^i.  The form factors as u^k times
-    the homogenization of the trimmed dehomogenized polynomial; it is
-    square-free iff k <= 1 and that polynomial has no repeated root.
-    """
-    p = univar.trim(list(coeffs))
-    if not p:
-        raise ZeroFormError("square-freeness of the zero form")
-    k = degree - univar.degree(p)
-    if k > 1:
-        return False
-    if univar.degree(p) == 0:
-        return True
-    g = univar.gcd(p, univar.derivative(p))
-    return univar.degree(g) == 0
-
-
-def field_rank_certificate(ff: FieldForm) -> FieldCertificate:
-    """Sylvester dichotomy for a lift over a number field, run exactly."""
-    d = ff.degree
-    a = ff.a_coeffs
-    field = ff.field
-    for r in range(1, (d + 2) // 2 + 1):
-        rows = [[a[j + k] for k in range(r + 1)] for j in range(d - r + 1)]
-        rk = linalg.rank_field(rows)
-        dim = (r + 1) - rk
-        if dim == 0:
-            continue
-        basis = linalg.nullspace_field(rows, ncols=r + 1)
-        if dim == 1:
-            gen = list(basis[0])
-            if _field_is_square_free(gen, r):
-                return FieldCertificate(r, r, "squarefree", tuple(field.modulus))
-            return FieldCertificate(r, d + 2 - r, "nonreduced", tuple(field.modulus))
-        # two-dimensional first kernel: a square-free member always exists,
-        # found on a rational grid wider than the discriminant degree
-        grid: list[Fraction] = [Fraction(0)]
-        step = 1
-        while len(grid) < 2 * r + 2:
-            grid.extend((Fraction(step), Fraction(-step)))
-            step += 1
-        for c0, c1 in itertools.product(grid, repeat=2):
-            combo = [
-                basis[0][i] * c0 + basis[1][i] * c1 for i in range(r + 1)
-            ]
-            if all(not x for x in combo):
-                continue
-            if _field_is_square_free(combo, r):
-                return FieldCertificate(r, r, "squarefree", tuple(field.modulus))
-        raise CertificateError("two-dimensional kernel without square-free member")
-    raise CertificateError("no kernel level found for a nonzero form")
-
-
 # -- the fiber minimization ---------------------------------------------------
 
 
@@ -386,19 +406,15 @@ def field_rank_certificate(ff: FieldForm) -> FieldCertificate:
 class XRankResult:
     """Minimum rank over the fiber pencil, with the minimizing lift.
 
-    complete is False exactly when some class of algebraic special lambda
-    exceeded the number-field degree bound and could not be ruled out;
-    unexplored then lists the offending minimal polynomials and flag holds
-    "AlgebraicDegreeExceeded".
+    The scan is always complete.  The JSON keeps the constants
+    "complete": true, "unexplored": [] and "flag": null of the earlier
+    schema, which could mark a scan incomplete.
     """
 
     value: int
     witness_lambda: object
     witness_certificate: object
     witness_set_on_X: tuple[ProjectedPoint, ...] | None
-    complete: bool = True
-    unexplored: tuple[tuple[Fraction, ...], ...] = ()
-    flag: str | None = None
 
     def to_json(self) -> dict:
         lam = self.witness_lambda
@@ -415,9 +431,9 @@ class XRankResult:
                 if self.witness_set_on_X is None
                 else [p.to_json() for p in self.witness_set_on_X]
             ),
-            "complete": self.complete,
-            "unexplored": [[str(c) for c in m] for m in self.unexplored],
-            "flag": self.flag,
+            "complete": True,
+            "unexplored": [],
+            "flag": None,
         }
 
 
@@ -441,20 +457,20 @@ def _certificate_sort_key(value: int, cert, lam) -> tuple:
 def x_rank(
     P: ProjectedPoint,
     *,
-    nf_degree_bound: int = 4,
     precision_bits: int = 192,
     rng: random.Random | None = None,
 ) -> XRankResult:
     """Exact minimum of the rank of B(lambda) over the fiber pencil.
 
-    The scan visits every special lambda at every level below the generic
-    first-kernel level, evaluates rank exactly (over Q at rational lambda,
-    over Q[lambda]/(minpoly) at algebraic lambda of degree within
-    nf_degree_bound), adds a deterministic generic certificate, and returns
-    the minimum.  Levels at or above the running minimum are pruned, which
-    is exact: a lift first acquiring a kernel at level r has rank >= r.
-    Special lambda are at most quadratic (see special_lambdas), so any
-    nf_degree_bound >= 2 leaves the scan complete.
+    One upward pass over the levels finds the generic first-kernel level
+    w_gen and the special lambda of each lower level, each at its first
+    kernel level.  Every lift is then certified at that known level from the
+    pencil: rational lambda through the kernel K c, quadratic lambda through
+    one discriminant test, and the generic value on a deterministic grid.
+    Levels at or above the running minimum are pruned, which is exact: a
+    lift first acquiring a kernel at level r has rank >= r.  Two seeded
+    random lifts, certified independently by ``apolarity.rank``, must agree
+    with the generic certificate on border rank and rank.
     """
     if rng is None:
         rng = random.Random(0x57A7)
@@ -464,27 +480,18 @@ def x_rank(
     # first pass: locate the generic first-kernel level and collect the
     # special lambda of each lower level (each lambda reported at the level
     # where its kernel first appears, which is its border rank)
+    pencils: dict[int, _Pencil] = {}
     per_level: dict[int, list] = {}
-    seen_rat: set[Fraction] = set()
-    seen_alg: set[tuple] = set()
+    seen: set = set()
     w_gen = None
     for r in range(1, cap + 1):
-        got = special_lambdas(P, r, precision_bits)
+        pencils[r] = _pencil(P, r)
+        got = pencils[r].special_values(precision_bits)
         if got is ALL_LAMBDA:
             w_gen = r
             break
-        fresh = []
-        for lam in got:
-            if isinstance(lam, Fraction):
-                if lam in seen_rat:
-                    continue
-                seen_rat.add(lam)
-            else:
-                key = (lam.minpoly, lam.approx_re, lam.approx_im)
-                if key in seen_alg:
-                    continue
-                seen_alg.add(key)
-            fresh.append(lam)
+        fresh = [lam for key, lam in got if key not in seen]
+        seen.update(key for key, _lam in got)
         if fresh:
             per_level[r] = fresh
     if w_gen is None:
@@ -495,79 +502,45 @@ def x_rank(
     # Square-freeness of the generic witness is an open condition whose
     # failure locus has lambda-degree at most 2*(2*w_gen - 1), so a clean
     # grid of that many misses ties the dichotomy down deterministically.
-    candidates: list[tuple] = []
-    grid_needed = 4 * w_gen + 2
-    generic_cert = None
-    generic_lam = None
-    step = 0
-    tried = 0
-    while tried < grid_needed:
-        lam = Fraction(step)
-        step = -step if step > 0 else -step + 1
-        if lam in seen_rat:
-            continue
-        tried += 1
-        cert = sylvester_rank(lift(P, lam))
-        if cert.border_rank != w_gen:
-            raise CertificateError("nonspecial lambda off the generic kernel level")
-        if generic_cert is None:
+    zigzag = (Fraction(z) for k in itertools.count() for z in ((k, -k) if k else (0,)))
+    generic_cert = generic_lam = None
+    for lam in itertools.islice((z for z in zigzag if z not in seen), 4 * w_gen + 2):
+        cert = pencils[w_gen].certificate(lam)
+        if generic_cert is None or cert.witness_kind == "squarefree":
             generic_cert, generic_lam = cert, lam
         if cert.witness_kind == "squarefree":
-            generic_cert, generic_lam = cert, lam
             break
     # seeded random cross-check of the generic value
     for _ in range(2):
         while True:
             probe = Fraction(rng.randint(-(10**6), 10**6))
-            if probe not in seen_rat:
+            if probe not in seen:
                 break
-        if sylvester_rank(lift(P, probe)).rank != generic_cert.rank:
+        cert = sylvester_rank(lift(P, probe))
+        if cert.border_rank != w_gen:
+            raise CertificateError("nonspecial lambda off the generic kernel level")
+        if cert.rank != generic_cert.rank:
             raise CertificateError("generic-fiber probe disagrees with the grid")
-    candidates.append((generic_cert.rank, generic_lam, generic_cert))
+    candidates = [(generic_cert.rank, generic_lam, generic_cert)]
 
     # special lambda, by level, with exact pruning
-    unexplored: dict[tuple, int] = {}
-    best = min(c[0] for c in candidates)
+    best = generic_cert.rank
     for r in sorted(per_level):
         if best <= r:
             break
-        handled_fields: dict[tuple, FieldCertificate] = {}
+        fields: dict[tuple, FieldCertificate] = {}
         for lam in per_level[r]:
             if isinstance(lam, Fraction):
-                cert = sylvester_rank(lift(P, lam))
-                if cert.border_rank != r:
-                    raise CertificateError("special lambda at the wrong first level")
-                candidates.append((cert.rank, lam, cert))
-                best = min(best, cert.rank)
+                cert = pencils[r].certificate(lam)
             else:
-                key = tuple(lam.minpoly)
-                if lam.degree > nf_degree_bound:
-                    unexplored.setdefault(key, r)
-                    continue
-                if key not in handled_fields:
-                    handled_fields[key] = field_rank_certificate(lift(P, lam))
-                fcert = handled_fields[key]
-                candidates.append((fcert.rank, lam, fcert))
-                best = min(best, fcert.rank)
+                if lam.minpoly not in fields:
+                    fields[lam.minpoly] = pencils[r].field_certificate(lam.minpoly)
+                cert = fields[lam.minpoly]
+            candidates.append((cert.rank, lam, cert))
+            best = min(best, cert.rank)
 
     value, lam_star, cert_star = min(
         candidates, key=lambda c: _certificate_sort_key(c[0], c[2], c[1])
     )
-    witness_points = (
-        _witness_points(P, cert_star)
-        if isinstance(cert_star, RankCertificate) and isinstance(lam_star, Fraction)
-        else None
-    )
-    # a skipped class whose first kernel level is at or above the final value
-    # cannot beat it (rank >= that level), so only lower levels are real gaps
-    unexplored_final = tuple(m for m, lv in unexplored.items() if lv < value)
-    complete = not unexplored_final
-    return XRankResult(
-        value=value,
-        witness_lambda=lam_star,
-        witness_certificate=cert_star,
-        witness_set_on_X=witness_points,
-        complete=complete,
-        unexplored=unexplored_final,
-        flag=None if complete else "AlgebraicDegreeExceeded",
-    )
+    witness_points = _witness_points(P, cert_star) if isinstance(lam_star, Fraction) else None
+    return XRankResult(value, lam_star, cert_star, witness_points)

@@ -1,0 +1,179 @@
+"""Replaced routes, kept as independent oracles for the ones in the package.
+
+* ``nullspace_plain``: textbook Gauss-Jordan over Fraction, against the
+  integer Bareiss kernel of ``linalg.nullspace``.
+* ``rank_field`` and ``nullspace_field``: Gaussian elimination over any
+  exact field, number fields included.
+* ``field_rank_certificate``: before the fiber scan read every lift's
+  kernel off the pencil, an algebraic lambda was certified by forming the
+  lift over Q[x]/(minpoly) (``field_lift``) and scanning its catalecticant
+  levels upward by elimination over the number field.  It shares no kernel
+  code with the pencil's quadratic certificate.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+
+from cuspidal import linalg, univar
+from cuspidal.apolarity import CertificateError
+from cuspidal.binform import ZeroFormError
+from cuspidal.numberfield import AlgebraicNumber, NFElement, NumberField
+from cuspidal.projection import FieldCertificate, ProjectedPoint
+
+
+def nullspace_plain(rows, ncols=None) -> list[tuple[Fraction, ...]]:
+    """Independent kernel oracle: textbook Gauss-Jordan over Fraction."""
+    rows = [[Fraction(c) for c in r] for r in rows]
+    if not rows:
+        return linalg.nullspace(rows, ncols)
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    prow = 0
+    for col in range(ncols):
+        sel = next((i for i in range(prow, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[prow], rows[sel] = rows[sel], rows[prow]
+        piv = rows[prow][col]
+        rows[prow] = [c / piv for c in rows[prow]]
+        for i in range(len(rows)):
+            if i != prow and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[prow])]
+        pivots.append(col)
+        prow += 1
+    free = [j for j in range(ncols) if j not in pivots]
+    basis = []
+    for f in free:
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for k, pc in enumerate(pivots):
+            x[pc] = -rows[k][f]
+        basis.append(linalg.canonical_vector(x))
+    return basis
+
+
+def nullspace_field(rows, ncols=None) -> list[tuple]:
+    """Kernel basis by Gauss-Jordan over any exact field (duck-typed entries)."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        if ncols is None:
+            raise ValueError("empty matrix needs an explicit column count")
+        return []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    prow = 0
+    for col in range(ncols):
+        sel = next((i for i in range(prow, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[prow], rows[sel] = rows[sel], rows[prow]
+        piv = rows[prow][col]
+        rows[prow] = [c / piv for c in rows[prow]]
+        for i in range(len(rows)):
+            if i != prow and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[prow])]
+        pivots.append(col)
+        prow += 1
+    if not pivots:
+        raise ValueError("zero matrix over a field needs explicit handling")
+    one = rows[0][pivots[0]]
+    zero = one - one
+    free = [j for j in range(ncols) if j not in pivots]
+    basis = []
+    for f in free:
+        x = [zero] * ncols
+        x[f] = one
+        for k, pc in enumerate(pivots):
+            x[pc] = zero - rows[k][f]
+        basis.append(tuple(x))
+    return basis
+
+
+def rank_field(rows) -> int:
+    """Rank by Gaussian elimination over any exact field."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    pivots = 0
+    prow = 0
+    for col in range(ncols):
+        sel = next((i for i in range(prow, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[prow], rows[sel] = rows[sel], rows[prow]
+        piv = rows[prow][col]
+        for i in range(prow + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] / piv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[prow])]
+        pivots += 1
+        prow += 1
+    return pivots
+
+
+@dataclass(frozen=True)
+class FieldForm:
+    """A lift whose deleted coefficient is an algebraic number: apolar
+    coordinate vector over Q[x]/(minpoly), the generator playing lambda."""
+
+    field: NumberField
+    degree: int
+    a_coeffs: tuple[NFElement, ...]
+
+
+def field_lift(P: ProjectedPoint, lam: AlgebraicNumber) -> FieldForm:
+    d = P.n + 1
+    field = NumberField([Fraction(c) for c in lam.minpoly])
+    a = P.apolar_with_slot(field.gen / d)
+    coeffs = tuple(c if isinstance(c, NFElement) else field.from_rational(c) for c in a)
+    return FieldForm(field, d, coeffs)
+
+
+def field_is_square_free(coeffs: list, degree: int) -> bool:
+    """Square-freeness of a binary form given by coefficients over a field:
+    u^k times the homogenized trimmed polynomial, square-free iff k <= 1
+    and that polynomial has no repeated root."""
+    p = univar.trim(list(coeffs))
+    if not p:
+        raise ZeroFormError("square-freeness of the zero form")
+    if degree - univar.degree(p) > 1:
+        return False
+    if univar.degree(p) == 0:
+        return True
+    return univar.degree(univar.gcd(p, univar.derivative(p))) == 0
+
+
+def field_rank_certificate(ff: FieldForm) -> FieldCertificate:
+    """Sylvester dichotomy for a lift over a number field, by a level scan."""
+    d = ff.degree
+    a = ff.a_coeffs
+    modulus = tuple(ff.field.modulus)
+    for r in range(1, (d + 2) // 2 + 1):
+        rows = [[a[j + k] for k in range(r + 1)] for j in range(d - r + 1)]
+        dim = (r + 1) - rank_field(rows)
+        if dim == 0:
+            continue
+        basis = nullspace_field(rows, ncols=r + 1)
+        if dim == 1:
+            if field_is_square_free(list(basis[0]), r):
+                return FieldCertificate(r, r, "squarefree", modulus)
+            return FieldCertificate(r, d + 2 - r, "nonreduced", modulus)
+        # a two-dimensional first kernel always has a square-free member,
+        # found on a rational grid wider than the discriminant degree
+        grid = [Fraction(0)]
+        step = 1
+        while len(grid) < 2 * r + 2:
+            grid.extend((Fraction(step), Fraction(-step)))
+            step += 1
+        for c0, c1 in itertools.product(grid, repeat=2):
+            combo = [basis[0][i] * c0 + basis[1][i] * c1 for i in range(r + 1)]
+            if any(combo) and field_is_square_free(combo, r):
+                return FieldCertificate(r, r, "squarefree", modulus)
+        raise CertificateError("two-dimensional kernel without square-free member")
+    raise CertificateError("no kernel level found for a nonzero form")

