@@ -76,7 +76,7 @@ def catalecticant(f: BinaryForm, r: int) -> CatalecticantMatrix:
 def kernel_basis(m: CatalecticantMatrix) -> list[BinaryForm]:
     """Exact basis of the right kernel, as degree-r forms; empty iff injective."""
     vecs = linalg.nullspace([list(row) for row in m.rows], ncols=m.ncols)
-    return [BinaryForm(m.r, tuple(Fraction(c) for c in v)) for v in vecs]
+    return [BinaryForm(m.r, v) for v in vecs]
 
 
 def _first_kernel(f: BinaryForm) -> tuple[int, list[BinaryForm]]:
@@ -302,7 +302,7 @@ def verify_decomposition(f: BinaryForm, dec: Decomposition):
     )
     if all_exact:
         diff = f - _exact_reconstruction(dec.terms, f.degree)
-        rel = max(abs(c) for c in diff.coeffs) / scale
+        rel = Fraction(max(abs(c) for c in diff.coeffs), scale)
         return mpmath.mpf(rel.numerator) / int(rel.denominator)
     bits = max(dec.precision_bits, 64)
     with mpmath.workprec(bits + 32):

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import mpmath
 
-from . import ratfactor, univar
+from . import linalg, ratfactor, univar
 
 
 class GrammarError(ValueError):
@@ -56,17 +56,42 @@ def _as_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _exact(c) -> int | Fraction:
+    """The value of c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _convolve(p: Sequence, q: Sequence) -> list:
+    """Coefficients of the product of two forms, schoolbook; trailing zeros
+    are kept, since they carry powers of u."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
 @dataclass(frozen=True)
 class BinaryForm:
-    """Homogeneous binary form sum(c_i * u**(d-i) * t**i)."""
+    """Homogeneous binary form sum(c_i * u**(d-i) * t**i).
+
+    Each coefficient is stored as an ``int`` when it is integral and as a
+    ``fractions.Fraction`` otherwise, whatever exact type it was given in;
+    since an int and the equal Fraction compare and hash alike, so do forms
+    built from either.
+    """
 
     degree: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(_exact(c) for c in self.coeffs)
         if len(coeffs) != self.degree + 1:
             raise ValueError(
                 f"degree {self.degree} needs {self.degree + 1} coefficients, got {len(coeffs)}"
@@ -82,22 +107,23 @@ class BinaryForm:
         """Partial derivative in u."""
         d = self.degree
         if d == 0:
-            return BinaryForm(0, (Fraction(0),))
+            return BinaryForm(0, (0,))
         return BinaryForm(d - 1, tuple((d - i) * self.coeffs[i] for i in range(d)))
 
     def dt(self) -> "BinaryForm":
         """Partial derivative in t."""
         d = self.degree
         if d == 0:
-            return BinaryForm(0, (Fraction(0),))
+            return BinaryForm(0, (0,))
         return BinaryForm(d - 1, tuple((i + 1) * self.coeffs[i + 1] for i in range(d)))
 
-    def evaluate(self, a: Fraction, b: Fraction) -> Fraction:
-        a, b = Fraction(a), Fraction(b)
-        acc = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                acc += c * a ** (self.degree - i) * b ** i
+    def evaluate(self, a, b) -> int | Fraction:
+        # after step i, acc = sum over j <= i of c_j a^(i-j) b^j
+        a, b = _exact(a), _exact(b)
+        acc, b_pow = 0, 1
+        for c in self.coeffs:
+            acc = acc * a + c * b_pow
+            b_pow *= b
         return acc
 
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
@@ -111,42 +137,21 @@ class BinaryForm:
         return BinaryForm(self.degree, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        cs = [Fraction(0)] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                cs[i + j] += a * b
-        return BinaryForm(self.degree + other.degree, tuple(cs))
+        return BinaryForm(self.degree + other.degree, tuple(_convolve(self.coeffs, other.coeffs)))
 
     def scaled(self, c) -> "BinaryForm":
-        c = Fraction(c)
+        c = _exact(c)
         return BinaryForm(self.degree, tuple(c * x for x in self.coeffs))
 
     def power(self, k: int) -> "BinaryForm":
-        out = BinaryForm(0, (Fraction(1),))
+        cs = [1]
         for _ in range(k):
-            out = out * self
-        return out
+            cs = _convolve(cs, self.coeffs)
+        return BinaryForm(self.degree * k, tuple(cs))
 
     def normalized(self) -> "BinaryForm":
-        """Primitive integer coefficients, first nonzero coefficient positive."""
-        if self.is_zero():
-            return self
-        from math import gcd as _gcd, lcm as _lcm
-
-        den = 1
-        for c in self.coeffs:
-            den = _lcm(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = _gcd(g, c)
-        ints = [c // g for c in ints]
-        lead = next(c for c in ints if c)
-        if lead < 0:
-            ints = [-c for c in ints]
-        return BinaryForm(self.degree, tuple(Fraction(c) for c in ints))
+        """Primitive int coefficients, first nonzero coefficient positive."""
+        return BinaryForm(self.degree, linalg.canonical_vector(self.coeffs))
 
     # -- chart bookkeeping -------------------------------------------------
 
@@ -166,7 +171,7 @@ class BinaryForm:
         if not p:
             raise ZeroFormError("zero polynomial part")
         deg = k + len(p) - 1
-        coeffs = list(p) + [Fraction(0)] * k
+        coeffs = list(p) + [0] * k
         return BinaryForm(deg, tuple(coeffs[: deg + 1]))
 
     # -- rendering ---------------------------------------------------------
@@ -253,7 +258,7 @@ class ApolarCoeffs:
 
 def apolar_coeffs(f: BinaryForm) -> ApolarCoeffs:
     d = f.degree
-    return ApolarCoeffs(d, tuple(f.coeffs[i] / comb(d, i) for i in range(d + 1)))
+    return ApolarCoeffs(d, tuple(univar.quo(f.coeffs[i], comb(d, i)) for i in range(d + 1)))
 
 
 @dataclass(frozen=True)
@@ -286,7 +291,7 @@ class P1Point:
 
     def linear_form(self) -> BinaryForm:
         """The degree-1 form vanishing exactly at this point."""
-        return BinaryForm(1, (self.b, -self.a)).normalized()
+        return BinaryForm(1, linalg.canonical_vector((self.b, -self.a)))
 
     def __str__(self) -> str:
         return f"({self.a}:{self.b})"
@@ -323,10 +328,10 @@ class ZeroScheme:
                 raise ValueError("constant factor in a zero scheme")
             k, p = g.tau_poly()
             if k:
-                ufac = BinaryForm(1, (Fraction(1), Fraction(0)))
+                ufac = BinaryForm(1, (1, 0))
                 acc[ufac] = acc.get(ufac, 0) + k * int(m)
             for q, e in ratfactor.irreducible_factors(p):
-                piece = BinaryForm(len(q) - 1, tuple(q)).normalized()
+                piece = BinaryForm(len(q) - 1, linalg.canonical_vector(q))
                 acc[piece] = acc.get(piece, 0) + e * int(m)
         canon = sorted(acc.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
         object.__setattr__(self, "factors", tuple(canon))
@@ -351,10 +356,11 @@ class ZeroScheme:
         return not self.factors
 
     def product_form(self) -> BinaryForm:
-        out = BinaryForm(0, (Fraction(1),))
+        cs = [1]
         for g, m in self.factors:
-            out = out * g.power(m)
-        return out
+            for _ in range(m):
+                cs = _convolve(cs, g.coeffs)
+        return BinaryForm(self.degree, tuple(cs))
 
     def multiplicity_at(self, p: P1Point) -> int:
         total = 0
@@ -502,7 +508,7 @@ def squarefree_decompose(f: BinaryForm) -> ZeroScheme:
     k, p = f.tau_poly()
     factors: list[tuple[BinaryForm, int]] = []
     if k:
-        factors.append((BinaryForm(1, (Fraction(1), Fraction(0))), k))
+        factors.append((BinaryForm(1, (1, 0)), k))
     for q, m in univar.yun(p):
         factors.append((BinaryForm.from_tau_poly(0, q), m))
     return ZeroScheme(tuple(factors))

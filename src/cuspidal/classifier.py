@@ -90,7 +90,7 @@ CASE_TAGS = (
 # -- spans of divisors on the power curve -------------------------------------
 
 
-def span_matrix(h: BinaryForm, ambient_degree: int) -> list[list[Fraction]]:
+def span_matrix(h: BinaryForm, ambient_degree: int) -> list[list[int | Fraction]]:
     """Contraction matrix whose kernel is the affine span of the divisor of h
     inside degree-ambient_degree forms, in apolar coordinates.
 
@@ -107,7 +107,7 @@ def span_matrix(h: BinaryForm, ambient_degree: int) -> list[list[Fraction]]:
     rows = []
     for m in range(d - w + 1):
         row = [
-            h.coeffs[i - m] if 0 <= i - m <= w else Fraction(0)
+            h.coeffs[i - m] if 0 <= i - m <= w else 0
             for i in range(d + 1)
         ]
         rows.append(row)
@@ -116,8 +116,9 @@ def span_matrix(h: BinaryForm, ambient_degree: int) -> list[list[Fraction]]:
 
 def scheme_span_basis(
     W: ZeroScheme, ambient_degree: int
-) -> list[tuple[Fraction, ...]]:
-    """Spanning set (apolar coordinates) of the affine span of W.
+) -> list[tuple[int, ...]]:
+    """Spanning set (apolar coordinates) of the affine span of W, as
+    primitive integer vectors.
 
     Valid through degree ambient_degree + 1, the independence regime: a
     divisor of full degree ambient_degree + 1 spans everything.
@@ -127,22 +128,14 @@ def scheme_span_basis(
     if w > d + 1:
         raise SchemeDegreeError("divisor degree beyond the independence regime")
     if w == d + 1:
-        unit = [Fraction(0)] * (d + 1)
-        out = []
-        for i in range(d + 1):
-            vec = list(unit)
-            vec[i] = Fraction(1)
-            out.append(tuple(vec))
-        return out
+        return linalg.nullspace([], ncols=d + 1)  # no equations: unit vectors
     if W.is_empty():
         return []
     return linalg.nullspace(span_matrix(W.product_form(), d), ncols=d + 1)
 
 
-def _center_vector(d: int) -> list[Fraction]:
-    e1 = [Fraction(0)] * (d + 1)
-    e1[1] = Fraction(1)
-    return e1
+def _center_vector(d: int) -> list[int]:
+    return [int(i == 1) for i in range(d + 1)]
 
 
 def span_center_routes(W: ZeroScheme, frame: ProjectionFrame) -> tuple[bool, bool]:

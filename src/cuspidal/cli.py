@@ -1,8 +1,11 @@
 """Command-line front end.
 
 One subcommand per library operation, JSON on stdout (JSON lines for batch
-input), deterministic given --seed.  Exit codes: 0 all checks passed, 1
-computation error or failed check (structured error JSON on stdout), 2 usage.
+input), deterministic given --seed.  Every input line gives exactly one
+output record, its result or a structured error, and a bad line does not
+stop the batch.  Exit codes: 0 all checks passed, 1 some line failed or a
+check failed (structured error JSON on stdout), 2 usage.  The numeric oracle,
+and with it numpy, is imported only by the subcommands that run it.
 
 Forms are accepted in the text grammar ``d=<int>; [q0,q1,...]`` or as JSON
 records carrying "degree" and "coeffs" (either at the top level or under
@@ -33,7 +36,6 @@ from .classifier import (
     crosscheck,
     generate_instance,
 )
-from .oracle import dichotomy_fuzz, secant_dimension_probe
 from .projection import ProjectedPoint, project, x_rank
 
 ENV_PRECISION = "CUSPIDAL_PRECISION_BITS"
@@ -56,9 +58,13 @@ def _form_json(f: BinaryForm) -> dict:
 
 
 def _form_from_record(rec: dict) -> BinaryForm:
+    if not isinstance(rec, dict):
+        raise GrammarError("a form record is a JSON object")
     if "degree" in rec and "coeffs" in rec:
         if not is_integer_literal(rec["degree"]):
             raise GrammarError(f'"degree" must be an integer, got {rec["degree"]!r}')
+        if not isinstance(rec["coeffs"], list):
+            raise GrammarError('"coeffs" must be a list')
         return BinaryForm(
             int(rec["degree"]), tuple(Fraction(str(c)) for c in rec["coeffs"])
         )
@@ -87,14 +93,24 @@ def _input_lines(args) -> list[str]:
     return [ln for ln in text.splitlines() if ln.strip()]
 
 
-def _for_each_form(args, handler) -> int:
-    for line in _input_lines(args):
+def _for_each_line(lines, handler) -> int:
+    """Emit one record per line: handler's result, or the error it raised.
+    Returns 1 when some line failed or gave a record with "ok" false."""
+    status = 0
+    for line in lines:
         try:
-            f = _parse_form_text(line)
-            _emit(handler(f))
+            blob = handler(line)
         except _FAILURES as exc:
-            return _fail(exc)
-    return 0
+            status = _fail(exc)
+            continue
+        _emit(blob)
+        if blob.get("ok") is False:
+            status = 1
+    return status
+
+
+def _for_each_form(args, handler) -> int:
+    return _for_each_line(_input_lines(args), lambda line: handler(_parse_form_text(line)))
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -131,61 +147,52 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify_decomp(args) -> int:
-    status = 0
-    for line in _input_lines(args):
+    def handler(line):
+        rec = json.loads(line)
+        if not isinstance(rec, dict):
+            raise GrammarError("a decomposition record is a JSON object")
         try:
-            rec = json.loads(line)
             dec = Decomposition.from_json(rec.get("decomposition", rec))
-            if "form" in rec or ("degree" in rec and "coeffs" in rec):
-                f = _form_from_record(rec)
-            elif args.form:
-                f = _parse_form_text(args.form)
-            else:
-                raise GrammarError("no form given for verification")
-            resid = verify_decomposition(f, dec)
-            with mpmath.workprec(args.precision_bits + 16):
-                bound = mpmath.mpf(2) ** (-(args.precision_bits // 2))
-                ok = bool(resid < bound)
-                _emit(
-                    {
-                        "relative_residual": mpmath.nstr(mpmath.mpf(resid), 10),
-                        "bound": mpmath.nstr(bound, 10),
-                        "ok": ok,
-                    }
-                )
-            if not ok:
-                status = 1
-        except _FAILURES as exc:
-            return _fail(exc)
-    return status
+        except (KeyError, TypeError, IndexError) as exc:
+            raise GrammarError(f"malformed decomposition record: {exc!r}") from None
+        if "form" in rec or ("degree" in rec and "coeffs" in rec):
+            f = _form_from_record(rec)
+        elif args.form:
+            f = _parse_form_text(args.form)
+        else:
+            raise GrammarError("no form given for verification")
+        resid = verify_decomposition(f, dec)
+        with mpmath.workprec(args.precision_bits + 16):
+            bound = mpmath.mpf(2) ** (-(args.precision_bits // 2))
+            return {
+                "relative_residual": mpmath.nstr(mpmath.mpf(resid), 10),
+                "bound": mpmath.nstr(bound, 10),
+                "ok": bool(resid < bound),
+            }
+
+    return _for_each_line(_input_lines(args), handler)
 
 
 def cmd_project(args) -> int:
     return _for_each_form(args, lambda f: project(f).to_json())
 
 
-def _points(args) -> list[ProjectedPoint]:
-    if args.coords:
-        coords = tuple(Fraction(c) for c in args.coords.split(","))
-        if args.n is None:
-            raise GrammarError("--coords needs --n")
-        return [ProjectedPoint(args.n, coords)]
-    pts = []
-    for line in _input_lines(args):
-        rec = json.loads(line)
-        pts.append(ProjectedPoint.from_json(rec))
-    return pts
+def _point(args, line: str | None) -> ProjectedPoint:
+    """The point of one input line, or of --coords when line is None."""
+    if line is not None:
+        return ProjectedPoint.from_json(json.loads(line))
+    coords = tuple(Fraction(c) for c in args.coords.split(","))
+    if args.n is None:
+        raise GrammarError("--coords needs --n")
+    return ProjectedPoint(args.n, coords)
 
 
 def cmd_xrank(args) -> int:
-    try:
-        points = _points(args)
-        for P in points:
-            res = x_rank(P, precision_bits=args.precision_bits)
-            _emit({"n": P.n, **res.to_json()})
-    except _FAILURES as exc:
-        return _fail(exc)
-    return 0
+    def handler(line):
+        P = _point(args, line)
+        return {"n": P.n, **x_rank(P, precision_bits=args.precision_bits).to_json()}
+
+    return _for_each_line([None] if args.coords else _input_lines(args), handler)
 
 
 def _trace(v) -> list[str]:
@@ -265,6 +272,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    from .oracle import secant_dimension_probe
+
     try:
         dim = secant_dimension_probe(args.s, args.n, seed=args.seed)
     except _FAILURES as exc:
@@ -329,6 +338,8 @@ def cmd_verify(args) -> int:
                     False,
                 )
     else:
+        from .oracle import dichotomy_fuzz, secant_dimension_probe
+
         for d in args.fuzz_degrees:
             try:
                 rep = dichotomy_fuzz(d, args.fuzz_samples, seed=args.seed)

@@ -3,9 +3,10 @@
 The rational path clears denominators once per row and then stays in the
 integers: fraction-free (Bareiss) elimination gives the echelon form, kernel
 vectors are back-substituted in integers, and span membership reduces the
-target against the echelon rows of one elimination.  Rationals come back only
-in the final canonical vector, so no floating point ever enters a rank
-decision.  ``solve`` works over any exact field.
+target against the echelon rows of one elimination.  Integer rows skip the
+denominator pass, and kernel vectors come back as primitive integer vectors,
+so no floating point ever enters a rank decision.  ``solve`` works over any
+exact field.
 """
 
 from __future__ import annotations
@@ -15,16 +16,20 @@ from math import gcd as int_gcd
 from math import lcm as int_lcm
 from typing import Sequence
 
+from .univar import quo
+
 Matrix = Sequence[Sequence[Fraction]]
 
 
 def _int_rows(rows: Matrix) -> list[list[int]]:
-    """Each row times the lcm of its denominators.  Entries are int or Fraction."""
+    """Each row times the lcm of its denominators.  Entries are int or
+    Fraction; a row of ints passes through as it is."""
     out = []
     for row in rows:
-        den = 1
-        for c in row:
-            den = int_lcm(den, c.denominator)
+        if all(type(c) is int for c in row):
+            out.append(list(row))
+            continue
+        den = int_lcm(*(c.denominator for c in row))
         out.append([c.numerator * (den // c.denominator) for c in row])
     return out
 
@@ -81,24 +86,18 @@ def det(rows: Sequence[Sequence[int]]) -> int:
     return sign * prev
 
 
-def canonical_vector(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def canonical_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale to primitive integer entries with the first nonzero entry positive."""
-    den = 1
-    for c in vec:
-        den = int_lcm(den, c.denominator)
-    ints = [int(c * den) for c in vec]
-    g = 0
-    for c in ints:
-        g = int_gcd(g, c)
+    (ints,) = _int_rows([vec])
+    g = int_gcd(*ints)
     if g:
+        if next(c for c in ints if c) < 0:
+            g = -g
         ints = [c // g for c in ints]
-        lead = next(c for c in ints if c)
-        if lead < 0:
-            ints = [-c for c in ints]
-    return tuple(Fraction(c) for c in ints)
+    return tuple(ints)
 
 
-def nullspace(rows: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ...]]:
+def nullspace(rows: Matrix, ncols: int | None = None) -> list[tuple[int, ...]]:
     """Basis of the right kernel, canonicalized, one vector per free column.
 
     Each vector is back-substituted in integers from the Bareiss echelon
@@ -109,12 +108,7 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ..
     if not rows:
         if ncols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(tuple(v))
-        return basis
+        return [tuple(int(i == j) for i in range(ncols)) for j in range(ncols)]
     ncols = len(rows[0])
     ech, pivots = _bareiss(_int_rows(rows))
     free = [j for j in range(ncols) if j not in pivots]
@@ -136,7 +130,7 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> list[tuple[Fraction, ..
     return basis
 
 
-def free_column_basis(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
+def free_column_basis(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
     """The basis ``nullspace`` returns for any matrix whose kernel is the
     span of the given independent vectors, in the same order.
 
@@ -153,8 +147,9 @@ def free_column_basis(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[Fract
             raise ValueError("dependent vectors have no free-column basis")
         for k, other in enumerate(rows):
             if k != i and other[col]:
-                f = other[col] / row[col]
-                rows[k] = [a - f * b for a, b in zip(other, row)]
+                # cross-multiplied, so integer rows stay integral; the
+                # canonical vectors below do not see the scale
+                rows[k] = [a * row[col] - other[col] * b for a, b in zip(other, row)]
         ends.append(col)
     return [canonical_vector(rows[i]) for i in sorted(range(len(rows)), key=ends.__getitem__)]
 
@@ -194,7 +189,7 @@ def solve(rows: Matrix, rhs: Sequence) -> list | None:
             continue
         aug[prow], aug[sel] = aug[sel], aug[prow]
         piv = aug[prow][col]
-        aug[prow] = [c / piv for c in aug[prow]]
+        aug[prow] = [quo(c, piv) for c in aug[prow]]
         for i in range(len(aug)):
             if i != prow and aug[i][col]:
                 f = aug[i][col]

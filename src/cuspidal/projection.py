@@ -114,18 +114,7 @@ class ProjectedPoint:
         if not any(vec):
             raise ProjectionError("a projective point has a nonzero coordinate")
         object.__setattr__(self, "coords", vec)
-        den = 1
-        for c in vec:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = [c * den for c in vec]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, abs(c.numerator))
-        ints = [c / g for c in ints]
-        lead = next(c for c in ints if c)
-        if lead < 0:
-            ints = [-c for c in ints]
-        object.__setattr__(self, "canonical", tuple(ints))
+        object.__setattr__(self, "canonical", linalg.canonical_vector(vec))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjectedPoint):
@@ -194,7 +183,7 @@ def project(f: BinaryForm) -> ProjectedPoint:
     d = f.degree
     if d < 4:
         raise ProjectionError("projection needs degree n+1 with n >= 3")
-    a = [f.coeffs[i] / comb(d, i) for i in range(d + 1)]
+    a = [Fraction(f.coeffs[i], comb(d, i)) for i in range(d + 1)]
     rest = [a[0]] + a[2:]
     if not any(rest):
         raise ProjectionError("the form is the center of projection")
@@ -330,8 +319,8 @@ def _pencil(P: ProjectedPoint, r: int) -> _Pencil:
     # a_1 = lambda/d is the only entry of rows 0 and 1 that moves
     rows = [
         (
-            (sum(a[k] * v[k] for k in range(r + 1) if k != 1), v[1] / d),
-            (sum(a[k + 1] * v[k] for k in range(1, r + 1)), v[0] / d),
+            (sum(a[k] * v[k] for k in range(r + 1) if k != 1), Fraction(v[1], d)),
+            (sum(a[k + 1] * v[k] for k in range(1, r + 1)), Fraction(v[0], d)),
         )
         for v in kernel
     ]

@@ -2,17 +2,25 @@
 
 Coefficient lists run from degree 0 upward and are kept trimmed (no trailing
 zeros; the zero polynomial is the empty list).  Entries may be
-``fractions.Fraction`` or any exact field type implementing ``+ - * /``,
-equality and truthiness; the needed 0 and 1 elements are derived from the
-inputs, so no field object is threaded through.
+``int``, ``fractions.Fraction`` or any exact field type implementing
+``+ - * /``, equality and truthiness; the needed 0 and 1 elements are derived
+from the inputs, so no field object is threaded through.  Every division goes
+through :func:`quo`, so integer inputs stay exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
-from math import lcm as int_lcm
 from typing import Sequence
+
+
+def quo(a, b):
+    """Exact a / b.  Two ints give an int when b divides a and a Fraction
+    otherwise; any other pair divides as its own type defines."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 def trim(p: Sequence) -> list:
@@ -66,21 +74,6 @@ def mul(p: Sequence, q: Sequence) -> list:
     return trim(out)
 
 
-def pow_(p: Sequence, k: int) -> list:
-    if k < 0:
-        raise ValueError("negative exponent")
-    p = trim(p)
-    if k == 0:
-        if not p:
-            raise ValueError("0**0 for polynomials")
-        one = p[-1] / p[-1]
-        return [one]
-    out = list(p)
-    for _ in range(k - 1):
-        out = mul(out, p)
-    return out
-
-
 def divmod_(p: Sequence, q: Sequence) -> tuple[list, list]:
     """Polynomial division with remainder; q must be nonzero."""
     p, q = trim(p), trim(q)
@@ -96,7 +89,7 @@ def divmod_(p: Sequence, q: Sequence) -> tuple[list, list]:
         c = rem[k + len(q) - 1]
         if not c:
             continue
-        c = c / lead
+        c = quo(c, lead)
         quot[k] = c
         for j, b in enumerate(q):
             rem[k + j] = rem[k + j] - c * b
@@ -115,7 +108,7 @@ def monic(p: Sequence) -> list:
     if not p:
         return []
     lead = p[-1]
-    return [c / lead for c in p]
+    return [quo(c, lead) for c in p]
 
 
 def gcd(p: Sequence, q: Sequence) -> list:
@@ -136,7 +129,7 @@ def xgcd(p: Sequence, q: Sequence) -> tuple[list, list, list]:
     if not r0 and not r1:
         return [], [], []
     lead = (r0 or r1)[-1]
-    one = lead / lead
+    one = quo(lead, lead)
     s0, s1 = [one], []
     t0, t1 = [], [one]
     while r1:
@@ -144,7 +137,7 @@ def xgcd(p: Sequence, q: Sequence) -> tuple[list, list, list]:
         r0, r1 = r1, rem
         s0, s1 = s1, sub(s0, mul(quot, s1))
         t0, t1 = t1, sub(t0, mul(quot, t1))
-    inv = one / r0[-1]
+    inv = quo(one, r0[-1])
     return scale(r0, inv), scale(s0, inv), scale(t0, inv)
 
 
@@ -189,25 +182,3 @@ def yun(p: Sequence) -> list[tuple[list, int]]:
         z = sub(div_exact(z, gi), derivative(w))
         i += 1
     return out
-
-
-# Rational-specific helpers.
-
-def to_int_primitive(p: Sequence[Fraction]) -> list[int]:
-    """Clear denominators and content; sign fixed so the leading entry is positive."""
-    p = trim(p)
-    if not p:
-        return []
-    den = 1
-    for c in p:
-        den = int_lcm(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = int_gcd(g, c)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
-
-

@@ -9,6 +9,9 @@
   lift over Q[x]/(minpoly) (``field_lift``) and scanning its catalecticant
   levels upward by elimination over the number field.  It shares no kernel
   code with the pencil's quadratic certificate.
+* ``sympy_factors``: sympy's factorization over the rationals, which
+  ``ratfactor`` used for every degree before degrees 1 and 2 got their
+  closed forms.
 """
 
 from __future__ import annotations
@@ -177,3 +180,20 @@ def field_rank_certificate(ff: FieldForm) -> FieldCertificate:
                 return FieldCertificate(r, r, "squarefree", modulus)
         raise CertificateError("two-dimensional kernel without square-free member")
     raise CertificateError("no kernel level found for a nonzero form")
+
+
+def sympy_factors(p) -> list[tuple[list[Fraction], int]]:
+    """Monic irreducible factors of a nonconstant rational polynomial (low
+    to high) with multiplicities, sorted by (length, coefficients), by
+    sympy's factor_list."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+                       for c in reversed(univar.trim(list(p)))], x, domain=sympy.QQ)
+    out = []
+    for fac, mult in poly.factor_list()[1]:
+        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.monic().all_coeffs())]
+        out.append((cs, int(mult)))
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return out

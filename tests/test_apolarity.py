@@ -44,7 +44,7 @@ def form(*coeffs):
 def hankel_rows(f, r):
     """Independent construction: a_i = c_i / binom(d, i), Hankel layout."""
     d = f.degree
-    a = [f.coeffs[i] / comb(d, i) for i in range(d + 1)]
+    a = [F(f.coeffs[i], comb(d, i)) for i in range(d + 1)]
     return [[a[j + k] for k in range(r + 1)] for j in range(d - r + 1)]
 
 

@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from cuspidal import linalg
 from cuspidal.binform import (
     BinaryForm,
     GrammarError,
@@ -263,3 +265,54 @@ def test_reconstruction_from_roots():
             err = max(abs(scale * p - c) for p, c in zip(prod, fc))
             norm = max(abs(c) for c in fc)
             assert err / norm < mpmath.mpf(2) ** (-prec // 2)
+
+
+class TestIntFractionParity:
+    """Integral coefficients are stored as int; nothing a caller can see
+    depends on whether they came in as int or as Fraction."""
+
+    INTS = [(4, (1, -6, 0, 2, 9)), (2, (0, 1, 0)), (3, (-3, 0, 0, 12)), (0, (5,))]
+
+    @staticmethod
+    def _pair(degree, ints):
+        return BinaryForm(degree, ints), BinaryForm(degree, tuple(F(c) for c in ints))
+
+    def test_forms_compare_hash_and_render_alike(self):
+        for degree, ints in self.INTS:
+            a, b = self._pair(degree, ints)
+            assert a == b and hash(a) == hash(b)
+            assert a.render() == b.render()
+            assert a.pretty() == b.pretty()
+            assert json.dumps(a.to_json()) == json.dumps(b.to_json())
+            assert all(type(c) is int for c in b.coeffs)
+
+    def test_non_integral_coefficients_stay_fractions(self):
+        f = BinaryForm(2, (F(1, 2), 3, F(6, 3)))
+        assert [type(c) for c in f.coeffs] == [Fraction, int, int]
+        assert f.render() == "d=2; [1/2,3,2]"
+
+    def test_arithmetic_stays_integral(self):
+        a, b = self._pair(4, self.INTS[0][1])
+        for g in (a * a, a.power(3), a.normalized(), a.du(), a + b, a.scaled(F(4, 2))):
+            assert all(type(c) is int for c in g.coeffs)
+        assert a * a == b * b and a.power(3) == b.power(3)
+
+    def test_schemes_compare_and_key_alike(self):
+        for degree, ints in self.INTS[:3]:
+            a, b = self._pair(degree, ints)
+            sa, sb = ZeroScheme(((a, 2),)), ZeroScheme(((b, 2),))
+            assert sa == sb and hash(sa) == hash(sb)
+            assert {sa: 1}[sb] == 1
+            assert json.dumps(sa.to_json()) == json.dumps(sb.to_json())
+            assert sa.product_form() == sb.product_form()
+            assert all(type(c) is int for c in sa.product_form().coeffs)
+
+    def test_kernels_render_alike(self):
+        rows = [[2, -4, 6, 0], [1, 0, -3, 5]]
+        as_fractions = [[F(c) for c in row] for row in rows]
+        render = lambda vecs: json.dumps([[str(c) for c in v] for v in vecs])  # noqa: E731
+        assert render(linalg.nullspace(rows)) == render(linalg.nullspace(as_fractions))
+        assert render([linalg.canonical_vector(rows[0])]) == render(
+            [linalg.canonical_vector(as_fractions[0])]
+        )
+        assert render([linalg.canonical_vector([F(1, 2), F(-3, 4)])]) == '[["2", "-3"]]'

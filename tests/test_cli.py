@@ -3,6 +3,11 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +124,92 @@ class TestDecomposePipeline:
         )
         assert code2 == 1
         assert recs2[0]["error"]["type"] == "ValueError"
+
+
+class TestBatchSemantics:
+    """Each input line gives exactly one record and a bad line does not
+    stop the batch; the exit code is 1 when any line failed."""
+
+    BATCH = "d=2; [1,0,1]\nd=2; [1,0\nd=3; [1,0,0,1]\n"
+
+    def test_rank_goes_on_past_a_bad_line(self, capsys, monkeypatch):
+        code, recs = run(capsys, monkeypatch, ["rank"], stdin=self.BATCH)
+        assert code == 1
+        assert len(recs) == 3
+        assert (recs[0]["d"], recs[0]["r"]) == (2, 2)
+        assert recs[1]["error"]["type"] == "GrammarError"
+        assert (recs[2]["d"], recs[2]["r"]) == (3, 2)
+
+    def test_xrank_goes_on_past_a_bad_line(self, capsys, monkeypatch):
+        # the same three lines, projected: n = 3 needs forms of degree 4
+        good = [
+            json.dumps({"n": 3, "coords": ["1", "0", "0", "1"]}),
+            json.dumps({"n": 5, "coords": ["1", "0", "0", "0", "0", "1"]}),
+        ]
+        stdin = "\n".join([good[0], '{"n": 3, "coords": ["1", "0"', good[1]]) + "\n"
+        code, recs = run(capsys, monkeypatch, ["xrank"], stdin=stdin)
+        assert code == 1
+        assert len(recs) == 3
+        assert [recs[0]["n"], recs[2]["n"]] == [3, 5]
+        assert recs[0]["value"] == 2 and recs[2]["value"] == 2
+        assert recs[1]["error"]["type"] == "JSONDecodeError"
+
+    def test_verify_decomp_goes_on_past_a_bad_line(self, capsys, monkeypatch):
+        code, recs = run(capsys, monkeypatch, ["decompose", "d=4; [1,0,0,0,1]"])
+        line = json.dumps(recs[0])
+        bad = ["{not json", "[1]", "{}", '{"degree": 4, "terms": 3}']
+        stdin = "\n".join([line, *bad, line]) + "\n"
+        code2, recs2 = run(capsys, monkeypatch, ["verify-decomp"], stdin=stdin)
+        assert code2 == 1
+        assert len(recs2) == 6
+        assert recs2[0]["ok"] is True and recs2[5]["ok"] is True
+        assert [r["error"]["type"] for r in recs2[1:5]] == ["JSONDecodeError"] + ["GrammarError"] * 3
+
+    @pytest.mark.parametrize(
+        "line", ['{"degree": 2, "coeffs": 5}', '{"form": 5}', '{"form": [1, 0, 1]}']
+    )
+    def test_malformed_form_record_is_one_error(self, capsys, monkeypatch, line):
+        stdin = "\n".join([line, "d=3; [1,0,0,1]"]) + "\n"
+        code, recs = run(capsys, monkeypatch, ["rank"], stdin=stdin)
+        assert code == 1
+        assert recs[0]["error"]["type"] == "GrammarError"
+        assert recs[1]["r"] == 2
+
+    def test_all_good_batch_exits_0(self, capsys, monkeypatch):
+        stdin = self.BATCH.replace("[1,0\n", "[1,0,0]\n")
+        code, recs = run(capsys, monkeypatch, ["rank"], stdin=stdin)
+        assert code == 0
+        assert [r["d"] for r in recs] == [2, 2, 3]
+
+
+class TestImports:
+    def test_rank_loads_neither_sympy_nor_numpy(self):
+        """Linear and quadratic witnesses are factored in closed form, and
+        only the numeric subcommands import the oracle."""
+        child = textwrap.dedent(
+            """
+            import contextlib, io, json, sys
+            from cuspidal.cli import main
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                codes = [main(["rank", "d=7; [0,0,0,1,0,0,0,0]"]),
+                         main(["rank", "d=2; [1,0,1]"])]
+            recs = [json.loads(ln) for ln in out.getvalue().splitlines()]
+            print(json.dumps({"codes": codes, "recs": recs,
+                              "loaded": sorted(m for m in ("sympy", "numpy") if m in sys.modules)}))
+            """
+        )
+        src = Path(projection.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        got = json.loads(out.stdout)
+        assert got["codes"] == [0, 0]
+        assert (got["recs"][0]["w"], got["recs"][0]["r"]) == (4, 5)
+        assert got["recs"][1]["witness"]["factors"] == [["u^2-u*t-t^2", 1]]
+        assert got["loaded"] == []
 
 
 class TestProjectionCommands:
