@@ -86,8 +86,11 @@ def _input_lines(args) -> list[str]:
         return [inline]
     path = getattr(args, "file", None)
     if path:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GrammarError(f"cannot read --file {path}: {exc}") from None
     else:
         text = sys.stdin.read()
     return [ln for ln in text.splitlines() if ln.strip()]

@@ -6,6 +6,10 @@ Three oracles, none of which shares code with the exact pipeline:
   small set of curve points whose span hits a projected point.  Success
   certifies an upper bound on the rank with respect to the cuspidal curve
   (numerically, to the configured tolerance); failure certifies nothing.
+  Starts converge in floats; a hit is then polished at full precision by
+  Gauss-Newton on the variable-projection residual (Golub-Pereyra), with
+  the analytic Jacobian in Kaufman's form and Levenberg-Marquardt damping
+  only as a fallback.
   Exact lower bounds only ever come from the fiber scan: the cuspidal curve
   is singular, so catalecticant-style lower bounds for smooth curves do not
   transfer.
@@ -166,87 +170,79 @@ def _mp_target(P: ProjectedPoint):
     return [x / norm for x in v]
 
 
-def _mp_residual(taus, v, slots):
-    r = len(taus)
-    cols = [[t**k for k in slots] for t in taus]
-    for i in range(r):
-        norm = mpmath.sqrt(mpmath.fsum(x * x for x in cols[i]))
-        if norm == 0:
-            return None
-        cols[i] = [x / norm for x in cols[i]]
-    # normal equations; r is tiny and the precision is high
-    G = mpmath.matrix(r, r)
-    rhs = mpmath.matrix(r, 1)
-    for i in range(r):
-        for j in range(r):
-            G[i, j] = mpmath.fsum(cols[i][k] * cols[j][k] for k in range(len(v)))
-        rhs[i] = mpmath.fsum(cols[i][k] * v[k] for k in range(len(v)))
-    try:
-        coef = mpmath.lu_solve(G, rhs)
-    except (ZeroDivisionError, ValueError):
-        return None
-    res = []
-    for k in range(len(v)):
-        res.append(v[k] - mpmath.fsum(coef[i] * cols[i][k] for i in range(r)))
-    return res
+def _fit(taus, v, slots):
+    """Variable-projection fit of v by the normalized curve columns
+    a_i = phi(tau_i)/|phi(tau_i)|, with the scalars c from the Gram normal
+    equations: the residual (I - P_A) v and the Kaufman Jacobian columns
+    -c_i (I - P_A) a_i'.  One LU of the Gram matrix serves the scalars and
+    all r projections; a singular one raises ZeroDivisionError."""
+    cols, ders = [], []
+    for t in taus:
+        phi = [t**k for k in slots]
+        norm = mpmath.sqrt(mpmath.fdot(phi, phi))  # >= 1: slot 0 is t^0
+        cols.append([x / norm for x in phi])
+        # a_i' = (phi' - a_i (a_i . phi')) / |phi|, and the projection
+        # removes the a_i part, so phi' / |phi| stands in for it
+        ders.append([k * t ** (k - 1) / norm if k else 0 for k in slots])
+    gram = mpmath.matrix([[mpmath.fdot(a, b) for b in cols] for a in cols])
+    lu, perm = mpmath.mp.LU_decomp(gram)
+    rows = list(zip(*cols))
+
+    def perp(b):
+        """G^-1 A^T b and b - A G^-1 A^T b."""
+        x = mpmath.mp.L_solve(lu, [mpmath.fdot(a, b) for a in cols], perm)
+        x = mpmath.mp.U_solve(lu, x)
+        return x, [bk - mpmath.fdot(x, row) for bk, row in zip(b, rows)]
+
+    coef, res = perp(v)
+    return res, [[-c * y for y in perp(d)[1]] for c, d in zip(coef, ders)]
+
+
+def _norm(x):
+    return mpmath.sqrt(mpmath.fdot(x, x))
 
 
 def _polish(P: ProjectedPoint, taus0, precision_bits: int, tolerance: float):
-    """Gauss-Newton refinement at full precision; returns (taus, residual)."""
+    """Gauss-Newton on the variable-projection residual (I - P_A(tau)) v at
+    full precision, with the analytic Jacobian of _fit; returns (taus,
+    residual), or None when the starting columns are degenerate.
+
+    Each iteration tries the undamped step first, which converges
+    quadratically from the float hand-over, and falls back to
+    Levenberg-Marquardt damping only when that step does not lower the
+    residual.  A step is taken only when it lowers the residual.
+    """
     with mpmath.workprec(precision_bits):
         v = _mp_target(P)
         slots = _slots(P.n)
         taus = [mpmath.mpf(t) for t in taus0]
-        res = _mp_residual(taus, v, slots)
-        if res is None:
+        try:
+            res, jac = _fit(taus, v, slots)
+        except ZeroDivisionError:
             return None
-        best = mpmath.sqrt(mpmath.fsum(x * x for x in res))
+        best = _norm(res)
         target = mpmath.mpf(tolerance) / 4
-        h = mpmath.mpf(2) ** (-(precision_bits // 3))
         mu = mpmath.mpf(10) ** (-12)
         mu_floor = mpmath.mpf(2) ** (-precision_bits)
         for _ in range(72):
-            m = len(v)
-            r = len(taus)
-            J = [[mpmath.mpf(0)] * r for _ in range(m)]
-            for i in range(r):
-                bumped = list(taus)
-                step = h * max(mpmath.mpf(1), abs(taus[i]))
-                bumped[i] += step
-                bres = _mp_residual(bumped, v, slots)
-                if bres is None:
-                    return None
-                for k in range(m):
-                    J[k][i] = (bres[k] - res[k]) / step
-            G = mpmath.matrix(r, r)
-            g = mpmath.matrix(r, 1)
-            for i in range(r):
-                for j in range(r):
-                    G[i, j] = mpmath.fsum(J[k][i] * J[k][j] for k in range(m))
-                g[i] = mpmath.fsum(J[k][i] * res[k] for k in range(m))
-            stepped = False
-            for _ in range(10):
-                Greg = mpmath.matrix(G)
-                for i in range(r):
-                    Greg[i, i] += mu
+            H = mpmath.matrix([[mpmath.fdot(a, b) for b in jac] for a in jac])
+            g = mpmath.matrix([-mpmath.fdot(a, res) for a in jac])
+            for damped in (False,) + (True,) * 10:
+                shift = (mu if damped else 0) * mpmath.eye(len(taus))
                 try:
-                    delta = mpmath.lu_solve(Greg, -g)
+                    cand = [t + d for t, d in zip(taus, mpmath.lu_solve(H + shift, g))]
+                    fit = _fit(cand, v, slots)
+                    cval = _norm(fit[0])
                 except (ZeroDivisionError, ValueError):
-                    mu *= 100
-                    continue
-                cand = [taus[i] + delta[i] for i in range(r)]
-                cres = _mp_residual(cand, v, slots)
-                if cres is None:
-                    mu *= 100
-                    continue
-                cval = mpmath.sqrt(mpmath.fsum(x * x for x in cres))
-                if cval < best:
-                    taus, res, best = cand, cres, cval
-                    mu = max(mu / 10, mu_floor)
-                    stepped = True
+                    cval = None
+                if cval is not None and cval < best:
+                    taus, (res, jac), best = cand, fit, cval
+                    if damped:
+                        mu = max(mu / 10, mu_floor)
                     break
-                mu *= 100
-            if not stepped:
+                if damped:
+                    mu *= 100
+            else:
                 break
             if best < target:
                 break

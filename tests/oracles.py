@@ -12,6 +12,11 @@
 * ``sympy_factors``: sympy's factorization over the rationals, which
   ``ratfactor`` used for every degree before degrees 1 and 2 got their
   closed forms.
+* ``mp_residual`` and ``fd_jacobian``: the span search's full-precision
+  polish once solved the variable-projection fit with ``mpmath.lu_solve``
+  on the normal equations and differentiated it by forward differences,
+  one refit per parameter.  They back the analytic fit ``oracle._fit``
+  and use mpmath alone, no code of the package.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+
+import mpmath
 
 from cuspidal import linalg, univar
 from cuspidal.apolarity import CertificateError
@@ -197,3 +204,42 @@ def sympy_factors(p) -> list[tuple[list[Fraction], int]]:
         out.append((cs, int(mult)))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
+
+
+def mp_residual(taus, v, slots):
+    """Residual of the least-squares fit of v by the normalized curve
+    columns at taus, by the normal equations; None when degenerate.  Runs
+    at the caller's mpmath precision."""
+    r = len(taus)
+    cols = [[t**k for k in slots] for t in taus]
+    for i in range(r):
+        norm = mpmath.sqrt(mpmath.fsum(x * x for x in cols[i]))
+        if norm == 0:
+            return None
+        cols[i] = [x / norm for x in cols[i]]
+    G = mpmath.matrix(r, r)
+    rhs = mpmath.matrix(r, 1)
+    for i in range(r):
+        for j in range(r):
+            G[i, j] = mpmath.fsum(cols[i][k] * cols[j][k] for k in range(len(v)))
+        rhs[i] = mpmath.fsum(cols[i][k] * v[k] for k in range(len(v)))
+    try:
+        coef = mpmath.lu_solve(G, rhs)
+    except (ZeroDivisionError, ValueError):
+        return None
+    return [v[k] - mpmath.fsum(coef[i] * cols[i][k] for i in range(r)) for k in range(len(v))]
+
+
+def fd_jacobian(taus, v, slots, precision_bits):
+    """Forward-difference Jacobian of ``mp_residual`` in the parameters, as
+    a list of columns, with the relative step 2^-(precision_bits // 3)."""
+    h = mpmath.mpf(2) ** (-(precision_bits // 3))
+    res = mp_residual(taus, v, slots)
+    cols = []
+    for i in range(len(taus)):
+        bumped = list(taus)
+        step = h * max(mpmath.mpf(1), abs(taus[i]))
+        bumped[i] += step
+        bres = mp_residual(bumped, v, slots)
+        cols.append([(b - a) / step for a, b in zip(res, bres)])
+    return cols

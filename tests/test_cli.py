@@ -175,6 +175,18 @@ class TestBatchSemantics:
         assert recs[0]["error"]["type"] == "GrammarError"
         assert recs[1]["r"] == 2
 
+    @pytest.mark.parametrize("sub", ["rank", "xrank", "classify", "verify-decomp", "verify"])
+    def test_unreadable_file_is_one_error(self, capsys, monkeypatch, tmp_path, sub):
+        missing = tmp_path / "absent.txt"
+        binary = tmp_path / "binary.bin"
+        binary.write_bytes(b"\xff\xfe\x00")
+        for path in (missing, binary):
+            code, recs = run(capsys, monkeypatch, [sub, "--file", str(path)])
+            assert code == 1
+            assert len(recs) == 1
+            assert recs[0]["error"]["type"] == "GrammarError"
+            assert str(path) in recs[0]["error"]["message"]
+
     def test_all_good_batch_exits_0(self, capsys, monkeypatch):
         stdin = self.BATCH.replace("[1,0\n", "[1,0,0]\n")
         code, recs = run(capsys, monkeypatch, ["rank"], stdin=stdin)

@@ -1,7 +1,9 @@
 """Numeric oracles: span search, secant probes, dichotomy fuzzing."""
 
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from cuspidal.binform import BinaryForm, P1Point
@@ -10,11 +12,14 @@ from cuspidal.oracle import (
     CLUSTER_RADIUS,
     SearchConfig,
     SpanWitness,
+    _fit,
+    _slots,
     dichotomy_fuzz,
     secant_dimension_probe,
     xrank_upper_search,
 )
-from cuspidal.projection import cusp_curve_point, project, x_rank
+from cuspidal.projection import ProjectedPoint, cusp_curve_point, project, x_rank
+from oracles import fd_jacobian, mp_residual
 
 F = Fraction
 
@@ -90,12 +95,78 @@ class TestXrankUpperSearch:
         with pytest.raises(ValueError):
             xrank_upper_search(P, SearchConfig(r=6))
 
+    def test_eleventh_powers_at_five_points(self):
+        """The projection of sum s (u + tau t)^11 over five points: the
+        damped polish once stalled above the tolerance on every seed."""
+        taus = [5, 7, 8, 10, 11]
+        scalars = [-9, -2, 3, 7, -2]
+        a = [sum(s * F(t) ** i for t, s in zip(taus, scalars)) for i in range(12)]
+        P = ProjectedPoint(10, tuple([a[0]] + a[2:]))
+        for seed in range(4):
+            w = xrank_upper_search(P, SearchConfig(r=5, seed=seed))
+            assert w is not None, seed
+            assert all(abs(x - t) < 1e-8 for x, t in zip(w.parameters, taus)), seed
+
     def test_witness_json(self):
         P = cusp_curve_point(5, P1Point(F(1), F(1)))
         w = xrank_upper_search(P, SearchConfig(r=1, starts=6))
         blob = w.to_json()
         assert blob["r"] == 1
         assert blob["matched"]["n"] == 5
+
+
+class TestVariableProjectionFit:
+    """The polish's analytic fit against the normal-equation residual and
+    the forward-difference Jacobian it replaced, at 192 bits."""
+
+    BITS = 192
+
+    @staticmethod
+    def _cases(rng):
+        for n in range(3, 11):
+            for r in range(1, min(5, n) + 1):
+                while True:
+                    taus = sorted(rng.uniform(-3.0, 3.0) for _ in range(r))
+                    if all(b - a > 0.25 for a, b in zip(taus, taus[1:])):
+                        break
+                if (n + r) % 4 == 0:
+                    taus[0] = 0.0  # the cusp
+                yield n, [mpmath.mpf(t) for t in taus]
+
+    @staticmethod
+    def _rel_err(got, want, floor=0):
+        diff = mpmath.sqrt(mpmath.fsum((a - b) ** 2 for a, b in zip(got, want)))
+        return diff / max(mpmath.sqrt(mpmath.fsum(b * b for b in want)), floor)
+
+    def test_residual_matches_normal_equations(self):
+        rng = random.Random("vp-fit-residual")
+        with mpmath.workprec(self.BITS):
+            for n, taus in self._cases(rng):
+                slots = _slots(n)
+                v = [mpmath.mpf(rng.gauss(0.0, 1.0)) for _ in slots]
+                res, _ = _fit(taus, v, slots)
+                assert self._rel_err(res, mp_residual(taus, v, slots)) < 2.0**-50, (n, taus)
+
+    def test_jacobian_matches_finite_differences(self):
+        """At a point in the span the residual vanishes, and there the
+        Kaufman columns -c_i (I - P_A) a_i' are the exact Jacobian.  The
+        curve's tangent vanishes at the cusp, and so does its column, so
+        errors are relative to the column or to |v| = 1, whichever is
+        larger."""
+        rng = random.Random("vp-fit-jacobian")
+        with mpmath.workprec(self.BITS):
+            for n, taus in self._cases(rng):
+                slots = _slots(n)
+                v = [mpmath.mpf(0)] * len(slots)
+                for t in taus:
+                    c = rng.choice([-1, 1]) * rng.uniform(0.25, 2.0)
+                    v = [x + c * t**k for x, k in zip(v, slots)]
+                norm = mpmath.sqrt(mpmath.fsum(x * x for x in v))
+                v = [x / norm for x in v]
+                _, jac = _fit(taus, v, slots)
+                fd = fd_jacobian(taus, v, slots, self.BITS)
+                for i, (got, want) in enumerate(zip(jac, fd)):
+                    assert self._rel_err(got, want, 1) < 2.0**-50, (n, taus, i)
 
 
 class TestSecantProbe:
