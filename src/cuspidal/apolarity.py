@@ -25,10 +25,12 @@ from . import linalg, ratfactor, univar
 from .binform import (
     BinaryForm,
     CertificateError,
+    GrammarError,
     PrecisionError,
     ZeroFormError,
     ZeroScheme,
     apolar_coeffs,
+    is_integer_literal,
     is_square_free,
     numeric_roots,
     squarefree_decompose,
@@ -244,7 +246,14 @@ class Decomposition:
 
     @classmethod
     def from_json(cls, blob: dict) -> "Decomposition":
+        """Raises GrammarError for a "degree" or "precision_bits" that is not
+        an integer, or a precision below 64 bits, instead of truncating."""
+        for key in ("degree", "precision_bits"):
+            if key in blob and not is_integer_literal(blob[key]):
+                raise GrammarError(f'"{key}" must be an integer, got {blob[key]!r}')
         bits = int(blob.get("precision_bits", 192))
+        if bits < 64:
+            raise GrammarError(f'"precision_bits" must be at least 64, got {bits}')
 
         def num(x):
             if isinstance(x, str):
@@ -329,84 +338,99 @@ def _to_mpc(x):
 def decompose(f: BinaryForm, precision_bits: int = 192) -> Decomposition:
     """Minimal power-sum decomposition for forms with a square-free witness.
 
-    The scalar solve is exact over the rationals when every root of the
-    witness is rational, exact over a quadratic number field when exactly one
-    irreducible quadratic factor remains, and big-float complex otherwise.
-    Raises NonReducedRank when the rank witness is a non-reduced scheme.
+    The scalars are exact rationals when every root of the witness is
+    rational, exact in a quadratic number field when exactly one irreducible
+    quadratic factor remains, and big-float complex otherwise; all three
+    come from the residue formula of ``_residue_scalars``.  Raises
+    NonReducedRank when the rank witness is a non-reduced scheme.
     """
+    if precision_bits < 64:
+        raise ValueError("precision_bits must be at least 64")
     cert = rank(f)
     if cert.witness_kind != "squarefree":
         raise NonReducedRank(
             "rank witness is non-reduced; no length-r power sum is produced"
         )
     g = cert.witness_form
-    k, tau = g.tau_poly()
-    factors = ratfactor.irreducible_factors(tau)
-    points: list[tuple[Fraction, Fraction]] = []
-    if k:
-        points.append((Fraction(0), Fraction(1)))
-    quads = []
-    hard = False
-    for coeffs, mult in factors:
-        deg = len(coeffs) - 1
-        if deg == 1:
-            points.append((Fraction(1), -coeffs[0]))
-        elif deg == 2:
-            quads.append(coeffs)
-        else:
-            hard = True
-    if not quads and not hard:
-        return _decompose_rational(f, cert, points, precision_bits)
-    if len(quads) == 1 and not hard:
-        return _decompose_quadratic(f, cert, points, quads[0], precision_bits)
-    return _decompose_numeric(f, cert, precision_bits)
+    k, tau = g.tau_poly()  # k <= 1: g is square-free
+    factors = [c for c, _ in ratfactor.irreducible_factors(tau)]
+    points = [(Fraction(0), Fraction(1))] * k
+    points += [(Fraction(1), -c[0]) for c in factors if len(c) == 2]
+    rest = [c for c in factors if len(c) > 2]
+    if not rest:
+        scalars = _exact_scalars(f, g, points, Fraction(1), Fraction)
+        terms = tuple(zip(scalars, points))
+        return Decomposition(f.degree, terms, mpmath.mpf(0), "rational", precision_bits)
+    if len(rest) == 1 and len(rest[0]) == 3:
+        return _decompose_quadratic(f, g, points, rest[0], precision_bits)
+    return _decompose_numeric(f, g, precision_bits)
 
 
-def _solve_terms(f: BinaryForm, points: list[tuple], one, lift) -> list:
-    """Solve for scalars in ring elements: columns are powers of the points,
-    right side the monomial coefficients of f."""
+def _residue_numerator(seq, poly) -> list:
+    """R with s_i = R(x_i) / poly'(x_i) when seq[k] = sum_i s_i x_i^k for
+    k < m over the m distinct roots x_i of poly: R_j = sum_k seq[k]
+    poly[j+1+k].  It is the generating function sum_k seq[k] x^k = N(x) /
+    rev(poly)(x) read off by residues at x = 1/x_i, with R the reversal of
+    poly[m] * N (Comas-Seiguer, arXiv:math/0112311)."""
+    m = len(poly) - 1
+    return [sum(seq[k] * poly[j + 1 + k] for k in range(m - j)) for j in range(m)]
+
+
+def _residue_scalars(f: BinaryForm, g: BinaryForm, points, lift, outside=None) -> list:
+    """Scalar s of each point (a:b), a in {0, 1}, of the square-free witness
+    g in f = sum s (a u + b t)^d, with no linear solve.
+
+    A point (1:b) is read in the chart t/u, from the apolar coefficients
+    a_0, a_1, ... and the roots of g(1, x).  The point (0:1), and any point
+    for which ``outside(b)`` holds, is read in the chart u/t, from a_d,
+    a_(d-1), ... and the roots of g(x, 1); there (1:b) sits at x = 1/b
+    with scalar s b^d.  ``lift`` carries rationals into the ring of the
+    points.  Nothing here is checked: callers reconstruct f from the terms.
+    """
+    a = apolar_coeffs(f).entries
     d = f.degree
-    cols = [_power_column(a, b, d, one) for a, b in points]
-    rows = [[col[j] for col in cols] for j in range(d + 1)]
-    rhs = [lift(c) for c in f.coeffs]
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        raise CertificateError("power-sum system is inconsistent")
-    return list(sol)
+    charts: dict[bool, tuple[list, list]] = {}
+    out = []
+    for alpha, beta in points:
+        flip = not alpha or (outside is not None and outside(beta))
+        if flip not in charts:
+            poly = univar.trim(list(g.coeffs[::-1] if flip else g.coeffs))
+            seq = a[::-1] if flip else a
+            charts[flip] = (
+                [lift(c) for c in _residue_numerator(seq, poly)],
+                [lift(c) for c in univar.derivative(poly)],
+            )
+        num, der = charts[flip]
+        x = (1 / beta if alpha else lift(0)) if flip else beta
+        s = univar.evaluate(num, x) / univar.evaluate(der, x)
+        out.append(s * x**d if flip and alpha else s)
+    return out
 
 
-def _decompose_rational(
-    f: BinaryForm, cert, points: list[tuple[Fraction, Fraction]], bits: int
-) -> Decomposition:
-    scalars = _solve_terms(f, points, Fraction(1), Fraction)
-    terms = tuple((s, p) for s, p in zip(scalars, points))
-    diff = f - _exact_reconstruction(terms, f.degree)
-    if not diff.is_zero():
-        raise CertificateError("rational decomposition does not reconstruct the form")
-    return Decomposition(f.degree, terms, mpmath.mpf(0), "rational", bits)
+def _exact_scalars(f: BinaryForm, g: BinaryForm, points, one, lift) -> list:
+    """Residue scalars of the points over the rationals or a number field,
+    checked by reconstructing f exactly."""
+    scalars = _residue_scalars(f, g, points, lift)
+    total = [lift(0)] * (f.degree + 1)
+    for s, (a, b) in zip(scalars, points):
+        total = [t + s * c for t, c in zip(total, _power_column(a, b, f.degree, one))]
+    if total != [lift(c) for c in f.coeffs]:
+        raise CertificateError("the power sum does not reconstruct the form")
+    return scalars
 
 
 def _decompose_quadratic(
     f: BinaryForm,
-    cert,
+    g: BinaryForm,
     rational_points: list[tuple[Fraction, Fraction]],
     quad,
     bits: int,
 ) -> Decomposition:
     field = NumberField(quad)
     gamma = field.gen
-    other = field.from_rational(-quad[1] / quad[2]) - gamma
     pts = [(field.from_rational(a), field.from_rational(b)) for a, b in rational_points]
-    pts.append((field.one, gamma))
-    pts.append((field.one, other))
-    scalars = _solve_terms(f, pts, field.one, field.from_rational)
-    total = [field.zero for _ in range(f.degree + 1)]
-    for s, (a, b) in zip(scalars, pts):
-        col = _power_column(a, b, f.degree, field.one)
-        for j in range(f.degree + 1):
-            total[j] = total[j] + s * col[j]
-    if any(total[j] != field.from_rational(c) for j, c in enumerate(f.coeffs)):
-        raise CertificateError("quadratic decomposition does not reconstruct the form")
+    pts += [(field.one, gamma), (field.one, field.from_rational(-quad[1] / quad[2]) - gamma)]
+    scalars = _exact_scalars(f, g, pts, field.one, field.from_rational)
     emb = sorted(
         isolate_roots(field.modulus, bits), key=lambda r: (r.is_real, r.approx_re, r.approx_im)
     )[-1].refine(bits)
@@ -422,26 +446,19 @@ def _decompose_quadratic(
     return Decomposition(f.degree, dec.terms, residual, "algebraic", bits)
 
 
-def _decompose_numeric(f: BinaryForm, cert, bits: int) -> Decomposition:
-    roots = numeric_roots(cert.witness_form, bits)
+def _decompose_numeric(f: BinaryForm, g: BinaryForm, bits: int) -> Decomposition:
+    """Each root is read in the chart where its modulus is at most 1, so
+    that its own powers, not the other roots', carry the rows it is read
+    from; the residual check below is the certificate."""
+    roots = numeric_roots(g, bits)
     with mpmath.workprec(bits + 32):
-        pts = []
-        for root in roots:
-            if root.exact:
-                pts.append((Fraction(root.a), Fraction(root.b)))
-            else:
-                pts.append((mpmath.mpc(root.a), mpmath.mpc(root.b)))
-        d = f.degree
-        cols = [_power_column(_to_mpc(a), _to_mpc(b), d, mpmath.mpf(1)) for a, b in pts]
-        mat = mpmath.matrix(d + 1, len(pts))
-        rhs = mpmath.matrix(d + 1, 1)
-        for j in range(d + 1):
-            for i in range(len(pts)):
-                mat[j, i] = cols[i][j]
-            c = f.coeffs[j]
-            rhs[j] = mpmath.mpf(c.numerator) / c.denominator
-        sol, _ = mpmath.qr_solve(mat, rhs)
-        terms = tuple((+sol[i], pts[i]) for i in range(len(pts)))
+        pts = [
+            (Fraction(r.a), Fraction(r.b)) if r.exact else (mpmath.mpc(r.a), mpmath.mpc(r.b))
+            for r in roots
+        ]
+        mp_pts = [(_to_mpc(a), _to_mpc(b)) for a, b in pts]
+        scalars = _residue_scalars(f, g, mp_pts, _to_mpc, outside=lambda b: abs(b) > 1)
+        terms = tuple((+s, p) for s, p in zip(scalars, pts))
     dec = Decomposition(f.degree, terms, mpmath.mpf(0), "complex", bits)
     residual = verify_decomposition(f, dec)
     if not residual < mpmath.mpf(2) ** (-bits // 2):

@@ -9,6 +9,7 @@ of the module.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -561,7 +562,9 @@ def numeric_roots(f: BinaryForm, precision_bits: int = 192) -> list[NumericRoot]
     Multiplicities come from the exact square-free decomposition; rational
     roots are reported exactly; the rest are approximated at the requested
     precision with a certified isolation radius (deg * |p(z)/p'(z)| around
-    each approximation, disks pairwise disjoint within each factor).
+    each approximation, see ``_certified_roots``).  Every disk must be
+    disjoint from every other, within its factor and across the form, and
+    from every exact chart root, or PrecisionError is raised.
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
@@ -576,83 +579,90 @@ def numeric_roots(f: BinaryForm, precision_bits: int = 192) -> list[NumericRoot]
             )
         for root, _ in ratfactor.rational_roots(p):
             out.append(NumericRoot(Fraction(1), root, m, Fraction(0), True, precision_bits))
-            lin = [-root, Fraction(1)]
-            p = univar.div_exact(p, lin)
-        if univar.degree(p) < 1:
-            continue
-        numeric.extend(
-            _certified_roots(p, m, precision_bits)
-        )
-    # Cluster criterion across the whole form: every numeric disk must be
-    # disjoint from every other disk and from every exact chart root.
-    with mpmath.workprec(precision_bits + 64):
+            p = univar.div_exact(p, [-root, Fraction(1)])
+        if univar.degree(p) >= 1:
+            numeric.extend(_certified_roots(p, m, precision_bits))
+    with mpmath.workprec(precision_bits + 96):
+        taus = [mpmath.mpf(s.b.numerator) / s.b.denominator for s in out if s.a]
         for i, r in enumerate(numeric):
-            zi, ri = mpmath.mpc(r.b), mpmath.mpf(r.radius)
-            for s in numeric[i + 1:]:
-                if abs(zi - mpmath.mpc(s.b)) <= ri + mpmath.mpf(s.radius):
-                    raise PrecisionError(
-                        "precision insufficient for cluster separation; retry higher"
-                    )
-            for s in out:
-                if s.a == 0:
-                    continue
-                tau = mpmath.mpf(s.b.numerator) / mpmath.mpf(s.b.denominator)
-                if abs(zi - tau) <= ri:
-                    raise PrecisionError(
-                        "precision insufficient for cluster separation; retry higher"
-                    )
+            if any(abs(r.b - s.b) <= r.radius + s.radius for s in numeric[i + 1:]) or any(
+                abs(r.b - tau) <= r.radius for tau in taus
+            ):
+                raise PrecisionError(
+                    "precision insufficient for cluster separation; retry higher"
+                )
     out.sort(key=lambda r: (r.a, r.b))
     numeric.sort(key=lambda r: (mpmath.mpf(r.b.real), mpmath.mpf(r.b.imag)))
     return out + numeric
 
 
+def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
+    """Approximations, as mpc, of all complex roots of the square-free
+    rational polynomial p (low to high, degree >= 1), good to about ``bits``
+    bits; the caller works at ``bits`` or above.
+
+    ``numpy.roots`` on the coefficients scaled by their largest gives
+    53-bit seeds, and a root it loses to underflow is seeded on a spiral.
+    Newton steps with Aberth's correction, which keeps two approximations
+    from settling on one root, then refine all roots together while the
+    working precision doubles from 106 bits to ``bits``.  At each precision
+    the sweeps repeat until the largest step is below about the square
+    root of the unit, so that one sweep at twice the precision is accurate
+    to it.  The seeds only start the iteration; nothing here is certified.
+    """
+    import numpy
+
+    deg = univar.degree(p)
+    top = max(abs(c) for c in p)
+    seeds = [complex(z) for z in numpy.roots([float(c / top) for c in reversed(p)])]
+    zs = [z for z in seeds if cmath.isfinite(z)]
+    zs += [(0.4 + 0.9j) ** k for k in range(len(zs), deg)]
+    dp = univar.derivative(p)
+    prec = min(106, bits)
+    while True:
+        with mpmath.workprec(prec):
+            cs = [mpmath.mpf(c.numerator) / c.denominator for c in p]
+            ds = [mpmath.mpf(c.numerator) / c.denominator for c in dp]
+            zs = [mpmath.mpc(z) for z in zs]
+            tol = mpmath.mpf(2) ** (8 - prec // 2)
+            for _ in range(100):
+                steps = []
+                try:
+                    for i, z in enumerate(zs):
+                        ratio = univar.evaluate(cs, z) / univar.evaluate(ds, z)
+                        near = mpmath.fsum(1 / (z - w) for j, w in enumerate(zs) if j != i)
+                        steps.append(ratio / (1 - ratio * near))
+                except ZeroDivisionError:
+                    raise PrecisionError("root refinement met a zero denominator") from None
+                zs = [z - h for z, h in zip(zs, steps)]
+                if all(abs(h) <= tol * max(1, abs(z)) for z, h in zip(zs, steps)):
+                    break
+        if prec >= bits:
+            return zs
+        prec = min(2 * prec, bits)
+
+
 def _certified_roots(p: list[Fraction], mult: int, precision_bits: int) -> list[NumericRoot]:
-    """Certified approximations for a square-free rational-root-free factor."""
+    """Roots of a square-free rational-root-free factor with their disks.
+
+    The roots are refined 32 bits beyond the stored precision_bits + 64 and
+    rounded to it; each disk deg * |p(z)/p'(z)| is drawn around the stored
+    z, with p and p' evaluated 32 bits above its precision, so that the
+    rounding of z is inside the disk and not in the noise of p(z).
+    """
     deg = univar.degree(p)
     with mpmath.workprec(precision_bits + 64):
-        coeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in p]
-        try:
-            roots = mpmath.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=precision_bits)
-        except mpmath.libmp.NoConvergence as exc:  # pragma: no cover
-            raise PrecisionError(f"root finding did not converge: {exc}") from exc
-        dp = univar.derivative(p)
-        dcoeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in dp]
-
-        def horner(cs, z):
-            acc = mpmath.mpc(0)
-            for c in reversed(cs):
-                acc = acc * z + c
-            return acc
-
-        entries = []
+        roots = [+z for z in approximate_roots(p, precision_bits + 96)]
+    out = []
+    with mpmath.workprec(precision_bits + 96):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in p]
+        dcoeffs = [mpmath.mpf(c.numerator) / c.denominator for c in univar.derivative(p)]
         for z in roots:
-            z = mpmath.mpc(z)
-            val = horner(coeffs, z)
-            der = horner(dcoeffs, z)
+            der = univar.evaluate(dcoeffs, z)
             if der == 0:
                 raise PrecisionError("derivative vanished at an approximate root")
-            radius = deg * abs(val / der)
-            entries.append((z, radius))
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                zi, ri = entries[i]
-                zj, rj = entries[j]
-                if abs(zi - zj) <= ri + rj:
-                    raise PrecisionError(
-                        "precision insufficient for cluster separation; retry higher"
-                    )
-        out = []
-        for z, radius in entries:
-            out.append(
-                NumericRoot(
-                    mpmath.mpc(1),
-                    +z,
-                    mult,
-                    +radius,
-                    False,
-                    precision_bits,
-                )
-            )
+            radius = deg * abs(univar.evaluate(coeffs, z) / der)
+            out.append(NumericRoot(mpmath.mpc(1), z, mult, radius, False, precision_bits))
     return out
 
 

@@ -5,8 +5,7 @@ integers: fraction-free (Bareiss) elimination gives the echelon form, kernel
 vectors are back-substituted in integers, and span membership reduces the
 target against the echelon rows of one elimination.  Integer rows skip the
 denominator pass, and kernel vectors come back as primitive integer vectors,
-so no floating point ever enters a rank decision.  ``solve`` works over any
-exact field.
+so no floating point ever enters a rank decision.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from math import gcd as int_gcd
 from math import lcm as int_lcm
 from typing import Sequence
 
-from .univar import quo
 
 Matrix = Sequence[Sequence[Fraction]]
 
@@ -169,44 +167,3 @@ def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -
             piv = row[pc]
             t = [a * piv - c * b for a, b in zip(t, row)]
     return not any(t)
-
-
-def solve(rows: Matrix, rhs: Sequence) -> list | None:
-    """One exact solution of rows * x = rhs, or None if inconsistent.
-
-    Free variables are set to zero.  Works over Fraction and over any exact
-    field type (duck-typed).
-    """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if not aug:
-        return []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    prow = 0
-    for col in range(ncols):
-        sel = next((i for i in range(prow, len(aug)) if aug[i][col]), None)
-        if sel is None:
-            continue
-        aug[prow], aug[sel] = aug[sel], aug[prow]
-        piv = aug[prow][col]
-        aug[prow] = [quo(c, piv) for c in aug[prow]]
-        for i in range(len(aug)):
-            if i != prow and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[prow])]
-        pivots.append(col)
-        prow += 1
-    for i in range(prow, len(aug)):
-        if aug[i][ncols]:
-            return None
-    rhs0 = rhs[0] if len(list(rhs)) else None
-    zero = None
-    if pivots:
-        r0 = aug[0][pivots[0]]
-        zero = r0 - r0
-    elif rhs0 is not None:
-        zero = rhs0 - rhs0
-    x = [zero] * ncols
-    for k, pc in enumerate(pivots):
-        x[pc] = aug[k][ncols]
-    return x

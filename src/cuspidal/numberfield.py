@@ -21,7 +21,7 @@ from typing import Sequence
 import mpmath
 
 from . import ratfactor, univar
-from .binform import PrecisionError
+from .binform import PrecisionError, approximate_roots
 
 
 class NumberFieldError(ValueError):
@@ -366,11 +366,11 @@ def _try_isolate(ints: tuple[int, ...], work: int):
     poly = [Fraction(c) for c in ints]
     deriv = univar.derivative(poly)
     with mpmath.workprec(work + 64):
+        # 32 guard bits, then one rounding: the stored approximations are
+        # the roots rounded to work + 64 bits
         try:
-            roots = mpmath.polyroots(
-                [mpmath.mpf(c) for c in reversed(ints)], maxsteps=200, extraprec=work
-            )
-        except mpmath.libmp.NoConvergence:
+            roots = [+z for z in approximate_roots(poly, work + 96)]
+        except PrecisionError:
             return None
         radii = []
         for z in roots:

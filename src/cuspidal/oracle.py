@@ -173,9 +173,11 @@ def _mp_target(P: ProjectedPoint):
 def _fit(taus, v, slots):
     """Variable-projection fit of v by the normalized curve columns
     a_i = phi(tau_i)/|phi(tau_i)|, with the scalars c from the Gram normal
-    equations: the residual (I - P_A) v and the Kaufman Jacobian columns
-    -c_i (I - P_A) a_i'.  One LU of the Gram matrix serves the scalars and
-    all r projections; a singular one raises ZeroDivisionError."""
+    equations: the residual (I - P_A) v, and a function that builds the
+    Kaufman Jacobian columns -c_i (I - P_A) a_i', so that a fit the polish
+    does not step from never pays for their r projections.  One LU of the
+    Gram matrix serves the scalars and all r projections; a singular one
+    raises ZeroDivisionError."""
     cols, ders = [], []
     for t in taus:
         phi = [t**k for k in slots]
@@ -195,7 +197,7 @@ def _fit(taus, v, slots):
         return x, [bk - mpmath.fdot(x, row) for bk, row in zip(b, rows)]
 
     coef, res = perp(v)
-    return res, [[-c * y for y in perp(d)[1]] for c, d in zip(coef, ders)]
+    return res, lambda: [[-c * y for y in perp(d)[1]] for c, d in zip(coef, ders)]
 
 
 def _norm(x):
@@ -210,14 +212,15 @@ def _polish(P: ProjectedPoint, taus0, precision_bits: int, tolerance: float):
     Each iteration tries the undamped step first, which converges
     quadratically from the float hand-over, and falls back to
     Levenberg-Marquardt damping only when that step does not lower the
-    residual.  A step is taken only when it lowers the residual.
+    residual.  A step is taken only when it lowers the residual, and the
+    Jacobian is built only where the next step starts.
     """
     with mpmath.workprec(precision_bits):
         v = _mp_target(P)
         slots = _slots(P.n)
         taus = [mpmath.mpf(t) for t in taus0]
         try:
-            res, jac = _fit(taus, v, slots)
+            res, jacobian = _fit(taus, v, slots)
         except ZeroDivisionError:
             return None
         best = _norm(res)
@@ -225,6 +228,7 @@ def _polish(P: ProjectedPoint, taus0, precision_bits: int, tolerance: float):
         mu = mpmath.mpf(10) ** (-12)
         mu_floor = mpmath.mpf(2) ** (-precision_bits)
         for _ in range(72):
+            jac = jacobian()
             H = mpmath.matrix([[mpmath.fdot(a, b) for b in jac] for a in jac])
             g = mpmath.matrix([-mpmath.fdot(a, res) for a in jac])
             for damped in (False,) + (True,) * 10:
@@ -236,7 +240,7 @@ def _polish(P: ProjectedPoint, taus0, precision_bits: int, tolerance: float):
                 except (ZeroDivisionError, ValueError):
                     cval = None
                 if cval is not None and cval < best:
-                    taus, (res, jac), best = cand, fit, cval
+                    taus, (res, jacobian), best = cand, fit, cval
                     if damped:
                         mu = max(mu / 10, mu_floor)
                     break

@@ -12,6 +12,14 @@
 * ``sympy_factors``: sympy's factorization over the rationals, which
   ``ratfactor`` used for every degree before degrees 1 and 2 got their
   closed forms.
+* ``solve``, ``power_sum_scalars``, ``qr_power_sum_scalars`` and
+  ``mp_polyroots``: the scalars of a power-sum decomposition were once the
+  solution of the full (d+1) x r system in the powers of the points, by
+  Gauss-Jordan over the rationals or a number field (``linalg.solve``) and
+  by an mpmath Householder QR solve on the complex path, and the complex
+  roots of the witness came from ``mpmath.polyroots`` (Durand-Kerner).  They
+  back the residue formula ``apolarity._residue_scalars`` and the Newton
+  refinement ``binform.approximate_roots``.
 * ``mp_residual`` and ``fd_jacobian``: the span search's full-precision
   polish once solved the variable-projection fit with ``mpmath.lu_solve``
   on the normal equations and differentiated it by forward differences,
@@ -24,6 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import mpmath
 
@@ -243,3 +252,70 @@ def fd_jacobian(taus, v, slots, precision_bits):
         bres = mp_residual(bumped, v, slots)
         cols.append([(b - a) / step for a, b in zip(res, bres)])
     return cols
+
+
+def solve(rows, rhs) -> list | None:
+    """One exact solution of rows * x = rhs, or None if inconsistent, by
+    Gauss-Jordan over Fraction or any exact field type (duck-typed).  Free
+    variables are set to zero."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    if not aug:
+        return []
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    prow = 0
+    for col in range(ncols):
+        sel = next((i for i in range(prow, len(aug)) if aug[i][col]), None)
+        if sel is None:
+            continue
+        aug[prow], aug[sel] = aug[sel], aug[prow]
+        piv = aug[prow][col]
+        aug[prow] = [c / piv for c in aug[prow]]
+        for i in range(len(aug)):
+            if i != prow and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[prow])]
+        pivots.append(col)
+        prow += 1
+    if any(aug[i][ncols] for i in range(prow, len(aug))):
+        return None
+    zero = rhs[0] - rhs[0]
+    x = [zero] * ncols
+    for k, pc in enumerate(pivots):
+        x[pc] = aug[k][ncols]
+    return x
+
+
+def _power_rows(f, points, one):
+    """The (d+1) x r system: column i holds the monomial coefficients
+    binom(d, j) a^(d-j) b^j of (a u + b t)^d for the i-th point (a, b)."""
+    d = f.degree
+    return [[comb(d, j) * (one * a) ** (d - j) * (one * b) ** j for a, b in points]
+            for j in range(d + 1)]
+
+
+def power_sum_scalars(f, points, one) -> list | None:
+    """Exact scalars s with f = sum s (a u + b t)^d over the points, in the
+    ring of ``one``, by ``solve`` on the full system; None if inconsistent."""
+    return solve(_power_rows(f, points, one), [one * c for c in f.coeffs])
+
+
+def qr_power_sum_scalars(f, points, bits: int) -> list:
+    """Least-squares scalars of the full system by mpmath's Householder QR
+    at ``bits`` bits, for complex points."""
+    with mpmath.workprec(bits):
+        one = mpmath.mpc(1)
+        rows = _power_rows(f, [(mpmath.mpc(a), mpmath.mpc(b)) for a, b in points], one)
+        rhs = [mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator for c in f.coeffs]
+        sol, _ = mpmath.qr_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
+        return [sol[i] for i in range(len(points))]
+
+
+def mp_polyroots(p, bits: int) -> list:
+    """All complex roots of the rational polynomial p (low to high) by
+    mpmath's Durand-Kerner iteration at ``bits`` bits, with as many extra."""
+    with mpmath.workprec(bits):
+        coeffs = [mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator
+                  for c in reversed(p)]
+        return [mpmath.mpc(z) for z in
+                mpmath.polyroots(coeffs, maxsteps=400, extraprec=bits)]

@@ -11,6 +11,7 @@ import mpmath
 import pytest
 
 from cuspidal import apolarity, linalg
+from cuspidal.numberfield import NumberField
 from cuspidal.apolarity import (
     AmbiguousScheme,
     CertificateError,
@@ -28,13 +29,15 @@ from cuspidal.apolarity import (
 )
 from cuspidal.binform import (
     BinaryForm,
+    PrecisionError,
     ZeroFormError,
     ZeroScheme,
     is_square_free,
+    parse_form,
     random_form,
     squarefree_decompose,
 )
-from oracles import nullspace_plain
+from oracles import nullspace_plain, power_sum_scalars, qr_power_sum_scalars
 
 
 def form(*coeffs):
@@ -347,19 +350,112 @@ class TestDecompose:
         assert verify_decomposition(f, back) < mpmath.mpf(2) ** -100
 
 
+def _power_sum(d, terms, one):
+    """Monomial coefficients of sum s (a u + b t)^d over the (s, (a, b))."""
+    return [
+        sum((comb(d, j) * s * (one * a) ** (d - j) * (one * b) ** j for s, (a, b) in terms),
+            one - one)
+        for j in range(d + 1)
+    ]
+
+
+def _rational(rng):
+    return F(rng.randint(-30, 30), rng.randint(1, 7))
+
+
+def _to_mpc(x):
+    return mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator) if isinstance(x, F) else x
+
+
+class TestResidueScalars:
+    """The residue formula against the oracles' solution of the full
+    (d+1) x r system in the powers of the points."""
+
+    @staticmethod
+    def _points(rng, d, count):
+        """``count`` distinct points (a:b), a in {0, 1}, (0:1) and (1:0)
+        among them now and then, with nonzero rational scalars."""
+        taus = {F(0)} if count and rng.random() < 0.3 else set()
+        while len(taus) < count:
+            taus.add(_rational(rng))
+        pts = [(F(1), t) for t in sorted(taus)]
+        if pts and rng.random() < 0.3:
+            pts[-1] = (F(0), F(1))
+        return [(_rational(rng) or F(1), p) for p in pts]
+
+    def test_rational_exact(self):
+        rng = random.Random("residue:rational")
+        for _ in range(60):
+            d = rng.randint(3, 12)
+            terms = self._points(rng, d, rng.randint(1, (d + 1) // 2))
+            f = BinaryForm(d, tuple(_power_sum(d, terms, F(1))))
+            cert = rank(f)
+            assert cert.rank == len(terms) and cert.witness_kind == "squarefree"
+            pts = [p for _, p in terms]
+            got = apolarity._residue_scalars(f, cert.witness_form, pts, F)
+            assert got == power_sum_scalars(f, pts, F(1)) == [s for s, _ in terms]
+
+    def test_quadratic_field_exact(self):
+        rng = random.Random("residue:quadratic")
+        for _ in range(30):
+            d = rng.randint(4, 12)
+            field = NumberField([-rng.choice((2, 3, 5, 7, -1, -2, -3)), 0, 1])
+            x, y, c, q = (_rational(rng) for _ in range(4))
+            q = q or F(1)
+            conj = [(field.one * x + y * field.gen, (field.one, c + q * field.gen)),
+                    (field.one * x - y * field.gen, (field.one, c - q * field.gen))]
+            rest = [(field.from_rational(s), (field.from_rational(a), field.from_rational(b)))
+                    for s, (a, b) in self._points(rng, d, rng.randint(0, (d + 1) // 2 - 2))]
+            terms = rest + conj
+            coeffs = _power_sum(d, terms, field.one)
+            f = BinaryForm(d, tuple(e.rational_value() for e in coeffs))
+            cert = rank(f)
+            assert cert.rank == len(terms) and cert.witness_kind == "squarefree"
+            pts = [p for _, p in terms]
+            got = apolarity._residue_scalars(f, cert.witness_form, pts, field.from_rational)
+            assert got == power_sum_scalars(f, pts, field.one) == [s for s, _ in terms]
+
+    def test_numeric_against_qr(self):
+        rng = random.Random("residue:numeric")
+        checked = 0
+        while checked < 25:
+            f = random_form(rng.randint(5, 12), rng)
+            dec = decompose(f, 192)
+            if dec.field_tag != "complex":
+                continue
+            checked += 1
+            want = qr_power_sum_scalars(f, [(_to_mpc(a), _to_mpc(b)) for _, (a, b) in dec.terms], 512)
+            with mpmath.workprec(512):
+                for (s, _), w in zip(dec.terms, want):
+                    assert abs(s - w) <= mpmath.mpf(2) ** -150 * abs(w), f.render()
+
+    @pytest.mark.parametrize("text", [
+        "d=10; [-64/7,35/82,-42/31,23/40,11/62,2/11,-48/7,-29/16,-38/11,-21/20,95/36]",
+        "d=10; [70/43,77/23,-7/47,-85/98,-45/14,-65/79,-26/43,-58,-39/16,86/49,-26/21]",
+    ])
+    def test_far_roots_read_in_the_other_chart(self, text):
+        """Witness roots of modulus 9239 and 20382: read in the chart t/u
+        only, their scalars miss the residual bound."""
+        f = parse_form(text)
+        dec = decompose(f, 192)
+        assert dec.field_tag == "complex"
+        assert max(abs(_to_mpc(b)) for _, (_, b) in dec.terms) > 9000
+        assert verify_decomposition(f, dec) < mpmath.mpf(2) ** -96
+
+
 class TestCertificateChecks:
     """The reconstruction checks are explicit raises, not bare asserts."""
 
     @pytest.fixture
     def wrong_last_scalar(self, monkeypatch):
-        solve = apolarity._solve_terms
+        scalars_of = apolarity._residue_scalars
 
-        def planted(*args):
-            scalars = solve(*args)
+        def planted(*args, **kwargs):
+            scalars = scalars_of(*args, **kwargs)
             scalars[-1] = scalars[-1] + scalars[-1]
             return scalars
 
-        monkeypatch.setattr(apolarity, "_solve_terms", planted)
+        monkeypatch.setattr(apolarity, "_residue_scalars", planted)
 
     def test_rational_path(self, wrong_last_scalar):
         with pytest.raises(CertificateError):
@@ -369,27 +465,39 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError):
             decompose(form(0, 1, -1, 0), 128)
 
+    def test_numeric_path(self, wrong_last_scalar):
+        coeffs = tuple(F(x) * comb(5, i) for i, x in enumerate((1, 0, 0, -1, 1, -1)))
+        with pytest.raises(PrecisionError):
+            decompose(BinaryForm(5, coeffs), 128)
+
     def test_is_an_arithmetic_error(self):
         assert issubclass(CertificateError, ArithmeticError)
 
     def test_checks_survive_python_O(self):
         """Plant faults under ``python -O``, which strips bare asserts: the
-        power-sum system check and the scheme point surgery must still raise."""
+        reconstruction check of each decomposition path and the scheme point
+        surgery must still raise."""
         child = textwrap.dedent(
             """
             import sys
             from fractions import Fraction
-            from cuspidal import apolarity, binform, linalg
+            from math import comb
+            from cuspidal import apolarity, binform
 
             if __debug__:
                 sys.exit("not running under -O")
-            linalg.solve = lambda rows, rhs: None
-            try:
-                apolarity.decompose(binform.BinaryForm(3, tuple(map(Fraction, "1001"))), 96)
-            except apolarity.CertificateError:
-                pass
-            else:
-                sys.exit("inconsistent power-sum system went unnoticed")
+            scalars_of = apolarity._residue_scalars
+            apolarity._residue_scalars = lambda *a, **k: [2 * s for s in scalars_of(*a, **k)]
+            for apolar, fault in (((1, 0, 0, 1), binform.CertificateError),
+                                  ((0, 1, -1, 0), binform.CertificateError),
+                                  ((1, 0, 0, -1, 1, -1), binform.PrecisionError)):
+                d = len(apolar) - 1
+                f = binform.BinaryForm(d, tuple(c * comb(d, i) for i, c in enumerate(apolar)))
+                try:
+                    apolarity.decompose(f, 96)
+                except fault:
+                    continue
+                sys.exit(f"wrong scalars went unnoticed for {f.render()}")
             binform.divide_forms = lambda f, g: None
             W = binform.squarefree_decompose(binform.BinaryForm(2, tuple(map(Fraction, "010"))))
             pt, _ = W.rational_points()[0]

@@ -14,6 +14,7 @@ from cuspidal.binform import (
     PrecisionError,
     ZeroScheme,
     apolar_coeffs,
+    approximate_roots,
     divide_forms,
     gcd_forms,
     is_square_free,
@@ -23,6 +24,7 @@ from cuspidal.binform import (
     random_form,
     squarefree_decompose,
 )
+from oracles import mp_polyroots
 
 
 def F(a, b=1):
@@ -231,6 +233,33 @@ class TestNumericRoots:
         f = form(-2, 0, 1) * form(-2 - eps, 0, 1)
         with pytest.raises(PrecisionError):
             numeric_roots(f, 64)
+
+    def test_refined_roots_inside_their_disks(self):
+        """Every certified disk holds the root that mpmath's Durand-Kerner
+        iteration finds at more than twice the precision."""
+        rng = random.Random("refined-roots")
+        for _ in range(40):
+            f = random_form(rng.randint(3, 12), rng)
+            prec = rng.choice((64, 128, 192))
+            roots = [r for r in numeric_roots(f, prec) if not r.exact]
+            want = mp_polyroots(f.tau_poly()[1], 2 * prec + 64)
+            with mpmath.workprec(2 * prec + 64):
+                for r in roots:
+                    assert min(abs(mpmath.mpc(r.b) - z) for z in want) <= r.radius
+
+    def test_seeds_lost_to_underflow(self, monkeypatch):
+        """Roots numpy.roots does not return are seeded on a spiral and
+        still refined to the roots."""
+        import numpy
+
+        p = [F(c) for c in (7, -3, 0, 5, 2, 1)]
+        want = approximate_roots(p, 128)
+        monkeypatch.setattr(numpy, "roots", lambda cs: numpy.array([complex(want[0])]))
+        got = approximate_roots(p, 128)
+        with mpmath.workprec(128):
+            assert len(got) == 5
+            for z in want:
+                assert min(abs(z - y) for y in got) < mpmath.mpf(2) ** -100
 
 
 def test_reconstruction_from_roots():

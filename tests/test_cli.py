@@ -125,6 +125,35 @@ class TestDecomposePipeline:
         assert code2 == 1
         assert recs2[0]["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("degree", 3.7), ("degree", True), ("degree", "3.0"),
+         ("precision_bits", -5), ("precision_bits", 63), ("precision_bits", 96.5)],
+    )
+    def test_verify_decomp_refuses_bad_header(self, capsys, monkeypatch, key, value):
+        """A truncated "degree" once verified a cubic's decomposition as
+        ok against any form of degree int(degree)."""
+        code, recs = run(capsys, monkeypatch, ["decompose", "d=3; [1,0,0,1]"])
+        dec = {**recs[0]["decomposition"], key: value}
+        code2, recs2 = run(
+            capsys, monkeypatch, ["verify-decomp", "--form", "d=3; [1,0,0,1]"],
+            stdin=json.dumps(dec),
+        )
+        assert code2 == 1
+        assert recs2[0]["error"]["type"] == "GrammarError"
+        assert key in recs2[0]["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "form", ["d=3; [1,0,0,1]", "d=3; [0,1,-1,0]", "d=5; [1,0,0,-10,5,-1]"]
+    )
+    def test_decompose_refuses_low_precision(self, capsys, monkeypatch, form):
+        """The rational, quadratic and complex paths all refuse below 64 bits."""
+        code, recs = run(capsys, monkeypatch, ["decompose", "--precision-bits", "10", form])
+        assert code == 1
+        assert recs[0]["error"] == {
+            "type": "ValueError", "message": "precision_bits must be at least 64"
+        }
+
 
 class TestBatchSemantics:
     """Each input line gives exactly one record and a bad line does not

@@ -163,7 +163,7 @@ class TestVariableProjectionFit:
                     v = [x + c * t**k for x, k in zip(v, slots)]
                 norm = mpmath.sqrt(mpmath.fsum(x * x for x in v))
                 v = [x / norm for x in v]
-                _, jac = _fit(taus, v, slots)
+                jac = _fit(taus, v, slots)[1]()
                 fd = fd_jacobian(taus, v, slots, self.BITS)
                 for i, (got, want) in enumerate(zip(jac, fd)):
                     assert self._rel_err(got, want, 1) < 2.0**-50, (n, taus, i)
