@@ -617,6 +617,14 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     seeds = [complex(z) for z in numpy.roots([float(c / top) for c in reversed(p)])]
     zs = [z for z in seeds if cmath.isfinite(z)]
     zs += [(0.4 + 0.9j) ** k for k in range(len(zs), deg)]
+    # seeds too close for floats to tell two real roots from a conjugate
+    # pair would stay trapped in that symmetry: they start off it
+    zs = [
+        z * (1 + 2**-20 * cmath.exp(1j * k))
+        if any(abs(z - w) <= 2**-20 * max(1, abs(z)) for w in zs[:k] + zs[k + 1:])
+        else z
+        for k, z in enumerate(zs)
+    ]
     dp = univar.derivative(p)
     prec = min(106, bits)
     while True:

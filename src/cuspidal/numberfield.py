@@ -366,10 +366,11 @@ def _try_isolate(ints: tuple[int, ...], work: int):
     poly = [Fraction(c) for c in ints]
     deriv = univar.derivative(poly)
     with mpmath.workprec(work + 64):
-        # 32 guard bits, then one rounding: the stored approximations are
-        # the roots rounded to work + 64 bits
+        # refined with work guard bits, which a cluster of roots may use up,
+        # and rounded once: the stored approximations are the roots rounded
+        # to work + 64 bits
         try:
-            roots = [+z for z in approximate_roots(poly, work + 96)]
+            roots = [+z for z in approximate_roots(poly, 2 * work + 64)]
         except PrecisionError:
             return None
         radii = []

@@ -166,6 +166,20 @@ class TestIsolation:
             seen[disc > 0] += 1
         assert min(seen.values()) >= 20
 
+    @pytest.mark.parametrize("m", [10**6, 10**9, 10**12, 10**15])
+    @pytest.mark.parametrize("d", [2, -2])
+    def test_near_double_roots(self, m, d):
+        """(x - m)^2 = d: two real roots or a conjugate pair only
+        2 sqrt(2) apart, too close for float seeds to tell which."""
+        roots = isolate_roots([m * m - d, -2 * m, 1], 64)
+        assert [r.is_real for r in roots] == [d > 0] * 2
+        with mpmath.workprec(256):
+            half = mpmath.sqrt(abs(d)) * (1 if d > 0 else 1j)
+            for r in roots:
+                re, im = (mpmath.mpf(q.numerator) / q.denominator for q in (r.approx_re, r.approx_im))
+                z = mpmath.mpc(re, im)
+                assert min(abs(z - (m + half)), abs(z - (m - half))) < mpmath.mpf(2) ** -60 * m
+
     def test_json_shape(self):
         (root,) = [r for r in isolate_roots([1, 0, 1], 64) if r.approx_im > 0]
         blob = root.to_json()
