@@ -282,13 +282,13 @@ def _power_column(alpha, beta, d: int, one) -> list:
     return [comb(d, k) * (apow[d - k] * bpow[k]) for k in range(d + 1)]
 
 
-def _exact_reconstruction(terms, d: int) -> BinaryForm:
-    total = [Fraction(0)] * (d + 1)
+def _reconstruct(terms, d: int, one) -> list:
+    """Monomial coefficients of sum s (a u + b t)^d over the terms
+    (s, (a, b)), in the ring of ``one``."""
+    total = [one - one] * (d + 1)
     for s, (a, b) in terms:
-        col = _power_column(Fraction(a), Fraction(b), d, Fraction(1))
-        for k in range(d + 1):
-            total[k] += Fraction(s) * col[k]
-    return BinaryForm(d, tuple(total))
+        total = [t + s * c for t, c in zip(total, _power_column(a, b, d, one))]
+    return total
 
 
 def _is_exact(x) -> bool:
@@ -310,21 +310,16 @@ def verify_decomposition(f: BinaryForm, dec: Decomposition):
         _is_exact(s) and _is_exact(a) and _is_exact(b) for s, (a, b) in dec.terms
     )
     if all_exact:
-        diff = f - _exact_reconstruction(dec.terms, f.degree)
-        rel = Fraction(max(abs(c) for c in diff.coeffs), scale)
+        total = _reconstruct(dec.terms, f.degree, Fraction(1))
+        rel = Fraction(max(abs(c - t) for c, t in zip(f.coeffs, total)), scale)
         return mpmath.mpf(rel.numerator) / int(rel.denominator)
     bits = max(dec.precision_bits, 64)
     with mpmath.workprec(bits + 32):
-        total = [mpmath.mpc(0)] * (f.degree + 1)
-        for s, (a, b) in dec.terms:
-            col = _power_column(_to_mpc(a), _to_mpc(b), f.degree, mpmath.mpf(1))
-            sz = _to_mpc(s)
-            for k in range(f.degree + 1):
-                total[k] += sz * col[k]
-        worst = mpmath.mpf(0)
-        for k, c in enumerate(f.coeffs):
-            fc = mpmath.mpf(c.numerator) / c.denominator
-            worst = max(worst, abs(fc - total[k]))
+        terms = [(_to_mpc(s), (_to_mpc(a), _to_mpc(b))) for s, (a, b) in dec.terms]
+        total = _reconstruct(terms, f.degree, mpmath.mpf(1))
+        worst = max(
+            abs(mpmath.mpf(c.numerator) / c.denominator - t) for c, t in zip(f.coeffs, total)
+        )
         return +(worst / (mpmath.mpf(scale.numerator) / scale.denominator))
 
 
@@ -411,10 +406,7 @@ def _exact_scalars(f: BinaryForm, g: BinaryForm, points, one, lift) -> list:
     """Residue scalars of the points over the rationals or a number field,
     checked by reconstructing f exactly."""
     scalars = _residue_scalars(f, g, points, lift)
-    total = [lift(0)] * (f.degree + 1)
-    for s, (a, b) in zip(scalars, points):
-        total = [t + s * c for t, c in zip(total, _power_column(a, b, f.degree, one))]
-    if total != [lift(c) for c in f.coeffs]:
+    if _reconstruct(zip(scalars, points), f.degree, one) != [lift(c) for c in f.coeffs]:
         raise CertificateError("the power sum does not reconstruct the form")
     return scalars
 

@@ -601,8 +601,9 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     rational polynomial p (low to high, degree >= 1), good to about ``bits``
     bits; the caller works at ``bits`` or above.
 
-    ``numpy.roots`` on the coefficients scaled by their largest gives
-    53-bit seeds, and a root it loses to underflow is seeded on a spiral.
+    The seeds are floats from the coefficients scaled by their largest: the
+    quadratic formula in degree 2, so that quadratics never load numpy, and
+    ``numpy.roots`` above; a root lost to underflow is seeded on a spiral.
     Newton steps with Aberth's correction, which keeps two approximations
     from settling on one root, then refine all roots together while the
     working precision doubles from 106 bits to ``bits``.  At each precision
@@ -610,11 +611,16 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     root of the unit, so that one sweep at twice the precision is accurate
     to it.  The seeds only start the iteration; nothing here is certified.
     """
-    import numpy
-
     deg = univar.degree(p)
     top = max(abs(c) for c in p)
-    seeds = [complex(z) for z in numpy.roots([float(c / top) for c in reversed(p)])]
+    c0, c1, *rest = [float(c / top) for c in p]
+    if deg == 2 and rest[0]:
+        disc = cmath.sqrt(c1 * c1 - 4 * c0 * rest[0])
+        seeds = [(-c1 + disc) / (2 * rest[0]), (-c1 - disc) / (2 * rest[0])]
+    else:
+        import numpy
+
+        seeds = [complex(z) for z in numpy.roots([c0, c1, *rest][::-1])]
     zs = [z for z in seeds if cmath.isfinite(z)]
     zs += [(0.4 + 0.9j) ** k for k in range(len(zs), deg)]
     # seeds too close for floats to tell two real roots from a conjugate

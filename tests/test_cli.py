@@ -252,6 +252,33 @@ class TestImports:
         assert got["recs"][1]["witness"]["factors"] == [["u^2-u*t-t^2", 1]]
         assert got["loaded"] == []
 
+    def test_xrank_with_a_quadratic_lambda_loads_no_numpy(self):
+        """Special lambda are at most quadratic, and quadratics are seeded
+        by the quadratic formula before their roots are refined."""
+        point = {"n": 5, "coords": ["-15/2", "-4/195", "1/2", "-1/45", "13/168", "19/26"]}
+        child = textwrap.dedent(
+            f"""
+            import contextlib, io, json, sys
+            from cuspidal.cli import main
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["xrank", {json.dumps(json.dumps(point))}])
+            rec = json.loads(out.getvalue())
+            print(json.dumps({{"code": code, "lam": rec["witness_lambda"],
+                              "numpy": "numpy" in sys.modules}}))
+            """
+        )
+        src = Path(projection.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        got = json.loads(out.stdout)
+        assert got["code"] == 0
+        assert len(got["lam"]["minpoly"]) == 3
+        assert got["numpy"] is False
+
 
 class TestProjectionCommands:
     def test_project(self, capsys, monkeypatch):
