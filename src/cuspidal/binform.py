@@ -613,14 +613,14 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     """
     deg = univar.degree(p)
     top = max(abs(c) for c in p)
-    c0, c1, *rest = [float(c / top) for c in p]
-    if deg == 2 and rest[0]:
-        disc = cmath.sqrt(c1 * c1 - 4 * c0 * rest[0])
-        seeds = [(-c1 + disc) / (2 * rest[0]), (-c1 - disc) / (2 * rest[0])]
+    fl = [float(c / top) for c in p]
+    if deg == 2 and fl[2]:
+        disc = cmath.sqrt(fl[1] ** 2 - 4 * fl[0] * fl[2])
+        seeds = [(-fl[1] + disc) / (2 * fl[2]), (-fl[1] - disc) / (2 * fl[2])]
     else:
         import numpy
 
-        seeds = [complex(z) for z in numpy.roots([c0, c1, *rest][::-1])]
+        seeds = [complex(z) for z in numpy.roots(fl[::-1])]
     zs = [z for z in seeds if cmath.isfinite(z)]
     zs += [(0.4 + 0.9j) ** k for k in range(len(zs), deg)]
     # seeds too close for floats to tell two real roots from a conjugate

@@ -11,7 +11,6 @@ import mpmath
 import pytest
 
 from cuspidal import apolarity, linalg
-from cuspidal.numberfield import NumberField
 from cuspidal.apolarity import (
     AmbiguousScheme,
     CertificateError,
@@ -37,6 +36,7 @@ from cuspidal.binform import (
     random_form,
     squarefree_decompose,
 )
+from cuspidal.numberfield import NumberField
 from oracles import nullspace_plain, power_sum_scalars, qr_power_sum_scalars
 
 
@@ -372,7 +372,7 @@ class TestResidueScalars:
     (d+1) x r system in the powers of the points."""
 
     @staticmethod
-    def _points(rng, d, count):
+    def _points(rng, count):
         """``count`` distinct points (a:b), a in {0, 1}, (0:1) and (1:0)
         among them now and then, with nonzero rational scalars."""
         taus = {F(0)} if count and rng.random() < 0.3 else set()
@@ -387,7 +387,7 @@ class TestResidueScalars:
         rng = random.Random("residue:rational")
         for _ in range(60):
             d = rng.randint(3, 12)
-            terms = self._points(rng, d, rng.randint(1, (d + 1) // 2))
+            terms = self._points(rng, rng.randint(1, (d + 1) // 2))
             f = BinaryForm(d, tuple(_power_sum(d, terms, F(1))))
             cert = rank(f)
             assert cert.rank == len(terms) and cert.witness_kind == "squarefree"
@@ -405,7 +405,7 @@ class TestResidueScalars:
             conj = [(field.one * x + y * field.gen, (field.one, c + q * field.gen)),
                     (field.one * x - y * field.gen, (field.one, c - q * field.gen))]
             rest = [(field.from_rational(s), (field.from_rational(a), field.from_rational(b)))
-                    for s, (a, b) in self._points(rng, d, rng.randint(0, (d + 1) // 2 - 2))]
+                    for s, (a, b) in self._points(rng, rng.randint(0, (d + 1) // 2 - 2))]
             terms = rest + conj
             coeffs = _power_sum(d, terms, field.one)
             f = BinaryForm(d, tuple(e.rational_value() for e in coeffs))
