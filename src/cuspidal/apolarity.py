@@ -35,7 +35,7 @@ from .binform import (
     numeric_roots,
     squarefree_decompose,
 )
-from .numberfield import NumberField, isolate_roots
+from .numberfield import QuadraticNumber, isolate_roots
 
 
 class AmbiguousScheme(ValueError):
@@ -403,7 +403,7 @@ def _residue_scalars(f: BinaryForm, g: BinaryForm, points, lift, outside=None) -
 
 
 def _exact_scalars(f: BinaryForm, g: BinaryForm, points, one, lift) -> list:
-    """Residue scalars of the points over the rationals or a number field,
+    """Residue scalars of the points over the rationals or a quadratic field,
     checked by reconstructing f exactly."""
     scalars = _residue_scalars(f, g, points, lift)
     if _reconstruct(zip(scalars, points), f.degree, one) != [lift(c) for c in f.coeffs]:
@@ -418,14 +418,13 @@ def _decompose_quadratic(
     quad,
     bits: int,
 ) -> Decomposition:
-    field = NumberField(quad)
-    gamma = field.gen
-    pts = [(field.from_rational(a), field.from_rational(b)) for a, b in rational_points]
-    pts += [(field.one, gamma), (field.one, field.from_rational(-quad[1] / quad[2]) - gamma)]
-    scalars = _exact_scalars(f, g, pts, field.one, field.from_rational)
-    emb = sorted(
-        isolate_roots(field.modulus, bits), key=lambda r: (r.is_real, r.approx_re, r.approx_im)
-    )[-1].refine(bits)
+    gamma = QuadraticNumber.generator(quad)
+    one = gamma.lift(1)
+    pts = [(gamma.lift(a), gamma.lift(b)) for a, b in rational_points]
+    pts += [(one, gamma), (one, gamma.conjugate())]
+    scalars = _exact_scalars(f, g, pts, one, gamma.lift)
+    # gamma is the larger real root, or the one with positive imaginary part
+    emb = isolate_roots(gamma.modulus, bits)[-1].refine(bits)
     with mpmath.workprec(bits + 32):
         terms = []
         for s, (a, b) in zip(scalars, pts):

@@ -281,10 +281,6 @@ class P1Point:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @staticmethod
-    def from_tau(tau: Fraction) -> "P1Point":
-        return P1Point(Fraction(1), Fraction(tau))
-
     @property
     def tau(self) -> Fraction | None:
         """Chart value for points (1:tau); None for (0:1)."""
@@ -299,10 +295,6 @@ class P1Point:
 
 
 POINT_A = P1Point(Fraction(1), Fraction(0))
-
-
-def linear_form_at(p: P1Point) -> BinaryForm:
-    return p.linear_form()
 
 
 @dataclass(frozen=True)
@@ -610,6 +602,8 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     the sweeps repeat until the largest step is below about the square
     root of the unit, so that one sweep at twice the precision is accurate
     to it.  The seeds only start the iteration; nothing here is certified.
+    Only ``_certified_roots`` calls it: the roots of exact quadratics, in
+    ``numberfield``, come from the quadratic formula instead.
     """
     deg = univar.degree(p)
     top = max(abs(c) for c in p)

@@ -105,12 +105,6 @@ def _slots(n: int) -> tuple[int, ...]:
     return (0,) + tuple(range(2, n + 2))
 
 
-def _float_target(P: ProjectedPoint) -> np.ndarray:
-    v = np.array([float(c) for c in P.coords], dtype=float)
-    v = v / np.abs(v).max()
-    return v / np.linalg.norm(v)
-
-
 def _design(taus: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
     cols = [np.array([t**k for k in slots]) for t in taus]
     return np.stack(cols, axis=1)

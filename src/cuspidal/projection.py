@@ -255,17 +255,12 @@ class _Pencil:
             return ALL_LAMBDA
         if univar.degree(g) == 0:
             return []
-        rats: list[Fraction] = []
-        algs: list[tuple] = []
-        for fac, _mult in ratfactor.irreducible_factors(g):
-            if len(fac) == 2:
-                rats.append(-fac[0] / fac[1])
-            else:
-                roots = isolate_roots(fac, precision_bits)
-                algs.extend(((z.minpoly, i), z) for i, z in enumerate(roots))
-        rats.sort()
-        algs.sort(key=lambda kz: kz[0])
-        return [(lam, lam) for lam in rats] + algs
+        # g has degree at most 2: rational roots, or one conjugate pair
+        factors = [fac for fac, _mult in ratfactor.irreducible_factors(g)]
+        if len(factors[0]) == 3:
+            roots = isolate_roots(factors[0], precision_bits)
+            return [((z.minpoly, i), z) for i, z in enumerate(roots)]
+        return [(lam, lam) for lam in sorted(-fac[0] / fac[1] for fac in factors)]
 
     def kernel_at(self, lam: Fraction) -> list[tuple[Fraction, ...]]:
         """Level-r kernel of the lift at rational lam, basis for basis as

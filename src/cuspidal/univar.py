@@ -56,10 +56,6 @@ def sub(p: Sequence, q: Sequence) -> list:
     return add(p, neg(q))
 
 
-def scale(p: Sequence, c) -> list:
-    return trim([ci * c for ci in p])
-
-
 def mul(p: Sequence, q: Sequence) -> list:
     p, q = trim(p), trim(q)
     if not p or not q:
@@ -120,27 +116,6 @@ def gcd(p: Sequence, q: Sequence) -> list:
     return monic(a)
 
 
-def xgcd(p: Sequence, q: Sequence) -> tuple[list, list, list]:
-    """Extended Euclid: (g, s, t) with s*p + t*q = g and g monic.
-
-    Both inputs zero gives three empty lists.
-    """
-    r0, r1 = trim(p), trim(q)
-    if not r0 and not r1:
-        return [], [], []
-    lead = (r0 or r1)[-1]
-    one = quo(lead, lead)
-    s0, s1 = [one], []
-    t0, t1 = [], [one]
-    while r1:
-        quot, rem = divmod_(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, sub(s0, mul(quot, s1))
-        t0, t1 = t1, sub(t0, mul(quot, t1))
-    inv = quo(one, r0[-1])
-    return scale(r0, inv), scale(s0, inv), scale(t0, inv)
-
-
 def derivative(p: Sequence) -> list:
     return trim([c * i for i, c in enumerate(p)][1:])
 
@@ -150,13 +125,6 @@ def evaluate(p: Sequence, x):
     for c in reversed(trim(p)):
         acc = c if acc is None else acc * x + c
     return acc
-
-
-def squarefree_part(p: Sequence) -> list:
-    p = trim(p)
-    if degree(p) <= 0:
-        return monic(p)
-    return monic(div_exact(p, gcd(p, derivative(p))))
 
 
 def yun(p: Sequence) -> list[tuple[list, int]]:

@@ -3,19 +3,21 @@
 * ``nullspace_plain``: textbook Gauss-Jordan over Fraction, against the
   integer Bareiss kernel of ``linalg.nullspace``.
 * ``rank_field`` and ``nullspace_field``: Gaussian elimination over any
-  exact field, number fields included.
+  exact field, the quadratic fields of ``numberfield.QuadraticNumber``
+  included.
 * ``field_rank_certificate``: before the fiber scan read every lift's
   kernel off the pencil, an algebraic lambda was certified by forming the
-  lift over Q[x]/(minpoly) (``field_lift``) and scanning its catalecticant
-  levels upward by elimination over the number field.  It shares no kernel
-  code with the pencil's quadratic certificate.
+  lift over Q(gamma), gamma a root of its minimal polynomial
+  (``field_lift``), and scanning its catalecticant levels upward by
+  elimination over that field.  It shares no kernel code with the
+  pencil's quadratic certificate.
 * ``sympy_factors``: sympy's factorization over the rationals, which
   ``ratfactor`` used for every degree before degrees 1 and 2 got their
   closed forms.
 * ``solve``, ``power_sum_scalars``, ``qr_power_sum_scalars`` and
   ``mp_polyroots``: the scalars of a power-sum decomposition were once the
   solution of the full (d+1) x r system in the powers of the points, by
-  Gauss-Jordan over the rationals or a number field (``linalg.solve``) and
+  Gauss-Jordan over the rationals or a quadratic field (``linalg.solve``) and
   by an mpmath Householder QR solve on the complex path, and the complex
   roots of the witness came from ``mpmath.polyroots`` (Durand-Kerner).  They
   back the residue formula ``apolarity._residue_scalars`` and the Newton
@@ -39,7 +41,7 @@ import mpmath
 from cuspidal import linalg, univar
 from cuspidal.apolarity import CertificateError
 from cuspidal.binform import ZeroFormError
-from cuspidal.numberfield import AlgebraicNumber, NFElement, NumberField
+from cuspidal.numberfield import AlgebraicNumber, QuadraticNumber
 from cuspidal.projection import FieldCertificate, ProjectedPoint
 
 
@@ -138,20 +140,21 @@ def rank_field(rows) -> int:
 
 @dataclass(frozen=True)
 class FieldForm:
-    """A lift whose deleted coefficient is an algebraic number: apolar
-    coordinate vector over Q[x]/(minpoly), the generator playing lambda."""
+    """A lift whose deleted coefficient is a quadratic irrational: apolar
+    coordinate vector over Q(gamma), gamma a root of the minimal polynomial
+    playing lambda."""
 
-    field: NumberField
+    gamma: QuadraticNumber
     degree: int
-    a_coeffs: tuple[NFElement, ...]
+    a_coeffs: tuple[QuadraticNumber, ...]
 
 
 def field_lift(P: ProjectedPoint, lam: AlgebraicNumber) -> FieldForm:
     d = P.n + 1
-    field = NumberField([Fraction(c) for c in lam.minpoly])
-    a = P.apolar_with_slot(field.gen / d)
-    coeffs = tuple(c if isinstance(c, NFElement) else field.from_rational(c) for c in a)
-    return FieldForm(field, d, coeffs)
+    gamma = QuadraticNumber.generator(lam.minpoly)
+    a = P.apolar_with_slot(gamma / d)
+    coeffs = tuple(c if isinstance(c, QuadraticNumber) else gamma.lift(c) for c in a)
+    return FieldForm(gamma, d, coeffs)
 
 
 def field_is_square_free(coeffs: list, degree: int) -> bool:
@@ -172,7 +175,7 @@ def field_rank_certificate(ff: FieldForm) -> FieldCertificate:
     """Sylvester dichotomy for a lift over a number field, by a level scan."""
     d = ff.degree
     a = ff.a_coeffs
-    modulus = tuple(ff.field.modulus)
+    modulus = ff.gamma.modulus
     for r in range(1, (d + 2) // 2 + 1):
         rows = [[a[j + k] for k in range(r + 1)] for j in range(d - r + 1)]
         dim = (r + 1) - rank_field(rows)

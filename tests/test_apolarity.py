@@ -36,7 +36,7 @@ from cuspidal.binform import (
     random_form,
     squarefree_decompose,
 )
-from cuspidal.numberfield import NumberField
+from cuspidal.numberfield import QuadraticNumber
 from oracles import nullspace_plain, power_sum_scalars, qr_power_sum_scalars
 
 
@@ -399,21 +399,22 @@ class TestResidueScalars:
         rng = random.Random("residue:quadratic")
         for _ in range(30):
             d = rng.randint(4, 12)
-            field = NumberField([-rng.choice((2, 3, 5, 7, -1, -2, -3)), 0, 1])
+            gamma = QuadraticNumber.generator([-rng.choice((2, 3, 5, 7, -1, -2, -3)), 0, 1])
+            one = gamma.lift(1)
             x, y, c, q = (_rational(rng) for _ in range(4))
             q = q or F(1)
-            conj = [(field.one * x + y * field.gen, (field.one, c + q * field.gen)),
-                    (field.one * x - y * field.gen, (field.one, c - q * field.gen))]
-            rest = [(field.from_rational(s), (field.from_rational(a), field.from_rational(b)))
+            conj = [(one * x + y * gamma, (one, c + q * gamma)),
+                    (one * x - y * gamma, (one, c - q * gamma))]
+            rest = [(gamma.lift(s), (gamma.lift(a), gamma.lift(b)))
                     for s, (a, b) in self._points(rng, rng.randint(0, (d + 1) // 2 - 2))]
             terms = rest + conj
-            coeffs = _power_sum(d, terms, field.one)
+            coeffs = _power_sum(d, terms, one)
             f = BinaryForm(d, tuple(e.rational_value() for e in coeffs))
             cert = rank(f)
             assert cert.rank == len(terms) and cert.witness_kind == "squarefree"
             pts = [p for _, p in terms]
-            got = apolarity._residue_scalars(f, cert.witness_form, pts, field.from_rational)
-            assert got == power_sum_scalars(f, pts, field.one) == [s for s, _ in terms]
+            got = apolarity._residue_scalars(f, cert.witness_form, pts, gamma.lift)
+            assert got == power_sum_scalars(f, pts, one) == [s for s, _ in terms]
 
     def test_numeric_against_qr(self):
         rng = random.Random("residue:numeric")

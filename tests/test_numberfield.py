@@ -1,112 +1,160 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
 from cuspidal import univar
-from cuspidal.binform import PrecisionError
+from cuspidal.apolarity import decompose
+from cuspidal.binform import BinaryForm, PrecisionError, approximate_roots
 from cuspidal.numberfield import (
     AlgebraicNumber,
-    NumberField,
     NumberFieldError,
+    QuadraticNumber,
     isolate_roots,
 )
+from cuspidal.projection import ProjectedPoint, special_lambdas, x_rank
 from oracles import nullspace_field
 
 
-SQRT2 = NumberField([-2, 0, 1])
-CBRT2 = NumberField([-2, 0, 0, 1])
+SQRT2 = QuadraticNumber.generator([-2, 0, 1])
+
+
+def _random_moduli(rng, count):
+    """Seeded irreducible quadratics c0 + c1 x + c2 x^2 with Fraction
+    coefficients, c2 != 1, both discriminant signs."""
+    out = []
+    while len(out) < count:
+        c0, c1, c2 = (F(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(3))
+        if not c2 or c2 == 1:
+            continue
+        disc = c1 * c1 - 4 * c0 * c2
+        if disc >= 0 and all(math.isqrt(v) ** 2 == v for v in (disc.numerator, disc.denominator)):
+            continue
+        out.append((c0, c1, c2))
+    return out
+
+
+def _element(rng, gamma):
+    a, b = (F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+    return a + b * gamma
 
 
 class TestFieldArithmetic:
     def test_sqrt2_product(self):
-        g = SQRT2.gen
-        one = SQRT2.one
-        assert (one + g) * (one - g) == SQRT2.from_rational(-1)
+        g = SQRT2
+        one = g.lift(1)
+        assert (one + g) * (one - g) == g.lift(-1)
 
     def test_sqrt2_inverse(self):
-        g = SQRT2.gen
-        inv = (SQRT2.one + g).inverse()
+        g = SQRT2
+        inv = (g.lift(1) + g).inverse()
         assert inv == g - 1
-        assert (SQRT2.one + g) * inv == SQRT2.one
-
-    def test_cbrt2_relations(self):
-        g = CBRT2.gen
-        assert g**3 == CBRT2.from_rational(2)
-        assert g * (g**2 / 2) == CBRT2.one
-        assert g**-1 == g**2 / 2
+        assert (g.lift(1) + g) * inv == g.lift(1)
 
     def test_division_and_distributivity(self):
         rng = random.Random(11)
-        for field in (SQRT2, CBRT2):
+        for gamma in [SQRT2] + [QuadraticNumber.generator(m) for m in _random_moduli(rng, 4)]:
             for _ in range(40):
-                coords = lambda: [
-                    F(rng.randint(-9, 9), rng.randint(1, 9))
-                    for _ in range(field.degree)
-                ]
-                a, b, c = (field.element(coords()) for _ in range(3))
+                a, b, c = (_element(rng, gamma) for _ in range(3))
                 assert a * (b + c) == a * b + a * c
                 if b:
                     assert (a / b) * b == a
-                    assert b * b.inverse() == field.one
+                    assert b * b.inverse() == gamma.lift(1)
+
+    def test_field_axioms_on_random_moduli(self):
+        rng = random.Random("numberfield:axioms")
+        moduli = _random_moduli(rng, 30)
+        signs = {m[1] ** 2 - 4 * m[0] * m[2] > 0 for m in moduli}
+        assert signs == {True, False}
+        for mod in moduli:
+            gamma = QuadraticNumber.generator(mod)
+            c0, c1, c2 = mod
+            # gamma is a root of the modulus, in the field's own arithmetic
+            assert c2 * gamma * gamma + c1 * gamma + c0 == 0
+            zero, one = gamma.lift(0), gamma.lift(1)
+            for _ in range(10):
+                a, b, c = (_element(rng, gamma) for _ in range(3))
+                assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+                assert a + b == b + a and a * b == b * a
+                assert a * (b + c) == a * b + a * c
+                assert a + zero == a and a * one == a and a + (-a) == zero
+                assert a * a.conjugate() == a.norm()
+                if a:
+                    inv = a.inverse()
+                    assert a * inv == one and inv * a == one
+                    assert a**-1 == inv and (b / a) * a == b
+                    assert a**3 == a * a * a and a**-2 * a**2 == one
 
     def test_rational_detection(self):
-        e = SQRT2.element([F(3, 7)])
+        e = SQRT2.lift(F(3, 7))
         assert e.is_rational() and e.rational_value() == F(3, 7)
-        assert not SQRT2.gen.is_rational()
+        assert not SQRT2.is_rational()
         with pytest.raises(NumberFieldError):
-            SQRT2.gen.rational_value()
+            SQRT2.rational_value()
 
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):
-            SQRT2.zero.inverse()
+            SQRT2.lift(0).inverse()
 
     def test_bad_moduli(self):
-        with pytest.raises(NumberFieldError):
-            NumberField([1, 1])
-        with pytest.raises(NumberFieldError):
-            NumberField([-1, 0, 1])
-        with pytest.raises(NumberFieldError):
-            NumberField([0, 0, 1])
+        for modulus in ([1, 1], [-2, 0, 0, 1], [-1, 0, 1], [0, 0, 1], [F(-9, 4), 0, 1],
+                        [F(-1, 2), F(1, 2), 1], [5]):
+            with pytest.raises(NumberFieldError):
+                QuadraticNumber.generator(modulus)
 
     def test_mixed_scalars(self):
-        g = SQRT2.gen
+        g = SQRT2
         assert 1 + g == g + 1
         assert 2 * g - g == g
-        assert (2 / g) * g == SQRT2.from_rational(2)
+        assert (2 / g) * g == g.lift(2)
         assert F(1, 2) * g + F(1, 2) * g == g
+
+    def test_fields_do_not_mix(self):
+        with pytest.raises(NumberFieldError):
+            SQRT2 + QuadraticNumber.generator([-3, 0, 1])
+
+    def test_numeric_is_the_closed_form_embedding(self):
+        rng = random.Random("numberfield:numeric")
+        for mod in _random_moduli(rng, 20):
+            gamma = QuadraticNumber.generator(mod)
+            roots = isolate_roots(mod, 256)
+            for _ in range(5):
+                e = _element(rng, gamma)
+                for k, root in enumerate(roots):
+                    with mpmath.workprec(512):
+                        c0, c1, c2 = (mpmath.mpf(c.numerator) / c.denominator for c in mod)
+                        disc = c1 * c1 - 4 * c0 * c2
+                        sq = mpmath.sqrt(disc) if disc > 0 else 1j * mpmath.sqrt(-disc)
+                        # isolate_roots lists the lower root first
+                        want_root = sorted(((-c1 + sq) / (2 * c2), (-c1 - sq) / (2 * c2)),
+                                           key=lambda z: (z.real, z.imag))[k]
+                        a, b = (mpmath.mpf(q.numerator) / q.denominator for q in (e.a, e.b))
+                        want = a + b * want_root
+                    with mpmath.workprec(256):
+                        got = e.numeric(root.refine(256))
+                    with mpmath.workprec(512):
+                        assert abs(got - want) <= mpmath.mpf(2) ** -240 * max(1, abs(want))
 
 
 class TestGenericRoutinesOverField:
     def test_nullspace_field(self):
-        g = SQRT2.gen
-        mat = [[SQRT2.one, g], [g, SQRT2.from_rational(2)]]
+        g = SQRT2
+        mat = [[g.lift(1), g], [g, g.lift(2)]]
         basis = nullspace_field(mat)
         assert len(basis) == 1
         vec = basis[0]
         for row in mat:
-            assert not sum((r * v for r, v in zip(row, vec)), SQRT2.zero)
+            assert not sum((r * v for r, v in zip(row, vec)), g.lift(0))
 
     def test_univar_gcd_over_field(self):
-        g = SQRT2.gen
-        p = [SQRT2.from_rational(-2), SQRT2.zero, SQRT2.one]
-        q = [-g, SQRT2.one]
+        g = SQRT2
+        p = [g.lift(-2), g.lift(0), g.lift(1)]
+        q = [-g, g.lift(1)]
         got = univar.gcd(p, q)
-        assert got == [-g, SQRT2.one]
-
-    def test_xgcd_bezout(self):
-        rng = random.Random(5)
-        for _ in range(30):
-            a = [F(rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))]
-            b = [F(rng.randint(-5, 5)) for _ in range(rng.randint(1, 5))]
-            if univar.is_zero(a) and univar.is_zero(b):
-                continue
-            g, s, t = univar.xgcd(a, b)
-            lhs = univar.add(univar.mul(s, a), univar.mul(t, b))
-            assert lhs == g
-            assert g == univar.gcd(a, b)
+        assert got == [-g, g.lift(1)]
 
 
 class TestIsolation:
@@ -139,16 +187,10 @@ class TestIsolation:
         with pytest.raises(NumberFieldError):
             isolate_roots([-1, 0, 1], 64)
 
-    def test_quartic_mixed(self):
-        # x^4 - x - 1 has two real and two complex roots.
-        roots = isolate_roots([-1, -1, 0, 0, 1], 128)
-        assert len(roots) == 4
-        assert sum(1 for r in roots if r.is_real) == 2
-        with mpmath.workprec(160):
-            for r in roots:
-                z = r.refine(128)
-                val = z**4 - z - 1
-                assert abs(val) < mpmath.mpf(2) ** -100
+    def test_degree_three_and_above_rejected(self):
+        for poly in ([-2, 0, 0, 1], [-1, -1, 0, 0, 1]):
+            with pytest.raises(NumberFieldError):
+                isolate_roots(poly, 128)
 
     def test_quadratic_reality_is_the_discriminant_sign(self):
         rng = random.Random(606)
@@ -180,18 +222,85 @@ class TestIsolation:
                 z = mpmath.mpc(re, im)
                 assert min(abs(z - (m + half)), abs(z - (m - half))) < mpmath.mpf(2) ** -60 * m
 
+    def test_disks_contain_far_clustered_roots(self):
+        """(x - M)^2 - D with |M| up to 10^40 and |D| <= 50: every disk
+        holds its own root, checked against the roots M -+ sqrt(D) at 2000
+        bits, and no other; refine() is good to its precision."""
+        rng = random.Random("numberfield:far-clusters")
+        checked = 0
+        while checked < 150:
+            m = rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 40))
+            d = rng.choice((-1, 1)) * rng.randint(1, 50)
+            if d > 0 and math.isqrt(d) ** 2 == d:
+                continue
+            bits = (64, 128, 192)[checked % 3]
+            roots = isolate_roots([m * m - d, -2 * m, 1], bits)
+            with mpmath.workprec(2000):
+                half = mpmath.sqrt(d) if d > 0 else mpmath.mpc(0, mpmath.sqrt(-d))
+                exact = [m - half, m + half] if d > 0 else [m + half.conjugate(), m + half]
+                for root, want, other in zip(roots, exact, exact[::-1]):
+                    z = mpmath.mpc(*(mpmath.mpf(q.numerator) / q.denominator
+                                     for q in (root.approx_re, root.approx_im)))
+                    rho = mpmath.mpf(root.radius.numerator) / root.radius.denominator
+                    assert abs(z - want) <= rho, (m, d, bits)
+                    assert abs(z - other) > rho, (m, d, bits)
+                    err = abs(root.refine(bits) - want)
+                    assert err <= mpmath.mpf(2) ** -bits * max(1, abs(want)), (m, d, bits)
+            checked += 1
+
+    def test_closed_form_agrees_with_newton_refinement(self):
+        """The Newton-Aberth refinement that isolated roots before the
+        quadratic formula, ``binform.approximate_roots``, as an oracle."""
+        rng = random.Random("numberfield:newton")
+        for mod in _random_moduli(rng, 40):
+            roots = isolate_roots(mod, 192)
+            with mpmath.workprec(256):
+                newton = approximate_roots(list(mod), 256)
+                for root in roots:
+                    z = root.refine(192)
+                    assert min(abs(z - w) for w in newton) <= mpmath.mpf(2) ** -180 * max(1, abs(z))
+
+    def test_precision_error_beyond_eightfold(self):
+        # roots 2 sqrt(2) apart near 10^200 need about 670 bits of work
+        m = 10**200
+        with pytest.raises(PrecisionError):
+            isolate_roots([m * m - 2, -2 * m, 1], 64)
+        assert len(isolate_roots([m * m - 2, -2 * m, 1], 128)) == 2
+
     def test_json_shape(self):
         (root,) = [r for r in isolate_roots([1, 0, 1], 64) if r.approx_im > 0]
         blob = root.to_json()
         assert blob["minpoly"] == [1, 0, 1]
         assert blob["real"] is False
         assert isinstance(blob["approx"][0], str)
+        assert blob["radius"] == str(F(1, 2**64))
 
-    def test_embeddings(self):
-        embs = SQRT2.embeddings(96)
-        vals = sorted(float(e.real if hasattr(e, "real") else e) for e in embs)
-        assert abs(vals[1] - 2**0.5) < 1e-12
-        g = SQRT2.gen
-        with mpmath.workprec(128):
-            for e in embs:
-                assert abs(g.numeric(e) ** 2 - 2) < mpmath.mpf(2) ** -80
+
+class TestNoNewtonIteration:
+    """The quadratic paths use the closed form only: with every module's
+    ``approximate_roots`` replaced by one that raises, a fiber scan with a
+    quadratic special lambda and a decomposition over Q(sqrt 2) succeed."""
+
+    @pytest.fixture(autouse=True)
+    def no_newton(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("approximate_roots called on a quadratic path")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cuspidal") and hasattr(module, "approximate_roots"):
+                monkeypatch.setattr(module, "approximate_roots", refuse)
+
+    def test_x_rank_with_a_quadratic_special_lambda(self):
+        p = ProjectedPoint(3, (F(1), F(1), F(0), F(-1)))
+        lams = special_lambdas(p, 2)
+        assert lams and all(isinstance(lam, AlgebraicNumber) for lam in lams)
+        assert x_rank(p).value >= 1
+
+    def test_decompose_with_one_quadratic_factor(self):
+        # (u + sqrt2 t)^7 + (u - sqrt2 t)^7 + 3 (u + t)^7
+        d = 7
+        coeffs = [math.comb(d, k) * ((2 * F(2) ** (k // 2) if k % 2 == 0 else 0) + 3)
+                  for k in range(d + 1)]
+        dec = decompose(BinaryForm(d, tuple(coeffs)), 128)
+        assert dec.field_tag == "algebraic" and len(dec.terms) == 3
+        assert dec.residual < mpmath.mpf(2) ** -96

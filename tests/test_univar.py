@@ -50,11 +50,3 @@ def test_rational_roots_with_denominators():
     p = univar.mul([F(-3), F(2)], univar.mul([F(5), F(1)], [F(5), F(1)]))
     roots = dict(ratfactor.rational_roots(p))
     assert roots == {F(3, 2): 1, F(-5): 2}
-
-
-def test_squarefree_part():
-    p = univar.mul([F(-1), F(1)], [F(-1), F(1)])
-    p = univar.mul(p, [F(2), F(1)])
-    sf = univar.squarefree_part(p)
-    expect = univar.monic(univar.mul([F(-1), F(1)], [F(2), F(1)]))
-    assert sf == expect
