@@ -1,0 +1,64 @@
+"""The published JSON of every instance of the pinned fiber corpus.
+
+For each instance of ``bench/fiber_corpus.json`` (read, never written) the
+test hashes ``rank(f).to_json()`` and ``x_rank(project(f)).to_json()`` and
+compares the digests with ``corpus_digests.json`` beside this file.  A
+change that alters any published value fails here and names the instances;
+if the change is meant, regenerate the digests and say why in the ledger:
+
+    PYTHONPATH=src python tests/test_corpus.py --write
+"""
+
+import hashlib
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from cuspidal.apolarity import rank
+from cuspidal.binform import BinaryForm
+from cuspidal.projection import project, x_rank
+
+HERE = Path(__file__).resolve().parent
+CORPUS = HERE.parent / "bench" / "fiber_corpus.json"
+DIGESTS = HERE / "corpus_digests.json"
+
+
+def _digest(blob) -> str:
+    return hashlib.sha256(json.dumps(blob).encode()).hexdigest()[:16]
+
+
+def corpus_digests() -> dict[str, dict[str, str]]:
+    """Digests of the rank and x_rank JSON per instance, keyed
+    case/n/level/seed."""
+    with open(CORPUS) as fh:
+        corpus = json.load(fh)
+    out = {}
+    for cell in corpus["cells"]:
+        for inst in cell["instances"]:
+            coeffs = tuple(Fraction(c) for c in inst["coeffs"])
+            f = BinaryForm(len(coeffs) - 1, coeffs)
+            key = f"{cell['case']}/{cell['n']}/{cell['level']}/{inst['seed']}"
+            out[key] = {
+                "rank": _digest(rank(f).to_json()),
+                "x_rank": _digest(x_rank(project(f)).to_json()),
+            }
+    return out
+
+
+def test_corpus_json_unchanged():
+    with open(DIGESTS) as fh:
+        want = json.load(fh)
+    got = corpus_digests()
+    assert len(got) == 672 and got.keys() == want.keys()
+    changed = [f"{key} {field}" for key in want for field in want[key]
+               if got[key][field] != want[key][field]]
+    assert not changed, f"{len(changed)} changed, first: {changed[:10]}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_corpus.py --write")
+    with open(DIGESTS, "w") as fh:
+        json.dump(corpus_digests(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
