@@ -12,7 +12,6 @@ s*(a*u + b*t)^d, which is the convention every residual check here validates.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,9 +29,9 @@ from .binform import (
     ZeroFormError,
     ZeroScheme,
     apolar_coeffs,
+    approximate_roots,
     is_integer_literal,
     is_square_free,
-    numeric_roots,
     squarefree_decompose,
 )
 from .numberfield import QuadraticNumber, isolate_roots
@@ -51,13 +50,6 @@ class CatalecticantMatrix:
     degree: int
     r: int
     rows: tuple[tuple[Fraction, ...], ...]
-
-    def entry(self, j: int, k: int) -> Fraction:
-        return self.rows[j][k]
-
-    @property
-    def nrows(self) -> int:
-        return self.degree - self.r + 1
 
     @property
     def ncols(self) -> int:
@@ -109,47 +101,28 @@ def border_scheme(f: BinaryForm) -> tuple[ZeroScheme, bool]:
 
 
 def find_squarefree_in_kernel(basis: list[BinaryForm]) -> BinaryForm | None:
-    """A square-free rational element of the span of ``basis``, or None.
+    """A square-free member of the span of one or two degree-r forms, or None.
 
-    Deterministically complete: the square-free locus of the span is the
-    nonvanishing set of the combination's discriminant, whose degree in each
-    coordinate is at most 2r-2, so a full grid with 2r-1 values per
-    coordinate cannot miss it.  A seeded random pre-pass usually exits early.
-    The grid is exponential in the basis size; callers here never pass more
-    than a handful of forms.
+    One form is tested by itself.  For a pencil s*g0 + t*g1 the members with
+    a repeated root are the zeros of its discriminant, a binary form of
+    degree 2r-2 in (s:t).  When the pencil has no base point, as a
+    two-dimensional first kernel never has, its general member is
+    square-free (Bertini), so that form is nonzero and 2r-1 distinct points
+    of P^1 cannot all be its roots.  A seeded random pre-pass of 32 draws
+    comes first and usually exits early.
     """
-    if not basis:
-        raise ValueError("empty basis")
+    if len(basis) not in (1, 2):
+        raise ValueError(f"expected one or two forms, got {len(basis)}")
     r = basis[0].degree
     if any(g.degree != r for g in basis):
         raise ValueError("mixed degrees in kernel basis")
-    live = [g for g in basis if not g.is_zero()]
-    if not live:
-        return None
-    if r <= 1:
-        return live[0]
-    if len(live) == 1:
-        return live[0] if is_square_free(live[0]) else None
-
-    def combo(coeffs) -> BinaryForm:
-        out = BinaryForm(r, (Fraction(0),) * (r + 1))
-        for c, g in zip(coeffs, live):
-            if c:
-                out = out + g.scaled(Fraction(c))
-        return out
-
+    if len(basis) == 1:
+        return basis[0] if is_square_free(basis[0]) else None
+    g0, g1 = basis
     rng = random.Random(0x5F1E)
-    for _ in range(32):
-        cand = combo([rng.randint(-r - 1, r + 1) for _ in live])
-        if not cand.is_zero() and is_square_free(cand):
-            return cand
-    grid = [Fraction(0)]
-    step = 1
-    while len(grid) < 2 * r - 1:
-        grid.extend((Fraction(step), Fraction(-step)))
-        step += 1
-    for coeffs in itertools.product(grid[: 2 * r - 1], repeat=len(live)):
-        cand = combo(coeffs)
+    draws = [(rng.randint(-r - 1, r + 1), rng.randint(-r - 1, r + 1)) for _ in range(32)]
+    for s, t in draws + [(1, 0)] + [(x, 1) for x in range(2 * r - 2)]:
+        cand = g0.scaled(s) + g1.scaled(t)
         if not cand.is_zero() and is_square_free(cand):
             return cand
     return None
@@ -199,15 +172,25 @@ def rank(f: BinaryForm) -> RankCertificate:
 
 def _certify(degree: int, w: int, basis: list[BinaryForm]) -> RankCertificate:
     """The dichotomy for a degree-``degree`` form whose first kernel level is
-    w, from that kernel's basis in the order ``linalg.nullspace`` gives it."""
+    w, from that kernel's basis in the order ``linalg.nullspace`` gives it.
+
+    The apolar ideal of a binary form is a complete intersection
+    (Comas-Seiguer, arXiv:math/0112311), so the first kernel has dimension 1
+    or 2.  In dimension 1 one square-free test decides the rank.  In
+    dimension 2 the two generators are coprime, the pencil has no base
+    point, and the rank is w; only the witness is searched for.  Any other
+    basis, or a pencil with no square-free member, raises CertificateError.
+    """
     if not basis:
         raise CertificateError(f"trivial kernel at the claimed level {w}")
+    if len(basis) > 2:
+        raise CertificateError(f"first kernel of dimension {len(basis)} at level {w}")
     g = find_squarefree_in_kernel(basis)
     if g is not None:
         return RankCertificate(w, w, "squarefree", g.normalized(), len(basis))
-    return RankCertificate(
-        w, degree + 2 - w, "nonreduced", basis[0].normalized(), len(basis)
-    )
+    if len(basis) == 2:
+        raise CertificateError(f"two-dimensional kernel at level {w} with no square-free member")
+    return RankCertificate(w, degree + 2 - w, "nonreduced", basis[0].normalized(), 1)
 
 
 @dataclass(frozen=True)
@@ -358,7 +341,7 @@ def decompose(f: BinaryForm, precision_bits: int = 192) -> Decomposition:
         return Decomposition(f.degree, terms, mpmath.mpf(0), "rational", precision_bits)
     if len(rest) == 1 and len(rest[0]) == 3:
         return _decompose_quadratic(f, g, points, rest[0], precision_bits)
-    return _decompose_numeric(f, g, precision_bits)
+    return _decompose_numeric(f, g, points, rest, precision_bits)
 
 
 def _residue_numerator(seq, poly) -> list:
@@ -437,16 +420,25 @@ def _decompose_quadratic(
     return Decomposition(f.degree, dec.terms, residual, "algebraic", bits)
 
 
-def _decompose_numeric(f: BinaryForm, g: BinaryForm, bits: int) -> Decomposition:
-    """Each root is read in the chart where its modulus is at most 1, so
-    that its own powers, not the other roots', carry the rows it is read
-    from; the residual check below is the certificate."""
-    roots = numeric_roots(g, bits)
+def _decompose_numeric(
+    f: BinaryForm,
+    g: BinaryForm,
+    rational_points: list[tuple[Fraction, Fraction]],
+    rest: list[list[Fraction]],
+    bits: int,
+) -> Decomposition:
+    """The witness's rational points, sorted by (a, b), then the roots of
+    its other irreducible factors ``rest``, each approximated from the
+    factor's primitive integer vector and sorted by (re, im).  Each root is
+    read in the chart where its modulus is at most 1, so that its own
+    powers, not the other roots', carry the rows it is read from; the
+    residual check below is the certificate."""
+    with mpmath.workprec(bits + 64):
+        vectors = [linalg.canonical_vector(c) for c in rest]
+        roots = [+z for v in vectors for z in approximate_roots(v, bits + 96)]
+    roots.sort(key=lambda z: (z.real, z.imag))
     with mpmath.workprec(bits + 32):
-        pts = [
-            (Fraction(r.a), Fraction(r.b)) if r.exact else (mpmath.mpc(r.a), mpmath.mpc(r.b))
-            for r in roots
-        ]
+        pts = sorted(rational_points) + [(mpmath.mpc(1), mpmath.mpc(z)) for z in roots]
         mp_pts = [(_to_mpc(a), _to_mpc(b)) for a, b in pts]
         scalars = _residue_scalars(f, g, mp_pts, _to_mpc, outside=lambda b: abs(b) > 1)
         terms = tuple((+s, p) for s, p in zip(scalars, pts))

@@ -14,9 +14,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import mpmath
+from mpmath import libmp
 
 from . import linalg, ratfactor, univar
 
@@ -103,20 +104,6 @@ class BinaryForm:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def du(self) -> "BinaryForm":
-        """Partial derivative in u."""
-        d = self.degree
-        if d == 0:
-            return BinaryForm(0, (0,))
-        return BinaryForm(d - 1, tuple((d - i) * self.coeffs[i] for i in range(d)))
-
-    def dt(self) -> "BinaryForm":
-        """Partial derivative in t."""
-        d = self.degree
-        if d == 0:
-            return BinaryForm(0, (0,))
-        return BinaryForm(d - 1, tuple((i + 1) * self.coeffs[i + 1] for i in range(d)))
 
     def evaluate(self, a, b) -> int | Fraction:
         # after step i, acc = sum over j <= i of c_j a^(i-j) b^j
@@ -252,10 +239,6 @@ class ApolarCoeffs:
     degree: int
     entries: tuple[Fraction, ...]
 
-    def to_form(self) -> BinaryForm:
-        d = self.degree
-        return BinaryForm(d, tuple(self.entries[i] * comb(d, i) for i in range(d + 1)))
-
 
 def apolar_coeffs(f: BinaryForm) -> ApolarCoeffs:
     d = f.degree
@@ -329,15 +312,6 @@ class ZeroScheme:
         canon = sorted(acc.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
         object.__setattr__(self, "factors", tuple(canon))
 
-    def validate(self) -> None:
-        for g, _ in self.factors:
-            if not is_square_free(g):
-                raise ValueError(f"factor {g.pretty()} is not square-free")
-        for i, (g, _) in enumerate(self.factors):
-            for h, _ in self.factors[i + 1:]:
-                if gcd_forms(g, h).degree > 0:
-                    raise ValueError("factors are not pairwise coprime")
-
     @property
     def degree(self) -> int:
         return sum(g.degree * m for g, m in self.factors)
@@ -388,25 +362,6 @@ class ZeroScheme:
             raise ValueError(f"{p} does not lie on the scheme")
         return ZeroScheme(tuple(out))
 
-    def add_point(self, p: P1Point, k: int) -> "ZeroScheme":
-        lin = p.linear_form()
-        out: list[tuple[BinaryForm, int]] = []
-        added = False
-        for g, m in self.factors:
-            if g.evaluate(p.a, p.b) != 0:
-                out.append((g, m))
-                continue
-            rest = divide_forms(g, lin)
-            if rest is None:
-                raise CertificateError(f"{lin} does not divide a factor vanishing at {p}")
-            if rest.degree > 0:
-                out.append((rest, m))
-            out.append((lin, m + k))
-            added = True
-        if not added:
-            out.append((lin, k))
-        return ZeroScheme(tuple(out))
-
     def rational_points(self) -> list[tuple[P1Point, int]] | None:
         """Points with multiplicities when every factor splits into rational
         linear pieces; None when an irrational factor is present."""
@@ -448,16 +403,6 @@ class ZeroScheme:
         )
 
 
-def gcd_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Greatest common divisor of two nonzero forms, normalized."""
-    if f.is_zero() or g.is_zero():
-        raise ZeroFormError("gcd of the zero form")
-    kf, pf = f.tau_poly()
-    kg, pg = g.tau_poly()
-    core = univar.gcd(pf, pg)
-    return BinaryForm.from_tau_poly(min(kf, kg), core).normalized()
-
-
 def divide_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm | None:
     """Exact quotient f / g, or None when g does not divide f."""
     if g.is_zero():
@@ -474,23 +419,28 @@ def divide_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm | None:
     return BinaryForm.from_tau_poly(kf - kg, quot)
 
 
-def is_square_free(f: BinaryForm) -> bool:
-    """True iff gcd(df/du, df/dt) is a nonzero constant.
+def resultant_of_partials(coeffs: Sequence[int]) -> int:
+    """Sylvester resultant of the two partials of the integer form g with
+    coefficient vector ``coeffs`` (c_i at u^(r-i) t^i), each taken at its
+    formal degree r-1, so that a root at (0:1) counts too.
 
-    This catches repeated factors everywhere on the projective line,
-    including at the point (0:1) where the dehomogenized chart degenerates.
+    It vanishes exactly when the partials share a root on P^1.  By Euler's
+    identity r*g = u*g_u + t*g_t, for r >= 1 that is a repeated root of g,
+    or g = 0.  For r <= 1 the matrix is empty and the resultant is 1.
     """
+    r = len(coeffs) - 1
+    fu = [(r - i) * coeffs[i] for i in range(r)]
+    ft = [(i + 1) * coeffs[i + 1] for i in range(r)]
+    return linalg.det([[0] * i + p + [0] * (r - 2 - i) for p in (fu, ft) for i in range(r - 1)])
+
+
+def is_square_free(f: BinaryForm) -> bool:
+    """True iff f has no repeated root on P^1, the point (0:1) included:
+    ``resultant_of_partials`` of its primitive integer vector is nonzero.
+    Constants and linear forms are square-free."""
     if f.is_zero():
         raise ZeroFormError("square-free test on the zero form")
-    if f.degree == 0:
-        return True
-    fu, ft = f.du(), f.dt()
-    if fu.is_zero() and ft.is_zero():
-        return False  # cannot happen in characteristic 0 for degree >= 1
-    if fu.is_zero() or ft.is_zero():
-        # One variable missing: f = c*u^d or c*t^d, square-free only at d = 1.
-        return f.degree == 1
-    return gcd_forms(fu, ft).degree == 0
+    return resultant_of_partials(linalg.canonical_vector(f.coeffs)) != 0
 
 
 def squarefree_decompose(f: BinaryForm) -> ZeroScheme:
@@ -553,10 +503,12 @@ def numeric_roots(f: BinaryForm, precision_bits: int = 192) -> list[NumericRoot]
 
     Multiplicities come from the exact square-free decomposition; rational
     roots are reported exactly; the rest are approximated at the requested
-    precision with a certified isolation radius (deg * |p(z)/p'(z)| around
-    each approximation, see ``_certified_roots``).  Every disk must be
-    disjoint from every other, within its factor and across the form, and
-    from every exact chart root, or PrecisionError is raised.
+    precision with a proved radius (deg * |p(z)/p'(z)| around each
+    approximation, see ``_certified_roots``).  Every disk must be disjoint
+    from every other, within its factor and across the form, and from every
+    exact chart root, or PrecisionError is raised; the test compares exact
+    squared distances.  Disjoint disks, each holding a root of its factor,
+    hold one root each.
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
@@ -574,15 +526,13 @@ def numeric_roots(f: BinaryForm, precision_bits: int = 192) -> list[NumericRoot]
             p = univar.div_exact(p, [-root, Fraction(1)])
         if univar.degree(p) >= 1:
             numeric.extend(_certified_roots(p, m, precision_bits))
-    with mpmath.workprec(precision_bits + 96):
-        taus = [mpmath.mpf(s.b.numerator) / s.b.denominator for s in out if s.a]
-        for i, r in enumerate(numeric):
-            if any(abs(r.b - s.b) <= r.radius + s.radius for s in numeric[i + 1:]) or any(
-                abs(r.b - tau) <= r.radius for tau in taus
-            ):
-                raise PrecisionError(
-                    "precision insufficient for cluster separation; retry higher"
-                )
+    taus = [s.b for s in out if s.a]
+    disks = [tuple(_exact_value(x) for x in (r.b.real, r.b.imag, r.radius)) for r in numeric]
+    for i, (x, y, rad) in enumerate(disks):
+        if any((x - u) ** 2 + (y - v) ** 2 <= (rad + s) ** 2 for u, v, s in disks[i + 1:]) or any(
+            (x - tau) ** 2 + y**2 <= rad**2 for tau in taus
+        ):
+            raise PrecisionError("precision insufficient for cluster separation; retry higher")
     out.sort(key=lambda r: (r.a, r.b))
     numeric.sort(key=lambda r: (mpmath.mpf(r.b.real), mpmath.mpf(r.b.imag)))
     return out + numeric
@@ -602,8 +552,11 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     the sweeps repeat until the largest step is below about the square
     root of the unit, so that one sweep at twice the precision is accurate
     to it.  The seeds only start the iteration; nothing here is certified.
-    Only ``_certified_roots`` calls it: the roots of exact quadratics, in
-    ``numberfield``, come from the quadratic formula instead.
+    ``_certified_roots`` draws proved disks around its output, and
+    ``apolarity.decompose`` reads the roots of a witness's irreducible
+    factors from it, certified by the residual of the decomposition.  The
+    roots of exact quadratics, in ``numberfield``, come from the quadratic
+    formula instead.
     """
     deg = univar.degree(p)
     top = max(abs(c) for c in p)
@@ -650,27 +603,44 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
         prec = min(2 * prec, bits)
 
 
+def _exact_value(x) -> Fraction:
+    """The rational value of a finite mpf."""
+    return Fraction(*libmp.to_rational(x._mpf_))
+
+
+def _evaluate_gaussian(p: Sequence, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
+    """Real and imaginary parts of p(x + iy), exactly."""
+    re = im = Fraction(0)
+    for c in reversed(p):
+        re, im = re * x - im * y + c, re * y + im * x
+    return re, im
+
+
 def _certified_roots(p: list[Fraction], mult: int, precision_bits: int) -> list[NumericRoot]:
     """Roots of a square-free rational-root-free factor with their disks.
 
     The roots are refined 32 bits beyond the stored precision_bits + 64 and
-    rounded to it; each disk deg * |p(z)/p'(z)| is drawn around the stored
-    z, with p and p' evaluated 32 bits above its precision, so that the
-    rounding of z is inside the disk and not in the noise of p(z).
+    rounded to it.  Each disk is drawn around the stored z with radius
+    deg * |p(z)/p'(z)|, which holds a root of p since p'/p is the sum of
+    1/(z - root).  p and p' are evaluated exactly at the Gaussian rational
+    z, and the square root of the squared ratio is rounded up, so the
+    radius is a bound and not an estimate.
     """
     deg = univar.degree(p)
+    dp = univar.derivative(p)
     with mpmath.workprec(precision_bits + 64):
         roots = [+z for z in approximate_roots(p, precision_bits + 96)]
     out = []
-    with mpmath.workprec(precision_bits + 96):
-        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in p]
-        dcoeffs = [mpmath.mpf(c.numerator) / c.denominator for c in univar.derivative(p)]
-        for z in roots:
-            der = univar.evaluate(dcoeffs, z)
-            if der == 0:
-                raise PrecisionError("derivative vanished at an approximate root")
-            radius = deg * abs(univar.evaluate(coeffs, z) / der)
-            out.append(NumericRoot(mpmath.mpc(1), z, mult, radius, False, precision_bits))
+    for z in roots:
+        x, y = _exact_value(z.real), _exact_value(z.imag)
+        p_re, p_im = _evaluate_gaussian(p, x, y)
+        d_re, d_im = _evaluate_gaussian(dp, x, y)
+        if not (d_re or d_im):
+            raise PrecisionError("derivative vanished at an approximate root")
+        square = deg**2 * (p_re**2 + p_im**2) / (d_re**2 + d_im**2)
+        bound = libmp.from_rational(square.numerator, square.denominator, 64, libmp.round_ceiling)
+        radius = mpmath.mp.make_mpf(libmp.mpf_sqrt(bound, 64, libmp.round_ceiling))
+        out.append(NumericRoot(mpmath.mpc(1), z, mult, radius, False, precision_bits))
     return out
 
 

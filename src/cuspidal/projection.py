@@ -49,7 +49,14 @@ from math import comb
 
 from . import linalg, ratfactor, univar
 from .apolarity import CertificateError, RankCertificate, _certify, rank as sylvester_rank
-from .binform import BinaryForm, NumericRoot, P1Point, ZeroFormError, is_integer_literal
+from .binform import (
+    BinaryForm,
+    NumericRoot,
+    P1Point,
+    ZeroFormError,
+    is_integer_literal,
+    resultant_of_partials,
+)
 from .numberfield import AlgebraicNumber, isolate_roots
 
 
@@ -324,22 +331,20 @@ def _pencil(P: ProjectedPoint, r: int) -> _Pencil:
 
 def _discriminant(v0, v1) -> list:
     """Res(g_u, g_t) of the binary form g = g0 + x g1 (coefficient i at
-    u^(r-i) t^i) as a polynomial in x, up to a constant factor.  It vanishes
+    u^(r-i) t^i) as a polynomial in x, up to a constant factor: the
+    square-free test ``binform.resultant_of_partials``, which vanishes
     exactly where g has a repeated root on P^1, u^2 dividing g included.
-    The Sylvester matrix of the two partials, both of formal degree r-1, is
-    affine in x, so its determinant has degree at most 2r-2 and is
-    interpolated from its integer values at x = 0..2r-2."""
+    Its Sylvester matrix is affine in x, so the determinant has degree at
+    most 2r-2 and is interpolated from its integer values at x = 0..2r-2 on
+    one integer scaling of g0 and g1."""
     r = len(v0) - 1
     den = math.lcm(*(c.denominator for c in (*v0, *v1)))
     g0 = [int(c * den) for c in v0]
     g1 = [int(c * den) for c in v1]
     npts = 2 * r - 1
-    diffs: list = []
-    for x in range(npts):
-        g = [a + x * b for a, b in zip(g0, g1)]
-        partials = ([(r - i) * g[i] for i in range(r)], [(i + 1) * g[i + 1] for i in range(r)])
-        sylvester = [[0] * i + p + [0] * (r - 2 - i) for p in partials for i in range(r - 1)]
-        diffs.append(Fraction(linalg.det(sylvester)))
+    diffs = [
+        Fraction(resultant_of_partials([a + x * b for a, b in zip(g0, g1)])) for x in range(npts)
+    ]
     # Newton divided differences at the nodes 0..npts-1, then back to coefficients
     for k in range(1, npts):
         for i in range(npts - 1, k - 1, -1):
@@ -423,7 +428,7 @@ class XRankResult:
 
 def _witness_points(P: ProjectedPoint, cert: RankCertificate):
     """Images on the cuspidal curve of the computing set, when rational."""
-    if cert.witness_kind != "squarefree" or cert.witness_scheme is None:
+    if cert.witness_kind != "squarefree":
         return None
     pts = cert.witness_scheme.rational_points()
     if pts is None:
@@ -432,18 +437,12 @@ def _witness_points(P: ProjectedPoint, cert: RankCertificate):
 
 
 def _certificate_sort_key(value: int, cert, lam) -> tuple:
-    kind = getattr(cert, "witness_kind", "nonreduced")
     rational = isinstance(lam, Fraction)
     size = abs(lam) if rational else Fraction(10**9)
-    return (value, 0 if kind == "squarefree" else 1, 0 if rational else 1, size)
+    return (value, 0 if cert.witness_kind == "squarefree" else 1, 0 if rational else 1, size)
 
 
-def x_rank(
-    P: ProjectedPoint,
-    *,
-    precision_bits: int = 192,
-    rng: random.Random | None = None,
-) -> XRankResult:
+def x_rank(P: ProjectedPoint, *, precision_bits: int = 192) -> XRankResult:
     """Exact minimum of the rank of B(lambda) over the fiber pencil.
 
     One upward pass over the levels finds the generic first-kernel level
@@ -456,8 +455,7 @@ def x_rank(
     random lifts, certified independently by ``apolarity.rank``, must agree
     with the generic certificate on border rank and rank.
     """
-    if rng is None:
-        rng = random.Random(0x57A7)
+    rng = random.Random(0x57A7)
     d = P.n + 1
     cap = (d + 2) // 2
 

@@ -6,11 +6,12 @@ import textwrap
 from fractions import Fraction as F
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 
-from cuspidal import apolarity, linalg
+from cuspidal import apolarity, binform, linalg
 from cuspidal.apolarity import (
     AmbiguousScheme,
     CertificateError,
@@ -195,6 +196,33 @@ class TestFindSquareFree:
         with pytest.raises(ValueError):
             find_squarefree_in_kernel([form(1, 0), form(1, 0, 0)])
 
+    def test_scan_after_the_seeded_draws(self, monkeypatch):
+        # every draw is (0, 0); the scan meets u^2, t^2, then u^2 + t^2
+        class Zeros:
+            def __init__(self, seed):
+                pass
+
+            def randint(self, lo, hi):
+                return 0
+
+        monkeypatch.setattr(apolarity, "random", SimpleNamespace(Random=Zeros))
+        got = find_squarefree_in_kernel([form(1, 0, 0), form(0, 0, 1)])
+        assert got == form(1, 0, 1)
+
+
+class TestCertify:
+    """A first kernel has dimension 1 or 2, and a two-dimensional one is a
+    pencil with no base point; anything else is a failed certificate."""
+
+    def test_three_forms_rejected(self):
+        basis = [form(1, 0, 0, 0), form(0, 1, 0, 0), form(0, 0, 1, 0)]
+        with pytest.raises(CertificateError, match="dimension 3"):
+            apolarity._certify(6, 3, basis)
+
+    def test_based_pencil_rejected(self):
+        with pytest.raises(CertificateError, match="no square-free member"):
+            apolarity._certify(4, 3, [form(1, 0, 0, 0), form(0, 1, 0, 0)])
+
 
 class TestRank:
     def test_u4t_certificate(self):
@@ -335,6 +363,22 @@ class TestDecompose:
         dec = decompose(f, 192)
         assert dec.field_tag == "complex"
         assert len(dec.terms) == 3
+        assert verify_decomposition(f, dec) < mpmath.mpf(2) ** -96
+
+    def test_complex_path_factors_once(self, monkeypatch):
+        """The complex path reads its roots from the factors ``decompose``
+        already has: no second square-free decomposition, no numeric_roots."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the witness was factored twice")
+
+        for module in (binform, apolarity):
+            monkeypatch.setattr(module, "squarefree_decompose", refuse)
+            monkeypatch.setattr(module, "numeric_roots", refuse, raising=False)
+        coeffs = tuple(F(x) * comb(5, i) for i, x in enumerate((1, 0, 0, -1, 1, -1)))
+        f = BinaryForm(5, coeffs)
+        dec = decompose(f, 192)
+        assert dec.field_tag == "complex"
         assert verify_decomposition(f, dec) < mpmath.mpf(2) ** -96
 
     def test_nonreduced_refused(self):
@@ -502,12 +546,12 @@ class TestCertificateChecks:
             binform.divide_forms = lambda f, g: None
             W = binform.squarefree_decompose(binform.BinaryForm(2, tuple(map(Fraction, "010"))))
             pt, _ = W.rational_points()[0]
-            for surgery in (W.remove_point, W.add_point):
-                try:
-                    surgery(pt, 1)
-                except apolarity.CertificateError:
-                    continue
-                sys.exit(surgery.__name__ + " went on without a quotient")
+            try:
+                W.remove_point(pt, 1)
+            except apolarity.CertificateError:
+                pass
+            else:
+                sys.exit("remove_point went on without a quotient")
             """
         )
         src = Path(apolarity.__file__).resolve().parents[1]

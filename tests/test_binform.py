@@ -1,9 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspidal import linalg
 from cuspidal.binform import (
@@ -16,7 +18,6 @@ from cuspidal.binform import (
     apolar_coeffs,
     approximate_roots,
     divide_forms,
-    gcd_forms,
     is_square_free,
     multiplicity_at,
     numeric_roots,
@@ -24,7 +25,7 @@ from cuspidal.binform import (
     random_form,
     squarefree_decompose,
 )
-from oracles import mp_polyroots
+from oracles import field_is_square_free, mp_polyroots
 
 
 def F(a, b=1):
@@ -78,7 +79,8 @@ class TestApolar:
         rng = random.Random(4)
         for _ in range(50):
             f = random_form(rng.randint(1, 10), rng)
-            assert apolar_coeffs(f).to_form() == f
+            d = f.degree
+            assert [a * comb(d, i) for i, a in enumerate(apolar_coeffs(f).entries)] == list(f.coeffs)
 
 
 class TestSquareFree:
@@ -99,6 +101,41 @@ class TestSquareFree:
             assert is_square_free(f) == scheme.is_reduced()
 
 
+def _moved(f, a, b, c, e):
+    """f(a u + b t, c u + e t)."""
+    out = BinaryForm(f.degree, (0,) * (f.degree + 1))
+    for i, x in enumerate(f.coeffs):
+        out = out + (form(a, b).power(f.degree - i) * form(c, e).power(i)).scaled(x)
+    return out
+
+
+@st.composite
+def _planted_forms(draw):
+    """Forms of degree 0..14: random small coefficients, times u^2, t^2 or
+    nothing, then moved by an invertible substitution or not, which carries
+    a planted square to another point of P^1."""
+    d = draw(st.integers(0, 12))
+    f = BinaryForm(d, tuple(draw(st.lists(st.integers(-6, 6), min_size=d + 1, max_size=d + 1))))
+    if f.is_zero():
+        f = BinaryForm(d, (1,) + (0,) * d)
+    f = f * draw(st.sampled_from((form(1), form(1, 0, 0), form(0, 0, 1))))
+    if draw(st.booleans()):
+        a, b, c, e = draw(st.lists(st.integers(-4, 4), min_size=4, max_size=4).filter(
+            lambda m: m[0] * m[3] != m[1] * m[2]))
+        f = _moved(f, a, b, c, e)
+    return f
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_planted_forms())
+def test_square_free_matches_gcd_and_decomposition(f):
+    """The resultant test agrees with the gcd of the chart polynomial and
+    its derivative, and with the exact square-free decomposition."""
+    got = is_square_free(f)
+    assert got == field_is_square_free(list(f.coeffs), f.degree)
+    assert got == squarefree_decompose(f).is_reduced()
+
+
 class TestDecompose:
     def test_u2t(self):
         scheme = squarefree_decompose(U2T)
@@ -116,7 +153,8 @@ class TestDecompose:
         for _ in range(100):
             f = random_form(rng.randint(1, 9), rng, bound=10)
             scheme = squarefree_decompose(f)
-            scheme.validate()
+            # square-free factors, pairwise coprime
+            assert is_square_free(scheme.reduced().product_form())
             assert scheme.degree == f.degree
             assert scheme.product_form().normalized() == f.normalized()
 
@@ -152,8 +190,7 @@ class TestSchemeOps:
         smaller = scheme.remove_point(at_infinity, 1)
         assert smaller.degree == 2
         assert smaller.multiplicity_at(at_infinity) == 1
-        back = smaller.add_point(at_infinity, 1)
-        assert back == scheme
+        assert ZeroScheme(smaller.factors + ((at_infinity.linear_form(), 1),)) == scheme
 
     def test_maximal_proper_subschemes(self):
         # 2A + one simple point
@@ -177,8 +214,9 @@ class TestFormArithmetic:
         b = form(1, 2)
         f = a * a * b
         g = a * b
-        got = gcd_forms(f, g)
-        assert got == (a * b).normalized()
+        # a*b divides f, and g by a constant: it is their gcd
+        assert divide_forms(f, a * b) == a
+        assert divide_forms(g, a * b).degree == 0
         q = divide_forms(f, a)
         assert q is not None and q == a * b
         assert divide_forms(b, a) is None
@@ -246,6 +284,30 @@ class TestNumericRoots:
             with mpmath.workprec(2 * prec + 64):
                 for r in roots:
                     assert min(abs(mpmath.mpc(r.b) - z) for z in want) <= r.radius
+
+    def test_disks_hold_roots_of_far_clusters(self):
+        """(t - M u)^2 - D u^2 with |M| up to 10^40, half of them times
+        (c u + t) plus u^3: the two roots near M are relatively close, and
+        every disk returned still holds a root found at 2000 bits."""
+        rng = random.Random("far-clusters")
+        returned = 0
+        for _ in range(30):
+            M = rng.randint(-10**40, 10**40)
+            D = rng.choice((-7, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 47))
+            f = BinaryForm(2, (M * M - D, -2 * M, 1))
+            if rng.random() < 0.5:
+                f = f * form(rng.randint(-9, 9), 1) + form(1, 0, 0, 0)
+            want = mp_polyroots(f.tau_poly()[1], 2000)
+            for prec in (64, 128, 192):
+                try:
+                    roots = [r for r in numeric_roots(f, prec) if not r.exact]
+                except PrecisionError:
+                    continue
+                returned += len(roots)
+                with mpmath.workprec(2000):
+                    for r in roots:
+                        assert min(abs(mpmath.mpc(r.b) - z) for z in want) <= r.radius, f.render()
+        assert returned > 30
 
     def test_seeds_lost_to_underflow(self, monkeypatch):
         """Roots numpy.roots does not return are seeded on a spiral and
@@ -322,7 +384,7 @@ class TestIntFractionParity:
 
     def test_arithmetic_stays_integral(self):
         a, b = self._pair(4, self.INTS[0][1])
-        for g in (a * a, a.power(3), a.normalized(), a.du(), a + b, a.scaled(F(4, 2))):
+        for g in (a * a, a.power(3), a.normalized(), a + b, a.scaled(F(4, 2))):
             assert all(type(c) is int for c in g.coeffs)
         assert a * a == b * b and a.power(3) == b.power(3)
 
