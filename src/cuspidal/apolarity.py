@@ -3,10 +3,11 @@
 For a nonzero binary form f of degree d, the level-r catalecticant is the
 Hankel matrix of apolar coefficients with d-r+1 rows and r+1 columns.  Its
 right kernel, read back as degree-r forms, is the degree-r slice of the
-apolar ideal.  The first level w with a nontrivial kernel is the border rank;
-the rank is w when that kernel contains a square-free form and d+2-w when it
-does not.  The roots of a square-free kernel form are the linear forms of a
-minimal power-sum decomposition: a root (a:b) contributes the summand
+apolar ideal.  The first level w with a nontrivial kernel is the border rank,
+which the apolar ideal, a complete intersection, makes the rank of the middle
+catalecticant; the rank is w when the level-w kernel contains a square-free
+form and d+2-w when it does not.  The roots of a square-free kernel form are
+the linear forms of a minimal power-sum decomposition: a root (a:b) contributes the summand
 s*(a*u + b*t)^d, which is the convention every residual check here validates.
 """
 
@@ -56,15 +57,17 @@ class CatalecticantMatrix:
         return self.r + 1
 
 
+def _hankel(a: tuple, r: int) -> tuple[tuple, ...]:
+    """Level-r Hankel matrix of the vector a = (a_0, ..., a_d)."""
+    d = len(a) - 1
+    if not 0 <= r <= d:
+        raise ValueError(f"catalecticant level {r} out of range for degree {d}")
+    return tuple(a[j : j + r + 1] for j in range(d - r + 1))
+
+
 def catalecticant(f: BinaryForm, r: int) -> CatalecticantMatrix:
     """Level-r Hankel matrix of the apolar coefficients of f."""
-    if not 0 <= r <= f.degree:
-        raise ValueError(f"catalecticant level {r} out of range for degree {f.degree}")
-    a = apolar_coeffs(f).entries
-    rows = tuple(
-        tuple(a[j + k] for k in range(r + 1)) for j in range(f.degree - r + 1)
-    )
-    return CatalecticantMatrix(f.degree, r, rows)
+    return CatalecticantMatrix(f.degree, r, _hankel(apolar_coeffs(f).entries, r))
 
 
 def kernel_basis(m: CatalecticantMatrix) -> list[BinaryForm]:
@@ -74,14 +77,18 @@ def kernel_basis(m: CatalecticantMatrix) -> list[BinaryForm]:
 
 
 def _first_kernel(f: BinaryForm) -> tuple[int, list[BinaryForm]]:
+    """Border rank w and the level-w kernel basis, from one rank and one
+    kernel.  The apolar ideal is a complete intersection with generators of
+    degrees w <= d+2-w, so the level-r catalecticant has rank
+    min(r+1, w, d-r+1), which is w at r = floor(d/2) (Iarrobino-Kanev, LNM
+    1721).  No level below w has a kernel: a kernel form of degree r < w
+    would put floor(d/2)-r+1 independent multiples in the middle kernel,
+    leaving rank <= r.  For d = 0 the level w = 1 is out of range."""
     if f.is_zero():
         raise ZeroFormError("rank of the zero form")
-    cap = (f.degree + 2) // 2
-    for r in range(1, cap + 1):
-        basis = kernel_basis(catalecticant(f, r))
-        if basis:
-            return r, basis
-    raise CertificateError("no kernel up to the guaranteed level")
+    a = linalg.canonical_vector(apolar_coeffs(f).entries)
+    w = linalg.rank(_hankel(a, f.degree // 2))
+    return w, [BinaryForm(w, v) for v in linalg.nullspace(_hankel(a, w))]
 
 
 def border_rank(f: BinaryForm) -> int:
@@ -140,7 +147,8 @@ class RankCertificate:
 
     ``witness_scheme``, the zero scheme of ``witness_form``, is factored on
     first read and then cached: the rank itself never needs it, and a fiber
-    scan reads it for the winning lift only.
+    scan reads it for the winning lift only.  A witness that ``_certify``
+    proved square-free is its own reduced scheme, with no Yun decomposition.
     """
 
     border_rank: int
@@ -151,6 +159,8 @@ class RankCertificate:
 
     @cached_property
     def witness_scheme(self) -> ZeroScheme:
+        if self.witness_kind == "squarefree":
+            return ZeroScheme(((self.witness_form, 1),))
         return squarefree_decompose(self.witness_form)
 
     def to_json(self) -> dict:

@@ -534,7 +534,7 @@ def numeric_roots(f: BinaryForm, precision_bits: int = 192) -> list[NumericRoot]
         ):
             raise PrecisionError("precision insufficient for cluster separation; retry higher")
     out.sort(key=lambda r: (r.a, r.b))
-    numeric.sort(key=lambda r: (mpmath.mpf(r.b.real), mpmath.mpf(r.b.imag)))
+    numeric.sort(key=lambda r: (r.b.real, r.b.imag))  # mpf comparison is exact
     return out + numeric
 
 

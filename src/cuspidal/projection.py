@@ -32,10 +32,10 @@ B(lambda) over the pencil, and :func:`x_rank` computes that minimum exactly:
   of the form g0 + x g1.
 * A lift first acquiring a kernel at level r has rank at least r, so whole
   levels are pruned exactly once the running minimum is that small.
-* At w_gen the square-free-witness dichotomy is decided on a rational grid
-  wider than the lambda-degree of the relevant discriminant, making the
-  generic certificate deterministic; a pair of seeded random lifts,
-  certified independently by ``apolarity.rank``, cross-checks it.
+* At w_gen a kernel form g with t^2 | g misses the moving entry a_1 and is
+  the generic witness; otherwise a rational grid wider than the lambda-degree
+  of the relevant discriminant decides the dichotomy.  A pair of seeded
+  random lifts, certified independently by ``apolarity.rank``, cross-checks it.
 """
 
 from __future__ import annotations
@@ -442,6 +442,28 @@ def _certificate_sort_key(value: int, cert, lam) -> tuple:
     return (value, 0 if cert.witness_kind == "squarefree" else 1, 0 if rational else 1, size)
 
 
+def _generic_certificate(pencil: _Pencil, seen: set) -> tuple[RankCertificate, Fraction]:
+    """Certificate and lambda of the generic lift at level pencil.r = w_gen:
+    the first square-free point of a zigzag grid of integer lambda outside
+    ``seen``, else its first point; the grid outnumbers the lambda-degree
+    2*(2*w_gen - 1) of the failure locus of square-freeness.  It stops at
+    its first point if the kernel there is one form g with t^2 | g: lambda
+    moves only a_1, which meets g_0 = g_1 = 0 alone, so g spans the
+    one-dimensional kernel of every nonspecial lift.  The rest of the grid
+    runs only for a nonreduced first point whose kernel moves with lambda."""
+    zigzag = (Fraction(z) for k in itertools.count() for z in ((k, -k) if k else (0,)))
+    best = best_lam = None
+    for lam in itertools.islice((z for z in zigzag if z not in seen), 4 * pencil.r + 2):
+        cert = pencil.certificate(lam)
+        if best is None or cert.witness_kind == "squarefree":
+            best, best_lam = cert, lam
+        if cert.witness_kind == "squarefree" or (
+            cert.kernel_dimension == 1 and not any(cert.witness_form.coeffs[:2])
+        ):
+            break
+    return best, best_lam
+
+
 def x_rank(P: ProjectedPoint, *, precision_bits: int = 192) -> XRankResult:
     """Exact minimum of the rank of B(lambda) over the fiber pencil.
 
@@ -449,12 +471,11 @@ def x_rank(P: ProjectedPoint, *, precision_bits: int = 192) -> XRankResult:
     w_gen and the special lambda of each lower level, each at its first
     kernel level.  Every lift is then certified at that known level from the
     pencil: rational lambda through the kernel K c, quadratic lambda through
-    one discriminant test, and the generic value on a deterministic grid.
+    one discriminant test, and the generic value by ``_generic_certificate``.
     Levels at or above the running minimum are pruned, which is exact: a
     lift first acquiring a kernel at level r has rank >= r.  Two seeded
-    random lifts, certified independently by ``apolarity.rank``, must agree
-    with the generic certificate on border rank and rank.
-    """
+    random lifts, certified by ``apolarity.rank``, must agree with the
+    generic certificate on border rank and rank."""
     rng = random.Random(0x57A7)
     d = P.n + 1
     cap = (d + 2) // 2
@@ -480,18 +501,7 @@ def x_rank(P: ProjectedPoint, *, precision_bits: int = 192) -> XRankResult:
         # columns outnumber rows at the cap, so the cap level is AllLambda
         raise CertificateError("no generic kernel level found below the cap")
 
-    # generic certificate: rational lambda away from every special value.
-    # Square-freeness of the generic witness is an open condition whose
-    # failure locus has lambda-degree at most 2*(2*w_gen - 1), so a clean
-    # grid of that many misses ties the dichotomy down deterministically.
-    zigzag = (Fraction(z) for k in itertools.count() for z in ((k, -k) if k else (0,)))
-    generic_cert = generic_lam = None
-    for lam in itertools.islice((z for z in zigzag if z not in seen), 4 * w_gen + 2):
-        cert = pencils[w_gen].certificate(lam)
-        if generic_cert is None or cert.witness_kind == "squarefree":
-            generic_cert, generic_lam = cert, lam
-        if cert.witness_kind == "squarefree":
-            break
+    generic_cert, generic_lam = _generic_certificate(pencils[w_gen], seen)
     # seeded random cross-check of the generic value
     for _ in range(2):
         while True:

@@ -11,6 +11,16 @@
   (``field_lift``), and scanning its catalecticant levels upward by
   elimination over that field.  It shares no kernel code with the
   pencil's quadratic certificate.
+* ``first_kernel_scan``: the border rank and first kernel were once found
+  by scanning the catalecticant levels upward, one kernel per level, until
+  one was nontrivial.  It backs ``apolarity._first_kernel``, which reads
+  the border rank off one rank at the middle level.
+* ``grid_generic_certificate``: the generic certificate of the fiber scan
+  was once the whole zigzag grid of 4 w_gen + 2 integer lambda, each lift
+  certified, the first square-free one kept, else the first.  Here every
+  lift is certified afresh by ``apolarity.rank``.  It backs
+  ``projection._generic_certificate``, which stops at the first point when
+  that point's kernel is fixed for all lambda.
 * ``sympy_factors``: sympy's factorization over the rationals, which
   ``ratfactor`` used for every degree before degrees 1 and 2 got their
   closed forms.
@@ -39,10 +49,16 @@ from math import comb
 import mpmath
 
 from cuspidal import linalg, univar
-from cuspidal.apolarity import CertificateError
+from cuspidal.apolarity import CertificateError, catalecticant, kernel_basis, rank
 from cuspidal.binform import ZeroFormError
 from cuspidal.numberfield import AlgebraicNumber, QuadraticNumber
-from cuspidal.projection import FieldCertificate, ProjectedPoint
+from cuspidal.projection import (
+    ALL_LAMBDA,
+    FieldCertificate,
+    ProjectedPoint,
+    lift,
+    special_lambdas,
+)
 
 
 def nullspace_plain(rows, ncols=None) -> list[tuple[Fraction, ...]]:
@@ -199,6 +215,40 @@ def field_rank_certificate(ff: FieldForm) -> FieldCertificate:
                 return FieldCertificate(r, r, "squarefree", modulus)
         raise CertificateError("two-dimensional kernel without square-free member")
     raise CertificateError("no kernel level found for a nonzero form")
+
+
+def first_kernel_scan(f):
+    """(w, basis): the first catalecticant level with a nontrivial kernel,
+    scanned upward from level 1, and that kernel's basis."""
+    for r in range(1, (f.degree + 2) // 2 + 1):
+        basis = kernel_basis(catalecticant(f, r))
+        if basis:
+            return r, basis
+    raise CertificateError("no kernel up to the guaranteed level")
+
+
+def grid_generic_certificate(P: ProjectedPoint):
+    """(w_gen, seen, certificate, lambda) of the generic lift of P by the
+    whole grid.  The levels below w_gen are scanned with
+    ``special_lambdas``; ``seen`` holds their rational special lambda, which
+    the grid skips."""
+    seen = set()
+    for w_gen in range(1, (P.n + 3) // 2 + 1):
+        got = special_lambdas(P, w_gen)
+        if got is ALL_LAMBDA:
+            break
+        seen.update(lam for lam in got if isinstance(lam, Fraction))
+    grid = (Fraction(z) for k in itertools.count() for z in ((k, -k) if k else (0,)))
+    best = None
+    for lam in itertools.islice((z for z in grid if z not in seen), 4 * w_gen + 2):
+        cert = rank(lift(P, lam))
+        if cert.border_rank != w_gen:
+            raise CertificateError(f"grid lift at {lam} off the generic level {w_gen}")
+        if best is None or cert.witness_kind == "squarefree":
+            best = (cert, lam)
+        if cert.witness_kind == "squarefree":
+            break
+    return w_gen, seen, best[0], best[1]
 
 
 def sympy_factors(p) -> list[tuple[list[Fraction], int]]:

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspidal import apolarity, binform, linalg
 from cuspidal.apolarity import (
@@ -38,7 +39,8 @@ from cuspidal.binform import (
     squarefree_decompose,
 )
 from cuspidal.numberfield import QuadraticNumber
-from oracles import nullspace_plain, power_sum_scalars, qr_power_sum_scalars
+from oracles import first_kernel_scan, nullspace_plain, power_sum_scalars, qr_power_sum_scalars
+from test_binform import _moved
 
 
 def form(*coeffs):
@@ -137,6 +139,49 @@ class TestBorderRank:
             if f.is_zero():
                 continue
             assert 1 <= border_rank(f) <= (f.degree + 2) // 2
+
+
+@st.composite
+def _first_kernel_forms(draw):
+    """Forms of degree 1..24: random small coefficients, sums of k powers
+    at distinct points (the point (0:1) included), monomials u^a t^(d-a),
+    and monomials moved by an invertible substitution."""
+    d = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(("random", "power_sum", "monomial", "moved_monomial")))
+    if kind == "random":
+        cs = draw(st.lists(st.integers(-9, 9), min_size=d + 1, max_size=d + 1))
+        return BinaryForm(d, tuple(cs)) if any(cs) else form(*([1] + [0] * d))
+    if kind == "power_sum":
+        k = draw(st.integers(1, d // 2 + 2))
+        points = draw(st.lists(st.sampled_from([(0, 1)] + [(1, x) for x in range(-12, 13)]),
+                               min_size=k, max_size=k, unique=True))
+        f = BinaryForm(d, (0,) * (d + 1))
+        for a, b in points:
+            f = f + form(a, b).power(d).scaled(draw(st.integers(1, 5)))
+        return f
+    a = draw(st.integers(0, d))
+    f = form(1, 0).power(a) * form(0, 1).power(d - a)
+    if kind == "monomial":
+        return f
+    a, b, c, e = draw(st.lists(st.integers(-4, 4), min_size=4, max_size=4).filter(
+        lambda m: m[0] * m[3] != m[1] * m[2]))
+    return _moved(f, a, b, c, e)
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(_first_kernel_forms())
+def test_first_kernel_matches_the_level_scan(f):
+    """One rank at the middle level and one kernel give the same border
+    rank and basis as the upward scan of catalecticant kernels."""
+    assert apolarity._first_kernel(f) == first_kernel_scan(f)
+
+
+def test_degree_zero_raises_like_the_level_scan():
+    f = form(3)
+    with pytest.raises(ValueError, match="catalecticant level 1 out of range for degree 0"):
+        apolarity._first_kernel(f)
+    with pytest.raises(ValueError, match="catalecticant level 1 out of range for degree 0"):
+        first_kernel_scan(f)
 
 
 class TestBorderScheme:

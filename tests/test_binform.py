@@ -309,6 +309,24 @@ class TestNumericRoots:
                         assert min(abs(mpmath.mpc(r.b) - z) for z in want) <= r.radius, f.render()
         assert returned > 30
 
+    def test_far_cluster_sorted_by_exact_real_part(self):
+        """(t - M u)^2 - 3u^2, M = 10^30 + 7: the roots M -+ sqrt(3) agree
+        to 53 bits, and at every precision that returns them they come back
+        in ascending real part."""
+        M = 10**30 + 7
+        f = BinaryForm(2, (M * M - 3, -2 * M, 1))
+        returned = 0
+        for prec in (64, 96, 128, 192, 256, 384, 512):
+            try:
+                roots = numeric_roots(f, prec)
+            except PrecisionError:
+                continue
+            returned += 1
+            reals = [r.b.real for r in roots]
+            with mpmath.workprec(256):
+                assert abs(reals[1] - reals[0] - 2 * mpmath.sqrt(3)) < 1e-6, prec
+        assert returned >= 3
+
     def test_seeds_lost_to_underflow(self, monkeypatch):
         """Roots numpy.roots does not return are seeded on a spiral and
         still refined to the roots."""

@@ -62,6 +62,27 @@ class TestRankCommands:
         assert code == 1
         assert recs[0]["error"]["type"] == "ZeroFormError"
 
+    @pytest.mark.parametrize("sub", ["rank", "borderrank", "scheme"])
+    def test_degree_zero_is_structured_error(self, capsys, monkeypatch, sub):
+        # a constant has no catalecticant level 1, where its kernel would be
+        code, recs = run(capsys, monkeypatch, [sub, "d=0; [3]"])
+        assert code == 1
+        message = "catalecticant level 1 out of range for degree 0"
+        assert recs == [{"error": {"type": "ValueError", "message": message}}]
+
+    @pytest.mark.parametrize("sub,want", [
+        ("rank", {"d": 1, "w": 1, "r": 1,
+                  "witness": {"type": "squarefree", "factors": [["3*u+2*t", 1]]}}),
+        ("borderrank", {"d": 1, "w": 1}),
+        ("scheme", {"d": 1, "scheme": {"factors": [["3*u+2*t", 1]], "degree": 1,
+                                       "reduced": True}, "unique": True}),
+    ])
+    def test_degree_one(self, capsys, monkeypatch, sub, want):
+        # the witness 3u + 2t vanishes at (2:-3), the one power-sum point of 2u - 3t
+        code, recs = run(capsys, monkeypatch, [sub, "d=1; [2,-3]"])
+        assert code == 0
+        assert recs == [want]
+
     def test_bad_grammar_is_structured_error(self, capsys, monkeypatch):
         code, recs = run(capsys, monkeypatch, ["rank", "degree five"])
         assert code == 1

@@ -16,8 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from cuspidal.apolarity import rank
-from cuspidal.binform import BinaryForm
-from cuspidal.projection import project, x_rank
+from cuspidal.binform import BinaryForm, squarefree_decompose
+from cuspidal.projection import lift, project, x_rank
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE.parent / "bench" / "fiber_corpus.json"
@@ -28,22 +28,26 @@ def _digest(blob) -> str:
     return hashlib.sha256(json.dumps(blob).encode()).hexdigest()[:16]
 
 
-def corpus_digests() -> dict[str, dict[str, str]]:
-    """Digests of the rank and x_rank JSON per instance, keyed
-    case/n/level/seed."""
+def corpus_forms():
+    """(key case/n/level/seed, form) for each instance of the corpus."""
     with open(CORPUS) as fh:
         corpus = json.load(fh)
-    out = {}
     for cell in corpus["cells"]:
         for inst in cell["instances"]:
             coeffs = tuple(Fraction(c) for c in inst["coeffs"])
-            f = BinaryForm(len(coeffs) - 1, coeffs)
             key = f"{cell['case']}/{cell['n']}/{cell['level']}/{inst['seed']}"
-            out[key] = {
-                "rank": _digest(rank(f).to_json()),
-                "x_rank": _digest(x_rank(project(f)).to_json()),
-            }
-    return out
+            yield key, BinaryForm(len(coeffs) - 1, coeffs)
+
+
+def corpus_digests() -> dict[str, dict[str, str]]:
+    """Digests of the rank and x_rank JSON per instance."""
+    return {
+        key: {
+            "rank": _digest(rank(f).to_json()),
+            "x_rank": _digest(x_rank(project(f)).to_json()),
+        }
+        for key, f in corpus_forms()
+    }
 
 
 def test_corpus_json_unchanged():
@@ -54,6 +58,20 @@ def test_corpus_json_unchanged():
     changed = [f"{key} {field}" for key in want for field in want[key]
                if got[key][field] != want[key][field]]
     assert not changed, f"{len(changed)} changed, first: {changed[:10]}"
+
+
+def test_square_free_witness_scheme_is_its_decomposition():
+    """A square-free witness's scheme, built without Yun, equals the
+    square-free decomposition of the witness, on the certificates of every
+    corpus form and of its lifts at lambda = 1 and -1."""
+    count = 0
+    for key, f in corpus_forms():
+        P = project(f)
+        for cert in (rank(f), rank(lift(P, 1)), rank(lift(P, -1))):
+            if cert.witness_kind == "squarefree":
+                assert cert.witness_scheme == squarefree_decompose(cert.witness_form), key
+                count += 1
+    assert count > 600
 
 
 if __name__ == "__main__":

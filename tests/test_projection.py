@@ -24,7 +24,7 @@ from cuspidal.projection import (
     special_lambdas,
     x_rank,
 )
-from oracles import FieldForm, field_lift, field_rank_certificate
+from oracles import FieldForm, field_lift, field_rank_certificate, grid_generic_certificate
 
 
 def form(*coeffs):
@@ -627,6 +627,65 @@ class TestPencilCertificates:
                 kinds.append(cert.witness_kind)
         assert kinds[:6] == ["nonreduced"] * 6
         assert kinds.count("squarefree") >= 10
+
+
+def _moving_first_points(seed):
+    """Projections of forms L^(d-1) M + sum of (d-3)/2 powers, d = 5, 7, 9,
+    with the last scalar chosen so that c_1 = 0: the lift at lambda = 0 is
+    the form itself, whose witness has a double point off A, while the
+    generic lift's witness is square-free, so the grid goes past its first
+    point."""
+    rng = random.Random(seed)
+    for d in (5, 7, 9):
+        for _ in range(6):
+            taus = rng.sample(range(-6, 7), (d + 1) // 2)
+            f = form(1, taus[0]).power(d - 1) * form(1, taus[1])
+            for tau in taus[2:-1]:
+                f = f + form(1, tau).power(d).scaled(rng.choice((-3, -2, -1, 1, 2, 3)))
+            if taus[-1]:
+                yield project(f - form(1, taus[-1]).power(d).scaled(F(f.coeffs[1], d * taus[-1])))
+
+
+def _generic_route(P) -> str:
+    """Check the fixed-kernel rule against the whole grid on P and name the
+    route it took: "squarefree", "fixed" (first point nonreduced with
+    t^2 | g) or "moving" (the rest of the grid ran)."""
+    w_gen, seen, cert, lam = grid_generic_certificate(P)
+    got = projection._generic_certificate(projection._pencil(P, w_gen), seen)
+    assert got == (cert, lam), P
+    zigzag = (F(z) for k in itertools.count() for z in ((k, -k) if k else (0,)))
+    if lam != next(z for z in zigzag if z not in seen):
+        return "moving"
+    return "fixed" if cert.witness_kind == "nonreduced" else "squarefree"
+
+
+class TestGenericCertificate:
+    """``_generic_certificate`` stops the grid at its first point when the
+    kernel there is one form divisible by t^2; the whole grid, every lift
+    certified by ``apolarity.rank``, is the oracle."""
+
+    def test_random_and_planted_pencils_agree_with_the_grid(self):
+        points = list(_pencil_points(2718)) + list(_moving_first_points(3141))
+        routes = [_generic_route(P) for P in points]
+        assert set(routes) == {"squarefree", "fixed", "moving"}
+        assert routes.count("moving") >= 8
+
+    @pytest.mark.parametrize("tag,n,level", TAG_CELLS)
+    def test_every_case_tag_agrees_with_the_grid(self, tag, n, level):
+        for seed in (1, 2):
+            _generic_route(project(generate_instance(InstanceSpec(tag, n, level, seed=seed)).form))
+
+    def test_only_a_one_dimensional_kernel_stops_the_grid(self, monkeypatch):
+        # _certify makes no nonreduced certificate with a two-dimensional
+        # kernel; the stopping rule must not lean on that
+        stuck = RankCertificate(3, 3, "nonreduced", BinaryForm(3, (0, 0, 1, 1)), 2)
+        free = RankCertificate(3, 3, "squarefree", BinaryForm(3, (1, 0, 0, 1)), 2)
+        certs = {F(0): stuck, F(1): free}
+        monkeypatch.setattr(projection._Pencil, "certificate", lambda pen, lam: certs[lam])
+        pencil = projection._pencil(ProjectedPoint(4, (F(1),) * 5), 3)
+        assert projection._generic_certificate(pencil, set()) == (free, F(1))
+        certs[F(0)] = dataclasses.replace(stuck, kernel_dimension=1)
+        assert projection._generic_certificate(pencil, set()) == (certs[F(0)], F(0))
 
 
 QUAD_POINT = ProjectedPoint(3, (F(1), F(1), F(0), F(-1)))
