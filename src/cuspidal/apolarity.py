@@ -29,6 +29,7 @@ from .binform import (
     PrecisionError,
     ZeroFormError,
     ZeroScheme,
+    _as_fraction,
     apolar_coeffs,
     approximate_roots,
     is_integer_literal,
@@ -250,7 +251,7 @@ class Decomposition:
 
         def num(x):
             if isinstance(x, str):
-                return Fraction(x)
+                return _as_fraction(x)
             re_s, im_s = x
             with mpmath.workprec(bits + 16):
                 return +mpmath.mpc(mpmath.mpf(re_s), mpmath.mpf(im_s))

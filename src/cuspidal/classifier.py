@@ -18,17 +18,17 @@ analysis:
   values w-1 and w-2 when W = 2A + (reduced part).
 
 The span-versus-multiplicity equivalence (O ∈ ⟨W⟩ iff m ≥ 2) is exposed as
-an operation computing both routes.  Its proof runs through the intersection
-property deg(2A) + deg(W) ≤ n+2, so it is a theorem only for deg W ≤ n; the
-operation accepts the full independence regime deg W ≤ n+2, where the
-routes can genuinely part ways.  With d = n+1 and h = W.product_form(), the
-disagreement set is exactly:
+an operation computing both routes.  With d = n+1 and h = W.product_form(),
+⟨W⟩ is the kernel of the contraction by h (the apolarity lemma), whose row
+m = 0..d-deg W sends v to sum_j h_j v_{m+j}.  The center O = e_1 contracts
+to (h_1, h_0, 0, ...), cut to those rows, and t² | h exactly when m ≥ 2.
+So, by band:
 
-* deg W ≤ n: empty;
-* deg W = n+1: the schemes with m = 0 whose h has a vanishing u^n t
-  coefficient, so that the hyperplane ⟨W⟩ passes through O (for m ≥ 1 the
-  independence argument still applies);
-* deg W = n+2: the schemes with m ≤ 1, since ⟨W⟩ is the whole space.
+* deg W ≤ n: both rows are present, and O ∈ ⟨W⟩ iff h_0 = h_1 = 0 iff m ≥ 2;
+* deg W = n+1: only row 0 is, and O ∈ ⟨W⟩ iff the u^n t coefficient h_1
+  vanishes, which holds for m ≥ 2 and on some schemes with m = 0;
+* deg W = n+2: there are no rows, O ∈ ⟨W⟩ always, and the routes agree iff
+  m ≥ 2.
 
 The dual-route helper reports both answers; o_in_span raises when they
 disagree.
@@ -52,7 +52,7 @@ from .binform import (
     apolar_coeffs,
     random_form,
 )
-from .projection import ProjectionFrame, cusp_curve_point, project, x_rank
+from .projection import ProjectionFrame, cusp_curve_images, cusp_curve_point, project, x_rank
 
 
 class ClassifierError(ValueError):
@@ -129,8 +129,6 @@ def scheme_span_basis(
         raise SchemeDegreeError("divisor degree beyond the independence regime")
     if w == d + 1:
         return linalg.nullspace([], ncols=d + 1)  # no equations: unit vectors
-    if W.is_empty():
-        return []
     return linalg.nullspace(span_matrix(W.product_form(), d), ncols=d + 1)
 
 
@@ -138,13 +136,33 @@ def _center_vector(d: int) -> list[int]:
     return [int(i == 1) for i in range(d + 1)]
 
 
+def _contract(h: BinaryForm, vec) -> list:
+    """The rows of span_matrix(h, len(vec) - 1) times vec.  vec lies in the
+    span of the divisor of h iff every entry is zero; at deg h = len(vec)
+    there are no rows and the span is the whole space."""
+    return [
+        sum(c * vec[m + j] for j, c in enumerate(h.coeffs))
+        for m in range(len(vec) - h.degree)
+    ]
+
+
+def _in_center_extended_span(s: ZeroScheme, avec) -> bool:
+    """avec ∈ ⟨s⟩ + O, for a scheme s of degree 1..n that misses A.
+
+    The contraction by h = s.product_form() kills ⟨s⟩ and sends O to
+    (h_1, h_0, 0, ...), which is nonzero since h_0 ≠ 0 off A.  So avec is a
+    member iff its contraction x is a multiple of that vector.
+    """
+    h = s.product_form()
+    x = _contract(h, avec)
+    return not any(x[2:]) and x[0] * h.coeffs[0] == x[1] * h.coeffs[1]
+
+
 def span_center_routes(W: ZeroScheme, frame: ProjectionFrame) -> tuple[bool, bool]:
-    """(linear-algebra answer, multiplicity-criterion answer) for O ∈ ⟨W⟩."""
+    """(contraction answer, multiplicity-criterion answer) for O ∈ ⟨W⟩."""
     if W.degree > frame.n + 2:
         raise SchemeDegreeError("degree beyond the independence regime")
-    by_span = linalg.in_span(
-        scheme_span_basis(W, frame.d), _center_vector(frame.d)
-    )
+    by_span = not any(_contract(W.product_form(), _center_vector(frame.d)))
     by_mult = W.multiplicity_at(POINT_A) >= 2
     return by_span, by_mult
 
@@ -152,11 +170,10 @@ def span_center_routes(W: ZeroScheme, frame: ProjectionFrame) -> tuple[bool, boo
 def o_in_span(W: ZeroScheme, frame: ProjectionFrame) -> bool:
     """Membership of the projection center in the span of W, dual-route.
 
-    Both the exact linear algebra and the multiplicity-at-A criterion are
-    evaluated and must agree; disagreement raises.  The equivalence is
-    guaranteed for deg W ≤ n.  Above that it fails exactly on these schemes:
-    at deg W = n+1, those with m = 0 whose product form has a zero u^n t
-    coefficient; at deg W = n+2, those with m ≤ 1.
+    Both the contraction by the product form and the multiplicity-at-A
+    criterion are evaluated and must agree; disagreement raises.  The
+    equivalence is guaranteed for deg W ≤ n; the module docstring gives the
+    schemes above that on which it fails.
     """
     by_span, by_mult = span_center_routes(W, frame)
     if by_span != by_mult:
@@ -220,13 +237,6 @@ class ClassifierVerdict:
         }
 
 
-def _images_on_x(scheme: ZeroScheme, n: int):
-    pts = scheme.rational_points()
-    if pts is None:
-        return None
-    return tuple(cusp_curve_point(n, p) for p, _mult in pts)
-
-
 def _guard_form(f: BinaryForm, frame: ProjectionFrame | None):
     if f.is_zero():
         raise ZeroFormError("classification of the zero form")
@@ -274,7 +284,7 @@ def _classify_e4(frame: ProjectionFrame, cert: RankCertificate) -> ClassifierVer
             lo=rho,
             hi=rho,
             witness_scheme=E,
-            witness_points=_images_on_x(E, n),
+            witness_points=cusp_curve_images(n, E),
             inputs=inputs,
             notes=("the computing set on the cuspidal curve is unique",),
         )
@@ -285,7 +295,7 @@ def _classify_e4(frame: ProjectionFrame, cert: RankCertificate) -> ClassifierVer
             lo=rho - 1,
             hi=rho,
             witness_scheme=E,
-            witness_points=_images_on_x(E, n),
+            witness_points=cusp_curve_images(n, E),
             inputs=inputs,
             notes=("no selection criterion between the endpoints is available",),
         )
@@ -317,7 +327,6 @@ def _classify_e3(
     B: BinaryForm, frame: ProjectionFrame, cert: RankCertificate
 ) -> ClassifierVerdict:
     n = frame.n
-    d = frame.d
     if cert.rank == cert.border_rank:
         raise ClassifierError(
             "border rank equals rank; the reduced-set classification applies"
@@ -362,8 +371,7 @@ def _classify_e3(
 
     if m == 2:
         s2 = W.remove_point(POINT_A, 2)
-        sigma = scheme_span_basis(s2, d) + [tuple(_center_vector(d))]
-        member = linalg.in_span(sigma, apolar_coeffs(B).entries)
+        member = _in_center_extended_span(s2, apolar_coeffs(B).entries)
         inputs["sigma_member"] = member
         if member:
             return ClassifierVerdict(
@@ -372,7 +380,7 @@ def _classify_e3(
                 lo=w - 2,
                 hi=w - 2,
                 witness_scheme=s2,
-                witness_points=_images_on_x(s2, n),
+                witness_points=cusp_curve_images(n, s2),
                 inputs=inputs,
                 notes=(
                     "subcase decided by a span-membership criterion taken "
@@ -386,7 +394,7 @@ def _classify_e3(
             lo=w - 1,
             hi=w - 1,
             witness_scheme=w_red,
-            witness_points=_images_on_x(w_red, n),
+            witness_points=cusp_curve_images(n, w_red),
             inputs=inputs,
             notes=(
                 "subcase decided by a span-membership criterion taken "
@@ -549,13 +557,11 @@ def _scheme(pairs) -> ZeroScheme:
     return ZeroScheme(tuple((p.linear_form(), m) for p, m in pairs))
 
 
-def _in_any_subscheme_span(W: ZeroScheme, avec, d: int) -> bool:
-    for sub in W.maximal_proper_subschemes():
-        if sub.is_empty():
-            continue
-        if linalg.in_span(scheme_span_basis(sub, d), avec):
-            return True
-    return False
+def _in_any_subscheme_span(W: ZeroScheme, avec) -> bool:
+    return any(
+        not any(_contract(sub.product_form(), avec))
+        for sub in W.maximal_proper_subschemes()
+    )
 
 
 def generate_instance(spec: InstanceSpec) -> GeneratedInstance:
@@ -584,28 +590,22 @@ def generate_instance(spec: InstanceSpec) -> GeneratedInstance:
             W = _target_scheme(spec, rng)
             if spec.case_tag == "e3_3_wminus2":
                 s2 = W.remove_point(POINT_A, 2)
-                vectors = scheme_span_basis(s2, d) + [tuple(_center_vector(d))]
-                coeffs = [_nonzero_coeff(rng) for _ in vectors]
-                avec = [
-                    sum(c * v[i] for c, v in zip(coeffs, vectors))
-                    for i in range(d + 1)
-                ]
+                vectors = scheme_span_basis(s2, d) + [_center_vector(d)]
             else:
                 vectors = scheme_span_basis(W, d)
-                coeffs = [_nonzero_coeff(rng) for _ in vectors]
-                avec = [
-                    sum(c * v[i] for c, v in zip(coeffs, vectors))
-                    for i in range(d + 1)
-                ]
+            coeffs = [_nonzero_coeff(rng) for _ in vectors]
+            avec = [
+                sum(c * v[i] for c, v in zip(coeffs, vectors))
+                for i in range(d + 1)
+            ]
         if not any(avec):
             continue
-        if spec.case_tag != "e3_3_cusp" and _in_any_subscheme_span(W, avec, d):
+        if spec.case_tag != "e3_3_cusp" and _in_any_subscheme_span(W, avec):
             continue
-        if spec.case_tag == "e3_3_wminus1":
-            s2 = W.remove_point(POINT_A, 2)
-            sigma = scheme_span_basis(s2, d) + [tuple(_center_vector(d))]
-            if linalg.in_span(sigma, avec):
-                continue
+        if spec.case_tag == "e3_3_wminus1" and _in_center_extended_span(
+            W.remove_point(POINT_A, 2), avec
+        ):
+            continue
         B = _form_from_avec(d, avec)
         cert = sylvester_rank(B)
         if cert.border_rank != k or cert.witness_kind != "nonreduced":
@@ -650,16 +650,7 @@ def _generate_e4(
     for _ in range(_RETRIES):
         if spec.case_tag == "e4_iii":
             M = random_form(d, rng, bound=30)
-            if M.is_zero():
-                continue
-            cert = sylvester_rank(M)
-            if (
-                cert.rank != rho
-                or cert.border_rank != rho
-                or cert.witness_kind != "squarefree"
-            ):
-                continue
-            E = cert.witness_scheme
+            E = None  # any computing set of size rho will do
         else:
             pts = _distinct_points(rng, rho)
             E = _scheme([(p, 1) for p in pts])
@@ -670,14 +661,15 @@ def _generate_e4(
                 for i in range(d + 1):
                     avec[i] += c * pv[i]
             M = _form_from_avec(d, avec)
-            cert = sylvester_rank(M)
-            if (
-                cert.rank != rho
-                or cert.border_rank != rho
-                or cert.witness_kind != "squarefree"
-                or cert.witness_scheme != E
-            ):
-                continue
+        cert = sylvester_rank(M)
+        if (
+            cert.rank != rho
+            or cert.border_rank != rho
+            or cert.witness_kind != "squarefree"
+            or (E is not None and cert.witness_scheme != E)
+        ):
+            continue
+        E = cert.witness_scheme
         try:
             truth = _classify_e4(frame, cert)
         except ClassifierError:

@@ -25,13 +25,12 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 import mpmath
 
 from . import apolarity
 from .apolarity import Decomposition, decompose, verify_decomposition
-from .binform import BinaryForm, GrammarError, is_integer_literal, parse_form
+from .binform import BinaryForm, GrammarError, _as_fraction, is_integer_literal, parse_form
 from .classifier import (
     InstanceSpec,
     classify,
@@ -68,7 +67,7 @@ def _form_from_record(rec: dict) -> BinaryForm:
         if not isinstance(rec["coeffs"], list):
             raise GrammarError('"coeffs" must be a list')
         return BinaryForm(
-            int(rec["degree"]), tuple(Fraction(str(c)) for c in rec["coeffs"])
+            int(rec["degree"]), tuple(_as_fraction(str(c)) for c in rec["coeffs"])
         )
     if "form" in rec:
         return _form_from_record(rec["form"])
@@ -186,7 +185,7 @@ def _point(args, line: str | None) -> ProjectedPoint:
     """The point of one input line, or of --coords when line is None."""
     if line is not None:
         return ProjectedPoint.from_json(json.loads(line))
-    coords = tuple(Fraction(c) for c in args.coords.split(","))
+    coords = tuple(_as_fraction(c) for c in args.coords.split(","))
     if args.n is None:
         raise GrammarError("--coords needs --n")
     return ProjectedPoint(args.n, coords)

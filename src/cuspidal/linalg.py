@@ -1,9 +1,8 @@
 """Exact linear algebra for small dense systems.
 
 The rational path clears denominators once per row and then stays in the
-integers: fraction-free (Bareiss) elimination gives the echelon form, kernel
-vectors are back-substituted in integers, and span membership reduces the
-target against the echelon rows of one elimination.  Integer rows skip the
+integers: fraction-free (Bareiss) elimination gives the echelon form, and
+kernel vectors are back-substituted in integers.  Integer rows skip the
 denominator pass, and kernel vectors come back as primitive integer vectors,
 so no floating point ever enters a rank decision.
 """
@@ -151,19 +150,3 @@ def free_column_basis(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[int, 
         ends.append(col)
     return [canonical_vector(rows[i]) for i in sorted(range(len(rows)), key=ends.__getitem__)]
 
-
-def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
-    """Exact membership of target in the row span of vectors.
-
-    One Bareiss elimination brings the vectors to echelon form; the target,
-    cleared of denominators, is then reduced against the echelon rows in
-    integers and lies in the span iff nothing is left.
-    """
-    (t,) = _int_rows([target])
-    ech, pivots = _bareiss(_int_rows(vectors))
-    for row, pc in zip(ech, pivots):
-        c = t[pc]
-        if c:
-            piv = row[pc]
-            t = [a * piv - c * b for a, b in zip(t, row)]
-    return not any(t)

@@ -27,7 +27,7 @@ from typing import Sequence
 import mpmath
 
 from . import linalg, ratfactor, univar
-from .binform import PrecisionError
+from .binform import PrecisionError, _exact_value
 
 
 class NumberFieldError(ValueError):
@@ -153,11 +153,6 @@ class QuadraticNumber:
         return " + ".join(parts) if parts else "0"
 
 
-def _to_fraction(x) -> Fraction:
-    """The exact value of an mpf; mpmath.mpf(x) would round it."""
-    return Fraction(*mpmath.libmp.to_rational(x._mpf_))
-
-
 def _quadratic_root(ints: tuple[int, ...], upper: bool, bits: int):
     """One root of the irreducible c + b x + a x^2 (``ints`` = (c, b, a),
     a > 0) by the quadratic formula at 2 * bits bits, rounded to ``bits``:
@@ -268,8 +263,8 @@ def _isolate_quadratic(ints: tuple[int, ...], work: int):
     out = []
     for upper in (False, True):
         z = _quadratic_root(ints, upper, work + 64)
-        re = _to_fraction(z.real)
-        im = Fraction(0) if disc > 0 else _to_fraction(z.imag)
+        re = _exact_value(z.real)
+        im = Fraction(0) if disc > 0 else _exact_value(z.imag)
         scale = max(1, ceil(abs(re) + abs(im)))
         radius = Fraction(2) ** ((scale - 1).bit_length() - work)
         out.append(AlgebraicNumber(ints, re, im, radius, disc > 0))

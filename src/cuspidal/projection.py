@@ -51,9 +51,12 @@ from . import linalg, ratfactor, univar
 from .apolarity import CertificateError, RankCertificate, _certify, rank as sylvester_rank
 from .binform import (
     BinaryForm,
+    GrammarError,
     NumericRoot,
     P1Point,
     ZeroFormError,
+    ZeroScheme,
+    _as_fraction,
     is_integer_literal,
     resultant_of_partials,
 )
@@ -174,10 +177,10 @@ class ProjectedPoint:
         if not is_integer_literal(blob["n"]):
             raise ProjectionError(f'"n" must be an integer, got {blob["n"]!r}')
         try:
-            n, coords = int(blob["n"]), tuple(Fraction(c) for c in blob["coords"])
-        except TypeError as exc:
+            coords = tuple(_as_fraction(str(c)) for c in blob["coords"])
+        except GrammarError as exc:
             raise ProjectionError(f"malformed projected point: {exc}") from None
-        return cls(n, coords)
+        return cls(int(blob["n"]), coords)
 
     def __str__(self) -> str:
         return "(" + ":".join(str(c) for c in self.coords) + ")"
@@ -228,6 +231,15 @@ def cusp_curve_point(n, t) -> ProjectedPoint:
     d = n + 1
     vec = [t.a ** (d - i) * t.b**i for i in range(d + 1)]
     return ProjectedPoint(n, tuple([vec[0]] + vec[2:]))
+
+
+def cusp_curve_images(n: int, scheme: ZeroScheme):
+    """Images on the cuspidal curve of the points of scheme, when all are
+    rational; None otherwise."""
+    pts = scheme.rational_points()
+    if pts is None:
+        return None
+    return tuple(cusp_curve_point(n, p) for p, _mult in pts)
 
 
 # -- the pencil of one level -------------------------------------------------
@@ -426,16 +438,6 @@ class XRankResult:
         }
 
 
-def _witness_points(P: ProjectedPoint, cert: RankCertificate):
-    """Images on the cuspidal curve of the computing set, when rational."""
-    if cert.witness_kind != "squarefree":
-        return None
-    pts = cert.witness_scheme.rational_points()
-    if pts is None:
-        return None
-    return tuple(cusp_curve_point(P.n, pt) for pt, _mult in pts)
-
-
 def _certificate_sort_key(value: int, cert, lam) -> tuple:
     rational = isinstance(lam, Fraction)
     size = abs(lam) if rational else Fraction(10**9)
@@ -534,5 +536,7 @@ def x_rank(P: ProjectedPoint, *, precision_bits: int = 192) -> XRankResult:
     value, lam_star, cert_star = min(
         candidates, key=lambda c: _certificate_sort_key(c[0], c[2], c[1])
     )
-    witness_points = _witness_points(P, cert_star) if isinstance(lam_star, Fraction) else None
+    witness_points = None
+    if isinstance(lam_star, Fraction) and cert_star.witness_kind == "squarefree":
+        witness_points = cusp_curve_images(P.n, cert_star.witness_scheme)
     return XRankResult(value, lam_star, cert_star, witness_points)

@@ -2,6 +2,10 @@
 
 * ``nullspace_plain``: textbook Gauss-Jordan over Fraction, against the
   integer Bareiss kernel of ``linalg.nullspace``.
+* ``in_span``: span membership by one Bareiss elimination of the spanning
+  vectors, the target reduced against the echelon rows.  The classifier
+  once decided every span test this way; it backs the contraction by the
+  product form in ``classifier``.
 * ``rank_field`` and ``nullspace_field``: Gaussian elimination over any
   exact field, the quadratic fields of ``numberfield.QuadraticNumber``
   included.
@@ -91,6 +95,23 @@ def nullspace_plain(rows, ncols=None) -> list[tuple[Fraction, ...]]:
             x[pc] = -rows[k][f]
         basis.append(linalg.canonical_vector(x))
     return basis
+
+
+def in_span(vectors, target) -> bool:
+    """Exact membership of target in the row span of vectors.
+
+    One Bareiss elimination brings the vectors to echelon form; the target,
+    cleared of denominators, is then reduced against the echelon rows in
+    integers and lies in the span iff nothing is left.
+    """
+    (t,) = linalg._int_rows([target])
+    ech, pivots = linalg._bareiss(linalg._int_rows(vectors))
+    for row, pc in zip(ech, pivots):
+        c = t[pc]
+        if c:
+            piv = row[pc]
+            t = [a * piv - c * b for a, b in zip(t, row)]
+    return not any(t)
 
 
 def nullspace_field(rows, ncols=None) -> list[tuple]:

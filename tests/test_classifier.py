@@ -1,6 +1,8 @@
 """Case classification, instance generation, and the crosscheck loop."""
 
+import collections
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,7 @@ from cuspidal.classifier import (
     span_matrix,
 )
 from cuspidal.projection import ProjectionFrame, cusp_curve_point
+from oracles import in_span
 
 F = Fraction
 
@@ -71,11 +74,9 @@ class TestSpans:
         W = scheme_of([(pt(1), 2)])
         basis = scheme_span_basis(W, 4)
         assert len(basis) == 2
-        from cuspidal import linalg
-
-        assert linalg.in_span(basis, tuple(F(x) for x in (1, 1, 1, 1, 1)))
-        assert linalg.in_span(basis, tuple(F(x) for x in (0, 1, 2, 3, 4)))
-        assert not linalg.in_span(basis, tuple(F(x) for x in (0, 1, 0, 0, 0)))
+        assert in_span(basis, tuple(F(x) for x in (1, 1, 1, 1, 1)))
+        assert in_span(basis, tuple(F(x) for x in (0, 1, 2, 3, 4)))
+        assert not in_span(basis, tuple(F(x) for x in (0, 1, 0, 0, 0)))
 
     def test_full_degree_scheme_spans_everything(self):
         W = scheme_of([(pt(k), 1) for k in (1, 2, 3, 4)] + [(POINT_A, 1)])
@@ -160,6 +161,80 @@ class TestOInSpan:
         W = scheme_of([(pt(k), 1) for k in (1, 2, 3, 4, 5)])
         by_span, by_mult = span_center_routes(W, frame)
         assert by_span is True and by_mult is False
+
+
+def _oracle_scheme(rng, deg):
+    """Random scheme of degree deg: A with multiplicity 0..3, rational points
+    (1:t) and (0:1) with multiplicities, and irreducible quadratics."""
+    factors = []
+    m_a = min(deg, rng.choice((0, 0, 1, 2, 3)))
+    if m_a:
+        factors.append((POINT_A.linear_form(), m_a))
+    left = deg - m_a
+    used = set()
+    while left:
+        if left >= 2 and rng.random() < 0.15:
+            b, c = rng.randint(-3, 3), rng.randint(1, 5)
+            if b * b < 4 * c:
+                factors.append((BinaryForm(2, (F(1), F(b), F(c))), 1))
+                left -= 2
+                continue
+        p = P1Point(F(0), F(1)) if rng.random() < 0.05 else pt(rng.randint(-12, 12))
+        if p == POINT_A or p in used:
+            continue
+        used.add(p)
+        m = min(left, rng.choice((1, 1, 1, 2, 3)))
+        factors.append((p.linear_form(), m))
+        left -= m
+    return ZeroScheme(tuple(factors))
+
+
+def _combination(rng, basis, d):
+    coeffs = [rng.randint(-5, 5) for _ in basis]
+    return [sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(d + 1)]
+
+
+def test_contraction_matches_the_elimination_oracle():
+    """Every span decision of the classifier against oracles.in_span over
+    scheme_span_basis, on targets inside and outside: membership in <W>,
+    the center route, membership in the span of some maximal proper
+    subscheme, and membership in <W> + O."""
+    rng = random.Random("contraction-vs-elimination")
+    seen = collections.Counter()
+    for n in range(3, 11):
+        d = n + 1
+        frame = ProjectionFrame(n)
+        center = [int(i == 1) for i in range(d + 1)]
+        for deg in range(n + 3):
+            for i in range(27):
+                W = _oracle_scheme(rng, deg)
+                h = W.product_form()
+                basis = scheme_span_basis(W, d)
+                want = in_span(basis, center)
+                assert span_center_routes(W, frame)[0] == want, (n, W)
+                seen["center", want] += 1
+                inside = _combination(rng, basis, d)
+                noise = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d + 1)]
+                outside = [a + b for a, b in zip(inside, noise)]
+                for v in (inside, outside):
+                    want = in_span(basis, v)
+                    assert (not any(classifier._contract(h, v))) == want, (n, W, v)
+                    seen["span", want] += 1
+                # every other rational scheme: the subscheme oracle is the costliest
+                if i % 2 == 0 and all(g.degree == 1 for g, _ in W.factors):
+                    subs = [scheme_span_basis(s, d) for s in W.maximal_proper_subschemes()]
+                    v = _combination(rng, rng.choice(subs), d) if subs and i % 4 == 0 else inside
+                    want = any(in_span(b, v) for b in subs)
+                    assert classifier._in_any_subscheme_span(W, v) == want, (n, W, v)
+                    seen["subscheme", want] += 1
+                if W.multiplicity_at(POINT_A) == 0 and 1 <= deg <= n:
+                    k = rng.choice((-2, 3))
+                    for v in (outside, [a + k * c for a, c in zip(inside, center)]):
+                        want = in_span(basis + [center], v)
+                        assert classifier._in_center_extended_span(W, v) == want, (n, W, v)
+                        seen["extended", want] += 1
+    kinds = ("center", "span", "subscheme", "extended")
+    assert all(seen[kind, ans] >= 100 for kind in kinds for ans in (True, False)), seen
 
 
 class TestClassifyNoGap:

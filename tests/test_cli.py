@@ -1,5 +1,6 @@
 """Command-line interface: schemas, exit codes, piping, configuration."""
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -8,8 +9,10 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspidal import projection
 from cuspidal.cli import main
@@ -164,6 +167,19 @@ class TestDecomposePipeline:
         assert recs2[0]["error"]["type"] == "GrammarError"
         assert key in recs2[0]["error"]["message"]
 
+    @pytest.mark.parametrize("scalar", ["1e0", "1.0", "1.5e-1"])
+    def test_verify_decomp_refuses_inexact_spellings(self, capsys, monkeypatch, scalar):
+        """An exact scalar is an integer or p/q; "1e0" once verified as 1."""
+        code, recs = run(capsys, monkeypatch, ["decompose", "d=3; [1,0,0,1]"])
+        dec = recs[0]["decomposition"]
+        dec["terms"][0]["scalar"] = scalar
+        code2, recs2 = run(
+            capsys, monkeypatch, ["verify-decomp", "--form", "d=3; [1,0,0,1]"],
+            stdin=json.dumps(dec),
+        )
+        assert code2 == 1
+        assert recs2[0]["error"]["type"] == "GrammarError"
+
     @pytest.mark.parametrize(
         "form", ["d=3; [1,0,0,1]", "d=3; [0,1,-1,0]", "d=5; [1,0,0,-10,5,-1]"]
     )
@@ -216,7 +232,14 @@ class TestBatchSemantics:
         assert [r["error"]["type"] for r in recs2[1:5]] == ["JSONDecodeError"] + ["GrammarError"] * 3
 
     @pytest.mark.parametrize(
-        "line", ['{"degree": 2, "coeffs": 5}', '{"form": 5}', '{"form": [1, 0, 1]}']
+        "line",
+        [
+            '{"degree": 2, "coeffs": 5}',
+            '{"form": 5}',
+            '{"form": [1, 0, 1]}',
+            '{"degree": 4, "coeffs": ["1e5", 0, "2.5", 0, 1]}',
+            '{"degree": 1, "coeffs": [0.5, 1]}',
+        ],
     )
     def test_malformed_form_record_is_one_error(self, capsys, monkeypatch, line):
         stdin = "\n".join([line, "d=3; [1,0,0,1]"]) + "\n"
@@ -236,6 +259,37 @@ class TestBatchSemantics:
             assert len(recs) == 1
             assert recs[0]["error"]["type"] == "GrammarError"
             assert str(path) in recs[0]["error"]["message"]
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        bad=st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+            st.builds("{}e{}".format, st.integers(-99, 99), st.integers(-9, 9)),
+            st.builds("{}.{}".format, st.integers(-99, 99), st.integers(0, 99)),
+        ),
+        slot=st.integers(0, 2),
+        spelling=st.sampled_from(("text", "json number", "json string")),
+    )
+    def test_malformed_coefficient_is_one_error(self, bad, slot, spelling):
+        """Exponents, decimals and JSON floats are outside the rational
+        grammar, in the text grammar and in JSON records alike."""
+        if spelling == "text":
+            coeffs = ["1", "0", "1"]
+            coeffs[slot] = bad
+            line = "d=2; [%s]" % ",".join(coeffs)
+        else:
+            coeffs = ['"1"', "0", '"1"']
+            coeffs[slot] = bad if spelling == "json number" else json.dumps(bad)
+            line = '{"degree": 2, "coeffs": [%s]}' % ", ".join(coeffs)
+        stdin = "\n".join(["d=3; [1,0,0,1]", line, "d=2; [1,0,1]"]) + "\n"
+        out = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(out):
+            code = main(["rank"])
+        recs = [json.loads(ln) for ln in out.getvalue().splitlines()]
+        assert code == 1
+        assert len(recs) == 3
+        assert recs[1]["error"]["type"] == "GrammarError"
+        assert (recs[0]["r"], recs[2]["r"]) == (2, 2)
 
     def test_all_good_batch_exits_0(self, capsys, monkeypatch):
         stdin = self.BATCH.replace("[1,0\n", "[1,0,0]\n")
@@ -346,6 +400,8 @@ class TestProjectionCommands:
             '{"n": "5.9", "coords": ["1", "0", "0", "0", "0", "1"]}',
             '{"n": true, "coords": ["1", "0"]}',
             '{"n": [5], "coords": ["1", "0", "0", "0", "0", "1"]}',
+            '{"n": 3, "coords": [0.1, 0, 0, 1]}',
+            '{"n": 3, "coords": ["1e5", "0", "0", "1"]}',
         ],
     )
     def test_malformed_xrank_record(self, capsys, monkeypatch, line):
@@ -360,6 +416,13 @@ class TestProjectionCommands:
         code, recs = run(capsys, monkeypatch, ["xrank"], stdin=line + "\n")
         assert code == 0
         assert recs[0]["n"] == 5
+
+    @pytest.mark.parametrize("coords", ["1e5,0,0,1", "0.1,0,0,1", "1,0,0,2.5"])
+    def test_xrank_coords_refuse_exponents_and_decimals(self, capsys, monkeypatch, coords):
+        code, recs = run(capsys, monkeypatch, ["xrank", "--n", "3", "--coords", coords])
+        assert code == 1
+        assert len(recs) == 1
+        assert recs[0]["error"]["type"] == "GrammarError"
 
     def test_certificate_failure_is_json_error(self, capsys, monkeypatch):
         real = projection.sylvester_rank
