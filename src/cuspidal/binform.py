@@ -204,17 +204,25 @@ class BinaryForm:
         }
 
     @staticmethod
-    def from_json(data: dict) -> "BinaryForm":
-        try:
-            degree = int(data["degree"])
-            coeffs = [_as_fraction(str(c)) for c in data["coeffs"]]
-        except (KeyError, TypeError) as exc:
-            raise GrammarError(f"bad form object: {exc}") from exc
+    def from_json(data) -> "BinaryForm":
+        """Read {"degree", "coeffs"} with an optional "basis": "monomial".
+
+        The degree is a JSON integer or a decimal integer string; a float or
+        a boolean is refused, never truncated.  A wrong coefficient count is
+        the constructor's ValueError.
+        """
+        if not isinstance(data, dict):
+            raise GrammarError("a form record is a JSON object")
+        if "degree" not in data or "coeffs" not in data:
+            raise GrammarError("record carries no form")
+        if not is_integer_literal(data["degree"]):
+            raise GrammarError(f'"degree" must be an integer, got {data["degree"]!r}')
+        if not isinstance(data["coeffs"], list):
+            raise GrammarError('"coeffs" must be a list')
+        form = BinaryForm(int(data["degree"]), tuple(_as_fraction(str(c)) for c in data["coeffs"]))
         if data.get("basis", "monomial") != "monomial":
             raise GrammarError(f"unsupported basis {data.get('basis')!r}")
-        if len(coeffs) != degree + 1:
-            raise GrammarError(f"degree {degree} needs {degree + 1} coefficients")
-        return BinaryForm(degree, tuple(coeffs))
+        return form
 
 
 def parse_form(text: str) -> BinaryForm:
@@ -243,6 +251,12 @@ class ApolarCoeffs:
 def apolar_coeffs(f: BinaryForm) -> ApolarCoeffs:
     d = f.degree
     return ApolarCoeffs(d, tuple(univar.quo(f.coeffs[i], comb(d, i)) for i in range(d + 1)))
+
+
+def form_from_apolar(a: Sequence) -> BinaryForm:
+    """The form of degree len(a) - 1 whose apolar coefficients are a."""
+    d = len(a) - 1
+    return BinaryForm(d, tuple(c * comb(d, i) for i, c in enumerate(a)))
 
 
 @dataclass(frozen=True)
@@ -280,6 +294,11 @@ class P1Point:
 POINT_A = P1Point(Fraction(1), Fraction(0))
 
 
+def _root_of_linear(g: BinaryForm) -> P1Point:
+    """The point (-c_1 : c_0) where the linear form c_0 u + c_1 t vanishes."""
+    return P1Point(-g.coeffs[1], g.coeffs[0])
+
+
 @dataclass(frozen=True)
 class ZeroScheme:
     """Zero scheme of a form: factors with multiplicities.
@@ -289,6 +308,12 @@ class ZeroScheme:
     two schemes are structurally equal (dataclass ``==``) exactly when they
     agree as schemes.  The scheme always means the vanishing of
     ``prod g_i^{m_i}``.
+
+    Invariant: every factor is an irreducible, primitive integer form whose
+    first nonzero coefficient is positive.  So a factor vanishes at a
+    rational point p exactly when it equals ``p.linear_form()``, and a factor
+    of degree 2 or more has no rational point.  The point methods read their
+    answers off the factors and factor nothing again.
     """
 
     factors: tuple[tuple[BinaryForm, int], ...]
@@ -319,9 +344,6 @@ class ZeroScheme:
     def is_reduced(self) -> bool:
         return all(m == 1 for _, m in self.factors)
 
-    def is_empty(self) -> bool:
-        return not self.factors
-
     def product_form(self) -> BinaryForm:
         cs = [1]
         for g, m in self.factors:
@@ -342,49 +364,28 @@ class ZeroScheme:
     def remove_point(self, p: P1Point, k: int) -> "ZeroScheme":
         """Scheme difference: drop k from the multiplicity at the rational point p."""
         lin = p.linear_form()
-        out: list[tuple[BinaryForm, int]] = []
-        hit = False
-        for g, m in self.factors:
-            if g.evaluate(p.a, p.b) != 0:
-                out.append((g, m))
-                continue
-            hit = True
-            if m < k:
-                raise ValueError(f"multiplicity at {p} is {m} < {k}")
-            rest = divide_forms(g, lin)
-            if rest is None:
-                raise CertificateError(f"{lin} does not divide a factor vanishing at {p}")
-            if rest.degree > 0:
-                out.append((rest, m))
-            if m - k > 0:
-                out.append((lin, m - k))
-        if not hit and k > 0:
+        m = dict(self.factors).get(lin, 0)
+        if k > 0 and not m:
             raise ValueError(f"{p} does not lie on the scheme")
-        return ZeroScheme(tuple(out))
+        if m < k:
+            raise ValueError(f"multiplicity at {p} is {m} < {k}")
+        return ZeroScheme(
+            tuple((g, e - k if g == lin else e) for g, e in self.factors if g != lin or e > k)
+        )
 
     def rational_points(self) -> list[tuple[P1Point, int]] | None:
-        """Points with multiplicities when every factor splits into rational
-        linear pieces; None when an irrational factor is present."""
-        pts: list[tuple[P1Point, int]] = []
-        for g, m in self.factors:
-            if g.degree == 1:
-                pts.append((P1Point(-g.coeffs[1], g.coeffs[0]), m))
-                continue
-            k, p = g.tau_poly()
-            roots = ratfactor.rational_roots(p)
-            if sum(mult for _, mult in roots) + k != g.degree:
-                return None
-            if k:
-                pts.append((P1Point(Fraction(0), Fraction(1)), m))
-            for root, _ in roots:
-                pts.append((P1Point(Fraction(1), root), m))
+        """Points with multiplicities when every factor is linear; None when a
+        factor of degree 2 or more, which has no rational point, is present."""
+        if any(g.degree > 1 for g, _ in self.factors):
+            return None
+        pts = [(_root_of_linear(g), m) for g, m in self.factors]
         pts.sort(key=lambda pm: (pm[0].a, pm[0].b))
         return pts
 
     def maximal_proper_subschemes(self) -> list["ZeroScheme"]:
         """All degree-(w-1) subschemes; requires rational linear factors only."""
         pts = self.rational_points()
-        if pts is None or any(g.degree > 1 for g, _ in self.factors):
+        if pts is None:
             raise ValueError("subscheme enumeration needs rational points")
         return [self.remove_point(p, 1) for p, _ in pts]
 
@@ -401,22 +402,6 @@ class ZeroScheme:
         return " * ".join(
             g.pretty() if m == 1 else f"({g.pretty()})^{m}" for g, m in self.factors
         )
-
-
-def divide_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm | None:
-    """Exact quotient f / g, or None when g does not divide f."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero form")
-    if f.is_zero():
-        raise ZeroFormError("division of the zero form")
-    kf, pf = f.tau_poly()
-    kg, pg = g.tau_poly()
-    if kg > kf:
-        return None
-    quot, rem = univar.divmod_(pf, pg)
-    if rem:
-        return None
-    return BinaryForm.from_tau_poly(kf - kg, quot)
 
 
 def resultant_of_partials(coeffs: Sequence[int]) -> int:
@@ -459,21 +444,9 @@ def squarefree_decompose(f: BinaryForm) -> ZeroScheme:
 
 def multiplicity_at(obj: BinaryForm | ZeroScheme, p: P1Point) -> int:
     """Vanishing order at a rational point."""
-    if isinstance(obj, ZeroScheme):
-        return obj.multiplicity_at(p)
-    if obj.is_zero():
-        raise ZeroFormError("multiplicity of the zero form")
-    lin = p.linear_form()
-    count = 0
-    cur = obj
-    while True:
-        nxt = divide_forms(cur, lin)
-        if nxt is None:
-            return count
-        cur = nxt
-        count += 1
-        if cur.degree == 0:
-            return count
+    if isinstance(obj, BinaryForm):
+        obj = squarefree_decompose(obj)
+    return obj.multiplicity_at(p)
 
 
 @dataclass(frozen=True)
@@ -501,8 +474,9 @@ class NumericRoot:
 def numeric_roots(f: BinaryForm, precision_bits: int = 192) -> list[NumericRoot]:
     """All projective roots with multiplicities.
 
-    Multiplicities come from the exact square-free decomposition; rational
-    roots are reported exactly; the rest are approximated at the requested
+    Multiplicities come from the exact square-free decomposition, whose
+    factors are irreducible: a linear factor gives its rational root
+    exactly; the roots of the others are approximated at the requested
     precision with a proved radius (deg * |p(z)/p'(z)| around each
     approximation, see ``_certified_roots``).  Every disk must be disjoint
     from every other, within its factor and across the form, and from every
@@ -516,16 +490,11 @@ def numeric_roots(f: BinaryForm, precision_bits: int = 192) -> list[NumericRoot]
     out: list[NumericRoot] = []
     numeric: list[NumericRoot] = []
     for g, m in scheme.factors:
-        k, p = g.tau_poly()
-        if k:
-            out.append(
-                NumericRoot(Fraction(0), Fraction(1), m, Fraction(0), True, precision_bits)
-            )
-        for root, _ in ratfactor.rational_roots(p):
-            out.append(NumericRoot(Fraction(1), root, m, Fraction(0), True, precision_bits))
-            p = univar.div_exact(p, [-root, Fraction(1)])
-        if univar.degree(p) >= 1:
-            numeric.extend(_certified_roots(p, m, precision_bits))
+        if g.degree == 1:
+            pt = _root_of_linear(g)
+            out.append(NumericRoot(pt.a, pt.b, m, Fraction(0), True, precision_bits))
+        else:
+            numeric.extend(_certified_roots(g.tau_poly()[1], m, precision_bits))
     taus = [s.b for s in out if s.a]
     disks = [tuple(_exact_value(x) for x in (r.b.real, r.b.imag, r.radius)) for r in numeric]
     for i, (x, y, rad) in enumerate(disks):

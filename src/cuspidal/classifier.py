@@ -39,7 +39,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from . import linalg
 from .apolarity import CertificateError, RankCertificate, rank as sylvester_rank
@@ -50,6 +49,7 @@ from .binform import (
     ZeroFormError,
     ZeroScheme,
     apolar_coeffs,
+    form_from_apolar,
     random_form,
 )
 from .projection import ProjectionFrame, cusp_curve_images, cusp_curve_point, project, x_rank
@@ -211,21 +211,16 @@ class ClassifierVerdict:
 
     @property
     def prediction(self):
+        """lo for an exact prediction, [lo, hi] for an interval, else None."""
         if self.lo is None:
             return None
-        return self.lo if self.lo == self.hi else (self.lo, self.hi)
+        return self.lo if self.lo == self.hi else [self.lo, self.hi]
 
     def to_json(self) -> dict:
-        if self.lo is None:
-            pred = None
-        elif self.lo == self.hi:
-            pred = self.lo
-        else:
-            pred = [self.lo, self.hi]
         return {
             "theorem": self.theorem,
             "case": self.case_tag,
-            "prediction": pred,
+            "prediction": self.prediction,
             "witness": None if self.witness_scheme is None else self.witness_scheme.to_json(),
             "witness_points_on_X": (
                 None
@@ -237,26 +232,22 @@ class ClassifierVerdict:
         }
 
 
-def _guard_form(f: BinaryForm, frame: ProjectionFrame | None):
+def _guard_form(f: BinaryForm) -> ProjectionFrame:
+    """The frame of a classifiable form: nonzero, degree n+1 with n >= 3, and
+    not the center of projection."""
     if f.is_zero():
         raise ZeroFormError("classification of the zero form")
     if f.degree < 4:
         raise ClassifierError("classification needs degree n+1 with n >= 3")
-    n = f.degree - 1
-    if frame is None:
-        frame = ProjectionFrame(n)
-    elif frame.n != n:
-        raise ClassifierError(f"frame has n = {frame.n} but the form needs {n}")
     a = apolar_coeffs(f).entries
     if not any(c for i, c in enumerate(a) if i != 1):
         raise ClassifierError("the form is the center of projection")
-    return frame
+    return ProjectionFrame(f.degree - 1)
 
 
-def classify_e4(M: BinaryForm, frame: ProjectionFrame | None = None) -> ClassifierVerdict:
+def classify_e4(M: BinaryForm) -> ClassifierVerdict:
     """Prediction when rank equals border rank with a reduced computing set."""
-    frame = _guard_form(M, frame)
-    return _classify_e4(frame, sylvester_rank(M))
+    return _classify_e4(_guard_form(M), sylvester_rank(M))
 
 
 def _classify_e4(frame: ProjectionFrame, cert: RankCertificate) -> ClassifierVerdict:
@@ -317,10 +308,9 @@ _TWO_A = ZeroScheme(((POINT_A.linear_form(), 2),))
 _ONE_A = ZeroScheme(((POINT_A.linear_form(), 1),))
 
 
-def classify_e3(B: BinaryForm, frame: ProjectionFrame | None = None) -> ClassifierVerdict:
+def classify_e3(B: BinaryForm) -> ClassifierVerdict:
     """Prediction when border rank w is strictly below rank (non-reduced W)."""
-    frame = _guard_form(B, frame)
-    return _classify_e3(B, frame, sylvester_rank(B))
+    return _classify_e3(B, _guard_form(B), sylvester_rank(B))
 
 
 def _classify_e3(
@@ -360,7 +350,8 @@ def _classify_e3(
             notes=("the projected point lies on the cuspidal curve",),
         )
 
-    if m >= 3 or (m == 2 and not W.remove_point(POINT_A, 2).is_reduced()):
+    s2 = W.remove_point(POINT_A, 2) if m == 2 else None
+    if m >= 3 or (m == 2 and not s2.is_reduced()):
         return ClassifierVerdict(
             theorem="e3",
             case_tag="e3_2",
@@ -370,7 +361,6 @@ def _classify_e3(
         )
 
     if m == 2:
-        s2 = W.remove_point(POINT_A, 2)
         member = _in_center_extended_span(s2, apolar_coeffs(B).entries)
         inputs["sigma_member"] = member
         if member:
@@ -448,10 +438,9 @@ def _classify_e3(
     )
 
 
-def classify(f: BinaryForm, frame: ProjectionFrame | None = None) -> ClassifierVerdict:
+def classify(f: BinaryForm) -> ClassifierVerdict:
     """Dispatch on the border-rank gap."""
-    frame = _guard_form(f, frame)
-    return _classify(f, frame, sylvester_rank(f))
+    return _classify(f, _guard_form(f), sylvester_rank(f))
 
 
 def _classify(
@@ -538,14 +527,6 @@ def _distinct_points(rng: random.Random, k: int) -> list[P1Point]:
     return [P1Point(Fraction(1), t) for t in sorted(taus)]
 
 
-def _power_avec(d: int, pt: P1Point) -> list[Fraction]:
-    return [pt.a ** (d - i) * pt.b**i for i in range(d + 1)]
-
-
-def _form_from_avec(d: int, avec) -> BinaryForm:
-    return BinaryForm(d, tuple(Fraction(avec[i]) * comb(d, i) for i in range(d + 1)))
-
-
 def _nonzero_coeff(rng: random.Random) -> Fraction:
     c = 0
     while not c:
@@ -606,7 +587,7 @@ def generate_instance(spec: InstanceSpec) -> GeneratedInstance:
             W.remove_point(POINT_A, 2), avec
         ):
             continue
-        B = _form_from_avec(d, avec)
+        B = form_from_apolar(avec)
         cert = sylvester_rank(B)
         if cert.border_rank != k or cert.witness_kind != "nonreduced":
             continue
@@ -654,13 +635,10 @@ def _generate_e4(
         else:
             pts = _distinct_points(rng, rho)
             E = _scheme([(p, 1) for p in pts])
-            avec = [Fraction(0)] * (d + 1)
+            # a sum of d-th powers of the linear forms p.a u + p.b t
+            M = BinaryForm(d, (0,) * (d + 1))
             for p in pts:
-                c = _nonzero_coeff(rng)
-                pv = _power_avec(d, p)
-                for i in range(d + 1):
-                    avec[i] += c * pv[i]
-            M = _form_from_avec(d, avec)
+                M = M + BinaryForm(1, (p.a, p.b)).power(d).scaled(_nonzero_coeff(rng))
         cert = sylvester_rank(M)
         if (
             cert.rank != rho
@@ -683,17 +661,14 @@ def _generate_e4(
 # -- the validation loop --------------------------------------------------------
 
 
-def crosscheck(
-    f: BinaryForm,
-    frame: ProjectionFrame | None = None,
-) -> dict:
+def crosscheck(f: BinaryForm) -> dict:
     """Classifier prediction against the exact fiber scan, as a plain report.
 
     Disagreement is reported, never raised: "match" is True/False for exact
     predictions (including generic-only ones, which consumers aggregate),
     containment for intervals, and None when no prediction applies.
     """
-    frame = _guard_form(f, frame)
+    frame = _guard_form(f)
     n = frame.n
     cert = sylvester_rank(f)
     report: dict = {
@@ -707,22 +682,22 @@ def crosscheck(
         verdict = _classify(f, frame, cert)
         report["theorem"] = verdict.theorem
         report["case"] = verdict.case_tag
-        report["prediction"] = verdict.to_json()["prediction"]
+        report["prediction"] = verdict.prediction
         report["notes"] = list(verdict.notes)
     except ClassifierError as err:
         report["classifier_error"] = str(err)
 
-    if cert.witness_scheme is not None and cert.witness_scheme.degree <= n + 2:
-        try:
-            member = o_in_span(cert.witness_scheme, frame)
-            report["o_span"] = {
-                "case": "e3_1_info",
-                "o_in_span": member,
-                "mult_A": cert.witness_scheme.multiplicity_at(POINT_A),
-                "agree": True,
-            }
-        except SpanCriterionDisagreement as err:
-            report["o_span"] = {"case": "e3_1_info", "agree": False, "detail": str(err)}
+    # deg W = w <= floor((n+1)/2) + 1 <= n + 2, inside o_in_span's range
+    try:
+        member = o_in_span(cert.witness_scheme, frame)
+        report["o_span"] = {
+            "case": "e3_1_info",
+            "o_in_span": member,
+            "mult_A": cert.witness_scheme.multiplicity_at(POINT_A),
+            "agree": True,
+        }
+    except SpanCriterionDisagreement as err:
+        report["o_span"] = {"case": "e3_1_info", "agree": False, "detail": str(err)}
 
     res = x_rank(project(f))
     report["fiber_value"] = res.value

@@ -14,6 +14,7 @@ records carrying "degree" and "coeffs" (either at the top level or under
 "form"), so subcommands pipe into each other: generate | classify | verify.
 A "degree" (and the "n" of an xrank record) is a JSON integer or a string
 of a decimal integer; a float or a boolean is an error, never truncated.
+A "basis", when present, must be "monomial".
 
 Defaults come from flags first, then the environment (CUSPIDAL_PRECISION_BITS,
 CUSPIDAL_SEED), then built-ins (192 bits, seed 0).
@@ -30,7 +31,7 @@ import mpmath
 
 from . import apolarity
 from .apolarity import Decomposition, decompose, verify_decomposition
-from .binform import BinaryForm, GrammarError, _as_fraction, is_integer_literal, parse_form
+from .binform import BinaryForm, GrammarError, _as_fraction, parse_form
 from .classifier import (
     InstanceSpec,
     classify,
@@ -59,19 +60,10 @@ def _form_json(f: BinaryForm) -> dict:
 
 
 def _form_from_record(rec: dict) -> BinaryForm:
-    if not isinstance(rec, dict):
-        raise GrammarError("a form record is a JSON object")
-    if "degree" in rec and "coeffs" in rec:
-        if not is_integer_literal(rec["degree"]):
-            raise GrammarError(f'"degree" must be an integer, got {rec["degree"]!r}')
-        if not isinstance(rec["coeffs"], list):
-            raise GrammarError('"coeffs" must be a list')
-        return BinaryForm(
-            int(rec["degree"]), tuple(_as_fraction(str(c)) for c in rec["coeffs"])
-        )
-    if "form" in rec:
+    """The form at the top level of rec, else the one nested under "form"."""
+    if isinstance(rec, dict) and not ("degree" in rec and "coeffs" in rec) and "form" in rec:
         return _form_from_record(rec["form"])
-    raise GrammarError("record carries no form")
+    return BinaryForm.from_json(rec)
 
 
 def _parse_form_text(line: str) -> BinaryForm:
@@ -239,9 +231,8 @@ def _trace(v) -> list[str]:
             lines.append(f"m = 1 with 2w = {2 * w} <= n = {n}")
         else:
             lines.append("the hypotheses of every clause fail")
-    pred = v.to_json()["prediction"]
-    if pred is not None:
-        lines.append(f"prediction: {pred}")
+    if v.prediction is not None:
+        lines.append(f"prediction: {v.prediction}")
     lines.extend(v.notes)
     return lines
 

@@ -45,18 +45,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from . import linalg, ratfactor, univar
 from .apolarity import CertificateError, RankCertificate, _certify, rank as sylvester_rank
 from .binform import (
     BinaryForm,
     GrammarError,
-    NumericRoot,
     P1Point,
     ZeroFormError,
     ZeroScheme,
     _as_fraction,
+    apolar_coeffs,
+    form_from_apolar,
     is_integer_literal,
     resultant_of_partials,
 )
@@ -190,14 +190,13 @@ def project(f: BinaryForm) -> ProjectedPoint:
     """Delete the slot-1 apolar coordinate; undefined on the center itself."""
     if f.is_zero():
         raise ZeroFormError("projection of the zero form")
-    d = f.degree
-    if d < 4:
+    if f.degree < 4:
         raise ProjectionError("projection needs degree n+1 with n >= 3")
-    a = [Fraction(f.coeffs[i], comb(d, i)) for i in range(d + 1)]
-    rest = [a[0]] + a[2:]
+    a = apolar_coeffs(f).entries
+    rest = (a[0],) + a[2:]
     if not any(rest):
         raise ProjectionError("the form is the center of projection")
-    return ProjectedPoint(d - 1, tuple(rest))
+    return ProjectedPoint(f.degree - 1, rest)
 
 
 def lift(P: ProjectedPoint, lam) -> BinaryForm:
@@ -208,26 +207,11 @@ def lift(P: ProjectedPoint, lam) -> BinaryForm:
     """
     if isinstance(lam, AlgebraicNumber):
         raise ProjectionError("lifts are formed at rational lambda only")
-    d = P.n + 1
-    lam = Fraction(lam)
-    a = P.apolar_with_slot(lam / d)
-    return BinaryForm(d, tuple(a[i] * comb(d, i) for i in range(d + 1)))
+    return form_from_apolar(P.apolar_with_slot(Fraction(lam) / (P.n + 1)))
 
 
-def cusp_curve_point(n, t) -> ProjectedPoint:
-    """Image on the cuspidal curve of the parameter point t, in dimension n.
-
-    Accepts a ProjectionFrame or a plain n.  Exact points only; for numeric
-    roots carrying an exact value the exact point is used.
-    """
-    if isinstance(n, ProjectionFrame):
-        n = n.n
-    if isinstance(t, NumericRoot):
-        if not t.exact:
-            raise ProjectionError("cusp-curve images need an exact parameter point")
-        t = t.point()
-    if not isinstance(t, P1Point):
-        raise TypeError("expected a P1Point or an exact NumericRoot")
+def cusp_curve_point(n: int, t: P1Point) -> ProjectedPoint:
+    """Image on the cuspidal curve of the parameter point t, in dimension n."""
     d = n + 1
     vec = [t.a ** (d - i) * t.b**i for i in range(d + 1)]
     return ProjectedPoint(n, tuple([vec[0]] + vec[2:]))

@@ -73,16 +73,6 @@ def irreducible_factors(p: Sequence[Fraction]) -> list[tuple[list[Fraction], int
     return [(list(fac), m) for fac, m in factors]
 
 
-def rational_roots(p: Sequence[Fraction]) -> list[tuple[Fraction, int]]:
-    """All rational roots with multiplicities, from the linear factors."""
-    out = []
-    for fac, m in irreducible_factors(p):
-        if len(fac) == 2:
-            out.append((-fac[0], m))
-    out.sort()
-    return out
-
-
 def is_irreducible(p: Sequence[Fraction]) -> bool:
     facs = irreducible_factors(p)
     return len(facs) == 1 and facs[0][1] == 1 and len(facs[0][0]) == len(univar.trim(list(p)))

@@ -17,7 +17,6 @@ from cuspidal.binform import (
     ZeroScheme,
     apolar_coeffs,
     approximate_roots,
-    divide_forms,
     is_square_free,
     multiplicity_at,
     numeric_roots,
@@ -25,7 +24,7 @@ from cuspidal.binform import (
     random_form,
     squarefree_decompose,
 )
-from oracles import field_is_square_free, mp_polyroots
+from oracles import field_is_square_free, mp_polyroots, sympy_factors
 
 
 def F(a, b=1):
@@ -68,6 +67,26 @@ class TestParsing:
     def test_json_roundtrip(self):
         f = form(1, F(-2, 3), 0)
         assert BinaryForm.from_json(f.to_json()) == f
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"degree": 4.7, "coeffs": ["1", "0", "0", "0", "1"]},
+            {"degree": 4.0, "coeffs": ["1", "0", "0", "0", "1"]},
+            {"degree": True, "coeffs": ["1", "1"]},
+            {"degree": 1, "coeffs": "11"},
+            {"degree": 1, "coeffs": ["1", "1"], "basis": "apolar"},
+            {"coeffs": ["1", "1"]},
+            [1, ["1", "1"]],
+        ],
+    )
+    def test_json_refuses_what_it_cannot_read_exactly(self, record):
+        with pytest.raises(GrammarError):
+            BinaryForm.from_json(record)
+
+    def test_json_coefficient_count_is_the_constructors_error(self):
+        with pytest.raises(ValueError, match="needs 3 coefficients"):
+            BinaryForm.from_json({"degree": "2", "coeffs": ["1", "0"]})
 
 
 class TestApolar:
@@ -208,19 +227,85 @@ class TestSchemeOps:
         assert scheme.rational_points() is None
 
 
-class TestFormArithmetic:
-    def test_gcd_and_divide(self):
-        a = form(1, -1)
-        b = form(1, 2)
-        f = a * a * b
-        g = a * b
-        # a*b divides f, and g by a constant: it is their gcd
-        assert divide_forms(f, a * b) == a
-        assert divide_forms(g, a * b).degree == 0
-        q = divide_forms(f, a)
-        assert q is not None and q == a * b
-        assert divide_forms(b, a) is None
+def _irreducible_pool(rng, degree, count):
+    """count distinct primitive integer forms of the given degree that
+    sympy finds irreducible over Q."""
+    pool = set()
+    while len(pool) < count:
+        cs = [rng.randint(-6, 6) for _ in range(degree + 1)]
+        if cs[-1] and [(len(fac), e) for fac, e in sympy_factors(cs)] == [(degree + 1, 1)]:
+            pool.add(form(*cs).normalized())
+    return sorted(pool, key=lambda g: g.coeffs)
 
+
+class TestSchemeInvariant:
+    """Points read off the irreducible factors of a scheme, on seeded schemes
+    built from rational points (A and (0:1) included), irreducible quadratics
+    and cubics, with multiplicities 1-3; sympy's factorization of the
+    product form is the independent oracle."""
+
+    SCHEMES = 1000
+
+    def _schemes(self):
+        rng = random.Random(1915)
+        points = [POINT_A, P1Point(F(0), F(1))] + [
+            P1Point(F(1), F(a, b)) for a in range(-4, 5) for b in (1, 2, 3)
+        ]
+        points = list(dict.fromkeys(points))
+        nonlinear = _irreducible_pool(rng, 2, 12) + _irreducible_pool(rng, 3, 8)
+        for _ in range(self.SCHEMES):
+            pts = rng.sample(points, rng.randint(0, 2))
+            if rng.random() < 0.3:
+                pts += [POINT_A]
+            pts = list(dict.fromkeys(pts))
+            curved = rng.sample(nonlinear, rng.choice((0, 0, 1, 1, 2)))
+            if not pts and not curved:
+                pts = [rng.choice(points)]
+            mult = {p: rng.choice((1, 1, 2, 3)) for p in pts}
+            pieces = [(p.linear_form(), m) for p, m in mult.items()]
+            pieces += [(g, rng.randint(1, 3 - len(curved))) for g in curved]
+            # each piece scaled by a nonzero constant, in shuffled order
+            given = [(g.scaled(rng.choice((-3, -1, 2, F(1, 2)))), m) for g, m in pieces]
+            rng.shuffle(given)
+            yield ZeroScheme(tuple(given)), mult, pieces, [p for p in points if p not in mult]
+
+    def test_points_from_the_invariant(self):
+        def by_point(pts):
+            return sorted(pts, key=lambda pm: (pm[0].a, pm[0].b))
+
+        count = 0
+        for W, mult, pieces, off in self._schemes():
+            count += 1
+            h = W.product_form()
+            k, p = h.tau_poly()
+            oracle = sympy_factors(p) if len(p) > 1 else []
+            want = by_point(
+                ([(P1Point(F(0), F(1)), k)] if k else [])
+                + [(P1Point(F(1), -fac[0]), e) for fac, e in oracle if len(fac) == 2]
+            )
+            assert want == by_point(mult.items())
+            nonlinear_degree = sum(len(fac) - 1 for fac, _ in oracle if len(fac) > 2)
+            pts = W.rational_points()
+            assert (pts is None) == (nonlinear_degree > 0) == any(g.degree > 1 for g, _ in pieces)
+            assert pts is None or pts == want
+
+            for pt, m in mult.items():
+                for j in range(1, m + 1):
+                    rest = W.remove_point(pt, j)
+                    assert ZeroScheme(rest.factors + ((pt.linear_form(), j),)) == W
+                with pytest.raises(ValueError):
+                    W.remove_point(pt, m + 1)
+            for pt in off[:2]:
+                with pytest.raises(ValueError):
+                    W.remove_point(pt, 1)
+
+            roots = numeric_roots(h, 64)
+            assert by_point((r.point(), r.multiplicity) for r in roots if r.exact) == want
+            assert sum(not r.exact for r in roots) == nonlinear_degree
+        assert count >= 1000
+
+
+class TestFormArithmetic:
     def test_pretty(self):
         assert form(0, 1).pretty() == "t"
         assert form(1, 0).pretty() == "u"

@@ -105,6 +105,14 @@ class TestRankCommands:
         assert code == 1
         assert recs[0]["error"]["type"] == "GrammarError"
 
+    def test_non_monomial_basis_is_one_error_record(self, capsys, monkeypatch):
+        rec = json.dumps({"degree": 2, "coeffs": ["1", "0", "1"], "basis": "apolar"})
+        code, recs = run(capsys, monkeypatch, ["rank", rec])
+        assert code == 1
+        assert len(recs) == 1
+        assert recs[0]["error"]["type"] == "GrammarError"
+        assert "basis" in recs[0]["error"]["message"]
+
     def test_degree_as_integer_string_accepted(self, capsys, monkeypatch):
         rec = json.dumps({"degree": "4", "coeffs": ["1", "0", "0", "0", "1"]})
         code, recs = run(capsys, monkeypatch, ["rank", rec])

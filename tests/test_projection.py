@@ -17,7 +17,6 @@ from cuspidal.projection import (
     FieldCertificate,
     ProjectedPoint,
     ProjectionError,
-    ProjectionFrame,
     cusp_curve_point,
     lift,
     project,
@@ -166,10 +165,6 @@ class TestCuspCurvePoint:
         for n in (3, 5, 8):
             p = cusp_curve_point(n, P1Point(F(1), F(1)))
             assert p.coords == (1,) * (n + 1)
-
-    def test_frame_argument(self):
-        fr = ProjectionFrame(5)
-        assert cusp_curve_point(fr, P1Point(F(1), F(1))).n == 5
 
     def test_matches_projection_of_powers(self):
         # (2u+3t)^5 projects to the curve point of (2:3)

@@ -73,8 +73,11 @@ def test_seeded_random_quadratics_and_linears():
 
 
 def test_rational_roots_and_irreducibility_follow():
-    assert ratfactor.rational_roots(PINNED[0]) == [(F(2, 3), 2)]
-    assert ratfactor.rational_roots(PINNED[11]) == [(F(-(BIG + 1)), 1), (F(BIG + 1), 1)]
+    assert ratfactor.irreducible_factors(PINNED[0]) == [([F(-2, 3), F(1)], 2)]
+    assert ratfactor.irreducible_factors(PINNED[11]) == [
+        ([F(-(BIG + 1)), F(1)], 1),
+        ([F(BIG + 1), F(1)], 1),
+    ]
     assert ratfactor.is_irreducible(PINNED[12])
     assert not ratfactor.is_irreducible(PINNED[4])
 

@@ -38,15 +38,16 @@ def test_yun_recovers_multiplicities():
     fac = univar.yun(p)
     flat = {}
     for q, m in fac:
-        roots = ratfactor.rational_roots(q)
-        assert all(r[1] == 1 for r in roots)
-        for root, _ in roots:
-            flat[root] = m
+        factors = ratfactor.irreducible_factors(q)
+        assert all(len(lin) == 2 and e == 1 for lin, e in factors)
+        for lin, _ in factors:
+            flat[-lin[0]] = m
     assert flat == {F(1): 3, F(-2): 2, F(0): 1}
 
 
 def test_rational_roots_with_denominators():
     # (2x-3)(x+5)^2 -> roots 3/2 (simple), -5 (double)
     p = univar.mul([F(-3), F(2)], univar.mul([F(5), F(1)], [F(5), F(1)]))
-    roots = dict(ratfactor.rational_roots(p))
-    assert roots == {F(3, 2): 1, F(-5): 2}
+    factors = ratfactor.irreducible_factors(p)
+    assert all(len(lin) == 2 for lin, _ in factors)
+    assert {-lin[0]: e for lin, e in factors} == {F(3, 2): 1, F(-5): 2}
