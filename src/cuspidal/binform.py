@@ -20,6 +20,7 @@ import mpmath
 from mpmath import libmp
 
 from . import linalg, ratfactor, univar
+from .ratfactor import CertificateError  # noqa: F401  public here too, as before
 
 
 class GrammarError(ValueError):
@@ -32,11 +33,6 @@ class ZeroFormError(ValueError):
 
 class PrecisionError(ArithmeticError):
     """Working precision could not certify separated root clusters."""
-
-
-class CertificateError(ArithmeticError):
-    """An exact certificate failed its own check; raised explicitly so that
-    the check also runs under ``python -O``."""
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -152,15 +148,6 @@ class BinaryForm:
         p = univar.trim(list(self.coeffs))
         k = self.degree - univar.degree(p) if p else 0
         return k, p
-
-    @staticmethod
-    def from_tau_poly(k: int, p: Sequence[Fraction]) -> "BinaryForm":
-        p = univar.trim(list(p))
-        if not p:
-            raise ZeroFormError("zero polynomial part")
-        deg = k + len(p) - 1
-        coeffs = list(p) + [0] * k
-        return BinaryForm(deg, tuple(coeffs[: deg + 1]))
 
     # -- rendering ---------------------------------------------------------
 
@@ -420,26 +407,35 @@ def resultant_of_partials(coeffs: Sequence[int]) -> int:
 
 
 def is_square_free(f: BinaryForm) -> bool:
-    """True iff f has no repeated root on P^1, the point (0:1) included:
-    ``resultant_of_partials`` of its primitive integer vector is nonzero.
-    Constants and linear forms are square-free."""
+    """True iff f has no repeated root on P^1, the point (0:1) included.
+    Constants and linear forms are square-free.
+
+    f is read as a binary form, u^k p(t) with p(t) = f(1, t): it is
+    square-free iff k <= 1 and p is square-free.  The first is read off the
+    coefficients.  The second is proved by gcd(p, p') = 1 modulo a prime
+    that does not divide lc(p) (``ratfactor.proves_squarefree``; von zur
+    Gathen and Gerhard, *Modern Computer Algebra*, §5.10).  A nontrivial
+    gcd proves nothing, so then the exact ``resultant_of_partials`` of f
+    decides."""
     if f.is_zero():
         raise ZeroFormError("square-free test on the zero form")
+    k, p = f.tau_poly()
+    if k > 1:
+        return False
+    if ratfactor.proves_squarefree(linalg.canonical_vector(p)):
+        return True
     return resultant_of_partials(linalg.canonical_vector(f.coeffs)) != 0
 
 
 def squarefree_decompose(f: BinaryForm) -> ZeroScheme:
-    """Yun-style decomposition f = const * prod g_i**m_i with square-free,
-    pairwise coprime g_i.  A factor supported at (0:1) appears explicitly."""
+    """The zero scheme of f: its irreducible factors over Q with their
+    multiplicities, a factor supported at (0:1) included.  ``ZeroScheme``
+    finds them with ``ratfactor.irreducible_factors``, which runs Yun's
+    square-free decomposition only when no listed prime proves f(1, t)
+    square-free."""
     if f.is_zero():
         raise ZeroFormError("decomposition of the zero form")
-    k, p = f.tau_poly()
-    factors: list[tuple[BinaryForm, int]] = []
-    if k:
-        factors.append((BinaryForm(1, (1, 0)), k))
-    for q, m in univar.yun(p):
-        factors.append((BinaryForm.from_tau_poly(0, q), m))
-    return ZeroScheme(tuple(factors))
+    return ZeroScheme(((f, 1),) if f.degree else ())
 
 
 def multiplicity_at(obj: BinaryForm | ZeroScheme, p: P1Point) -> int:

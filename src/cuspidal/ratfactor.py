@@ -1,14 +1,39 @@
 """Irreducible factorization of univariate rational polynomials.
 
-Degrees 1 and 2 are factored in closed form: a quadratic splits over the
-rationals exactly when its integer discriminant is a perfect square, which
-``math.isqrt`` decides.  Only degree 3 and above go to sympy, which is
-imported on first use, so a run that never meets such a factor never loads
-it.  Inputs and outputs are plain low-to-high coefficient lists; the factors
-come back monic with Fraction coefficients, sorted by (length,
-coefficients), exactly as sympy's factorization would give them, so callers
-never see sympy objects.  The sympy results are cached: scheme bookkeeping
-tends to refactor the same small polynomials repeatedly.
+Inputs and outputs are plain low-to-high coefficient lists; the factors come
+back monic with Fraction coefficients, sorted by (length, coefficients),
+exactly as sympy's factorization would give them, so callers never see
+sympy objects.  Internally a polynomial is its primitive integer vector with
+a positive leading coefficient, and the factorization is proved modulo small
+primes (von zur Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed.):
+
+* A root at 0 is split off first.  Degrees 1 and 2 are factored in closed
+  form: a quadratic splits over the rationals exactly when its integer
+  discriminant is a perfect square, which ``math.isqrt`` decides.
+* A prime p of ``PRIMES`` *serves* g when it divides neither lc(g) nor
+  disc(g), that is, g mod p keeps its degree and gcd(g, g') = 1 mod p.  Then
+  g is square-free over Q.  When no listed prime serves g, Yun's algorithm
+  splits it into square-free parts first.
+* Rational roots (§5.10, §15.4).  A rational root a/b of a square-free
+  primitive g has b | lc(g) and a | g(0), and reduces to a simple root mod a
+  serving p.  Each root mod p is Hensel-lifted until p^k > 2 |g(0)| lc(g),
+  where rational reconstruction returns the only candidate a/b within those
+  bounds; it is kept when b x - a divides g exactly.  This finds every
+  rational root.
+* Irreducibility (§14.2; Musser, "On the efficiency of a polynomial
+  irreducibility test", J. ACM 25, 1978).  The cofactor h left after the
+  roots has no factor of degree 1 or deg h - 1.  The degree of any factor of
+  h over Q is a sum of degrees of its irreducible factors mod every serving
+  prime, found by distinct-degree factorization.  When the sums common to
+  the serving primes of ``PRIMES`` leave no proper degree, h is irreducible;
+  a cofactor of degree 3 or less needs no prime.
+* Only when a proper degree remains does h go to sympy, imported on first
+  use and cached by ``_factor_cached``, so a run that never meets such a
+  cofactor never loads it.
+
+The result is checked by explicit raises, which run under ``python -O`` too:
+every root read off a linear factor must vanish on the input, and the
+factors with their multiplicities must multiply back to it.
 """
 
 from __future__ import annotations
@@ -20,40 +45,233 @@ from typing import Sequence
 
 from . import linalg, univar
 
-Factors = tuple[tuple[tuple[Fraction, ...], int], ...]
+Ints = tuple[int, ...]
+Factors = tuple[tuple[Ints, int], ...]
+
+# Discriminants of structured inputs (binomial weights, small integer roots)
+# tend to carry every small prime, so the list starts above 100.
+PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
 
 
-def _factor_low_degree(coeffs: tuple[int, ...]) -> Factors:
+class CertificateError(ArithmeticError):
+    """An exact certificate failed its own check; raised explicitly so that
+    the check also runs under ``python -O``."""
+
+
+# -- polynomials over F_p: lists of residues, low to high, trimmed ----------
+
+
+def _mod(g: Sequence[int], p: int) -> list[int]:
+    return univar.trim([c % p for c in g])
+
+
+def _eval_mod(g: Sequence[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(g):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _divmod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    a = [c % p for c in a]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = a[k + db] * inv % p
+        q[k] = c
+        if c:
+            for j, bj in enumerate(b):
+                a[k + j] = (a[k + j] - c * bj) % p
+    return q, univar.trim(a[:db])
+
+
+def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p; a is nonzero."""
+    while b:
+        a, b = b, _divmod_p(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _serves(g: Ints, p: int) -> bool:
+    """p divides neither the leading coefficient nor the discriminant of g."""
+    if g[-1] % p == 0:
+        return False
+    gp = _mod(g, p)
+    return len(_gcd_p(gp, _mod([i * c for i, c in enumerate(gp)][1:], p), p)) == 1
+
+
+def proves_squarefree(g: Ints) -> bool:
+    """True when gcd(g, g') = 1 modulo the first prime of ``PRIMES`` that
+    does not divide lc(g), which proves the integer polynomial g (low to
+    high) square-free over Q.  False proves nothing."""
+    p = next((p for p in PRIMES if g[-1] % p), None)
+    return p is not None and _serves(g, p)
+
+
+def _degree_sums(f: list[int], p: int) -> int:
+    """Bitmask of the degrees of the products of irreducible factors of f
+    over F_p (bit k for degree k), for f square-free mod p, by
+    distinct-degree factorization."""
+    sums, x, w, i = 1, [0, 1], [0, 1], 0
+    while len(f) - 1 >= 2 * (i + 1):
+        i += 1
+        # w = x^(p^i) mod f, by square and multiply
+        acc, base, e = [1], w, p
+        while e:
+            if e & 1:
+                acc = _divmod_p(univar.mul(acc, base), f, p)[1]
+            base = _divmod_p(univar.mul(base, base), f, p)[1]
+            e >>= 1
+        w = acc
+        g = _gcd_p(f, _mod(univar.sub(w, x), p), p)
+        if len(g) > 1:
+            for _ in range((len(g) - 1) // i):
+                sums |= sums << i
+            f = _divmod_p(f, g, p)[0]
+            w = _divmod_p(w, f, p)[1]
+    if len(f) > 1:
+        sums |= sums << (len(f) - 1)
+    return sums
+
+
+# -- rational roots and the cofactor ----------------------------------------
+
+
+def _lift_root(g: Ints, r: int, p: int, bound: int) -> tuple[int, int]:
+    """A root of g modulo m = p^(2^j) > bound lifted from the simple root r
+    mod p, by Newton's iteration; returns (root, m)."""
+    dg = [i * c for i, c in enumerate(g)][1:]
+    m = p
+    while m <= bound:
+        m *= m
+        r = (r - _eval_mod(g, r, m) * pow(_eval_mod(dg, r, m), -1, m)) % m
+    return r, m
+
+
+def _reconstruct(u: int, m: int, a_max: int, b_max: int) -> Fraction | None:
+    """The fraction a/b with a = b u mod m, |a| <= a_max and 0 < b <= b_max,
+    or None; unique when m > 2 a_max b_max (Modern Computer Algebra, Thm
+    5.26), and read off the first remainder of the extended Euclidean
+    algorithm on (m, u) that is at most a_max."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > a_max:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1) if 0 < abs(t1) <= b_max else None
+
+
+def _divide_root(g: Ints, a: int, b: int) -> Ints | None:
+    """g / (b x - a) in integers, or None when b x - a does not divide g."""
+    q = [0] * (len(g) - 1)
+    c = g[-1]
+    for i in range(len(g) - 1, 0, -1):
+        q[i - 1], rem = divmod(c, b)
+        if rem:
+            return None
+        c = g[i - 1] + a * q[i - 1]
+    return tuple(q) if c == 0 else None
+
+
+def _rational_roots(g: Ints, p: int) -> tuple[list[Fraction], Ints]:
+    """The rational roots of g, square-free, primitive, with g(0) != 0 and p
+    serving it, and the cofactor left after dividing them out."""
+    bound = 2 * abs(g[0]) * g[-1]
+    roots, h = [], g
+    for r in range(p):
+        if _eval_mod(g, r, p):
+            continue
+        cand = _reconstruct(*_lift_root(g, r, p, bound), abs(g[0]), g[-1])
+        if cand is not None:
+            q = _divide_root(h, cand.numerator, cand.denominator)
+            if q is not None:
+                roots.append(cand)
+                h = q
+    return roots, h
+
+
+# -- factorization ----------------------------------------------------------
+
+
+def _primitive(p: Sequence) -> Ints:
+    ints = linalg.canonical_vector(p)
+    return tuple(-c for c in ints) if ints[-1] < 0 else ints
+
+
+def _factor_low_degree(coeffs: Ints) -> list[tuple[Ints, int]]:
     """Factors of a primitive integer polynomial of degree 1 or 2 with a
     positive leading coefficient."""
     if len(coeffs) == 2:
-        c0, c1 = coeffs
-        return (((Fraction(c0, c1), Fraction(1)), 1),)
+        return [(coeffs, 1)]
     c0, c1, c2 = coeffs
     disc = c1 * c1 - 4 * c0 * c2
     s = isqrt(disc) if disc >= 0 else -1
     if s * s != disc:
-        return (((Fraction(c0, c2), Fraction(c1, c2), Fraction(1)), 1),)
-    # roots (-c1 -+ s) / (2 c2); the factor x - root is stored as (-root, 1)
-    lo, hi = Fraction(c1 - s, 2 * c2), Fraction(c1 + s, 2 * c2)
-    if not s:
-        return (((lo, Fraction(1)), 2),)
-    return (((lo, Fraction(1)), 1), ((hi, Fraction(1)), 1))
+        return [(coeffs, 1)]
+    # roots (-c1 -+ s) / (2 c2), each the factor b x - a of a root a/b
+    lo, hi = (_primitive((c1 + e, 2 * c2)) for e in (-s, s))
+    return [(lo, 2)] if not s else [(lo, 1), (hi, 1)]
 
 
 @lru_cache(maxsize=4096)
-def _factor_cached(coeffs: tuple[int, ...]) -> Factors:
+def _factor_cached(coeffs: Ints) -> Factors:
+    """sympy's factorization, as primitive factors with multiplicities."""
     import sympy
 
     x = sympy.Symbol("x")
     poly = sympy.Poly(list(reversed(coeffs)), x, domain=sympy.QQ)
     _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        cs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
-        out.append((tuple(univar.monic(cs)), int(mult)))
-    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return tuple(out)
+    return tuple(
+        (_primitive([Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]), int(mult))
+        for fac, mult in factors
+    )
+
+
+def _irreducible_cofactor(h: Ints) -> list[tuple[Ints, int]]:
+    """Factors of a square-free primitive h of degree 2 or more with no
+    rational root: h itself when the degree patterns mod ``PRIMES`` prove it
+    irreducible, else sympy's."""
+    n = len(h) - 1
+    full = 1 | 1 << n
+    sums = ((1 << (n + 1)) - 1) & ~(2 | 1 << (n - 1))  # no factor of degree 1 or n-1
+    serving = (p for p in PRIMES if _serves(h, p))
+    while sums != full:
+        p = next(serving, None)
+        if p is None:
+            return list(_factor_cached(h))
+        sums &= _degree_sums(_mod(h, p), p)
+    return [(h, 1)]
+
+
+def _factor(g: Ints) -> list[tuple[Ints, int]]:
+    """Primitive factors with multiplicities of a primitive g with a positive
+    leading coefficient and g(0) != 0."""
+    if len(g) <= 3:
+        return _factor_low_degree(g) if len(g) > 1 else []
+    p = next((p for p in PRIMES if _serves(g, p)), None)
+    if p is not None:
+        roots, h = _rational_roots(g, p)
+        linear = [((-r.numerator, r.denominator), 1) for r in roots]
+        return linear + (_irreducible_cofactor(h) if len(h) > 1 else [])
+    parts = univar.yun(g)
+    if len(parts) == 1 and parts[0][1] == 1:
+        return list(_factor_cached(g))
+    return [(fac, e * m) for q, m in parts for fac, e in _factor(_primitive(q))]
+
+
+def _check(g: Ints, factors: list[tuple[Ints, int]]) -> None:
+    """Raise CertificateError unless every linear factor's root vanishes on
+    g and the factors with multiplicities multiply back to g."""
+    for fac, _ in factors:
+        if len(fac) == 2 and _divide_root(g, -fac[0], fac[1]) is None:
+            raise CertificateError(f"{Fraction(-fac[0], fac[1])} is not a root")
+    prod = [1]
+    for fac, m in factors:
+        for _ in range(m):
+            prod = univar.mul(prod, fac)
+    if tuple(prod) != g:
+        raise CertificateError("the factors do not multiply back to the polynomial")
 
 
 def irreducible_factors(p: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
@@ -64,13 +282,13 @@ def irreducible_factors(p: Sequence[Fraction]) -> list[tuple[list[Fraction], int
     q = univar.trim(list(p))
     if not q:
         raise ValueError("factorization of the zero polynomial")
-    if len(q) == 1:
-        return []
-    ints = linalg.canonical_vector(q)
-    if ints[-1] < 0:
-        ints = tuple(-c for c in ints)
-    factors = _factor_low_degree(ints) if len(ints) <= 3 else _factor_cached(ints)
-    return [(list(fac), m) for fac, m in factors]
+    g = _primitive(q)
+    k = next(i for i, c in enumerate(g) if c)
+    factors = ([((0, 1), k)] if k else []) + _factor(g[k:])
+    _check(g, factors)
+    out = [([Fraction(c, fac[-1]) for c in fac], m) for fac, m in factors]
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return out
 
 
 def is_irreducible(p: Sequence[Fraction]) -> bool:

@@ -176,6 +176,20 @@ def test_first_kernel_matches_the_level_scan(f):
     assert apolarity._first_kernel(f) == first_kernel_scan(f)
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    _first_kernel_forms().filter(lambda f: f.degree <= 14),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(
+        lambda m: m[0] * m[3] != m[1] * m[2]),
+)
+def test_rank_is_invariant_under_gl2(f, m):
+    """Rank, border rank and witness kind do not change when an invertible
+    integer substitution moves the form."""
+    cert, moved = rank(f), rank(_moved(f, *m))
+    assert (moved.border_rank, moved.rank, moved.witness_kind) == (
+        cert.border_rank, cert.rank, cert.witness_kind)
+
+
 def test_degree_zero_raises_like_the_level_scan():
     f = form(3)
     with pytest.raises(ValueError, match="catalecticant level 1 out of range for degree 0"):
@@ -348,6 +362,19 @@ class TestRank:
                 if rank(f).rank == (d + 1 + 1) // 2:
                     hits += 1
             assert hits >= int(0.97 * n)
+
+    def test_degree_40_needs_no_determinant(self, monkeypatch):
+        """The witness of a pinned degree-40 form with 3-digit coefficients
+        has degree 21 and 650-bit coefficients; it is proved square-free
+        modulo a prime, with no Bareiss resultant of its partials."""
+        rng = random.Random("rank-size:40")
+        f = BinaryForm(40, tuple(rng.randint(-999, 999) for _ in range(41)))
+        calls = []
+        det = linalg.det
+        monkeypatch.setattr(linalg, "det", lambda rows: calls.append(len(rows)) or det(rows))
+        cert = rank(f)
+        assert (cert.border_rank, cert.rank, cert.witness_kind) == (21, 21, "squarefree")
+        assert calls == []
 
     def test_rank_one_powers(self):
         for pt in [(F(1), F(0)), (F(0), F(1)), (F(2), F(-3))]:
@@ -588,13 +615,46 @@ class TestCertificateChecks:
                 sys.exit(f"wrong scalars went unnoticed for {f.render()}")
             """
         )
-        src = Path(apolarity.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", child],
-            env=env, capture_output=True, text=True, timeout=120,
+        _run_optimized(child)
+
+    def test_factor_checks_survive_python_O(self):
+        """Plant a wrong and a dropped root in the rational roots that the
+        modular reconstruction returns, under ``python -O``: the explicit
+        checks of the factorization must raise."""
+        child = textwrap.dedent(
+            """
+            import sys
+            from cuspidal import ratfactor, univar
+
+            if __debug__:
+                sys.exit("not running under -O")
+            g = univar.mul(univar.mul([-2, 1], [1, 3]), [-2, 0, 0, 1])
+            roots_of = ratfactor._rational_roots
+            for plant in (lambda rs: [rs[0] + 1] + rs[1:], lambda rs: rs[1:]):
+                def planted(g, p, plant=plant):
+                    roots, cofactor = roots_of(g, p)
+                    return plant(roots), cofactor
+                ratfactor._rational_roots = planted
+                try:
+                    ratfactor.irreducible_factors(g)
+                except ratfactor.CertificateError:
+                    continue
+                sys.exit("a planted root went unnoticed")
+            """
         )
-        assert out.returncode == 0, out.stderr
+        _run_optimized(child)
+
+
+def _run_optimized(child: str) -> None:
+    """Run the script child under ``python -O`` with the package importable;
+    it exits nonzero on a failure."""
+    src = Path(apolarity.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", child],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 class TestVerifyDecomposition:

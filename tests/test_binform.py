@@ -1,13 +1,13 @@
 import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import linalg
+from cuspidal import binform, linalg, ratfactor, univar
 from cuspidal.binform import (
     BinaryForm,
     GrammarError,
@@ -148,11 +148,47 @@ def _planted_forms(draw):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(_planted_forms())
 def test_square_free_matches_gcd_and_decomposition(f):
-    """The resultant test agrees with the gcd of the chart polynomial and
-    its derivative, and with the exact square-free decomposition."""
+    """The square-free test agrees with the resultant of the partials, with
+    the gcd of the chart polynomial and its derivative, and with the exact
+    square-free decomposition."""
     got = is_square_free(f)
+    assert got == (binform.resultant_of_partials(linalg.canonical_vector(f.coeffs)) != 0)
     assert got == field_is_square_free(list(f.coeffs), f.degree)
     assert got == squarefree_decompose(f).is_reduced()
+
+
+def _chart_form(k, *factors):
+    """u^k times the homogenized product of the chart polynomials given."""
+    p = [1]
+    for fac in factors:
+        p = univar.mul(p, fac)
+    return BinaryForm(len(p) - 1 + k, tuple(p) + (0,) * k)
+
+
+P1 = ratfactor.PRIMES[0]
+N3 = prod(ratfactor.PRIMES[:3])
+
+
+@pytest.mark.parametrize("f, square_free, exact", [
+    (_chart_form(0, [-1, 1], [-1 - N3, 1], [-2, 0, 0, 1]), True, True),    # P1 | disc
+    (_chart_form(1, [1, P1], [-1, 1], [-1 - N3, 1]), True, True),          # P1 | lc, P2 | disc
+    (_chart_form(1, [-2, 0, 0, 1], [5, 3]), True, False),                  # u exactly divides f
+    (_chart_form(2, [-2, 0, 0, 1], [5, 3]), False, False),                 # u^2 divides f
+    (_chart_form(0, [-2, 0, 0, 1], [5, 3], [5, 3]), False, True),          # a square in the chart
+    (_chart_form(1, [0, 1], [0, 1], [1, 1, 1]), False, True),              # t^2 divides f
+])
+def test_square_free_modular_and_exact_routes(f, square_free, exact, monkeypatch):
+    """A nontrivial gcd modulo the first listed prime that does not divide
+    the leading coefficient sends the test to the exact resultant; u^2 | f
+    is read off the coefficients."""
+    calls = []
+    resultant = binform.resultant_of_partials
+    monkeypatch.setattr(binform, "resultant_of_partials",
+                        lambda cs: calls.append(cs) or resultant(cs))
+    assert is_square_free(f) is square_free
+    assert len(calls) == exact
+    assert field_is_square_free(list(f.coeffs), f.degree) is square_free
+    assert (resultant(linalg.canonical_vector(f.coeffs)) != 0) is square_free
 
 
 class TestDecompose:

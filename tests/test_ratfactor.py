@@ -1,7 +1,13 @@
-"""Closed-form factors of degree 1 and 2 against sympy's factorization."""
+"""ratfactor's closed forms and modular certificates against sympy's
+factorization."""
 
+import json
+import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 from oracles import sympy_factors
@@ -98,3 +104,93 @@ linear = st.tuples(coefficient, coefficient.filter(bool))
 )
 def test_closed_form_matches_sympy(p):
     _same(p)
+
+
+# -- the modular path ---------------------------------------------------------
+
+
+@pytest.fixture
+def sympy_calls():
+    """Count the sympy factorizations ratfactor makes, from an empty cache."""
+    ratfactor._factor_cached.cache_clear()
+    return lambda: ratfactor._factor_cached.cache_info().misses
+
+
+def _matches_sympy(p):
+    got = ratfactor.irreducible_factors(p)
+    assert repr(got) == repr(sympy_factors(p)), p
+    return got
+
+
+N3 = math.prod(ratfactor.PRIMES[:3])
+
+MODULAR = [
+    _product([-2, 1], [1, 3], [-2, 0, 0, 1]),                # two roots and x^3 - 2
+    _product([-1, -1, 0, 0, 1], [5, 7]),                     # x^4 - x - 1 and a root
+    _product([0, 1], [0, 1], [-2, 1], [-2, 1], [1, 1, 1], [1, 1, 1], [1, 1, 1], [-2, 0, 0, 1]),
+    _product([0, 0, 0, 1], [1, 0, 0, 0, 0, 1, 1]),           # x^3 times an irreducible sextic
+    _product([-7907, 7919], [1, 1, 0, 1]),                   # root 7907/7919: |a| = |g0|, b = lc
+    _product([7907, 7919], [1, 1, 0, 1]),                    # root -7907/7919
+    _product([-(2**61 - 1), 2**64 + 13], [-1, 0, -1, 0, 1]),  # root at the bound, 64-bit
+    _product([1, N3], [-1, 1], [-1 - N3, 1], [-2, 0, 0, 1]),  # N3 | lc and N3 | disc
+    _product([-1, 1], [-1 - N3, 1], [-1 - 2 * N3, 1], [3, 0, 1, 1]),  # N3^2 | disc
+    _product(*[[-k, 1] for k in range(-6, 7)]),              # 13 integer roots
+    [-3, 0, 0, 0, 0, 1],                                     # x^5 - 3
+    [1, -1, 0, 0, 0, 0, 0, 1],                               # x^7 - x + 1
+]
+
+
+def test_modular_factors_match_sympy_without_it(sympy_calls):
+    for p in MODULAR:
+        _matches_sympy(p)
+    assert sympy_calls() == 0
+
+
+def test_lc_and_discriminant_skip_the_first_primes():
+    g = ratfactor._primitive(MODULAR[7])
+    assert [ratfactor._serves(g, p) for p in ratfactor.PRIMES[:4]] == [False] * 3 + [True]
+
+
+@pytest.mark.parametrize("p", [
+    [1, 0, 0, 0, 1],                             # x^4 + 1: splits modulo every prime
+    [1, 0, -10, 0, 1],                           # minimal polynomial of sqrt 2 + sqrt 3
+    _product([-2, 0, 1], [-3, 0, 1]),            # two irreducible quadratics
+    _product([1, 1, 1], [2, -1, 3], [-5, 1]),    # the same after a rational root
+    _product([1, 1, 1, 1], [3, 0, 0, 1]),        # two irreducible cubics
+])
+def test_proper_degrees_reach_sympy(p, sympy_calls):
+    _matches_sympy(p)
+    assert sympy_calls() == 1
+
+
+def test_bench_factor_inputs():
+    """A pinned sample of the polynomials that the fiber and waring
+    benchmark workloads factor (seed 1).  No fiber input needs sympy."""
+    sample = json.loads((Path(__file__).parent / "factor_sample.json").read_text())
+    ratfactor._factor_cached.cache_clear()
+    for p in sample["fiber"]:
+        _matches_sympy(p)
+    assert ratfactor._factor_cached.cache_info().misses == 0
+    for p in sample["waring"]:
+        _matches_sympy(p)
+
+
+def test_seeded_products_match_sympy():
+    """Products of seeded rational roots (numerators and denominators up to
+    2^40), irreducible quadratics and other factors, with multiplicities."""
+    rng = random.Random(16)
+    for _ in range(120):
+        p = [rng.randint(1, 9)]
+        for _ in range(rng.randint(1, 4)):
+            bound = rng.choice((5, 1000, 2**40))
+            kind = rng.randrange(3)
+            if kind == 0:
+                fac = [rng.randint(-bound, bound), rng.randint(1, bound)]
+            elif kind == 1:
+                fac = [rng.randint(1, bound), rng.randint(-bound, bound), rng.randint(1, bound)]
+            else:
+                fac = [rng.randint(-bound, bound) for _ in range(rng.randint(3, 5))] + [1]
+            for _ in range(rng.choice((1, 1, 1, 2, 3))):
+                p = univar.mul(p, fac)
+        if univar.degree(p) >= 1:
+            _matches_sympy(p)
