@@ -13,7 +13,9 @@ primes (von zur Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed.):
 * A prime p of ``PRIMES`` *serves* g when it divides neither lc(g) nor
   disc(g), that is, g mod p keeps its degree and gcd(g, g') = 1 mod p.  Then
   g is square-free over Q.  When no listed prime serves g, Yun's algorithm
-  splits it into square-free parts first.
+  splits it into square-free parts first, and a part that no listed prime
+  serves either goes to sympy, imported on first use and cached by
+  ``_factor_cached``.
 * Rational roots (§5.10, §15.4).  A rational root a/b of a square-free
   primitive g has b | lc(g) and a | g(0), and reduces to a simple root mod a
   serving p.  Each root mod p is Hensel-lifted until p^k > 2 |g(0)| lc(g),
@@ -27,9 +29,11 @@ primes (von zur Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed.):
   prime, found by distinct-degree factorization.  When the sums common to
   the serving primes of ``PRIMES`` leave no proper degree, h is irreducible;
   a cofactor of degree 3 or less needs no prime.
-* Only when a proper degree remains does h go to sympy, imported on first
-  use and cached by ``_factor_cached``, so a run that never meets such a
-  cofactor never loads it.
+* When a proper degree remains, h is split by Zassenhaus's algorithm
+  (§15.6): its factors mod the serving prime with the fewest of them are
+  found by Cantor and Zassenhaus's equal-degree split, Hensel-lifted past
+  twice the Mignotte bound, and recombined, products of fewer factors
+  first, into the factors of h over Z that divide it exactly.
 
 The result is checked by explicit raises, which run under ``python -O`` too:
 every root read off a linear factor must vanish on the input, and the
@@ -38,8 +42,10 @@ factors with their multiplicities must multiply back to it.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import isqrt
 from typing import Sequence
 
@@ -86,12 +92,16 @@ def _divmod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]
     return q, univar.trim(a[:db])
 
 
+def _monic_p(a: list[int], p: int) -> list[int]:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
 def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd over F_p; a is nonzero."""
     while b:
         a, b = b, _divmod_p(a, b, p)[1]
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
+    return _monic_p(a, p)
 
 
 def _serves(g: Ints, p: int) -> bool:
@@ -110,30 +120,70 @@ def proves_squarefree(g: Ints) -> bool:
     return p is not None and _serves(g, p)
 
 
-def _degree_sums(f: list[int], p: int) -> int:
-    """Bitmask of the degrees of the products of irreducible factors of f
-    over F_p (bit k for degree k), for f square-free mod p, by
-    distinct-degree factorization."""
-    sums, x, w, i = 1, [0, 1], [0, 1], 0
+def _powmod_p(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """a^e mod f over F_p, by square and multiply."""
+    acc = [1]
+    while e:
+        if e & 1:
+            acc = _divmod_p(univar.mul(acc, a), f, p)[1]
+        a = _divmod_p(univar.mul(a, a), f, p)[1]
+        e >>= 1
+    return acc
+
+
+def _xgcd_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """s, t with s a + t b = 1 over F_p, for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod_p(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _mod(univar.sub(s0, univar.mul(q, s1)), p)
+        t0, t1 = t1, _mod(univar.sub(t0, univar.mul(q, t1)), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Distinct-degree factorization (Modern Computer Algebra, Alg. 14.3) of
+    a monic f, square-free mod p: pairs (g, i) where g is the monic product
+    of the irreducible factors of degree i."""
+    out, x, w, i = [], [0, 1], [0, 1], 0
     while len(f) - 1 >= 2 * (i + 1):
         i += 1
-        # w = x^(p^i) mod f, by square and multiply
-        acc, base, e = [1], w, p
-        while e:
-            if e & 1:
-                acc = _divmod_p(univar.mul(acc, base), f, p)[1]
-            base = _divmod_p(univar.mul(base, base), f, p)[1]
-            e >>= 1
-        w = acc
+        w = _powmod_p(w, p, f, p)  # x^(p^i) mod f
         g = _gcd_p(f, _mod(univar.sub(w, x), p), p)
         if len(g) > 1:
-            for _ in range((len(g) - 1) // i):
-                sums |= sums << i
+            out.append((g, i))
             f = _divmod_p(f, g, p)[0]
             w = _divmod_p(w, f, p)[1]
     if len(f) > 1:
-        sums |= sums << (len(f) - 1)
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _degree_sums(ddf: list[tuple[list[int], int]]) -> int:
+    """Bitmask of the degrees of the products of irreducible factors mod p
+    (bit k for degree k), read off a distinct-degree factorization."""
+    sums = 1
+    for g, i in ddf:
+        for _ in range((len(g) - 1) // i):
+            sums |= sums << i
     return sums
+
+
+def _equal_degree(g: list[int], i: int, p: int, rng: random.Random) -> list[list[int]]:
+    """The monic irreducible factors, all of degree i, of a monic g over
+    F_p, p odd, by Cantor and Zassenhaus's split (Alg. 14.8)."""
+    if len(g) - 1 == i:
+        return [g]
+    while True:
+        a = _mod([rng.randrange(p) for _ in range(len(g) - 1)], p)
+        if len(a) < 2:
+            continue
+        h = _gcd_p(g, _mod(univar.sub(_powmod_p(a, (p**i - 1) // 2, g, p), [1]), p), p)
+        if 1 < len(h) < len(g):
+            rest = _divmod_p(g, h, p)[0]
+            return _equal_degree(h, i, p, rng) + _equal_degree(rest, i, p, rng)
 
 
 # -- rational roots and the cofactor ----------------------------------------
@@ -162,16 +212,18 @@ def _reconstruct(u: int, m: int, a_max: int, b_max: int) -> Fraction | None:
     return Fraction(r1, t1) if 0 < abs(t1) <= b_max else None
 
 
-def _divide_root(g: Ints, a: int, b: int) -> Ints | None:
-    """g / (b x - a) in integers, or None when b x - a does not divide g."""
-    q = [0] * (len(g) - 1)
-    c = g[-1]
-    for i in range(len(g) - 1, 0, -1):
-        q[i - 1], rem = divmod(c, b)
+def _divide(g: Ints, d: Ints) -> Ints | None:
+    """g / d in integers, or None when the primitive d does not divide g."""
+    g, dd = list(g), len(d) - 1
+    q = [0] * max(len(g) - dd, 0)
+    for k in range(len(q) - 1, -1, -1):
+        q[k], rem = divmod(g[k + dd], d[-1])
         if rem:
             return None
-        c = g[i - 1] + a * q[i - 1]
-    return tuple(q) if c == 0 else None
+        if q[k]:
+            for j, c in enumerate(d):
+                g[k + j] -= q[k] * c
+    return tuple(q) if q and not any(g[:dd]) else None
 
 
 def _rational_roots(g: Ints, p: int) -> tuple[list[Fraction], Ints]:
@@ -184,7 +236,7 @@ def _rational_roots(g: Ints, p: int) -> tuple[list[Fraction], Ints]:
             continue
         cand = _reconstruct(*_lift_root(g, r, p, bound), abs(g[0]), g[-1])
         if cand is not None:
-            q = _divide_root(h, cand.numerator, cand.denominator)
+            q = _divide(h, (-cand.numerator, cand.denominator))
             if q is not None:
                 roots.append(cand)
                 h = q
@@ -228,19 +280,81 @@ def _factor_cached(coeffs: Ints) -> Factors:
     )
 
 
-def _irreducible_cofactor(h: Ints) -> list[tuple[Ints, int]]:
+def _lift_factor(h: Ints, u: list[int], p: int, bound: int) -> tuple[list[int], int]:
+    """The monic factor of h modulo m = p^(2^j) > bound that reduces to u,
+    a monic factor of h mod p coprime to its cofactor, by quadratic Hensel
+    lifting (Alg. 15.10); returns (factor, m)."""
+    g = _divmod_p(_mod(h, p), u, p)[0]
+    s, t = _xgcd_p(g, u, p)
+    m = p
+    while m <= bound:
+        # from h = g u and s g + t u = 1 mod m to the same mod m^2
+        m *= m
+        e = _mod(univar.sub(h, univar.mul(g, u)), m)
+        q, r = _divmod_p(univar.mul(s, e), u, m)
+        g = _mod(univar.add(univar.add(g, univar.mul(t, e)), univar.mul(q, g)), m)
+        u = _mod(univar.add(u, r), m)
+        b = _mod(univar.sub(univar.add(univar.mul(s, g), univar.mul(t, u)), [1]), m)
+        c, d = _divmod_p(univar.mul(s, b), u, m)
+        s = _mod(univar.sub(s, d), m)
+        t = _mod(univar.sub(t, univar.add(univar.mul(t, b), univar.mul(c, g))), m)
+    return u, m
+
+
+def _zassenhaus(
+    h: Ints, p: int, ddf: list[tuple[list[int], int]], sums: int
+) -> list[tuple[Ints, int]]:
+    """The irreducible factors of a square-free primitive h that p serves,
+    from the distinct-degree factorization ddf of h mod p, by Zassenhaus's
+    algorithm (Alg. 15.19).  A factor g of h over Z, scaled to the leading
+    coefficient of h, has coefficients below lc(h) 2^n |h|_2 (Mignotte), so
+    it is the symmetric residue of lc(h) times a product of the factors
+    lifted mod m > twice that.  Products are tried by the number of their
+    factors, and only at the degrees that the bitmask ``sums`` leaves."""
+    rng = random.Random(p)
+    mods = [u for g, i in ddf for u in _equal_degree(g, i, p, rng)]
+    bound = 2 * h[-1] * (isqrt(sum(c * c for c in h)) + 1) << (len(h) - 1)
+    lifted = [_lift_factor(h, u, p, bound) for u in mods]
+    mods, m = [u for u, _ in lifted], lifted[0][1]
+    out, k = [], 1
+    while 2 * k <= len(mods):
+        for subset in combinations(range(len(mods)), k):
+            if not sums >> sum(len(mods[i]) - 1 for i in subset) & 1:
+                continue
+            g = [h[-1]]
+            for i in subset:
+                g = _mod(univar.mul(g, mods[i]), m)
+            g = _primitive([c - m if 2 * c > m else c for c in g])
+            q = _divide(h, g)
+            if q is not None:
+                out.append((g, 1))
+                h = q
+                mods = [u for i, u in enumerate(mods) if i not in subset]
+                break
+        else:
+            k += 1
+    return out + [(h, 1)]
+
+
+def _cofactor_factors(h: Ints) -> list[tuple[Ints, int]]:
     """Factors of a square-free primitive h of degree 2 or more with no
-    rational root: h itself when the degree patterns mod ``PRIMES`` prove it
-    irreducible, else sympy's."""
+    rational root, served by some prime of ``PRIMES``: h itself when the
+    degree patterns mod the serving primes prove it irreducible, else
+    Zassenhaus's split modulo the serving prime with the fewest factors."""
     n = len(h) - 1
     full = 1 | 1 << n
     sums = ((1 << (n + 1)) - 1) & ~(2 | 1 << (n - 1))  # no factor of degree 1 or n-1
     serving = (p for p in PRIMES if _serves(h, p))
+    best = None
     while sums != full:
         p = next(serving, None)
         if p is None:
-            return list(_factor_cached(h))
-        sums &= _degree_sums(_mod(h, p), p)
+            return _zassenhaus(h, *best[1:], sums)
+        ddf = _distinct_degree(_monic_p(_mod(h, p), p), p)
+        sums &= _degree_sums(ddf)
+        count = sum((len(g) - 1) // i for g, i in ddf)
+        if best is None or count < best[0]:
+            best = (count, p, ddf)
     return [(h, 1)]
 
 
@@ -253,7 +367,7 @@ def _factor(g: Ints) -> list[tuple[Ints, int]]:
     if p is not None:
         roots, h = _rational_roots(g, p)
         linear = [((-r.numerator, r.denominator), 1) for r in roots]
-        return linear + (_irreducible_cofactor(h) if len(h) > 1 else [])
+        return linear + (_cofactor_factors(h) if len(h) > 1 else [])
     parts = univar.yun(g)
     if len(parts) == 1 and parts[0][1] == 1:
         return list(_factor_cached(g))
@@ -264,7 +378,7 @@ def _check(g: Ints, factors: list[tuple[Ints, int]]) -> None:
     """Raise CertificateError unless every linear factor's root vanishes on
     g and the factors with multiplicities multiply back to g."""
     for fac, _ in factors:
-        if len(fac) == 2 and _divide_root(g, -fac[0], fac[1]) is None:
+        if len(fac) == 2 and _divide(g, fac) is None:
             raise CertificateError(f"{Fraction(-fac[0], fac[1])} is not a root")
     prod = [1]
     for fac, m in factors:

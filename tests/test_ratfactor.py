@@ -151,28 +151,44 @@ def test_lc_and_discriminant_skip_the_first_primes():
     assert [ratfactor._serves(g, p) for p in ratfactor.PRIMES[:4]] == [False] * 3 + [True]
 
 
+N12 = math.prod(ratfactor.PRIMES)
+
+
 @pytest.mark.parametrize("p", [
     [1, 0, 0, 0, 1],                             # x^4 + 1: splits modulo every prime
     [1, 0, -10, 0, 1],                           # minimal polynomial of sqrt 2 + sqrt 3
     _product([-2, 0, 1], [-3, 0, 1]),            # two irreducible quadratics
     _product([1, 1, 1], [2, -1, 3], [-5, 1]),    # the same after a rational root
     _product([1, 1, 1, 1], [3, 0, 0, 1]),        # two irreducible cubics
+    _product([1, 0, -10, 0, 1], [-2, 0, 0, 0, 1]),  # two quartics, one splitting mod every prime
+    _product([5, -3, 0, 0, 7], [-2, 1, 1, 0, 1], [2, 0, 1], [1, -1, 1]),
+    _product([BIG + 1, 3, 0, BIG], [-(BIG**3), 1, 0, 0, 2]),  # coefficients above 2^64
+    _product([1, 0, 1], [2, 0, 1], [3, 0, 1], [5, 0, 1], [6, 0, 1], [7, 0, 1]),
 ])
-def test_proper_degrees_reach_sympy(p, sympy_calls):
+def test_proper_degrees_split_without_sympy(p, sympy_calls):
+    """Cofactors whose degree patterns leave a proper degree are split by
+    Hensel lifting and recombination, not by sympy."""
+    _matches_sympy(p)
+    assert sympy_calls() == 0
+
+
+def test_no_serving_prime_reaches_sympy(sympy_calls):
+    """Roots 1 and 1 + N12 put every prime of PRIMES into the discriminant,
+    and the square-free g is then left to sympy."""
+    p = _product([-1, 1], [-1 - N12, 1], [1, 0, 1], [-2, 0, 0, 1])
+    assert not any(ratfactor._serves(ratfactor._primitive(p), q) for q in ratfactor.PRIMES)
     _matches_sympy(p)
     assert sympy_calls() == 1
 
 
 def test_bench_factor_inputs():
     """A pinned sample of the polynomials that the fiber and waring
-    benchmark workloads factor (seed 1).  No fiber input needs sympy."""
+    benchmark workloads factor (seed 1).  None of them needs sympy."""
     sample = json.loads((Path(__file__).parent / "factor_sample.json").read_text())
     ratfactor._factor_cached.cache_clear()
-    for p in sample["fiber"]:
+    for p in sample["fiber"] + sample["waring"]:
         _matches_sympy(p)
     assert ratfactor._factor_cached.cache_info().misses == 0
-    for p in sample["waring"]:
-        _matches_sympy(p)
 
 
 def test_seeded_products_match_sympy():
