@@ -12,7 +12,6 @@ from .binform import (
     ZeroScheme,
     apolar_coeffs,
     is_square_free,
-    multiplicity_at,
     numeric_roots,
     parse_form,
     squarefree_decompose,
@@ -29,7 +28,6 @@ __all__ = [
     "ZeroScheme",
     "apolar_coeffs",
     "is_square_free",
-    "multiplicity_at",
     "numeric_roots",
     "parse_form",
     "squarefree_decompose",

@@ -47,34 +47,12 @@ class NonReducedRank(ValueError):
     """Decomposition requested for a form whose rank witness is non-reduced."""
 
 
-@dataclass(frozen=True)
-class CatalecticantMatrix:
-    degree: int
-    r: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def ncols(self) -> int:
-        return self.r + 1
-
-
 def _hankel(a: tuple, r: int) -> tuple[tuple, ...]:
     """Level-r Hankel matrix of the vector a = (a_0, ..., a_d)."""
     d = len(a) - 1
     if not 0 <= r <= d:
         raise ValueError(f"catalecticant level {r} out of range for degree {d}")
     return tuple(a[j : j + r + 1] for j in range(d - r + 1))
-
-
-def catalecticant(f: BinaryForm, r: int) -> CatalecticantMatrix:
-    """Level-r Hankel matrix of the apolar coefficients of f."""
-    return CatalecticantMatrix(f.degree, r, _hankel(apolar_coeffs(f).entries, r))
-
-
-def kernel_basis(m: CatalecticantMatrix) -> list[BinaryForm]:
-    """Exact basis of the right kernel, as degree-r forms; empty iff injective."""
-    vecs = linalg.nullspace([list(row) for row in m.rows], ncols=m.ncols)
-    return [BinaryForm(m.r, v) for v in vecs]
 
 
 def _first_kernel(f: BinaryForm) -> tuple[int, list[BinaryForm]]:
@@ -90,6 +68,36 @@ def _first_kernel(f: BinaryForm) -> tuple[int, list[BinaryForm]]:
     a = linalg.canonical_vector(apolar_coeffs(f).entries)
     w = linalg.rank(_hankel(a, f.degree // 2))
     return w, [BinaryForm(w, v) for v in linalg.nullspace(_hankel(a, w))]
+
+
+def _ideal_generators(a) -> list[tuple[int, ...]]:
+    """Generators of the apolar ideal of the degree-m form with apolar
+    vector a, as coefficient vectors: (1,) when a = 0, else g1, a level-w
+    kernel vector as in ``_first_kernel``, and g2 of degree s = m+2-w.  The
+    shifts u^(s-w-i) t^i g1 end at the columns e..e+s-w, e the last nonzero
+    column of g1, so they reduce every level-s kernel form to one vanishing
+    there, and g2 is such a form.  Both annihilate and their degrees sum to
+    m+2, so once checked coprime they generate the ideal, whatever the rank
+    said: the quotient by (g1, g2) is Gorenstein of socle degree m, and a
+    larger ideal would contain its socle and annihilate every form."""
+    if not any(a):
+        return [(1,)]
+    a = linalg.canonical_vector(a)
+    m = len(a) - 1
+    w = linalg.rank(_hankel(a, m // 2))
+    basis = linalg.nullspace(_hankel(a, w))
+    if not basis:
+        raise CertificateError(f"trivial kernel at the claimed level {w}")
+    g1, s = basis[0], m + 2 - w
+    e = max(i for i, c in enumerate(g1) if c)
+    keep = [j for j in range(s + 1) if not e <= j <= e + s - w]
+    found = linalg.nullspace([[a[i + j] for j in keep] for i in range(m - s + 1)], ncols=len(keep))
+    if not found:
+        raise CertificateError(f"no level-{s} kernel form beyond the multiples of g1")
+    g2 = tuple(dict(zip(keep, found[0])).get(j, 0) for j in range(s + 1))
+    if univar.degree(univar.gcd(g1, g2)) > 0 or not (g1[-1] or g2[-1]):
+        raise CertificateError(f"the generators of degrees {w} and {s} share a factor")
+    return [g1, g2]
 
 
 def border_rank(f: BinaryForm) -> int:

@@ -415,16 +415,17 @@ def is_square_free(f: BinaryForm) -> bool:
     coefficients.  The second is proved by gcd(p, p') = 1 modulo a prime
     that does not divide lc(p) (``ratfactor.proves_squarefree``; von zur
     Gathen and Gerhard, *Modern Computer Algebra*, §5.10).  A nontrivial
-    gcd proves nothing, so then the exact ``resultant_of_partials`` of f
-    decides."""
+    gcd modulo p proves nothing, so then the degree of the exact gcd,
+    taken in the integers, decides."""
     if f.is_zero():
         raise ZeroFormError("square-free test on the zero form")
     k, p = f.tau_poly()
     if k > 1:
         return False
-    if ratfactor.proves_squarefree(linalg.canonical_vector(p)):
+    p = linalg.canonical_vector(p)
+    if ratfactor.proves_squarefree(p):
         return True
-    return resultant_of_partials(linalg.canonical_vector(f.coeffs)) != 0
+    return univar.degree(univar.gcd(p, univar.derivative(p))) == 0
 
 
 def squarefree_decompose(f: BinaryForm) -> ZeroScheme:
@@ -436,13 +437,6 @@ def squarefree_decompose(f: BinaryForm) -> ZeroScheme:
     if f.is_zero():
         raise ZeroFormError("decomposition of the zero form")
     return ZeroScheme(((f, 1),) if f.degree else ())
-
-
-def multiplicity_at(obj: BinaryForm | ZeroScheme, p: P1Point) -> int:
-    """Vanishing order at a rational point."""
-    if isinstance(obj, BinaryForm):
-        obj = squarefree_decompose(obj)
-    return obj.multiplicity_at(p)
 
 
 @dataclass(frozen=True)

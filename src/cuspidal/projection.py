@@ -11,31 +11,34 @@ degree-d rational curve with an ordinary cusp at the image of A.
 The fiber over a projected point P is the pencil of lifts B(lambda) indexed
 by the deleted monomial coefficient c_1 = lambda.  The rank of P with
 respect to the cuspidal curve is the minimum of the classical rank of
-B(lambda) over the pencil, and :func:`x_rank` computes that minimum exactly:
+B(lambda) over the pencil, and :func:`x_rank` computes that minimum exactly
+from B'', the form with apolar vector (a_2, ..., a_d): d^2 B/dt^2 up to a
+factor, P projected once more, from the tangent line at A.
 
 * lambda enters the level-r Hankel matrix only in the two cells with
-  j + k = 1, so rows 2.. are constant.  Multiplying rows 0 and 1 by a basis
-  of the kernel K of the constant rows leaves a 2 x dim K block affine in
-  lambda, and the level-r kernel of B(lambda) is K c for c in the kernel of
-  that block at lambda.  The lambda where the kernel jumps are the roots of
-  the block's gcd (dim K = 1) or determinant (dim K = 2), a polynomial of
-  degree at most 2, hence rational or quadratic irrationals.
-* Levels are scanned upward once, on the pencil alone.  The first level
-  whose kernel is nontrivial for every lambda is the generic first-kernel
-  level w_gen; a special lambda's first kernel level is the first level
-  where it appears.  No lift is eliminated afresh: its kernel at that known
-  level is read off the pencil, basis for basis as ``linalg.nullspace``
-  gives it, and certified by the same dichotomy as ``apolarity.rank``.
-* At a quadratic lambda dim K = 2 and the kernel is one vector
-  v0 + lambda v1 with v0, v1 rational, so the certificate is one rational
-  test: whether the minimal polynomial of lambda divides the discriminant
-  of the form g0 + x g1.
+  j + k = 1; rows 2.. are the catalecticant of B'', so the kernel K of the
+  constant rows is Ann(B'')_r for every lambda.  Rows 0 and 1 times a basis
+  of K leave a 2 x dim K block affine in lambda, and the kernel of B(lambda)
+  is K c for c in the block's kernel.  The lambda where it jumps are the
+  roots of the block's gcd (dim K = 1) or determinant (dim K = 2), of
+  degree at most 2; dim K >= 3 leaves a kernel at every lambda.
+* Ann(B'') is a complete intersection (g1, g2) of degrees w' <= d - w',
+  w' the border rank of B'' (Comas-Seiguer, arXiv:math/0112311), whose
+  first syzygy has degree d.  ``apolarity._ideal_generators`` gives both,
+  and at every level below d, the cap included, K is spanned by the shifts
+  u^i t^j g of the generators: r - w' + 1 of g1 from level w' on, none
+  below, and those of g2 from level d - w' on.
+* Hence no level below w' has a special lambda.  At w' with dim K = 1 the
+  block is 2 x 1, with at most one special lambda, rational.  At w' + 1
+  the block is 2 x 2 (or dim K >= 3), with at most two.  At w' + 2, and
+  at the cap, where columns outnumber rows, dim K >= 3 and every lambda has
+  a kernel.  So the scan visits only w'..w'+2 up to the cap, stops at the
+  first generic level w_gen, and reports each lambda at its first kernel
+  level, the first level where it appears.
 * A lift first acquiring a kernel at level r has rank at least r, so whole
   levels are pruned exactly once the running minimum is that small.
-* At w_gen a kernel form g with t^2 | g misses the moving entry a_1 and is
-  the generic witness; otherwise a rational grid wider than the lambda-degree
-  of the relevant discriminant decides the dichotomy.  A pair of seeded
-  random lifts, certified independently by ``apolarity.rank``, cross-checks it.
+* B'' = 0 exactly when P is the cusp, the image of A: the lift at
+  lambda = 0 is a power of u, of rank 1.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, ratfactor, univar
-from .apolarity import CertificateError, RankCertificate, _certify, rank as sylvester_rank
+from .apolarity import CertificateError, RankCertificate, _certify, _ideal_generators
+from .apolarity import rank as sylvester_rank
 from .binform import (
     BinaryForm,
     GrammarError,
@@ -306,14 +310,15 @@ class _Pencil:
         return FieldCertificate(self.r, self.d + 2 - self.r, "nonreduced", modulus)
 
 
-def _pencil(P: ProjectedPoint, r: int) -> _Pencil:
+def _pencil(P: ProjectedPoint, r: int, gens: list[tuple[int, ...]]) -> _Pencil:
+    """The level-r pencil of P, for gens = ``_ideal_generators`` of B''."""
     d = P.n + 1
     if not 1 <= r <= (d + 2) // 2:
         raise ProjectionError(f"level must lie in 1..{(d + 2) // 2}")
     a = P.apolar_with_slot(None)
-    kernel = linalg.nullspace(
-        [[a[j + k] for k in range(r + 1)] for j in range(2, d - r + 1)], ncols=r + 1
-    )
+    kernel = [
+        (0,) * i + g + (0,) * (r + 1 - len(g) - i) for g in gens for i in range(r + 2 - len(g))
+    ]
     # a_1 = lambda/d is the only entry of rows 0 and 1 that moves
     rows = [
         (
@@ -355,7 +360,7 @@ def special_lambdas(P: ProjectedPoint, r: int, precision_bits: int = 192):
     """Exact lambda values where the level-r kernel of the pencil jumps, or
     ALL_LAMBDA: rationals first in increasing order, then algebraic numbers
     grouped by minimal polynomial."""
-    got = _pencil(P, r).special_values(precision_bits)
+    got = _pencil(P, r, _ideal_generators(P.coords[1:])).special_values(precision_bits)
     return got if got is ALL_LAMBDA else [lam for _key, lam in got]
 
 
@@ -451,30 +456,25 @@ def _generic_certificate(pencil: _Pencil, seen: set) -> tuple[RankCertificate, F
 
 
 def x_rank(P: ProjectedPoint, *, precision_bits: int = 192) -> XRankResult:
-    """Exact minimum of the rank of B(lambda) over the fiber pencil.
-
-    One upward pass over the levels finds the generic first-kernel level
-    w_gen and the special lambda of each lower level, each at its first
-    kernel level.  Every lift is then certified at that known level from the
-    pencil: rational lambda through the kernel K c, quadratic lambda through
-    one discriminant test, and the generic value by ``_generic_certificate``.
-    Levels at or above the running minimum are pruned, which is exact: a
-    lift first acquiring a kernel at level r has rank >= r.  Two seeded
-    random lifts, certified by ``apolarity.rank``, must agree with the
-    generic certificate on border rank and rank."""
+    """Exact minimum of the rank of B(lambda) over the fiber pencil, by the
+    scan of the module docstring.  Every lift is certified from the pencil
+    at its first kernel level; two seeded random lifts, certified by
+    ``apolarity.rank``, must match the generic certificate."""
+    if not any(P.coords[1:]):  # B'' = 0: the cusp
+        cert = sylvester_rank(lift(P, 0))
+        return XRankResult(
+            cert.rank, Fraction(0), cert, cusp_curve_images(P.n, cert.witness_scheme)
+        )
     rng = random.Random(0x57A7)
-    d = P.n + 1
-    cap = (d + 2) // 2
-
-    # first pass: locate the generic first-kernel level and collect the
-    # special lambda of each lower level (each lambda reported at the level
-    # where its kernel first appears, which is its border rank)
+    cap = (P.n + 3) // 2
+    gens = _ideal_generators(P.coords[1:])
+    w = len(gens[0]) - 1
     pencils: dict[int, _Pencil] = {}
     per_level: dict[int, list] = {}
     seen: set = set()
     w_gen = None
-    for r in range(1, cap + 1):
-        pencils[r] = _pencil(P, r)
+    for r in range(w, min(w + 2, cap) + 1):
+        pencils[r] = _pencil(P, r, gens)
         got = pencils[r].special_values(precision_bits)
         if got is ALL_LAMBDA:
             w_gen = r
@@ -484,8 +484,7 @@ def x_rank(P: ProjectedPoint, *, precision_bits: int = 192) -> XRankResult:
         if fresh:
             per_level[r] = fresh
     if w_gen is None:
-        # columns outnumber rows at the cap, so the cap level is AllLambda
-        raise CertificateError("no generic kernel level found below the cap")
+        raise CertificateError(f"no generic kernel level among {w}..{w + 2}")
 
     generic_cert, generic_lam = _generic_certificate(pencils[w_gen], seen)
     # seeded random cross-check of the generic value

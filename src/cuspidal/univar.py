@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from . import linalg
+
 
 def quo(a, b):
     """Exact a / b.  Two ints give an int when b divides a and a Fraction
@@ -107,13 +109,29 @@ def monic(p: Sequence) -> list:
     return [quo(c, lead) for c in p]
 
 
-def gcd(p: Sequence, q: Sequence) -> list:
-    """Monic gcd by the Euclidean algorithm (exact field coefficients)."""
-    a, b = trim(p), trim(q)
+def _primitive(p: Sequence) -> list:
+    return list(linalg.canonical_vector(p)) if p else []
+
+
+def _integer_gcd(p: Sequence, q: Sequence) -> list:
+    """Primitive gcd of two rational polynomials by the primitive
+    pseudo-remainder sequence, in the integers (von zur Gathen and Gerhard,
+    *Modern Computer Algebra*, §6.12)."""
+    a, b = _primitive(trim(p)), _primitive(trim(q))
     while b:
-        _, r = divmod_(a, b)
-        a, b = b, r
-    return monic(a)
+        while len(a) >= len(b):  # a <- lc(b)^k a mod b
+            c, k = a[-1], len(a) - len(b)
+            a = [x * b[-1] for x in a]
+            for j, y in enumerate(b):
+                a[k + j] -= c * y
+            a = trim(a)
+        a, b = b, _primitive(a)
+    return a
+
+
+def gcd(p: Sequence, q: Sequence) -> list:
+    """Monic gcd of two rational polynomials, taken in the integers."""
+    return monic(_integer_gcd(p, q))
 
 
 def derivative(p: Sequence) -> list:
@@ -128,24 +146,27 @@ def evaluate(p: Sequence, x):
 
 
 def yun(p: Sequence) -> list[tuple[list, int]]:
-    """Square-free decomposition (Yun, characteristic 0).
+    """Square-free decomposition (Yun, characteristic 0) of a rational
+    polynomial.
 
     Returns [(g_i, m_i), ...] with p = const * prod g_i**m_i, the g_i monic,
-    square-free, pairwise coprime, deg g_i >= 1.
+    square-free, pairwise coprime, deg g_i >= 1.  It runs on primitive
+    integer polynomials, whose quotients by primitive divisors are integral
+    (Gauss's lemma).
     """
-    p = monic(p)
+    p = _primitive(trim(p))
     if degree(p) <= 0:
         return []
     dp = derivative(p)
-    g = gcd(p, dp)
+    g = _integer_gcd(p, dp)
     w = div_exact(p, g)
     z = sub(div_exact(dp, g), derivative(w))
     out: list[tuple[list, int]] = []
     i = 1
     while degree(w) > 0:
-        gi = gcd(w, z)
+        gi = _integer_gcd(w, z)
         if degree(gi) > 0:
-            out.append((gi, i))
+            out.append((monic(gi), i))
         w = div_exact(w, gi)
         z = sub(div_exact(z, gi), derivative(w))
         i += 1

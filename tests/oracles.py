@@ -9,22 +9,32 @@
 * ``rank_field`` and ``nullspace_field``: Gaussian elimination over any
   exact field, the quadratic fields of ``numberfield.QuadraticNumber``
   included.
+* ``euclid_gcd``: the Euclidean algorithm over any exact field, which
+  ``univar.gcd`` ran on Fractions before it moved to the primitive
+  pseudo-remainder sequence in the integers.
 * ``field_rank_certificate``: before the fiber scan read every lift's
   kernel off the pencil, an algebraic lambda was certified by forming the
   lift over Q(gamma), gamma a root of its minimal polynomial
   (``field_lift``), and scanning its catalecticant levels upward by
   elimination over that field.  It shares no kernel code with the
   pencil's quadratic certificate.
-* ``first_kernel_scan``: the border rank and first kernel were once found
-  by scanning the catalecticant levels upward, one kernel per level, until
-  one was nontrivial.  It backs ``apolarity._first_kernel``, which reads
-  the border rank off one rank at the middle level.
+* ``catalecticant``, ``kernel_basis`` and ``first_kernel_scan``: the
+  border rank and first kernel were once found by scanning the
+  catalecticant levels upward, one kernel per level, until one was
+  nontrivial.  They back ``apolarity._first_kernel``, which reads the
+  border rank off one rank at the middle level.
 * ``grid_generic_certificate``: the generic certificate of the fiber scan
   was once the whole zigzag grid of 4 w_gen + 2 integer lambda, each lift
   certified, the first square-free one kept, else the first.  Here every
   lift is certified afresh by ``apolarity.rank``.  It backs
   ``projection._generic_certificate``, which stops at the first point when
   that point's kernel is fixed for all lambda.
+* ``nullspace_pencil`` and ``upward_x_rank``: the fiber scan once took the
+  kernel K of the constant Hankel rows by ``linalg.nullspace`` at every
+  level, scanning upward from level 1 to the first level generic for every
+  lambda.  They back ``projection._pencil``, which spans K by the shifts of
+  the two generators of the apolar ideal of B'', and ``projection.x_rank``,
+  which visits only the levels w'..w'+2.
 * ``sympy_factors``: sympy's factorization over the rationals, which
   ``ratfactor`` used for every degree before degrees 1 and 2 got their
   closed forms.
@@ -46,6 +56,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -53,13 +64,19 @@ from math import comb
 import mpmath
 
 from cuspidal import linalg, univar
-from cuspidal.apolarity import CertificateError, catalecticant, kernel_basis, rank
-from cuspidal.binform import ZeroFormError
+from cuspidal.apolarity import CertificateError, _hankel, rank
+from cuspidal.binform import BinaryForm, ZeroFormError, apolar_coeffs
 from cuspidal.numberfield import AlgebraicNumber, QuadraticNumber
 from cuspidal.projection import (
     ALL_LAMBDA,
     FieldCertificate,
     ProjectedPoint,
+    ProjectionError,
+    XRankResult,
+    _certificate_sort_key,
+    _generic_certificate,
+    _Pencil,
+    cusp_curve_images,
     lift,
     special_lambdas,
 )
@@ -194,6 +211,14 @@ def field_lift(P: ProjectedPoint, lam: AlgebraicNumber) -> FieldForm:
     return FieldForm(gamma, d, coeffs)
 
 
+def euclid_gcd(p, q) -> list:
+    """Monic gcd by the Euclidean algorithm over any exact field."""
+    a, b = univar.trim(p), univar.trim(q)
+    while b:
+        a, b = b, univar.divmod_(a, b)[1]
+    return univar.monic(a)
+
+
 def field_is_square_free(coeffs: list, degree: int) -> bool:
     """Square-freeness of a binary form given by coefficients over a field:
     u^k times the homogenized trimmed polynomial, square-free iff k <= 1
@@ -205,7 +230,7 @@ def field_is_square_free(coeffs: list, degree: int) -> bool:
         return False
     if univar.degree(p) == 0:
         return True
-    return univar.degree(univar.gcd(p, univar.derivative(p))) == 0
+    return univar.degree(euclid_gcd(p, univar.derivative(p))) == 0
 
 
 def field_rank_certificate(ff: FieldForm) -> FieldCertificate:
@@ -236,6 +261,28 @@ def field_rank_certificate(ff: FieldForm) -> FieldCertificate:
                 return FieldCertificate(r, r, "squarefree", modulus)
         raise CertificateError("two-dimensional kernel without square-free member")
     raise CertificateError("no kernel level found for a nonzero form")
+
+
+@dataclass(frozen=True)
+class CatalecticantMatrix:
+    degree: int
+    r: int
+    rows: tuple[tuple[Fraction, ...], ...]
+
+    @property
+    def ncols(self) -> int:
+        return self.r + 1
+
+
+def catalecticant(f: BinaryForm, r: int) -> CatalecticantMatrix:
+    """Level-r Hankel matrix of the apolar coefficients of f."""
+    return CatalecticantMatrix(f.degree, r, _hankel(apolar_coeffs(f).entries, r))
+
+
+def kernel_basis(m: CatalecticantMatrix) -> list[BinaryForm]:
+    """Exact basis of the right kernel, as degree-r forms; empty iff injective."""
+    vecs = linalg.nullspace([list(row) for row in m.rows], ncols=m.ncols)
+    return [BinaryForm(m.r, v) for v in vecs]
 
 
 def first_kernel_scan(f):
@@ -270,6 +317,75 @@ def grid_generic_certificate(P: ProjectedPoint):
         if cert.witness_kind == "squarefree":
             break
     return w_gen, seen, best[0], best[1]
+
+
+def nullspace_pencil(P: ProjectedPoint, r: int) -> _Pencil:
+    """The level-r pencil with K taken as ``linalg.nullspace`` of the
+    constant Hankel rows 2.. of the lifts."""
+    d = P.n + 1
+    if not 1 <= r <= (d + 2) // 2:
+        raise ProjectionError(f"level must lie in 1..{(d + 2) // 2}")
+    a = P.apolar_with_slot(None)
+    kernel = linalg.nullspace(
+        [[a[j + k] for k in range(r + 1)] for j in range(2, d - r + 1)], ncols=r + 1
+    )
+    rows = [
+        (
+            (sum(a[k] * v[k] for k in range(r + 1) if k != 1), Fraction(v[1], d)),
+            (sum(a[k + 1] * v[k] for k in range(1, r + 1)), Fraction(v[0], d)),
+        )
+        for v in kernel
+    ]
+    return _Pencil(d, r, kernel, rows)
+
+
+def upward_x_rank(P: ProjectedPoint, precision_bits: int = 192) -> XRankResult:
+    """``projection.x_rank`` by the upward scan from level 1, one
+    ``nullspace_pencil`` per level, with the same certificates, probes and
+    pruning."""
+    rng = random.Random(0x57A7)
+    d = P.n + 1
+    pencils, per_level, seen, w_gen = {}, {}, set(), None
+    for r in range(1, (d + 2) // 2 + 1):
+        pencils[r] = nullspace_pencil(P, r)
+        got = pencils[r].special_values(precision_bits)
+        if got is ALL_LAMBDA:
+            w_gen = r
+            break
+        fresh = [lam for key, lam in got if key not in seen]
+        seen.update(key for key, _lam in got)
+        if fresh:
+            per_level[r] = fresh
+    if w_gen is None:
+        raise CertificateError("no generic kernel level found below the cap")
+    generic_cert, generic_lam = _generic_certificate(pencils[w_gen], seen)
+    for _ in range(2):
+        while True:
+            probe = Fraction(rng.randint(-(10**6), 10**6))
+            if probe not in seen:
+                break
+        cert = rank(lift(P, probe))
+        if cert.border_rank != w_gen or cert.rank != generic_cert.rank:
+            raise CertificateError("generic-fiber probe disagrees with the grid")
+    candidates = [(generic_cert.rank, generic_lam, generic_cert)]
+    best = generic_cert.rank
+    for r in sorted(per_level):
+        if best <= r:
+            break
+        for lam in per_level[r]:
+            if isinstance(lam, Fraction):
+                cert = pencils[r].certificate(lam)
+            else:
+                cert = pencils[r].field_certificate(lam.minpoly)
+            candidates.append((cert.rank, lam, cert))
+            best = min(best, cert.rank)
+    value, lam_star, cert_star = min(
+        candidates, key=lambda c: _certificate_sort_key(c[0], c[2], c[1])
+    )
+    witness_points = None
+    if isinstance(lam_star, Fraction) and cert_star.witness_kind == "squarefree":
+        witness_points = cusp_curve_images(P.n, cert_star.witness_scheme)
+    return XRankResult(value, lam_star, cert_star, witness_points)
 
 
 def sympy_factors(p) -> list[tuple[list[Fraction], int]]:

@@ -21,10 +21,8 @@ from cuspidal.apolarity import (
     RankCertificate,
     border_rank,
     border_scheme,
-    catalecticant,
     decompose,
     find_squarefree_in_kernel,
-    kernel_basis,
     rank,
     verify_decomposition,
 )
@@ -33,13 +31,21 @@ from cuspidal.binform import (
     PrecisionError,
     ZeroFormError,
     ZeroScheme,
+    apolar_coeffs,
     is_square_free,
     parse_form,
     random_form,
     squarefree_decompose,
 )
 from cuspidal.numberfield import QuadraticNumber
-from oracles import first_kernel_scan, nullspace_plain, power_sum_scalars, qr_power_sum_scalars
+from oracles import (
+    catalecticant,
+    first_kernel_scan,
+    kernel_basis,
+    nullspace_plain,
+    power_sum_scalars,
+    qr_power_sum_scalars,
+)
 from test_binform import _moved
 
 
@@ -174,6 +180,28 @@ def test_first_kernel_matches_the_level_scan(f):
     """One rank at the middle level and one kernel give the same border
     rank and basis as the upward scan of catalecticant kernels."""
     assert apolarity._first_kernel(f) == first_kernel_scan(f)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_first_kernel_forms())
+def test_ideal_generators_span_every_kernel_level(f):
+    """The shifts of the two generators span the catalecticant kernel at
+    every level 1..d, and their degrees sum to d + 2."""
+    a = apolar_coeffs(f).entries
+    gens = apolarity._ideal_generators(a)
+    assert len(gens) == 2 and sum(len(g) - 1 for g in gens) == f.degree + 2
+    assert len(gens[0]) - 1 == border_rank(f)
+    for r in range(1, f.degree + 1):
+        shifts = [
+            (0,) * i + g + (0,) * (r + 1 - len(g) - i) for g in gens for i in range(r + 2 - len(g))
+        ]
+        rows = apolarity._hankel(a, r)
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows for v in shifts)
+        assert len(shifts) == len(linalg.nullspace(rows)) == (linalg.rank(shifts) if shifts else 0)
+
+
+def test_the_zero_vector_has_the_unit_ideal():
+    assert apolarity._ideal_generators((F(0),) * 5) == [(1,)]
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

@@ -18,7 +18,6 @@ from cuspidal.binform import (
     apolar_coeffs,
     approximate_roots,
     is_square_free,
-    multiplicity_at,
     numeric_roots,
     parse_form,
     random_form,
@@ -179,16 +178,41 @@ N3 = prod(ratfactor.PRIMES[:3])
 ])
 def test_square_free_modular_and_exact_routes(f, square_free, exact, monkeypatch):
     """A nontrivial gcd modulo the first listed prime that does not divide
-    the leading coefficient sends the test to the exact resultant; u^2 | f
-    is read off the coefficients."""
+    the leading coefficient sends the test to the exact gcd in the
+    integers; u^2 | f is read off the coefficients."""
     calls = []
-    resultant = binform.resultant_of_partials
-    monkeypatch.setattr(binform, "resultant_of_partials",
-                        lambda cs: calls.append(cs) or resultant(cs))
+    gcd = univar.gcd
+    monkeypatch.setattr(univar, "gcd", lambda p, q: calls.append(p) or gcd(p, q))
     assert is_square_free(f) is square_free
     assert len(calls) == exact
     assert field_is_square_free(list(f.coeffs), f.degree) is square_free
-    assert (resultant(linalg.canonical_vector(f.coeffs)) != 0) is square_free
+    assert (binform.resultant_of_partials(linalg.canonical_vector(f.coeffs)) != 0) is square_free
+
+
+def test_square_free_matches_resultant_on_large_forms():
+    """Seeded forms of degree 4..21 with coefficients up to 60 bits, every
+    other one times the square of a random factor: the gcd route agrees
+    with the resultant of the partials, which the fiber scan's
+    discriminant still uses."""
+    rng = random.Random(2112)
+    squares = 0
+    for trial in range(60):
+        d = rng.randint(4, 21)
+        bits = rng.choice((8, 30, 60))
+        if trial % 2:
+            k = rng.randint(1, (d - 2) // 2)
+            h = BinaryForm(k, tuple(rng.randint(-2**bits, 2**bits) for _ in range(k + 1)))
+            rest = BinaryForm(d - 2 * k, tuple(rng.randint(-2**bits, 2**bits)
+                                               for _ in range(d - 2 * k + 1)))
+            f = h * h * rest
+        else:
+            f = BinaryForm(d, tuple(rng.randint(-2**bits, 2**bits) for _ in range(d + 1)))
+        if f.is_zero():
+            continue
+        got = is_square_free(f)
+        assert got == (binform.resultant_of_partials(linalg.canonical_vector(f.coeffs)) != 0), f
+        squares += not got
+    assert squares >= 25
 
 
 class TestDecompose:
@@ -226,16 +250,14 @@ class TestDecompose:
 
 class TestMultiplicity:
     def test_spec_example(self):
-        assert multiplicity_at(U2T, POINT_A) == 1
+        assert squarefree_decompose(U2T).multiplicity_at(POINT_A) == 1
 
     def test_at_infinity_chart(self):
-        assert multiplicity_at(U2T, P1Point(F(0), F(1))) == 2
+        assert squarefree_decompose(U2T).multiplicity_at(P1Point(F(0), F(1))) == 2
 
     def test_scheme_dispatch(self):
-        scheme = squarefree_decompose(U2T)
-        assert multiplicity_at(scheme, POINT_A) == 1
-        assert multiplicity_at(scheme, P1Point(F(0), F(1))) == 2
-        assert multiplicity_at(scheme, P1Point(F(1), F(5))) == 0
+        # a point off the scheme has multiplicity 0
+        assert squarefree_decompose(U2T).multiplicity_at(P1Point(F(1), F(5))) == 0
 
 
 class TestSchemeOps:

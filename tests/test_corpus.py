@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from cuspidal import projection
 from cuspidal.apolarity import rank
 from cuspidal.binform import BinaryForm, squarefree_decompose
 from cuspidal.projection import lift, project, x_rank
@@ -72,6 +73,23 @@ def test_square_free_witness_scheme_is_its_decomposition():
                 assert cert.witness_scheme == squarefree_decompose(cert.witness_form), key
                 count += 1
     assert count > 600
+
+
+def test_cusp_instances_take_the_cusp_branch(monkeypatch):
+    """B'' = 0, the cusp point, exactly on the 72 e3_3_cusp instances, and
+    x_rank gives them value 1 without building a pencil."""
+    def refuse(*args):
+        raise AssertionError("a pencil was built for the cusp")
+
+    monkeypatch.setattr(projection, "_pencil", refuse)
+    cusps = 0
+    for key, f in corpus_forms():
+        P = project(f)
+        assert (not any(P.coords[1:])) == key.startswith("e3_3_cusp/"), key
+        if key.startswith("e3_3_cusp/"):
+            assert x_rank(P).value == 1, key
+            cusps += 1
+    assert cusps == 72
 
 
 if __name__ == "__main__":

@@ -5,9 +5,8 @@ from fractions import Fraction
 from math import comb
 
 from cuspidal import linalg
-from cuspidal.apolarity import catalecticant
 from cuspidal.binform import BinaryForm
-from oracles import in_span, nullspace_plain, rank_field, solve
+from oracles import catalecticant, in_span, nullspace_plain, rank_field, solve
 
 
 def F(a, b=1):

@@ -6,7 +6,6 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from cuspidal import univar
 from cuspidal.apolarity import decompose
 from cuspidal.binform import BinaryForm, PrecisionError, approximate_roots
 from cuspidal.numberfield import (
@@ -16,7 +15,7 @@ from cuspidal.numberfield import (
     isolate_roots,
 )
 from cuspidal.projection import ProjectedPoint, special_lambdas, x_rank
-from oracles import nullspace_field
+from oracles import euclid_gcd, nullspace_field
 
 
 SQRT2 = QuadraticNumber.generator([-2, 0, 1])
@@ -149,11 +148,11 @@ class TestGenericRoutinesOverField:
         for row in mat:
             assert not sum((r * v for r, v in zip(row, vec)), g.lift(0))
 
-    def test_univar_gcd_over_field(self):
+    def test_euclid_gcd_over_field(self):
         g = SQRT2
         p = [g.lift(-2), g.lift(0), g.lift(1)]
         q = [-g, g.lift(1)]
-        got = univar.gcd(p, q)
+        got = euclid_gcd(p, q)
         assert got == [-g, g.lift(1)]
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import textwrap
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import linalg, projection, ratfactor, univar
-from cuspidal.apolarity import CertificateError, RankCertificate, catalecticant, rank
+from cuspidal.apolarity import CertificateError, RankCertificate, _ideal_generators, rank
 from cuspidal.binform import BinaryForm, P1Point, ZeroFormError, random_form
 from cuspidal.classifier import InstanceSpec, generate_instance
 from cuspidal.numberfield import AlgebraicNumber, isolate_roots
@@ -23,7 +24,20 @@ from cuspidal.projection import (
     special_lambdas,
     x_rank,
 )
-from oracles import FieldForm, field_lift, field_rank_certificate, grid_generic_certificate
+from oracles import (
+    FieldForm,
+    catalecticant,
+    field_lift,
+    field_rank_certificate,
+    grid_generic_certificate,
+    nullspace_pencil,
+    upward_x_rank,
+)
+from test_apolarity import _run_optimized
+
+
+def level_pencil(P, r):
+    return projection._pencil(P, r, _ideal_generators(P.coords[1:]))
 
 
 def form(*coeffs):
@@ -475,7 +489,7 @@ class TestXRank:
     def test_field_certificate_direct(self):
         p = ProjectedPoint(3, (F(1), F(1), F(0), F(-1)))
         lam = special_lambdas(p, 2)[0]
-        cert = projection._pencil(p, 2).field_certificate(lam.minpoly)
+        cert = level_pencil(p, 2).field_certificate(lam.minpoly)
         assert cert.border_rank == 2
         assert cert.rank == 2
         assert cert.witness_kind == "squarefree"
@@ -563,7 +577,7 @@ def _assert_pencil_matches_oracles(P, rng) -> tuple[int, int]:
     rats = quads = 0
     seen = set()
     for r in range(1, (P.n + 3) // 2 + 1):
-        pen = projection._pencil(P, r)
+        pen = level_pencil(P, r)
         got = pen.special_values(192)
         keyed = [] if got is ALL_LAMBDA else got
         lams = [F(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(2)]
@@ -617,7 +631,7 @@ class TestPencilCertificates:
                 continue
             for lam in got:
                 want = field_rank_certificate(field_lift(p, lam))
-                cert = projection._pencil(p, 2).field_certificate(lam.minpoly)
+                cert = level_pencil(p, 2).field_certificate(lam.minpoly)
                 assert cert == want, (coords, lam)
                 kinds.append(cert.witness_kind)
         assert kinds[:6] == ["nonreduced"] * 6
@@ -641,12 +655,59 @@ def _moving_first_points(seed):
                 yield project(f - form(1, taus[-1]).power(d).scaled(F(f.coeffs[1], d * taus[-1])))
 
 
+def _assert_shifts_match_nullspace(P, rng) -> int:
+    """At every level 1..cap the pencil spanned by the shifts of the
+    generators of Ann(B'') has the kernel K (as a span), the special values,
+    the lift kernels at rational lambda and the quadratic certificates of
+    the pencil built by ``linalg.nullspace``.  Returns the number of levels
+    where the second generator entered K at a degree above the first."""
+    d = P.n + 1
+    gens = _ideal_generators(P.coords[1:])
+    entered = 0
+    for r in range(1, (d + 2) // 2 + 1):
+        pen, want = projection._pencil(P, r, gens), nullspace_pencil(P, r)
+        assert (linalg.free_column_basis(pen.kernel) if pen.kernel else []) == want.kernel
+        got, expected = pen.special_values(192), want.special_values(192)
+        if expected is ALL_LAMBDA:
+            assert got is ALL_LAMBDA, (P, r)
+            keyed = []
+        else:
+            assert [key for key, _lam in got] == [key for key, _lam in expected], (P, r)
+            keyed = got
+        lams = [F(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(2)]
+        for lam in lams + [lam for key, lam in keyed if isinstance(key, F)]:
+            assert pen.kernel_at(lam) == want.kernel_at(lam), (P, r, lam)
+        for key, lam in keyed:
+            if not isinstance(key, F):
+                assert pen.field_certificate(lam.minpoly) == want.field_certificate(lam.minpoly)
+        entered += len(gens) == 2 and len(gens[0]) < len(gens[1]) <= r + 1
+    return entered
+
+
+class TestShiftPencil:
+    """``projection._pencil`` spans K by the shifts of the two generators of
+    Ann(B''); the pencil of ``linalg.nullspace`` at every level is the
+    oracle."""
+
+    def test_random_and_planted_points_match_the_nullspace_pencil(self):
+        rng = random.Random(1618)
+        points = list(_pencil_points(2024)) + list(_moving_first_points(4048))
+        entered = sum(_assert_shifts_match_nullspace(P, rng) for P in points)
+        assert entered >= 10
+
+    @pytest.mark.parametrize("tag,n,level", TAG_CELLS)
+    def test_every_case_tag_matches_the_nullspace_pencil(self, tag, n, level):
+        for seed in (1, 2):
+            f = generate_instance(InstanceSpec(tag, n, level, seed=seed)).form
+            _assert_shifts_match_nullspace(project(f), random.Random(seed))
+
+
 def _generic_route(P) -> str:
     """Check the fixed-kernel rule against the whole grid on P and name the
     route it took: "squarefree", "fixed" (first point nonreduced with
     t^2 | g) or "moving" (the rest of the grid ran)."""
     w_gen, seen, cert, lam = grid_generic_certificate(P)
-    got = projection._generic_certificate(projection._pencil(P, w_gen), seen)
+    got = projection._generic_certificate(level_pencil(P, w_gen), seen)
     assert got == (cert, lam), P
     zigzag = (F(z) for k in itertools.count() for z in ((k, -k) if k else (0,)))
     if lam != next(z for z in zigzag if z not in seen):
@@ -677,7 +738,7 @@ class TestGenericCertificate:
         free = RankCertificate(3, 3, "squarefree", BinaryForm(3, (1, 0, 0, 1)), 2)
         certs = {F(0): stuck, F(1): free}
         monkeypatch.setattr(projection._Pencil, "certificate", lambda pen, lam: certs[lam])
-        pencil = projection._pencil(ProjectedPoint(4, (F(1),) * 5), 3)
+        pencil = level_pencil(ProjectedPoint(4, (F(1),) * 5), 3)
         assert projection._generic_certificate(pencil, set()) == (free, F(1))
         certs[F(0)] = dataclasses.replace(stuck, kernel_dimension=1)
         assert projection._generic_certificate(pencil, set()) == (certs[F(0)], F(0))
@@ -716,6 +777,38 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError, match="trivial kernel"):
             x_rank(ProjectedPoint(3, (F(1), F(0), F(0), F(1))))
 
+    def test_wrong_border_rank_of_second_derivative_raises_under_python_O(self):
+        """A middle rank of B'' planted one too low leaves no kernel at the
+        claimed level; one too high makes both generators multiples of the
+        true g1.  Both raise CertificateError under ``python -O``."""
+        child = textwrap.dedent(
+            """
+            import sys
+            import types
+            from cuspidal import apolarity, linalg, projection
+            from cuspidal.binform import BinaryForm
+
+            if __debug__:
+                sys.exit("not running under -O")
+            forms = [(3, -1, 4, 1, -5, 9, 2, -6), (2, 0, 7, -1, 8, 2, -8, 1, 8)]
+            forms += [(1, 0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 1, 0, 0, 0, 0, 0, 1)]
+            for coeffs in forms:
+                P = projection.project(BinaryForm(len(coeffs) - 1, coeffs))
+                for shift in (-1, 1):
+                    apolarity.linalg = types.SimpleNamespace(
+                        **{**vars(linalg), "rank": lambda rows: linalg.rank(rows) + shift}
+                    )
+                    try:
+                        projection.x_rank(P)
+                    except apolarity.CertificateError:
+                        continue
+                    finally:
+                        apolarity.linalg = linalg
+                    sys.exit(f"a border rank off by {shift} went unnoticed on {coeffs}")
+            """
+        )
+        _run_optimized(child)
+
     def test_disagreeing_probe_raises(self, monkeypatch):
         real = projection.sylvester_rank
 
@@ -734,6 +827,21 @@ _POINTS = st.integers(3, 6).flatmap(
     .map(lambda cs: ProjectedPoint(n, tuple(F(c) for c in cs)))
 )
 _NONZERO_Q = st.builds(F, st.integers(-7, 7).filter(bool), st.integers(1, 7))
+
+
+_SPARSE_POINTS = st.integers(3, 10).flatmap(
+    lambda n: st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=n + 1, max_size=n + 1)
+    .filter(any)
+    .map(lambda cs: ProjectedPoint(n, tuple(F(c) for c in cs)))
+)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.one_of(_POINTS, _SPARSE_POINTS))
+def test_x_rank_matches_the_upward_scan(P):
+    """The scan of levels w'..w'+2 publishes what the upward scan from level
+    1, one nullspace per level, publishes."""
+    assert x_rank(P).to_json() == upward_x_rank(P).to_json()
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)

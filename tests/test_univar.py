@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 from cuspidal import ratfactor, univar
+from oracles import euclid_gcd
 
 
 def F(a, b=1):
@@ -27,6 +28,24 @@ def test_gcd_of_multiples():
     q = univar.mul(g, [F(-5), F(1), F(1)])
     got = univar.gcd(p, q)
     assert got == univar.monic(g)
+
+
+def test_gcd_matches_euclid_oracle():
+    """The primitive pseudo-remainder sequence in the integers gives the
+    monic gcd that the Euclidean algorithm over Fraction gives, on seeded
+    rational polynomials with a planted common factor or none."""
+    rng = random.Random(5)
+
+    def poly(deg):
+        return [F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(deg)] + [F(1)]
+
+    for trial in range(200):
+        common = poly(rng.randint(0, 4)) if trial % 2 else [F(1)]
+        p = univar.mul(common, poly(rng.randint(0, 6)))
+        q = univar.mul(common, poly(rng.randint(0, 6)))
+        if trial % 7 == 0:
+            q = []
+        assert univar.gcd(p, q) == euclid_gcd(p, q)
 
 
 def test_yun_recovers_multiplicities():
