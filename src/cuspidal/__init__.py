@@ -5,14 +5,12 @@ from .binform import (
     ApolarCoeffs,
     BinaryForm,
     GrammarError,
-    NumericRoot,
     P1Point,
     PrecisionError,
     ZeroFormError,
     ZeroScheme,
     apolar_coeffs,
     is_square_free,
-    numeric_roots,
     parse_form,
     squarefree_decompose,
 )
@@ -21,14 +19,12 @@ __all__ = [
     "ApolarCoeffs",
     "BinaryForm",
     "GrammarError",
-    "NumericRoot",
     "P1Point",
     "PrecisionError",
     "ZeroFormError",
     "ZeroScheme",
     "apolar_coeffs",
     "is_square_free",
-    "numeric_roots",
     "parse_form",
     "squarefree_decompose",
 ]

@@ -55,25 +55,31 @@ def _hankel(a: tuple, r: int) -> tuple[tuple, ...]:
     return tuple(a[j : j + r + 1] for j in range(d - r + 1))
 
 
+def _border_kernel(a: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+    """Border rank w and the level-w kernel basis of the nonzero form with
+    integer apolar vector a, from one rank and one kernel.  The apolar ideal
+    is a complete intersection with generators of degrees w <= d+2-w, so the
+    level-r catalecticant has rank min(r+1, w, d-r+1), which is w at
+    r = floor(d/2) (Iarrobino-Kanev, LNM 1721).  No level below w has a
+    kernel: a kernel form of degree r < w would put floor(d/2)-r+1
+    independent multiples in the middle kernel, leaving rank <= r.  For
+    d = 0 the level w = 1 is out of range."""
+    w = linalg.rank(_hankel(a, (len(a) - 1) // 2))
+    return w, linalg.nullspace(_hankel(a, w))
+
+
 def _first_kernel(f: BinaryForm) -> tuple[int, list[BinaryForm]]:
-    """Border rank w and the level-w kernel basis, from one rank and one
-    kernel.  The apolar ideal is a complete intersection with generators of
-    degrees w <= d+2-w, so the level-r catalecticant has rank
-    min(r+1, w, d-r+1), which is w at r = floor(d/2) (Iarrobino-Kanev, LNM
-    1721).  No level below w has a kernel: a kernel form of degree r < w
-    would put floor(d/2)-r+1 independent multiples in the middle kernel,
-    leaving rank <= r.  For d = 0 the level w = 1 is out of range."""
+    """Border rank w and the level-w kernel basis of f, by ``_border_kernel``."""
     if f.is_zero():
         raise ZeroFormError("rank of the zero form")
-    a = linalg.canonical_vector(apolar_coeffs(f).entries)
-    w = linalg.rank(_hankel(a, f.degree // 2))
-    return w, [BinaryForm(w, v) for v in linalg.nullspace(_hankel(a, w))]
+    w, basis = _border_kernel(linalg.canonical_vector(apolar_coeffs(f).entries))
+    return w, [BinaryForm(w, v) for v in basis]
 
 
 def _ideal_generators(a) -> list[tuple[int, ...]]:
     """Generators of the apolar ideal of the degree-m form with apolar
     vector a, as coefficient vectors: (1,) when a = 0, else g1, a level-w
-    kernel vector as in ``_first_kernel``, and g2 of degree s = m+2-w.  The
+    kernel vector from ``_border_kernel``, and g2 of degree s = m+2-w.  The
     shifts u^(s-w-i) t^i g1 end at the columns e..e+s-w, e the last nonzero
     column of g1, so they reduce every level-s kernel form to one vanishing
     there, and g2 is such a form.  Both annihilate and their degrees sum to
@@ -84,8 +90,7 @@ def _ideal_generators(a) -> list[tuple[int, ...]]:
         return [(1,)]
     a = linalg.canonical_vector(a)
     m = len(a) - 1
-    w = linalg.rank(_hankel(a, m // 2))
-    basis = linalg.nullspace(_hankel(a, w))
+    w, basis = _border_kernel(a)
     if not basis:
         raise CertificateError(f"trivial kernel at the claimed level {w}")
     g1, s = basis[0], m + 2 - w

@@ -3,8 +3,10 @@
 A form of degree d is stored by its monomial coefficients (c_0, ..., c_d),
 where c_i multiplies u**(d-i) * t**i.  The apolar coefficients a_i = c_i /
 binomial(d, i) drive the catalecticant machinery downstream.  Everything here
-is exact; the only numerics are the certified root approximations at the end
-of the module.
+is exact; the only numerics are the root approximations of
+``approximate_roots`` at the end of the module, which certify nothing
+themselves: ``apolarity.decompose`` checks the power sum built from them by
+its residual.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class ZeroFormError(ValueError):
 
 
 class PrecisionError(ArithmeticError):
-    """Working precision could not certify separated root clusters."""
+    """The working precision was too low for a numeric result."""
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -391,21 +393,6 @@ class ZeroScheme:
         )
 
 
-def resultant_of_partials(coeffs: Sequence[int]) -> int:
-    """Sylvester resultant of the two partials of the integer form g with
-    coefficient vector ``coeffs`` (c_i at u^(r-i) t^i), each taken at its
-    formal degree r-1, so that a root at (0:1) counts too.
-
-    It vanishes exactly when the partials share a root on P^1.  By Euler's
-    identity r*g = u*g_u + t*g_t, for r >= 1 that is a repeated root of g,
-    or g = 0.  For r <= 1 the matrix is empty and the resultant is 1.
-    """
-    r = len(coeffs) - 1
-    fu = [(r - i) * coeffs[i] for i in range(r)]
-    ft = [(i + 1) * coeffs[i + 1] for i in range(r)]
-    return linalg.det([[0] * i + p + [0] * (r - 2 - i) for p in (fu, ft) for i in range(r - 1)])
-
-
 def is_square_free(f: BinaryForm) -> bool:
     """True iff f has no repeated root on P^1, the point (0:1) included.
     Constants and linear forms are square-free.
@@ -439,64 +426,6 @@ def squarefree_decompose(f: BinaryForm) -> ZeroScheme:
     return ZeroScheme(((f, 1),) if f.degree else ())
 
 
-@dataclass(frozen=True)
-class NumericRoot:
-    """Projective root (a:b), either exact rational or certified numeric.
-
-    Numeric roots come normalized to (1:tau); the error radius bounds the
-    distance from tau to the true root in its chart.  Exact roots have
-    radius 0.
-    """
-
-    a: object
-    b: object
-    multiplicity: int
-    radius: object
-    exact: bool
-    precision_bits: int
-
-    def point(self) -> P1Point | None:
-        if not self.exact:
-            return None
-        return P1Point(Fraction(self.a), Fraction(self.b))
-
-
-def numeric_roots(f: BinaryForm, precision_bits: int = 192) -> list[NumericRoot]:
-    """All projective roots with multiplicities.
-
-    Multiplicities come from the exact square-free decomposition, whose
-    factors are irreducible: a linear factor gives its rational root
-    exactly; the roots of the others are approximated at the requested
-    precision with a proved radius (deg * |p(z)/p'(z)| around each
-    approximation, see ``_certified_roots``).  Every disk must be disjoint
-    from every other, within its factor and across the form, and from every
-    exact chart root, or PrecisionError is raised; the test compares exact
-    squared distances.  Disjoint disks, each holding a root of its factor,
-    hold one root each.
-    """
-    if precision_bits < 64:
-        raise ValueError("precision_bits must be at least 64")
-    scheme = squarefree_decompose(f)
-    out: list[NumericRoot] = []
-    numeric: list[NumericRoot] = []
-    for g, m in scheme.factors:
-        if g.degree == 1:
-            pt = _root_of_linear(g)
-            out.append(NumericRoot(pt.a, pt.b, m, Fraction(0), True, precision_bits))
-        else:
-            numeric.extend(_certified_roots(g.tau_poly()[1], m, precision_bits))
-    taus = [s.b for s in out if s.a]
-    disks = [tuple(_exact_value(x) for x in (r.b.real, r.b.imag, r.radius)) for r in numeric]
-    for i, (x, y, rad) in enumerate(disks):
-        if any((x - u) ** 2 + (y - v) ** 2 <= (rad + s) ** 2 for u, v, s in disks[i + 1:]) or any(
-            (x - tau) ** 2 + y**2 <= rad**2 for tau in taus
-        ):
-            raise PrecisionError("precision insufficient for cluster separation; retry higher")
-    out.sort(key=lambda r: (r.a, r.b))
-    numeric.sort(key=lambda r: (r.b.real, r.b.imag))  # mpf comparison is exact
-    return out + numeric
-
-
 def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     """Approximations, as mpc, of all complex roots of the square-free
     rational polynomial p (low to high, degree >= 1), good to about ``bits``
@@ -511,7 +440,6 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     the sweeps repeat until the largest step is below about the square
     root of the unit, so that one sweep at twice the precision is accurate
     to it.  The seeds only start the iteration; nothing here is certified.
-    ``_certified_roots`` draws proved disks around its output, and
     ``apolarity.decompose`` reads the roots of a witness's irreducible
     factors from it, certified by the residual of the decomposition.  The
     roots of exact quadratics, in ``numberfield``, come from the quadratic
@@ -565,42 +493,6 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
 def _exact_value(x) -> Fraction:
     """The rational value of a finite mpf."""
     return Fraction(*libmp.to_rational(x._mpf_))
-
-
-def _evaluate_gaussian(p: Sequence, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
-    """Real and imaginary parts of p(x + iy), exactly."""
-    re = im = Fraction(0)
-    for c in reversed(p):
-        re, im = re * x - im * y + c, re * y + im * x
-    return re, im
-
-
-def _certified_roots(p: list[Fraction], mult: int, precision_bits: int) -> list[NumericRoot]:
-    """Roots of a square-free rational-root-free factor with their disks.
-
-    The roots are refined 32 bits beyond the stored precision_bits + 64 and
-    rounded to it.  Each disk is drawn around the stored z with radius
-    deg * |p(z)/p'(z)|, which holds a root of p since p'/p is the sum of
-    1/(z - root).  p and p' are evaluated exactly at the Gaussian rational
-    z, and the square root of the squared ratio is rounded up, so the
-    radius is a bound and not an estimate.
-    """
-    deg = univar.degree(p)
-    dp = univar.derivative(p)
-    with mpmath.workprec(precision_bits + 64):
-        roots = [+z for z in approximate_roots(p, precision_bits + 96)]
-    out = []
-    for z in roots:
-        x, y = _exact_value(z.real), _exact_value(z.imag)
-        p_re, p_im = _evaluate_gaussian(p, x, y)
-        d_re, d_im = _evaluate_gaussian(dp, x, y)
-        if not (d_re or d_im):
-            raise PrecisionError("derivative vanished at an approximate root")
-        square = deg**2 * (p_re**2 + p_im**2) / (d_re**2 + d_im**2)
-        bound = libmp.from_rational(square.numerator, square.denominator, 64, libmp.round_ceiling)
-        radius = mpmath.mp.make_mpf(libmp.mpf_sqrt(bound, 64, libmp.round_ceiling))
-        out.append(NumericRoot(mpmath.mpc(1), z, mult, radius, False, precision_bits))
-    return out
 
 
 def random_form(degree: int, rng, bound: int = 100) -> BinaryForm:

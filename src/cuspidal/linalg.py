@@ -65,24 +65,6 @@ def rank(rows: Matrix) -> int:
     return len(pivots)
 
 
-def det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, by Bareiss elimination."""
-    m = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(len(m)):
-        sel = next((i for i in range(k, len(m)) if m[i][k]), None)
-        if sel is None:
-            return 0
-        if sel != k:
-            m[k], m[sel] = m[sel], m[k]
-            sign = -sign
-        for i in range(k + 1, len(m)):
-            for j in range(k + 1, len(m)):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * prev
-
-
 def canonical_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale to primitive integer entries with the first nonzero entry positive."""
     (ints,) = _int_rows([vec])
@@ -136,7 +118,7 @@ def free_column_basis(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[int, 
     ends at f and vanishes on the other free columns.  Eliminating from the
     last column down finds both.
     """
-    rows = [list(v) for v in vectors]
+    rows = _int_rows(vectors)
     ends: list[int] = []
     for i, row in enumerate(rows):
         col = max((j for j, c in enumerate(row) if c), default=None)
@@ -144,9 +126,12 @@ def free_column_basis(vectors: Sequence[Sequence[Fraction]]) -> list[tuple[int, 
             raise ValueError("dependent vectors have no free-column basis")
         for k, other in enumerate(rows):
             if k != i and other[col]:
-                # cross-multiplied, so integer rows stay integral; the
-                # canonical vectors below do not see the scale
-                rows[k] = [a * row[col] - other[col] * b for a, b in zip(other, row)]
+                # cross-multiplied and divided by the content, so the
+                # integers do not grow with each step; the canonical
+                # vectors below do not see the scale
+                new = [a * row[col] - other[col] * b for a, b in zip(other, row)]
+                g = int_gcd(*new) or 1
+                rows[k] = [c // g for c in new]
         ends.append(col)
     return [canonical_vector(rows[i]) for i in sorted(range(len(rows)), key=ends.__getitem__)]
 

@@ -35,6 +35,12 @@ factor, P projected once more, from the tangent line at A.
   a kernel.  So the scan visits only w'..w'+2 up to the cap, stops at the
   first generic level w_gen, and reports each lambda at its first kernel
   level, the first level where it appears.
+* A special lambda that is not rational is a root gamma of an irreducible
+  quadratic, where the block has rank one and its kernel form is g = v0 +
+  gamma v1 with v0, v1 rational.  With h = gcd(v0, v1), the norm g g~ over
+  h is a rational form, square-free exactly when g is (the proof is at
+  ``_Pencil.field_certificate``), so ``binform.is_square_free`` decides the
+  rank at gamma and at its conjugate, as at every rational lambda.
 * A lift first acquiring a kernel at level r has rank at least r, so whole
   levels are pruned exactly once the running minimum is that small.
 * B'' = 0 exactly when P is the cusp, the image of A: the lift at
@@ -44,7 +50,6 @@ factor, P projected once more, from the tangent line at A.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,7 +67,7 @@ from .binform import (
     apolar_coeffs,
     form_from_apolar,
     is_integer_literal,
-    resultant_of_partials,
+    is_square_free,
 )
 from .numberfield import AlgebraicNumber, isolate_roots
 
@@ -289,8 +294,15 @@ class _Pencil:
         The block has rank one there, so its kernel is spanned by c(lambda)
         = (y, -x) for a row (x, y) of the block that is not identically
         zero; c, and with it v = K c = v0 + lambda v1, is affine in lambda.
-        The kernel form g0 + lambda g1 is square-free iff lambda is not a
-        root of the discriminant of g0 + x g1.
+        At a root gamma of mu = x^2 + p x + q the kernel form is g = v0 +
+        gamma v1, and its product with the conjugate g~ is the norm N = v0^2
+        - p v0 v1 + q v1^2, a rational form (Trager, SYMSAC 1976).  Read v0,
+        v1 and h = gcd(v0, v1) as binary forms, so that a root at (0:1)
+        counts.  A common factor of g and g~ divides g - g~ = (gamma -
+        gamma~) v1 and then v0, so gcd(g, g~) = h.  Hence N / h = h (g/h)
+        (g~/h), where g/h and g~/h are conjugate and coprime and h is
+        rational: it is square-free iff h and g/h are square-free and
+        coprime, that is iff g is.
         """
         if len(self.kernel) != 2:
             raise CertificateError(f"algebraic lambda with dim K = {len(self.kernel)}")
@@ -303,9 +315,17 @@ class _Pencil:
         v1 = [y[1] * a - x[1] * b for a, b in zip(k0, k1)]
         if not any(v0) and not any(v1):
             raise CertificateError("the kernel vector vanishes at an algebraic lambda")
+        # one integer scale for v0 and v1, and the norm times lc(minpoly)
+        ints = linalg.canonical_vector(v0 + v1)
+        g0, g1 = BinaryForm(self.r, ints[: self.r + 1]), BinaryForm(self.r, ints[self.r + 1 :])
+        c0, c1, c2 = minpoly
+        norm = (g0 * g0).scaled(c2) - (g0 * g1).scaled(c1) + (g1 * g1).scaled(c0)
+        h = univar.gcd(g0.coeffs, g1.coeffs)
+        # h is u^k h(1, t) with k = r - max deg, so N / h has degree 2r - k - deg h(1, t)
+        deg = self.r + max(univar.degree(g0.coeffs), univar.degree(g1.coeffs)) - univar.degree(h)
+        quot = univar.div_exact(norm.coeffs, h)
         modulus = tuple(univar.monic([Fraction(c) for c in minpoly]))
-        _, rem = univar.divmod_(_discriminant(v0, v1), modulus)
-        if rem:
+        if is_square_free(BinaryForm(deg, quot + [0] * (deg + 1 - len(quot)))):
             return FieldCertificate(self.r, self.r, "squarefree", modulus)
         return FieldCertificate(self.r, self.d + 2 - self.r, "nonreduced", modulus)
 
@@ -328,32 +348,6 @@ def _pencil(P: ProjectedPoint, r: int, gens: list[tuple[int, ...]]) -> _Pencil:
         for v in kernel
     ]
     return _Pencil(d, r, kernel, rows)
-
-
-def _discriminant(v0, v1) -> list:
-    """Res(g_u, g_t) of the binary form g = g0 + x g1 (coefficient i at
-    u^(r-i) t^i) as a polynomial in x, up to a constant factor: the
-    square-free test ``binform.resultant_of_partials``, which vanishes
-    exactly where g has a repeated root on P^1, u^2 dividing g included.
-    Its Sylvester matrix is affine in x, so the determinant has degree at
-    most 2r-2 and is interpolated from its integer values at x = 0..2r-2 on
-    one integer scaling of g0 and g1."""
-    r = len(v0) - 1
-    den = math.lcm(*(c.denominator for c in (*v0, *v1)))
-    g0 = [int(c * den) for c in v0]
-    g1 = [int(c * den) for c in v1]
-    npts = 2 * r - 1
-    diffs = [
-        Fraction(resultant_of_partials([a + x * b for a, b in zip(g0, g1)])) for x in range(npts)
-    ]
-    # Newton divided differences at the nodes 0..npts-1, then back to coefficients
-    for k in range(1, npts):
-        for i in range(npts - 1, k - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / k
-    poly: list = []
-    for i in range(npts - 1, -1, -1):
-        poly = univar.add(univar.mul(poly, [Fraction(-i), Fraction(1)]), [diffs[i]])
-    return poly
 
 
 def special_lambdas(P: ProjectedPoint, r: int, precision_bits: int = 192):

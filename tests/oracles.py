@@ -35,6 +35,13 @@
   lambda.  They back ``projection._pencil``, which spans K by the shifts of
   the two generators of the apolar ideal of B'', and ``projection.x_rank``,
   which visits only the levels w'..w'+2.
+* ``det``, ``resultant_of_partials``, ``discriminant`` and
+  ``discriminant_field_certificate``: an algebraic lambda was once
+  certified by the discriminant of the pencil g0 + x g1 of kernel forms,
+  interpolated from 2r-1 Bareiss determinants of the Sylvester matrix of
+  the partials, and reduced modulo the minimal polynomial.  They back the
+  norm form of ``projection._Pencil.field_certificate``, and the resultant
+  backs ``binform.is_square_free``.
 * ``sympy_factors``: sympy's factorization over the rationals, which
   ``ratfactor`` used for every degree before degrees 1 and 2 got their
   closed forms.
@@ -56,6 +63,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -509,3 +517,81 @@ def mp_polyroots(p, bits: int) -> list:
                   for c in reversed(p)]
         return [mpmath.mpc(z) for z in
                 mpmath.polyroots(coeffs, maxsteps=400, extraprec=bits)]
+
+
+def det(rows) -> int:
+    """Determinant of a square integer matrix, by Bareiss elimination."""
+    m = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(len(m)):
+        sel = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if sel is None:
+            return 0
+        if sel != k:
+            m[k], m[sel] = m[sel], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * prev
+
+
+def resultant_of_partials(coeffs) -> int:
+    """Sylvester resultant of the two partials of the integer form g with
+    coefficient vector ``coeffs`` (c_i at u^(r-i) t^i), each taken at its
+    formal degree r-1, so that a root at (0:1) counts too.
+
+    It vanishes exactly when the partials share a root on P^1.  By Euler's
+    identity r*g = u*g_u + t*g_t, for r >= 1 that is a repeated root of g,
+    or g = 0.  For r <= 1 the matrix is empty and the resultant is 1.
+    """
+    r = len(coeffs) - 1
+    fu = [(r - i) * coeffs[i] for i in range(r)]
+    ft = [(i + 1) * coeffs[i + 1] for i in range(r)]
+    return det([[0] * i + p + [0] * (r - 2 - i) for p in (fu, ft) for i in range(r - 1)])
+
+
+def discriminant(v0, v1) -> list:
+    """Res(g_u, g_t) of the binary form g = g0 + x g1 as a polynomial in x,
+    up to a constant factor.  The Sylvester matrix is affine in x, so the
+    determinant has degree at most 2r-2 and is interpolated from its
+    integer values at x = 0..2r-2 on one integer scaling of g0 and g1."""
+    r = len(v0) - 1
+    den = math.lcm(*(Fraction(c).denominator for c in (*v0, *v1)))
+    g0 = [int(c * den) for c in v0]
+    g1 = [int(c * den) for c in v1]
+    npts = 2 * r - 1
+    diffs = [
+        Fraction(resultant_of_partials([a + x * b for a, b in zip(g0, g1)])) for x in range(npts)
+    ]
+    # Newton divided differences at the nodes 0..npts-1, then back to coefficients
+    for k in range(1, npts):
+        for i in range(npts - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / k
+    poly: list = []
+    for i in range(npts - 1, -1, -1):
+        poly = univar.add(univar.mul(poly, [Fraction(-i), Fraction(1)]), [diffs[i]])
+    return poly
+
+
+def discriminant_field_certificate(pencil: _Pencil, minpoly) -> FieldCertificate:
+    """``_Pencil.field_certificate`` by the discriminant: the kernel form
+    v0 + lambda v1 is square-free at the roots of minpoly iff minpoly does
+    not divide the discriminant of v0 + x v1."""
+    if len(pencil.kernel) != 2:
+        raise CertificateError(f"algebraic lambda with dim K = {len(pencil.kernel)}")
+    x, y = next(
+        (row for row in zip(*pencil.rows) if any(row[0]) or any(row[1])),
+        ((0, 0), (0, 0)),
+    )
+    k0, k1 = pencil.kernel
+    v0 = [y[0] * a - x[0] * b for a, b in zip(k0, k1)]
+    v1 = [y[1] * a - x[1] * b for a, b in zip(k0, k1)]
+    if not any(v0) and not any(v1):
+        raise CertificateError("the kernel vector vanishes at an algebraic lambda")
+    modulus = tuple(univar.monic([Fraction(c) for c in minpoly]))
+    _, rem = univar.divmod_(discriminant(v0, v1), modulus)
+    if rem:
+        return FieldCertificate(pencil.r, pencil.r, "squarefree", modulus)
+    return FieldCertificate(pencil.r, pencil.d + 2 - pencil.r, "nonreduced", modulus)

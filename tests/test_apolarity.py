@@ -12,7 +12,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import apolarity, binform, linalg
+from cuspidal import apolarity, binform, linalg, univar
 from cuspidal.apolarity import (
     AmbiguousScheme,
     CertificateError,
@@ -394,12 +394,12 @@ class TestRank:
     def test_degree_40_needs_no_determinant(self, monkeypatch):
         """The witness of a pinned degree-40 form with 3-digit coefficients
         has degree 21 and 650-bit coefficients; it is proved square-free
-        modulo a prime, with no Bareiss resultant of its partials."""
+        modulo a prime, with no call to the exact gcd in the integers."""
         rng = random.Random("rank-size:40")
         f = BinaryForm(40, tuple(rng.randint(-999, 999) for _ in range(41)))
         calls = []
-        det = linalg.det
-        monkeypatch.setattr(linalg, "det", lambda rows: calls.append(len(rows)) or det(rows))
+        gcd = univar.gcd
+        monkeypatch.setattr(univar, "gcd", lambda p, q: calls.append(len(p)) or gcd(p, q))
         cert = rank(f)
         assert (cert.border_rank, cert.rank, cert.witness_kind) == (21, 21, "squarefree")
         assert calls == []
@@ -467,14 +467,13 @@ class TestDecompose:
 
     def test_complex_path_factors_once(self, monkeypatch):
         """The complex path reads its roots from the factors ``decompose``
-        already has: no second square-free decomposition, no numeric_roots."""
+        already has: no second square-free decomposition."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("the witness was factored twice")
 
         for module in (binform, apolarity):
             monkeypatch.setattr(module, "squarefree_decompose", refuse)
-            monkeypatch.setattr(module, "numeric_roots", refuse, raising=False)
         coeffs = tuple(F(x) * comb(5, i) for i, x in enumerate((1, 0, 0, -1, 1, -1)))
         f = BinaryForm(5, coeffs)
         dec = decompose(f, 192)

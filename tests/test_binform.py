@@ -7,23 +7,21 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import binform, linalg, ratfactor, univar
+from cuspidal import linalg, ratfactor, univar
 from cuspidal.binform import (
     BinaryForm,
     GrammarError,
     P1Point,
     POINT_A,
-    PrecisionError,
     ZeroScheme,
     apolar_coeffs,
     approximate_roots,
     is_square_free,
-    numeric_roots,
     parse_form,
     random_form,
     squarefree_decompose,
 )
-from oracles import field_is_square_free, mp_polyroots, sympy_factors
+from oracles import field_is_square_free, mp_polyroots, resultant_of_partials, sympy_factors
 
 
 def F(a, b=1):
@@ -151,7 +149,7 @@ def test_square_free_matches_gcd_and_decomposition(f):
     the gcd of the chart polynomial and its derivative, and with the exact
     square-free decomposition."""
     got = is_square_free(f)
-    assert got == (binform.resultant_of_partials(linalg.canonical_vector(f.coeffs)) != 0)
+    assert got == (resultant_of_partials(linalg.canonical_vector(f.coeffs)) != 0)
     assert got == field_is_square_free(list(f.coeffs), f.degree)
     assert got == squarefree_decompose(f).is_reduced()
 
@@ -186,14 +184,13 @@ def test_square_free_modular_and_exact_routes(f, square_free, exact, monkeypatch
     assert is_square_free(f) is square_free
     assert len(calls) == exact
     assert field_is_square_free(list(f.coeffs), f.degree) is square_free
-    assert (binform.resultant_of_partials(linalg.canonical_vector(f.coeffs)) != 0) is square_free
+    assert (resultant_of_partials(linalg.canonical_vector(f.coeffs)) != 0) is square_free
 
 
 def test_square_free_matches_resultant_on_large_forms():
     """Seeded forms of degree 4..21 with coefficients up to 60 bits, every
     other one times the square of a random factor: the gcd route agrees
-    with the resultant of the partials, which the fiber scan's
-    discriminant still uses."""
+    with the resultant of the partials."""
     rng = random.Random(2112)
     squares = 0
     for trial in range(60):
@@ -210,7 +207,7 @@ def test_square_free_matches_resultant_on_large_forms():
         if f.is_zero():
             continue
         got = is_square_free(f)
-        assert got == (binform.resultant_of_partials(linalg.canonical_vector(f.coeffs)) != 0), f
+        assert got == (resultant_of_partials(linalg.canonical_vector(f.coeffs)) != 0), f
         squares += not got
     assert squares >= 25
 
@@ -357,9 +354,6 @@ class TestSchemeInvariant:
                 with pytest.raises(ValueError):
                     W.remove_point(pt, 1)
 
-            roots = numeric_roots(h, 64)
-            assert by_point((r.point(), r.multiplicity) for r in roots if r.exact) == want
-            assert sum(not r.exact for r in roots) == nonlinear_degree
         assert count >= 1000
 
 
@@ -373,102 +367,62 @@ class TestFormArithmetic:
 
 
 class TestNumericRoots:
+    """Roots of forms: the rational ones read off the zero scheme, the rest
+    refined by ``approximate_roots``."""
+
     def test_u2t(self):
-        roots = numeric_roots(U2T, 64)
-        table = {(str(r.a), str(r.b)): r.multiplicity for r in roots}
-        assert table == {("0", "1"): 2, ("1", "0"): 1}
+        assert squarefree_decompose(U2T).rational_points() == [
+            (P1Point(F(0), F(1)), 2), (P1Point(F(1), F(0)), 1)]
 
     def test_gaussian_pair(self):
-        f = form(1, 0, 1)  # u^2 + t^2, roots (1:i), (1:-i)
         prec = 128
-        roots = numeric_roots(f, prec)
-        assert len(roots) == 2
-        assert all(not r.exact for r in roots)
+        with mpmath.workprec(prec):
+            got = sorted(approximate_roots([F(1), F(0), F(1)], prec), key=lambda z: z.imag)
         with mpmath.workprec(prec + 16):
-            vals = sorted([mpmath.mpc(r.b) for r in roots], key=lambda z: mpmath.im(z))
-            assert abs(vals[0] + mpmath.mpc(0, 1)) < mpmath.mpf(2) ** (-prec + 4)
-            assert abs(vals[1] - mpmath.mpc(0, 1)) < mpmath.mpf(2) ** (-prec + 4)
-            for r in roots:
-                assert r.radius < mpmath.mpf(2) ** (-prec + 4)
+            assert abs(got[0] + mpmath.mpc(0, 1)) < mpmath.mpf(2) ** (-prec + 4)
+            assert abs(got[1] - mpmath.mpc(0, 1)) < mpmath.mpf(2) ** (-prec + 4)
 
     def test_multiplicity_sum(self):
         rng = random.Random(9)
         for _ in range(30):
             f = random_form(rng.randint(1, 8), rng, bound=10)
-            roots = numeric_roots(f, 96)
-            assert sum(r.multiplicity for r in roots) == f.degree
+            assert squarefree_decompose(f).degree == f.degree
 
     def test_mixed_exact_and_numeric(self):
         # (u - 2t)^2 * (u^2 + t^2); the rational root sits at (2:1) = (1:1/2)
         f = form(1, -2) * form(1, -2) * form(1, 0, 1)
-        roots = numeric_roots(f, 96)
-        exact = [r for r in roots if r.exact]
-        assert len(exact) == 1 and exact[0].multiplicity == 2
-        assert exact[0].point() == P1Point(F(2), F(1))
-        assert len([r for r in roots if not r.exact]) == 2
+        (lin, m), (quad, one) = squarefree_decompose(f).factors
+        assert (lin.evaluate(2, 1), m, one) == (0, 2, 1)
+        assert len(approximate_roots(quad.tau_poly()[1], 96)) == 2
 
-    def test_cluster_failure_reported(self):
-        # (t^2 - 2u^2)(t^2 - (2+eps)u^2): two irrational pairs ~2^-301 apart,
-        # below every guard digit available at 64-bit nominal precision.
-        eps = F(1, 2**300)
-        f = form(-2, 0, 1) * form(-2 - eps, 0, 1)
-        with pytest.raises(PrecisionError):
-            numeric_roots(f, 64)
-
-    def test_refined_roots_inside_their_disks(self):
-        """Every certified disk holds the root that mpmath's Durand-Kerner
-        iteration finds at more than twice the precision."""
-        rng = random.Random("refined-roots")
-        for _ in range(40):
-            f = random_form(rng.randint(3, 12), rng)
-            prec = rng.choice((64, 128, 192))
-            roots = [r for r in numeric_roots(f, prec) if not r.exact]
-            want = mp_polyroots(f.tau_poly()[1], 2 * prec + 64)
-            with mpmath.workprec(2 * prec + 64):
-                for r in roots:
-                    assert min(abs(mpmath.mpc(r.b) - z) for z in want) <= r.radius
-
-    def test_disks_hold_roots_of_far_clusters(self):
-        """(t - M u)^2 - D u^2 with |M| up to 10^40, half of them times
-        (c u + t) plus u^3: the two roots near M are relatively close, and
-        every disk returned still holds a root found at 2000 bits."""
-        rng = random.Random("far-clusters")
-        returned = 0
-        for _ in range(30):
-            M = rng.randint(-10**40, 10**40)
-            D = rng.choice((-7, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 47))
-            f = BinaryForm(2, (M * M - D, -2 * M, 1))
-            if rng.random() < 0.5:
-                f = f * form(rng.randint(-9, 9), 1) + form(1, 0, 0, 0)
-            want = mp_polyroots(f.tau_poly()[1], 2000)
-            for prec in (64, 128, 192):
-                try:
-                    roots = [r for r in numeric_roots(f, prec) if not r.exact]
-                except PrecisionError:
+    @pytest.mark.parametrize("seed, count, degrees, bound, precisions", [
+        ("refined-roots", 40, (3, 12), 100, (64, 128, 192)),
+        (11, 20, (2, 7), 8, (160,)),
+    ], ids=["refined-roots", "seed-11"])
+    def test_roots_match_durand_kerner(self, seed, count, degrees, bound, precisions):
+        """Seeded random forms: the roots ``approximate_roots`` refines for
+        each irreducible factor are those mpmath's Durand-Kerner iteration
+        finds at more than twice the precision, each to within 2^(8-prec)
+        relative to max(1, |z|)."""
+        rng = random.Random(seed)
+        compared = 0
+        for _ in range(count):
+            f = random_form(rng.randint(*degrees), rng, bound=bound)
+            prec = rng.choice(precisions)
+            for g, _m in squarefree_decompose(f).factors:
+                p = g.tau_poly()[1]
+                if len(p) < 2:
                     continue
-                returned += len(roots)
-                with mpmath.workprec(2000):
-                    for r in roots:
-                        assert min(abs(mpmath.mpc(r.b) - z) for z in want) <= r.radius, f.render()
-        assert returned > 30
-
-    def test_far_cluster_sorted_by_exact_real_part(self):
-        """(t - M u)^2 - 3u^2, M = 10^30 + 7: the roots M -+ sqrt(3) agree
-        to 53 bits, and at every precision that returns them they come back
-        in ascending real part."""
-        M = 10**30 + 7
-        f = BinaryForm(2, (M * M - 3, -2 * M, 1))
-        returned = 0
-        for prec in (64, 96, 128, 192, 256, 384, 512):
-            try:
-                roots = numeric_roots(f, prec)
-            except PrecisionError:
-                continue
-            returned += 1
-            reals = [r.b.real for r in roots]
-            with mpmath.workprec(256):
-                assert abs(reals[1] - reals[0] - 2 * mpmath.sqrt(3)) < 1e-6, prec
-        assert returned >= 3
+                with mpmath.workprec(prec):
+                    got = approximate_roots(p, prec)
+                want = mp_polyroots(p, 2 * prec + 64)
+                assert len(got) == len(want)
+                with mpmath.workprec(2 * prec + 64):
+                    for z in want:
+                        err = min(abs(mpmath.mpc(y) - z) for y in got)
+                        assert err <= mpmath.mpf(2) ** (8 - prec) * max(1, abs(z)), f.render()
+                compared += len(want)
+        assert compared >= count
 
     def test_seeds_lost_to_underflow(self, monkeypatch):
         """Roots numpy.roots does not return are seeded on a spiral and
@@ -483,40 +437,6 @@ class TestNumericRoots:
             assert len(got) == 5
             for z in want:
                 assert min(abs(z - y) for y in got) < mpmath.mpf(2) ** -100
-
-
-def test_reconstruction_from_roots():
-    rng = random.Random(11)
-    for _ in range(20):
-        f = random_form(rng.randint(2, 7), rng, bound=8)
-        prec = 160
-        roots = numeric_roots(f, prec)
-        with mpmath.workprec(prec):
-            prod = [mpmath.mpc(1)]
-
-            def polymul(p, q):
-                out = [mpmath.mpc(0)] * (len(p) + len(q) - 1)
-                for i, a in enumerate(p):
-                    for j, b in enumerate(q):
-                        out[i + j] += a * b
-                return out
-
-            def to_mpc(x):
-                if isinstance(x, Fraction):
-                    return mpmath.mpc(mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator))
-                return mpmath.mpc(x)
-
-            for r in roots:
-                a, b = to_mpc(r.a), to_mpc(r.b)
-                for _ in range(r.multiplicity):
-                    prod = polymul(prod, [b, -a])  # linear form b*u - a*t in c-order
-            # Compare up to scale against f's coefficients.
-            fc = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in f.coeffs]
-            k = max(range(len(fc)), key=lambda i: abs(fc[i]))
-            scale = fc[k] / prod[k]
-            err = max(abs(scale * p - c) for p, c in zip(prod, fc))
-            norm = max(abs(c) for c in fc)
-            assert err / norm < mpmath.mpf(2) ** (-prec // 2)
 
 
 class TestIntFractionParity:

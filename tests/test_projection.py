@@ -12,7 +12,7 @@ from cuspidal import linalg, projection, ratfactor, univar
 from cuspidal.apolarity import CertificateError, RankCertificate, _ideal_generators, rank
 from cuspidal.binform import BinaryForm, P1Point, ZeroFormError, random_form
 from cuspidal.classifier import InstanceSpec, generate_instance
-from cuspidal.numberfield import AlgebraicNumber, isolate_roots
+from cuspidal.numberfield import AlgebraicNumber, QuadraticNumber, isolate_roots
 from cuspidal.projection import (
     ALL_LAMBDA,
     FieldCertificate,
@@ -27,6 +27,8 @@ from cuspidal.projection import (
 from oracles import (
     FieldForm,
     catalecticant,
+    discriminant_field_certificate,
+    field_is_square_free,
     field_lift,
     field_rank_certificate,
     grid_generic_certificate,
@@ -618,24 +620,79 @@ class TestPencilCertificates:
         _assert_pencil_matches_oracles(project(f), random.Random(tag))
 
     def test_quadratic_classes_agree_with_oracle(self):
-        # points whose level-2 determinant is an irreducible quadratic; the
-        # first three have a non-reduced kernel form at both roots
+        """The norm route of ``field_certificate`` against the number-field
+        level scan and the discriminant route, at every algebraic lambda of
+        three pinned points, whose kernel form is non-reduced at both
+        roots; of points planted on a3 = 0, a0 a4 = -3 a2^2, where the n = 3
+        points with such a lambda lie; and of seeded points at n = 3..5 with
+        coordinates in [-4, 4]."""
         rng = random.Random(99)
         points = [(-1, -1, 0, 3), (3, -1, 0, -1), (-1, 1, 0, 3)]
-        points += [tuple(rng.randint(-6, 6) for _ in range(4)) for _ in range(40)]
+        for _ in range(12):
+            a0, a2 = (F(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 3)) for _ in "02")
+            points.append((a0, a2, 0, -3 * a2**2 / a0))
+        points += [tuple(rng.randint(-4, 4) for _ in range(n + 1))
+                   for n in (3, 4, 5) for _ in range(100)]
         kinds = []
         for coords in points:
-            p = ProjectedPoint(3, tuple(F(c) for c in coords)) if any(coords) else None
-            got = special_lambdas(p, 2) if p else []
-            if got is ALL_LAMBDA or not got or isinstance(got[0], F):
+            if not any(coords[1:]):
                 continue
-            for lam in got:
-                want = field_rank_certificate(field_lift(p, lam))
-                cert = level_pencil(p, 2).field_certificate(lam.minpoly)
-                assert cert == want, (coords, lam)
+            P = ProjectedPoint(len(coords) - 1, tuple(F(c) for c in coords))
+            for pen, lam in _algebraic_lambdas(P):
+                cert = pen.field_certificate(lam.minpoly)
+                assert cert == field_rank_certificate(field_lift(P, lam)), (coords, lam)
+                assert cert == discriminant_field_certificate(pen, lam.minpoly), (coords, lam)
                 kinds.append(cert.witness_kind)
         assert kinds[:6] == ["nonreduced"] * 6
-        assert kinds.count("squarefree") >= 10
+        assert kinds.count("nonreduced") >= 20 and kinds.count("squarefree") >= 300
+
+
+def _algebraic_lambdas(P):
+    """(pencil, lambda) for every algebraic lambda of P at its first kernel
+    level, scanned upward from level 1."""
+    gens = _ideal_generators(P.coords[1:])
+    seen = set()
+    for r in range(1, (P.n + 3) // 2 + 1):
+        pen = projection._pencil(P, r, gens)
+        got = pen.special_values(192)
+        if got is ALL_LAMBDA:
+            return
+        yield from ((pen, lam) for key, lam in got if key not in seen and not isinstance(lam, F))
+        seen.update(key for key, _lam in got)
+
+
+U, T = form(1, 0), form(0, 1)
+
+
+class TestNormRoute:
+    """``field_certificate`` on pencils built by hand, where h = gcd(v0, v1)
+    is not 1 or v0 or v1 vanishes, which no natural input reached: the
+    kernel form g = v0 + gamma v1 is checked square-free over Q(gamma)
+    directly, and by the discriminant route."""
+
+    @pytest.mark.parametrize("v0, v1, minpoly, kind", [
+        ((U + T) * U * U, (U + T) * T * T, (-2, 0, 1), "squarefree"),  # h = u + t
+        ((U + T).power(2) * U, (U + T).power(2) * T, (-2, 0, 1), "nonreduced"),  # h^2 | g
+        ((T * T - U * U.scaled(2)) * T, (T * T - U * U.scaled(2)) * U.scaled(-1), (-2, 0, 1),
+         "nonreduced"),  # h = t^2 - 2u^2 splits, and t - gamma u divides g twice
+        (U * U * T, U * T * T, (1, 1, 1), "squarefree"),  # h = ut, a simple root at (0:1)
+        (U * U * T, U.power(3), (1, 1, 1), "nonreduced"),  # h = u^2
+        (U * T * (U + T), form(0, 0, 0, 0), (-3, 0, 1), "squarefree"),  # v1 = 0
+        (U * T * T, form(0, 0, 0, 0), (-3, 0, 1), "nonreduced"),
+        (form(0, 0, 0, 0), U * T * (U - T), (-5, 1, 1), "squarefree"),  # v0 = 0
+        (form(0, 0, 0, 0), (U + T).power(2) * T, (-5, 1, 1), "nonreduced"),
+    ], ids=["h=u+t", "h^2|g", "h-splits", "h=ut", "h=u^2", "v1=0", "v1=0-square", "v0=0",
+            "v0=0-square"])
+    def test_hand_built_pencils(self, v0, v1, minpoly, kind):
+        # rows chosen so that c = (y, -x) gives v = k0 - lambda k1
+        kernel = [v0.coeffs, tuple(-c for c in v1.coeffs)]
+        pen = projection._Pencil(6, 3, kernel, [((0, 1), (0, 0)), ((1, 0), (0, 0))])
+        cert = pen.field_certificate(minpoly)
+        assert cert.witness_kind == kind
+        assert cert == discriminant_field_certificate(pen, minpoly)
+        gamma = QuadraticNumber.generator(minpoly)
+        g = [gamma.lift(a) + gamma * b for a, b in zip(v0.coeffs, v1.coeffs)]
+        assert field_is_square_free(g, 3) is (kind == "squarefree")
 
 
 def _moving_first_points(seed):
