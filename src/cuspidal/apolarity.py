@@ -16,8 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import comb
+from functools import cached_property, lru_cache
+from math import comb, lcm
 
 import mpmath
 
@@ -106,8 +106,9 @@ def _ideal_generators(a) -> list[tuple[int, ...]]:
 
 
 def border_rank(f: BinaryForm) -> int:
-    """Smallest r >= 1 whose catalecticant has a nontrivial kernel."""
-    return _first_kernel(f)[0]
+    """Smallest r >= 1 whose catalecticant has a nontrivial kernel, read
+    off the certificate of ``rank``."""
+    return rank(f).border_rank
 
 
 def border_scheme(f: BinaryForm) -> tuple[ZeroScheme, bool]:
@@ -188,8 +189,15 @@ class RankCertificate:
         }
 
 
+@lru_cache(maxsize=64)
 def rank(f: BinaryForm) -> RankCertificate:
-    """Sylvester dichotomy with an explicit witness."""
+    """Sylvester dichotomy with an explicit witness.
+
+    The certificates of the last 64 forms are kept, so the rank, the border
+    rank and a decomposition of one form cost one first kernel and one
+    certificate.  A certificate is frozen and its witness scheme is a
+    function of the witness, so every caller may share it.
+    """
     w, basis = _first_kernel(f)
     return _certify(f.degree, w, basis)
 
@@ -280,22 +288,49 @@ class Decomposition:
 
 def _power_column(alpha, beta, d: int, one) -> list:
     """Monomial coefficients of (alpha*u + beta*t)^d over any ring with
-    the given multiplicative identity."""
-    apow = [one]
+    the given multiplicative identity.  For alpha = 1, as at every point
+    (1:b) that ``decompose`` builds, only the powers of beta are taken: a
+    product with an exact 1 is the other factor at the working precision,
+    so the bits are those of the full chain."""
     bpow = [one]
     for _ in range(d):
-        apow.append(apow[-1] * alpha)
         bpow.append(bpow[-1] * beta)
+    if alpha == one:
+        return [comb(d, k) * bpow[k] for k in range(d + 1)]
+    apow = [one]
+    for _ in range(d):
+        apow.append(apow[-1] * alpha)
     return [comb(d, k) * (apow[d - k] * bpow[k]) for k in range(d + 1)]
 
 
 def _reconstruct(terms, d: int, one) -> list:
     """Monomial coefficients of sum s (a u + b t)^d over the terms
-    (s, (a, b)), in the ring of ``one``."""
+    (s, (a, b)), in the ring of ``one``; over the rationals by
+    ``_reconstruct_in_integers``."""
+    if isinstance(one, Fraction):
+        return _reconstruct_in_integers(terms, d)
     total = [one - one] * (d + 1)
     for s, (a, b) in terms:
         total = [t + s * c for t, c in zip(total, _power_column(a, b, d, one))]
     return total
+
+
+def _reconstruct_in_integers(terms, d: int) -> list[Fraction]:
+    """``_reconstruct`` over the rationals, as Fractions.  A point (a, b)
+    is the integer pair (a_n b_d, b_n a_d) over a_d b_d, so a term is an
+    integer column over s_d (a_d b_d)^d; the columns are summed over the
+    lcm of those denominators and d+1 Fractions are built at the end."""
+    den, columns = 1, []
+    for s, (a, b) in terms:
+        q = s.denominator * (a.denominator * b.denominator) ** d
+        pair = (a.numerator * b.denominator, b.numerator * a.denominator)
+        columns.append((s.numerator, q, _power_column(*pair, d, 1)))
+        den = lcm(den, q)
+    total = [0] * (d + 1)
+    for num, q, column in columns:
+        scale = num * (den // q)
+        total = [t + scale * c for t, c in zip(total, column)]
+    return [Fraction(t, den) for t in total]
 
 
 def _is_exact(x) -> bool:
@@ -464,7 +499,10 @@ def _decompose_numeric(
     with mpmath.workprec(bits + 32):
         pts = sorted(rational_points) + [(mpmath.mpc(1), mpmath.mpc(z)) for z in roots]
         mp_pts = [(_to_mpc(a), _to_mpc(b)) for a, b in pts]
-        scalars = _residue_scalars(f, g, mp_pts, _to_mpc, outside=lambda b: abs(b) > 1)
+        try:
+            scalars = _residue_scalars(f, g, mp_pts, _to_mpc, outside=lambda b: abs(b) > 1)
+        except ZeroDivisionError:
+            raise PrecisionError("the witness's derivative rounds to 0 at a root") from None
         terms = tuple((+s, p) for s, p in zip(scalars, pts))
     dec = Decomposition(f.degree, terms, mpmath.mpf(0), "complex", bits)
     residual = verify_decomposition(f, dec)

@@ -428,8 +428,11 @@ def squarefree_decompose(f: BinaryForm) -> ZeroScheme:
 
 def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     """Approximations, as mpc, of all complex roots of the square-free
-    rational polynomial p (low to high, degree >= 1), good to about ``bits``
-    bits; the caller works at ``bits`` or above.
+    rational polynomial p (low to high, degree >= 1), refined at ``bits``
+    bits; the caller works at ``bits`` or above.  Roots that are close
+    relative to their size keep far fewer correct bits: for
+    (x - M)^2 - 3 with M = 10^30 + 7, asked for 224 bits, the two real
+    roots come back with imaginary parts near 4e-7.
 
     The seeds are floats from the coefficients scaled by their largest: the
     quadratic formula in degree 2, so that quadratics never load numpy, and
@@ -439,9 +442,12 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     working precision doubles from 106 bits to ``bits``.  At each precision
     the sweeps repeat until the largest step is below about the square
     root of the unit, so that one sweep at twice the precision is accurate
-    to it.  The seeds only start the iteration; nothing here is certified.
-    ``apolarity.decompose`` reads the roots of a witness's irreducible
-    factors from it, certified by the residual of the decomposition.  The
+    to it.  A sweep takes 1/(z_i - z_j) once per pair and its negative for
+    (j, i), which is the same number: rounding to nearest commutes with
+    negation.  The seeds only start the iteration; nothing here is
+    certified.  ``apolarity.decompose`` reads the roots of a witness's
+    irreducible factors from it, and its residual check is what certifies
+    them: it raises PrecisionError when the roots are too poor.  The
     roots of exact quadratics, in ``numberfield``, come from the quadratic
     formula instead.
     """
@@ -475,10 +481,15 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
             tol = mpmath.mpf(2) ** (8 - prec // 2)
             for _ in range(100):
                 steps = []
+                inv = [[None] * deg for _ in range(deg)]
                 try:
+                    for i in range(deg):
+                        for j in range(i + 1, deg):
+                            inv[i][j] = 1 / (zs[i] - zs[j])
+                            inv[j][i] = -inv[i][j]
                     for i, z in enumerate(zs):
                         ratio = univar.evaluate(cs, z) / univar.evaluate(ds, z)
-                        near = mpmath.fsum(1 / (z - w) for j, w in enumerate(zs) if j != i)
+                        near = mpmath.fsum(x for j, x in enumerate(inv[i]) if j != i)
                         steps.append(ratio / (1 - ratio * near))
                 except ZeroDivisionError:
                     raise PrecisionError("root refinement met a zero denominator") from None

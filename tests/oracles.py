@@ -53,6 +53,13 @@
   roots of the witness came from ``mpmath.polyroots`` (Durand-Kerner).  They
   back the residue formula ``apolarity._residue_scalars`` and the Newton
   refinement ``binform.approximate_roots``.
+* ``fraction_reconstruct``: the power sum sum s (a u + b t)^d over the
+  rationals was once built term by term in Fractions, the powers of a and b
+  by repeated products, as ``apolarity._reconstruct`` still does over the
+  other rings.  It backs ``apolarity._reconstruct_in_integers``.
+* ``per_root_aberth_roots``: ``binform.approximate_roots`` once took
+  1/(z_i - z_j) afresh for each ordered pair in every Aberth sweep.  It
+  backs the sweep that takes each pair's reciprocal once.
 * ``mp_residual`` and ``fd_jacobian``: the span search's full-precision
   polish once solved the variable-projection fit with ``mpmath.lu_solve``
   on the normal equations and differentiated it by forward differences,
@@ -62,6 +69,7 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -73,7 +81,7 @@ import mpmath
 
 from cuspidal import linalg, univar
 from cuspidal.apolarity import CertificateError, _hankel, rank
-from cuspidal.binform import BinaryForm, ZeroFormError, apolar_coeffs
+from cuspidal.binform import BinaryForm, PrecisionError, ZeroFormError, apolar_coeffs
 from cuspidal.numberfield import AlgebraicNumber, QuadraticNumber
 from cuspidal.projection import (
     ALL_LAMBDA,
@@ -517,6 +525,69 @@ def mp_polyroots(p, bits: int) -> list:
                   for c in reversed(p)]
         return [mpmath.mpc(z) for z in
                 mpmath.polyroots(coeffs, maxsteps=400, extraprec=bits)]
+
+
+def fraction_reconstruct(terms, d: int) -> list[Fraction]:
+    """Monomial coefficients of sum s (a u + b t)^d over the terms
+    (s, (a, b)), every product a Fraction operation."""
+    one = Fraction(1)
+    total = [one - one] * (d + 1)
+    for s, (a, b) in terms:
+        apow = [one]
+        bpow = [one]
+        for _ in range(d):
+            apow.append(apow[-1] * a)
+            bpow.append(bpow[-1] * b)
+        column = [comb(d, k) * (apow[d - k] * bpow[k]) for k in range(d + 1)]
+        total = [t + s * c for t, c in zip(total, column)]
+    return total
+
+
+def per_root_aberth_roots(p, bits: int) -> list:
+    """``binform.approximate_roots`` with the reciprocals of the Aberth
+    correction taken once per ordered pair: the same seeds, precision
+    ladder, Jacobi update, ``fsum`` order and stopping rule."""
+    deg = univar.degree(p)
+    top = max(abs(c) for c in p)
+    fl = [float(c / top) for c in p]
+    if deg == 2 and fl[2]:
+        disc = cmath.sqrt(fl[1] ** 2 - 4 * fl[0] * fl[2])
+        seeds = [(-fl[1] + disc) / (2 * fl[2]), (-fl[1] - disc) / (2 * fl[2])]
+    else:
+        import numpy
+
+        seeds = [complex(z) for z in numpy.roots(fl[::-1])]
+    zs = [z for z in seeds if cmath.isfinite(z)]
+    zs += [(0.4 + 0.9j) ** k for k in range(len(zs), deg)]
+    zs = [
+        z * (1 + 2**-20 * cmath.exp(1j * k))
+        if any(abs(z - w) <= 2**-20 * max(1, abs(z)) for w in zs[:k] + zs[k + 1:])
+        else z
+        for k, z in enumerate(zs)
+    ]
+    dp = univar.derivative(p)
+    prec = min(106, bits)
+    while True:
+        with mpmath.workprec(prec):
+            cs = [mpmath.mpf(c.numerator) / c.denominator for c in p]
+            ds = [mpmath.mpf(c.numerator) / c.denominator for c in dp]
+            zs = [mpmath.mpc(z) for z in zs]
+            tol = mpmath.mpf(2) ** (8 - prec // 2)
+            for _ in range(100):
+                steps = []
+                try:
+                    for i, z in enumerate(zs):
+                        ratio = univar.evaluate(cs, z) / univar.evaluate(ds, z)
+                        near = mpmath.fsum(1 / (z - w) for j, w in enumerate(zs) if j != i)
+                        steps.append(ratio / (1 - ratio * near))
+                except ZeroDivisionError:
+                    raise PrecisionError("root refinement met a zero denominator") from None
+                zs = [z - h for z, h in zip(zs, steps)]
+                if all(abs(h) <= tol * max(1, abs(z)) for z, h in zip(zs, steps)):
+                    break
+        if prec >= bits:
+            return zs
+        prec = min(2 * prec, bits)
 
 
 def det(rows) -> int:

@@ -12,7 +12,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import apolarity, binform, linalg, univar
+from cuspidal import apolarity, binform, linalg, ratfactor, univar
 from cuspidal.apolarity import (
     AmbiguousScheme,
     CertificateError,
@@ -41,12 +41,14 @@ from cuspidal.numberfield import QuadraticNumber
 from oracles import (
     catalecticant,
     first_kernel_scan,
+    fraction_reconstruct,
     kernel_basis,
     nullspace_plain,
     power_sum_scalars,
     qr_power_sum_scalars,
 )
 from test_binform import _moved
+from test_decomposition_digests import _trace_form
 
 
 def form(*coeffs):
@@ -347,6 +349,24 @@ class TestRank:
         assert cert.witness_scheme is scheme
         assert calls == [cert.witness_form]
 
+    def test_one_first_kernel_per_form(self, monkeypatch):
+        """The rank, the border rank and a decomposition of one form share
+        one certificate: the first kernel is built once."""
+        calls = []
+        first_kernel = apolarity._first_kernel
+
+        def counted(f):
+            calls.append(f)
+            return first_kernel(f)
+
+        monkeypatch.setattr(apolarity, "_first_kernel", counted)
+        f = random_form(9, random.Random("one-kernel"), bound=100)
+        cert = rank(f)
+        assert border_rank(f) == cert.border_rank == 5
+        assert len(decompose(f, 128).terms) == cert.rank
+        assert rank(BinaryForm(f.degree, f.coeffs)) is cert
+        assert calls == [f]
+
     def test_seed42_degree7_generic(self):
         f = random_form(7, random.Random(42), bound=100)
         cert = rank(f)
@@ -480,6 +500,26 @@ class TestDecompose:
         assert dec.field_tag == "complex"
         assert verify_decomposition(f, dec) < mpmath.mpf(2) ** -96
 
+    @pytest.mark.parametrize("monic", [
+        (-(10**30 + 7) ** 3 - 2, 3 * (10**30 + 7) ** 2, -3 * (10**30 + 7)),
+        (1, -3 + (10**12 + 3) ** 2, -2 * (10**12 + 3)),
+    ], ids=["cube-root-cluster", "close-real-pair"])
+    def test_clustered_witness_roots(self, monic):
+        """Witnesses (x - M)^3 - 2 with M = 10^30 + 7, three roots within
+        2 of M, and x((x - M)^2 - 3) + 1 with M = 10^12 + 3, two roots near
+        M + sqrt(3) and M - sqrt(3): at every precision ``decompose``
+        returns a residual below 2^(-bits/2) or raises PrecisionError."""
+        assert ratfactor.is_irreducible([F(c) for c in monic] + [F(1)])
+        f = _trace_form(7, monic, F(1), F(0))
+        assert rank(f).rank == 3
+        for bits in (64, 80, 96, 128, 160, 192, 256):
+            try:
+                dec = decompose(f, bits)
+            except PrecisionError:
+                continue
+            assert dec.field_tag == "complex"
+            assert verify_decomposition(f, dec) < mpmath.mpf(2) ** (-bits // 2)
+
     def test_nonreduced_refused(self):
         with pytest.raises(NonReducedRank):
             decompose(U2T, 96)
@@ -508,6 +548,35 @@ def _rational(rng):
 
 def _to_mpc(x):
     return mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator) if isinstance(x, F) else x
+
+
+class TestReconstruct:
+    def test_integers_match_the_fraction_oracle(self):
+        """Random exact terms, ints and Fractions, negative and
+        non-integral, alpha mostly outside {0, 1}: the integer
+        reconstruction equals the term-by-term Fraction one exactly."""
+        rng = random.Random("reconstruct:integers")
+
+        def value():
+            return _rational(rng) if rng.random() < 0.7 else rng.randint(-9, 9)
+
+        for _ in range(200):
+            d = rng.randint(0, 14)
+            terms = [(value(), (value(), value())) for _ in range(rng.randint(0, 6))]
+            got = apolarity._reconstruct(terms, d, F(1))
+            assert got == fraction_reconstruct(terms, d)
+            assert all(type(c) is F for c in got)
+
+    def test_decompositions_check_in_integers(self, monkeypatch):
+        """The rational path's reconstruction check and the exact branch
+        of ``verify_decomposition`` both run in integers."""
+        calls = []
+        in_integers = apolarity._reconstruct_in_integers
+        monkeypatch.setattr(apolarity, "_reconstruct_in_integers",
+                            lambda terms, d: calls.append(d) or in_integers(terms, d))
+        dec = decompose(CUBE_SUM, 96)
+        assert verify_decomposition(CUBE_SUM, dec) == 0
+        assert calls == [3, 3]
 
 
 class TestResidueScalars:

@@ -13,6 +13,7 @@ from cuspidal.binform import (
     GrammarError,
     P1Point,
     POINT_A,
+    PrecisionError,
     ZeroScheme,
     apolar_coeffs,
     approximate_roots,
@@ -21,7 +22,13 @@ from cuspidal.binform import (
     random_form,
     squarefree_decompose,
 )
-from oracles import field_is_square_free, mp_polyroots, resultant_of_partials, sympy_factors
+from oracles import (
+    field_is_square_free,
+    mp_polyroots,
+    per_root_aberth_roots,
+    resultant_of_partials,
+    sympy_factors,
+)
 
 
 def F(a, b=1):
@@ -423,6 +430,35 @@ class TestNumericRoots:
                         assert err <= mpmath.mpf(2) ** (8 - prec) * max(1, abs(z)), f.render()
                 compared += len(want)
         assert compared >= count
+
+    def test_sweep_matches_the_per_pair_oracle(self):
+        """Seeded polynomials of degree 3..12, some with clusters of roots
+        near 10^k whose float seeds nearly coincide: the sweep that takes
+        each pair's reciprocal once returns the bits of the one that takes
+        it per ordered pair, or both raise PrecisionError."""
+        rng = random.Random("aberth-pairs")
+        compared = 0
+        for n in range(60):
+            deg = 3 + n % 10
+            if n % 3:
+                p = [F(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(deg)] + [F(1)]
+            else:
+                # (x - M)^k - c times a random factor: k roots within c^(1/k) of M
+                k, M = rng.randint(2, min(deg, 4)), rng.choice((10**3, 10**9, 10**15 + 7))
+                cluster = [F(comb(k, i) * (-M) ** (k - i)) for i in range(k + 1)]
+                cluster[0] -= rng.randint(1, 5)
+                rest = [F(rng.randint(-9, 9)) for _ in range(deg - k)] + [F(1)]
+                p = univar.mul(cluster, rest)
+            bits = rng.choice((64, 128, 224))
+            outcomes = []
+            for roots_of in (approximate_roots, per_root_aberth_roots):
+                try:
+                    outcomes.append([z._mpc_ for z in roots_of(p, bits)])
+                except PrecisionError:
+                    outcomes.append("PrecisionError")
+            assert outcomes[0] == outcomes[1], (p, bits)
+            compared += outcomes[0] != "PrecisionError"
+        assert compared >= 50
 
     def test_seeds_lost_to_underflow(self, monkeypatch):
         """Roots numpy.roots does not return are seeded on a spiral and
