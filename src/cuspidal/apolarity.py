@@ -85,7 +85,8 @@ def _ideal_generators(a) -> list[tuple[int, ...]]:
     there, and g2 is such a form.  Both annihilate and their degrees sum to
     m+2, so once checked coprime they generate the ideal, whatever the rank
     said: the quotient by (g1, g2) is Gorenstein of socle degree m, and a
-    larger ideal would contain its socle and annihilate every form."""
+    larger ideal would contain its socle and annihilate every form.  A rank
+    above the floor(m/2)+1 columns of the middle catalecticant raises."""
     if not any(a):
         return [(1,)]
     a = linalg.canonical_vector(a)
@@ -94,6 +95,8 @@ def _ideal_generators(a) -> list[tuple[int, ...]]:
     if not basis:
         raise CertificateError(f"trivial kernel at the claimed level {w}")
     g1, s = basis[0], m + 2 - w
+    if s < w:
+        raise CertificateError(f"border rank {w} of a degree-{m} form above {m // 2 + 1}")
     e = max(i for i, c in enumerate(g1) if c)
     keep = [j for j in range(s + 1) if not e <= j <= e + s - w]
     found = linalg.nullspace([[a[i + j] for j in keep] for i in range(m - s + 1)], ncols=len(keep))

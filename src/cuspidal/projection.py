@@ -50,8 +50,9 @@ factor, P projected once more, from the tangent line at A.
 from __future__ import annotations
 
 import itertools
-import random
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from . import linalg, ratfactor, univar
@@ -220,9 +221,13 @@ def lift(P: ProjectedPoint, lam) -> BinaryForm:
 
 
 def cusp_curve_point(n: int, t: P1Point) -> ProjectedPoint:
-    """Image on the cuspidal curve of the parameter point t, in dimension n."""
+    """Image on the cuspidal curve of the parameter point t, in dimension n:
+    (1, tau, ..., tau^d) at t = (1:tau), slot 1 deleted."""
     d = n + 1
-    vec = [t.a ** (d - i) * t.b**i for i in range(d + 1)]
+    if t.tau is None:
+        vec = [0] * d + [1]
+    else:
+        vec = list(itertools.accumulate([t.tau] * d, Fraction.__mul__, initial=Fraction(1)))
     return ProjectedPoint(n, tuple([vec[0]] + vec[2:]))
 
 
@@ -242,7 +247,8 @@ def cusp_curve_images(n: int, scheme: ZeroScheme):
 class _Pencil:
     """Level-r structure of the lift pencil of a degree-d point: a basis K of
     the kernel of the constant Hankel rows 2.., and for each basis vector v
-    the pair (row 0 . v, row 1 . v), each as (constant, slope) in lambda."""
+    the pair (row 0 . v, row 1 . v), each as (constant, slope) in lambda,
+    all up to one common scale."""
 
     d: int
     r: int
@@ -277,7 +283,8 @@ class _Pencil:
     def kernel_at(self, lam: Fraction) -> list[tuple[Fraction, ...]]:
         """Level-r kernel of the lift at rational lam, basis for basis as
         ``linalg.nullspace`` gives it for the lift's catalecticant."""
-        block = [[c + s * lam for c, s in pair] for pair in zip(*self.rows)]
+        block = [[lam.denominator * c + lam.numerator * s for c, s in pair]
+                 for pair in zip(*self.rows)]
         combos = linalg.nullspace(block) if self.kernel else []
         vecs = [[sum(c * v[i] for c, v in zip(cs, self.kernel)) for i in range(self.r + 1)]
                 for cs in combos]
@@ -331,19 +338,21 @@ class _Pencil:
 
 
 def _pencil(P: ProjectedPoint, r: int, gens: list[tuple[int, ...]]) -> _Pencil:
-    """The level-r pencil of P, for gens = ``_ideal_generators`` of B''."""
+    """The level-r pencil of P, for gens = ``_ideal_generators`` of B''.  Rows
+    0 and 1, where only a_1 = lambda/d moves, are scaled into integers by
+    d * lcm(denominators of P); canonical kernels and monic factors hide it."""
     d = P.n + 1
     if not 1 <= r <= (d + 2) // 2:
         raise ProjectionError(f"level must lie in 1..{(d + 2) // 2}")
-    a = P.apolar_with_slot(None)
+    D = math.lcm(*(c.denominator for c in P.coords))
+    a = [c.numerator * (D // c.denominator) for c in P.apolar_with_slot(0)]
     kernel = [
         (0,) * i + g + (0,) * (r + 1 - len(g) - i) for g in gens for i in range(r + 2 - len(g))
     ]
-    # a_1 = lambda/d is the only entry of rows 0 and 1 that moves
     rows = [
         (
-            (sum(a[k] * v[k] for k in range(r + 1) if k != 1), Fraction(v[1], d)),
-            (sum(a[k + 1] * v[k] for k in range(1, r + 1)), Fraction(v[0], d)),
+            (d * sum(a[k] * v[k] for k in range(r + 1)), D * v[1]),
+            (d * sum(a[k + 1] * v[k] for k in range(1, r + 1)), D * v[0]),
         )
         for v in kernel
     ]
@@ -398,23 +407,24 @@ class XRankResult:
     value: int
     witness_lambda: object
     witness_certificate: object
-    witness_set_on_X: tuple[ProjectedPoint, ...] | None
+    n: int
+
+    @cached_property
+    def witness_set_on_X(self) -> tuple[ProjectedPoint, ...] | None:
+        """Curve images of the witness points when lambda is rational and the
+        witness square-free with rational roots, else None; read lazily."""
+        cert = self.witness_certificate
+        if isinstance(self.witness_lambda, Fraction) and cert.witness_kind == "squarefree":
+            return cusp_curve_images(self.n, cert.witness_scheme)
+        return None
 
     def to_json(self) -> dict:
-        lam = self.witness_lambda
-        if isinstance(lam, AlgebraicNumber):
-            lam_blob = lam.to_json()
-        else:
-            lam_blob = str(lam)
+        lam, points = self.witness_lambda, self.witness_set_on_X
         return {
             "value": self.value,
-            "witness_lambda": lam_blob,
+            "witness_lambda": lam.to_json() if isinstance(lam, AlgebraicNumber) else str(lam),
             "witness_certificate": self.witness_certificate.to_json(),
-            "witness_set_on_X": (
-                None
-                if self.witness_set_on_X is None
-                else [p.to_json() for p in self.witness_set_on_X]
-            ),
+            "witness_set_on_X": None if points is None else [p.to_json() for p in points],
             "complete": True,
             "unexplored": [],
             "flag": None,
@@ -431,11 +441,12 @@ def _generic_certificate(pencil: _Pencil, seen: set) -> tuple[RankCertificate, F
     """Certificate and lambda of the generic lift at level pencil.r = w_gen:
     the first square-free point of a zigzag grid of integer lambda outside
     ``seen``, else its first point; the grid outnumbers the lambda-degree
-    2*(2*w_gen - 1) of the failure locus of square-freeness.  It stops at
-    its first point if the kernel there is one form g with t^2 | g: lambda
-    moves only a_1, which meets g_0 = g_1 = 0 alone, so g spans the
-    one-dimensional kernel of every nonspecial lift.  The rest of the grid
-    runs only for a nonreduced first point whose kernel moves with lambda."""
+    of the failure locus of square-freeness (the proof is at ``x_rank``).
+    It stops at its first point if the kernel there is one form g with
+    t^2 | g: lambda moves only a_1, which meets g_0 = g_1 = 0 alone, so g
+    spans the one-dimensional kernel of every nonspecial lift.  The rest of
+    the grid runs only for a nonreduced first point whose kernel moves with
+    lambda."""
     zigzag = (Fraction(z) for k in itertools.count() for z in ((k, -k) if k else (0,)))
     best = best_lam = None
     for lam in itertools.islice((z for z in zigzag if z not in seen), 4 * pencil.r + 2):
@@ -451,61 +462,49 @@ def _generic_certificate(pencil: _Pencil, seen: set) -> tuple[RankCertificate, F
 
 def x_rank(P: ProjectedPoint, *, precision_bits: int = 192) -> XRankResult:
     """Exact minimum of the rank of B(lambda) over the fiber pencil, by the
-    scan of the module docstring.  Every lift is certified from the pencil
-    at its first kernel level; two seeded random lifts, certified by
-    ``apolarity.rank``, must match the generic certificate."""
+    scan of the module docstring; every lift is certified from the pencil at
+    its first kernel level, and the generic value is proved, not sampled.
+
+    Off ``seen``, the special lambda below w_gen, a lift has no kernel below
+    w_gen, so its rank is w_gen or d+2-w_gen; a two-dimensional kernel at
+    w_gen holds both generators of its apolar ideal, and then the two agree.
+    Otherwise its kernel is one form K c(lambda), c made of minors of order
+    <= 2 of the block, so its discriminant vanishes at no more than
+    2 (2 w_gen - 2) lambda, or at all, and the 4 w_gen + 2 grid points of
+    ``_generic_certificate`` outside ``seen`` find the least rank there.
+    """
     if not any(P.coords[1:]):  # B'' = 0: the cusp
         cert = sylvester_rank(lift(P, 0))
-        return XRankResult(
-            cert.rank, Fraction(0), cert, cusp_curve_images(P.n, cert.witness_scheme)
-        )
-    rng = random.Random(0x57A7)
+        return XRankResult(cert.rank, Fraction(0), cert, P.n)
     cap = (P.n + 3) // 2
     gens = _ideal_generators(P.coords[1:])
     w = len(gens[0]) - 1
-    pencils: dict[int, _Pencil] = {}
-    per_level: dict[int, list] = {}
-    seen: set = set()
-    w_gen = None
+    levels, seen = [], set()  # (pencil, new special lambda) per level below w_gen
     for r in range(w, min(w + 2, cap) + 1):
-        pencils[r] = _pencil(P, r, gens)
-        got = pencils[r].special_values(precision_bits)
+        pencil = _pencil(P, r, gens)
+        got = pencil.special_values(precision_bits)
         if got is ALL_LAMBDA:
-            w_gen = r
             break
-        fresh = [lam for key, lam in got if key not in seen]
+        levels.append((pencil, [lam for key, lam in got if key not in seen]))
         seen.update(key for key, _lam in got)
-        if fresh:
-            per_level[r] = fresh
-    if w_gen is None:
+    else:
         raise CertificateError(f"no generic kernel level among {w}..{w + 2}")
 
-    generic_cert, generic_lam = _generic_certificate(pencils[w_gen], seen)
-    # seeded random cross-check of the generic value
-    for _ in range(2):
-        while True:
-            probe = Fraction(rng.randint(-(10**6), 10**6))
-            if probe not in seen:
-                break
-        cert = sylvester_rank(lift(P, probe))
-        if cert.border_rank != w_gen:
-            raise CertificateError("nonspecial lambda off the generic kernel level")
-        if cert.rank != generic_cert.rank:
-            raise CertificateError("generic-fiber probe disagrees with the grid")
+    generic_cert, generic_lam = _generic_certificate(pencil, seen)
     candidates = [(generic_cert.rank, generic_lam, generic_cert)]
 
     # special lambda, by level, with exact pruning
     best = generic_cert.rank
-    for r in sorted(per_level):
-        if best <= r:
+    for level, fresh in levels:
+        if best <= level.r:
             break
         fields: dict[tuple, FieldCertificate] = {}
-        for lam in per_level[r]:
+        for lam in fresh:
             if isinstance(lam, Fraction):
-                cert = pencils[r].certificate(lam)
+                cert = level.certificate(lam)
             else:
                 if lam.minpoly not in fields:
-                    fields[lam.minpoly] = pencils[r].field_certificate(lam.minpoly)
+                    fields[lam.minpoly] = level.field_certificate(lam.minpoly)
                 cert = fields[lam.minpoly]
             candidates.append((cert.rank, lam, cert))
             best = min(best, cert.rank)
@@ -513,7 +512,4 @@ def x_rank(P: ProjectedPoint, *, precision_bits: int = 192) -> XRankResult:
     value, lam_star, cert_star = min(
         candidates, key=lambda c: _certificate_sort_key(c[0], c[2], c[1])
     )
-    witness_points = None
-    if isinstance(lam_star, Fraction) and cert_star.witness_kind == "squarefree":
-        witness_points = cusp_curve_images(P.n, cert_star.witness_scheme)
-    return XRankResult(value, lam_star, cert_star, witness_points)
+    return XRankResult(value, lam_star, cert_star, P.n)

@@ -32,9 +32,18 @@
 * ``nullspace_pencil`` and ``upward_x_rank``: the fiber scan once took the
   kernel K of the constant Hankel rows by ``linalg.nullspace`` at every
   level, scanning upward from level 1 to the first level generic for every
-  lambda.  They back ``projection._pencil``, which spans K by the shifts of
-  the two generators of the apolar ideal of B'', and ``projection.x_rank``,
-  which visits only the levels w'..w'+2.
+  lambda, with the pencil rows in Fractions and the witness images computed
+  when the result was built.  They back ``projection._pencil``, which spans
+  K by the shifts of the two generators of the apolar ideal of B'' and
+  builds its rows in integers, and ``projection.x_rank``, which visits only
+  the levels w'..w'+2 and leaves the witness images to the first read.
+* ``probe_generic_value``: ``x_rank`` once certified two seeded random
+  lifts with ``apolarity.rank`` after its generic grid and raised when they
+  disagreed with it.  The proof in the ``x_rank`` docstring made them
+  redundant there; here they check the generic certificate.
+* ``power_cusp_curve_point``: the curve point once took each coordinate
+  as a product of two Fraction powers.  It backs the running product of
+  ``projection.cusp_curve_point``.
 * ``det``, ``resultant_of_partials``, ``discriminant`` and
   ``discriminant_field_certificate``: an algebraic lambda was once
   certified by the discriminant of the pencil g0 + x g1 of kernel forms,
@@ -81,7 +90,7 @@ import mpmath
 
 from cuspidal import linalg, univar
 from cuspidal.apolarity import CertificateError, _hankel, rank
-from cuspidal.binform import BinaryForm, PrecisionError, ZeroFormError, apolar_coeffs
+from cuspidal.binform import BinaryForm, P1Point, PrecisionError, ZeroFormError, apolar_coeffs
 from cuspidal.numberfield import AlgebraicNumber, QuadraticNumber
 from cuspidal.projection import (
     ALL_LAMBDA,
@@ -357,9 +366,10 @@ def nullspace_pencil(P: ProjectedPoint, r: int) -> _Pencil:
 
 def upward_x_rank(P: ProjectedPoint, precision_bits: int = 192) -> XRankResult:
     """``projection.x_rank`` by the upward scan from level 1, one
-    ``nullspace_pencil`` per level, with the same certificates, probes and
-    pruning."""
-    rng = random.Random(0x57A7)
+    ``nullspace_pencil`` per level, with the same certificates and pruning.
+    The witness images are computed here, at once, by the rule the result
+    once applied when it was built; ``XRankResult`` computes them on first
+    read."""
     d = P.n + 1
     pencils, per_level, seen, w_gen = {}, {}, set(), None
     for r in range(1, (d + 2) // 2 + 1):
@@ -375,14 +385,6 @@ def upward_x_rank(P: ProjectedPoint, precision_bits: int = 192) -> XRankResult:
     if w_gen is None:
         raise CertificateError("no generic kernel level found below the cap")
     generic_cert, generic_lam = _generic_certificate(pencils[w_gen], seen)
-    for _ in range(2):
-        while True:
-            probe = Fraction(rng.randint(-(10**6), 10**6))
-            if probe not in seen:
-                break
-        cert = rank(lift(P, probe))
-        if cert.border_rank != w_gen or cert.rank != generic_cert.rank:
-            raise CertificateError("generic-fiber probe disagrees with the grid")
     candidates = [(generic_cert.rank, generic_lam, generic_cert)]
     best = generic_cert.rank
     for r in sorted(per_level):
@@ -401,7 +403,39 @@ def upward_x_rank(P: ProjectedPoint, precision_bits: int = 192) -> XRankResult:
     witness_points = None
     if isinstance(lam_star, Fraction) and cert_star.witness_kind == "squarefree":
         witness_points = cusp_curve_images(P.n, cert_star.witness_scheme)
-    return XRankResult(value, lam_star, cert_star, witness_points)
+    result = XRankResult(value, lam_star, cert_star, P.n)
+    vars(result)["witness_set_on_X"] = witness_points  # fills the cached property
+    return result
+
+
+def probe_generic_value(P: ProjectedPoint, w_gen: int, seen: set, generic_rank: int) -> list:
+    """The two seeded random lifts that ``projection.x_rank`` once certified
+    after its generic grid: lambda uniform in [-10^6, 10^6] outside
+    ``seen``, each lift certified afresh by ``apolarity.rank``.  A probe off
+    the border rank w_gen or the rank of the generic certificate raises
+    CertificateError.  Returns the probes."""
+    rng = random.Random(0x57A7)
+    probes = []
+    for _ in range(2):
+        while True:
+            probe = Fraction(rng.randint(-(10**6), 10**6))
+            if probe not in seen:
+                break
+        cert = rank(lift(P, probe))
+        if cert.border_rank != w_gen:
+            raise CertificateError("nonspecial lambda off the generic kernel level")
+        if cert.rank != generic_rank:
+            raise CertificateError("generic-fiber probe disagrees with the grid")
+        probes.append(probe)
+    return probes
+
+
+def power_cusp_curve_point(n: int, t: P1Point) -> ProjectedPoint:
+    """The curve point of t with each coordinate a^(d-i) b^i taken by two
+    Fraction powers, d = n + 1."""
+    d = n + 1
+    vec = [t.a ** (d - i) * t.b**i for i in range(d + 1)]
+    return ProjectedPoint(n, tuple([vec[0]] + vec[2:]))
 
 
 def sympy_factors(p) -> list[tuple[list[Fraction], int]]:

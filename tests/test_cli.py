@@ -1,7 +1,6 @@
 """Command-line interface: schemas, exit codes, piping, configuration."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -433,13 +432,9 @@ class TestProjectionCommands:
         assert recs[0]["error"]["type"] == "GrammarError"
 
     def test_certificate_failure_is_json_error(self, capsys, monkeypatch):
-        real = projection.sylvester_rank
-
-        def wrong_border_rank(f):
-            cert = real(f)
-            return dataclasses.replace(cert, border_rank=cert.border_rank + 1)
-
-        monkeypatch.setattr(projection, "sylvester_rank", wrong_border_rank)
+        # generators of Ann(B'') without g1 leave the scan no generic level
+        real = projection._ideal_generators
+        monkeypatch.setattr(projection, "_ideal_generators", lambda a: real(a)[1:])
         code, recs = run(
             capsys, monkeypatch, ["xrank", "--n", "6", "--coords", "1,0,0,0,0,0,1"]
         )

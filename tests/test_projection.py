@@ -8,9 +8,9 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import linalg, projection, ratfactor, univar
+from cuspidal import apolarity, linalg, projection, ratfactor, univar
 from cuspidal.apolarity import CertificateError, RankCertificate, _ideal_generators, rank
-from cuspidal.binform import BinaryForm, P1Point, ZeroFormError, random_form
+from cuspidal.binform import BinaryForm, P1Point, ZeroFormError, ZeroScheme, random_form
 from cuspidal.classifier import InstanceSpec, generate_instance
 from cuspidal.numberfield import AlgebraicNumber, QuadraticNumber, isolate_roots
 from cuspidal.projection import (
@@ -33,9 +33,13 @@ from oracles import (
     field_rank_certificate,
     grid_generic_certificate,
     nullspace_pencil,
+    power_cusp_curve_point,
+    probe_generic_value,
     upward_x_rank,
 )
+import oracles
 from test_apolarity import _run_optimized
+from test_corpus import corpus_forms
 
 
 def level_pencil(P, r):
@@ -186,6 +190,18 @@ class TestCuspCurvePoint:
         # (2u+3t)^5 projects to the curve point of (2:3)
         f = form(32, 240, 720, 1080, 810, 243)
         assert project(f) == cusp_curve_point(4, P1Point(F(2), F(3)))
+
+    def test_running_product_matches_the_powers(self):
+        """The running product stores the very coordinates of the power
+        formula, scale included, at both ends and at (1:p/q)."""
+        ts = [P1Point(F(1), F(0)), P1Point(F(0), F(1))]
+        ts += [P1Point(F(1), F(p, q)) for p in (-7, -2, -1, 1, 3, 5) for q in (1, 2, 3, 7)]
+        ts.append(P1Point(F(4), F(-6)))
+        for n in range(3, 13):
+            for t in ts:
+                got, want = cusp_curve_point(n, t), power_cusp_curve_point(n, t)
+                assert got.coords == want.coords, (n, t)
+                assert got.to_json() == want.to_json(), (n, t)
 
 
 def _hand_minor_gcd(rows):
@@ -477,16 +493,51 @@ class TestXRank:
         assert res.witness_certificate.witness_kind == "squarefree"
         assert res.witness_set_on_X is None
 
-    def test_wrong_border_rank_raises(self, monkeypatch):
-        real = projection.sylvester_rank
+    def test_wrong_border_rank_raises(self):
+        """Two faults planted where ``x_rank`` keeps a check, each raising
+        CertificateError under ``python -O``.  Generators of Ann(B'') without
+        g1 claim the border rank d - w' of B'' in place of w' and leave no
+        generic level among the levels scanned; zero kernel vectors in the
+        quadratic certificate leave no kernel form at an algebraic lambda."""
+        child = textwrap.dedent(
+            """
+            import dataclasses
+            import sys
+            from fractions import Fraction as F
+            from cuspidal import apolarity, projection
+            from cuspidal.binform import BinaryForm
 
-        def wrong_border_rank(f):
-            cert = real(f)
-            return dataclasses.replace(cert, border_rank=cert.border_rank + 1)
+            if __debug__:
+                sys.exit("not running under -O")
+            generators = projection._ideal_generators
+            projection._ideal_generators = lambda a: generators(a)[1:]
+            forms = [(3, -1, 4, 1, -5, 9, 2, -6), (2, 0, 7, -1, 8, 2, -8, 1, 8)]
+            forms += [(1, 0, 0, 0, 0, 0, 0, 1), (0, 0, 1, 0, 0, 0, 0, 0, 1)]
+            for coeffs in forms:
+                try:
+                    projection.x_rank(projection.project(BinaryForm(len(coeffs) - 1, coeffs)))
+                except apolarity.CertificateError as exc:
+                    if "no generic kernel level" in str(exc):
+                        continue
+                    raise
+                sys.exit(f"generators without g1 went unnoticed on {coeffs}")
+            projection._ideal_generators = generators
 
-        monkeypatch.setattr(projection, "sylvester_rank", wrong_border_rank)
-        with pytest.raises(CertificateError):
-            x_rank(ProjectedPoint(6, (F(1), F(0), F(0), F(0), F(0), F(0), F(1))))
+            certify = projection._Pencil.field_certificate
+            def zero_kernel(pen, minpoly):
+                zeros = [tuple(0 for _ in v) for v in pen.kernel]
+                return certify(dataclasses.replace(pen, kernel=zeros), minpoly)
+            projection._Pencil.field_certificate = zero_kernel
+            try:
+                projection.x_rank(projection.ProjectedPoint(3, (F(1), F(1), F(0), F(-1))))
+            except apolarity.CertificateError as exc:
+                if "vanishes" not in str(exc):
+                    raise
+            else:
+                sys.exit("a zero kernel at an algebraic lambda went unnoticed")
+            """
+        )
+        _run_optimized(child)
 
     def test_field_certificate_direct(self):
         p = ProjectedPoint(3, (F(1), F(1), F(0), F(-1)))
@@ -837,7 +888,8 @@ class TestCertificateChecks:
     def test_wrong_border_rank_of_second_derivative_raises_under_python_O(self):
         """A middle rank of B'' planted one too low leaves no kernel at the
         claimed level; one too high makes both generators multiples of the
-        true g1.  Both raise CertificateError under ``python -O``."""
+        true g1, or claims a border rank above the columns of the middle
+        catalecticant.  Both raise CertificateError under ``python -O``."""
         child = textwrap.dedent(
             """
             import sys
@@ -867,15 +919,98 @@ class TestCertificateChecks:
         _run_optimized(child)
 
     def test_disagreeing_probe_raises(self, monkeypatch):
-        real = projection.sylvester_rank
+        """The probe check of ``tests/oracles.py`` catches a rank or a border
+        rank planted in the certificates it takes from ``apolarity.rank``."""
+        P = ProjectedPoint(6, (F(1), F(0), F(0), F(0), F(0), F(0), F(1)))
+        w_gen, seen, cert, _lam = grid_generic_certificate(P)
+        probe_generic_value(P, w_gen, seen, cert.rank)
+        for field, match in (("rank", "probe"), ("border_rank", "generic kernel level")):
+            def wrong(f, field=field):
+                got = rank(f)
+                return dataclasses.replace(got, **{field: getattr(got, field) + 1})
 
-        def wrong_rank(f):
-            cert = real(f)
-            return dataclasses.replace(cert, rank=cert.rank + 1)
+            with monkeypatch.context() as m:
+                m.setattr(oracles, "rank", wrong)
+                with pytest.raises(CertificateError, match=match):
+                    probe_generic_value(P, w_gen, seen, cert.rank)
 
-        monkeypatch.setattr(projection, "sylvester_rank", wrong_rank)
+
+def _assert_probes_match_the_generic_certificate(P) -> bool:
+    """Two seeded random lifts of P agree with the generic certificate that
+    ``x_rank`` reads off its grid.  False at the cusp, whose lift at 0
+    ``x_rank`` certifies alone."""
+    if not any(P.coords[1:]):
+        return False
+    w_gen, seen, _cert, _lam = grid_generic_certificate(P)
+    generic, _lam = projection._generic_certificate(level_pencil(P, w_gen), seen)
+    probe_generic_value(P, w_gen, seen, generic.rank)
+    return True
+
+
+class TestGenericValueProbes:
+    """The generic value is proved in the ``x_rank`` docstring; seeded random
+    lifts certified by ``apolarity.rank`` check it."""
+
+    def test_every_corpus_instance(self):
+        checked = sum(_assert_probes_match_the_generic_certificate(project(f))
+                      for _key, f in corpus_forms())
+        assert checked == 672 - 72  # all but the e3_3_cusp instances
+
+    def test_a_planted_rank_fails_the_corpus_check(self, monkeypatch):
+        real = oracles.rank
+        monkeypatch.setattr(
+            oracles, "rank", lambda f: dataclasses.replace(real(f), rank=real(f).rank + 1)
+        )
+        _key, f = next(corpus_forms())
         with pytest.raises(CertificateError, match="probe"):
-            x_rank(ProjectedPoint(6, (F(1), F(0), F(0), F(0), F(0), F(0), F(1))))
+            _assert_probes_match_the_generic_certificate(project(f))
+
+
+class TestWitnessImagesOnRead:
+    """``x_rank`` factors its winning witness only when its images on the
+    curve are read."""
+
+    def test_no_witness_factoring_before_the_first_read(self, monkeypatch):
+        factored = []
+        post_init = ZeroScheme.__post_init__
+
+        def counting_post_init(scheme):
+            factored.append(scheme)
+            post_init(scheme)
+
+        decompose = apolarity.squarefree_decompose
+        monkeypatch.setattr(ZeroScheme, "__post_init__", counting_post_init)
+        monkeypatch.setattr(
+            apolarity, "squarefree_decompose", lambda f: factored.append(f) or decompose(f)
+        )
+        rng = random.Random(2121)
+        points = []
+        for d in range(7, 13):  # e4_ii at odd d, e4_iii at even d
+            for _ in range(3):
+                points.append(project(random_form(d, rng, bound=9)))
+                # a sum of (d+1)/2 rational powers, whose winning witness
+                # often has rational roots
+                taus = rng.sample(range(-6, 7), (d + 1) // 2)
+                f = form(1, taus[0]).power(d)
+                for tau in taus[1:]:
+                    f = f + form(1, tau).power(d).scaled(rng.choice((-3, -2, -1, 1, 2, 3)))
+                points.append(project(f))
+        images = reads = 0
+        for P in points:
+            res = x_rank(P)
+            assert not factored, (P, factored)
+            want = upward_x_rank(P).witness_set_on_X
+            factored.clear()
+            assert res.witness_set_on_X == want
+            read = (isinstance(res.witness_lambda, F)
+                    and res.witness_certificate.witness_kind == "squarefree")
+            assert bool(factored) == read
+            reads += read
+            images += want is not None
+            assert res.to_json() == upward_x_rank(P).to_json()
+            factored.clear()
+        assert reads >= 20
+        assert images >= 5
 
 
 _POINTS = st.integers(3, 6).flatmap(
@@ -886,6 +1021,14 @@ _POINTS = st.integers(3, 6).flatmap(
 _NONZERO_Q = st.builds(F, st.integers(-7, 7).filter(bool), st.integers(1, 7))
 
 
+_RATIONAL_POINTS = st.integers(3, 6).flatmap(
+    lambda n: st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 7)),
+                       min_size=n + 1, max_size=n + 1)
+    .filter(lambda cs: any(cs) and any(c.denominator > 1 for c in cs))
+    .map(lambda cs: ProjectedPoint(n, tuple(cs)))
+)
+
+
 _SPARSE_POINTS = st.integers(3, 10).flatmap(
     lambda n: st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=n + 1, max_size=n + 1)
     .filter(any)
@@ -894,11 +1037,18 @@ _SPARSE_POINTS = st.integers(3, 10).flatmap(
 
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
-@given(st.one_of(_POINTS, _SPARSE_POINTS))
+@given(st.one_of(_POINTS, _RATIONAL_POINTS, _SPARSE_POINTS))
 def test_x_rank_matches_the_upward_scan(P):
-    """The scan of levels w'..w'+2 publishes what the upward scan from level
-    1, one nullspace per level, publishes."""
+    """The scan of levels w'..w'+2, its pencil rows in integers, publishes
+    what the upward scan from level 1, one nullspace per level and its rows
+    in Fractions, publishes."""
     assert x_rank(P).to_json() == upward_x_rank(P).to_json()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.one_of(_POINTS, _RATIONAL_POINTS, _SPARSE_POINTS))
+def test_generic_value_matches_random_lifts(P):
+    _assert_probes_match_the_generic_certificate(P)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
