@@ -36,7 +36,7 @@ from .binform import (
     is_square_free,
     squarefree_decompose,
 )
-from .numberfield import QuadraticNumber, isolate_roots
+from .numberfield import AlgebraicNumber, QuadraticNumber
 
 
 class AmbiguousScheme(ValueError):
@@ -469,7 +469,7 @@ def _decompose_quadratic(
     pts += [(one, gamma), (one, gamma.conjugate())]
     scalars = _exact_scalars(f, g, pts, one, gamma.lift)
     # gamma is the larger real root, or the one with positive imaginary part
-    emb = isolate_roots(gamma.modulus, bits)[-1].refine(bits)
+    emb = AlgebraicNumber(gamma.modulus, True).value(bits)
     with mpmath.workprec(bits + 32):
         terms = []
         for s, (a, b) in zip(scalars, pts):

@@ -19,7 +19,6 @@ from math import comb
 from typing import Sequence
 
 import mpmath
-from mpmath import libmp
 
 from . import linalg, ratfactor, univar
 from .ratfactor import CertificateError  # noqa: F401  public here too, as before
@@ -499,11 +498,6 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
         if prec >= bits:
             return zs
         prec = min(2 * prec, bits)
-
-
-def _exact_value(x) -> Fraction:
-    """The rational value of a finite mpf."""
-    return Fraction(*libmp.to_rational(x._mpf_))
 
 
 def random_form(degree: int, rng, bound: int = 100) -> BinaryForm:

@@ -186,7 +186,7 @@ def _point(args, line: str | None) -> ProjectedPoint:
 def cmd_xrank(args) -> int:
     def handler(line):
         P = _point(args, line)
-        return {"n": P.n, **x_rank(P, precision_bits=args.precision_bits).to_json()}
+        return {"n": P.n, **x_rank(P).to_json()}
 
     return _for_each_line([None] if args.coords else _input_lines(args), handler)
 

@@ -1,4 +1,4 @@
-"""Quadratic number fields in closed form, and certified algebraic numbers.
+"""Quadratic number fields in closed form, and quadratic algebraic numbers.
 
 Every algebraic number the package meets is rational or quadratic: a special
 lambda of the fiber pencil is a root of a polynomial of degree at most 2, and
@@ -11,23 +11,22 @@ coordinates.  Products use the rule for gamma^2, and the inverse is the
 conjugate over the norm, so elements can be fed to the generic routines in
 :mod:`cuspidal.univar` and to the residue formula of :mod:`cuspidal.apolarity`.
 
-:class:`AlgebraicNumber` is a reporting vehicle: an irreducible integer
-polynomial of degree 1 or 2 together with a certified isolating disk for one
-of its roots.  The disk is proved by exact rational tests, and the root can
-be evaluated to any precision after the fact by the quadratic formula.
+:class:`AlgebraicNumber` names a quadratic irrational exactly: its
+primitive integer minimal polynomial and the branch of the quadratic
+formula.  The root is evaluated to any precision by that closed form, on
+demand; no disk and no precision choice stands between the name and the
+number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 from typing import Sequence
 
 import mpmath
 
 from . import linalg, ratfactor, univar
-from .binform import PrecisionError, _exact_value
 
 
 class NumberFieldError(ValueError):
@@ -177,114 +176,37 @@ def _quadratic_root(ints: tuple[int, ...], upper: bool, bits: int):
 
 @dataclass(frozen=True)
 class AlgebraicNumber:
-    """One root of an irreducible integer polynomial of degree 1 or 2,
-    certified by a disk.
+    """A root of an irreducible quadratic, named exactly by its minimal
+    polynomial and a branch of the quadratic formula.
 
-    ``approx_re + i*approx_im`` lies within ``radius`` of the root, and the
-    disk contains no other root of ``minpoly``.
+    ``minpoly`` is (c, b, a) for c + b x + a x^2, scaled on construction to
+    primitive integers with a > 0.  ``upper`` names the larger real root, or
+    the one with positive imaginary part; the other root otherwise.  An
+    irreducible quadratic has a nonzero discriminant, so the two branches
+    are distinct and the name needs no isolating disk.
     """
 
-    minpoly: tuple[int, ...]
-    approx_re: Fraction
-    approx_im: Fraction
-    radius: Fraction
-    is_real: bool
+    minpoly: tuple[int, int, int]
+    upper: bool
 
-    @property
-    def degree(self) -> int:
-        return len(self.minpoly) - 1
+    def __post_init__(self) -> None:
+        poly = univar.trim([Fraction(c) for c in self.minpoly])
+        if len(poly) != 3:
+            raise NumberFieldError("an algebraic number here is a root of a quadratic")
+        ints = linalg.canonical_vector(poly)
+        object.__setattr__(self, "minpoly", ints if ints[-1] > 0 else tuple(-c for c in ints))
 
-    def refine(self, precision_bits: int):
-        """The root rounded to precision_bits + 48 bits, from the closed
-        form; returns mpf or mpc.  The disk says which root of a quadratic
-        it is: the side of the midpoint -b/2a for a real pair, the sign of
-        the imaginary part for a conjugate pair."""
-        bits = precision_bits + 48
-        if self.degree == 1:
-            c0, c1 = self.minpoly
-            with mpmath.workprec(bits):
-                return mpmath.mpf(-c0) / c1
-        _, b, a = self.minpoly
-        upper = self.approx_re > Fraction(-b, 2 * a) if self.is_real else self.approx_im > 0
-        return _quadratic_root(self.minpoly, upper, bits)
+    def value(self, bits: int):
+        """The root rounded to bits + 48 bits, from the closed form; returns
+        mpf or mpc."""
+        return _quadratic_root(self.minpoly, self.upper, bits + 48)
 
     def to_json(self) -> dict:
+        """The exact name, with the root to 20 significant digits for
+        reading."""
+        z = self.value(64)
         return {
             "minpoly": list(self.minpoly),
-            "approx": [str(self.approx_re), str(self.approx_im)],
-            "radius": str(self.radius),
-            "real": self.is_real,
+            "branch": "upper" if self.upper else "lower",
+            "approx": [mpmath.nstr(z.real, 20), mpmath.nstr(z.imag, 20)],
         }
-
-
-def isolate_roots(poly: Sequence, precision_bits: int) -> list[AlgebraicNumber]:
-    """Certified roots of an irreducible rational polynomial of degree 1 or 2.
-
-    Returns one :class:`AlgebraicNumber` per complex root, the lower root
-    first (the smaller real root, or the one with negative imaginary part).
-    A quadratic's roots are real exactly when its discriminant is positive.
-    Each approximation is the closed-form root rounded to work + 64 bits,
-    with work = max(precision_bits, 64), and its radius is 2^(e - work) for
-    the least e >= 0 with |re| + |im| <= 2^e.  Exact rational tests prove
-    each disk: a sign change of the polynomial across a real disk, and for
-    a conjugate pair |re + b/2a| + |im - y0| <= radius with y0^2 = -D/4a^2
-    compared through squares.  The disks are disjoint with an eightfold
-    margin: (8 (radius1 + radius2))^2 < |D| / a^2.  A failed test doubles
-    work; PrecisionError is raised beyond eight times the request.
-    NumberFieldError is raised for a constant, reducible or higher-degree
-    input.
-    """
-    p = univar.trim([Fraction(c) for c in poly])
-    if len(p) < 2:
-        raise NumberFieldError("constant polynomial has no roots")
-    if len(p) > 3:
-        raise NumberFieldError("only polynomials of degree 1 or 2 are isolated")
-    if not ratfactor.is_irreducible(p):
-        raise NumberFieldError("polynomial is reducible; isolate factors separately")
-    ints = linalg.canonical_vector(p)
-    if ints[-1] < 0:
-        ints = tuple(-c for c in ints)
-    if len(ints) == 2:
-        root = Fraction(-ints[0], ints[1])
-        return [AlgebraicNumber(ints, root, Fraction(0), Fraction(0), True)]
-    base = max(precision_bits, 64)
-    for work in (base, 2 * base, 4 * base, 8 * base):
-        got = _isolate_quadratic(ints, work)
-        if got is not None:
-            return got
-    raise PrecisionError("precision insufficient to separate the roots; retry higher")
-
-
-def _isolate_quadratic(ints: tuple[int, ...], work: int):
-    """Both roots with proved disks at this work precision, or None when a
-    test fails."""
-    c, b, a = ints
-    disc = b * b - 4 * a * c
-    out = []
-    for upper in (False, True):
-        z = _quadratic_root(ints, upper, work + 64)
-        re = _exact_value(z.real)
-        im = Fraction(0) if disc > 0 else _exact_value(z.imag)
-        scale = max(1, ceil(abs(re) + abs(im)))
-        radius = Fraction(2) ** ((scale - 1).bit_length() - work)
-        out.append(AlgebraicNumber(ints, re, im, radius, disc > 0))
-    if (8 * (out[0].radius + out[1].radius)) ** 2 * a * a >= abs(disc):
-        return None
-    mid = Fraction(-b, 2 * a)
-    for root in out:
-        x, rho = root.approx_re, root.radius
-        if disc > 0:
-            # one sign change across [x - rho, x + rho]: exactly one root inside
-            lo, hi = (c + b * t + a * t * t for t in (x - rho, x + rho))
-            if not lo * hi < 0:
-                return None
-        else:
-            # |x - mid| + |y - y0| <= rho, with the root's imaginary part
-            # y0 = sqrt(-disc) / 2a compared through squares
-            slack = rho - abs(x - mid)
-            y, y0_sq = abs(root.approx_im), Fraction(-disc, 4 * a * a)
-            if slack < 0 or (y + slack) ** 2 < y0_sq:
-                return None
-            if y > slack and (y - slack) ** 2 > y0_sq:
-                return None
-    return out

@@ -70,7 +70,7 @@ from .binform import (
     is_integer_literal,
     is_square_free,
 )
-from .numberfield import AlgebraicNumber, isolate_roots
+from .numberfield import AlgebraicNumber
 
 
 class ProjectionError(ValueError):
@@ -255,10 +255,10 @@ class _Pencil:
     kernel: list[tuple[Fraction, ...]]
     rows: list[tuple[tuple, tuple]]
 
-    def special_values(self, precision_bits: int):
+    def special_values(self):
         """(key, lambda) for every lambda where the level-r kernel jumps, or
         ALL_LAMBDA.  The key is lambda itself when rational, and (minimal
-        polynomial, index in isolate_roots order) when algebraic."""
+        polynomial, branch) when algebraic, the lower branch first."""
         if len(self.kernel) >= 3:
             return ALL_LAMBDA
         if not self.kernel:
@@ -276,8 +276,8 @@ class _Pencil:
         # g has degree at most 2: rational roots, or one conjugate pair
         factors = [fac for fac, _mult in ratfactor.irreducible_factors(g)]
         if len(factors[0]) == 3:
-            roots = isolate_roots(factors[0], precision_bits)
-            return [((z.minpoly, i), z) for i, z in enumerate(roots)]
+            roots = [AlgebraicNumber(factors[0], upper) for upper in (False, True)]
+            return [((z.minpoly, z.upper), z) for z in roots]
         return [(lam, lam) for lam in sorted(-fac[0] / fac[1] for fac in factors)]
 
     def kernel_at(self, lam: Fraction) -> list[tuple[Fraction, ...]]:
@@ -359,11 +359,11 @@ def _pencil(P: ProjectedPoint, r: int, gens: list[tuple[int, ...]]) -> _Pencil:
     return _Pencil(d, r, kernel, rows)
 
 
-def special_lambdas(P: ProjectedPoint, r: int, precision_bits: int = 192):
+def special_lambdas(P: ProjectedPoint, r: int):
     """Exact lambda values where the level-r kernel of the pencil jumps, or
     ALL_LAMBDA: rationals first in increasing order, then algebraic numbers
     grouped by minimal polynomial."""
-    got = _pencil(P, r, _ideal_generators(P.coords[1:])).special_values(precision_bits)
+    got = _pencil(P, r, _ideal_generators(P.coords[1:])).special_values()
     return got if got is ALL_LAMBDA else [lam for _key, lam in got]
 
 
@@ -397,12 +397,7 @@ class FieldCertificate:
 
 @dataclass(frozen=True)
 class XRankResult:
-    """Minimum rank over the fiber pencil, with the minimizing lift.
-
-    The scan is always complete.  The JSON keeps the constants
-    "complete": true, "unexplored": [] and "flag": null of the earlier
-    schema, which could mark a scan incomplete.
-    """
+    """Minimum rank over the fiber pencil, with the minimizing lift."""
 
     value: int
     witness_lambda: object
@@ -425,15 +420,12 @@ class XRankResult:
             "witness_lambda": lam.to_json() if isinstance(lam, AlgebraicNumber) else str(lam),
             "witness_certificate": self.witness_certificate.to_json(),
             "witness_set_on_X": None if points is None else [p.to_json() for p in points],
-            "complete": True,
-            "unexplored": [],
-            "flag": None,
         }
 
 
 def _certificate_sort_key(value: int, cert, lam) -> tuple:
     rational = isinstance(lam, Fraction)
-    size = abs(lam) if rational else Fraction(10**9)
+    size = abs(lam) if rational else 0
     return (value, 0 if cert.witness_kind == "squarefree" else 1, 0 if rational else 1, size)
 
 
@@ -460,7 +452,7 @@ def _generic_certificate(pencil: _Pencil, seen: set) -> tuple[RankCertificate, F
     return best, best_lam
 
 
-def x_rank(P: ProjectedPoint, *, precision_bits: int = 192) -> XRankResult:
+def x_rank(P: ProjectedPoint) -> XRankResult:
     """Exact minimum of the rank of B(lambda) over the fiber pencil, by the
     scan of the module docstring; every lift is certified from the pencil at
     its first kernel level, and the generic value is proved, not sampled.
@@ -482,7 +474,7 @@ def x_rank(P: ProjectedPoint, *, precision_bits: int = 192) -> XRankResult:
     levels, seen = [], set()  # (pencil, new special lambda) per level below w_gen
     for r in range(w, min(w + 2, cap) + 1):
         pencil = _pencil(P, r, gens)
-        got = pencil.special_values(precision_bits)
+        got = pencil.special_values()
         if got is ALL_LAMBDA:
             break
         levels.append((pencil, [lam for key, lam in got if key not in seen]))

@@ -37,6 +37,12 @@
   K by the shifts of the two generators of the apolar ideal of B'' and
   builds its rows in integers, and ``projection.x_rank``, which visits only
   the levels w'..w'+2 and leaves the witness images to the first read.
+* ``isolate_roots``, ``_isolate_quadratic`` and ``DiskRoot``: a quadratic
+  lambda was once published with an isolating disk around its
+  approximation, proved by exact rational tests with precision doubling,
+  and its branch was read off that disk.  They back
+  ``numberfield.AlgebraicNumber``, which names the root by its minimal
+  polynomial and the branch of the quadratic formula.
 * ``probe_generic_value``: ``x_rank`` once certified two seeded random
   lifts with ``apolarity.rank`` after its generic grid and raised when they
   disagreed with it.  The proof in the ``x_rank`` docstring made them
@@ -88,10 +94,15 @@ from math import comb
 
 import mpmath
 
-from cuspidal import linalg, univar
+from cuspidal import linalg, ratfactor, univar
 from cuspidal.apolarity import CertificateError, _hankel, rank
 from cuspidal.binform import BinaryForm, P1Point, PrecisionError, ZeroFormError, apolar_coeffs
-from cuspidal.numberfield import AlgebraicNumber, QuadraticNumber
+from cuspidal.numberfield import (
+    AlgebraicNumber,
+    NumberFieldError,
+    QuadraticNumber,
+    _quadratic_root,
+)
 from cuspidal.projection import (
     ALL_LAMBDA,
     FieldCertificate,
@@ -364,7 +375,7 @@ def nullspace_pencil(P: ProjectedPoint, r: int) -> _Pencil:
     return _Pencil(d, r, kernel, rows)
 
 
-def upward_x_rank(P: ProjectedPoint, precision_bits: int = 192) -> XRankResult:
+def upward_x_rank(P: ProjectedPoint) -> XRankResult:
     """``projection.x_rank`` by the upward scan from level 1, one
     ``nullspace_pencil`` per level, with the same certificates and pruning.
     The witness images are computed here, at once, by the rule the result
@@ -374,7 +385,7 @@ def upward_x_rank(P: ProjectedPoint, precision_bits: int = 192) -> XRankResult:
     pencils, per_level, seen, w_gen = {}, {}, set(), None
     for r in range(1, (d + 2) // 2 + 1):
         pencils[r] = nullspace_pencil(P, r)
-        got = pencils[r].special_values(precision_bits)
+        got = pencils[r].special_values()
         if got is ALL_LAMBDA:
             w_gen = r
             break
@@ -406,6 +417,126 @@ def upward_x_rank(P: ProjectedPoint, precision_bits: int = 192) -> XRankResult:
     result = XRankResult(value, lam_star, cert_star, P.n)
     vars(result)["witness_set_on_X"] = witness_points  # fills the cached property
     return result
+
+
+@dataclass(frozen=True)
+class DiskRoot:
+    """One root of an irreducible integer polynomial of degree 1 or 2,
+    certified by a disk.
+
+    ``approx_re + i*approx_im`` lies within ``radius`` of the root, and the
+    disk contains no other root of ``minpoly``.
+    """
+
+    minpoly: tuple[int, ...]
+    approx_re: Fraction
+    approx_im: Fraction
+    radius: Fraction
+    is_real: bool
+
+    @property
+    def degree(self) -> int:
+        return len(self.minpoly) - 1
+
+    def refine(self, precision_bits: int):
+        """The root rounded to precision_bits + 48 bits, from the closed
+        form; returns mpf or mpc.  The disk says which root of a quadratic
+        it is: the side of the midpoint -b/2a for a real pair, the sign of
+        the imaginary part for a conjugate pair."""
+        bits = precision_bits + 48
+        if self.degree == 1:
+            c0, c1 = self.minpoly
+            with mpmath.workprec(bits):
+                return mpmath.mpf(-c0) / c1
+        _, b, a = self.minpoly
+        upper = self.approx_re > Fraction(-b, 2 * a) if self.is_real else self.approx_im > 0
+        return _quadratic_root(self.minpoly, upper, bits)
+
+    def to_json(self) -> dict:
+        return {
+            "minpoly": list(self.minpoly),
+            "approx": [str(self.approx_re), str(self.approx_im)],
+            "radius": str(self.radius),
+            "real": self.is_real,
+        }
+
+
+def exact_value(x) -> Fraction:
+    """The rational value of a finite mpf."""
+    return Fraction(*mpmath.libmp.to_rational(x._mpf_))
+
+
+def isolate_roots(poly, precision_bits: int) -> list[DiskRoot]:
+    """Certified roots of an irreducible rational polynomial of degree 1 or 2.
+
+    Returns one :class:`DiskRoot` per complex root, the lower root first
+    (the smaller real root, or the one with negative imaginary part).  A
+    quadratic's roots are real exactly when its discriminant is positive.
+    Each approximation is the closed-form root rounded to work + 64 bits,
+    with work = max(precision_bits, 64), and its radius is 2^(e - work) for
+    the least e >= 0 with |re| + |im| <= 2^e.  Exact rational tests prove
+    each disk: a sign change of the polynomial across a real disk, and for
+    a conjugate pair |re + b/2a| + |im - y0| <= radius with y0^2 = -D/4a^2
+    compared through squares.  The disks are disjoint with an eightfold
+    margin: (8 (radius1 + radius2))^2 < |D| / a^2.  A failed test doubles
+    work; PrecisionError is raised beyond eight times the request.
+    NumberFieldError is raised for a constant, reducible or higher-degree
+    input.
+    """
+    p = univar.trim([Fraction(c) for c in poly])
+    if len(p) < 2:
+        raise NumberFieldError("constant polynomial has no roots")
+    if len(p) > 3:
+        raise NumberFieldError("only polynomials of degree 1 or 2 are isolated")
+    if not ratfactor.is_irreducible(p):
+        raise NumberFieldError("polynomial is reducible; isolate factors separately")
+    ints = linalg.canonical_vector(p)
+    if ints[-1] < 0:
+        ints = tuple(-c for c in ints)
+    if len(ints) == 2:
+        root = Fraction(-ints[0], ints[1])
+        return [DiskRoot(ints, root, Fraction(0), Fraction(0), True)]
+    base = max(precision_bits, 64)
+    for work in (base, 2 * base, 4 * base, 8 * base):
+        got = _isolate_quadratic(ints, work)
+        if got is not None:
+            return got
+    raise PrecisionError("precision insufficient to separate the roots; retry higher")
+
+
+def _isolate_quadratic(ints: tuple[int, ...], work: int):
+    """Both roots with proved disks at this work precision, or None when a
+    test fails."""
+    c, b, a = ints
+    disc = b * b - 4 * a * c
+    out = []
+    for upper in (False, True):
+        z = _quadratic_root(ints, upper, work + 64)
+        re = exact_value(z.real)
+        im = Fraction(0) if disc > 0 else exact_value(z.imag)
+        scale = max(1, math.ceil(abs(re) + abs(im)))
+        radius = Fraction(2) ** ((scale - 1).bit_length() - work)
+        out.append(DiskRoot(ints, re, im, radius, disc > 0))
+    if (8 * (out[0].radius + out[1].radius)) ** 2 * a * a >= abs(disc):
+        return None
+    mid = Fraction(-b, 2 * a)
+    for root in out:
+        x, rho = root.approx_re, root.radius
+        if disc > 0:
+            # one sign change across [x - rho, x + rho]: exactly one root inside
+            lo, hi = (c + b * t + a * t * t for t in (x - rho, x + rho))
+            if not lo * hi < 0:
+                return None
+        else:
+            # |x - mid| + |y - y0| <= rho, with the root's imaginary part
+            # y0 = sqrt(-disc) / 2a compared through squares
+            slack = rho - abs(x - mid)
+            y, y0_sq = abs(root.approx_im), Fraction(-disc, 4 * a * a)
+            if slack < 0 or (y + slack) ** 2 < y0_sq:
+                return None
+            if y > slack and (y - slack) ** 2 > y0_sq:
+                return None
+    return out
 
 
 def probe_generic_value(P: ProjectedPoint, w_gen: int, seen: set, generic_rank: int) -> list:

@@ -335,18 +335,22 @@ class TestImports:
         assert got["loaded"] == []
 
     def test_xrank_with_a_quadratic_lambda_loads_no_numpy(self):
-        """Special lambda are at most quadratic, and quadratics are seeded
-        by the quadratic formula before their roots are refined."""
+        """Special lambda are at most quadratic, each named by its minimal
+        polynomial and a branch of the quadratic formula, so the record
+        does not depend on --precision-bits and no numpy is loaded."""
         point = {"n": 5, "coords": ["-15/2", "-4/195", "1/2", "-1/45", "13/168", "19/26"]}
         child = textwrap.dedent(
             f"""
             import contextlib, io, json, sys
             from cuspidal.cli import main
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(["xrank", {json.dumps(json.dumps(point))}])
-            rec = json.loads(out.getvalue())
-            print(json.dumps({{"code": code, "lam": rec["witness_lambda"],
+            codes, outs = [], []
+            for bits in ("64", "512"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    codes.append(main(["xrank", "--precision-bits", bits,
+                                       {json.dumps(json.dumps(point))}]))
+                outs.append(out.getvalue())
+            print(json.dumps({{"codes": codes, "outs": outs,
                               "numpy": "numpy" in sys.modules}}))
             """
         )
@@ -357,8 +361,11 @@ class TestImports:
         )
         assert out.returncode == 0, out.stderr
         got = json.loads(out.stdout)
-        assert got["code"] == 0
-        assert len(got["lam"]["minpoly"]) == 3
+        assert got["codes"] == [0, 0]
+        assert got["outs"][0] == got["outs"][1]
+        lam = json.loads(got["outs"][0])["witness_lambda"]
+        assert set(lam) == {"minpoly", "branch", "approx"}
+        assert len(lam["minpoly"]) == 3 and lam["branch"] in ("lower", "upper")
         assert got["numpy"] is False
 
 

@@ -6,16 +6,12 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from cuspidal import numberfield
 from cuspidal.apolarity import decompose
 from cuspidal.binform import BinaryForm, PrecisionError, approximate_roots
-from cuspidal.numberfield import (
-    AlgebraicNumber,
-    NumberFieldError,
-    QuadraticNumber,
-    isolate_roots,
-)
+from cuspidal.numberfield import AlgebraicNumber, NumberFieldError, QuadraticNumber
 from cuspidal.projection import ProjectedPoint, special_lambdas, x_rank
-from oracles import euclid_gcd, nullspace_field
+from oracles import euclid_gcd, exact_value, isolate_roots, nullspace_field
 
 
 SQRT2 = QuadraticNumber.generator([-2, 0, 1])
@@ -119,21 +115,20 @@ class TestFieldArithmetic:
         rng = random.Random("numberfield:numeric")
         for mod in _random_moduli(rng, 20):
             gamma = QuadraticNumber.generator(mod)
-            roots = isolate_roots(mod, 256)
             for _ in range(5):
                 e = _element(rng, gamma)
-                for k, root in enumerate(roots):
+                for k in range(2):
                     with mpmath.workprec(512):
                         c0, c1, c2 = (mpmath.mpf(c.numerator) / c.denominator for c in mod)
                         disc = c1 * c1 - 4 * c0 * c2
                         sq = mpmath.sqrt(disc) if disc > 0 else 1j * mpmath.sqrt(-disc)
-                        # isolate_roots lists the lower root first
+                        # the lower branch first
                         want_root = sorted(((-c1 + sq) / (2 * c2), (-c1 - sq) / (2 * c2)),
                                            key=lambda z: (z.real, z.imag))[k]
                         a, b = (mpmath.mpf(q.numerator) / q.denominator for q in (e.a, e.b))
                         want = a + b * want_root
                     with mpmath.workprec(256):
-                        got = e.numeric(root.refine(256))
+                        got = e.numeric(AlgebraicNumber(mod, bool(k)).value(256))
                     with mpmath.workprec(512):
                         assert abs(got - want) <= mpmath.mpf(2) ** -240 * max(1, abs(want))
 
@@ -157,6 +152,9 @@ class TestGenericRoutinesOverField:
 
 
 class TestIsolation:
+    """The proved disks of ``oracles.isolate_roots``, the reference that
+    ``AlgebraicNumber`` is checked against."""
+
     def test_linear(self):
         (root,) = isolate_roots([F(1, 2), F(1)], 64)
         assert root.is_real and root.radius == 0
@@ -252,11 +250,10 @@ class TestIsolation:
         quadratic formula, ``binform.approximate_roots``, as an oracle."""
         rng = random.Random("numberfield:newton")
         for mod in _random_moduli(rng, 40):
-            roots = isolate_roots(mod, 192)
             with mpmath.workprec(256):
                 newton = approximate_roots(list(mod), 256)
-                for root in roots:
-                    z = root.refine(192)
+                for upper in (False, True):
+                    z = AlgebraicNumber(mod, upper).value(192)
                     assert min(abs(z - w) for w in newton) <= mpmath.mpf(2) ** -180 * max(1, abs(z))
 
     def test_precision_error_beyond_eightfold(self):
@@ -273,6 +270,67 @@ class TestIsolation:
         assert blob["real"] is False
         assert isinstance(blob["approx"][0], str)
         assert blob["radius"] == str(F(1, 2**64))
+
+
+def _mpf_bits(z):
+    """The exact binary value of an mpf or mpc, for bit-for-bit equality."""
+    return type(z), z.real._mpf_, z.imag._mpf_
+
+
+class TestAlgebraicNumber:
+    def test_minpoly_is_primitive_with_positive_leading_coefficient(self):
+        assert AlgebraicNumber((F(1, 2), 0, F(-1, 4)), True).minpoly == (-2, 0, 1)
+        assert AlgebraicNumber((6, 0, 3), False).minpoly == (2, 0, 1)
+        for poly in ((1, 1), (0, 0, 0), (-2, 0, 0, 1), (5,)):
+            with pytest.raises(NumberFieldError):
+                AlgebraicNumber(poly, True)
+
+    def test_json_names_the_root_exactly(self):
+        assert AlgebraicNumber((1, 0, 1), True).to_json() == {
+            "minpoly": [1, 0, 1], "branch": "upper", "approx": ["0.0", "1.0"]}
+        assert AlgebraicNumber((-32, 0, 1), False).to_json() == {
+            "minpoly": [-32, 0, 1], "branch": "lower",
+            "approx": ["-5.6568542494923801952", "0.0"]}
+
+    def test_branches_lie_in_the_oracle_disks(self, monkeypatch):
+        """Branch i of a real or complex pair, the near-double family
+        m^2 - 2 - 2m x + x^2 at large m included, lies in the oracle's proved
+        disk i; and the embedding that a decomposition over Q(gamma) reads
+        is the oracle's upper root, bit for bit."""
+        rng = random.Random("numberfield:branches")
+        moduli = _random_moduli(rng, 30)
+        moduli += [(m * m - d, -2 * m, 1)
+                   for m in (10**6, 10**9, 10**12, 10**15) for d in (2, -2)]
+        for k, mod in enumerate(moduli):
+            bits = (64, 128, 192)[k % 3]
+            for i, disk in enumerate(isolate_roots(mod, bits)):
+                z = AlgebraicNumber(mod, bool(i)).value(bits)
+                re, im = exact_value(z.real), exact_value(z.imag)
+                assert (re - disk.approx_re) ** 2 + (im - disk.approx_im) ** 2 <= disk.radius ** 2
+
+        seen = []
+        value = AlgebraicNumber.value
+
+        def spy(self, bits):
+            z = value(self, bits)
+            seen.append((self, bits, z))
+            return z
+
+        monkeypatch.setattr(numberfield.AlgebraicNumber, "value", spy)
+        d = 7
+        for mod in [(-2, 0, 1)] + moduli[:6]:
+            gamma = QuadraticNumber.generator(mod)
+            # (u + gamma t)^7 + (u + gamma~ t)^7 + 3 (u + t)^7
+            coeffs = [math.comb(d, k) * ((gamma**k + gamma.conjugate() ** k).rational_value() + 3)
+                      for k in range(d + 1)]
+            for bits in (64, 128, 192):
+                seen.clear()
+                dec = decompose(BinaryForm(d, tuple(coeffs)), bits)
+                assert dec.field_tag == "algebraic"
+                ((root, got_bits, z),) = seen
+                assert root.upper and got_bits == bits
+                want = isolate_roots(mod, bits)[-1].refine(bits)
+                assert _mpf_bits(z) == _mpf_bits(want)
 
 
 class TestNoNewtonIteration:

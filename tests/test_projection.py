@@ -12,7 +12,7 @@ from cuspidal import apolarity, linalg, projection, ratfactor, univar
 from cuspidal.apolarity import CertificateError, RankCertificate, _ideal_generators, rank
 from cuspidal.binform import BinaryForm, P1Point, ZeroFormError, ZeroScheme, random_form
 from cuspidal.classifier import InstanceSpec, generate_instance
-from cuspidal.numberfield import AlgebraicNumber, QuadraticNumber, isolate_roots
+from cuspidal.numberfield import AlgebraicNumber, QuadraticNumber
 from cuspidal.projection import (
     ALL_LAMBDA,
     FieldCertificate,
@@ -32,6 +32,7 @@ from oracles import (
     field_lift,
     field_rank_certificate,
     grid_generic_certificate,
+    isolate_roots,
     nullspace_pencil,
     power_cusp_curve_point,
     probe_generic_value,
@@ -303,9 +304,10 @@ def _minor_gcd_lambdas(P, r):
         if len(fac) == 2:
             rats.append(-fac[0] / fac[1])
         else:
-            algs.extend(isolate_roots(fac, 192))
+            # the proved disks order the pair: lower branch first
+            disks = sorted(isolate_roots(fac, 192), key=lambda z: (z.approx_re, z.approx_im))
+            algs.extend(AlgebraicNumber(z.minpoly, bool(i)) for i, z in enumerate(disks))
     rats.sort()
-    algs.sort(key=lambda z: (z.minpoly, z.approx_re, z.approx_im))
     return rats + algs
 
 
@@ -327,7 +329,7 @@ def _assert_matches_oracle(P):
             assert got is ALL_LAMBDA, (P, r)
         else:
             assert got == want, (P, r)
-            assert all(z.degree <= 2 for z in got if isinstance(z, AlgebraicNumber))
+            assert all(len(z.minpoly) == 3 for z in got if isinstance(z, AlgebraicNumber))
         dims.append(_constant_kernel_dim(P, r))
     return dims
 
@@ -387,7 +389,7 @@ class TestSpecialLambdasOracle:
         assert _constant_kernel_dim(p, 2) == 2
         got = special_lambdas(p, 2)
         assert got == _minor_gcd_lambdas(p, 2)
-        assert [z.degree for z in got] == [2, 2]
+        assert [len(z.minpoly) for z in got] == [3, 3]
 
     def test_branch_dim_two_vanishing_determinant(self):
         p = ProjectedPoint(3, (F(0), F(0), F(1), F(0)))
@@ -440,11 +442,10 @@ class TestSpecialLambdas:
         got = special_lambdas(p, 2)
         assert len(got) == 2
         assert all(isinstance(z, AlgebraicNumber) for z in got)
-        assert got[0].minpoly == (-32, 0, 1)
-        assert got[0].is_real and got[1].is_real
+        assert got == [AlgebraicNumber((-32, 0, 1), False), AlgebraicNumber((-32, 0, 1), True)]
         # roots are ±sqrt(32) = ±5.656854...
-        assert got[0].approx_re < 0 < got[1].approx_re
-        assert abs(abs(got[0].approx_re) - F(5656854249, 10**9)) < F(1, 10**6)
+        lo, hi = (z.value(64) for z in got)
+        assert abs(lo + hi) < 1e-30 and abs(hi - 5.656854249) < 1e-6
 
     def test_level_bounds(self):
         p = project(U4)
@@ -597,8 +598,8 @@ class TestXRank:
         blob = x_rank(p).to_json()
         assert blob["value"] == 2
         assert blob["witness_lambda"] == "0"
-        # constants kept from the schema that had a degree-bound knob
-        assert (blob["complete"], blob["unexplored"], blob["flag"]) == (True, [], None)
+        # the constants of the schema that had a degree-bound knob are gone
+        assert not {"complete", "unexplored", "flag"} & blob.keys()
         assert blob["witness_certificate"]["w"] == 2
         assert [pt["coords"] for pt in blob["witness_set_on_X"]] == [
             ["0", "0", "0", "1"],
@@ -631,7 +632,7 @@ def _assert_pencil_matches_oracles(P, rng) -> tuple[int, int]:
     seen = set()
     for r in range(1, (P.n + 3) // 2 + 1):
         pen = level_pencil(P, r)
-        got = pen.special_values(192)
+        got = pen.special_values()
         keyed = [] if got is ALL_LAMBDA else got
         lams = [F(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(2)]
         lams += [lam for _key, lam in keyed if isinstance(lam, F)]
@@ -705,7 +706,7 @@ def _algebraic_lambdas(P):
     seen = set()
     for r in range(1, (P.n + 3) // 2 + 1):
         pen = projection._pencil(P, r, gens)
-        got = pen.special_values(192)
+        got = pen.special_values()
         if got is ALL_LAMBDA:
             return
         yield from ((pen, lam) for key, lam in got if key not in seen and not isinstance(lam, F))
@@ -775,7 +776,7 @@ def _assert_shifts_match_nullspace(P, rng) -> int:
     for r in range(1, (d + 2) // 2 + 1):
         pen, want = projection._pencil(P, r, gens), nullspace_pencil(P, r)
         assert (linalg.free_column_basis(pen.kernel) if pen.kernel else []) == want.kernel
-        got, expected = pen.special_values(192), want.special_values(192)
+        got, expected = pen.special_values(), want.special_values()
         if expected is ALL_LAMBDA:
             assert got is ALL_LAMBDA, (P, r)
             keyed = []
