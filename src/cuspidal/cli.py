@@ -1,7 +1,9 @@
 """Command-line front end.
 
 One subcommand per library operation, JSON on stdout (JSON lines for batch
-input), deterministic given --seed.  Every input line gives exactly one
+input), deterministic given --seed.  Only decompose and verify-decomp take
+--precision-bits, and only generate, probe and verify take --seed; any other
+subcommand refuses them as a usage error.  Every input line gives exactly one
 output record, its result or a structured error, and a bad line does not
 stop the batch.  Exit codes: 0 all checks passed, 1 some line failed or a
 check failed (structured error JSON on stdout), 2 usage.  The numeric oracle
@@ -393,10 +395,12 @@ def _build_parser(defaults) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        p.add_argument("--precision-bits", type=int,
-                       default=defaults["precision"], help="working precision")
-        p.add_argument("--seed", type=int, default=defaults["seed"])
+    def common(p, with_input=True, precision=False, seed=False):
+        if precision:
+            p.add_argument("--precision-bits", type=int,
+                           default=defaults["precision"], help="working precision")
+        if seed:
+            p.add_argument("--seed", type=int, default=defaults["seed"])
         if with_input:
             p.add_argument("input", nargs="?", help="form text or JSON record")
             p.add_argument("--file", help="read inputs from a file")
@@ -410,14 +414,14 @@ def _build_parser(defaults) -> argparse.ArgumentParser:
         ("classify", cmd_classify, "case classification of the projected point"),
     ]:
         p = sub.add_parser(name, help=doc)
-        common(p)
+        common(p, precision=name == "decompose")
         p.set_defaults(fn=fn)
     sub.choices["classify"].add_argument(
         "--explain", action="store_true", help="append the hypothesis trace"
     )
 
     p = sub.add_parser("verify-decomp", help="check a decomposition record")
-    common(p)
+    common(p, precision=True)
     p.add_argument("--form", help="form text when records carry none")
     p.set_defaults(fn=cmd_verify_decomp)
 
@@ -428,7 +432,7 @@ def _build_parser(defaults) -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_xrank)
 
     p = sub.add_parser("generate", help="random instance of a classification case")
-    common(p, with_input=False)
+    common(p, with_input=False, seed=True)
     p.add_argument("--case", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--level", type=int)
@@ -438,13 +442,13 @@ def _build_parser(defaults) -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("probe", help="secant dimension probe")
-    common(p, with_input=False)
+    common(p, with_input=False, seed=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("verify", help="crosscheck records, or run the built-in battery")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--fuzz-samples", type=int, default=150)
     p.add_argument("--fuzz-degrees", type=lambda s: [int(x) for x in s.split(",")],
                    default=[2, 3, 4, 5, 6])

@@ -6,10 +6,11 @@ Three oracles, none of which shares code with the exact pipeline:
   small set of curve points whose span hits a projected point.  Success
   certifies an upper bound on the rank with respect to the cuspidal curve
   (numerically, to the configured tolerance); failure certifies nothing.
-  Starts converge in floats; a hit is then polished at full precision by
-  Gauss-Newton on the variable-projection residual (Golub-Pereyra), with
-  the analytic Jacobian in Kaufman's form and Levenberg-Marquardt damping
-  only as a fallback.
+  Starts converge in floats; a hit is then polished by Gauss-Newton on the
+  variable-projection residual (Golub-Pereyra), with the analytic Jacobian
+  in Kaufman's form and Levenberg-Marquardt damping only as a fallback, in
+  fixed-point integers with GUARD_BITS guard bits beyond the precision; the
+  witness residual is an estimate at that noise floor, not a proved bound.
   Exact lower bounds only ever come from the fiber scan: the cuspidal curve
   is singular, so catalecticant-style lower bounds for smooth curves do not
   transfer.
@@ -32,12 +33,13 @@ by tau -> tau/s.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-import mpmath
 import numpy as np
 
 from .apolarity import rank as sylvester_rank
@@ -46,6 +48,8 @@ from . import linalg
 from .projection import ProjectedPoint
 
 CLUSTER_RADIUS = 1e-8
+# fixed-point bits of the polish beyond the requested precision
+GUARD_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,8 @@ class SpanWitness:
     """Numeric evidence that the matched point lies in the span of the
     curve points at the given parameters.
 
-    residual is the relative distance achieved at full working precision;
-    parameters are pairwise distinct beyond the cluster radius.
+    residual is the relative distance the polish reached, an estimate and
+    no bound; parameters are pairwise distinct beyond the cluster radius.
     """
 
     parameters: tuple[float, ...]
@@ -156,52 +160,72 @@ def _lm_float(taus: np.ndarray, v: np.ndarray, slots, max_iter: int = 80):
     return taus, best
 
 
-def _mp_target(P: ProjectedPoint):
-    v = [
-        mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in P.coords
-    ]
-    norm = mpmath.sqrt(mpmath.fsum(x * x for x in v))
-    return [x / norm for x in v]
+def _dot(a, b, p: int) -> int:
+    return sum(x * y for x, y in zip(a, b)) >> p
 
 
-def _fit(taus, v, slots):
+def _lu_solver(M, bits: int):
+    """Solver of M x = b at scale 2^(bits + GUARD_BITS) by the LU of mpmath's
+    LU_decomp: the pivot row has the largest |pivot| / row sum, and a row sum
+    or pivot at most |M|_1 2^(1 - bits) (mpmath's eps) raises ZeroDivisionError."""
+    p, A, n = bits + GUARD_BITS, [list(row) for row in M], len(M)
+    tol, order = max(sum(abs(row[j]) for row in A) for j in range(n)), list(range(n))
+    for j in range(n):
+        sums = {k: sum(map(abs, A[k][j:])) for k in range(j, n)}
+        pj = max(sums, key=lambda k: abs(A[k][j]) / (sums[k] or 1))
+        A[j], A[pj], order[j], order[pj] = A[pj], A[j], order[pj], order[j]
+        if min(*sums.values(), abs(A[j][j])) << (bits - 1) <= tol:
+            raise ZeroDivisionError("matrix is numerically singular")
+        for row in A[j + 1:]:
+            row[j] = (row[j] << p) // A[j][j]
+            row[j + 1:] = [x - (row[j] * y >> p) for x, y in zip(row[j + 1:], A[j][j + 1:])]
+
+    def solve(b):
+        x = [b[i] for i in order]
+        for i in range(n):
+            x[i] -= _dot(A[i][:i], x, p)
+        for i in reversed(range(n)):
+            x[i] = (x[i] - _dot(A[i][i + 1:], x[i + 1:], p) << p) // A[i][i]
+        return x
+
+    return solve
+
+
+def _fit(taus, v, slots, bits: int):
     """Variable-projection fit of v by the normalized curve columns
     a_i = phi(tau_i)/|phi(tau_i)|, with the scalars c from the Gram normal
     equations: the residual (I - P_A) v, and a function that builds the
     Kaufman Jacobian columns -c_i (I - P_A) a_i', so that a fit the polish
-    does not step from never pays for their r projections.  One LU of the
-    Gram matrix serves the scalars and all r projections; a singular one
-    raises ZeroDivisionError."""
+    does not step from never pays for their r projections.  All are integers
+    at scale 2^(bits + GUARD_BITS).  One LU of the Gram matrix serves the
+    scalars and all r projections; a singular one raises ZeroDivisionError."""
+    p = bits + GUARD_BITS
     cols, ders = [], []
     for t in taus:
-        phi = [t**k for k in slots]
-        norm = mpmath.sqrt(mpmath.fdot(phi, phi))  # >= 1: slot 0 is t^0
-        cols.append([x / norm for x in phi])
+        pw = list(accumulate(range(slots[-1]), lambda x, _: x * t >> p, initial=1 << p))
+        phi = [pw[k] for k in slots]
+        norm = math.isqrt(sum(x * x for x in phi))  # >= 2^p: slot 0 is t^0
+        cols.append([(x << p) // norm for x in phi])
         # a_i' = (phi' - a_i (a_i . phi')) / |phi|, and the projection
         # removes the a_i part, so phi' / |phi| stands in for it
-        ders.append([k * t ** (k - 1) / norm if k else 0 for k in slots])
-    gram = mpmath.matrix([[mpmath.fdot(a, b) for b in cols] for a in cols])
-    lu, perm = mpmath.mp.LU_decomp(gram)
+        ders.append([(k * pw[k - 1] << p) // norm if k else 0 for k in slots])
+    solve = _lu_solver([[_dot(a, b, p) for b in cols] for a in cols], bits)
     rows = list(zip(*cols))
 
     def perp(b):
         """G^-1 A^T b and b - A G^-1 A^T b."""
-        x = mpmath.mp.L_solve(lu, [mpmath.fdot(a, b) for a in cols], perm)
-        x = mpmath.mp.U_solve(lu, x)
-        return x, [bk - mpmath.fdot(x, row) for bk, row in zip(b, rows)]
+        x = solve([_dot(a, b, p) for a in cols])
+        return x, [bk - _dot(x, row, p) for bk, row in zip(b, rows)]
 
     coef, res = perp(v)
-    return res, lambda: [[-c * y for y in perp(d)[1]] for c, d in zip(coef, ders)]
-
-
-def _norm(x):
-    return mpmath.sqrt(mpmath.fdot(x, x))
+    return res, lambda: [[-c * y >> p for y in perp(d)[1]] for c, d in zip(coef, ders)]
 
 
 def _polish(P: ProjectedPoint, taus0, precision_bits: int, tolerance: float):
-    """Gauss-Newton on the variable-projection residual (I - P_A(tau)) v at
-    full precision, with the analytic Jacobian of _fit; returns (taus,
-    residual), or None when the starting columns are degenerate.
+    """Gauss-Newton on the variable-projection residual (I - P_A(tau)) v in
+    fixed-point integers at scale 2^(precision_bits + GUARD_BITS), with the
+    analytic Jacobian of _fit; returns (taus, residual) as floats, or None
+    when the starting columns are degenerate.
 
     Each iteration tries the undamped step first, which converges
     quadratically from the float hand-over, and falls back to
@@ -209,42 +233,44 @@ def _polish(P: ProjectedPoint, taus0, precision_bits: int, tolerance: float):
     residual.  A step is taken only when it lowers the residual, and the
     Jacobian is built only where the next step starts.
     """
-    with mpmath.workprec(precision_bits):
-        v = _mp_target(P)
-        slots = _slots(P.n)
-        taus = [mpmath.mpf(t) for t in taus0]
-        try:
-            res, jacobian = _fit(taus, v, slots)
-        except ZeroDivisionError:
-            return None
-        best = _norm(res)
-        target = mpmath.mpf(tolerance) / 4
-        mu = mpmath.mpf(10) ** (-12)
-        mu_floor = mpmath.mpf(2) ** (-precision_bits)
-        for _ in range(72):
-            jac = jacobian()
-            H = mpmath.matrix([[mpmath.fdot(a, b) for b in jac] for a in jac])
-            g = mpmath.matrix([-mpmath.fdot(a, res) for a in jac])
-            for damped in (False,) + (True,) * 10:
-                shift = (mu if damped else 0) * mpmath.eye(len(taus))
-                try:
-                    cand = [t + d for t, d in zip(taus, mpmath.lu_solve(H + shift, g))]
-                    fit = _fit(cand, v, slots)
-                    cval = _norm(fit[0])
-                except (ZeroDivisionError, ValueError):
-                    cval = None
-                if cval is not None and cval < best:
-                    taus, (res, jacobian), best = cand, fit, cval
-                    if damped:
-                        mu = max(mu / 10, mu_floor)
-                    break
+    p = precision_bits + GUARD_BITS
+    den = math.lcm(*(c.denominator for c in P.coords))
+    w = [c.numerator * (den // c.denominator) for c in P.coords]
+    norm = math.isqrt(sum(x * x for x in w) << 2 * p)  # |w| 2^p
+    v = [(x << 2 * p) // norm for x in w]
+    slots = _slots(P.n)
+    taus = [int(Fraction(t) * (1 << p)) for t in taus0]
+    try:
+        res, jacobian = _fit(taus, v, slots, precision_bits)
+    except ZeroDivisionError:
+        return None
+    best = _dot(res, res, 0)
+    target = int(Fraction(tolerance) / 4 * (1 << p)) ** 2
+    mu, mu_floor = (1 << p) // 10**12, 1 << GUARD_BITS  # 1e-12 and 2^-bits
+    for _ in range(72):
+        jac = jacobian()
+        H = [[_dot(a, b, p) for b in jac] for a in jac]
+        g = [-_dot(a, res, p) for a in jac]
+        for damped in (False,) + (True,) * 10:
+            M = [row[:i] + [row[i] + damped * mu] + row[i + 1:] for i, row in enumerate(H)]
+            try:
+                cand = [t + d for t, d in zip(taus, _lu_solver(M, precision_bits)(g))]
+                fit = _fit(cand, v, slots, precision_bits)
+            except ZeroDivisionError:
+                fit = None
+            cval = _dot(fit[0], fit[0], 0) if fit else best
+            if cval < best:
+                taus, (res, jacobian), best = cand, fit, cval
                 if damped:
-                    mu *= 100
-            else:
+                    mu = max(mu // 10, mu_floor)
                 break
-            if best < target:
-                break
-        return [float(t) for t in taus], float(best)
+            if damped:
+                mu *= 100
+        else:
+            break
+        if best < target:
+            break
+    return [t / (1 << p) for t in taus], math.isqrt(best) / (1 << p)
 
 
 def _moment_seeds(P: ProjectedPoint, r: int):

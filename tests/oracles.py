@@ -80,6 +80,11 @@
   on the normal equations and differentiated it by forward differences,
   one refit per parameter.  They back the analytic fit ``oracle._fit``
   and use mpmath alone, no code of the package.
+* ``mp_target``, ``mp_fit`` and ``mp_polish``: the polish once ran in mpmath
+  at precision_bits, with ``mpmath.mp.LU_decomp`` on the Gram matrix and
+  ``mpmath.lu_solve`` for each Gauss-Newton step.  They back the
+  fixed-point integer polish ``oracle._polish``, which returns the same
+  float parameters from the same float hand-over.
 """
 
 from __future__ import annotations
@@ -103,6 +108,7 @@ from cuspidal.numberfield import (
     QuadraticNumber,
     _quadratic_root,
 )
+from cuspidal.oracle import _slots
 from cuspidal.projection import (
     ALL_LAMBDA,
     FieldCertificate,
@@ -623,6 +629,97 @@ def fd_jacobian(taus, v, slots, precision_bits):
         bres = mp_residual(bumped, v, slots)
         cols.append([(b - a) / step for a, b in zip(res, bres)])
     return cols
+
+
+def mp_target(P: ProjectedPoint):
+    v = [
+        mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in P.coords
+    ]
+    norm = mpmath.sqrt(mpmath.fsum(x * x for x in v))
+    return [x / norm for x in v]
+
+
+def mp_fit(taus, v, slots):
+    """Variable-projection fit of v by the normalized curve columns
+    a_i = phi(tau_i)/|phi(tau_i)|, with the scalars c from the Gram normal
+    equations: the residual (I - P_A) v, and a function that builds the
+    Kaufman Jacobian columns -c_i (I - P_A) a_i', so that a fit the polish
+    does not step from never pays for their r projections.  One LU of the
+    Gram matrix serves the scalars and all r projections; a singular one
+    raises ZeroDivisionError."""
+    cols, ders = [], []
+    for t in taus:
+        phi = [t**k for k in slots]
+        norm = mpmath.sqrt(mpmath.fdot(phi, phi))  # >= 1: slot 0 is t^0
+        cols.append([x / norm for x in phi])
+        # a_i' = (phi' - a_i (a_i . phi')) / |phi|, and the projection
+        # removes the a_i part, so phi' / |phi| stands in for it
+        ders.append([k * t ** (k - 1) / norm if k else 0 for k in slots])
+    gram = mpmath.matrix([[mpmath.fdot(a, b) for b in cols] for a in cols])
+    lu, perm = mpmath.mp.LU_decomp(gram)
+    rows = list(zip(*cols))
+
+    def perp(b):
+        """G^-1 A^T b and b - A G^-1 A^T b."""
+        x = mpmath.mp.L_solve(lu, [mpmath.fdot(a, b) for a in cols], perm)
+        x = mpmath.mp.U_solve(lu, x)
+        return x, [bk - mpmath.fdot(x, row) for bk, row in zip(b, rows)]
+
+    coef, res = perp(v)
+    return res, lambda: [[-c * y for y in perp(d)[1]] for c, d in zip(coef, ders)]
+
+
+def _mp_norm(x):
+    return mpmath.sqrt(mpmath.fdot(x, x))
+
+
+def mp_polish(P: ProjectedPoint, taus0, precision_bits: int, tolerance: float):
+    """Gauss-Newton on the variable-projection residual (I - P_A(tau)) v at
+    full precision, with the analytic Jacobian of mp_fit; returns (taus,
+    residual), or None when the starting columns are degenerate.
+
+    Each iteration tries the undamped step first, which converges
+    quadratically from the float hand-over, and falls back to
+    Levenberg-Marquardt damping only when that step does not lower the
+    residual.  A step is taken only when it lowers the residual, and the
+    Jacobian is built only where the next step starts.
+    """
+    with mpmath.workprec(precision_bits):
+        v = mp_target(P)
+        slots = _slots(P.n)
+        taus = [mpmath.mpf(t) for t in taus0]
+        try:
+            res, jacobian = mp_fit(taus, v, slots)
+        except ZeroDivisionError:
+            return None
+        best = _mp_norm(res)
+        target = mpmath.mpf(tolerance) / 4
+        mu = mpmath.mpf(10) ** (-12)
+        mu_floor = mpmath.mpf(2) ** (-precision_bits)
+        for _ in range(72):
+            jac = jacobian()
+            H = mpmath.matrix([[mpmath.fdot(a, b) for b in jac] for a in jac])
+            g = mpmath.matrix([-mpmath.fdot(a, res) for a in jac])
+            for damped in (False,) + (True,) * 10:
+                shift = (mu if damped else 0) * mpmath.eye(len(taus))
+                try:
+                    cand = [t + d for t, d in zip(taus, mpmath.lu_solve(H + shift, g))]
+                    fit = mp_fit(cand, v, slots)
+                    cval = _mp_norm(fit[0])
+                except (ZeroDivisionError, ValueError):
+                    cval = None
+                if cval is not None and cval < best:
+                    taus, (res, jacobian), best = cand, fit, cval
+                    if damped:
+                        mu = max(mu / 10, mu_floor)
+                    break
+                if damped:
+                    mu *= 100
+            else:
+                break
+            if best < target:
+                break
+        return [float(t) for t in taus], float(best)
 
 
 def solve(rows, rhs) -> list | None:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import projection
-from cuspidal.cli import main
+from cuspidal.cli import _build_parser, main
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -122,6 +122,26 @@ class TestRankCommands:
         with pytest.raises(SystemExit) as err:
             run(capsys, monkeypatch, ["frobnicate"])
         assert err.value.code == 2
+
+    def test_precision_and_seed_only_where_read(self, capsys):
+        """--precision-bits goes to decompose and verify-decomp, --seed to
+        generate, probe and verify; everywhere else they are usage errors."""
+        parser = _build_parser({"precision": 192, "seed": 0})
+        required = {"generate": ["--case", "e4_i", "--n", "6"], "probe": ["--s", "2", "--n", "5"]}
+        for name in ("rank", "borderrank", "scheme", "decompose", "verify-decomp", "project",
+                     "xrank", "classify", "generate", "probe", "verify"):
+            for flag, dest, takers in (
+                ("--precision-bits", "precision_bits", {"decompose", "verify-decomp"}),
+                ("--seed", "seed", {"generate", "probe", "verify"}),
+            ):
+                argv = [name, *required.get(name, []), flag, "7"]
+                if name in takers:
+                    assert getattr(parser.parse_args(argv), dest) == 7, argv
+                    continue
+                with pytest.raises(SystemExit) as err:
+                    parser.parse_args(argv)
+                assert err.value.code == 2, argv
+                assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDecomposePipeline:
@@ -312,7 +332,7 @@ class TestImports:
         child = textwrap.dedent(
             """
             import contextlib, io, json, sys
-            from cuspidal.cli import main
+            from cuspidal.cli import _build_parser, main
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 codes = [main(["rank", "d=7; [0,0,0,1,0,0,0,0]"]),
@@ -336,21 +356,25 @@ class TestImports:
 
     def test_xrank_with_a_quadratic_lambda_loads_no_numpy(self):
         """Special lambda are at most quadratic, each named by its minimal
-        polynomial and a branch of the quadratic formula, so the record
-        does not depend on --precision-bits and no numpy is loaded."""
+        polynomial and a branch of the quadratic formula, so xrank reads no
+        precision: it refuses --precision-bits as a usage error, and no
+        numpy is loaded."""
         point = {"n": 5, "coords": ["-15/2", "-4/195", "1/2", "-1/45", "13/168", "19/26"]}
         child = textwrap.dedent(
             f"""
             import contextlib, io, json, sys
-            from cuspidal.cli import main
-            codes, outs = [], []
-            for bits in ("64", "512"):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    codes.append(main(["xrank", "--precision-bits", bits,
-                                       {json.dumps(json.dumps(point))}]))
-                outs.append(out.getvalue())
-            print(json.dumps({{"codes": codes, "outs": outs,
+            from cuspidal.cli import _build_parser, main
+            arg = {json.dumps(json.dumps(point))}
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["xrank", arg])
+            with contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    main(["xrank", "--precision-bits", "64", arg])
+                    refused = None
+                except SystemExit as exc:
+                    refused = exc.code
+            print(json.dumps({{"code": code, "out": out.getvalue(), "refused": refused,
                               "numpy": "numpy" in sys.modules}}))
             """
         )
@@ -361,9 +385,9 @@ class TestImports:
         )
         assert out.returncode == 0, out.stderr
         got = json.loads(out.stdout)
-        assert got["codes"] == [0, 0]
-        assert got["outs"][0] == got["outs"][1]
-        lam = json.loads(got["outs"][0])["witness_lambda"]
+        assert got["code"] == 0
+        assert got["refused"] == 2
+        lam = json.loads(got["out"])["witness_lambda"]
         assert set(lam) == {"minpoly", "branch", "approx"}
         assert len(lam["minpoly"]) == 3 and lam["branch"] in ("lower", "upper")
         assert got["numpy"] is False

@@ -1,6 +1,7 @@
 """Numeric oracles: span search, secant probes, dichotomy fuzzing."""
 
 import random
+import textwrap
 from fractions import Fraction
 
 import mpmath
@@ -8,18 +9,23 @@ import pytest
 
 from cuspidal.binform import BinaryForm, P1Point
 from cuspidal.classifier import InstanceSpec, generate_instance
+from cuspidal import oracle
 from cuspidal.oracle import (
     CLUSTER_RADIUS,
+    GUARD_BITS,
     SearchConfig,
     SpanWitness,
     _fit,
+    _lu_solver,
+    _polish,
     _slots,
     dichotomy_fuzz,
     secant_dimension_probe,
     xrank_upper_search,
 )
 from cuspidal.projection import ProjectedPoint, cusp_curve_point, project, x_rank
-from oracles import fd_jacobian, mp_residual
+from oracles import fd_jacobian, mp_polish, mp_residual
+from test_apolarity import _run_optimized
 
 F = Fraction
 
@@ -116,10 +122,20 @@ class TestXrankUpperSearch:
 
 
 class TestVariableProjectionFit:
-    """The polish's analytic fit against the normal-equation residual and
-    the forward-difference Jacobian it replaced, at 192 bits."""
+    """The polish's fixed-point analytic fit, read back as mpf, against the
+    normal-equation residual and the forward-difference Jacobian it
+    replaced, at 192 bits."""
 
     BITS = 192
+    SCALE = BITS + GUARD_BITS
+
+    @classmethod
+    def _fixed(cls, xs):
+        return [int(mpmath.floor(mpmath.ldexp(x, cls.SCALE))) for x in xs]
+
+    @classmethod
+    def _mpf(cls, xs):
+        return [mpmath.ldexp(x, -cls.SCALE) for x in xs]
 
     @staticmethod
     def _cases(rng):
@@ -144,8 +160,9 @@ class TestVariableProjectionFit:
             for n, taus in self._cases(rng):
                 slots = _slots(n)
                 v = [mpmath.mpf(rng.gauss(0.0, 1.0)) for _ in slots]
-                res, _ = _fit(taus, v, slots)
-                assert self._rel_err(res, mp_residual(taus, v, slots)) < 2.0**-50, (n, taus)
+                res, _ = _fit(self._fixed(taus), self._fixed(v), slots, self.BITS)
+                want = mp_residual(taus, v, slots)
+                assert self._rel_err(self._mpf(res), want) < 2.0**-50, (n, taus)
 
     def test_jacobian_matches_finite_differences(self):
         """At a point in the span the residual vanishes, and there the
@@ -163,10 +180,143 @@ class TestVariableProjectionFit:
                     v = [x + c * t**k for x, k in zip(v, slots)]
                 norm = mpmath.sqrt(mpmath.fsum(x * x for x in v))
                 v = [x / norm for x in v]
-                jac = _fit(taus, v, slots)[1]()
+                jac = _fit(self._fixed(taus), self._fixed(v), slots, self.BITS)[1]()
                 fd = fd_jacobian(taus, v, slots, self.BITS)
                 for i, (got, want) in enumerate(zip(jac, fd)):
-                    assert self._rel_err(got, want, 1) < 2.0**-50, (n, taus, i)
+                    assert self._rel_err(self._mpf(got), want, 1) < 2.0**-50, (n, taus, i)
+
+
+def _power_sum_point(n, taus, scalars) -> ProjectedPoint:
+    """The projection of sum s (u + tau t)^(n+1): the apolar coordinates
+    are sum s tau^i, and projecting deletes slot 1."""
+    a = [sum(s * F(t) ** i for t, s in zip(taus, scalars)) for i in range(n + 2)]
+    return ProjectedPoint(n, tuple([a[0]] + a[2:]))
+
+
+class TestFixedPointPolish:
+    """The fixed-point polish against the mpmath polish it replaced
+    (oracles.mp_polish), and its degenerate starts."""
+
+    @staticmethod
+    def _handovers(monkeypatch):
+        """The float hand-over of each witness the search finds, on four
+        seeded points of every cell (n, k) of the benchmark's search grid
+        and on the eleventh powers at five points."""
+        rng = random.Random("polish-equivalence")
+        cases = []
+        for n in range(5, 11):
+            for k in range(2, n // 2 + 1):
+                for _ in range(4):
+                    taus = rng.sample([t for t in range(-12, 13) if t], k)
+                    scalars = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in taus]
+                    cases.append((n, taus, scalars))
+        cases.append((10, [5, 7, 8, 10, 11], [-9, -2, 3, 7, -2]))
+        calls = []
+
+        def recording(P, taus0, bits, tol):
+            calls.append([float(t) for t in taus0])
+            return polish(P, taus0, bits, tol)
+
+        polish = oracle._polish
+        monkeypatch.setattr(oracle, "_polish", recording)
+        out = []
+        for n, taus, scalars in cases:
+            P = _power_sum_point(n, taus, scalars)
+            assert xrank_upper_search(P, SearchConfig(r=len(taus))) is not None, P
+            out.append((P, calls[-1]))  # the search returns its last polish
+        monkeypatch.undo()
+        return out
+
+    def test_same_parameters_as_the_mpmath_polish(self, monkeypatch):
+        """From the same hand-over both polishes return the same float
+        parameters, bit for bit, and residuals below the tolerance that
+        agree to within 2^-(bits-16), at 128, 192 and 256 bits."""
+        handovers = self._handovers(monkeypatch)
+        assert len(handovers) >= 60
+        for bits in (128, 192, 256):
+            tol = SearchConfig(r=1, precision_bits=bits).tolerance
+            for P, taus0 in handovers:
+                got, want = _polish(P, taus0, bits, tol), mp_polish(P, taus0, bits, tol)
+                assert got[0] == want[0], (bits, P, taus0)
+                assert got[1] < tol and want[1] < tol, (bits, P, taus0)
+                assert abs(got[1] - want[1]) < 2.0 ** -(bits - 16), (bits, P, taus0)
+
+    def test_coincident_starts_give_none(self):
+        """Two equal starting parameters make the Gram matrix singular."""
+        P = _power_sum_point(6, [1, 3, -2], [2, -1, 5])
+        for bits in (128, 192, 256):
+            tol = SearchConfig(r=1, precision_bits=bits).tolerance
+            for taus0 in ([1.5, 1.5], [0.0, 0.0, 2.0], [-1.25, 3.0, -1.25]):
+                assert _polish(P, taus0, bits, tol) is None, (bits, taus0)
+                assert mp_polish(P, taus0, bits, tol) is None, (bits, taus0)
+
+    @staticmethod
+    def _matrices(bits):
+        """Exact matrices on both sides of LU_decomp's singularity rule at
+        bits: exactly singular ones, and near-singular ones 8 bits beyond
+        or short of the threshold."""
+        tiny, small = F(1, 2 ** (bits + 8)), F(1, 2 ** (bits - 8))
+        rng = random.Random(f"lu-matrices:{bits}")
+        yield [[0]]
+        yield [[0, 0], [0, 0]]
+        yield [[1, 2], [2, 4]]
+        yield [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
+        for eps in (tiny, small):
+            yield [[1, 0], [0, eps]]
+            yield [[1, 1], [1, 1 + eps]]
+            yield [[1, 0], [eps, eps]]
+            yield [[eps, 1], [eps, 2]]
+            yield [[2, 1, 0], [1, 2, 1], [1, 2, 1 + eps]]
+        for size in range(1, 6):
+            yield [[F(rng.randint(-9, 9), rng.randint(1, 9)) + (size + 9) * (i == j)
+                    for j in range(size)] for i in range(size)]
+
+    def test_singular_matrices_raise_where_lu_decomp_does(self):
+        raised = set()
+        for bits in (64, 128, 192):
+            one = 1 << (bits + GUARD_BITS)
+            for M in self._matrices(bits):
+                with mpmath.workprec(bits):
+                    A = mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator
+                                        for x in map(F, row)] for row in M])
+                    try:
+                        mpmath.mp.LU_decomp(A)
+                        want = False
+                    except ZeroDivisionError:
+                        want = True
+                try:
+                    _lu_solver([[int(F(x) * one) for x in row] for row in M], bits)
+                    got = False
+                except ZeroDivisionError:
+                    got = True
+                assert got == want, (bits, M)
+                raised.add(got)
+        assert raised == {False, True}
+
+    def test_singular_raise_survives_python_O(self):
+        """The singularity rule is an explicit raise, not an assert."""
+        child = textwrap.dedent(
+            """
+            import sys
+            from fractions import Fraction
+            from cuspidal import oracle
+            from cuspidal.projection import ProjectedPoint
+
+            if __debug__:
+                sys.exit("not running under -O")
+            one = 1 << (96 + oracle.GUARD_BITS)
+            try:
+                oracle._lu_solver([[one, 2 * one], [2 * one, 4 * one]], 96)
+            except ZeroDivisionError:
+                pass
+            else:
+                sys.exit("a singular matrix went unnoticed")
+            P = ProjectedPoint(5, tuple(Fraction(c) for c in (3, 1, -2, 1, 5, 1)))
+            if oracle._polish(P, [0.5, 0.5], 96, 2.0 ** -48) is not None:
+                sys.exit("coincident starts went unnoticed")
+            """
+        )
+        _run_optimized(child)
 
 
 class TestSecantProbe:
