@@ -17,9 +17,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, lcm
+from math import comb, isqrt, lcm
 
 import mpmath
+from mpmath.libmp import from_man_exp, fzero, round_ceiling, to_rational
 
 from . import linalg, ratfactor, univar
 from .binform import (
@@ -234,6 +235,9 @@ class Decomposition:
 
     Scalars and linear-form pairs are exact Fractions on the rational path and
     mpmath numbers otherwise; ``field_tag`` records which path produced them.
+    ``residual`` is the exact relative residual of the terms as stored,
+    rounded up (``verify_decomposition``), so it is a proved upper bound, and
+    ``to_json`` prints it rounded up again, to 8 significant digits.
     """
 
     degree: int
@@ -259,7 +263,7 @@ class Decomposition:
                 {"scalar": num(s), "linear_form": [num(a), num(b)]}
                 for s, (a, b) in self.terms
             ],
-            "residual": mpmath.nstr(mpmath.mpf(self.residual), 8),
+            "residual": residual_string(self.residual, 8),
         }
 
     @classmethod
@@ -290,11 +294,10 @@ class Decomposition:
 
 
 def _power_column(alpha, beta, d: int, one) -> list:
-    """Monomial coefficients of (alpha*u + beta*t)^d over any ring with
-    the given multiplicative identity.  For alpha = 1, as at every point
-    (1:b) that ``decompose`` builds, only the powers of beta are taken: a
-    product with an exact 1 is the other factor at the working precision,
-    so the bits are those of the full chain."""
+    """Monomial coefficients of (alpha*u + beta*t)^d over any exact ring
+    with the given multiplicative identity.  For alpha = 1, as at every
+    point (1:b) that ``decompose`` builds, only the powers of beta are
+    taken."""
     bpow = [one]
     for _ in range(d):
         bpow.append(bpow[-1] * beta)
@@ -311,61 +314,137 @@ def _reconstruct(terms, d: int, one) -> list:
     (s, (a, b)), in the ring of ``one``; over the rationals by
     ``_reconstruct_in_integers``."""
     if isinstance(one, Fraction):
-        return _reconstruct_in_integers(terms, d)
+        den, real, _ = _reconstruct_in_integers(terms, d)
+        return [Fraction(x, den) for x in real]
     total = [one - one] * (d + 1)
     for s, (a, b) in terms:
         total = [t + s * c for t, c in zip(total, _power_column(a, b, d, one))]
     return total
 
 
-def _reconstruct_in_integers(terms, d: int) -> list[Fraction]:
-    """``_reconstruct`` over the rationals, as Fractions.  A point (a, b)
-    is the integer pair (a_n b_d, b_n a_d) over a_d b_d, so a term is an
-    integer column over s_d (a_d b_d)^d; the columns are summed over the
-    lcm of those denominators and d+1 Fractions are built at the end."""
+def _gaussian(x) -> tuple[int, int, int]:
+    """The exact value of x as (re, im, q), x = (re + i im) / q with q > 0:
+    a rational by its numerator and denominator, an mpmath number by the
+    signed mantissas and exponents of its parts, over one power of 2."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    if not mpmath.isfinite(x):
+        raise ValueError(f"a decomposition term is not finite: {x}")
+    (s1, m1, e1, _), (s2, m2, e2, _) = getattr(x, "_mpc_", None) or (x._mpf_, fzero)
+    e = min(e1 if m1 else 0, e2 if m2 else 0, 0)
+    return (-m1 if s1 else m1) << (e1 - e), (-m2 if s2 else m2) << (e2 - e), 1 << -e
+
+
+def _reconstruct_in_integers(terms, d: int) -> tuple[int, list[int], list[int]]:
+    """sum s (a u + b t)^d over terms whose parts are rationals or mpmath
+    numbers, exactly, as a common denominator and the real and imaginary
+    integer numerators of its monomial coefficients.  With each part read
+    by ``_gaussian``, a point (a, b) is the Gaussian integer pair
+    (a_n b_q, b_n a_q) over a_q b_q, so a term is an integer column over
+    s_q (a_q b_q)^d; the columns are summed over the lcm of those
+    denominators."""
     den, columns = 1, []
     for s, (a, b) in terms:
-        q = s.denominator * (a.denominator * b.denominator) ** d
-        pair = (a.numerator * b.denominator, b.numerator * a.denominator)
-        columns.append((s.numerator, q, _power_column(*pair, d, 1)))
+        (sr, si, sq), (ar, ai, aq), (br, bi, bq) = _gaussian(s), _gaussian(a), _gaussian(b)
+        q = sq * (aq * bq) ** d
+        columns.append((sr, si, q, _gaussian_column((ar * bq, ai * bq), (br * aq, bi * aq), d)))
         den = lcm(den, q)
-    total = [0] * (d + 1)
-    for num, q, column in columns:
-        scale = num * (den // q)
-        total = [t + scale * c for t, c in zip(total, column)]
-    return [Fraction(t, den) for t in total]
+    real, imag = [0] * (d + 1), [0] * (d + 1)
+    for sr, si, q, column in columns:
+        sr, si = sr * (den // q), si * (den // q)
+        for k, (x, y) in enumerate(column):
+            if si:  # three products (Gauss), not four
+                p = x * (sr + si)
+                real[k] += p - si * (x + y)
+                imag[k] += p + sr * (y - x)
+            else:
+                real[k] += sr * x
+                imag[k] += sr * y
+    return den, real, imag
 
 
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
+def _gaussian_column(a: tuple[int, int], b: tuple[int, int], d: int) -> list[tuple[int, int]]:
+    """Monomial coefficients of (a u + b t)^d for Gaussian integers a, b.
+    A power of 2 for a, as at every point (1:b) that ``decompose`` builds,
+    is applied by shifts."""
+    bpow = [(1, 0)]
+    for _ in range(d):
+        u, v = bpow[-1]
+        bpow.append((u * b[0] - v * b[1], u * b[1] + v * b[0]))
+    x, y = a
+    if not y and x > 0 and not x & (x - 1):
+        m = x.bit_length() - 1
+        return [(comb(d, k) * u << m * (d - k), comb(d, k) * v << m * (d - k))
+                for k, (u, v) in enumerate(bpow)]
+    apow = [(1, 0)]
+    for _ in range(d):
+        u, v = apow[-1]
+        apow.append((u * x - v * y, u * y + v * x))
+    out = []
+    for k in range(d + 1):
+        (u, v), (x, y), c = apow[d - k], bpow[k], comb(d, k)
+        out.append((c * (u * x - v * y), c * (u * y + v * x)))
+    return out
+
+
+def _residual_squared(f: BinaryForm, terms) -> tuple[int, int]:
+    """(num, den) with num / den the exact square of the max-norm of f
+    minus the power sum of the terms, relative to the max-norm of f."""
+    d = f.degree
+    den, real, imag = _reconstruct_in_integers(terms, d)
+    fden = lcm(*(c.denominator for c in f.coeffs))
+    ints = [c.numerator * (fden // c.denominator) for c in f.coeffs]
+    worst = max((c * den - x * fden) ** 2 + (y * fden) ** 2 for c, x, y in zip(ints, real, imag))
+    return worst, (den * max(abs(c) for c in ints)) ** 2
+
+
+RESIDUAL_BITS = 64
 
 
 def verify_decomposition(f: BinaryForm, dec: Decomposition):
     """Max-norm of f minus the reconstruction, relative to the max-norm of f.
 
-    Exact inputs give an exact (possibly zero) answer; otherwise the residual
-    is evaluated at the decomposition's stated precision.
+    Every term is read exactly as stored, a rational as a Fraction and an
+    mpmath part as a dyadic rational, and the power sum is formed in
+    integers, so the residual is exact; it is returned as an mpf of
+    ``RESIDUAL_BITS`` bits rounded up, a proved upper bound that is 0
+    exactly when the terms reconstruct f.
     """
     if f.degree != dec.degree:
         raise ValueError("degree mismatch between form and decomposition")
     if f.is_zero():
         raise ZeroFormError("verification against the zero form")
-    scale = max(abs(c) for c in f.coeffs)
-    all_exact = all(
-        _is_exact(s) and _is_exact(a) and _is_exact(b) for s, (a, b) in dec.terms
-    )
-    if all_exact:
-        total = _reconstruct(dec.terms, f.degree, Fraction(1))
-        rel = Fraction(max(abs(c - t) for c, t in zip(f.coeffs, total)), scale)
-        return mpmath.mpf(rel.numerator) / int(rel.denominator)
-    bits = max(dec.precision_bits, 64)
-    with mpmath.workprec(bits + 32):
-        terms = [(_to_mpc(s), (_to_mpc(a), _to_mpc(b))) for s, (a, b) in dec.terms]
-        total = _reconstruct(terms, f.degree, mpmath.mpf(1))
-        worst = max(
-            abs(mpmath.mpf(c.numerator) / c.denominator - t) for c, t in zip(f.coeffs, total)
-        )
-        return +(worst / (mpmath.mpf(scale.numerator) / scale.denominator))
+    return _upper_root(*_residual_squared(f, dec.terms))
+
+
+def _upper_root(num: int, den: int):
+    """sqrt(num / den) rounded up to an mpf of ``RESIDUAL_BITS`` bits: the
+    integer square root of num 2^(2k) / den, both rounded up, has at least
+    RESIDUAL_BITS + 2 bits, over 2^k."""
+    if not num:
+        return mpmath.mpf(0)
+    k = (2 * RESIDUAL_BITS + 4 + den.bit_length() - num.bit_length()) // 2
+    q = -(-(num << 2 * k) // den) if k >= 0 else -(-num // (den << -2 * k))
+    s = isqrt(q)
+    s += s * s < q
+    return mpmath.mp.make_mpf(from_man_exp(s, -k, RESIDUAL_BITS, round_ceiling))
+
+
+def residual_string(x, digits: int) -> str:
+    """x, a nonnegative rational or mpf, rounded up to ``digits``
+    significant decimal digits and printed as ``mpmath.nstr`` prints that
+    decimal, so that the printed number is never below x."""
+    q = Fraction(x) if isinstance(x, (int, Fraction)) else Fraction(*to_rational(x._mpf_))
+    if not q:
+        return mpmath.nstr(mpmath.mpf(0), digits)
+    e = len(str(q.numerator)) - len(str(q.denominator)) - digits
+    while q >= Fraction(10) ** (e + digits):
+        e += 1
+    while q < Fraction(10) ** (e + digits - 1):
+        e -= 1
+    n = -(-q // Fraction(10) ** e)  # 10^(digits-1) <= n <= 10^digits
+    with mpmath.workprec(4 * digits + 16):
+        return mpmath.nstr(mpmath.mpf(f"{n}e{e}"), digits)
 
 
 def _to_mpc(x):
@@ -507,8 +586,7 @@ def _decompose_numeric(
         except ZeroDivisionError:
             raise PrecisionError("the witness's derivative rounds to 0 at a root") from None
         terms = tuple((+s, p) for s, p in zip(scalars, pts))
-    dec = Decomposition(f.degree, terms, mpmath.mpf(0), "complex", bits)
-    residual = verify_decomposition(f, dec)
-    if not residual < mpmath.mpf(2) ** (-bits // 2):
+    num, den = _residual_squared(f, terms)
+    if not num << 2 * ((bits + 1) // 2) < den:
         raise PrecisionError("decomposition residual above the precision target")
-    return Decomposition(f.degree, dec.terms, residual, "complex", bits)
+    return Decomposition(f.degree, terms, _upper_root(num, den), "complex", bits)

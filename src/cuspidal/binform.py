@@ -6,7 +6,7 @@ binomial(d, i) drive the catalecticant machinery downstream.  Everything here
 is exact; the only numerics are the root approximations of
 ``approximate_roots`` at the end of the module, which certify nothing
 themselves: ``apolarity.decompose`` checks the power sum built from them by
-its residual.
+its exact residual.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from math import comb
 from typing import Sequence
 
 import mpmath
+from mpmath.libmp import from_man_exp
 
 from . import linalg, ratfactor, univar
 from .ratfactor import CertificateError  # noqa: F401  public here too, as before
@@ -35,6 +36,12 @@ class ZeroFormError(ValueError):
 class PrecisionError(ArithmeticError):
     """The working precision was too low for a numeric result."""
 
+
+# input size limits of ``parse_form`` and ``BinaryForm.from_json``; the
+# constructor itself takes any size
+MAX_DEGREE = 128
+MAX_COEFFICIENT_BITS = 1024
+_MAX_DIGITS = len(str(2**MAX_COEFFICIENT_BITS))
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 _INTEGER_RE = re.compile(r"\s*[+-]?[0-9]+\s*")
@@ -53,6 +60,23 @@ def _as_fraction(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise GrammarError(f"malformed rational {text!r}")
     return Fraction(text)
+
+
+def _coefficient(text: str) -> Fraction:
+    """``_as_fraction`` for a form coefficient, refused when its numerator
+    or denominator, as written, has more than ``MAX_COEFFICIENT_BITS`` bits."""
+    text = text.strip()
+    if _RATIONAL_RE.match(text) and any(
+        len(x.lstrip("0")) > _MAX_DIGITS or int(x).bit_length() > MAX_COEFFICIENT_BITS
+        for x in text.lstrip("+-").split("/")
+    ):
+        raise GrammarError(f"coefficient {text[:24]}... above {MAX_COEFFICIENT_BITS} bits")
+    return _as_fraction(text)
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise GrammarError(f"degree {degree} above the limit {MAX_DEGREE}")
 
 
 def _exact(c) -> int | Fraction:
@@ -196,8 +220,10 @@ class BinaryForm:
         """Read {"degree", "coeffs"} with an optional "basis": "monomial".
 
         The degree is a JSON integer or a decimal integer string; a float or
-        a boolean is refused, never truncated.  A wrong coefficient count is
-        the constructor's ValueError.
+        a boolean is refused, never truncated.  A degree above
+        ``MAX_DEGREE``, or a coefficient whose numerator or denominator has
+        more than ``MAX_COEFFICIENT_BITS`` bits, is a GrammarError.  A
+        wrong coefficient count is the constructor's ValueError.
         """
         if not isinstance(data, dict):
             raise GrammarError("a form record is a JSON object")
@@ -207,25 +233,28 @@ class BinaryForm:
             raise GrammarError(f'"degree" must be an integer, got {data["degree"]!r}')
         if not isinstance(data["coeffs"], list):
             raise GrammarError('"coeffs" must be a list')
-        form = BinaryForm(int(data["degree"]), tuple(_as_fraction(str(c)) for c in data["coeffs"]))
+        _check_degree(int(data["degree"]))
+        form = BinaryForm(int(data["degree"]), tuple(_coefficient(str(c)) for c in data["coeffs"]))
         if data.get("basis", "monomial") != "monomial":
             raise GrammarError(f"unsupported basis {data.get('basis')!r}")
         return form
 
 
 def parse_form(text: str) -> BinaryForm:
-    """Parse the grammar ``d=<int>; [<q0>,<q1>,...,<qd>]`` with rational entries."""
+    """Parse the grammar ``d=<int>; [<q0>,<q1>,...,<qd>]`` with rational
+    entries, within the limits of ``BinaryForm.from_json``."""
     m = _FORM_RE.match(text)
     if not m:
         raise GrammarError(f"malformed form {text!r}")
     degree = int(m.group(1))
+    _check_degree(degree)
     body = m.group(2).strip()
     items = [s for s in (part.strip() for part in body.split(","))] if body else []
     if len(items) != degree + 1:
         raise GrammarError(
             f"degree {degree} needs {degree + 1} coefficients, got {len(items)}"
         )
-    return BinaryForm(degree, tuple(_as_fraction(s) for s in items))
+    return BinaryForm(degree, tuple(_coefficient(s) for s in items))
 
 
 @dataclass(frozen=True)
@@ -438,17 +467,29 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     ``numpy.roots`` above; a root lost to underflow is seeded on a spiral.
     Newton steps with Aberth's correction, which keeps two approximations
     from settling on one root, then refine all roots together while the
-    working precision doubles from 106 bits to ``bits``.  At each precision
-    the sweeps repeat until the largest step is below about the square
-    root of the unit, so that one sweep at twice the precision is accurate
-    to it.  A sweep takes 1/(z_i - z_j) once per pair and its negative for
-    (j, i), which is the same number: rounding to nearest commutes with
-    negation.  The seeds only start the iteration; nothing here is
-    certified.  ``apolarity.decompose`` reads the roots of a witness's
-    irreducible factors from it, and its residual check is what certifies
-    them: it raises PrecisionError when the roots are too poor.  The
-    roots of exact quadratics, in ``numberfield``, come from the quadratic
-    formula instead.
+    working precision P doubles from 106 bits to ``bits`` (Bini, Numer.
+    Algorithms 13, 1996).  At each precision the sweeps repeat, at most
+    100 times, until every step h satisfies |h| <= 2^(8 - P/2) max(1, |z|),
+    so that one sweep at twice the precision is accurate to it.
+
+    The sweeps run in fixed point: each root is a pair of Python ints
+    scaled by 2^(P + g), p and p' are evaluated by Horner from the
+    primitive integer coefficients of p, every product and quotient is
+    rounded to nearest at that scale, so that real roots stay real and
+    conjugate pairs conjugate, and the stopping rule compares exact
+    squared norms.
+    The g guard bits come from the lower bound |c_j| / (|c_j| + max |c_k|)
+    on the modulus of a nonzero root, c_j the lowest nonzero coefficient,
+    so that the smallest roots keep P bits relative to their size.  A zero
+    denominator, some z_i = z_j or a vanishing p' or Aberth factor, raises
+    PrecisionError.  The roots are returned as mpc values equal to the
+    final integers over 2^(P + g).
+
+    The seeds only start the iteration; nothing here is certified.
+    ``apolarity.decompose`` reads the roots of a witness's irreducible
+    factors from it, and its exact residual is what certifies them: it
+    raises PrecisionError when the roots are too poor.  The roots of exact
+    quadratics, in ``numberfield``, come from the quadratic formula instead.
     """
     deg = univar.degree(p)
     top = max(abs(c) for c in p)
@@ -470,34 +511,80 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
         else z
         for k, z in enumerate(zs)
     ]
-    dp = univar.derivative(p)
+    cs = linalg.canonical_vector(univar.trim(p))
+    low = next(abs(c) for c in cs if c)
+    guard = ((low + max(abs(c) for c in cs)) // low).bit_length()
     prec = min(106, bits)
+    scale = prec + guard
+    zs = [tuple(int(Fraction(v) * 2**scale) for v in (z.real, z.imag)) for z in zs]
     while True:
-        with mpmath.workprec(prec):
-            cs = [mpmath.mpf(c.numerator) / c.denominator for c in p]
-            ds = [mpmath.mpf(c.numerator) / c.denominator for c in dp]
-            zs = [mpmath.mpc(z) for z in zs]
-            tol = mpmath.mpf(2) ** (8 - prec // 2)
-            for _ in range(100):
-                steps = []
-                inv = [[None] * deg for _ in range(deg)]
-                try:
-                    for i in range(deg):
-                        for j in range(i + 1, deg):
-                            inv[i][j] = 1 / (zs[i] - zs[j])
-                            inv[j][i] = -inv[i][j]
-                    for i, z in enumerate(zs):
-                        ratio = univar.evaluate(cs, z) / univar.evaluate(ds, z)
-                        near = mpmath.fsum(x for j, x in enumerate(inv[i]) if j != i)
-                        steps.append(ratio / (1 - ratio * near))
-                except ZeroDivisionError:
-                    raise PrecisionError("root refinement met a zero denominator") from None
-                zs = [z - h for z, h in zip(zs, steps)]
-                if all(abs(h) <= tol * max(1, abs(z)) for z, h in zip(zs, steps)):
-                    break
+        zs = _aberth_sweeps(cs, zs, scale, prec)
         if prec >= bits:
-            return zs
-        prec = min(2 * prec, bits)
+            return [mpmath.mp.make_mpc((from_man_exp(x, -scale), from_man_exp(y, -scale)))
+                    for x, y in zs]
+        step = min(2 * prec, bits) - prec
+        prec, scale = prec + step, scale + step
+        zs = [(x << step, y << step) for x, y in zs]
+
+
+def _aberth_sweeps(cs: tuple[int, ...], zs: list, scale: int, prec: int) -> list:
+    """Aberth sweeps on the roots zs, pairs of ints over 2^scale, of the
+    integer polynomial cs, until the stopping rule at precision ``prec``
+    holds or 100 sweeps have run; see ``approximate_roots``.  Each sweep
+    takes 1/(z_i - z_j) once per pair and its negative for (j, i).  Every
+    product and quotient is rounded to nearest, which commutes with
+    negation away from ties, so that a real root stays real and a
+    conjugate pair stays conjugate, as in exact arithmetic."""
+    deg = len(cs) - 1
+    one, half = 1 << scale, 1 << (scale - 1)
+    top = cs[-1] << scale
+    # a z + c_k rounded in one shift: c_k 2^(2 scale) + half
+    shifted = [(c << 2 * scale) + half for c in cs[-2::-1]]
+    tol = 2 * (prec // 2) - 16  # |h|^2 2^tol <= max(1, |z|^2), all over 2^(2 scale)
+
+    def quotient(x, y, n2):  # (x + i y) 2^scale / n2, rounded
+        return ((x << scale + 1) + n2) // (2 * n2), ((y << scale + 1) + n2) // (2 * n2)
+
+    for _ in range(100):
+        near = [[0, 0] for _ in zs]
+        for i, (xi, yi) in enumerate(zs):
+            for j in range(i + 1, deg):
+                dx, dy = xi - zs[j][0], yi - zs[j][1]
+                n2 = dx * dx + dy * dy
+                if not n2:
+                    raise PrecisionError("root refinement met a zero denominator")
+                ix, iy = quotient(dx << scale, -dy << scale, n2)
+                near[i][0] += ix
+                near[i][1] += iy
+                near[j][0] -= ix
+                near[j][1] -= iy
+        out, done = [], True
+        for (x, y), (nx, ny) in zip(zs, near):
+            # Horner for p (a) and p' (b) together
+            ax, ay, bx, by = top, 0, 0, 0
+            for c in shifted:
+                bx, by = (((bx * x - by * y + half) >> scale) + ax,
+                          ((bx * y + by * x + half) >> scale) + ay)
+                ax, ay = (ax * x - ay * y + c) >> scale, (ax * y + ay * x + half) >> scale
+            n2 = bx * bx + by * by
+            if not n2:
+                raise PrecisionError("root refinement met a zero denominator")
+            rx, ry = quotient(ax * bx + ay * by, ay * bx - ax * by, n2)
+            ex = one - ((rx * nx - ry * ny + half) >> scale)
+            ey = -((rx * ny + ry * nx + half) >> scale)
+            n2 = ex * ex + ey * ey
+            if not n2:
+                raise PrecisionError("root refinement met a zero denominator")
+            hx, hy = quotient(rx * ex + ry * ey, ry * ex - rx * ey, n2)
+            x, y = x - hx, y - hy
+            out.append((x, y))
+            h2, z2 = hx * hx + hy * hy, max(one * one, x * x + y * y)
+            if h2 << max(tol, 0) > z2 << max(-tol, 0):
+                done = False
+        zs = out
+        if done:
+            break
+    return zs
 
 
 def random_form(degree: int, rng, bound: int = 100) -> BinaryForm:

@@ -19,7 +19,9 @@ of a decimal integer; a float or a boolean is an error, never truncated.
 A "basis", when present, must be "monomial".
 
 Defaults come from flags first, then the environment (CUSPIDAL_PRECISION_BITS,
-CUSPIDAL_SEED), then built-ins (192 bits, seed 0).
+CUSPIDAL_SEED), then built-ins (192 bits, seed 0).  A variable is read only by
+the subcommands that take its flag, and a value there that is not an integer
+is a usage error, exit 2, like a bad flag.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import sys
 import mpmath
 
 from . import apolarity
-from .apolarity import Decomposition, decompose, verify_decomposition
+from .apolarity import Decomposition, decompose, residual_string, verify_decomposition
 from .binform import BinaryForm, GrammarError, _as_fraction, parse_form
 from .classifier import (
     InstanceSpec,
@@ -163,7 +165,7 @@ def cmd_verify_decomp(args) -> int:
         with mpmath.workprec(args.precision_bits + 16):
             bound = mpmath.mpf(2) ** (-(args.precision_bits // 2))
             return {
-                "relative_residual": mpmath.nstr(mpmath.mpf(resid), 10),
+                "relative_residual": residual_string(resid, 10),
                 "bound": mpmath.nstr(bound, 10),
                 "ok": bool(resid < bound),
             }
@@ -377,17 +379,17 @@ def cmd_verify(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _env_int(parser: argparse.ArgumentParser, name: str, fallback: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return fallback
     try:
         return int(raw)
-    except ValueError as exc:
-        raise SystemExit(f"invalid {name}={raw!r}") from exc
+    except ValueError:
+        parser.error(f"invalid {name}={raw!r}")
 
 
-def _build_parser(defaults) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cuspidal",
         description="Exact ranks of binary forms and of their projections "
@@ -397,10 +399,9 @@ def _build_parser(defaults) -> argparse.ArgumentParser:
 
     def common(p, with_input=True, precision=False, seed=False):
         if precision:
-            p.add_argument("--precision-bits", type=int,
-                           default=defaults["precision"], help="working precision")
+            p.add_argument("--precision-bits", type=int, help="working precision")
         if seed:
-            p.add_argument("--seed", type=int, default=defaults["seed"])
+            p.add_argument("--seed", type=int)
         if with_input:
             p.add_argument("input", nargs="?", help="form text or JSON record")
             p.add_argument("--file", help="read inputs from a file")
@@ -459,12 +460,11 @@ def _build_parser(defaults) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    defaults = {
-        "precision": _env_int(ENV_PRECISION, 192),
-        "seed": _env_int(ENV_SEED, 0),
-    }
-    parser = _build_parser(defaults)
+    parser = _build_parser()
     args = parser.parse_args(argv)
+    for dest, name, fallback in (("precision_bits", ENV_PRECISION, 192), ("seed", ENV_SEED, 0)):
+        if getattr(args, dest, fallback) is None:  # the subcommand takes the flag
+            setattr(args, dest, _env_int(parser, name, fallback))
     try:
         return args.fn(args)
     except GrammarError as exc:

@@ -74,7 +74,16 @@
   other rings.  It backs ``apolarity._reconstruct_in_integers``.
 * ``per_root_aberth_roots``: ``binform.approximate_roots`` once took
   1/(z_i - z_j) afresh for each ordered pair in every Aberth sweep.  It
-  backs the sweep that takes each pair's reciprocal once.
+  backs the sweep of ``mp_aberth_roots``, which takes each pair's
+  reciprocal once.
+* ``mp_aberth_roots``: ``binform.approximate_roots`` once ran its sweeps in
+  mpmath ``mpc`` at the working precision, from the coefficients rounded to
+  it.  It backs the fixed-point sweeps in Python ints.
+* ``mp_decomposition_residual``: ``apolarity.verify_decomposition`` once
+  formed the power sum of inexact terms in ``mpc`` at precision_bits + 32,
+  an estimate at the noise level of that arithmetic.  ``fraction_power_sum``
+  and ``fraction_residual_squared`` form it exactly, term by term in pairs
+  of Fractions.  They back the exact residual in Gaussian integers.
 * ``mp_residual`` and ``fd_jacobian``: the span search's full-precision
   polish once solved the variable-projection fit with ``mpmath.lu_solve``
   on the normal equations and differentiated it by forward differences,
@@ -850,6 +859,146 @@ def per_root_aberth_roots(p, bits: int) -> list:
         if prec >= bits:
             return zs
         prec = min(2 * prec, bits)
+
+
+def mp_aberth_roots(p, bits: int) -> list:
+    """``binform.approximate_roots`` before its sweeps moved to fixed-point
+    integers: the same seeds, precision ladder, stopping rule and 100-sweep
+    cap, with every sweep in mpmath ``mpc`` arithmetic at the working
+    precision and p, p' evaluated from the rational coefficients rounded
+    to it.  Each sweep takes 1/(z_i - z_j) once per pair and its negative
+    for (j, i), which is the same number: rounding to nearest commutes
+    with negation."""
+    deg = univar.degree(p)
+    top = max(abs(c) for c in p)
+    fl = [float(c / top) for c in p]
+    if deg == 2 and fl[2]:
+        disc = cmath.sqrt(fl[1] ** 2 - 4 * fl[0] * fl[2])
+        seeds = [(-fl[1] + disc) / (2 * fl[2]), (-fl[1] - disc) / (2 * fl[2])]
+    else:
+        import numpy
+
+        seeds = [complex(z) for z in numpy.roots(fl[::-1])]
+    zs = [z for z in seeds if cmath.isfinite(z)]
+    zs += [(0.4 + 0.9j) ** k for k in range(len(zs), deg)]
+    # seeds too close for floats to tell two real roots from a conjugate
+    # pair would stay trapped in that symmetry: they start off it
+    zs = [
+        z * (1 + 2**-20 * cmath.exp(1j * k))
+        if any(abs(z - w) <= 2**-20 * max(1, abs(z)) for w in zs[:k] + zs[k + 1:])
+        else z
+        for k, z in enumerate(zs)
+    ]
+    dp = univar.derivative(p)
+    prec = min(106, bits)
+    while True:
+        with mpmath.workprec(prec):
+            cs = [mpmath.mpf(c.numerator) / c.denominator for c in p]
+            ds = [mpmath.mpf(c.numerator) / c.denominator for c in dp]
+            zs = [mpmath.mpc(z) for z in zs]
+            tol = mpmath.mpf(2) ** (8 - prec // 2)
+            for _ in range(100):
+                steps = []
+                inv = [[None] * deg for _ in range(deg)]
+                try:
+                    for i in range(deg):
+                        for j in range(i + 1, deg):
+                            inv[i][j] = 1 / (zs[i] - zs[j])
+                            inv[j][i] = -inv[i][j]
+                    for i, z in enumerate(zs):
+                        ratio = univar.evaluate(cs, z) / univar.evaluate(ds, z)
+                        near = mpmath.fsum(x for j, x in enumerate(inv[i]) if j != i)
+                        steps.append(ratio / (1 - ratio * near))
+                except ZeroDivisionError:
+                    raise PrecisionError("root refinement met a zero denominator") from None
+                zs = [z - h for z, h in zip(zs, steps)]
+                if all(abs(h) <= tol * max(1, abs(z)) for z, h in zip(zs, steps)):
+                    break
+        if prec >= bits:
+            return zs
+        prec = min(2 * prec, bits)
+
+
+def mp_decomposition_residual(f: BinaryForm, dec) -> mpmath.mpf:
+    """``apolarity.verify_decomposition`` before its residual became exact:
+    exact in Fractions when every part of every term is rational, else the
+    power sum formed term by term in mpmath ``mpc`` at precision_bits + 32
+    bits (at least 96), the rational parts rounded to it, and the max-norm
+    of f minus it taken relative to that of f.  That number is an estimate
+    at the noise level of its own arithmetic, neither a lower nor an upper
+    bound on the residual of the terms as stored."""
+    scale = max(abs(c) for c in f.coeffs)
+    d = f.degree
+    if all(isinstance(x, (int, Fraction)) for s, (a, b) in dec.terms for x in (s, a, b)):
+        total = fraction_reconstruct(dec.terms, d)
+        rel = Fraction(max(abs(c - t) for c, t in zip(f.coeffs, total)), scale)
+        return mpmath.mpf(rel.numerator) / int(rel.denominator)
+
+    def mpc_of(x):
+        if isinstance(x, (int, Fraction)):
+            q = Fraction(x)
+            return mpmath.mpc(mpmath.mpf(q.numerator) / q.denominator)
+        return mpmath.mpc(x)
+
+    with mpmath.workprec(max(dec.precision_bits, 64) + 32):
+        one = mpmath.mpf(1)
+        total = [one - one] * (d + 1)
+        for s, (a, b) in dec.terms:
+            s, a, b = mpc_of(s), mpc_of(a), mpc_of(b)
+            bpow = [one]
+            for _ in range(d):
+                bpow.append(bpow[-1] * b)
+            if a == one:
+                column = [comb(d, k) * bpow[k] for k in range(d + 1)]
+            else:
+                apow = [one]
+                for _ in range(d):
+                    apow.append(apow[-1] * a)
+                column = [comb(d, k) * (apow[d - k] * bpow[k]) for k in range(d + 1)]
+            total = [t + s * c for t, c in zip(total, column)]
+        worst = max(
+            abs(mpmath.mpf(c.numerator) / c.denominator - t) for c, t in zip(f.coeffs, total)
+        )
+        return +(worst / (mpmath.mpf(scale.numerator) / scale.denominator))
+
+
+def exact_parts(x) -> tuple[Fraction, Fraction]:
+    """The real and imaginary parts of a rational or a finite mpmath
+    number, exactly."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x), Fraction(0)
+    if isinstance(x, mpmath.mpc):
+        return exact_value(x.real), exact_value(x.imag)
+    return exact_value(x), Fraction(0)
+
+
+def fraction_power_sum(terms, d: int) -> list[tuple[Fraction, Fraction]]:
+    """The real and imaginary parts of the monomial coefficients of
+    sum s (a u + b t)^d, every part read by ``exact_parts`` and the power
+    sum formed in pairs of Fractions, term by term."""
+
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    total = [(Fraction(0), Fraction(0))] * (d + 1)
+    for s, (a, b) in terms:
+        s, a, b = exact_parts(s), exact_parts(a), exact_parts(b)
+        apow, bpow = [(Fraction(1), Fraction(0))], [(Fraction(1), Fraction(0))]
+        for _ in range(d):
+            apow.append(mul(apow[-1], a))
+            bpow.append(mul(bpow[-1], b))
+        for k in range(d + 1):
+            x, y = mul(s, mul(apow[d - k], bpow[k]))
+            total[k] = (total[k][0] + comb(d, k) * x, total[k][1] + comb(d, k) * y)
+    return total
+
+
+def fraction_residual_squared(f: BinaryForm, terms) -> Fraction:
+    """The exact square of the max-norm of f minus ``fraction_power_sum``
+    of the terms, relative to the max-norm of f."""
+    total = fraction_power_sum(terms, f.degree)
+    worst = max((c - x) ** 2 + y**2 for c, (x, y) in zip(f.coeffs, total))
+    return worst / max(abs(c) for c in f.coeffs) ** 2
 
 
 def det(rows) -> int:

@@ -19,7 +19,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cuspidal.apolarity import decompose, rank, verify_decomposition
+from cuspidal.apolarity import decompose, rank, residual_string, verify_decomposition
 from cuspidal.binform import (
     POINT_A,
     BinaryForm,
@@ -390,7 +390,7 @@ def test_c10_decomposition_residuals(exact_pool, boundary_pool, generic_pool):
         10,
         True,
         f"{len(forms)} reduced-witness decompositions verified, "
-        f"worst residual {mpmath.nstr(worst, 3)} < 2^-96 at 192 bits",
+        f"worst exact residual at most {residual_string(worst, 3)} < 2^-96 at 192 bits",
     )
 
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cuspidal import apolarity, binform, linalg, ratfactor, univar
 from cuspidal.apolarity import (
@@ -40,9 +40,13 @@ from cuspidal.binform import (
 from cuspidal.numberfield import QuadraticNumber
 from oracles import (
     catalecticant,
+    exact_value,
     first_kernel_scan,
+    fraction_power_sum,
     fraction_reconstruct,
+    fraction_residual_squared,
     kernel_basis,
+    mp_decomposition_residual,
     nullspace_plain,
     power_sum_scalars,
     qr_power_sum_scalars,
@@ -753,6 +757,116 @@ def _run_optimized(child: str) -> None:
     assert out.returncode == 0, out.stderr
 
 
+def _dyadic(man: int, exp: int) -> mpmath.mpf:
+    """man * 2^exp exactly, whatever the working precision."""
+    return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(man, exp))
+
+
+class TestExactResidual:
+    """``verify_decomposition`` reads every term exactly and forms the
+    power sum in integers; the old ``mpc`` residual is the oracle
+    ``mp_decomposition_residual``."""
+
+    def test_the_exact_residual_is_the_fraction_residual(self):
+        """Seeded complex decompositions: the integer route gives exactly
+        the squared residual of the term-by-term Fraction oracle, and the
+        returned mpf is its square root rounded up."""
+        rng = random.Random("exact-residual:fractions")
+        checked = 0
+        while checked < 12:
+            f = random_form(rng.randint(5, 14), rng, bound=rng.choice((9, 100)))
+            dec = decompose(f, rng.choice((64, 128, 192)))
+            if dec.field_tag != "complex":
+                continue
+            checked += 1
+            want = fraction_residual_squared(f, dec.terms)
+            num, den = apolarity._residual_squared(f, dec.terms)
+            assert F(num, den) == want
+            got = verify_decomposition(f, dec)
+            assert exact_value(got) ** 2 >= want
+            with mpmath.workprec(apolarity.RESIDUAL_BITS):
+                below = mpmath.mpf(got) - mpmath.mpf(2) ** (got.exp + got.man.bit_length() - 1
+                                                             - apolarity.RESIDUAL_BITS + 1)
+            assert exact_value(below) ** 2 < want
+
+    def test_within_the_rounding_bound_of_the_mpc_oracle(self):
+        """Seeded complex decompositions at 64, 128 and 192 bits, of degree
+        5..16: |exact - oracle| <= B, so exact >= oracle - B.
+
+        The oracle works at u = 2^-(bits+32) and rounds each complex
+        product and sum once, componentwise, so each such step has relative
+        error at most sqrt(2) u.  A column entry C(d,k) a^(d-k) b^k takes
+        at most 2d+1 products, the rational parts of a term one rounding
+        each, and the product with s and the running sum over the r terms
+        r+1 more: the computed power sum is off at k by at most
+        sqrt(2) u (2d+r+4) S_k (1 + O(du)), S_k = sum over the terms of
+        |s| C(d,k) |a|^(d-k) |b|^k.  Rounding c_k, the difference, its
+        modulus and the division by the scale of f add at most u |c_k| and
+        4u times the result.  Doubling covers sqrt(2) and the O(du) terms:
+        B = 2u ((2d+r+6) max_k S_k / max_k |c_k| + 1 + 4 oracle)."""
+        rng = random.Random("exact-residual:mpc")
+        checked = 0
+        while checked < 30:
+            f = random_form(rng.randint(5, 16), rng, bound=rng.choice((9, 100)))
+            bits = rng.choice((64, 128, 192))
+            dec = decompose(f, bits)
+            if dec.field_tag != "complex":
+                continue
+            checked += 1
+            exact, oracle = verify_decomposition(f, dec), mp_decomposition_residual(f, dec)
+            d, r = f.degree, len(dec.terms)
+            with mpmath.workprec(64):
+                sums = [
+                    sum(abs(mpmath.mpc(s)) * comb(d, k) * abs(mpmath.mpc(a)) ** (d - k)
+                        * abs(mpmath.mpc(b)) ** k for s, (a, b) in dec.terms)
+                    for k in range(d + 1)
+                ]
+                scale = max(abs(c) for c in f.coeffs)
+                u = mpmath.mpf(2) ** -(bits + 32)
+                bound = 2 * u * ((2 * d + r + 6) * max(sums) * scale.denominator
+                                 / scale.numerator + 1 + 4 * oracle)
+                assert exact >= oracle - bound, (f.render(), bits)
+                assert oracle >= exact - bound, (f.render(), bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 12),
+        pairs=st.lists(
+            st.tuples(*[st.integers(-(2**60), 2**60)] * 4, st.integers(-80, 20)),
+            min_size=1, max_size=4,
+        ),
+        real=st.lists(st.tuples(st.integers(-(2**40), 2**40), st.integers(-40, 10)), max_size=2),
+        rational=st.lists(st.tuples(st.fractions(max_denominator=50),
+                                    st.fractions(max_denominator=50)), max_size=2),
+    )
+    def test_dyadic_terms_reconstruct_exactly(self, d, pairs, real, rational):
+        """Terms whose parts are exact dyadic mpc and mpf values, in
+        conjugate pairs so that the power sum is real, with real dyadic and
+        rational terms beside them: against the form their power sum
+        equals, the residual is exactly 0 at any working precision, and a
+        scalar moved by one unit in its last place makes it nonzero."""
+        terms = []
+        for sr, si, br, bi, e in pairs:
+            for sign in (1, -1):
+                s = mpmath.mp.make_mpc((_dyadic(sr, e)._mpf_, _dyadic(sign * si, e)._mpf_))
+                b = mpmath.mp.make_mpc((_dyadic(br, e)._mpf_, _dyadic(sign * bi, e)._mpf_))
+                terms.append((s, (mpmath.mpc(1), b)))
+        terms += [(_dyadic(m, e), (_dyadic(1, 0), _dyadic(m + 1, e))) for m, e in real]
+        terms += [(s, (F(1), b)) for s, b in rational]
+        total = fraction_power_sum(terms, d)
+        assert all(not y for _, y in total)
+        f = BinaryForm(d, tuple(x for x, _ in total))
+        assume(not f.is_zero())
+        (sr, si, _, _, e), (s, point) = pairs[0], terms[0]
+        moved = mpmath.mp.make_mpc((_dyadic(sr + 1, e)._mpf_, s.imag._mpf_))
+        with mpmath.workprec(53):
+            dec = Decomposition(d, tuple(terms), mpmath.mpf(0), "complex", 64)
+            assert verify_decomposition(f, dec) == 0
+            terms[0] = (moved, point)
+            dec = Decomposition(d, tuple(terms), mpmath.mpf(0), "complex", 64)
+            assert verify_decomposition(f, dec) > 0
+
+
 class TestVerifyDecomposition:
     def test_exact_zero(self):
         dec = decompose(CUBE_SUM, 96)
@@ -774,3 +888,11 @@ class TestVerifyDecomposition:
         dec = Decomposition(4, (), mpmath.mpf(0), "rational", 96)
         with pytest.raises(ValueError):
             verify_decomposition(form(1, 0, 0, 0), dec)
+
+    def test_a_term_that_is_not_finite_is_refused(self):
+        """An infinite or NaN part has no exact value to reconstruct from."""
+        for bad in (mpmath.inf, mpmath.mpc(1, mpmath.nan)):
+            for term in ((bad, (F(1), F(0))), (F(1), (mpmath.mpc(1), bad))):
+                dec = Decomposition(3, (term,), mpmath.mpf(0), "complex", 96)
+                with pytest.raises(ValueError, match="not finite"):
+                    verify_decomposition(CUBE_SUM, dec)

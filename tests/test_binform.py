@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from cuspidal import linalg, ratfactor, univar
 from cuspidal.binform import (
+    MAX_COEFFICIENT_BITS,
+    MAX_DEGREE,
     BinaryForm,
     GrammarError,
     P1Point,
@@ -24,6 +26,7 @@ from cuspidal.binform import (
 )
 from oracles import (
     field_is_square_free,
+    mp_aberth_roots,
     mp_polyroots,
     per_root_aberth_roots,
     resultant_of_partials,
@@ -91,6 +94,41 @@ class TestParsing:
     def test_json_coefficient_count_is_the_constructors_error(self):
         with pytest.raises(ValueError, match="needs 3 coefficients"):
             BinaryForm.from_json({"degree": "2", "coeffs": ["1", "0"]})
+
+
+class TestSizeLimits:
+    """``parse_form`` and ``BinaryForm.from_json`` refuse a degree above
+    MAX_DEGREE and a coefficient numerator or denominator, as written, of
+    more than MAX_COEFFICIENT_BITS bits; the constructor takes any size."""
+
+    @staticmethod
+    def _both(degree, coeffs):
+        text = f"d={degree}; [{','.join(coeffs)}]"
+        return (lambda: parse_form(text),
+                lambda: BinaryForm.from_json({"degree": degree, "coeffs": coeffs}))
+
+    def test_degree_at_and_above_the_bound(self):
+        for d, ok in ((MAX_DEGREE, True), (MAX_DEGREE + 1, False)):
+            for read in self._both(d, ["1"] + ["0"] * d):
+                if ok:
+                    assert read() == BinaryForm(d, (1,) + (0,) * d)
+                else:
+                    with pytest.raises(GrammarError, match="degree"):
+                        read()
+        assert BinaryForm(MAX_DEGREE + 1, (1,) * (MAX_DEGREE + 2)).degree == MAX_DEGREE + 1
+
+    def test_coefficient_bits_at_and_above_the_bound(self):
+        top, over = 2**MAX_COEFFICIENT_BITS - 1, 2**MAX_COEFFICIENT_BITS
+        assert top.bit_length() == MAX_COEFFICIENT_BITS
+        for text, value in ((str(top), F(top)), (f"-{top}", F(-top)), (f"1/{top}", F(1, top)),
+                            (f"{top}/{top}", F(1)), ("0" * 500 + "7", F(7))):
+            for read in self._both(1, [text, "1"]):
+                assert read().coeffs[0] == value, text
+        for text in (str(over), f"-{over}", f"1/{over}", f"{over}/{over}", "9" * 2000):
+            for read in self._both(1, [text, "1"]):
+                with pytest.raises(GrammarError, match="bits"):
+                    read()
+        assert BinaryForm(1, (over, 1)).coeffs == (over, 1)
 
 
 class TestApolar:
@@ -432,26 +470,14 @@ class TestNumericRoots:
         assert compared >= count
 
     def test_sweep_matches_the_per_pair_oracle(self):
-        """Seeded polynomials of degree 3..12, some with clusters of roots
-        near 10^k whose float seeds nearly coincide: the sweep that takes
-        each pair's reciprocal once returns the bits of the one that takes
-        it per ordered pair, or both raise PrecisionError."""
-        rng = random.Random("aberth-pairs")
+        """On the polynomials of ``_aberth_polynomials``, the mpc sweep of
+        the oracle that takes each pair's reciprocal once returns the bits
+        of the one that takes it per ordered pair, or both raise
+        PrecisionError."""
         compared = 0
-        for n in range(60):
-            deg = 3 + n % 10
-            if n % 3:
-                p = [F(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(deg)] + [F(1)]
-            else:
-                # (x - M)^k - c times a random factor: k roots within c^(1/k) of M
-                k, M = rng.randint(2, min(deg, 4)), rng.choice((10**3, 10**9, 10**15 + 7))
-                cluster = [F(comb(k, i) * (-M) ** (k - i)) for i in range(k + 1)]
-                cluster[0] -= rng.randint(1, 5)
-                rest = [F(rng.randint(-9, 9)) for _ in range(deg - k)] + [F(1)]
-                p = univar.mul(cluster, rest)
-            bits = rng.choice((64, 128, 224))
+        for p, bits, _ in _aberth_polynomials():
             outcomes = []
-            for roots_of in (approximate_roots, per_root_aberth_roots):
+            for roots_of in (mp_aberth_roots, per_root_aberth_roots):
                 try:
                     outcomes.append([z._mpc_ for z in roots_of(p, bits)])
                 except PrecisionError:
@@ -459,6 +485,55 @@ class TestNumericRoots:
             assert outcomes[0] == outcomes[1], (p, bits)
             compared += outcomes[0] != "PrecisionError"
         assert compared >= 50
+
+    def test_fixed_point_matches_the_mpc_oracle(self):
+        """On the polynomials of ``_aberth_polynomials``, every root the
+        fixed-point sweeps return lies within 2^(8-prec) max(1, |z|) of a
+        root of the mpc oracle ``mp_aberth_roots`` at the same precision.
+
+        On a cluster the oracle is no reference at that precision: it
+        rounds the coefficients, as large as M^k, to prec bits, which moves
+        the clustered roots by up to 2^-15 relative here, while the
+        fixed-point Horner reads the integers exactly.  There both are
+        compared with the oracle at 3 prec + 128 bits, and the fixed-point
+        roots must be within 2^(8-prec) relative of it or no farther from
+        it than the oracle's at prec."""
+        compared = 0
+        for p, bits, clustered in _aberth_polynomials():
+            assert univar.degree(univar.gcd(p, univar.derivative(p))) == 0, p
+            got = approximate_roots(p, bits)
+            want = mp_aberth_roots(p, bits)
+            assert len(got) == len(want) == univar.degree(p)
+            with mpmath.workprec(3 * bits + 128):
+                if clustered:
+                    truth = mp_aberth_roots(p, 3 * bits + 128)
+                    error = lambda roots: max(  # noqa: E731
+                        min(abs(y - z) for y in roots) / max(1, abs(z)) for z in truth)
+                    assert error(got) <= max(mpmath.mpf(2) ** (8 - bits), error(want)), (p, bits)
+                else:
+                    for z in want:
+                        err = min(abs(y - z) for y in got)
+                        assert err <= mpmath.mpf(2) ** (8 - bits) * max(1, abs(z)), (p, bits)
+            compared += not clustered
+        assert compared >= 40
+
+    @pytest.mark.parametrize("p", [
+        (-2, 0, 0, 10**40),
+        (3, 10**30, 0, 0, 10**60),
+        (1, -7 * 10**20, 0, 0, 0, 10**50),
+    ], ids=["cube-roots-6e-14", "moduli-1e-10-and-3e-30", "moduli-5e-8-and-1e-21"])
+    def test_small_roots_keep_relative_bits(self, p):
+        """Roots of modulus 10^-30 to 10^-7: the guard bits from the lower
+        bound on the root modulus keep each within 2^(8-prec) of its size,
+        against the mpc oracle at 3 prec + 128 bits."""
+        p = [F(c) for c in p]
+        for bits in (64, 128, 224):
+            got = approximate_roots(p, bits)
+            truth = mp_aberth_roots(p, 3 * bits + 128)
+            with mpmath.workprec(3 * bits + 128):
+                for z in truth:
+                    err = min(abs(y - z) for y in got)
+                    assert err <= mpmath.mpf(2) ** (8 - bits) * abs(z), (p, bits, z)
 
     def test_seeds_lost_to_underflow(self, monkeypatch):
         """Roots numpy.roots does not return are seeded on a spiral and
@@ -473,6 +548,26 @@ class TestNumericRoots:
             assert len(got) == 5
             for z in want:
                 assert min(abs(z - y) for y in got) < mpmath.mpf(2) ** -100
+
+
+def _aberth_polynomials():
+    """(p, bits, clustered) for 60 seeded square-free polynomials of degree
+    3..12: two in three with random rational coefficients, one in three a
+    cluster (x - M)^k - c, k <= 4 roots within c^(1/k) of M = 10^3, 10^9
+    or 10^15 + 7, times a random factor, whose float seeds nearly
+    coincide; bits is 64, 128 or 224."""
+    rng = random.Random("aberth-pairs")
+    for n in range(60):
+        deg = 3 + n % 10
+        if n % 3:
+            p = [F(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(deg)] + [F(1)]
+        else:
+            k, M = rng.randint(2, min(deg, 4)), rng.choice((10**3, 10**9, 10**15 + 7))
+            cluster = [F(comb(k, i) * (-M) ** (k - i)) for i in range(k + 1)]
+            cluster[0] -= rng.randint(1, 5)
+            rest = [F(rng.randint(-9, 9)) for _ in range(deg - k)] + [F(1)]
+            p = univar.mul(cluster, rest)
+        yield p, rng.choice((64, 128, 224)), not n % 3
 
 
 class TestIntFractionParity:

@@ -118,6 +118,23 @@ class TestRankCommands:
         assert code == 0
         assert recs[0]["d"] == 4 and recs[0]["r"] == 2
 
+    def test_size_limits_give_one_error_record_each(self, capsys, monkeypatch):
+        """A form above the degree or coefficient limits is one GrammarError
+        record with exit 1, and the batch goes on."""
+        big = {"degree": 1, "coeffs": [str(2**1024), "1"]}
+        stdin = "\n".join([
+            "d=4; [1,0,0,0,1]",
+            "d=129; [" + ",".join(["1"] * 130) + "]",
+            json.dumps(big),
+            "d=1; [1/" + str(2**1024) + ",1]",
+            "d=5; [0,1,0,0,0,0]",
+        ])
+        code, recs = run(capsys, monkeypatch, ["rank"], stdin=stdin)
+        assert code == 1
+        assert [r.get("error", {}).get("type") for r in recs] == [
+            None, "GrammarError", "GrammarError", "GrammarError", None]
+        assert (recs[0]["r"], recs[4]["r"]) == (2, 5)
+
     def test_unknown_subcommand_exits_2(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as err:
             run(capsys, monkeypatch, ["frobnicate"])
@@ -126,7 +143,7 @@ class TestRankCommands:
     def test_precision_and_seed_only_where_read(self, capsys):
         """--precision-bits goes to decompose and verify-decomp, --seed to
         generate, probe and verify; everywhere else they are usage errors."""
-        parser = _build_parser({"precision": 192, "seed": 0})
+        parser = _build_parser()
         required = {"generate": ["--case", "e4_i", "--n", "6"], "probe": ["--s", "2", "--n", "5"]}
         for name in ("rank", "borderrank", "scheme", "decompose", "verify-decomp", "project",
                      "xrank", "classify", "generate", "probe", "verify"):
@@ -637,9 +654,27 @@ class TestConfiguration:
         assert flagged[0]["coeffs"] == plain[0]["coeffs"]
 
     def test_bad_env_value_exits(self, capsys, monkeypatch):
+        """A variable that is not an integer is a usage error, exit 2, for
+        the subcommands that take its flag, unless the flag is given; the
+        others never read it, so rank answers."""
         monkeypatch.setenv("CUSPIDAL_PRECISION_BITS", "lots")
-        with pytest.raises(SystemExit):
-            main(["rank", "d=4; [1,0,0,0,1]"])
+        monkeypatch.setenv("CUSPIDAL_SEED", "many")
+        for argv, name in (
+            (["decompose", "d=4; [1,0,0,0,1]"], "CUSPIDAL_PRECISION_BITS"),
+            (["verify-decomp", "{}"], "CUSPIDAL_PRECISION_BITS"),
+            (["generate", "--case", "e4_i", "--n", "6", "--rho", "2"], "CUSPIDAL_SEED"),
+            (["probe", "--s", "2", "--n", "5"], "CUSPIDAL_SEED"),
+            (["verify", "{}"], "CUSPIDAL_SEED"),
+        ):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2, argv
+            assert f"invalid {name}=" in capsys.readouterr().err
+        code, recs = run(capsys, monkeypatch, ["rank", "d=4; [1,0,0,0,1]"])
+        assert code == 0 and recs[0]["r"] == 2
+        code, recs = run(capsys, monkeypatch,
+                         ["decompose", "--precision-bits", "96", "d=4; [1,0,0,0,1]"])
+        assert code == 0 and recs[0]["decomposition"]["precision_bits"] == 96
 
     def test_deterministic_output(self, capsys, monkeypatch):
         argv = ["xrank", "--n", "5", "--coords", "3,1,4,1,5,9"]

@@ -28,6 +28,7 @@ import mpmath
 
 from cuspidal.apolarity import decompose, verify_decomposition
 from cuspidal.binform import BinaryForm, random_form
+from oracles import fraction_residual_squared
 
 HERE = Path(__file__).resolve().parent
 DIGESTS = HERE / "decomposition_digests.json"
@@ -147,6 +148,29 @@ def test_the_pinned_forms_reach_every_path():
         want = json.load(fh)
     fields = {entry.get("field", entry.get("raises")) for entry in want.values()}
     assert {"rational", "algebraic", "complex"} <= fields
+
+
+def test_published_residuals_bound_the_exact_ones():
+    """For every pinned decomposition with inexact terms, the residual
+    string that ``to_json`` publishes is at least the exact residual of
+    the terms as stored, computed term by term in Fractions by the oracle,
+    and on the complex path that exact residual is below the gate
+    2^(-bits/2) of ``decompose``."""
+    checked = 0
+    for label, f in digest_forms():
+        for bits in BITS:
+            try:
+                dec = decompose(f, bits)
+            except ArithmeticError:
+                continue
+            if dec.field_tag == "rational":
+                continue
+            exact = fraction_residual_squared(f, dec.terms)
+            assert Fraction(dec.to_json()["residual"]) ** 2 >= exact, (label, bits)
+            if dec.field_tag == "complex":
+                assert exact < Fraction(1, 2 ** (2 * ((bits + 1) // 2))), (label, bits)
+            checked += 1
+    assert checked >= 100
 
 
 if __name__ == "__main__":

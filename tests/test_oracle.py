@@ -241,6 +241,50 @@ class TestFixedPointPolish:
                 assert got[1] < tol and want[1] < tol, (bits, P, taus0)
                 assert abs(got[1] - want[1]) < 2.0 ** -(bits - 16), (bits, P, taus0)
 
+    # (n, taus, scalars, start, bits): the point of sum s (u + tau t)^(n+1)
+    # and a start up to 20% off its parameters, on which the undamped
+    # Gauss-Newton step fails
+    DAMPED = [
+        (8, [-12, -5, 4, -7], [6, -5, -4, 1], [-13.322788, -5.179179, 4.30794, -6.392279], 192),
+        (8, [1, -8, -7, -2], [-7, 1, 8, -1], [0.964792, -7.456576, -6.964024, -1.918177], 192),
+        (9, [12, -10, 11], [-1, -2, -9], [12.754453, -10.316892, 13.185254], 192),
+        (8, [5, -9, -11], [3, -8, -6], [5.202252, -9.505927, -10.193824], 256),
+        (10, [5, 8, 12], [9, 3, 6], [5.381729, 7.461013, 10.99223], 192),
+        (6, [-12, 4, -10], [-5, -3, 3], [-11.453566, 3.900993, -9.538389], 128),
+        (7, [-12, -9, 6], [3, 9, 5], [-11.003283, -9.267051, 5.456422], 256),
+        (8, [9, -5, 1, 11], [-7, 2, -9, -3], [8.843391, -5.091074, 0.982367, 11.178113], 192),
+        (10, [10, 3, 4], [-4, -5, 7], [10.037312, 3.00271, 4.04766], 128),
+        (9, [12, -3, 8, -12], [4, 4, -4, 1], [10.909037, -3.408375, 7.916004, -13.029169], 256),
+        (5, [-8, -6], [-6, -8], [-9.473833, -6.325812], 256),
+        (7, [11, -7, 5], [-1, -5, -7], [10.584472, -7.578137, 5.909022], 128),
+        (7, [11, -12, -4], [3, 8, 5], [11.942059, -11.811201, -3.693102], 128),
+        (6, [4, 5], [1, 4], [4.448875, 4.578442], 128),
+        (10, [1, -8, 9, 7], [2, -7, -5, -5], [1.158292, -8.72543, 9.751466, 7.004711], 128),
+    ]
+
+    def test_damped_fallback_matches_the_mpmath_polish(self, monkeypatch):
+        """From starts on which the undamped step fails, so that
+        Levenberg-Marquardt damping takes over for one try or for dozens,
+        the fixed-point polish returns the float parameters of the mpmath
+        polish bit for bit and both converge: the two share the schedule
+        of mu, divided by 10 after a damped success and multiplied by 100
+        after a failure.  The damped tries are counted in the mpmath
+        polish, where each solves with the gradient of the try before it."""
+        solve = mpmath.lu_solve
+        counts = []
+        for n, taus, scalars, start, bits in self.DAMPED:
+            P = _power_sum_point(n, taus, scalars)
+            tol = SearchConfig(r=1, precision_bits=bits).tolerance
+            rhs = []
+            monkeypatch.setattr(mpmath, "lu_solve", lambda A, b: rhs.append(b) or solve(A, b))
+            want = mp_polish(P, start, bits, tol)
+            monkeypatch.undo()
+            counts.append(sum(x is y for x, y in zip(rhs, rhs[1:])))
+            got = _polish(P, start, bits, tol)
+            assert got[0] == want[0], (n, taus, start, bits)
+            assert got[1] < tol and want[1] < tol, (n, taus, start, bits)
+        assert min(counts) >= 1 and max(counts) >= 40, counts
+
     def test_coincident_starts_give_none(self):
         """Two equal starting parameters make the Gram matrix singular."""
         P = _power_sum_point(6, [1, 3, -2], [2, -1, 5])
