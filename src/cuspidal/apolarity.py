@@ -37,7 +37,7 @@ from .binform import (
     is_square_free,
     squarefree_decompose,
 )
-from .numberfield import AlgebraicNumber, QuadraticNumber
+from .numberfield import AlgebraicNumber
 
 
 class AmbiguousScheme(ValueError):
@@ -117,13 +117,14 @@ def border_rank(f: BinaryForm) -> int:
 
 def border_scheme(f: BinaryForm) -> tuple[ZeroScheme, bool]:
     """Zero scheme of the kernel generator at the first level, with a flag
-    telling whether that scheme is the unique minimal one (2w <= d+1)."""
-    w, basis = _first_kernel(f)
-    if len(basis) > 1:
-        raise AmbiguousScheme(
-            f"kernel at level {w} has dimension {len(basis)}; no canonical scheme"
-        )
-    return squarefree_decompose(basis[0]), 2 * w <= f.degree + 1
+    telling whether that scheme is the unique minimal one (2w <= d+1), read
+    off the certificate of ``rank``: with a one-dimensional first kernel
+    the witness is that generator."""
+    cert = rank(f)
+    w, dim = cert.border_rank, cert.kernel_dimension
+    if dim > 1:
+        raise AmbiguousScheme(f"kernel at level {w} has dimension {dim}; no canonical scheme")
+    return cert.witness_scheme, 2 * w <= f.degree + 1
 
 
 def find_squarefree_in_kernel(basis: list[BinaryForm]) -> BinaryForm | None:
@@ -293,35 +294,6 @@ class Decomposition:
         return cls(int(blob["degree"]), terms, residual, blob.get("field", "complex"), bits)
 
 
-def _power_column(alpha, beta, d: int, one) -> list:
-    """Monomial coefficients of (alpha*u + beta*t)^d over any exact ring
-    with the given multiplicative identity.  For alpha = 1, as at every
-    point (1:b) that ``decompose`` builds, only the powers of beta are
-    taken."""
-    bpow = [one]
-    for _ in range(d):
-        bpow.append(bpow[-1] * beta)
-    if alpha == one:
-        return [comb(d, k) * bpow[k] for k in range(d + 1)]
-    apow = [one]
-    for _ in range(d):
-        apow.append(apow[-1] * alpha)
-    return [comb(d, k) * (apow[d - k] * bpow[k]) for k in range(d + 1)]
-
-
-def _reconstruct(terms, d: int, one) -> list:
-    """Monomial coefficients of sum s (a u + b t)^d over the terms
-    (s, (a, b)), in the ring of ``one``; over the rationals by
-    ``_reconstruct_in_integers``."""
-    if isinstance(one, Fraction):
-        den, real, _ = _reconstruct_in_integers(terms, d)
-        return [Fraction(x, den) for x in real]
-    total = [one - one] * (d + 1)
-    for s, (a, b) in terms:
-        total = [t + s * c for t, c in zip(total, _power_column(a, b, d, one))]
-    return total
-
-
 def _gaussian(x) -> tuple[int, int, int]:
     """The exact value of x as (re, im, q), x = (re + i im) / q with q > 0:
     a rational by its numerator and denominator, an mpmath number by the
@@ -457,11 +429,14 @@ def _to_mpc(x):
 def decompose(f: BinaryForm, precision_bits: int = 192) -> Decomposition:
     """Minimal power-sum decomposition for forms with a square-free witness.
 
-    The scalars are exact rationals when every root of the witness is
-    rational, exact in a quadratic number field when exactly one irreducible
-    quadratic factor remains, and big-float complex otherwise; all three
-    come from the residue formula of ``_residue_scalars``.  Raises
-    NonReducedRank when the rank witness is a non-reduced scheme.
+    The scalars of the witness's rational points are exact rationals from
+    the residue formula of ``_residue_scalars``.  When the other roots are
+    one conjugate pair, the roots of one irreducible quadratic factor, the
+    pair's scalar has a closed form over Q(gamma) and the whole is checked
+    in rationals (``_decompose_exact``).  Otherwise the roots of the other
+    factors are approximated and their scalars are big-float complex
+    (``_decompose_numeric``).  Raises NonReducedRank when the rank witness
+    is a non-reduced scheme.
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
@@ -476,12 +451,8 @@ def decompose(f: BinaryForm, precision_bits: int = 192) -> Decomposition:
     points = [(Fraction(0), Fraction(1))] * k
     points += [(Fraction(1), -c[0]) for c in factors if len(c) == 2]
     rest = [c for c in factors if len(c) > 2]
-    if not rest:
-        scalars = _exact_scalars(f, g, points, Fraction(1), Fraction)
-        terms = tuple(zip(scalars, points))
-        return Decomposition(f.degree, terms, mpmath.mpf(0), "rational", precision_bits)
-    if len(rest) == 1 and len(rest[0]) == 3:
-        return _decompose_quadratic(f, g, points, rest[0], precision_bits)
+    if not rest or (len(rest) == 1 and len(rest[0]) == 3):
+        return _decompose_exact(f, g, points, rest[0] if rest else None, precision_bits)
     return _decompose_numeric(f, g, points, rest, precision_bits)
 
 
@@ -526,39 +497,58 @@ def _residue_scalars(f: BinaryForm, g: BinaryForm, points, lift, outside=None) -
     return out
 
 
-def _exact_scalars(f: BinaryForm, g: BinaryForm, points, one, lift) -> list:
-    """Residue scalars of the points over the rationals or a quadratic field,
-    checked by reconstructing f exactly."""
-    scalars = _residue_scalars(f, g, points, lift)
-    if _reconstruct(zip(scalars, points), f.degree, one) != [lift(c) for c in f.coeffs]:
+def _pair_scalar(a0: Fraction, a1: Fraction, p: Fraction, q: Fraction) -> tuple[Fraction, Fraction]:
+    """(alpha, beta) for the scalar s = alpha + beta gamma of the root gamma
+    of the irreducible x^2 + p x + q, its conjugate s' that of the other
+    root, whose power sums P_i = s gamma^i + s' gamma'^i are a0 and a1 at
+    i = 0 and 1: P_0 = 2 alpha - p beta and P_1 = (p^2 - 2q) beta - p alpha,
+    solved over the discriminant p^2 - 4q, which is nonzero."""
+    disc = p * p - 4 * q
+    return (p * a1 + (p * p - 2 * q) * a0) / disc, (2 * a1 + p * a0) / disc
+
+
+def _decompose_exact(f: BinaryForm, g: BinaryForm, points, quad, bits: int) -> Decomposition:
+    """The decomposition over the witness's rational ``points`` and, when
+    ``quad`` is the monic irreducible [q, p, 1], over its roots gamma and
+    -p - gamma, proved in rationals.
+
+    The rational scalars come from ``_residue_scalars``.  What their power
+    sum leaves of the apolar coordinates of f is a_0, ..., a_d, which must
+    be the power sums P_i of the pair: ``_pair_scalar`` reads the pair's
+    scalar off a_0 and a_1, and P_(i+2) = -p P_(i+1) - q P_i, the recurrence
+    of the minimal polynomial, gives the rest.  P_i = a_i for every i, or
+    a_i = 0 for every i with no pair, is the certificate; CertificateError
+    otherwise.  The pair is published in mpc at bits + 32, gamma the larger
+    real root or the one with positive imaginary part.
+    """
+    d = f.degree
+    terms = tuple(zip(_residue_scalars(f, g, points, Fraction), points))
+    den, real, _ = _reconstruct_in_integers(terms, d)
+    a = [Fraction(c.numerator * den - x * c.denominator, c.denominator * den * comb(d, i))
+         for i, (c, x) in enumerate(zip(f.coeffs, real))]
+    power_sums = [0] * (d + 1)
+    if quad is not None:
+        q, p = quad[0], quad[1]
+        alpha, beta = _pair_scalar(a[0], a[1], p, q)
+        power_sums = [2 * alpha - p * beta, (p * p - 2 * q) * beta - p * alpha]
+        while len(power_sums) <= d:
+            power_sums.append(-p * power_sums[-1] - q * power_sums[-2])
+    if power_sums != a:
         raise CertificateError("the power sum does not reconstruct the form")
-    return scalars
-
-
-def _decompose_quadratic(
-    f: BinaryForm,
-    g: BinaryForm,
-    rational_points: list[tuple[Fraction, Fraction]],
-    quad,
-    bits: int,
-) -> Decomposition:
-    gamma = QuadraticNumber.generator(quad)
-    one = gamma.lift(1)
-    pts = [(gamma.lift(a), gamma.lift(b)) for a, b in rational_points]
-    pts += [(one, gamma), (one, gamma.conjugate())]
-    scalars = _exact_scalars(f, g, pts, one, gamma.lift)
-    # gamma is the larger real root, or the one with positive imaginary part
-    emb = AlgebraicNumber(gamma.modulus, True).value(bits)
+    if quad is None:
+        return Decomposition(d, terms, mpmath.mpf(0), "rational", bits)
+    emb = AlgebraicNumber(tuple(quad), True).value(bits)
     with mpmath.workprec(bits + 32):
-        terms = []
-        for s, (a, b) in zip(scalars, pts):
-            if s.is_rational() and a.is_rational() and b.is_rational():
-                terms.append((s.rational_value(), (a.rational_value(), b.rational_value())))
-            else:
-                terms.append((s.numeric(emb), (a.numeric(emb), b.numeric(emb))))
-    dec = Decomposition(f.degree, tuple(terms), mpmath.mpf(0), "algebraic", bits)
-    residual = verify_decomposition(f, dec)
-    return Decomposition(f.degree, dec.terms, residual, "algebraic", bits)
+
+        def at(x, y):  # x + y gamma
+            return _to_mpc(y) * emb + _to_mpc(x).real
+
+        one = mpmath.mpc(1)
+        terms += (
+            (at(alpha, beta), (one, at(0, 1))),
+            (at(alpha - p * beta, -beta), (one, at(-p, -1))),
+        )
+    return Decomposition(d, terms, _upper_root(*_residual_squared(f, terms)), "algebraic", bits)
 
 
 def _decompose_numeric(

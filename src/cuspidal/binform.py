@@ -427,11 +427,12 @@ def is_square_free(f: BinaryForm) -> bool:
 
     f is read as a binary form, u^k p(t) with p(t) = f(1, t): it is
     square-free iff k <= 1 and p is square-free.  The first is read off the
-    coefficients.  The second is proved by gcd(p, p') = 1 modulo a prime
-    that does not divide lc(p) (``ratfactor.proves_squarefree``; von zur
-    Gathen and Gerhard, *Modern Computer Algebra*, §5.10).  A nontrivial
-    gcd modulo p proves nothing, so then the degree of the exact gcd,
-    taken in the integers, decides."""
+    coefficients.  The second is proved by gcd(p, p') = 1 modulo one of
+    the first two primes that do not divide lc(p)
+    (``ratfactor.proves_squarefree``; von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, §5.10).  A nontrivial gcd modulo both proves
+    nothing, so then the degree of the exact gcd, taken in the integers,
+    decides."""
     if f.is_zero():
         raise ZeroFormError("square-free test on the zero form")
     k, p = f.tau_poly()

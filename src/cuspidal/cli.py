@@ -35,7 +35,7 @@ import mpmath
 
 from . import apolarity
 from .apolarity import Decomposition, decompose, residual_string, verify_decomposition
-from .binform import BinaryForm, GrammarError, _as_fraction, parse_form
+from .binform import BinaryForm, GrammarError, _check_degree, _coefficient, parse_form
 from .classifier import (
     InstanceSpec,
     classify,
@@ -181,10 +181,10 @@ def _point(args, line: str | None) -> ProjectedPoint:
     """The point of one input line, or of --coords when line is None."""
     if line is not None:
         return ProjectedPoint.from_json(json.loads(line))
-    coords = tuple(_as_fraction(c) for c in args.coords.split(","))
     if args.n is None:
         raise GrammarError("--coords needs --n")
-    return ProjectedPoint(args.n, coords)
+    _check_degree(args.n + 1)
+    return ProjectedPoint(args.n, tuple(_coefficient(c) for c in args.coords.split(",")))
 
 
 def cmd_xrank(args) -> int:
@@ -254,16 +254,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    level = next(
-        (x for x in (args.level, args.w, args.rho) if x is not None), None
-    )
-    if level is None:
-        print("cuspidal generate: one of --level, --w, --rho is required",
-              file=sys.stderr)
-        return 2
     try:
         for k in range(args.count):
-            spec = InstanceSpec(args.case, args.n, level, seed=args.seed + k)
+            spec = InstanceSpec(args.case, args.n, args.level, seed=args.seed + k)
             _emit(generate_instance(spec).to_json())
     except _FAILURES as exc:
         return _fail(exc)
@@ -436,9 +429,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, with_input=False, seed=True)
     p.add_argument("--case", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--level", type=int)
-    p.add_argument("--w", type=int, help="alias for --level on border-gap cases")
-    p.add_argument("--rho", type=int, help="alias for --level on reduced cases")
+    level = p.add_mutually_exclusive_group(required=True)
+    level.add_argument("--level", type=int)
+    level.add_argument("--w", dest="level", type=int, help="alias for --level on border-gap cases")
+    level.add_argument("--rho", dest="level", type=int, help="alias for --level on reduced cases")
     p.add_argument("--count", type=int, default=1)
     p.set_defaults(fn=cmd_generate)
 

@@ -64,7 +64,8 @@ from .binform import (
     P1Point,
     ZeroFormError,
     ZeroScheme,
-    _as_fraction,
+    _check_degree,
+    _coefficient,
     apolar_coeffs,
     form_from_apolar,
     is_integer_literal,
@@ -178,6 +179,9 @@ class ProjectedPoint:
 
     @classmethod
     def from_json(cls, blob: dict) -> "ProjectedPoint":
+        """Read {"n", "coords"}, within the limits of forms: a degree n + 1
+        above ``MAX_DEGREE``, or a coordinate whose numerator or denominator
+        has more than ``MAX_COEFFICIENT_BITS`` bits, is a ProjectionError."""
         if not isinstance(blob, dict) or "n" not in blob or "coords" not in blob:
             raise ProjectionError('a projected point is an object with "n" and "coords"')
         if not isinstance(blob["coords"], list):
@@ -187,7 +191,8 @@ class ProjectedPoint:
         if not is_integer_literal(blob["n"]):
             raise ProjectionError(f'"n" must be an integer, got {blob["n"]!r}')
         try:
-            coords = tuple(_as_fraction(str(c)) for c in blob["coords"])
+            _check_degree(int(blob["n"]) + 1)
+            coords = tuple(_coefficient(str(c)) for c in blob["coords"])
         except GrammarError as exc:
             raise ProjectionError(f"malformed projected point: {exc}") from None
         return cls(int(blob["n"]), coords)

@@ -113,11 +113,12 @@ def _serves(g: Ints, p: int) -> bool:
 
 
 def proves_squarefree(g: Ints) -> bool:
-    """True when gcd(g, g') = 1 modulo the first prime of ``PRIMES`` that
-    does not divide lc(g), which proves the integer polynomial g (low to
-    high) square-free over Q.  False proves nothing."""
-    p = next((p for p in PRIMES if g[-1] % p), None)
-    return p is not None and _serves(g, p)
+    """True when gcd(g, g') = 1 modulo one of the first two primes of
+    ``PRIMES`` that do not divide lc(g), which proves the integer
+    polynomial g (low to high) square-free over Q.  A second prime rescues
+    the rare g whose discriminant the first divides, at the cost of one
+    more gcd mod p when g is not square-free.  False proves nothing."""
+    return any(_serves(g, p) for p in [p for p in PRIMES if g[-1] % p][:2])
 
 
 def _powmod_p(a: list[int], e: int, f: list[int], p: int) -> list[int]:

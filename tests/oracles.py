@@ -6,9 +6,15 @@
   vectors, the target reduced against the echelon rows.  The classifier
   once decided every span test this way; it backs the contraction by the
   product form in ``classifier``.
+* ``QuadraticNumber``: exact arithmetic in Q(gamma), where
+  gamma^2 = -p gamma - q and the inverse is the conjugate over the norm.  Quadratic
+  decompositions once ran the residue formula and their reconstruction
+  check in this field.  It backs the closed form of the conjugate pair's
+  scalar in ``apolarity._decompose_exact``, which is checked in rationals,
+  and it is the field of ``rank_field``, ``nullspace_field`` and
+  ``field_lift``.
 * ``rank_field`` and ``nullspace_field``: Gaussian elimination over any
-  exact field, the quadratic fields of ``numberfield.QuadraticNumber``
-  included.
+  exact field, the quadratic fields of ``QuadraticNumber`` included.
 * ``euclid_gcd``: the Euclidean algorithm over any exact field, which
   ``univar.gcd`` ran on Fractions before it moved to the primitive
   pseudo-remainder sequence in the integers.
@@ -70,8 +76,7 @@
   refinement ``binform.approximate_roots``.
 * ``fraction_reconstruct``: the power sum sum s (a u + b t)^d over the
   rationals was once built term by term in Fractions, the powers of a and b
-  by repeated products, as ``apolarity._reconstruct`` still does over the
-  other rings.  It backs ``apolarity._reconstruct_in_integers``.
+  by repeated products.  It backs ``apolarity._reconstruct_in_integers``.
 * ``per_root_aberth_roots``: ``binform.approximate_roots`` once took
   1/(z_i - z_j) afresh for each ordered pair in every Aberth sweep.  It
   backs the sweep of ``mp_aberth_roots``, which takes each pair's
@@ -105,18 +110,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 import mpmath
 
 from cuspidal import linalg, ratfactor, univar
 from cuspidal.apolarity import CertificateError, _hankel, rank
 from cuspidal.binform import BinaryForm, P1Point, PrecisionError, ZeroFormError, apolar_coeffs
-from cuspidal.numberfield import (
-    AlgebraicNumber,
-    NumberFieldError,
-    QuadraticNumber,
-    _quadratic_root,
-)
+from cuspidal.numberfield import AlgebraicNumber, NumberFieldError, _quadratic_root
 from cuspidal.oracle import _slots
 from cuspidal.projection import (
     ALL_LAMBDA,
@@ -131,6 +132,125 @@ from cuspidal.projection import (
     lift,
     special_lambdas,
 )
+
+
+def _field_op(op):
+    """A binary operator of QuadraticNumber whose other operand is an
+    element of the same field, or an int or Fraction lifted into it."""
+
+    def method(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self.lift(other)
+        elif not isinstance(other, QuadraticNumber):
+            return NotImplemented
+        elif (other.p, other.q) != (self.p, self.q):
+            raise NumberFieldError("elements of different fields")
+        return op(self, other)
+
+    return method
+
+
+class QuadraticNumber:
+    """a + b gamma in Q(gamma), where gamma is a root of the irreducible
+    x^2 + p x + q."""
+
+    __slots__ = ("a", "b", "p", "q")
+
+    def __init__(self, a: Fraction, b: Fraction, p: Fraction, q: Fraction):
+        self.a = a
+        self.b = b
+        self.p = p
+        self.q = q
+
+    @classmethod
+    def generator(cls, modulus: Sequence) -> "QuadraticNumber":
+        """gamma for the modulus given low to high; raises NumberFieldError
+        unless it is an irreducible quadratic."""
+        mod = univar.trim([Fraction(c) for c in modulus])
+        if len(mod) != 3 or not ratfactor.is_irreducible(mod):
+            raise NumberFieldError("modulus must be an irreducible quadratic")
+        return cls(Fraction(0), Fraction(1), mod[1] / mod[2], mod[0] / mod[2])
+
+    @property
+    def modulus(self) -> tuple[Fraction, Fraction, Fraction]:
+        """The monic minimal polynomial of gamma, low to high."""
+        return (self.q, self.p, Fraction(1))
+
+    def lift(self, value) -> "QuadraticNumber":
+        """A rational as an element of this field."""
+        return QuadraticNumber(Fraction(value), Fraction(0), self.p, self.q)
+
+    def _product(self, other):
+        # (a + b g)(c + e g) = ac - q be + (ae + bc - p be) g, as g^2 = -p g - q
+        be = self.b * other.b
+        return QuadraticNumber(
+            self.a * other.a - self.q * be,
+            self.a * other.b + self.b * other.a - self.p * be,
+            self.p,
+            self.q,
+        )
+
+    __add__ = __radd__ = _field_op(
+        lambda x, y: QuadraticNumber(x.a + y.a, x.b + y.b, x.p, x.q)
+    )
+    __sub__ = _field_op(lambda x, y: QuadraticNumber(x.a - y.a, x.b - y.b, x.p, x.q))
+    __rsub__ = _field_op(lambda x, y: y - x)
+    __mul__ = __rmul__ = _field_op(_product)
+    __truediv__ = _field_op(lambda x, y: x * y.inverse())
+    __rtruediv__ = _field_op(lambda x, y: y * x.inverse())
+    __eq__ = _field_op(lambda x, y: (x.a, x.b) == (y.a, y.b))
+
+    def __neg__(self):
+        return QuadraticNumber(-self.a, -self.b, self.p, self.q)
+
+    def conjugate(self) -> "QuadraticNumber":
+        """The image under gamma -> -p - gamma, the other root."""
+        return QuadraticNumber(self.a - self.p * self.b, -self.b, self.p, self.q)
+
+    def norm(self) -> Fraction:
+        """The element times its conjugate, a rational: a^2 - p a b + q b^2."""
+        return self.a * self.a - self.p * self.a * self.b + self.q * self.b * self.b
+
+    def inverse(self) -> "QuadraticNumber":
+        """The conjugate over the norm; the norm of a nonzero element is
+        nonzero because the modulus is irreducible."""
+        if not self:
+            raise ZeroDivisionError("inverse of zero field element")
+        n = self.norm()
+        conj = self.conjugate()
+        return QuadraticNumber(conj.a / n, conj.b / n, self.p, self.q)
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        base = self.inverse() if n < 0 else self
+        out = self.lift(1)
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+    def __bool__(self) -> bool:
+        return bool(self.a) or bool(self.b)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.a, self.b))
+
+    def is_rational(self) -> bool:
+        return not self.b
+
+    def rational_value(self) -> Fraction:
+        if not self.is_rational():
+            raise NumberFieldError("element is not rational")
+        return self.a
+
+    def numeric(self, embedding):
+        """Value of the element under one embedding (root of the modulus)."""
+        b = mpmath.mpf(self.b.numerator) / self.b.denominator
+        return mpmath.mpc(b) * embedding + mpmath.mpf(self.a.numerator) / self.a.denominator
+
+    def __repr__(self) -> str:
+        parts = [f"{c}{var}" for c, var in ((self.a, ""), (self.b, "*a")) if c]
+        return " + ".join(parts) if parts else "0"
 
 
 def nullspace_plain(rows, ncols=None) -> list[tuple[Fraction, ...]]:

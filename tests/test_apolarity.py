@@ -37,8 +37,8 @@ from cuspidal.binform import (
     random_form,
     squarefree_decompose,
 )
-from cuspidal.numberfield import QuadraticNumber
 from oracles import (
+    QuadraticNumber,
     catalecticant,
     exact_value,
     first_kernel_scan,
@@ -52,7 +52,7 @@ from oracles import (
     qr_power_sum_scalars,
 )
 from test_binform import _moved
-from test_decomposition_digests import _trace_form
+from test_decomposition_digests import _quadratic_pair, _rational_terms, _trace_form
 
 
 def form(*coeffs):
@@ -69,6 +69,8 @@ def hankel_rows(f, r):
 U2T = form(0, 1, 0, 0)
 U4T = form(0, 1, 0, 0, 0, 0)
 CUBE_SUM = form(1, 0, 0, 1)
+# (u + t)^5 + (u + i t)^5 + (u - i t)^5: one rational point and one pair
+POINT_AND_PAIR = BinaryForm(5, tuple(c * comb(5, i) for i, c in enumerate((3, 1, -1, 1, 3, 1))))
 
 
 class TestCatalecticant:
@@ -354,8 +356,8 @@ class TestRank:
         assert calls == [cert.witness_form]
 
     def test_one_first_kernel_per_form(self, monkeypatch):
-        """The rank, the border rank and a decomposition of one form share
-        one certificate: the first kernel is built once."""
+        """The rank, the border rank, the border scheme and a decomposition
+        of one form share one certificate: the first kernel is built once."""
         calls = []
         first_kernel = apolarity._first_kernel
 
@@ -367,6 +369,7 @@ class TestRank:
         f = random_form(9, random.Random("one-kernel"), bound=100)
         cert = rank(f)
         assert border_rank(f) == cert.border_rank == 5
+        assert border_scheme(f) == (cert.witness_scheme, True)
         assert len(decompose(f, 128).terms) == cert.rank
         assert rank(BinaryForm(f.degree, f.coeffs)) is cert
         assert calls == [f]
@@ -567,9 +570,9 @@ class TestReconstruct:
         for _ in range(200):
             d = rng.randint(0, 14)
             terms = [(value(), (value(), value())) for _ in range(rng.randint(0, 6))]
-            got = apolarity._reconstruct(terms, d, F(1))
-            assert got == fraction_reconstruct(terms, d)
-            assert all(type(c) is F for c in got)
+            den, real, imag = apolarity._reconstruct_in_integers(terms, d)
+            assert [F(x, den) for x in real] == fraction_reconstruct(terms, d)
+            assert not any(imag)
 
     def test_decompositions_check_in_integers(self, monkeypatch):
         """The rational path's reconstruction check and the exact branch
@@ -632,6 +635,57 @@ class TestResidueScalars:
             got = apolarity._residue_scalars(f, cert.witness_form, pts, gamma.lift)
             assert got == power_sum_scalars(f, pts, one) == [s for s, _ in terms]
 
+    @staticmethod
+    def _pair_forms():
+        """Seeded forms whose witness has one conjugate pair: sqrt(m) pairs,
+        real and complex, and clustered pairs M +- sqrt(D) with
+        M = 10^6..10^15, each with 0, 1 or 2 rational points, (0:1) among
+        them now and then, within the unique-witness range 2r <= d + 1."""
+        rng = random.Random("residue:closed-form-pair")
+        for d in range(4, 14):
+            for m in (2, -1, 5, -3):
+                x, y, c, q = (F(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for _ in range(4))
+                yield d, _quadratic_pair(d, m, x, y, c, q)
+            for big in (10**6, 10**15):
+                disc = rng.choice((2, 3, -1, -7))
+                s0, s1 = F(rng.randint(1, 9), rng.randint(1, 5)), F(rng.randint(-9, 9))
+                yield d, _trace_form(d, (big * big - disc, -2 * big), s0, s1)
+
+    def test_closed_form_pair_is_the_field_residue_formula(self, monkeypatch):
+        """The scalars ``_decompose_exact`` proves, the pair's from its
+        closed form and the rational ones from the residue formula over Q,
+        equal the residue formula run over Q(gamma) in the oracle field, the
+        route quadratic decompositions once took, exactly."""
+        seen = []
+        pair_scalar = apolarity._pair_scalar
+        monkeypatch.setattr(apolarity, "_pair_scalar",
+                            lambda *args: seen.append(pair_scalar(*args)) or seen[-1])
+        rng = random.Random("residue:closed-form-points")
+        checked = with_points = with_t = 0
+        for d, pair in self._pair_forms():
+            count = rng.randint(0, min(2, (d + 1) // 2 - 2))
+            extra = _rational_terms(rng, count, with_t=count > 0 and rng.random() < 0.4)[-count:]
+            f = pair + BinaryForm(d, tuple(_power_sum(d, extra, F(1)))) if count else pair
+            seen.clear()
+            dec = decompose(f, 128)
+            assert dec.field_tag == "algebraic" and len(dec.terms) == count + 2, f.render()
+            g = rank(f).witness_form
+            (quad,) = [c for c, _ in ratfactor.irreducible_factors(g.tau_poly()[1]) if len(c) == 3]
+            gamma = QuadraticNumber.generator(quad)
+            one = gamma.lift(1)
+            points = [p for _, p in dec.terms[:-2]]
+            lifted = [(gamma.lift(a), gamma.lift(b)) for a, b in points]
+            old = apolarity._residue_scalars(
+                f, g, lifted + [(one, gamma), (one, gamma.conjugate())], gamma.lift)
+            ((alpha, beta),) = seen
+            s = one * alpha + beta * gamma
+            assert old[-2:] == [s, s.conjugate()]
+            assert [x.rational_value() for x in old[:-2]] == [s for s, _ in dec.terms[:-2]]
+            checked += 1
+            with_points += bool(points)
+            with_t += (F(0), F(1)) in points
+        assert checked == 60 and with_points >= 20 and with_t >= 5
+
     def test_numeric_against_qr(self):
         rng = random.Random("residue:numeric")
         checked = 0
@@ -678,9 +732,22 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError):
             decompose(CUBE_SUM, 96)
 
-    def test_quadratic_path(self, wrong_last_scalar):
+    def test_quadratic_path(self, monkeypatch):
+        """A fault in the pair's scalar, on a form with no rational point
+        and on one with a rational point, and a fault in that point's
+        scalar: the exact check of the pair's power sums raises."""
+        pair_scalar = apolarity._pair_scalar
+        monkeypatch.setattr(apolarity, "_pair_scalar",
+                            lambda *args: [2 * x for x in pair_scalar(*args)])
+        for f in (form(0, 1, -1, 0), POINT_AND_PAIR):
+            with pytest.raises(CertificateError):
+                decompose(f, 128)
+        monkeypatch.undo()
+        scalars_of = apolarity._residue_scalars
+        monkeypatch.setattr(apolarity, "_residue_scalars",
+                            lambda *args: [s + 1 for s in scalars_of(*args)])
         with pytest.raises(CertificateError):
-            decompose(form(0, 1, -1, 0), 128)
+            decompose(POINT_AND_PAIR, 128)
 
     def test_numeric_path(self, wrong_last_scalar):
         coeffs = tuple(F(x) * comb(5, i) for i, x in enumerate((1, 0, 0, -1, 1, -1)))
@@ -701,18 +768,25 @@ class TestCertificateChecks:
 
             if __debug__:
                 sys.exit("not running under -O")
-            scalars_of = apolarity._residue_scalars
-            apolarity._residue_scalars = lambda *a, **k: [2 * s for s in scalars_of(*a, **k)]
-            for apolar, fault in (((1, 0, 0, 1), binform.CertificateError),
-                                  ((0, 1, -1, 0), binform.CertificateError),
-                                  ((1, 0, 0, -1, 1, -1), binform.PrecisionError)):
+            pair_and_point = (3, 1, -1, 1, 3, 1)
+            for name, apolar, fault in (
+                ("_residue_scalars", (1, 0, 0, 1), binform.CertificateError),
+                ("_residue_scalars", pair_and_point, binform.CertificateError),
+                ("_pair_scalar", (0, 1, -1, 0), binform.CertificateError),
+                ("_pair_scalar", pair_and_point, binform.CertificateError),
+                ("_residue_scalars", (1, 0, 0, -1, 1, -1), binform.PrecisionError),
+            ):
                 d = len(apolar) - 1
                 f = binform.BinaryForm(d, tuple(c * comb(d, i) for i, c in enumerate(apolar)))
+                honest = getattr(apolarity, name)
+                setattr(apolarity, name, lambda *a, fn=honest, **k: [2 * s for s in fn(*a, **k)])
                 try:
                     apolarity.decompose(f, 96)
                 except fault:
                     continue
-                sys.exit(f"wrong scalars went unnoticed for {f.render()}")
+                finally:
+                    setattr(apolarity, name, honest)
+                sys.exit(f"wrong scalars in {name} went unnoticed for {f.render()}")
             """
         )
         _run_optimized(child)

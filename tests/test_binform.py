@@ -218,11 +218,13 @@ N3 = prod(ratfactor.PRIMES[:3])
     (_chart_form(2, [-2, 0, 0, 1], [5, 3]), False, False),                 # u^2 divides f
     (_chart_form(0, [-2, 0, 0, 1], [5, 3], [5, 3]), False, True),          # a square in the chart
     (_chart_form(1, [0, 1], [0, 1], [1, 1, 1]), False, True),              # t^2 divides f
+    (_chart_form(0, [0, 1], [P1, 1], [-2, 0, 0, 1]), True, False),         # P1 | disc, P2 does not
 ])
 def test_square_free_modular_and_exact_routes(f, square_free, exact, monkeypatch):
-    """A nontrivial gcd modulo the first listed prime that does not divide
-    the leading coefficient sends the test to the exact gcd in the
-    integers; u^2 | f is read off the coefficients."""
+    """A nontrivial gcd modulo each of the first two listed primes that do
+    not divide the leading coefficient sends the test to the exact gcd in
+    the integers, and a trivial one modulo either proves square-freeness;
+    u^2 | f is read off the coefficients."""
     calls = []
     gcd = univar.gcd
     monkeypatch.setattr(univar, "gcd", lambda p, q: calls.append(p) or gcd(p, q))

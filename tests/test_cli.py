@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import projection
+from cuspidal.binform import MAX_COEFFICIENT_BITS, MAX_DEGREE
 from cuspidal.cli import _build_parser, main
 
 
@@ -144,7 +145,8 @@ class TestRankCommands:
         """--precision-bits goes to decompose and verify-decomp, --seed to
         generate, probe and verify; everywhere else they are usage errors."""
         parser = _build_parser()
-        required = {"generate": ["--case", "e4_i", "--n", "6"], "probe": ["--s", "2", "--n", "5"]}
+        required = {"generate": ["--case", "e4_i", "--n", "6", "--rho", "2"],
+                    "probe": ["--s", "2", "--n", "5"]}
         for name in ("rank", "borderrank", "scheme", "decompose", "verify-decomp", "project",
                      "xrank", "classify", "generate", "probe", "verify"):
             for flag, dest, takers in (
@@ -479,6 +481,34 @@ class TestProjectionCommands:
         assert len(recs) == 1
         assert recs[0]["error"]["type"] == "GrammarError"
 
+    def test_xrank_size_limits_give_one_error_record_each(self, capsys, monkeypatch):
+        """A point of degree n + 1 = MAX_DEGREE, or with a coordinate of
+        MAX_COEFFICIENT_BITS bits, is read; one more is one error record, a
+        ProjectionError in a record and a GrammarError for --coords, and
+        the batch goes on."""
+        top, over = 2**MAX_COEFFICIENT_BITS - 1, 2**MAX_COEFFICIENT_BITS
+
+        def coords(n, first):
+            return [str(first)] + ["0"] * (n - 1) + ["1"]
+
+        cases = [(MAX_DEGREE - 1, 1, None), (MAX_DEGREE, 1, "degree"),
+                 (5, top, None), (5, over, "bits"), (5, f"1/{over}", "bits"), (5, "9" * 5000, "bits")]
+        stdin = "".join(json.dumps({"n": n, "coords": coords(n, c)}) + "\n" for n, c, _ in cases)
+        code, recs = run(capsys, monkeypatch, ["xrank"], stdin=stdin)
+        assert code == 1 and len(recs) == len(cases)
+        for rec, (n, _, refused) in zip(recs, cases):
+            if refused:
+                assert rec["error"]["type"] == "ProjectionError" and refused in rec["error"]["message"]
+            else:
+                assert rec["n"] == n and rec["value"] >= 1
+        for n, c, refused in cases:
+            code, recs = run(capsys, monkeypatch, ["xrank", "--n", str(n), "--coords",
+                                                   ",".join(coords(n, c))])
+            assert (code, len(recs)) == (1 if refused else 0, 1)
+            if refused:
+                assert recs[0]["error"]["type"] == "GrammarError"
+                assert refused in recs[0]["error"]["message"]
+
     def test_certificate_failure_is_json_error(self, capsys, monkeypatch):
         # generators of Ann(B'') without g1 leave the scan no generic level
         real = projection._ideal_generators
@@ -526,10 +556,17 @@ class TestClassifyAndGenerate:
         assert len({tuple(r["coeffs"]) for r in recs}) == 3
 
     def test_generate_requires_level(self, capsys, monkeypatch):
-        code, _ = run(
-            capsys, monkeypatch, ["generate", "--case", "e4_i", "--n", "6"]
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as err:
+            run(capsys, monkeypatch, ["generate", "--case", "e4_i", "--n", "6"])
+        assert err.value.code == 2
+        assert "one of the arguments --level --w --rho is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels", [["--w", "3", "--rho", "4"], ["--level", "2", "--w", "2"]])
+    def test_generate_refuses_two_levels(self, capsys, monkeypatch, levels):
+        with pytest.raises(SystemExit) as err:
+            run(capsys, monkeypatch, ["generate", "--case", "e4_i", "--n", "6", *levels])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_generate_bad_cell_structured_error(self, capsys, monkeypatch):
         code, recs = run(

@@ -12,7 +12,7 @@ from cuspidal import apolarity, linalg, projection, ratfactor, univar
 from cuspidal.apolarity import CertificateError, RankCertificate, _ideal_generators, rank
 from cuspidal.binform import BinaryForm, P1Point, ZeroFormError, ZeroScheme, random_form
 from cuspidal.classifier import InstanceSpec, generate_instance
-from cuspidal.numberfield import AlgebraicNumber, QuadraticNumber
+from cuspidal.numberfield import AlgebraicNumber
 from cuspidal.projection import (
     ALL_LAMBDA,
     FieldCertificate,
@@ -26,6 +26,7 @@ from cuspidal.projection import (
 )
 from oracles import (
     FieldForm,
+    QuadraticNumber,
     catalecticant,
     discriminant_field_certificate,
     field_is_square_free,
