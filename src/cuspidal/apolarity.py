@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from math import comb, isqrt, lcm
 
 import mpmath
-from mpmath.libmp import from_man_exp, fzero, round_ceiling, to_rational
+from mpmath.libmp import from_man_exp, fzero, round_ceiling, round_nearest, to_rational
 
 from . import linalg, ratfactor, univar
 from .binform import (
@@ -419,24 +419,19 @@ def residual_string(x, digits: int) -> str:
         return mpmath.nstr(mpmath.mpf(f"{n}e{e}"), digits)
 
 
-def _to_mpc(x):
-    if isinstance(x, (int, Fraction)):
-        q = Fraction(x)
-        return mpmath.mpc(mpmath.mpf(q.numerator) / q.denominator)
-    return mpmath.mpc(x)
-
-
 def decompose(f: BinaryForm, precision_bits: int = 192) -> Decomposition:
     """Minimal power-sum decomposition for forms with a square-free witness.
 
-    The scalars of the witness's rational points are exact rationals from
-    the residue formula of ``_residue_scalars``.  When the other roots are
-    one conjugate pair, the roots of one irreducible quadratic factor, the
-    pair's scalar has a closed form over Q(gamma) and the whole is checked
-    in rationals (``_decompose_exact``).  Otherwise the roots of the other
-    factors are approximated and their scalars are big-float complex
-    (``_decompose_numeric``).  Raises NonReducedRank when the rank witness
-    is a non-reduced scheme.
+    The witness's rational points and the cofactor left after them come
+    from ``ratfactor.rational_roots``, which proves nothing more about the
+    cofactor.  The scalars are the residue formula of ``_residue_scalars``,
+    exact at the points.  A cofactor of degree 2 has no rational root, so
+    it is irreducible and its roots are one conjugate pair, whose scalar
+    has a closed form over Q(gamma); then, or with no cofactor, the whole
+    is checked in rationals (``_decompose_exact``).  Otherwise the roots of
+    the cofactor are approximated and their scalars rounded to big-float
+    complex (``_decompose_numeric``).  Raises NonReducedRank when the rank
+    witness is a non-reduced scheme.
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
@@ -447,13 +442,12 @@ def decompose(f: BinaryForm, precision_bits: int = 192) -> Decomposition:
         )
     g = cert.witness_form
     k, tau = g.tau_poly()  # k <= 1: g is square-free
-    factors = [c for c, _ in ratfactor.irreducible_factors(tau)]
-    points = [(Fraction(0), Fraction(1))] * k
-    points += [(Fraction(1), -c[0]) for c in factors if len(c) == 2]
-    rest = [c for c in factors if len(c) > 2]
-    if not rest or (len(rest) == 1 and len(rest[0]) == 3):
-        return _decompose_exact(f, g, points, rest[0] if rest else None, precision_bits)
-    return _decompose_numeric(f, g, points, rest, precision_bits)
+    roots, cofactor = ratfactor.rational_roots(tau)
+    points = [(Fraction(0), Fraction(1))] * k + [(Fraction(1), r) for r in roots[::-1]]
+    if len(cofactor) > 3:
+        return _decompose_numeric(f, g, points, cofactor, precision_bits)
+    quad = [Fraction(c, cofactor[-1]) for c in cofactor] if len(cofactor) == 3 else None
+    return _decompose_exact(f, g, points, quad, precision_bits)
 
 
 def _residue_numerator(seq, poly) -> list:
@@ -466,34 +460,73 @@ def _residue_numerator(seq, poly) -> list:
     return [sum(seq[k] * poly[j + 1 + k] for k in range(m - j)) for j in range(m)]
 
 
-def _residue_scalars(f: BinaryForm, g: BinaryForm, points, lift, outside=None) -> list:
-    """Scalar s of each point (a:b), a in {0, 1}, of the square-free witness
-    g in f = sum s (a u + b t)^d, with no linear solve.
+def _horner(c: list[int], zr: int, zi: int, q: int) -> tuple[int, int]:
+    """sum_j c_j z^j q^(n-j), n = len(c) - 1, for the Gaussian integer
+    z = zr + i zi and integers c_j and q, as its real and imaginary parts."""
+    xr, xi, qk = c[-1], 0, 1
+    for cj in reversed(c[:-1]):
+        qk *= q
+        xr, xi = xr * zr - xi * zi + cj * qk, xr * zi + xi * zr
+    return xr, xi
 
-    A point (1:b) is read in the chart t/u, from the apolar coefficients
-    a_0, a_1, ... and the roots of g(1, x).  The point (0:1), and any point
-    for which ``outside(b)`` holds, is read in the chart u/t, from a_d,
-    a_(d-1), ... and the roots of g(x, 1); there (1:b) sits at x = 1/b
-    with scalar s b^d.  ``lift`` carries rationals into the ring of the
-    points.  Nothing here is checked: callers reconstruct f from the terms.
+
+def _gaussian_power(zr: int, zi: int, d: int) -> tuple[int, int]:
+    """(zr + i zi)^d, by square and multiply."""
+    pr, pi = 1, 0
+    while d:
+        if d & 1:
+            pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
+        zr, zi = zr * zr - zi * zi, 2 * zr * zi
+        d >>= 1
+    return pr, pi
+
+
+def _residue_scalars(f: BinaryForm, g: BinaryForm, points) -> list[tuple[int, int, int]]:
+    """The scalar s of each point (a:b), a in {0, 1}, of the square-free
+    witness g in f = sum s (a u + b t)^d, with no linear solve, exactly at
+    the point as given: (re, im, q) with s = (re + i im) / q and q > 0.
+
+    b is read by ``_gaussian`` as z / q, z a Gaussian integer.  A point
+    (1:b) with |b| <= 1 is read in the chart t/u, from the apolar
+    coefficients a_0, a_1, ... and the roots of g(1, x), at x = z / q.  The
+    point (0:1), and (1:b) with |b| > 1, are read in the chart u/t, from
+    a_d, a_(d-1), ... and the roots of g(x, 1), at x = a q / z, where the
+    formula gives s b^d, so it is multiplied by (q / z)^d.  Over the common
+    denominator D of the a_k, the residue numerator R and poly' have
+    integer coefficients, and ``_horner`` evaluates both at x homogeneously
+    of degree deg poly - 1 (in the chart u/t on the reversed coefficients),
+    so that the denominators of x cancel in R(x) / (D poly'(x)).  A poly'
+    that vanishes at a point, which no root of g can make it do, raises
+    PrecisionError.  Nothing else is checked: callers reconstruct f from
+    the terms.
     """
     a = apolar_coeffs(f).entries
+    den = lcm(*(c.denominator for c in a))
+    ints = [c.numerator * (den // c.denominator) for c in a]
     d = f.degree
     charts: dict[bool, tuple[list, list]] = {}
     out = []
     for alpha, beta in points:
-        flip = not alpha or (outside is not None and outside(beta))
+        zr, zi, q = _gaussian(beta)
+        flip = not alpha or zr * zr + zi * zi > q * q
         if flip not in charts:
             poly = univar.trim(list(g.coeffs[::-1] if flip else g.coeffs))
-            seq = a[::-1] if flip else a
-            charts[flip] = (
-                [lift(c) for c in _residue_numerator(seq, poly)],
-                [lift(c) for c in univar.derivative(poly)],
-            )
+            num = _residue_numerator(ints[::-1] if flip else ints, poly)
+            der = univar.derivative(poly)
+            charts[flip] = (num[::-1], der[::-1]) if flip else (num, der)
         num, der = charts[flip]
-        x = (1 / beta if alpha else lift(0)) if flip else beta
-        s = univar.evaluate(num, x) / univar.evaluate(der, x)
-        out.append(s * x**d if flip and alpha else s)
+        y = (q if alpha else 0) if flip else q
+        nr, ni = _horner(num, zr, zi, y)
+        dr, di = _horner(der, zr, zi, y)
+        if flip:
+            pr, pi = _gaussian_power(zr, zi, d)
+            nr, ni, dr, di = nr * q**d, ni * q**d, dr * pr - di * pi, dr * pi + di * pr
+        if di:
+            out.append((nr * dr + ni * di, ni * dr - nr * di, den * (dr * dr + di * di)))
+        elif dr:
+            out.append((nr, ni, den * dr) if dr > 0 else (-nr, -ni, -den * dr))
+        else:
+            raise PrecisionError("the witness's derivative vanishes at a point")
     return out
 
 
@@ -522,7 +555,8 @@ def _decompose_exact(f: BinaryForm, g: BinaryForm, points, quad, bits: int) -> D
     real root or the one with positive imaginary part.
     """
     d = f.degree
-    terms = tuple(zip(_residue_scalars(f, g, points, Fraction), points))
+    scalars = [Fraction(re, q) for re, _, q in _residue_scalars(f, g, points)]
+    terms = tuple(zip(scalars, points))
     den, real, _ = _reconstruct_in_integers(terms, d)
     a = [Fraction(c.numerator * den - x * c.denominator, c.denominator * den * comb(d, i))
          for i, (c, x) in enumerate(zip(f.coeffs, real))]
@@ -540,8 +574,9 @@ def _decompose_exact(f: BinaryForm, g: BinaryForm, points, quad, bits: int) -> D
     emb = AlgebraicNumber(tuple(quad), True).value(bits)
     with mpmath.workprec(bits + 32):
 
-        def at(x, y):  # x + y gamma
-            return _to_mpc(y) * emb + _to_mpc(x).real
+        def at(x, y):  # x + y gamma, as an mpc
+            return mpmath.mpc(mpmath.mpf(y.numerator) / y.denominator * emb
+                              + mpmath.mpf(x.numerator) / x.denominator)
 
         one = mpmath.mpc(1)
         terms += (
@@ -551,31 +586,41 @@ def _decompose_exact(f: BinaryForm, g: BinaryForm, points, quad, bits: int) -> D
     return Decomposition(d, terms, _upper_root(*_residual_squared(f, terms)), "algebraic", bits)
 
 
+def _nearest(num: int, den: int, prec: int) -> tuple:
+    """The raw mpf of ``prec`` bits nearest num / den, den > 0: a quotient
+    of at least prec + 2 bits with a sticky bit for the remainder, rounded
+    once by ``from_man_exp``."""
+    if not num:
+        return fzero
+    shift = prec + 3 - num.bit_length() + den.bit_length()
+    q, r = divmod(abs(num) << shift, den) if shift >= 0 else divmod(abs(num), den << -shift)
+    man = 2 * q + (r > 0)
+    return from_man_exp(man if num > 0 else -man, -shift - 1, prec, round_nearest)
+
+
 def _decompose_numeric(
     f: BinaryForm,
     g: BinaryForm,
     rational_points: list[tuple[Fraction, Fraction]],
-    rest: list[list[Fraction]],
+    cofactor: tuple[int, ...],
     bits: int,
 ) -> Decomposition:
     """The witness's rational points, sorted by (a, b), then the roots of
-    its other irreducible factors ``rest``, each approximated from the
-    factor's primitive integer vector and sorted by (re, im).  Each root is
-    read in the chart where its modulus is at most 1, so that its own
-    powers, not the other roots', carry the rows it is read from; the
-    residual check below is the certificate."""
+    the cofactor left after them, approximated from its primitive integer
+    vector and sorted by (re, im).  Each scalar is the exact residue
+    formula at its point as stored, read in the chart where the point's
+    modulus is at most 1, so that its own powers, not the other roots',
+    carry the rows it is read from, and each part is rounded once, to
+    nearest, at bits + 32; the residual check below is the certificate."""
     with mpmath.workprec(bits + 64):
-        vectors = [linalg.canonical_vector(c) for c in rest]
-        roots = [+z for v in vectors for z in approximate_roots(v, bits + 96)]
+        roots = [+z for z in approximate_roots(linalg.canonical_vector(cofactor), bits + 96)]
     roots.sort(key=lambda z: (z.real, z.imag))
     with mpmath.workprec(bits + 32):
         pts = sorted(rational_points) + [(mpmath.mpc(1), mpmath.mpc(z)) for z in roots]
-        mp_pts = [(_to_mpc(a), _to_mpc(b)) for a, b in pts]
-        try:
-            scalars = _residue_scalars(f, g, mp_pts, _to_mpc, outside=lambda b: abs(b) > 1)
-        except ZeroDivisionError:
-            raise PrecisionError("the witness's derivative rounds to 0 at a root") from None
-        terms = tuple((+s, p) for s, p in zip(scalars, pts))
+    terms = tuple(
+        (mpmath.mp.make_mpc((_nearest(re, q, bits + 32), _nearest(im, q, bits + 32))), p)
+        for (re, im, q), p in zip(_residue_scalars(f, g, pts), pts)
+    )
     num, den = _residual_squared(f, terms)
     if not num << 2 * ((bits + 1) // 2) < den:
         raise PrecisionError("decomposition residual above the precision target")

@@ -8,8 +8,8 @@ output record, its result or a structured error, and a bad line does not
 stop the batch.  Exit codes: 0 all checks passed, 1 some line failed or a
 check failed (structured error JSON on stdout), 2 usage.  The numeric oracle
 is imported only by the subcommands that run it; numpy is imported by it, and
-for the seeds of the first irreducible factor of degree 3 or more whose roots
-a decomposition refines.
+for the seeds of the roots of a witness cofactor of degree 3 or more that a
+decomposition refines.
 
 Forms are accepted in the text grammar ``d=<int>; [q0,q1,...]`` or as JSON
 records carrying "degree" and "coeffs" (either at the top level or under

@@ -21,7 +21,10 @@ primes (von zur Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed.):
   serving p.  Each root mod p is Hensel-lifted until p^k > 2 |g(0)| lc(g),
   where rational reconstruction returns the only candidate a/b within those
   bounds; it is kept when b x - a divides g exactly.  This finds every
-  rational root.
+  rational root.  ``rational_roots`` stops here and returns the roots with
+  the cofactor left after them, for callers that need no more: a cofactor
+  of degree 2 is then irreducible, and one of higher degree is left as it
+  is, with no proof that it does not split further.
 * Irreducibility (§14.2; Musser, "On the efficiency of a polynomial
   irreducibility test", J. ACM 25, 1978).  The cofactor h left after the
   roots has no factor of degree 1 or deg h - 1.  The degree of any factor of
@@ -35,9 +38,9 @@ primes (von zur Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed.):
   twice the Mignotte bound, and recombined, products of fewer factors
   first, into the factors of h over Z that divide it exactly.
 
-The result is checked by explicit raises, which run under ``python -O`` too:
-every root read off a linear factor must vanish on the input, and the
-factors with their multiplicities must multiply back to it.
+The irreducible factors are checked by explicit raises, which run under
+``python -O`` too: every root read off a linear factor must vanish on the
+input, and the factors with their multiplicities must multiply back to it.
 """
 
 from __future__ import annotations
@@ -359,14 +362,23 @@ def _cofactor_factors(h: Ints) -> list[tuple[Ints, int]]:
     return [(h, 1)]
 
 
+def _split(g: Ints) -> tuple[list[Fraction], Ints] | None:
+    """The rational roots of a primitive g with g(0) != 0 and the cofactor
+    left after them, by ``_rational_roots`` modulo the first prime of
+    ``PRIMES`` that serves g, which proves g square-free; None when no
+    listed prime serves it."""
+    p = next((p for p in PRIMES if _serves(g, p)), None)
+    return None if p is None else _rational_roots(g, p)
+
+
 def _factor(g: Ints) -> list[tuple[Ints, int]]:
     """Primitive factors with multiplicities of a primitive g with a positive
     leading coefficient and g(0) != 0."""
     if len(g) <= 3:
         return _factor_low_degree(g) if len(g) > 1 else []
-    p = next((p for p in PRIMES if _serves(g, p)), None)
-    if p is not None:
-        roots, h = _rational_roots(g, p)
+    split = _split(g)
+    if split is not None:
+        roots, h = split
         linear = [((-r.numerator, r.denominator), 1) for r in roots]
         return linear + (_cofactor_factors(h) if len(h) > 1 else [])
     parts = univar.yun(g)
@@ -404,6 +416,35 @@ def irreducible_factors(p: Sequence[Fraction]) -> list[tuple[list[Fraction], int
     out = [([Fraction(c, fac[-1]) for c in fac], m) for fac, m in factors]
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
+
+
+def rational_roots(p: Sequence[Fraction]) -> tuple[list[Fraction], Ints]:
+    """The rational roots of a square-free nonzero p, ascending, and the
+    cofactor left after them, a primitive integer vector with a positive
+    leading coefficient.  Nothing is proved about the cofactor beyond its
+    having no rational root: of degree 2 it is irreducible, above that it
+    may split.  The roots come from ``_split``, or from ``_factor`` in
+    degrees 1 and 2 and when no listed prime serves p.  A p that is not
+    square-free raises ValueError."""
+    q = univar.trim(list(p))
+    if not q:
+        raise ValueError("rational roots of the zero polynomial")
+    g = _primitive(q)
+    k = next(i for i, c in enumerate(g) if c)
+    square_free = k <= 1
+    split = _split(g[k:]) if len(g) - k > 3 else None
+    if split is None:
+        factors = _factor(g[k:])
+        square_free = square_free and all(m == 1 for _, m in factors)
+        cofactor = (1,)
+        for fac, _ in factors:
+            if len(fac) > 2:
+                cofactor = tuple(univar.mul(cofactor, fac))
+        split = [Fraction(-fac[0], fac[1]) for fac, _ in factors if len(fac) == 2], cofactor
+    if not square_free:
+        raise ValueError("rational roots of a polynomial that is not square-free")
+    roots, h = split
+    return sorted(roots + [Fraction(0)] * k), h
 
 
 def is_irreducible(p: Sequence[Fraction]) -> bool:

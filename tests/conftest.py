@@ -1,14 +1,16 @@
 """Make the oracle helpers in this directory importable as ``oracles``
 under every pytest import mode, and start every test with an empty memo of
 ``apolarity.rank``, so that no certificate cached by an earlier test hides
-a fault a later one plants."""
+a fault a later one plants.  The fixture ``no_irreducibility_proof`` makes
+``ratfactor._cofactor_factors`` raise for the tests that must not reach
+it."""
 
 import sys
 from pathlib import Path
 
 import pytest
 
-from cuspidal import apolarity
+from cuspidal import apolarity, ratfactor
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -16,3 +18,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 @pytest.fixture(autouse=True)
 def _fresh_rank_memo():
     apolarity.rank.cache_clear()
+
+
+@pytest.fixture
+def no_irreducibility_proof(monkeypatch):
+    def refuse(h):
+        raise AssertionError(f"the cofactor {h} was proved irreducible")
+
+    monkeypatch.setattr(ratfactor, "_cofactor_factors", refuse)

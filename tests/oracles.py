@@ -74,6 +74,14 @@
   roots of the witness came from ``mpmath.polyroots`` (Durand-Kerner).  They
   back the residue formula ``apolarity._residue_scalars`` and the Newton
   refinement ``binform.approximate_roots``.
+* ``residue_scalars``, ``to_mpc`` and ``mpc_residue_scalars``: the residue
+  formula once ran in the ring of its points, given by a ``lift`` of the
+  rationals: over Q on the rational path, over Q(gamma) for one conjugate
+  pair, and in ``mpc`` at precision_bits + 32 on the complex path, a point
+  read in the chart u/t when ``outside`` said its rounded modulus was
+  above 1, every step rounded.  They back ``apolarity._residue_scalars``,
+  which evaluates the formula exactly in integers at the points as stored
+  and rounds each part of a complex scalar once.
 * ``fraction_reconstruct``: the power sum sum s (a u + b t)^d over the
   rationals was once built term by term in Fractions, the powers of a and b
   by repeated products.  It backs ``apolarity._reconstruct_in_integers``.
@@ -115,7 +123,7 @@ from typing import Sequence
 import mpmath
 
 from cuspidal import linalg, ratfactor, univar
-from cuspidal.apolarity import CertificateError, _hankel, rank
+from cuspidal.apolarity import CertificateError, _hankel, _residue_numerator, rank
 from cuspidal.binform import BinaryForm, P1Point, PrecisionError, ZeroFormError, apolar_coeffs
 from cuspidal.numberfield import AlgebraicNumber, NumberFieldError, _quadratic_root
 from cuspidal.oracle import _slots
@@ -906,6 +914,58 @@ def qr_power_sum_scalars(f, points, bits: int) -> list:
         rhs = [mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator for c in f.coeffs]
         sol, _ = mpmath.qr_solve(mpmath.matrix(rows), mpmath.matrix(rhs))
         return [sol[i] for i in range(len(points))]
+
+
+def to_mpc(x):
+    if isinstance(x, (int, Fraction)):
+        q = Fraction(x)
+        return mpmath.mpc(mpmath.mpf(q.numerator) / q.denominator)
+    return mpmath.mpc(x)
+
+
+def residue_scalars(f: BinaryForm, g: BinaryForm, points, lift, outside=None) -> list:
+    """Scalar s of each point (a:b), a in {0, 1}, of the square-free witness
+    g in f = sum s (a u + b t)^d, with no linear solve.
+
+    A point (1:b) is read in the chart t/u, from the apolar coefficients
+    a_0, a_1, ... and the roots of g(1, x).  The point (0:1), and any point
+    for which ``outside(b)`` holds, is read in the chart u/t, from a_d,
+    a_(d-1), ... and the roots of g(x, 1); there (1:b) sits at x = 1/b
+    with scalar s b^d.  ``lift`` carries rationals into the ring of the
+    points.  Nothing here is checked: callers reconstruct f from the terms.
+    """
+    a = apolar_coeffs(f).entries
+    d = f.degree
+    charts: dict[bool, tuple[list, list]] = {}
+    out = []
+    for alpha, beta in points:
+        flip = not alpha or (outside is not None and outside(beta))
+        if flip not in charts:
+            poly = univar.trim(list(g.coeffs[::-1] if flip else g.coeffs))
+            seq = a[::-1] if flip else a
+            charts[flip] = (
+                [lift(c) for c in _residue_numerator(seq, poly)],
+                [lift(c) for c in univar.derivative(poly)],
+            )
+        num, der = charts[flip]
+        x = (1 / beta if alpha else lift(0)) if flip else beta
+        s = univar.evaluate(num, x) / univar.evaluate(der, x)
+        out.append(s * x**d if flip and alpha else s)
+    return out
+
+
+def mpc_residue_scalars(f: BinaryForm, g: BinaryForm, points, bits: int) -> list:
+    """The scalars of the points of a complex decomposition as
+    ``apolarity._decompose_numeric`` once took them: ``residue_scalars`` in
+    ``mpc`` at bits + 32, a point read in the chart u/t when its modulus
+    rounds above 1, each scalar rounded to that precision."""
+    with mpmath.workprec(bits + 32):
+        mp_pts = [(to_mpc(a), to_mpc(b)) for a, b in points]
+        try:
+            scalars = residue_scalars(f, g, mp_pts, to_mpc, outside=lambda b: abs(b) > 1)
+        except ZeroDivisionError:
+            raise PrecisionError("the witness's derivative rounds to 0 at a root") from None
+        return [+s for s in scalars]
 
 
 def mp_polyroots(p, bits: int) -> list:

@@ -40,6 +40,7 @@ from cuspidal.binform import (
 from oracles import (
     QuadraticNumber,
     catalecticant,
+    exact_parts,
     exact_value,
     first_kernel_scan,
     fraction_power_sum,
@@ -47,12 +48,19 @@ from oracles import (
     fraction_residual_squared,
     kernel_basis,
     mp_decomposition_residual,
+    mpc_residue_scalars,
     nullspace_plain,
     power_sum_scalars,
     qr_power_sum_scalars,
+    residue_scalars,
 )
 from test_binform import _moved
-from test_decomposition_digests import _quadratic_pair, _rational_terms, _trace_form
+from test_decomposition_digests import (
+    _power_sum as _rational_power_sum,
+    _quadratic_pair,
+    _rational_terms,
+    _trace_form,
+)
 
 
 def form(*coeffs):
@@ -492,9 +500,10 @@ class TestDecompose:
         assert len(dec.terms) == 3
         assert verify_decomposition(f, dec) < mpmath.mpf(2) ** -96
 
-    def test_complex_path_factors_once(self, monkeypatch):
-        """The complex path reads its roots from the factors ``decompose``
-        already has: no second square-free decomposition."""
+    def test_complex_path_factors_once(self, monkeypatch, no_irreducibility_proof):
+        """The complex path reads its roots from the cofactor that
+        ``ratfactor.rational_roots`` leaves: no square-free decomposition
+        and no irreducibility proof of the cofactor."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("the witness was factored twice")
@@ -515,17 +524,37 @@ class TestDecompose:
         """Witnesses (x - M)^3 - 2 with M = 10^30 + 7, three roots within
         2 of M, and x((x - M)^2 - 3) + 1 with M = 10^12 + 3, two roots near
         M + sqrt(3) and M - sqrt(3): at every precision ``decompose``
-        returns a residual below 2^(-bits/2) or raises PrecisionError."""
+        returns three terms with a residual below 2^(-bits/2).  With the
+        scalars exact at the stored roots, the cluster no longer raises
+        PrecisionError at any of these precisions."""
         assert ratfactor.is_irreducible([F(c) for c in monic] + [F(1)])
         f = _trace_form(7, monic, F(1), F(0))
         assert rank(f).rank == 3
         for bits in (64, 80, 96, 128, 160, 192, 256):
-            try:
-                dec = decompose(f, bits)
-            except PrecisionError:
-                continue
-            assert dec.field_tag == "complex"
+            dec = decompose(f, bits)
+            assert dec.field_tag == "complex" and len(dec.terms) == 3
             assert verify_decomposition(f, dec) < mpmath.mpf(2) ** (-bits // 2)
+
+    def test_split_cofactor(self, no_irreducibility_proof):
+        """A witness whose cofactor after its rational point is the product
+        of two irreducible cubics: Aberth runs once on the sextic, with no
+        irreducibility proof, and the seven terms check at 192 bits."""
+        d = 13
+        f = (_trace_form(d, (-2, 0, 0), F(3, 2), F(-1))
+             + _trace_form(d, (1, 1, 0), F(1), F(2))
+             + _rational_power_sum(d, [(F(5, 3), (F(1), F(-7, 2)))]))
+        cert = rank(f)
+        assert cert.rank == 7 and cert.kernel_dimension == 1
+        roots, cofactor = ratfactor.rational_roots(cert.witness_form.tau_poly()[1])
+        assert roots == [F(-7, 2)] and len(cofactor) == 7
+        assert univar.mul([-2, 0, 0, 1], [1, 1, 0, 1]) == list(cofactor)
+        dec = decompose(f, 192)
+        assert dec.field_tag == "complex" and len(dec.terms) == 7
+        s, point = dec.terms[0]
+        re, im = exact_parts(s)
+        assert point == (F(1), F(-7, 2)) and im == 0
+        assert abs(re - F(5, 3)) <= F(5, 3) / 2 ** (192 + 32)  # 5/3 rounded once
+        assert verify_decomposition(f, dec) < mpmath.mpf(2) ** -96
 
     def test_nonreduced_refused(self):
         with pytest.raises(NonReducedRank):
@@ -587,8 +616,9 @@ class TestReconstruct:
 
 
 class TestResidueScalars:
-    """The residue formula against the oracles' solution of the full
-    (d+1) x r system in the powers of the points."""
+    """The residue formula in integers against the oracles: the solution of
+    the full (d+1) x r system in the powers of the points, the same formula
+    over Q(i) at the stored points, and the ``mpc`` route it replaced."""
 
     @staticmethod
     def _points(rng, count):
@@ -611,8 +641,11 @@ class TestResidueScalars:
             cert = rank(f)
             assert cert.rank == len(terms) and cert.witness_kind == "squarefree"
             pts = [p for _, p in terms]
-            got = apolarity._residue_scalars(f, cert.witness_form, pts, F)
+            exact = apolarity._residue_scalars(f, cert.witness_form, pts)
+            assert all(q > 0 and not im for _, im, q in exact)
+            got = [F(re, q) for re, _, q in exact]
             assert got == power_sum_scalars(f, pts, F(1)) == [s for s, _ in terms]
+            assert got == residue_scalars(f, cert.witness_form, pts, F)
 
     def test_quadratic_field_exact(self):
         rng = random.Random("residue:quadratic")
@@ -632,7 +665,7 @@ class TestResidueScalars:
             cert = rank(f)
             assert cert.rank == len(terms) and cert.witness_kind == "squarefree"
             pts = [p for _, p in terms]
-            got = apolarity._residue_scalars(f, cert.witness_form, pts, gamma.lift)
+            got = residue_scalars(f, cert.witness_form, pts, gamma.lift)
             assert got == power_sum_scalars(f, pts, one) == [s for s, _ in terms]
 
     @staticmethod
@@ -675,8 +708,8 @@ class TestResidueScalars:
             one = gamma.lift(1)
             points = [p for _, p in dec.terms[:-2]]
             lifted = [(gamma.lift(a), gamma.lift(b)) for a, b in points]
-            old = apolarity._residue_scalars(
-                f, g, lifted + [(one, gamma), (one, gamma.conjugate())], gamma.lift)
+            old = residue_scalars(f, g, lifted + [(one, gamma), (one, gamma.conjugate())],
+                                  gamma.lift)
             ((alpha, beta),) = seen
             s = one * alpha + beta * gamma
             assert old[-2:] == [s, s.conjugate()]
@@ -685,6 +718,58 @@ class TestResidueScalars:
             with_points += bool(points)
             with_t += (F(0), F(1)) in points
         assert checked == 60 and with_points >= 20 and with_t >= 5
+
+    def test_exact_at_the_stored_points(self):
+        """On seeded complex decompositions, the integers equal the residue
+        formula run over Q(i) in the oracle field at the stored points, read
+        exactly, with the same chart rule decided by the exact norm; the
+        published scalars are those values rounded to nearest."""
+        rng = random.Random("residue:gaussian")
+        i = QuadraticNumber.generator([1, 0, 1])
+
+        def gaussian(x):
+            re, im = exact_parts(x)
+            return QuadraticNumber(re, im, i.p, i.q)
+
+        checked = flipped = 0
+        while checked < 12:
+            f = random_form(rng.randint(5, 12), rng, bound=rng.choice((9, 100)))
+            dec = decompose(f, rng.choice((64, 128)))
+            if dec.field_tag != "complex":
+                continue
+            checked += 1
+            pts = [p for _, p in dec.terms]
+            g = rank(f).witness_form
+            field_pts = [(gaussian(a), gaussian(b)) for a, b in pts]
+            want = residue_scalars(f, g, field_pts, i.lift, outside=lambda b: b.norm() > 1)
+            got = apolarity._residue_scalars(f, g, pts)
+            assert [(F(re, q), F(im, q)) for re, im, q in got] == [(w.a, w.b) for w in want]
+            flipped += sum(b.norm() > 1 for _, b in field_pts)
+            for (s, _), w in zip(dec.terms, want):
+                for part, exact in zip(exact_parts(s), (w.a, w.b)):
+                    assert abs(part - exact) <= abs(exact) / 2 ** (dec.precision_bits + 32)
+        assert flipped >= 5
+
+    @pytest.mark.parametrize("bits", [64, 128, 192, 256])
+    def test_agrees_with_the_mpc_oracle(self, bits):
+        """Seeded random forms of degree 4..14 with coefficients p/q,
+        |p| <= 100 and 1 <= q <= 100, as in the waring benchmark: each
+        scalar of a complex decomposition agrees with the ``mpc`` route at
+        bits + 32 to 2^-(bits+8) relative."""
+        rng = random.Random(f"residue:mpc:{bits}")
+        checked = 0
+        for _ in range(40):
+            f = random_form(rng.randint(4, 14), rng, bound=100)
+            dec = decompose(f, bits)
+            if dec.field_tag != "complex":
+                continue
+            checked += 1
+            pts = [p for _, p in dec.terms]
+            want = mpc_residue_scalars(f, rank(f).witness_form, pts, bits)
+            with mpmath.workprec(bits + 64):
+                for (s, _), w in zip(dec.terms, want):
+                    assert abs(s - w) <= mpmath.mpf(2) ** -(bits + 8) * abs(w), f.render()
+        assert checked >= 15
 
     def test_numeric_against_qr(self):
         rng = random.Random("residue:numeric")
@@ -719,11 +804,13 @@ class TestCertificateChecks:
 
     @pytest.fixture
     def wrong_last_scalar(self, monkeypatch):
+        """The last exact scalar (re, im, q) doubled."""
         scalars_of = apolarity._residue_scalars
 
         def planted(*args, **kwargs):
             scalars = scalars_of(*args, **kwargs)
-            scalars[-1] = scalars[-1] + scalars[-1]
+            re, im, q = scalars[-1]
+            scalars[-1] = (2 * re, 2 * im, q)
             return scalars
 
         monkeypatch.setattr(apolarity, "_residue_scalars", planted)
@@ -745,7 +832,7 @@ class TestCertificateChecks:
         monkeypatch.undo()
         scalars_of = apolarity._residue_scalars
         monkeypatch.setattr(apolarity, "_residue_scalars",
-                            lambda *args: [s + 1 for s in scalars_of(*args)])
+                            lambda *args: [(re + q, im, q) for re, im, q in scalars_of(*args)])
         with pytest.raises(CertificateError):
             decompose(POINT_AND_PAIR, 128)
 
@@ -769,17 +856,19 @@ class TestCertificateChecks:
             if __debug__:
                 sys.exit("not running under -O")
             pair_and_point = (3, 1, -1, 1, 3, 1)
-            for name, apolar, fault in (
-                ("_residue_scalars", (1, 0, 0, 1), binform.CertificateError),
-                ("_residue_scalars", pair_and_point, binform.CertificateError),
-                ("_pair_scalar", (0, 1, -1, 0), binform.CertificateError),
-                ("_pair_scalar", pair_and_point, binform.CertificateError),
-                ("_residue_scalars", (1, 0, 0, -1, 1, -1), binform.PrecisionError),
+            exact = lambda out: [(2 * re, 2 * im, q) for re, im, q in out]
+            pair = lambda out: [2 * x for x in out]
+            for name, double, apolar, fault in (
+                ("_residue_scalars", exact, (1, 0, 0, 1), binform.CertificateError),
+                ("_residue_scalars", exact, pair_and_point, binform.CertificateError),
+                ("_pair_scalar", pair, (0, 1, -1, 0), binform.CertificateError),
+                ("_pair_scalar", pair, pair_and_point, binform.CertificateError),
+                ("_residue_scalars", exact, (1, 0, 0, -1, 1, -1), binform.PrecisionError),
             ):
                 d = len(apolar) - 1
                 f = binform.BinaryForm(d, tuple(c * comb(d, i) for i, c in enumerate(apolar)))
                 honest = getattr(apolarity, name)
-                setattr(apolarity, name, lambda *a, fn=honest, **k: [2 * s for s in fn(*a, **k)])
+                setattr(apolarity, name, lambda *a, fn=honest, double=double: double(fn(*a)))
                 try:
                     apolarity.decompose(f, 96)
                 except fault:

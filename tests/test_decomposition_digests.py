@@ -7,11 +7,13 @@ of the residual that ``verify_decomposition`` recomputes, and compares both
 with ``decomposition_digests.json`` beside this file; a decomposition that
 raises an ArithmeticError is pinned by the exception's name.  The forms
 reach all three paths of ``decompose``: rational points, (0:1) among them;
-one conjugate pair over a quadratic field; roots of irreducible factors of
-degree 3 to 12, a cluster of three roots near 10^30 among them, at degrees
-up to 24.  A change that alters
-any bit fails here and names the forms; if the change is meant, regenerate
-the digests and say why in the ledger:
+one conjugate pair over a quadratic field; the roots of a cofactor of degree
+3 to 12 left after the rational points, a cluster of three roots near 10^30
+among them, at degrees up to 24, each complex scalar the exact residue
+formula at its stored point rounded once.  No pinned form needs the
+irreducibility proof of ``ratfactor``.  A change that alters any bit fails
+here and names the forms; if the change is meant, regenerate the digests
+and say why in the ledger:
 
     PYTHONPATH=src python tests/test_decomposition_digests.py --write
 """
@@ -134,7 +136,8 @@ def decomposition_digests() -> dict[str, dict]:
     return {f"{label}@{bits}": _entry(f, bits) for label, f in digest_forms() for bits in BITS}
 
 
-def test_decompositions_unchanged():
+def test_decompositions_unchanged(no_irreducibility_proof):
+    """Every pinned digest, with no irreducibility proof of a cofactor."""
     with open(DIGESTS) as fh:
         want = json.load(fh)
     got = decomposition_digests()

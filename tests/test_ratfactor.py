@@ -210,3 +210,53 @@ def test_seeded_products_match_sympy():
                 p = univar.mul(p, fac)
         if univar.degree(p) >= 1:
             _matches_sympy(p)
+
+
+def _split_by_factors(p):
+    """The rational roots, ascending, and the primitive cofactor of a
+    square-free p, read off ``irreducible_factors``."""
+    factors = ratfactor.irreducible_factors(p)
+    roots = sorted(-c[0] for c, _ in factors if len(c) == 2)
+    cofactor = [1]
+    for c, _ in factors:
+        if len(c) > 2:
+            cofactor = univar.mul(cofactor, c)
+    return roots, ratfactor._primitive(cofactor)
+
+
+def test_rational_roots_are_the_linear_factors(request):
+    """On the benchmark sample, the modular cases and seeded products, the
+    square-free polynomials split into the roots of their linear factors
+    and the product of the others, with the irreducibility proof of the
+    cofactor refusing to run."""
+    sample = json.loads((Path(__file__).parent / "factor_sample.json").read_text())
+    rng = random.Random("rational-roots")
+    seeded = []
+    for _ in range(60):
+        p = [rng.randint(1, 9)]
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                fac = [rng.randint(-50, 50), rng.randint(1, 20)]
+            else:
+                fac = [rng.randint(-9, 9) for _ in range(rng.randint(2, 5))] + [1]
+            p = univar.mul(p, fac)
+        seeded.append(p)
+    polys = [p for p in sample["fiber"] + sample["waring"] + MODULAR + seeded
+             if all(m == 1 for _, m in ratfactor.irreducible_factors(p))]
+    assert len(polys) >= 60
+    want = [_split_by_factors(p) for p in polys]
+    request.getfixturevalue("no_irreducibility_proof")
+    for p, split in zip(polys, want):
+        assert ratfactor.rational_roots(p) == split, p
+
+
+def test_rational_roots_without_a_serving_prime():
+    """No prime of PRIMES serves the polynomial of
+    ``test_no_serving_prime_reaches_sympy``: its roots come from the full
+    factorization, and a polynomial that is not square-free is refused."""
+    p = _product([-1, 1], [-1 - N12, 1], [1, 0, 1], [-2, 0, 0, 1])
+    assert ratfactor.rational_roots(p) == ([F(1), F(1 + N12)], (-2, 0, -2, 1, 0, 1))
+    assert ratfactor.rational_roots([F(3, 2)]) == ([], (1,))
+    for bad in ([0, 0, 1], _product([-1, 1], [-1, 1], [-1 - N12, 1], [-1 - N12, 1])):
+        with pytest.raises(ValueError, match="not square-free"):
+            ratfactor.rational_roots(bad)
