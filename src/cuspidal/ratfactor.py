@@ -1,21 +1,22 @@
 """Irreducible factorization of univariate rational polynomials.
 
 Inputs and outputs are plain low-to-high coefficient lists; the factors come
-back monic with Fraction coefficients, sorted by (length, coefficients),
-exactly as sympy's factorization would give them, so callers never see
-sympy objects.  Internally a polynomial is its primitive integer vector with
-a positive leading coefficient, and the factorization is proved modulo small
-primes (von zur Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed.):
+back monic with Fraction coefficients, sorted by (length, coefficients).
+Internally a polynomial is its primitive integer vector with a positive
+leading coefficient, and the factorization is proved modulo primes (von zur
+Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed.):
 
 * A root at 0 is split off first.  Degrees 1 and 2 are factored in closed
   form: a quadratic splits over the rationals exactly when its integer
   discriminant is a perfect square, which ``math.isqrt`` decides.
-* A prime p of ``PRIMES`` *serves* g when it divides neither lc(g) nor
-  disc(g), that is, g mod p keeps its degree and gcd(g, g') = 1 mod p.  Then
-  g is square-free over Q.  When no listed prime serves g, Yun's algorithm
-  splits it into square-free parts first, and a part that no listed prime
-  serves either goes to sympy, imported on first use and cached by
-  ``_factor_cached``.
+* A prime p *serves* g when it divides neither lc(g) nor disc(g), that is,
+  g mod p keeps its degree and gcd(g, g') = 1 mod p.  Then g is square-free
+  over Q.  Primes come from ``_primes``: ``PRIMES``, then every later prime.
+  When no listed prime serves g, the exact gcd(g, g') decides: Yun's
+  algorithm first splits a g that is not square-free, and a later prime
+  serves each square-free g or part.  The stream fails only at primes that
+  divide lc(g) disc(g), nonzero for a square-free g, and at most
+  log|lc(g) disc(g)| / log 163 of those lie past the list.
 * Rational roots (§5.10, §15.4).  A rational root a/b of a square-free
   primitive g has b | lc(g) and a | g(0), and reduces to a simple root mod a
   serving p.  Each root mod p is Hensel-lifted until p^k > 2 |g(0)| lc(g),
@@ -30,8 +31,8 @@ primes (von zur Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed.):
   roots has no factor of degree 1 or deg h - 1.  The degree of any factor of
   h over Q is a sum of degrees of its irreducible factors mod every serving
   prime, found by distinct-degree factorization.  When the sums common to
-  the serving primes of ``PRIMES`` leave no proper degree, h is irreducible;
-  a cofactor of degree 3 or less needs no prime.
+  the first ``len(PRIMES)`` serving primes leave no proper degree, h is
+  irreducible; a cofactor of degree 3 or less needs no prime.
 * When a proper degree remains, h is split by Zassenhaus's algorithm
   (§15.6): its factors mod the serving prime with the fewest of them are
   found by Cantor and Zassenhaus's equal-degree split, Hensel-lifted past
@@ -48,14 +49,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count, islice
 from math import isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg, univar
 
 Ints = tuple[int, ...]
-Factors = tuple[tuple[Ints, int], ...]
 
 # Discriminants of structured inputs (binomial weights, small integer roots)
 # tend to carry every small prime, so the list starts above 100.
@@ -270,20 +270,6 @@ def _factor_low_degree(coeffs: Ints) -> list[tuple[Ints, int]]:
     return [(lo, 2)] if not s else [(lo, 1), (hi, 1)]
 
 
-@lru_cache(maxsize=4096)
-def _factor_cached(coeffs: Ints) -> Factors:
-    """sympy's factorization, as primitive factors with multiplicities."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(coeffs)), x, domain=sympy.QQ)
-    _, factors = poly.factor_list()
-    return tuple(
-        (_primitive([Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]), int(mult))
-        for fac, mult in factors
-    )
-
-
 def _lift_factor(h: Ints, u: list[int], p: int, bound: int) -> tuple[list[int], int]:
     """The monic factor of h modulo m = p^(2^j) > bound that reduces to u,
     a monic factor of h mod p coprime to its cofactor, by quadratic Hensel
@@ -342,13 +328,13 @@ def _zassenhaus(
 
 def _cofactor_factors(h: Ints) -> list[tuple[Ints, int]]:
     """Factors of a square-free primitive h of degree 2 or more with no
-    rational root, served by some prime of ``PRIMES``: h itself when the
-    degree patterns mod the serving primes prove it irreducible, else
-    Zassenhaus's split modulo the serving prime with the fewest factors."""
+    rational root: h itself when the degree patterns mod its first
+    ``len(PRIMES)`` serving primes of ``_primes`` prove it irreducible, else
+    Zassenhaus's split modulo the one of them with the fewest factors."""
     n = len(h) - 1
     full = 1 | 1 << n
     sums = ((1 << (n + 1)) - 1) & ~(2 | 1 << (n - 1))  # no factor of degree 1 or n-1
-    serving = (p for p in PRIMES if _serves(h, p))
+    serving = islice((p for p in _primes() if _serves(h, p)), len(PRIMES))
     best = None
     while sums != full:
         p = next(serving, None)
@@ -356,19 +342,39 @@ def _cofactor_factors(h: Ints) -> list[tuple[Ints, int]]:
             return _zassenhaus(h, *best[1:], sums)
         ddf = _distinct_degree(_monic_p(_mod(h, p), p), p)
         sums &= _degree_sums(ddf)
-        count = sum((len(g) - 1) // i for g, i in ddf)
-        if best is None or count < best[0]:
-            best = (count, p, ddf)
+        nfactors = sum((len(g) - 1) // i for g, i in ddf)
+        if best is None or nfactors < best[0]:
+            best = (nfactors, p, ddf)
     return [(h, 1)]
 
 
-def _split(g: Ints) -> tuple[list[Fraction], Ints] | None:
+def _primes() -> Iterator[int]:
+    """``PRIMES``, then every later prime, found by trial division."""
+    yield from PRIMES
+    odd = count(PRIMES[-1] + 2, 2)
+    yield from (p for p in odd if all(p % q for q in range(3, isqrt(p) + 1, 2)))
+
+
+def _split(g: Ints) -> tuple[Sequence[Fraction], Ints] | None:
     """The rational roots of a primitive g with g(0) != 0 and the cofactor
     left after them, by ``_rational_roots`` modulo the first prime of
-    ``PRIMES`` that serves g, which proves g square-free; None when no
-    listed prime serves it."""
+    ``_primes`` that serves g; None when g is not square-free, which the
+    exact gcd(g, g') decides when no listed prime serves g."""
     p = next((p for p in PRIMES if _serves(g, p)), None)
-    return None if p is None else _rational_roots(g, p)
+    if p is not None:
+        return _rational_roots(g, p)
+    if univar.degree(univar.gcd(g, univar.derivative(g))) > 0:
+        return None
+    return _factor_cached(g)
+
+
+@lru_cache(maxsize=4096)
+def _factor_cached(g: Ints) -> tuple[tuple[Fraction, ...], Ints]:
+    """``_split`` of a square-free g that no listed prime serves, modulo the
+    first later prime that does."""
+    p = next(p for p in islice(_primes(), len(PRIMES), None) if _serves(g, p))
+    roots, h = _rational_roots(g, p)
+    return tuple(roots), h
 
 
 def _factor(g: Ints) -> list[tuple[Ints, int]]:
@@ -377,14 +383,11 @@ def _factor(g: Ints) -> list[tuple[Ints, int]]:
     if len(g) <= 3:
         return _factor_low_degree(g) if len(g) > 1 else []
     split = _split(g)
-    if split is not None:
-        roots, h = split
-        linear = [((-r.numerator, r.denominator), 1) for r in roots]
-        return linear + (_cofactor_factors(h) if len(h) > 1 else [])
-    parts = univar.yun(g)
-    if len(parts) == 1 and parts[0][1] == 1:
-        return list(_factor_cached(g))
-    return [(fac, e * m) for q, m in parts for fac, e in _factor(_primitive(q))]
+    if split is None:
+        return [(fac, e * m) for q, m in univar.yun(g) for fac, e in _factor(_primitive(q))]
+    roots, h = split
+    linear = [((-r.numerator, r.denominator), 1) for r in roots]
+    return linear + (_cofactor_factors(h) if len(h) > 1 else [])
 
 
 def _check(g: Ints, factors: list[tuple[Ints, int]]) -> None:
@@ -423,28 +426,25 @@ def rational_roots(p: Sequence[Fraction]) -> tuple[list[Fraction], Ints]:
     cofactor left after them, a primitive integer vector with a positive
     leading coefficient.  Nothing is proved about the cofactor beyond its
     having no rational root: of degree 2 it is irreducible, above that it
-    may split.  The roots come from ``_split``, or from ``_factor`` in
-    degrees 1 and 2 and when no listed prime serves p.  A p that is not
-    square-free raises ValueError."""
+    may split.  The roots come from the closed form in degrees 1 and 2 and
+    from ``_split`` above them.  A p that is not square-free raises
+    ValueError."""
     q = univar.trim(list(p))
     if not q:
         raise ValueError("rational roots of the zero polynomial")
     g = _primitive(q)
     k = next(i for i, c in enumerate(g) if c)
-    square_free = k <= 1
-    split = _split(g[k:]) if len(g) - k > 3 else None
-    if split is None:
-        factors = _factor(g[k:])
-        square_free = square_free and all(m == 1 for _, m in factors)
-        cofactor = (1,)
-        for fac, _ in factors:
-            if len(fac) > 2:
-                cofactor = tuple(univar.mul(cofactor, fac))
-        split = [Fraction(-fac[0], fac[1]) for fac, _ in factors if len(fac) == 2], cofactor
-    if not square_free:
+    h = g[k:]
+    if len(h) > 3:
+        split = _split(h)
+    else:
+        factors = _factor(h)
+        roots = [Fraction(-fac[0], fac[1]) for fac, _ in factors if len(fac) == 2]
+        split = (roots, (1,) if roots else h) if all(m == 1 for _, m in factors) else None
+    if k > 1 or split is None:
         raise ValueError("rational roots of a polynomial that is not square-free")
     roots, h = split
-    return sorted(roots + [Fraction(0)] * k), h
+    return sorted([*roots, *[Fraction(0)] * k]), h
 
 
 def is_irreducible(p: Sequence[Fraction]) -> bool:

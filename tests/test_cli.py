@@ -373,6 +373,38 @@ class TestImports:
         assert got["recs"][1]["witness"]["factors"] == [["u^2-u*t-t^2", 1]]
         assert got["loaded"] == []
 
+    def test_unserved_polynomials_load_no_sympy(self):
+        """Polynomials that no prime of ``ratfactor.PRIMES`` serves are split
+        modulo a later prime: factoring them, reading their rational roots
+        and decomposing their forms import no sympy."""
+        child = textwrap.dedent(
+            """
+            import json, math, sys
+            from cuspidal import binform, ratfactor, univar
+            n12 = math.prod(ratfactor.PRIMES)
+            unserved = univar.mul(univar.mul([-1, 1], [-1 - n12, 1]),
+                                  univar.mul([1, 0, 1], [-2, 0, 0, 1]))
+            quartic = univar.mul([1, 0, 1], [n12**2 + 1, -2 * n12, 1])
+            squared = univar.mul(univar.mul(unserved, unserved), [-2, 0, 0, 1])
+            polys = [unserved, quartic, squared]
+            print(json.dumps({
+                "factors": [len(ratfactor.irreducible_factors(p)) for p in polys],
+                "roots": [len(ratfactor.rational_roots(p)[0]) for p in polys[:2]],
+                "schemes": [len(binform.squarefree_decompose(
+                    binform.BinaryForm(len(p) - 1, p)).factors) for p in polys],
+                "sympy": "sympy" in sys.modules}))
+            """
+        )
+        src = Path(projection.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == {
+            "factors": [4, 2, 4], "roots": [2, 0], "schemes": [4, 2, 4], "sympy": False,
+        }
+
     def test_xrank_with_a_quadratic_lambda_loads_no_numpy(self):
         """Special lambda are at most quadratic, each named by its minimal
         polynomial and a branch of the quadratic formula, so xrank reads no

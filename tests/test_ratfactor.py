@@ -1,5 +1,5 @@
 """ratfactor's closed forms and modular certificates against sympy's
-factorization."""
+factorization, the oracle of ``oracles.sympy_factors``."""
 
 import json
 import math
@@ -44,7 +44,8 @@ PINNED = [
 
 
 def _same(p):
-    """ratfactor's answer equals sympy's, types included, without sympy."""
+    """ratfactor's answer equals sympy's, types included, with no split
+    modulo a prime past ``PRIMES``."""
     misses = ratfactor._factor_cached.cache_info().misses
     got = ratfactor.irreducible_factors(p)
     assert ratfactor._factor_cached.cache_info().misses == misses
@@ -110,8 +111,9 @@ def test_closed_form_matches_sympy(p):
 
 
 @pytest.fixture
-def sympy_calls():
-    """Count the sympy factorizations ratfactor makes, from an empty cache."""
+def streamed_splits():
+    """Count the splits ratfactor takes modulo a prime past ``PRIMES``, from
+    an empty cache."""
     ratfactor._factor_cached.cache_clear()
     return lambda: ratfactor._factor_cached.cache_info().misses
 
@@ -140,10 +142,10 @@ MODULAR = [
 ]
 
 
-def test_modular_factors_match_sympy_without_it(sympy_calls):
+def test_modular_factors_match_sympy_without_it(streamed_splits):
     for p in MODULAR:
         _matches_sympy(p)
-    assert sympy_calls() == 0
+    assert streamed_splits() == 0
 
 
 def test_lc_and_discriminant_skip_the_first_primes():
@@ -165,25 +167,48 @@ N12 = math.prod(ratfactor.PRIMES)
     _product([BIG + 1, 3, 0, BIG], [-(BIG**3), 1, 0, 0, 2]),  # coefficients above 2^64
     _product([1, 0, 1], [2, 0, 1], [3, 0, 1], [5, 0, 1], [6, 0, 1], [7, 0, 1]),
 ])
-def test_proper_degrees_split_without_sympy(p, sympy_calls):
+def test_proper_degrees_split_without_sympy(p, streamed_splits):
     """Cofactors whose degree patterns leave a proper degree are split by
-    Hensel lifting and recombination, not by sympy."""
+    Hensel lifting and recombination, with no streamed split."""
     _matches_sympy(p)
-    assert sympy_calls() == 0
+    assert streamed_splits() == 0
 
 
-def test_no_serving_prime_reaches_sympy(sympy_calls):
-    """Roots 1 and 1 + N12 put every prime of PRIMES into the discriminant,
-    and the square-free g is then left to sympy."""
-    p = _product([-1, 1], [-1 - N12, 1], [1, 0, 1], [-2, 0, 0, 1])
+# Roots 1 and 1 + N12 put every prime of PRIMES into the discriminant.
+UNSERVED = _product([-1, 1], [-1 - N12, 1], [1, 0, 1], [-2, 0, 0, 1])
+
+
+@pytest.mark.parametrize("p, primes", [
+    pytest.param(UNSERVED, [("_rational_roots", 163)], id="n12"),
+    # Res(x^2 + 1, (x - N12)^2 + 1) = N12^2 (N12^2 + 4): the cofactor is
+    # served by no listed prime, and Zassenhaus runs modulo a later one
+    pytest.param(_product([1, 0, 1], [N12**2 + 1, -2 * N12, 1]),
+                 [("_rational_roots", 163), ("_zassenhaus", 163)], id="n12-quartic-cofactor"),
+    # not square-free: Yun first, then the stream for the part (x - 1)(x - 1 - N12)(x^2 + 1)
+    pytest.param(_product(UNSERVED, UNSERVED, [-2, 0, 0, 1]),
+                 [("_rational_roots", 163)], id="n12-squared"),
+])
+def test_unlisted_primes_serve(p, primes, streamed_splits, monkeypatch):
+    """A polynomial that no prime of PRIMES serves is split modulo the
+    first later prime that does, found by trial division, with one
+    streamed split per square-free part that needs it."""
     assert not any(ratfactor._serves(ratfactor._primitive(p), q) for q in ratfactor.PRIMES)
+    seen = []
+    for name in ("_rational_roots", "_zassenhaus"):
+        def spy(g, q, *rest, name=name, run=getattr(ratfactor, name)):
+            seen.append((name, q))
+            return run(g, q, *rest)
+
+        monkeypatch.setattr(ratfactor, name, spy)
     _matches_sympy(p)
-    assert sympy_calls() == 1
+    assert streamed_splits() == 1
+    assert [(name, q) for name, q in seen if q > ratfactor.PRIMES[-1]] == primes
 
 
 def test_bench_factor_inputs():
     """A pinned sample of the polynomials that the fiber and waring
-    benchmark workloads factor (seed 1).  None of them needs sympy."""
+    benchmark workloads factor (seed 1).  A listed prime serves every one
+    of them, so none takes a streamed split."""
     sample = json.loads((Path(__file__).parent / "factor_sample.json").read_text())
     ratfactor._factor_cached.cache_clear()
     for p in sample["fiber"] + sample["waring"]:
@@ -210,6 +235,25 @@ def test_seeded_products_match_sympy():
                 p = univar.mul(p, fac)
         if univar.degree(p) >= 1:
             _matches_sympy(p)
+
+
+def test_seeded_unserved_products_match_sympy(streamed_splits):
+    """Products in which two rational roots differ by a multiple of N12, so
+    that no listed prime serves them, times seeded factors of degree 1-4
+    with multiplicities 1-3: Yun's parts and the streamed splits give
+    sympy's factors, and they multiply back to the input."""
+    rng = random.Random(27)
+    for _ in range(40):
+        a, b = rng.randint(-50, 50), rng.randint(1, 9)
+        p = _product([-a, b], [-a - rng.randint(1, 3) * N12 * b, b])
+        for _ in range(rng.randint(1, 3)):
+            fac = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 5)]
+            for _ in range(rng.randint(1, 3)):
+                p = univar.mul(p, fac)
+        got = _matches_sympy(p)
+        ratfactor._check(ratfactor._primitive(p), [(ratfactor._primitive(f), m) for f, m in got])
+    # a pair left alone in its Yun part is split in closed form instead
+    assert streamed_splits() >= 10
 
 
 def _split_by_factors(p):
@@ -250,12 +294,11 @@ def test_rational_roots_are_the_linear_factors(request):
         assert ratfactor.rational_roots(p) == split, p
 
 
-def test_rational_roots_without_a_serving_prime():
-    """No prime of PRIMES serves the polynomial of
-    ``test_no_serving_prime_reaches_sympy``: its roots come from the full
-    factorization, and a polynomial that is not square-free is refused."""
-    p = _product([-1, 1], [-1 - N12, 1], [1, 0, 1], [-2, 0, 0, 1])
-    assert ratfactor.rational_roots(p) == ([F(1), F(1 + N12)], (-2, 0, -2, 1, 0, 1))
+def test_rational_roots_without_a_serving_prime(no_irreducibility_proof):
+    """No prime of PRIMES serves ``UNSERVED``: its roots come from a prime
+    past the list, with no proof about the cofactor, and a polynomial that
+    is not square-free is refused."""
+    assert ratfactor.rational_roots(UNSERVED) == ([F(1), F(1 + N12)], (-2, 0, -2, 1, 0, 1))
     assert ratfactor.rational_roots([F(3, 2)]) == ([], (1,))
     for bad in ([0, 0, 1], _product([-1, 1], [-1, 1], [-1 - N12, 1], [-1 - N12, 1])):
         with pytest.raises(ValueError, match="not square-free"):
