@@ -463,9 +463,8 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     (x - M)^2 - 3 with M = 10^30 + 7, asked for 224 bits, the two real
     roots come back with imaginary parts near 4e-7.
 
-    The seeds are floats from the coefficients scaled by their largest: the
-    quadratic formula in degree 2, so that quadratics never load numpy, and
-    ``numpy.roots`` above; a root lost to underflow is seeded on a spiral.
+    The seeds are ``numpy.roots`` of the coefficients scaled by their largest,
+    as floats; a root lost to underflow is seeded on a spiral.
     Newton steps with Aberth's correction, which keeps two approximations
     from settling on one root, then refine all roots together while the
     working precision P doubles from 106 bits to ``bits`` (Bini, Numer.
@@ -495,13 +494,9 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     deg = univar.degree(p)
     top = max(abs(c) for c in p)
     fl = [float(c / top) for c in p]
-    if deg == 2 and fl[2]:
-        disc = cmath.sqrt(fl[1] ** 2 - 4 * fl[0] * fl[2])
-        seeds = [(-fl[1] + disc) / (2 * fl[2]), (-fl[1] - disc) / (2 * fl[2])]
-    else:
-        import numpy
+    import numpy
 
-        seeds = [complex(z) for z in numpy.roots(fl[::-1])]
+    seeds = [complex(z) for z in numpy.roots(fl[::-1])]
     zs = [z for z in seeds if cmath.isfinite(z)]
     zs += [(0.4 + 0.9j) ** k for k in range(len(zs), deg)]
     # seeds too close for floats to tell two real roots from a conjugate

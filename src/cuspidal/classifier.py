@@ -13,9 +13,14 @@ analysis:
   by the fiber scan).
 
 * gap (border rank w < rank, W non-reduced, unique since 2w ≤ n+2): the
-  branches on m = multiplicity of W at A are encoded in classify_e3 below,
-  including the span-membership subcase criterion that distinguishes the
-  values w-1 and w-2 when W = 2A + (reduced part).
+  value depends on m = multiplicity of W at A, with a span-membership
+  subcase criterion that distinguishes the values w-1 and w-2 when
+  W = 2A + (reduced part).
+
+Each case is one row of CASES below: its band in (n, ρ) or (n, w), its
+predicted interval, its notes and its --explain line.  classify_e3 and
+classify_e4 decide only the shape of the scheme and hand its candidate
+rows to one constructor, which takes the first whose band holds.
 
 The span-versus-multiplicity equivalence (O ∈ ⟨W⟩ iff m ≥ 2) is exposed as
 an operation computing both routes.  With d = n+1 and h = W.product_form(),
@@ -37,6 +42,7 @@ disagree.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,7 +58,7 @@ from .binform import (
     form_from_apolar,
     random_form,
 )
-from .projection import ProjectionFrame, cusp_curve_images, cusp_curve_point, project, x_rank
+from .projection import ProjectionFrame, cusp_curve_images, project, x_rank
 
 
 class ClassifierError(ValueError):
@@ -184,6 +190,99 @@ def o_in_span(W: ZeroScheme, frame: ProjectionFrame) -> bool:
     return by_span
 
 
+# -- the case table ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Case:
+    """One case of the paper, its level ρ for e4 and w for e3: the band of
+    (n, level) it covers, the (lo, hi) it predicts there, the line that
+    ``classify --explain`` prints for it from (n, level, inputs), and its
+    notes.  A witnessed case publishes the scheme its shape hands it.
+    out_of_scope has no band: it is taken when no candidate's band holds."""
+
+    theorem: str
+    band: Callable[[int, int], bool] | None
+    value: Callable[[int, int], tuple]
+    explain: Callable[[int, int, dict], str]
+    notes: tuple[str, ...] = ()
+    witnessed: bool = False
+
+
+def _sigma_line(n: int, w: int, inputs: dict) -> str:
+    return (
+        "m = 2 with reduced residual; membership of the target in the "
+        f"center-extended residual span: {inputs['sigma_member']}"
+    )
+
+
+def _gap_band(n: int, w: int) -> bool:
+    """The band of e3_2, e3_3_wminus1 and e3_3_wminus2: m >= 2 with W != 2A
+    gives w >= 3, up to the uniqueness bound 2w <= n+2."""
+    return w >= 3 and 2 * w <= n + 2
+
+
+def _m0_line(n: int, w: int, inputs: dict) -> str:
+    return f"m = 0 band: 2w = {2 * w} against n-1 = {n - 1}, n+1 = {n + 1}"
+
+
+_SPAN_NOTE = (
+    "subcase decided by a span-membership criterion taken from the argument, not the statement",
+)
+
+CASES: dict[str, Case] = {
+    "e4_i": Case(
+        "e4", lambda n, rho: rho >= 2 and 2 * rho <= n, lambda n, rho: (rho, rho),
+        lambda n, rho, _: f"band 2*rho <= n: {2 * rho} <= {n}",
+        ("the computing set on the cuspidal curve is unique",), witnessed=True,
+    ),
+    "e4_ii": Case(
+        "e4", lambda n, rho: rho >= 2 and n + 1 <= 2 * rho <= n + 2, lambda n, rho: (rho - 1, rho),
+        lambda n, rho, _: f"band n+1 <= 2*rho <= n+2: {n + 1} <= {2 * rho} <= {n + 2}",
+        ("no selection criterion between the endpoints is available",), witnessed=True,
+    ),
+    "e4_iii": Case(
+        "e4", lambda n, rho: n % 2 == 1 and 2 * rho == n + 3, lambda n, rho: (rho - 1, rho - 1),
+        lambda n, rho, _: f"band 2*rho = n+3: {2 * rho} = {n + 3} (n odd)",
+        ("generic-only: holds on a dense open subset and must be "
+         "confirmed per instance by the fiber scan",),
+    ),
+    "e3_2": Case(
+        "e3", _gap_band, lambda n, w: (n + 3 - w, n + 3 - w),
+        lambda n, w, _: "m >= 3, or m = 2 with a non-reduced residual",
+    ),
+    "e3_3_wminus1": Case(
+        "e3", _gap_band, lambda n, w: (w - 1, w - 1),
+        _sigma_line, _SPAN_NOTE, witnessed=True,
+    ),
+    "e3_3_wminus2": Case(
+        "e3", _gap_band, lambda n, w: (w - 2, w - 2),
+        _sigma_line, _SPAN_NOTE, witnessed=True,
+    ),
+    "e3_3_cusp": Case(
+        "e3", lambda n, w: w == 2, lambda n, w: (1, 1),
+        lambda n, w, _: "scheme is the double cusp preimage: point on the curve",
+        ("the projected point lies on the cuspidal curve",), witnessed=True,
+    ),
+    "e3_4_exact": Case(
+        "e3", lambda n, w: w >= 2 and 2 * w <= n - 1, lambda n, w: (n + 1 - w, n + 1 - w),
+        _m0_line,
+    ),
+    "e3_4_interval": Case(
+        "e3", lambda n, w: w >= 2 and n <= 2 * w <= n + 1, lambda n, w: (n + 1 - w, n + 3 - w),
+        _m0_line, ("only the bounds are classified in this band",),
+    ),
+    "e3_5": Case(
+        "e3", lambda n, w: w >= 3 and 2 * w <= n, lambda n, w: (n + 2 - w, n + 2 - w),
+        lambda n, w, _: f"m = 1 with 2w = {2 * w} <= n = {n}",
+    ),
+    "out_of_scope": Case(
+        "e3", None, lambda n, w: (None, None),
+        lambda n, w, _: "the hypotheses of every clause fail",
+    ),
+}
+
+
 # -- verdicts ------------------------------------------------------------------
 
 
@@ -231,6 +330,45 @@ class ClassifierVerdict:
             "notes": list(self.notes),
         }
 
+    def explain(self) -> list[str]:
+        """The hypotheses that decided the case, then the prediction and the
+        notes: the trace of ``classify --explain``."""
+        i = self.inputs
+        n = i["n"]
+        if self.theorem == "e4":
+            level = i["rho"]
+            lines = [f"rank equals border rank: rho = {level}", "computing set is reduced"]
+        else:
+            level = i["w"]
+            lines = [
+                f"border rank w = {level} strictly below rank r = {i['r']}",
+                f"border scheme non-reduced, unique since 2w = {2 * level} <= n+2 = {n + 2}",
+                f"multiplicity at the cusp preimage: m = {i['mult_A']}",
+            ]
+        lines.append(CASES[self.case_tag].explain(n, level, i))
+        if self.prediction is not None:
+            lines.append(f"prediction: {self.prediction}")
+        return lines + list(self.notes)
+
+
+def _verdict(
+    n: int, level: int, inputs: dict, tags: tuple[str, ...], witness: ZeroScheme | None = None
+) -> ClassifierVerdict:
+    """The verdict of the first of tags whose band holds at (n, level), or
+    out_of_scope when none does.  A witnessed case publishes witness."""
+    tag = next((t for t in tags if CASES[t].band(n, level)), "out_of_scope")
+    case = CASES[tag]
+    notes = case.notes
+    if tag == "out_of_scope":
+        m = inputs["mult_A"]
+        bound = "n+1" if m == 0 else "n"
+        notes = (f"no prediction: cusp multiplicity {m} with 2w = {2 * level} > {bound}",)
+    if not case.witnessed:
+        witness = None
+    lo, hi = case.value(n, level)
+    points = None if witness is None else cusp_curve_images(n, witness)
+    return ClassifierVerdict(case.theorem, tag, lo, hi, witness, points, inputs, notes)
+
 
 def _guard_form(f: BinaryForm) -> ProjectionFrame:
     """The frame of a classifiable form: nonzero, degree n+1 with n >= 3, and
@@ -258,50 +396,13 @@ def _classify_e4(frame: ProjectionFrame, cert: RankCertificate) -> ClassifierVer
             "the border-gap classification applies otherwise"
         )
     rho = cert.rank
-    if rho < 2 or 2 * rho > n + 3:
-        raise ClassifierError(f"computing-set size {rho} outside 2..{(n + 3) // 2}")
     E = cert.witness_scheme
-    inputs = {
-        "n": n,
-        "rho": rho,
-        "r": rho,
-        "mult_A": E.multiplicity_at(POINT_A),
-        "witness_reduced": True,
-    }
-    if 2 * rho <= n:
-        return ClassifierVerdict(
-            theorem="e4",
-            case_tag="e4_i",
-            lo=rho,
-            hi=rho,
-            witness_scheme=E,
-            witness_points=cusp_curve_images(n, E),
-            inputs=inputs,
-            notes=("the computing set on the cuspidal curve is unique",),
-        )
-    if 2 * rho <= n + 2:
-        return ClassifierVerdict(
-            theorem="e4",
-            case_tag="e4_ii",
-            lo=rho - 1,
-            hi=rho,
-            witness_scheme=E,
-            witness_points=cusp_curve_images(n, E),
-            inputs=inputs,
-            notes=("no selection criterion between the endpoints is available",),
-        )
-    # 2*rho == n+3 forces n odd (the left side is even)
-    return ClassifierVerdict(
-        theorem="e4",
-        case_tag="e4_iii",
-        lo=rho - 1,
-        hi=rho - 1,
-        inputs=inputs,
-        notes=(
-            "generic-only: holds on a dense open subset and must be "
-            "confirmed per instance by the fiber scan",
-        ),
-    )
+    m = E.multiplicity_at(POINT_A)
+    inputs = {"n": n, "rho": rho, "r": rho, "mult_A": m, "witness_reduced": True}
+    verdict = _verdict(n, rho, inputs, ("e4_i", "e4_ii", "e4_iii"), E)
+    if verdict.case_tag == "out_of_scope":
+        raise ClassifierError(f"computing-set size {rho} outside 2..{(n + 3) // 2}")
+    return verdict
 
 
 _TWO_A = ZeroScheme(((POINT_A.linear_form(), 2),))
@@ -330,112 +431,20 @@ def _classify_e3(
         )
     W = cert.witness_scheme
     m = W.multiplicity_at(POINT_A)
-    inputs = {
-        "n": n,
-        "w": w,
-        "r": cert.rank,
-        "mult_A": m,
-        "witness_reduced": False,
-    }
-
+    inputs = {"n": n, "w": w, "r": cert.rank, "mult_A": m, "witness_reduced": False}
     if W == _TWO_A:
-        return ClassifierVerdict(
-            theorem="e3",
-            case_tag="e3_3_cusp",
-            lo=1,
-            hi=1,
-            witness_scheme=_ONE_A,
-            witness_points=(cusp_curve_point(n, POINT_A),),
-            inputs=inputs,
-            notes=("the projected point lies on the cuspidal curve",),
-        )
-
+        return _verdict(n, w, inputs, ("e3_3_cusp",), _ONE_A)
     s2 = W.remove_point(POINT_A, 2) if m == 2 else None
     if m >= 3 or (m == 2 and not s2.is_reduced()):
-        return ClassifierVerdict(
-            theorem="e3",
-            case_tag="e3_2",
-            lo=n + 3 - w,
-            hi=n + 3 - w,
-            inputs=inputs,
-        )
-
+        return _verdict(n, w, inputs, ("e3_2",))
     if m == 2:
-        member = _in_center_extended_span(s2, apolar_coeffs(B).entries)
-        inputs["sigma_member"] = member
-        if member:
-            return ClassifierVerdict(
-                theorem="e3",
-                case_tag="e3_3_wminus2",
-                lo=w - 2,
-                hi=w - 2,
-                witness_scheme=s2,
-                witness_points=cusp_curve_images(n, s2),
-                inputs=inputs,
-                notes=(
-                    "subcase decided by a span-membership criterion taken "
-                    "from the argument, not the statement",
-                ),
-            )
-        w_red = W.reduced()
-        return ClassifierVerdict(
-            theorem="e3",
-            case_tag="e3_3_wminus1",
-            lo=w - 1,
-            hi=w - 1,
-            witness_scheme=w_red,
-            witness_points=cusp_curve_images(n, w_red),
-            inputs=inputs,
-            notes=(
-                "subcase decided by a span-membership criterion taken "
-                "from the argument, not the statement",
-            ),
-        )
-
+        inputs["sigma_member"] = _in_center_extended_span(s2, apolar_coeffs(B).entries)
+        if inputs["sigma_member"]:
+            return _verdict(n, w, inputs, ("e3_3_wminus2",), s2)
+        return _verdict(n, w, inputs, ("e3_3_wminus1",), W.reduced())
     if m == 0:
-        if 2 * w <= n - 1:
-            return ClassifierVerdict(
-                theorem="e3",
-                case_tag="e3_4_exact",
-                lo=n + 1 - w,
-                hi=n + 1 - w,
-                inputs=inputs,
-            )
-        if 2 * w <= n + 1:
-            return ClassifierVerdict(
-                theorem="e3",
-                case_tag="e3_4_interval",
-                lo=n + 1 - w,
-                hi=n + 3 - w,
-                inputs=inputs,
-                notes=("only the bounds are classified in this band",),
-            )
-        return ClassifierVerdict(
-            theorem="e3",
-            case_tag="out_of_scope",
-            lo=None,
-            hi=None,
-            inputs=inputs,
-            notes=(f"no prediction: cusp multiplicity 0 with 2w = {2 * w} > n+1",),
-        )
-
-    if m == 1 and 2 * w <= n:
-        return ClassifierVerdict(
-            theorem="e3",
-            case_tag="e3_5",
-            lo=n + 2 - w,
-            hi=n + 2 - w,
-            inputs=inputs,
-        )
-
-    return ClassifierVerdict(
-        theorem="e3",
-        case_tag="out_of_scope",
-        lo=None,
-        hi=None,
-        inputs=inputs,
-        notes=(f"no prediction: cusp multiplicity {m} with 2w = {2 * w} > n",),
-    )
+        return _verdict(n, w, inputs, ("e3_4_exact", "e3_4_interval"))
+    return _verdict(n, w, inputs, ("e3_5",))
 
 
 def classify(f: BinaryForm) -> ClassifierVerdict:
@@ -464,29 +473,14 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.case_tag not in CASE_TAGS or self.case_tag in (
-            "e3_1_info",
-            "out_of_scope",
-        ):
+        case = CASES.get(self.case_tag)
+        if case is None or case.band is None:
             raise ClassifierError(f"no generation recipe for {self.case_tag!r}")
-        n, k = self.n, self.level
-        if n < 3:
+        if self.n < 3:
             raise ClassifierError("instances need n >= 3")
-        ok = {
-            "e4_i": k >= 2 and 2 * k <= n,
-            "e4_ii": k >= 2 and n + 1 <= 2 * k <= n + 2,
-            "e4_iii": n % 2 == 1 and 2 * k == n + 3,
-            "e3_2": k >= 3 and 2 * k <= n + 2,
-            "e3_3_wminus1": k >= 3 and 2 * k <= n + 2,
-            "e3_3_wminus2": k >= 3 and 2 * k <= n + 2,
-            "e3_3_cusp": k == 2,
-            "e3_4_exact": k >= 2 and 2 * k <= n - 1,
-            "e3_4_interval": k >= 2 and n <= 2 * k <= n + 1,
-            "e3_5": k >= 3 and 2 * k <= n,
-        }[self.case_tag]
-        if not ok:
+        if not case.band(self.n, self.level):
             raise ClassifierError(
-                f"{self.case_tag} does not admit (n={n}, level={k})"
+                f"{self.case_tag} does not admit (n={self.n}, level={self.level})"
             )
 
 
@@ -558,7 +552,7 @@ def generate_instance(spec: InstanceSpec) -> GeneratedInstance:
     d = n + 1
     frame = ProjectionFrame(n)
 
-    if spec.case_tag in ("e4_i", "e4_ii", "e4_iii"):
+    if CASES[spec.case_tag].theorem == "e4":
         return _generate_e4(spec, rng, frame)
 
     for _ in range(_RETRIES):

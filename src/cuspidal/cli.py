@@ -54,8 +54,12 @@ def _emit(blob: dict) -> None:
     print(json.dumps(blob))
 
 
+def _error(exc: Exception) -> dict:
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
 def _fail(exc: Exception) -> int:
-    _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+    _emit(_error(exc))
     return 1
 
 
@@ -195,59 +199,13 @@ def cmd_xrank(args) -> int:
     return _for_each_line([None] if args.coords else _input_lines(args), handler)
 
 
-def _trace(v) -> list[str]:
-    i = v.inputs or {}
-    n = i.get("n")
-    lines = []
-    if v.theorem == "e4":
-        rho = i.get("rho")
-        lines.append(f"rank equals border rank: rho = {rho}")
-        lines.append("computing set is reduced")
-        if v.case_tag == "e4_i":
-            lines.append(f"band 2*rho <= n: {2 * rho} <= {n}")
-        elif v.case_tag == "e4_ii":
-            lines.append(
-                f"band n+1 <= 2*rho <= n+2: {n + 1} <= {2 * rho} <= {n + 2}"
-            )
-        else:
-            lines.append(f"band 2*rho = n+3: {2 * rho} = {n + 3} (n odd)")
-    else:
-        w, m = i.get("w"), i.get("mult_A")
-        lines.append(f"border rank w = {w} strictly below rank r = {i.get('r')}")
-        lines.append(
-            f"border scheme non-reduced, unique since 2w = {2 * w} <= n+2 = {n + 2}"
-        )
-        lines.append(f"multiplicity at the cusp preimage: m = {m}")
-        if v.case_tag == "e3_3_cusp":
-            lines.append("scheme is the double cusp preimage: point on the curve")
-        elif v.case_tag == "e3_2":
-            lines.append("m >= 3, or m = 2 with a non-reduced residual")
-        elif v.case_tag in ("e3_3_wminus1", "e3_3_wminus2"):
-            lines.append(
-                "m = 2 with reduced residual; membership of the target in the "
-                f"center-extended residual span: {i.get('sigma_member')}"
-            )
-        elif v.case_tag.startswith("e3_4"):
-            lines.append(
-                f"m = 0 band: 2w = {2 * w} against n-1 = {n - 1}, n+1 = {n + 1}"
-            )
-        elif v.case_tag == "e3_5":
-            lines.append(f"m = 1 with 2w = {2 * w} <= n = {n}")
-        else:
-            lines.append("the hypotheses of every clause fail")
-    if v.prediction is not None:
-        lines.append(f"prediction: {v.prediction}")
-    lines.extend(v.notes)
-    return lines
-
-
 def cmd_classify(args) -> int:
     def handler(f):
         v = classify(f)
         blob = v.to_json()
         blob["form"] = _form_json(f)
         if args.explain:
-            blob["explain"] = _trace(v)
+            blob["explain"] = v.explain()
         return blob
 
     return _for_each_form(args, handler)
@@ -318,17 +276,10 @@ def cmd_verify(args) -> int:
         lines = _input_lines(args) if has_input else stdin_lines
         for line in lines:
             try:
-                f = _parse_form_text(line)
-                rep = crosscheck(f)
+                rep = crosscheck(_parse_form_text(line))
                 check({"check": "crosscheck", **rep}, _crosscheck_ok(rep))
             except _FAILURES as exc:
-                check(
-                    {
-                        "check": "crosscheck",
-                        "error": {"type": type(exc).__name__, "message": str(exc)},
-                    },
-                    False,
-                )
+                check({"check": "crosscheck", **_error(exc)}, False)
     else:
         from .oracle import dichotomy_fuzz, secant_dimension_probe
 
@@ -338,32 +289,26 @@ def cmd_verify(args) -> int:
                 check({"check": "fuzz", **rep}, rep["violations"] == 0)
             except AssertionError as exc:
                 check({"check": "fuzz", "degree": d, "detail": str(exc)}, False)
+            except _FAILURES as exc:
+                check({"check": "fuzz", "degree": d, **_error(exc)}, False)
         for n in range(3, args.probe_max_n + 1):
             for s in range(1, (n + 2) // 2 + 1):
-                dim = secant_dimension_probe(s, n, seed=args.seed)
+                blob = {"check": "probe", "s": s, "n": n}
+                try:
+                    dim = secant_dimension_probe(s, n, seed=args.seed)
+                except _FAILURES as exc:
+                    check({**blob, **_error(exc)}, False)
+                    continue
                 expected = min(n, 2 * s - 1)
-                check(
-                    {"check": "probe", "s": s, "n": n, "dimension": dim,
-                     "expected": expected},
-                    dim == expected,
-                )
+                check({**blob, "dimension": dim, "expected": expected}, dim == expected)
         for tag, n, level in _VERIFY_BATTERY:
+            blob = {"check": "crosscheck", "case_expected": tag}
             try:
                 inst = generate_instance(InstanceSpec(tag, n, level, seed=args.seed))
                 rep = crosscheck(inst.form)
-                check(
-                    {"check": "crosscheck", "case_expected": tag, **rep},
-                    rep.get("case") == tag and _crosscheck_ok(rep),
-                )
+                check({**blob, **rep}, rep.get("case") == tag and _crosscheck_ok(rep))
             except _FAILURES as exc:
-                check(
-                    {
-                        "check": "crosscheck",
-                        "case_expected": tag,
-                        "error": {"type": type(exc).__name__, "message": str(exc)},
-                    },
-                    False,
-                )
+                check({**blob, **_error(exc)}, False)
 
     _emit({"check": "summary", "records": total, "failed": failed})
     return 0 if failed == 0 else 1

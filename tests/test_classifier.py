@@ -18,6 +18,7 @@ from cuspidal.binform import (
     apolar_coeffs,
 )
 from cuspidal.classifier import (
+    CASES,
     ClassifierError,
     GeneratedInstance,
     InstanceSpec,
@@ -445,22 +446,12 @@ class TestGeneration:
     @pytest.mark.parametrize(
         "tag,n,level",
         [
-            ("e4_i", 6, 2),
-            ("e4_i", 8, 4),
-            ("e4_ii", 7, 4),
-            ("e4_ii", 8, 5),
-            ("e4_iii", 5, 4),
-            ("e3_2", 7, 3),
-            ("e3_2", 8, 5),
-            ("e3_3_wminus1", 7, 4),
-            ("e3_3_wminus2", 7, 4),
-            ("e3_3_wminus1", 9, 5),
-            ("e3_3_wminus2", 9, 5),
-            ("e3_3_cusp", 6, 2),
-            ("e3_4_exact", 9, 4),
-            ("e3_4_interval", 8, 4),
-            ("e3_5", 8, 4),
-            ("e3_5", 10, 5),
+            (tag, n, level)
+            for tag, case in CASES.items()
+            if case.band is not None
+            for n in range(3, 11)
+            for level in range(1, n + 4)
+            if case.band(n, level)
         ],
     )
     def test_annotation_consistency(self, tag, n, level):

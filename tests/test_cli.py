@@ -691,6 +691,36 @@ class TestProbeAndVerify:
         assert recs[-1]["check"] == "summary"
         assert recs[-1]["failed"] == 0
 
+    def test_verify_reports_a_fuzz_error_as_a_record(self, capsys, monkeypatch):
+        """A degree the fuzzer refuses gives a failed fuzz record with the
+        error, and the battery still runs to its summary."""
+        code, recs = run(
+            capsys, monkeypatch, ["verify", "--fuzz-degrees", "1", "--probe-max-n", "3"]
+        )
+        assert code == 1
+        assert recs[0] == {
+            "check": "fuzz",
+            "degree": 1,
+            "error": {"type": "ValueError", "message": "fuzzing needs degree at least 2"},
+            "ok": False,
+        }
+        assert recs[-1] == {"check": "summary", "records": len(recs) - 1, "failed": 1}
+
+    def test_verify_reports_a_probe_error_as_a_record(self, capsys, monkeypatch):
+        def fail(s, n, seed=0):
+            raise RuntimeError(f"no rank at s = {s}")
+
+        monkeypatch.setattr("cuspidal.oracle.secant_dimension_probe", fail)
+        monkeypatch.setattr("cuspidal.cli._VERIFY_BATTERY", [])
+        code, recs = run(
+            capsys, monkeypatch,
+            ["verify", "--fuzz-samples", "5", "--fuzz-degrees", "2", "--probe-max-n", "3"],
+        )
+        assert code == 1
+        error = {"type": "RuntimeError", "message": "no rank at s = 2"}
+        assert recs[2] == {"check": "probe", "s": 2, "n": 3, "error": error, "ok": False}
+        assert recs[-1] == {"check": "summary", "records": 3, "failed": 2}
+
 
 class TestConfiguration:
     def test_env_seed_used_when_flag_absent(self, capsys, monkeypatch):
