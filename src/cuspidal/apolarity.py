@@ -3,11 +3,12 @@
 For a nonzero binary form f of degree d, the level-r catalecticant is the
 Hankel matrix of apolar coefficients with d-r+1 rows and r+1 columns.  Its
 right kernel, read back as degree-r forms, is the degree-r slice of the
-apolar ideal.  The first level w with a nontrivial kernel is the border rank,
-which the apolar ideal, a complete intersection, makes the rank of the middle
-catalecticant; the rank is w when the level-w kernel contains a square-free
-form and d+2-w when it does not.  The roots of a square-free kernel form are
-the linear forms of a minimal power-sum decomposition: a root (a:b) contributes the summand
+apolar ideal.  The first level w with a nontrivial kernel is the border rank;
+since the apolar ideal is a complete intersection, the one kernel at level
+floor(d/2)+1 fixes w and the level-w kernel.  The rank is w when the
+level-w kernel contains a square-free form and d+2-w when it does not.  The
+roots of a square-free kernel form are the linear forms of a minimal
+power-sum decomposition: a root (a:b) contributes the summand
 s*(a*u + b*t)^d, which is the convention every residual check here validates.
 """
 
@@ -58,15 +59,55 @@ def _hankel(a: tuple, r: int) -> tuple[tuple, ...]:
 
 def _border_kernel(a: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
     """Border rank w and the level-w kernel basis of the nonzero form with
-    integer apolar vector a, from one rank and one kernel.  The apolar ideal
-    is a complete intersection with generators of degrees w <= d+2-w, so the
-    level-r catalecticant has rank min(r+1, w, d-r+1), which is w at
-    r = floor(d/2) (Iarrobino-Kanev, LNM 1721).  No level below w has a
-    kernel: a kernel form of degree r < w would put floor(d/2)-r+1
-    independent multiples in the middle kernel, leaving rank <= r.  For
-    d = 0 the level w = 1 is out of range."""
-    w = linalg.rank(_hankel(a, (len(a) - 1) // 2))
-    return w, linalg.nullspace(_hankel(a, w))
+    integer apolar vector a, from one kernel K of the level-(m+1)
+    catalecticant, m = floor(d/2).
+
+    The apolar ideal is a complete intersection with generators g1, g2 of
+    degrees w <= d+2-w (Iarrobino-Kanev, LNM 1721), so the level-r
+    catalecticant has rank min(r+1, w, d-r+1), and ``_border_level`` reads
+    w off dim K.  At w = m+1 the level-w kernel is K itself.  Below it,
+    m+1 < d+2-w, so the kernel at level m+1 is g1 S_(m+1-w), the shifts of
+    g1; they end at the consecutive columns e..e+m+1-w, e the last nonzero
+    column of g1, and the basis vector of the first free column e is g1
+    padded with zeros, which is the canonical level-w vector, so the basis
+    is K[0] with those zeros dropped.  That K[0] lies in the level-w kernel
+    is checked, not trusted: w <= m, its entries beyond w vanish, and it
+    annihilates the bottom rows d-m..d-w of the level-w catalecticant,
+    which are the ones the level-(m+1) catalecticant lacks.  For d = 0 the
+    level 1 is out of range."""
+    d = len(a) - 1
+    m = d // 2
+    kernel = linalg.nullspace(_hankel(a, m + 1))
+    w = _border_level(a, kernel)
+    if w == m + 1:
+        return w, kernel
+    g1 = kernel[0][: w + 1]
+    if not 0 <= w <= m or any(kernel[0][w + 1 :]) or any(
+        _dot(row, g1) for row in _hankel(a, w)[d - m :]
+    ):
+        raise CertificateError(f"the first kernel holds no level-{w} kernel vector")
+    return w, [g1]
+
+
+def _border_level(a: tuple[int, ...], kernel: list[tuple[int, ...]]) -> int:
+    """Border rank w from the kernel K of the level-(m+1) catalecticant,
+    m = floor(d/2), whose rank is min(m+2, w, d-m) with w <= m+1.  For odd
+    d that is w, so w = m+2 - dim K.  For even d it is min(w, m): dim K = 2
+    at w = m and at w = m+1, and m+2-w otherwise.  At w = m the basis
+    vector K[0] is g1 padded with one zero (``_border_kernel``), so it ends
+    in 0 and the last row (a_(d-m), ..., a_d) of the level-m catalecticant
+    annihilates K[0][:m+1]; at w = m+1 no such vector exists, since with
+    the rows K annihilates it would lie in the trivial level-m kernel."""
+    d = len(a) - 1
+    m = d // 2
+    if d % 2 or len(kernel) != 2:
+        return m + 2 - len(kernel)
+    g = kernel[0]
+    return m if not g[-1] and not _dot(a[d - m :], g) else m + 1
+
+
+def _dot(x, y) -> int:
+    return sum(p * q for p, q in zip(x, y))
 
 
 def _first_kernel(f: BinaryForm) -> tuple[int, list[BinaryForm]]:
@@ -86,18 +127,13 @@ def _ideal_generators(a) -> list[tuple[int, ...]]:
     there, and g2 is such a form.  Both annihilate and their degrees sum to
     m+2, so once checked coprime they generate the ideal, whatever the rank
     said: the quotient by (g1, g2) is Gorenstein of socle degree m, and a
-    larger ideal would contain its socle and annihilate every form.  A rank
-    above the floor(m/2)+1 columns of the middle catalecticant raises."""
+    larger ideal would contain its socle and annihilate every form."""
     if not any(a):
         return [(1,)]
     a = linalg.canonical_vector(a)
     m = len(a) - 1
     w, basis = _border_kernel(a)
-    if not basis:
-        raise CertificateError(f"trivial kernel at the claimed level {w}")
     g1, s = basis[0], m + 2 - w
-    if s < w:
-        raise CertificateError(f"border rank {w} of a degree-{m} form above {m // 2 + 1}")
     e = max(i for i, c in enumerate(g1) if c)
     keep = [j for j in range(s + 1) if not e <= j <= e + s - w]
     found = linalg.nullspace([[a[i + j] for j in keep] for i in range(m - s + 1)], ncols=len(keep))
@@ -307,61 +343,66 @@ def _gaussian(x) -> tuple[int, int, int]:
     return (-m1 if s1 else m1) << (e1 - e), (-m2 if s2 else m2) << (e2 - e), 1 << -e
 
 
+def _exact_terms(terms) -> tuple:
+    """The terms s, (a, b) as the ``_gaussian`` triples of s, a and b: their
+    exact values, on which equality is equality of values.  The terms
+    themselves are no such key, since mpmath compares an mpf with a Fraction
+    after rounding the Fraction."""
+    return tuple((_gaussian(s), _gaussian(a), _gaussian(b)) for s, (a, b) in terms)
+
+
 def _reconstruct_in_integers(terms, d: int) -> tuple[int, list[int], list[int]]:
-    """sum s (a u + b t)^d over terms whose parts are rationals or mpmath
-    numbers, exactly, as a common denominator and the real and imaginary
-    integer numerators of its monomial coefficients.  With each part read
-    by ``_gaussian``, a point (a, b) is the Gaussian integer pair
-    (a_n b_q, b_n a_q) over a_q b_q, so a term is an integer column over
-    s_q (a_q b_q)^d; the columns are summed over the lcm of those
-    denominators."""
-    den, columns = 1, []
-    for s, (a, b) in terms:
-        (sr, si, sq), (ar, ai, aq), (br, bi, bq) = _gaussian(s), _gaussian(a), _gaussian(b)
-        q = sq * (aq * bq) ** d
-        columns.append((sr, si, q, _gaussian_column((ar * bq, ai * bq), (br * aq, bi * aq), d)))
-        den = lcm(den, q)
+    """sum s (a u + b t)^d over the ``_exact_terms`` triples, exactly, as a
+    common denominator and the real and imaginary integer numerators of its
+    monomial coefficients.
+
+    A point (a, b) is the Gaussian integer pair A = a_n b_q, B = b_n a_q
+    over a_q b_q, so a term's coefficient at t^k is C(d,k) s_n A^(d-k) B^k
+    over q = s_q (a_q b_q)^d.  Over the lcm ``den`` of those q, each term
+    folds its scalar s_n den / q into the running power s_n (den / q) B^k,
+    one Gaussian product per k; a power of 2 for A, as at every point (1:b)
+    that ``decompose`` builds in mpmath, is applied by shifts; and C(d,k)
+    multiplies each coefficient once, after the sum over the terms."""
+    qs = [sq * (aq * bq) ** d for (_, _, sq), (_, _, aq), (_, _, bq) in terms]
+    den = lcm(*qs)
     real, imag = [0] * (d + 1), [0] * (d + 1)
-    for sr, si, q, column in columns:
-        sr, si = sr * (den // q), si * (den // q)
-        for k, (x, y) in enumerate(column):
-            if si:  # three products (Gauss), not four
-                p = x * (sr + si)
-                real[k] += p - si * (x + y)
-                imag[k] += p + sr * (y - x)
-            else:
-                real[k] += sr * x
-                imag[k] += sr * y
-    return den, real, imag
+    for ((sr, si, _), (ar, ai, aq), (br, bi, bq)), q in zip(terms, qs):
+        sbk = _gaussian_powers(sr * (den // q), si * (den // q), br * aq, bi * aq, d)
+        ar, ai = ar * bq, ai * bq
+        if not ai and ar > 0 and not ar & (ar - 1):
+            e = ar.bit_length() - 1
+            for k, (x, y) in enumerate(sbk):
+                real[k] += x << e * (d - k)
+                imag[k] += y << e * (d - k)
+            continue
+        apow = _gaussian_powers(1, 0, ar, ai, d)
+        for k, (x, y) in enumerate(sbk):
+            u, v = apow[d - k]
+            real[k] += x * u - y * v
+            imag[k] += x * v + y * u
+    return (den, [comb(d, k) * x for k, x in enumerate(real)],
+            [comb(d, k) * y for k, y in enumerate(imag)])
 
 
-def _gaussian_column(a: tuple[int, int], b: tuple[int, int], d: int) -> list[tuple[int, int]]:
-    """Monomial coefficients of (a u + b t)^d for Gaussian integers a, b.
-    A power of 2 for a, as at every point (1:b) that ``decompose`` builds,
-    is applied by shifts."""
-    bpow = [(1, 0)]
+def _gaussian_powers(x: int, y: int, zr: int, zi: int, d: int) -> list[tuple[int, int]]:
+    """(x + i y) z^k for k = 0..d, z = zr + i zi, as pairs of parts."""
+    out = [(x, y)]
     for _ in range(d):
-        u, v = bpow[-1]
-        bpow.append((u * b[0] - v * b[1], u * b[1] + v * b[0]))
-    x, y = a
-    if not y and x > 0 and not x & (x - 1):
-        m = x.bit_length() - 1
-        return [(comb(d, k) * u << m * (d - k), comb(d, k) * v << m * (d - k))
-                for k, (u, v) in enumerate(bpow)]
-    apow = [(1, 0)]
-    for _ in range(d):
-        u, v = apow[-1]
-        apow.append((u * x - v * y, u * y + v * x))
-    out = []
-    for k in range(d + 1):
-        (u, v), (x, y), c = apow[d - k], bpow[k], comb(d, k)
-        out.append((c * (u * x - v * y), c * (u * y + v * x)))
+        x, y = x * zr - y * zi, x * zi + y * zr
+        out.append((x, y))
     return out
 
 
-def _residual_squared(f: BinaryForm, terms) -> tuple[int, int]:
+@lru_cache(maxsize=64)
+def _residual_squared(f: BinaryForm, terms: tuple) -> tuple[int, int]:
     """(num, den) with num / den the exact square of the max-norm of f
-    minus the power sum of the terms, relative to the max-norm of f."""
+    minus the power sum of the ``_exact_terms`` triples, relative to the
+    max-norm of f.
+
+    The last 64 are kept, so that ``verify_decomposition`` on a
+    decomposition just built reads the residual ``decompose`` formed.  It
+    is a function of the exact values of f and of every term, and those
+    are the key, so a term that is forged or moved is measured afresh."""
     d = f.degree
     den, real, imag = _reconstruct_in_integers(terms, d)
     fden = lcm(*(c.denominator for c in f.coeffs))
@@ -380,13 +421,16 @@ def verify_decomposition(f: BinaryForm, dec: Decomposition):
     mpmath part as a dyadic rational, and the power sum is formed in
     integers, so the residual is exact; it is returned as an mpf of
     ``RESIDUAL_BITS`` bits rounded up, a proved upper bound that is 0
-    exactly when the terms reconstruct f.
+    exactly when the terms reconstruct f.  The exact residual is the memo
+    of ``_residual_squared``, keyed by those exact values: a complex or
+    algebraic decomposition checked right after ``decompose`` built it is
+    not reconstructed a second time.
     """
     if f.degree != dec.degree:
         raise ValueError("degree mismatch between form and decomposition")
     if f.is_zero():
         raise ZeroFormError("verification against the zero form")
-    return _upper_root(*_residual_squared(f, dec.terms))
+    return _upper_root(*_residual_squared(f, _exact_terms(dec.terms)))
 
 
 def _upper_root(num: int, den: int):
@@ -545,32 +589,34 @@ def _decompose_exact(f: BinaryForm, g: BinaryForm, points, quad, bits: int) -> D
     ``quad`` is the monic irreducible [q, p, 1], over its roots gamma and
     -p - gamma, proved in rationals.
 
-    The rational scalars come from ``_residue_scalars``.  What their power
-    sum leaves of the apolar coordinates of f is a_0, ..., a_d, which must
-    be the power sums P_i of the pair: ``_pair_scalar`` reads the pair's
-    scalar off a_0 and a_1, and P_(i+2) = -p P_(i+1) - q P_i, the recurrence
-    of the minimal polynomial, gives the rest.  P_i = a_i for every i, or
-    a_i = 0 for every i with no pair, is the certificate; CertificateError
-    otherwise.  The pair is published in mpc at bits + 32, gamma the larger
-    real root or the one with positive imaginary part.
+    The rational scalars come from ``_residue_scalars``.  With no pair, the
+    certificate is an exact residual of 0, the one ``verify_decomposition``
+    reads from the memo of ``_residual_squared``.  Otherwise what their
+    power sum leaves of the apolar coordinates of f is a_0, ..., a_d, which
+    must be the power sums P_i of the pair: ``_pair_scalar`` reads the
+    pair's scalar off a_0 and a_1, and P_(i+2) = -p P_(i+1) - q P_i, the
+    recurrence of the minimal polynomial, gives the rest, and P_i = a_i for
+    every i is the certificate.  CertificateError otherwise.  The pair is
+    published in mpc at bits + 32, gamma the larger real root or the one
+    with positive imaginary part.
     """
     d = f.degree
     scalars = [Fraction(re, q) for re, _, q in _residue_scalars(f, g, points)]
     terms = tuple(zip(scalars, points))
-    den, real, _ = _reconstruct_in_integers(terms, d)
+    if quad is None:
+        if _residual_squared(f, _exact_terms(terms))[0]:
+            raise CertificateError("the power sum does not reconstruct the form")
+        return Decomposition(d, terms, mpmath.mpf(0), "rational", bits)
+    den, real, _ = _reconstruct_in_integers(_exact_terms(terms), d)
     a = [Fraction(c.numerator * den - x * c.denominator, c.denominator * den * comb(d, i))
          for i, (c, x) in enumerate(zip(f.coeffs, real))]
-    power_sums = [0] * (d + 1)
-    if quad is not None:
-        q, p = quad[0], quad[1]
-        alpha, beta = _pair_scalar(a[0], a[1], p, q)
-        power_sums = [2 * alpha - p * beta, (p * p - 2 * q) * beta - p * alpha]
-        while len(power_sums) <= d:
-            power_sums.append(-p * power_sums[-1] - q * power_sums[-2])
+    q, p = quad[0], quad[1]
+    alpha, beta = _pair_scalar(a[0], a[1], p, q)
+    power_sums = [2 * alpha - p * beta, (p * p - 2 * q) * beta - p * alpha]
+    while len(power_sums) <= d:
+        power_sums.append(-p * power_sums[-1] - q * power_sums[-2])
     if power_sums != a:
         raise CertificateError("the power sum does not reconstruct the form")
-    if quad is None:
-        return Decomposition(d, terms, mpmath.mpf(0), "rational", bits)
     emb = AlgebraicNumber(tuple(quad), True).value(bits)
     with mpmath.workprec(bits + 32):
 
@@ -583,7 +629,8 @@ def _decompose_exact(f: BinaryForm, g: BinaryForm, points, quad, bits: int) -> D
             (at(alpha, beta), (one, at(0, 1))),
             (at(alpha - p * beta, -beta), (one, at(-p, -1))),
         )
-    return Decomposition(d, terms, _upper_root(*_residual_squared(f, terms)), "algebraic", bits)
+    residual = _upper_root(*_residual_squared(f, _exact_terms(terms)))
+    return Decomposition(d, terms, residual, "algebraic", bits)
 
 
 def _nearest(num: int, den: int, prec: int) -> tuple:
@@ -621,7 +668,7 @@ def _decompose_numeric(
         (mpmath.mp.make_mpc((_nearest(re, q, bits + 32), _nearest(im, q, bits + 32))), p)
         for (re, im, q), p in zip(_residue_scalars(f, g, pts), pts)
     )
-    num, den = _residual_squared(f, terms)
+    num, den = _residual_squared(f, _exact_terms(terms))
     if not num << 2 * ((bits + 1) // 2) < den:
         raise PrecisionError("decomposition residual above the precision target")
     return Decomposition(f.degree, terms, _upper_root(num, den), "complex", bits)

@@ -121,6 +121,17 @@ class BinaryForm:
             )
         object.__setattr__(self, "coeffs", coeffs)
 
+    _hash = None  # a class attribute, not a field: set on the first hash
+
+    def __hash__(self) -> int:
+        """The dataclass's own hash, formed on first use and kept: the memos
+        of ``apolarity`` look a form up more than once."""
+        h = self._hash
+        if h is None:
+            h = hash((self.degree, self.coeffs))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     # -- basic structure ---------------------------------------------------
 
     def is_zero(self) -> bool:

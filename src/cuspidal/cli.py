@@ -6,10 +6,11 @@ input), deterministic given --seed.  Only decompose and verify-decomp take
 subcommand refuses them as a usage error.  Every input line gives exactly one
 output record, its result or a structured error, and a bad line does not
 stop the batch.  Exit codes: 0 all checks passed, 1 some line failed or a
-check failed (structured error JSON on stdout), 2 usage.  The numeric oracle
-is imported only by the subcommands that run it; numpy is imported by it, and
-for the seeds of the roots of a witness cofactor of degree 3 or more that a
-decomposition refines.
+check failed (structured error JSON on stdout) or stdout was closed early
+(the rest of the output is dropped, with no traceback), 2 usage.  The
+numeric oracle is imported only by the subcommands that run it; numpy is
+imported by it, and for the seeds of the roots of a witness cofactor of
+degree 3 or more that a decomposition refines.
 
 Forms are accepted in the text grammar ``d=<int>; [q0,q1,...]`` or as JSON
 records carrying "degree" and "coeffs" (either at the top level or under
@@ -401,13 +402,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "count", 1) < 1:
+        parser.error(f"argument --count: must be at least 1, got {args.count}")
     for dest, name, fallback in (("precision_bits", ENV_PRECISION, 192), ("seed", ENV_SEED, 0)):
         if getattr(args, dest, fallback) is None:  # the subcommand takes the flag
             setattr(args, dest, _env_int(parser, name, fallback))
     try:
-        return args.fn(args)
-    except GrammarError as exc:
-        return _fail(exc)
+        try:
+            status = args.fn(args)
+        except GrammarError as exc:
+            status = _fail(exc)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left, and the flush at
+        # exit, to the null device instead of raising again there
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -27,8 +27,11 @@
 * ``catalecticant``, ``kernel_basis`` and ``first_kernel_scan``: the
   border rank and first kernel were once found by scanning the
   catalecticant levels upward, one kernel per level, until one was
-  nontrivial.  They back ``apolarity._first_kernel``, which reads the
-  border rank off one rank at the middle level.
+  nontrivial.  They back ``apolarity._first_kernel``.
+* ``border_kernel_two_eliminations``: the border rank was once the rank of
+  the middle catalecticant, and the level-w kernel a second elimination at
+  that level.  It backs ``apolarity._border_kernel``, which reads both off
+  the one kernel at level floor(d/2)+1.
 * ``grid_generic_certificate``: the generic certificate of the fiber scan
   was once the whole zigzag grid of 4 w_gen + 2 integer lambda, each lift
   certified, the first square-free one kept, else the first.  Here every
@@ -85,6 +88,11 @@
 * ``fraction_reconstruct``: the power sum sum s (a u + b t)^d over the
   rationals was once built term by term in Fractions, the powers of a and b
   by repeated products.  It backs ``apolarity._reconstruct_in_integers``.
+* ``reconstruct_by_columns``: the integer power sum was once formed term by
+  term as the column C(d,k) a^(d-k) b^k of each point, times its scalar.
+  It backs ``apolarity._reconstruct_in_integers``, which folds the scalar
+  into the running power of b and multiplies by C(d,k) once per
+  coefficient.
 * ``per_root_aberth_roots``: ``binform.approximate_roots`` once took
   1/(z_i - z_j) afresh for each ordered pair in every Aberth sweep.  It
   backs the sweep of ``mp_aberth_roots``, which takes each pair's
@@ -117,13 +125,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 import mpmath
 
 from cuspidal import linalg, ratfactor, univar
-from cuspidal.apolarity import CertificateError, _hankel, _residue_numerator, rank
+from cuspidal.apolarity import CertificateError, _gaussian, _hankel, _residue_numerator, rank
 from cuspidal.binform import BinaryForm, P1Point, PrecisionError, ZeroFormError, apolar_coeffs
 from cuspidal.numberfield import AlgebraicNumber, NumberFieldError, _quadratic_root
 from cuspidal.oracle import _slots
@@ -472,6 +480,13 @@ def first_kernel_scan(f):
         if basis:
             return r, basis
     raise CertificateError("no kernel up to the guaranteed level")
+
+
+def border_kernel_two_eliminations(a) -> tuple[int, list[tuple[int, ...]]]:
+    """(w, basis) for the integer apolar vector a: w the rank of the middle
+    catalecticant, the basis the kernel at level w."""
+    w = linalg.rank(_hankel(a, (len(a) - 1) // 2))
+    return w, linalg.nullspace(_hankel(a, w))
 
 
 def grid_generic_certificate(P: ProjectedPoint):
@@ -976,6 +991,54 @@ def mp_polyroots(p, bits: int) -> list:
                   for c in reversed(p)]
         return [mpmath.mpc(z) for z in
                 mpmath.polyroots(coeffs, maxsteps=400, extraprec=bits)]
+
+
+def reconstruct_by_columns(terms, d: int) -> tuple[int, list[int], list[int]]:
+    """(den, real, imag) of sum s (a u + b t)^d over terms whose parts are
+    rationals or mpmath numbers: each term's integer column over
+    s_q (a_q b_q)^d, times its scalar, summed over the lcm of those
+    denominators."""
+    den, columns = 1, []
+    for s, (a, b) in terms:
+        (sr, si, sq), (ar, ai, aq), (br, bi, bq) = _gaussian(s), _gaussian(a), _gaussian(b)
+        q = sq * (aq * bq) ** d
+        columns.append((sr, si, q, _gaussian_column((ar * bq, ai * bq), (br * aq, bi * aq), d)))
+        den = lcm(den, q)
+    real, imag = [0] * (d + 1), [0] * (d + 1)
+    for sr, si, q, column in columns:
+        sr, si = sr * (den // q), si * (den // q)
+        for k, (x, y) in enumerate(column):
+            if si:  # three products (Gauss), not four
+                p = x * (sr + si)
+                real[k] += p - si * (x + y)
+                imag[k] += p + sr * (y - x)
+            else:
+                real[k] += sr * x
+                imag[k] += sr * y
+    return den, real, imag
+
+
+def _gaussian_column(a: tuple[int, int], b: tuple[int, int], d: int) -> list[tuple[int, int]]:
+    """Monomial coefficients of (a u + b t)^d for Gaussian integers a, b,
+    a power of 2 for a applied by shifts."""
+    bpow = [(1, 0)]
+    for _ in range(d):
+        u, v = bpow[-1]
+        bpow.append((u * b[0] - v * b[1], u * b[1] + v * b[0]))
+    x, y = a
+    if not y and x > 0 and not x & (x - 1):
+        m = x.bit_length() - 1
+        return [(comb(d, k) * u << m * (d - k), comb(d, k) * v << m * (d - k))
+                for k, (u, v) in enumerate(bpow)]
+    apow = [(1, 0)]
+    for _ in range(d):
+        u, v = apow[-1]
+        apow.append((u * x - v * y, u * y + v * x))
+    out = []
+    for k in range(d + 1):
+        (u, v), (x, y), c = apow[d - k], bpow[k], comb(d, k)
+        out.append((c * (u * x - v * y), c * (u * y + v * x)))
+    return out
 
 
 def fraction_reconstruct(terms, d: int) -> list[Fraction]:

@@ -6,6 +6,7 @@ import textwrap
 from fractions import Fraction as F
 from math import comb
 from pathlib import Path
+from dataclasses import replace
 from types import SimpleNamespace
 
 import mpmath
@@ -39,6 +40,7 @@ from cuspidal.binform import (
 )
 from oracles import (
     QuadraticNumber,
+    border_kernel_two_eliminations,
     catalecticant,
     exact_parts,
     exact_value,
@@ -52,6 +54,7 @@ from oracles import (
     nullspace_plain,
     power_sum_scalars,
     qr_power_sum_scalars,
+    reconstruct_by_columns,
     residue_scalars,
 )
 from test_binform import _moved
@@ -240,6 +243,90 @@ def test_degree_zero_raises_like_the_level_scan():
         apolarity._first_kernel(f)
     with pytest.raises(ValueError, match="catalecticant level 1 out of range for degree 0"):
         first_kernel_scan(f)
+
+
+def _apolar_vector(f):
+    return linalg.canonical_vector(apolar_coeffs(f).entries)
+
+
+def _kernel_dimension(a):
+    """dim of the kernel at level floor(d/2)+1, the one ``_border_kernel`` reads."""
+    return len(linalg.nullspace(apolarity._hankel(a, (len(a) - 1) // 2 + 1)))
+
+
+def test_border_kernel_matches_two_eliminations():
+    """Seeded vectors of every degree 1..26, random, power sums of 1..d/2+1
+    terms, sparse, and slices a[j:] of another form's vector, the apolar
+    vectors of its derivatives: the one kernel gives the border rank and
+    the basis of the middle rank and the level-w kernel.  Both even-degree
+    branches with a two-dimensional kernel are met."""
+    rng = random.Random("border-kernel:two-eliminations")
+    branches = set()
+    for _ in range(60):
+        for d in range(1, 27):
+            kind = rng.choice(("random", "powers", "sparse", "derivative"))
+            if kind == "random":
+                f = random_form(d, rng, bound=rng.choice((3, 100)))
+            elif kind == "powers":
+                f = form(*[0] * (d + 1))
+                for _ in range(rng.randint(1, d // 2 + 1)):
+                    f = f + form(1, rng.randint(-4, 4)).power(d).scaled(rng.randint(-5, 5))
+            elif kind == "sparse":
+                coeffs = [0] * (d + 1)
+                for _ in range(rng.randint(1, 3)):
+                    coeffs[rng.randint(0, d)] = rng.randint(-5, 5)
+                f = form(*coeffs)
+            else:
+                j = rng.randint(1, 2)
+                g = random_form(d + j, rng, bound=9)
+                f = BinaryForm(d, tuple(c * comb(d, i) for i, c in enumerate(
+                    apolar_coeffs(g).entries[j:])))
+            if f.is_zero():
+                continue
+            a = _apolar_vector(f)
+            got = apolarity._border_kernel(a)
+            assert got == border_kernel_two_eliminations(a), f
+            if d % 2 == 0 and _kernel_dimension(a) == 2:
+                branches.add(got[0] - d // 2)
+    assert branches == {0, 1}
+
+
+@pytest.mark.parametrize("f, w", [
+    # d = 8 and d/2 powers: w = d/2 with a two-dimensional kernel at d/2+1
+    (sum((form(1, tau).power(8) for tau in (1, 2, 3)), form(1, -1).power(8)), 4),
+    # a random form of even degree: w = d/2+1, the kernel at d/2+1 itself
+    (random_form(10, random.Random(3), bound=100), 6),
+    (form(1, 0), 1),  # d = 1
+    (form(1, 0, 0), 1),  # u^2
+    (form(0, 1, 0, 0), 2),  # u^2 t
+], ids=["d-over-2-powers", "random-even", "linear", "square", "u2t"])
+def test_border_kernel_named_cases(f, w):
+    a = _apolar_vector(f)
+    got = apolarity._border_kernel(a)
+    assert got == border_kernel_two_eliminations(a) and got[0] == w
+    if f.degree in (8, 10):
+        assert _kernel_dimension(a) == 2
+
+
+def test_border_kernel_refuses_degree_zero():
+    with pytest.raises(ValueError, match="catalecticant level 1 out of range for degree 0"):
+        apolarity._border_kernel((3,))
+
+
+def test_a_planted_border_level_raises(monkeypatch):
+    """A border level one too low claims a level-w vector that is not in
+    the level-w kernel, and one above floor(d/2)+1 exceeds the bound: the
+    explicit checks of ``_border_kernel`` raise CertificateError.  (One too
+    high below the bound gives g1 times a linear form, a true kernel vector
+    there, which the coprimality check of ``_ideal_generators`` refuses.)"""
+    honest = apolarity._border_level
+    forms = (form(1, 0, 0, 0, 1), form(0, 1, 0, 0, 0, 0), CUBE_SUM, form(1, 0, 0),
+             random_form(10, random.Random(3), bound=100), form(0, 1, 0, 0))
+    for shift, fs in ((-1, forms), (1, forms[-2:])):
+        monkeypatch.setattr(apolarity, "_border_level", lambda a, k: honest(a, k) + shift)
+        for f in fs:
+            with pytest.raises(CertificateError):
+                apolarity._border_kernel(_apolar_vector(f))
 
 
 class TestBorderScheme:
@@ -599,20 +686,78 @@ class TestReconstruct:
         for _ in range(200):
             d = rng.randint(0, 14)
             terms = [(value(), (value(), value())) for _ in range(rng.randint(0, 6))]
-            den, real, imag = apolarity._reconstruct_in_integers(terms, d)
+            den, real, imag = apolarity._reconstruct_in_integers(apolarity._exact_terms(terms), d)
             assert [F(x, den) for x in real] == fraction_reconstruct(terms, d)
             assert not any(imag)
 
     def test_decompositions_check_in_integers(self, monkeypatch):
         """The rational path's reconstruction check and the exact branch
-        of ``verify_decomposition`` both run in integers."""
+        of ``verify_decomposition`` both run in integers, on one
+        reconstruction: the check's exact residual is the one verify reads
+        from the memo."""
         calls = []
         in_integers = apolarity._reconstruct_in_integers
         monkeypatch.setattr(apolarity, "_reconstruct_in_integers",
                             lambda terms, d: calls.append(d) or in_integers(terms, d))
         dec = decompose(CUBE_SUM, 96)
         assert verify_decomposition(CUBE_SUM, dec) == 0
-        assert calls == [3, 3]
+        assert calls == [3]
+
+
+    def test_the_folded_power_sum_is_the_column_sum(self):
+        """Seeded terms, scalars and points mpc, mpf, Fraction or int, with
+        a in {1, 2^k, other}: folding the scalar into the running power of
+        b gives the triple of the term-by-term columns exactly."""
+        rng = random.Random("reconstruct:columns")
+
+        def dyadic():
+            return _dyadic(rng.randint(-(2**70), 2**70), rng.randint(-90, 4))
+
+        def value():
+            kind = rng.random()
+            if kind < 0.4:
+                return mpmath.mp.make_mpc((dyadic()._mpf_, dyadic()._mpf_))
+            if kind < 0.6:
+                return dyadic()
+            return _rational(rng) if kind < 0.85 else rng.randint(-9, 9)
+
+        def alpha():
+            k = rng.randint(0, 5)
+            return rng.choice((mpmath.mpc(1), F(1), 1, 2**k, mpmath.mpf(2**k), F(2**k),
+                               F(1, 2**k), value(), value()))
+
+        for _ in range(150):
+            d = rng.randint(0, 16)
+            terms = [(value(), (alpha(), value())) for _ in range(rng.randint(0, 6))]
+            got = apolarity._reconstruct_in_integers(apolarity._exact_terms(terms), d)
+            assert got == reconstruct_by_columns(terms, d)
+
+    def test_a_decomposition_is_reconstructed_once(self, monkeypatch):
+        """``verify_decomposition`` right after ``decompose`` reads the exact
+        residual of its memo, on the complex and the algebraic path, where
+        the rational points are reconstructed first (the rational path is
+        ``test_decompositions_check_in_integers``); the same form with one
+        scalar moved is a new key, reconstructed afresh, and its residual
+        is above 0 and above the honest one."""
+        calls = []
+        in_integers = apolarity._reconstruct_in_integers
+        monkeypatch.setattr(apolarity, "_reconstruct_in_integers",
+                            lambda terms, d: calls.append(d) or in_integers(terms, d))
+        f = random_form(9, random.Random("one-kernel"), bound=100)
+        dec = decompose(f, 128)
+        assert dec.field_tag == "complex"
+        assert verify_decomposition(f, dec) == dec.residual
+        assert calls == [9]
+        (s, point), rest = dec.terms[0], dec.terms[1:]
+        with mpmath.workprec(160):
+            moved = replace(dec, terms=((s + 1, point),) + rest)
+        assert verify_decomposition(f, moved) > max(dec.residual, 0)
+        assert calls == [9, 9]
+        calls.clear()
+        dec = decompose(POINT_AND_PAIR, 128)
+        assert dec.field_tag == "algebraic"
+        assert verify_decomposition(POINT_AND_PAIR, dec) == dec.residual
+        assert calls == [5, 5]
 
 
 class TestResidueScalars:
@@ -943,7 +1088,7 @@ class TestExactResidual:
                 continue
             checked += 1
             want = fraction_residual_squared(f, dec.terms)
-            num, den = apolarity._residual_squared(f, dec.terms)
+            num, den = apolarity._residual_squared(f, apolarity._exact_terms(dec.terms))
             assert F(num, den) == want
             got = verify_decomposition(f, dec)
             assert exact_value(got) ** 2 >= want

@@ -444,6 +444,27 @@ class TestImports:
         assert got["numpy"] is False
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv, stdin", [
+        (["rank", "d=4; [1,0,0,0,1]"], ""),
+        (["rank"], "d=4; [1,0,0,0,1]\n" * 400),
+    ], ids=["one-record", "400-records"])
+    def test_a_closed_stdout_exits_1_without_a_traceback(self, argv, stdin):
+        """The reader of stdout goes away before the first record, or, with
+        400 records, before most of them: the command exits 1 and writes
+        nothing to stderr."""
+        src = Path(projection.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cuspidal.cli", *argv], env=env, stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(stdin, timeout=120)
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+        assert proc.returncode == 1
+
+
 class TestProjectionCommands:
     def test_project(self, capsys, monkeypatch):
         code, recs = run(capsys, monkeypatch, ["project", "d=4; [1,0,0,0,0]"])
@@ -586,6 +607,14 @@ class TestClassifyAndGenerate:
         assert code == 0
         assert len(recs) == 3
         assert len({tuple(r["coeffs"]) for r in recs}) == 3
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_generate_refuses_a_count_below_one(self, capsys, monkeypatch, count):
+        with pytest.raises(SystemExit) as err:
+            run(capsys, monkeypatch, ["generate", "--case", "e4_i", "--n", "6", "--rho", "2",
+                                      "--count", count])
+        assert err.value.code == 2
+        assert f"argument --count: must be at least 1, got {count}" in capsys.readouterr().err
 
     def test_generate_requires_level(self, capsys, monkeypatch):
         with pytest.raises(SystemExit) as err:

@@ -888,33 +888,33 @@ class TestCertificateChecks:
             x_rank(ProjectedPoint(3, (F(1), F(0), F(0), F(1))))
 
     def test_wrong_border_rank_of_second_derivative_raises_under_python_O(self):
-        """A middle rank of B'' planted one too low leaves no kernel at the
-        claimed level; one too high makes both generators multiples of the
-        true g1, or claims a border rank above the columns of the middle
-        catalecticant.  Both raise CertificateError under ``python -O``."""
+        """A border rank of B'' planted one too low, where ``_border_kernel``
+        reads it off the first kernel, claims a level-w vector that is not
+        in the level-w kernel; one too high makes both generators multiples
+        of the true g1, or claims a border rank above floor(m/2)+1.  Both
+        raise CertificateError under ``python -O``."""
         child = textwrap.dedent(
             """
             import sys
-            import types
-            from cuspidal import apolarity, linalg, projection
+            from cuspidal import apolarity, projection
             from cuspidal.binform import BinaryForm
 
             if __debug__:
                 sys.exit("not running under -O")
             forms = [(3, -1, 4, 1, -5, 9, 2, -6), (2, 0, 7, -1, 8, 2, -8, 1, 8)]
             forms += [(1, 0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 1, 0, 0, 0, 0, 0, 1)]
+            honest = apolarity._border_level
             for coeffs in forms:
                 P = projection.project(BinaryForm(len(coeffs) - 1, coeffs))
                 for shift in (-1, 1):
-                    apolarity.linalg = types.SimpleNamespace(
-                        **{**vars(linalg), "rank": lambda rows: linalg.rank(rows) + shift}
-                    )
+                    apolarity.rank.cache_clear()
+                    apolarity._border_level = lambda a, kernel: honest(a, kernel) + shift
                     try:
                         projection.x_rank(P)
                     except apolarity.CertificateError:
                         continue
                     finally:
-                        apolarity.linalg = linalg
+                        apolarity._border_level = honest
                     sys.exit(f"a border rank off by {shift} went unnoticed on {coeffs}")
             """
         )
