@@ -1,8 +1,9 @@
 """The published JSON of every instance of the pinned fiber corpus.
 
 For each instance of ``bench/fiber_corpus.json`` (read, never written) the
-test hashes ``rank(f).to_json()`` and ``x_rank(project(f)).to_json()`` and
-compares the digests with ``corpus_digests.json`` beside this file.  A
+test hashes ``rank(f).to_json()``, ``x_rank(project(f)).to_json()`` and the
+report of ``classifier.crosscheck(f)`` and compares the digests with
+``corpus_digests.json`` beside this file.  A
 change that alters any published value fails here and names the instances;
 if the change is meant, regenerate the digests and say why in the ledger:
 
@@ -18,6 +19,7 @@ from pathlib import Path
 from cuspidal import projection
 from cuspidal.apolarity import rank
 from cuspidal.binform import BinaryForm, squarefree_decompose
+from cuspidal.classifier import crosscheck
 from cuspidal.projection import lift, project, x_rank
 
 HERE = Path(__file__).resolve().parent
@@ -41,11 +43,13 @@ def corpus_forms():
 
 
 def corpus_digests() -> dict[str, dict[str, str]]:
-    """Digests of the rank and x_rank JSON per instance."""
+    """Digests of the rank and x_rank JSON and of the crosscheck report per
+    instance."""
     return {
         key: {
             "rank": _digest(rank(f).to_json()),
             "x_rank": _digest(x_rank(project(f)).to_json()),
+            "crosscheck": _digest(crosscheck(f)),
         }
         for key, f in corpus_forms()
     }
