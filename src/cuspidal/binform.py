@@ -386,9 +386,6 @@ class ZeroScheme:
                 total += m  # factors are square-free: each root is simple
         return total
 
-    def reduced(self) -> "ZeroScheme":
-        return ZeroScheme(tuple((g, 1) for g, _ in self.factors))
-
     def remove_point(self, p: P1Point, k: int) -> "ZeroScheme":
         """Scheme difference: drop k from the multiplicity at the rational point p."""
         lin = p.linear_form()

@@ -19,8 +19,13 @@ analysis:
 
 Each case is one row of CASES below: its band in (n, ρ) or (n, w), its
 predicted interval, its notes and its --explain line.  classify_e3 and
-classify_e4 decide only the shape of the scheme and hand its candidate
-rows to one constructor, which takes the first whose band holds.
+classify_e4 decide only the shape of the scheme, read off the witness form g
+of the rank certificate with nothing factored (m is the number of leading
+zeros of g, and the residual W - 2A is g/t², reduced iff square-free), and
+hand its candidate rows to one constructor, which takes the first whose band
+holds.  A verdict keeps its square-free witness form and factors the scheme
+and its points on first read; crosscheck splits over Q only the two e4_i
+witnesses it compares.
 
 The span-versus-multiplicity equivalence (O ∈ ⟨W⟩ iff m ≥ 2) is exposed as
 an operation computing both routes.  With d = n+1 and h = W.product_form(),
@@ -45,8 +50,9 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from . import linalg
+from . import linalg, ratfactor
 from .apolarity import CertificateError, RankCertificate, rank as sylvester_rank
 from .binform import (
     POINT_A,
@@ -56,6 +62,7 @@ from .binform import (
     ZeroScheme,
     apolar_coeffs,
     form_from_apolar,
+    is_square_free,
     random_form,
 )
 from .projection import ProjectionFrame, cusp_curve_images, project, x_rank
@@ -152,25 +159,43 @@ def _contract(h: BinaryForm, vec) -> list:
     ]
 
 
-def _in_center_extended_span(s: ZeroScheme, avec) -> bool:
-    """avec ∈ ⟨s⟩ + O, for a scheme s of degree 1..n that misses A.
+def _in_center_extended_span(h: BinaryForm, avec) -> bool:
+    """avec ∈ ⟨s⟩ + O, for the scheme s of a form h of degree 1..n off A.
 
-    The contraction by h = s.product_form() kills ⟨s⟩ and sends O to
-    (h_1, h_0, 0, ...), which is nonzero since h_0 ≠ 0 off A.  So avec is a
-    member iff its contraction x is a multiple of that vector.
+    The contraction by h kills ⟨s⟩ and sends O to (h_1, h_0, 0, ...), which
+    is nonzero since h_0 ≠ 0 off A.  So avec is a member iff its contraction
+    x is a multiple of that vector, whatever the scale of h.
     """
-    h = s.product_form()
     x = _contract(h, avec)
     return not any(x[2:]) and x[0] * h.coeffs[0] == x[1] * h.coeffs[1]
 
 
+def _mult_at_A(g: BinaryForm) -> int:
+    """Multiplicity at A = (1:0) of the zeros of g: its leading zero coefficients."""
+    return next(i for i, c in enumerate(g.coeffs) if c)
+
+
+def _center_routes(h: BinaryForm, m: int, frame: ProjectionFrame) -> tuple[bool, bool]:
+    """span_center_routes from a product form h of W and m = mult_A(W)."""
+    if h.degree > frame.n + 2:
+        raise SchemeDegreeError("degree beyond the independence regime")
+    return not any(_contract(h, _center_vector(frame.d))), m >= 2
+
+
 def span_center_routes(W: ZeroScheme, frame: ProjectionFrame) -> tuple[bool, bool]:
     """(contraction answer, multiplicity-criterion answer) for O ∈ ⟨W⟩."""
-    if W.degree > frame.n + 2:
-        raise SchemeDegreeError("degree beyond the independence regime")
-    by_span = not any(_contract(W.product_form(), _center_vector(frame.d)))
-    by_mult = W.multiplicity_at(POINT_A) >= 2
-    return by_span, by_mult
+    return _center_routes(W.product_form(), W.multiplicity_at(POINT_A), frame)
+
+
+def _center_in_span(h: BinaryForm, m: int, frame: ProjectionFrame) -> bool:
+    """o_in_span from a product form h of W and m = mult_A(W)."""
+    by_span, by_mult = _center_routes(h, m, frame)
+    if by_span != by_mult:
+        raise SpanCriterionDisagreement(
+            f"span says {by_span}, multiplicity says {by_mult} "
+            f"(deg W = {h.degree}, n = {frame.n})"
+        )
+    return by_span
 
 
 def o_in_span(W: ZeroScheme, frame: ProjectionFrame) -> bool:
@@ -181,13 +206,7 @@ def o_in_span(W: ZeroScheme, frame: ProjectionFrame) -> bool:
     equivalence is guaranteed for deg W ≤ n; the module docstring gives the
     schemes above that on which it fails.
     """
-    by_span, by_mult = span_center_routes(W, frame)
-    if by_span != by_mult:
-        raise SpanCriterionDisagreement(
-            f"span says {by_span}, multiplicity says {by_mult} "
-            f"(deg W = {W.degree}, n = {frame.n})"
-        )
-    return by_span
+    return _center_in_span(W.product_form(), W.multiplicity_at(POINT_A), frame)
 
 
 # -- the case table ------------------------------------------------------------
@@ -198,7 +217,7 @@ class Case:
     """One case of the paper, its level ρ for e4 and w for e3: the band of
     (n, level) it covers, the (lo, hi) it predicts there, the line that
     ``classify --explain`` prints for it from (n, level, inputs), and its
-    notes.  A witnessed case publishes the scheme its shape hands it.
+    notes.  A witnessed case publishes the witness its shape hands it.
     out_of_scope has no band: it is taken when no candidate's band holds."""
 
     theorem: str
@@ -291,18 +310,28 @@ class ClassifierVerdict:
     """Predicted rank with respect to the cuspidal curve, with provenance.
 
     lo == hi means an exact prediction; both None means out_of_scope.  The
-    witness scheme lives on the power curve upstairs; witness_points are its
-    images on the cuspidal curve when all its points are rational.
+    witness lives on the power curve upstairs.  It is square-free, so the
+    verdict keeps its form; its scheme and witness_points, the scheme's images
+    on the cuspidal curve when all its points are rational, are factored on
+    first read and then cached.
     """
 
     theorem: str
     case_tag: str
     lo: int | None
     hi: int | None
-    witness_scheme: ZeroScheme | None = None
-    witness_points: tuple | None = None
+    witness_form: BinaryForm | None = None
     inputs: dict | None = None
     notes: tuple[str, ...] = ()
+
+    @cached_property
+    def witness_scheme(self) -> ZeroScheme | None:
+        return None if self.witness_form is None else ZeroScheme(((self.witness_form, 1),))
+
+    @cached_property
+    def witness_points(self) -> tuple | None:
+        W = self.witness_scheme
+        return None if W is None else cusp_curve_images(self.inputs["n"], W)
 
     @property
     def exact(self) -> bool:
@@ -352,7 +381,7 @@ class ClassifierVerdict:
 
 
 def _verdict(
-    n: int, level: int, inputs: dict, tags: tuple[str, ...], witness: ZeroScheme | None = None
+    n: int, level: int, inputs: dict, tags: tuple[str, ...], witness: BinaryForm | None = None
 ) -> ClassifierVerdict:
     """The verdict of the first of tags whose band holds at (n, level), or
     out_of_scope when none does.  A witnessed case publishes witness."""
@@ -366,8 +395,7 @@ def _verdict(
     if not case.witnessed:
         witness = None
     lo, hi = case.value(n, level)
-    points = None if witness is None else cusp_curve_images(n, witness)
-    return ClassifierVerdict(case.theorem, tag, lo, hi, witness, points, inputs, notes)
+    return ClassifierVerdict(case.theorem, tag, lo, hi, witness, inputs, notes)
 
 
 def _guard_form(f: BinaryForm) -> ProjectionFrame:
@@ -396,17 +424,12 @@ def _classify_e4(frame: ProjectionFrame, cert: RankCertificate) -> ClassifierVer
             "the border-gap classification applies otherwise"
         )
     rho = cert.rank
-    E = cert.witness_scheme
-    m = E.multiplicity_at(POINT_A)
-    inputs = {"n": n, "rho": rho, "r": rho, "mult_A": m, "witness_reduced": True}
+    E = cert.witness_form
+    inputs = {"n": n, "rho": rho, "r": rho, "mult_A": _mult_at_A(E), "witness_reduced": True}
     verdict = _verdict(n, rho, inputs, ("e4_i", "e4_ii", "e4_iii"), E)
     if verdict.case_tag == "out_of_scope":
         raise ClassifierError(f"computing-set size {rho} outside 2..{(n + 3) // 2}")
     return verdict
-
-
-_TWO_A = ZeroScheme(((POINT_A.linear_form(), 2),))
-_ONE_A = ZeroScheme(((POINT_A.linear_form(), 1),))
 
 
 def classify_e3(B: BinaryForm) -> ClassifierVerdict:
@@ -429,19 +452,20 @@ def _classify_e3(
             f"border-gap certificate with kernel dimension "
             f"{cert.kernel_dimension} and border rank {w} at n = {n}"
         )
-    W = cert.witness_scheme
-    m = W.multiplicity_at(POINT_A)
+    g = cert.witness_form
+    m = _mult_at_A(g)
     inputs = {"n": n, "w": w, "r": cert.rank, "mult_A": m, "witness_reduced": False}
-    if W == _TWO_A:
-        return _verdict(n, w, inputs, ("e3_3_cusp",), _ONE_A)
-    s2 = W.remove_point(POINT_A, 2) if m == 2 else None
-    if m >= 3 or (m == 2 and not s2.is_reduced()):
+    s2 = BinaryForm(w - 2, g.coeffs[2:]) if m == 2 else None  # g/t², the residual W - 2A
+    if m >= 3 or (m == 2 and not is_square_free(s2)):
         return _verdict(n, w, inputs, ("e3_2",))
     if m == 2:
+        reduced = BinaryForm(w - 1, g.coeffs[1:])  # g/t, the reduced scheme of W
+        if w == 2:  # W = 2A
+            return _verdict(n, w, inputs, ("e3_3_cusp",), reduced)
         inputs["sigma_member"] = _in_center_extended_span(s2, apolar_coeffs(B).entries)
         if inputs["sigma_member"]:
             return _verdict(n, w, inputs, ("e3_3_wminus2",), s2)
-        return _verdict(n, w, inputs, ("e3_3_wminus1",), W.reduced())
+        return _verdict(n, w, inputs, ("e3_3_wminus1",), reduced)
     if m == 0:
         return _verdict(n, w, inputs, ("e3_4_exact", "e3_4_interval"))
     return _verdict(n, w, inputs, ("e3_5",))
@@ -560,7 +584,7 @@ def generate_instance(spec: InstanceSpec) -> GeneratedInstance:
             avec = [Fraction(0)] * (d + 1)
             avec[0] = _nonzero_coeff(rng)
             avec[1] = _nonzero_coeff(rng)
-            W = _TWO_A
+            W = _scheme([(POINT_A, 2)])
         else:
             W = _target_scheme(spec, rng)
             if spec.case_tag == "e3_3_wminus2":
@@ -578,14 +602,14 @@ def generate_instance(spec: InstanceSpec) -> GeneratedInstance:
         if spec.case_tag != "e3_3_cusp" and _in_any_subscheme_span(W, avec):
             continue
         if spec.case_tag == "e3_3_wminus1" and _in_center_extended_span(
-            W.remove_point(POINT_A, 2), avec
+            W.remove_point(POINT_A, 2).product_form(), avec
         ):
             continue
         B = form_from_apolar(avec)
         cert = sylvester_rank(B)
-        if cert.border_rank != k or cert.witness_kind != "nonreduced":
-            continue
-        if cert.witness_scheme != W:
+        # both forms are normalized; W is non-reduced, so a square-free
+        # witness never passes
+        if cert.border_rank != k or cert.witness_form != W.product_form():
             continue
         truth = _classify_e3(B, frame, cert)
         if truth.case_tag != spec.case_tag:
@@ -638,7 +662,7 @@ def _generate_e4(
             cert.rank != rho
             or cert.border_rank != rho
             or cert.witness_kind != "squarefree"
-            or (E is not None and cert.witness_scheme != E)
+            or (E is not None and cert.witness_form != E.product_form())
         ):
             continue
         E = cert.witness_scheme
@@ -682,14 +706,10 @@ def crosscheck(f: BinaryForm) -> dict:
         report["classifier_error"] = str(err)
 
     # deg W = w <= floor((n+1)/2) + 1 <= n + 2, inside o_in_span's range
+    m = _mult_at_A(cert.witness_form)
     try:
-        member = o_in_span(cert.witness_scheme, frame)
-        report["o_span"] = {
-            "case": "e3_1_info",
-            "o_in_span": member,
-            "mult_A": cert.witness_scheme.multiplicity_at(POINT_A),
-            "agree": True,
-        }
+        member = _center_in_span(cert.witness_form, m, frame)
+        report["o_span"] = {"case": "e3_1_info", "o_in_span": member, "mult_A": m, "agree": True}
     except SpanCriterionDisagreement as err:
         report["o_span"] = {"case": "e3_1_info", "agree": False, "detail": str(err)}
 
@@ -704,9 +724,13 @@ def crosscheck(f: BinaryForm) -> dict:
         report["match"] = verdict.lo <= res.value <= verdict.hi
 
     if verdict is not None and verdict.case_tag == "e4_i":
-        mine = verdict.witness_points
-        theirs = res.witness_set_on_X
-        report["witness_match"] = (
-            None if mine is None or theirs is None else set(mine) == set(theirs)
+        # None unless both square-free witnesses split over Q; the curve map
+        # is injective, so then their images agree iff the forms do up to scale
+        E, theirs = verdict.witness_form, res.witness_certificate
+        split = (
+            isinstance(res.witness_lambda, Fraction)
+            and theirs.witness_kind == "squarefree"
+            and all(ratfactor.rational_roots(h.coeffs)[1] == (1,) for h in (E, theirs.witness_form))
         )
+        report["witness_match"] = E.normalized() == theirs.witness_form.normalized() if split else None
     return report

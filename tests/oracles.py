@@ -115,6 +115,14 @@
   ``mpmath.lu_solve`` for each Gauss-Newton step.  They back the
   fixed-point integer polish ``oracle._polish``, which returns the same
   float parameters from the same float hand-over.
+* ``classify_by_factoring``: the classifier once decided the shape of the
+  scheme on ``cert.witness_scheme``, the irreducible factorization of the
+  witness over Q: m by ``multiplicity_at``, W = 2A by scheme equality, the
+  residual by ``remove_point`` and ``is_reduced``, the wminus1 witness as
+  the factors of W each taken once, and every verdict carried its scheme
+  and curve images from the start.  Here the sigma test is the elimination ``in_span`` over
+  ``scheme_span_basis``.  It backs ``classifier._classify``, which reads
+  the shape off the witness form and factors only on first read.
 """
 
 from __future__ import annotations
@@ -130,9 +138,18 @@ from typing import Sequence
 
 import mpmath
 
-from cuspidal import linalg, ratfactor, univar
+from cuspidal import classifier, linalg, ratfactor, univar
 from cuspidal.apolarity import CertificateError, _gaussian, _hankel, _residue_numerator, rank
-from cuspidal.binform import BinaryForm, P1Point, PrecisionError, ZeroFormError, apolar_coeffs
+from cuspidal.binform import (
+    POINT_A,
+    BinaryForm,
+    P1Point,
+    PrecisionError,
+    ZeroFormError,
+    ZeroScheme,
+    apolar_coeffs,
+)
+from cuspidal.classifier import ClassifierError, ClassifierVerdict, scheme_span_basis
 from cuspidal.numberfield import AlgebraicNumber, NumberFieldError, _quadratic_root
 from cuspidal.oracle import _slots
 from cuspidal.projection import (
@@ -1320,3 +1337,64 @@ def discriminant_field_certificate(pencil: _Pencil, minpoly) -> FieldCertificate
     if rem:
         return FieldCertificate(pencil.r, pencil.r, "squarefree", modulus)
     return FieldCertificate(pencil.r, pencil.d + 2 - pencil.r, "nonreduced", modulus)
+
+
+_TWO_A = ZeroScheme(((POINT_A.linear_form(), 2),))
+_ONE_A = ZeroScheme(((POINT_A.linear_form(), 1),))
+
+
+def _scheme_verdict(n: int, level: int, inputs: dict, tags, W: ZeroScheme | None = None):
+    """``classifier._verdict`` for a witness given as a scheme: a witnessed
+    verdict holds the scheme and curve images computed here."""
+    v = classifier._verdict(n, level, inputs, tags, None if W is None else W.product_form())
+    if v.witness_form is not None:
+        vars(v)["witness_scheme"] = W  # fills the cached properties
+        vars(v)["witness_points"] = cusp_curve_images(n, W)
+    return v
+
+
+def classify_by_factoring(f: BinaryForm) -> ClassifierVerdict:
+    """``classifier.classify`` with the shape of the scheme read off the
+    factored witness scheme."""
+    frame = classifier._guard_form(f)
+    n = frame.n
+    cert = rank(f)
+    if cert.rank == cert.border_rank:
+        if cert.witness_kind != "squarefree":
+            raise ClassifierError(
+                "rank must equal border rank with a reduced computing set; "
+                "the border-gap classification applies otherwise"
+            )
+        rho = cert.rank
+        E = cert.witness_scheme
+        m = E.multiplicity_at(POINT_A)
+        inputs = {"n": n, "rho": rho, "r": rho, "mult_A": m, "witness_reduced": True}
+        verdict = _scheme_verdict(n, rho, inputs, ("e4_i", "e4_ii", "e4_iii"), E)
+        if verdict.case_tag == "out_of_scope":
+            raise ClassifierError(f"computing-set size {rho} outside 2..{(n + 3) // 2}")
+        return verdict
+    w = cert.border_rank
+    if cert.kernel_dimension != 1 or 2 * w > n + 2:
+        raise CertificateError(
+            f"border-gap certificate with kernel dimension "
+            f"{cert.kernel_dimension} and border rank {w} at n = {n}"
+        )
+    W = cert.witness_scheme
+    m = W.multiplicity_at(POINT_A)
+    inputs = {"n": n, "w": w, "r": cert.rank, "mult_A": m, "witness_reduced": False}
+    if W == _TWO_A:
+        return _scheme_verdict(n, w, inputs, ("e3_3_cusp",), _ONE_A)
+    s2 = W.remove_point(POINT_A, 2) if m == 2 else None
+    if m >= 3 or (m == 2 and not s2.is_reduced()):
+        return _scheme_verdict(n, w, inputs, ("e3_2",))
+    if m == 2:
+        center = [int(i == 1) for i in range(n + 2)]
+        vectors = scheme_span_basis(s2, n + 1) + [center]
+        inputs["sigma_member"] = in_span(vectors, apolar_coeffs(f).entries)
+        if inputs["sigma_member"]:
+            return _scheme_verdict(n, w, inputs, ("e3_3_wminus2",), s2)
+        reduced = ZeroScheme(tuple((g, 1) for g, _ in W.factors))
+        return _scheme_verdict(n, w, inputs, ("e3_3_wminus1",), reduced)
+    if m == 0:
+        return _scheme_verdict(n, w, inputs, ("e3_4_exact", "e3_4_interval"))
+    return _scheme_verdict(n, w, inputs, ("e3_5",))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspidal import classifier
+from cuspidal import apolarity, binform, classifier, ratfactor
 from cuspidal.apolarity import CertificateError
 from cuspidal.binform import (
     POINT_A,
@@ -34,8 +34,10 @@ from cuspidal.classifier import (
     span_center_routes,
     span_matrix,
 )
-from cuspidal.projection import ProjectionFrame, cusp_curve_point
-from oracles import in_span
+from cuspidal.projection import ProjectionFrame, cusp_curve_point, project, x_rank
+from oracles import classify_by_factoring, in_span
+from test_classifier_digests import seeded_forms
+from test_corpus import corpus_forms
 
 F = Fraction
 
@@ -232,7 +234,7 @@ def test_contraction_matches_the_elimination_oracle():
                     k = rng.choice((-2, 3))
                     for v in (outside, [a + k * c for a, c in zip(inside, center)]):
                         want = in_span(basis + [center], v)
-                        assert classifier._in_center_extended_span(W, v) == want, (n, W, v)
+                        assert classifier._in_center_extended_span(h, v) == want, (n, W, v)
                         seen["extended", want] += 1
     kinds = ("center", "span", "subscheme", "extended")
     assert all(seen[kind, ans] >= 100 for kind in kinds for ans in (True, False)), seen
@@ -545,3 +547,184 @@ class TestCrosscheck:
         inst = generate_instance(InstanceSpec("e3_3_cusp", 6, 2, seed=0))
         report = crosscheck(inst.form)
         json.dumps(report)
+
+
+# -- the shape read off the witness form ------------------------------------------
+
+
+def _apolar_to(h, d, head):
+    """Apolar coordinates of degree d annihilated by the form with monomial
+    coefficients h, the first len(h) - 1 of them given by head."""
+    a = [F(x) for x in head]
+    while len(a) < d + 1:
+        m = len(a) - (len(h) - 1)
+        a.append(-sum(c * a[m + j] for j, c in enumerate(h[:-1])) / h[-1])
+    return a
+
+
+def _form_on(W, d, rng):
+    """A form of degree d whose apolar vector is a random combination of a
+    spanning set of <W>."""
+    basis = scheme_span_basis(W, d)
+    return form_from_avec(d, _combination(rng, basis, d))
+
+
+def branch_forms():
+    """(key, form) for seeded forms that reach every branch of the shape
+    decision, out_of_scope and a reducible witness that does not split among
+    them."""
+    for tag, n, level in [
+        ("e3_2", 7, 4), ("e3_2", 9, 5), ("e3_3_wminus1", 7, 4), ("e3_3_wminus2", 7, 4),
+        ("e3_3_cusp", 6, 2), ("e3_4_exact", 9, 4), ("e3_4_interval", 8, 4), ("e3_5", 8, 4),
+        ("e4_i", 6, 2), ("e4_ii", 7, 4), ("e4_iii", 5, 4),
+    ]:
+        for seed in range(4):
+            yield f"{tag}/{n}/{level}/{seed}", generate_instance(InstanceSpec(tag, n, level, seed)).form
+    rng = random.Random("branch-forms")
+    for i in range(4):
+        # m = 0 with 2w = n + 2 and m = 1 with 2w = n + 1: no band holds
+        yield f"out_of_scope/m0/{i}", _form_on(scheme_of([(pt(1), 2), (pt(-2), 1), (pt(3), 1)]), 7, rng)
+        yield f"out_of_scope/m1/{i}", _form_on(scheme_of([(POINT_A, 1), (pt(2), 2)]), 6, rng)
+    # (u^2 + t^2)(u^2 + 2t^2): rho = 4 at n = 7, two irreducible quadratics
+    yield "e4_ii/non-split", form_from_avec(8, _apolar_to((1, 0, 3, 0, 2), 8, (1, 2, -1, 5)))
+
+
+def _branch(f, v) -> str:
+    i = v.inputs
+    if v.theorem == "e4":
+        factors = apolarity.rank(f).witness_scheme.factors
+        split = all(g.degree == 1 for g, _ in factors)
+        return f"{v.case_tag}/{'split' if split else 'reducible' if len(factors) > 1 else 'irreducible'}"
+    if v.case_tag in ("e3_2", "out_of_scope"):
+        return f"{v.case_tag}/m{min(i['mult_A'], 3)}"
+    return v.case_tag if "sigma_member" not in i else f"sigma/{i['sigma_member']}"
+
+
+def _agrees_with_factoring(key, f):
+    """classify(f) against oracles.classify_by_factoring(f): the verdict, or
+    the error, field by field; the oracle's verdict, or None on an error."""
+    try:
+        want = classify_by_factoring(f)
+    except (ValueError, ArithmeticError) as err:
+        with pytest.raises(type(err)) as got:
+            classify(f)
+        assert str(got.value) == str(err), key
+        return None
+    got = classify(f)
+    assert (got.theorem, got.case_tag, got.lo, got.hi) == (
+        want.theorem, want.case_tag, want.lo, want.hi), key
+    assert list(got.inputs.items()) == list(want.inputs.items()), key
+    assert got.notes == want.notes and got.explain() == want.explain(), key
+    assert got.witness_form == want.witness_form, key
+    assert got.witness_scheme == want.witness_scheme, key
+    assert got.witness_points == want.witness_points, key
+    assert got.to_json() == want.to_json(), key
+    return want
+
+
+def test_classify_matches_the_factoring_oracle_on_the_digest_forms():
+    """The corpus and the seeded forms of the classifier digests, 1572 in all."""
+    forms = [*corpus_forms(), *seeded_forms()]
+    assert len(forms) == 672 + 900
+    verdicts = [_agrees_with_factoring(key, f) for key, f in forms]
+    assert 0 < verdicts.count(None) < 300
+
+
+def test_classify_matches_the_factoring_oracle_on_every_branch():
+    branches = collections.Counter()
+    for key, f in branch_forms():
+        v = _agrees_with_factoring(key, f)
+        branches[_branch(f, v)] += 1
+    want = {
+        "e3_3_cusp", "e3_2/m3", "e3_2/m2", "sigma/True", "sigma/False",
+        "e3_4_exact", "e3_4_interval", "e3_5", "out_of_scope/m0", "out_of_scope/m1",
+        "e4_i/split", "e4_ii/reducible", "e4_iii/irreducible",
+    }
+    assert want <= set(branches), branches
+
+
+def _counting(monkeypatch):
+    """Count the calls of the factoring entry points made outside x_rank."""
+    calls = collections.Counter()
+    inside = [0]
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if not inside[0]:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def scan(P):
+        inside[0] += 1
+        try:
+            return x_rank(P)
+        finally:
+            inside[0] -= 1
+
+    for module, name in [(ratfactor, "irreducible_factors"), (ratfactor, "rational_roots"),
+                         (binform, "squarefree_decompose"), (apolarity, "squarefree_decompose")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(classifier, "x_rank", scan)
+    return calls
+
+
+def test_classify_and_crosscheck_factor_only_what_they_publish(monkeypatch):
+    forms = dict(branch_forms())
+    calls = _counting(monkeypatch)
+    for key in ("e3_2/7/4/0", "e3_3_wminus1/7/4/0", "e3_3_wminus2/7/4/0", "e3_3_cusp/6/2/0",
+                "e3_5/8/4/0", "e4_ii/7/4/0", "e4_ii/non-split", "e4_iii/5/4/0"):
+        classify(forms[key])
+        assert not calls, (key, calls)
+    report = crosscheck(forms["e4_i/6/2/0"])
+    assert report["witness_match"] is True
+    assert calls == {"rational_roots": 2}
+
+
+def test_verdict_witness_scheme_built_on_first_read(monkeypatch):
+    f = dict(branch_forms())["e3_3_wminus1/7/4/0"]
+    calls = _counting(monkeypatch)
+    v = classify(f)
+    assert not calls
+    scheme = v.witness_scheme
+    assert v.witness_scheme is scheme
+    points = v.witness_points
+    assert v.witness_points is points and len(points) == 4 - 1
+    assert calls == {"irreducible_factors": 1}
+    assert scheme == ZeroScheme(((v.witness_form, 1),))
+
+
+def test_crosscheck_witness_match_against_the_curve_images():
+    """witness_match against the set equality of the curve images of both
+    factored witnesses, on e4_i forms whose witnesses split and one whose
+    computing set, u^2 + t^2, does not."""
+    forms = [f for key, f in corpus_forms() if key.startswith("e4_i/")][::6]
+    forms.append(form_from_avec(5, _apolar_to((1, 0, 1), 5, (1, 0))))
+    outcomes = collections.Counter()
+    for f in forms:
+        report = crosscheck(f)
+        v = classify_by_factoring(f)
+        assert v.case_tag == "e4_i"
+        mine, theirs = v.witness_points, x_rank(project(f)).witness_set_on_X
+        want = None if mine is None or theirs is None else set(mine) == set(theirs)
+        assert report["witness_match"] == want
+        outcomes[want] += 1
+    assert outcomes[True] >= 10 and outcomes[None] == 1, outcomes
+
+
+def test_planted_span_disagreement_reaches_the_report(monkeypatch):
+    routes = classifier._center_routes
+
+    def flipped(h, m, frame):
+        by_span, by_mult = routes(h, m, frame)
+        return not by_span, by_mult
+
+    monkeypatch.setattr(classifier, "_center_routes", flipped)
+    f = form_from_avec(8, [2, 1, 2, 0, 2, 0, 2, 0, 2])
+    W = apolarity.rank(f).witness_scheme
+    with pytest.raises(SpanCriterionDisagreement) as err:
+        o_in_span(W, ProjectionFrame(7))
+    detail = f"span says False, multiplicity says True (deg W = {W.degree}, n = 7)"
+    assert str(err.value) == detail
+    report = crosscheck(f)
+    assert report["o_span"] == {"case": "e3_1_info", "agree": False, "detail": detail}
