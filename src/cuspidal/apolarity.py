@@ -14,6 +14,7 @@ s*(a*u + b*t)^d, which is the convention every residual check here validates.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,6 @@ from .binform import (
     approximate_roots,
     is_integer_literal,
     is_square_free,
-    squarefree_decompose,
 )
 from .numberfield import AlgebraicNumber
 
@@ -171,8 +171,8 @@ def find_squarefree_in_kernel(basis: list[BinaryForm]) -> BinaryForm | None:
     degree 2r-2 in (s:t).  When the pencil has no base point, as a
     two-dimensional first kernel never has, its general member is
     square-free (Bertini), so that form is nonzero and 2r-1 distinct points
-    of P^1 cannot all be its roots.  A seeded random pre-pass of 32 draws
-    comes first and usually exits early.
+    of P^1 cannot all be its roots.  A seeded random pre-pass of up to 32
+    draws comes first, each drawn when it is tried, and usually exits early.
     """
     if len(basis) not in (1, 2):
         raise ValueError(f"expected one or two forms, got {len(basis)}")
@@ -183,8 +183,8 @@ def find_squarefree_in_kernel(basis: list[BinaryForm]) -> BinaryForm | None:
         return basis[0] if is_square_free(basis[0]) else None
     g0, g1 = basis
     rng = random.Random(0x5F1E)
-    draws = [(rng.randint(-r - 1, r + 1), rng.randint(-r - 1, r + 1)) for _ in range(32)]
-    for s, t in draws + [(1, 0)] + [(x, 1) for x in range(2 * r - 2)]:
+    draws = ((rng.randint(-r - 1, r + 1), rng.randint(-r - 1, r + 1)) for _ in range(32))
+    for s, t in itertools.chain(draws, [(1, 0)], ((x, 1) for x in range(2 * r - 2))):
         cand = g0.scaled(s) + g1.scaled(t)
         if not cand.is_zero() and is_square_free(cand):
             return cand
@@ -203,8 +203,7 @@ class RankCertificate:
 
     ``witness_scheme``, the zero scheme of ``witness_form``, is factored on
     first read and then cached: the rank itself never needs it, and a fiber
-    scan reads it for the winning lift only.  A witness that ``_certify``
-    proved square-free is its own reduced scheme, with no Yun decomposition.
+    scan reads it for the winning lift only.
     """
 
     border_rank: int
@@ -215,9 +214,7 @@ class RankCertificate:
 
     @cached_property
     def witness_scheme(self) -> ZeroScheme:
-        if self.witness_kind == "squarefree":
-            return ZeroScheme(((self.witness_form, 1),))
-        return squarefree_decompose(self.witness_form)
+        return ZeroScheme(((self.witness_form, 1),))
 
     def to_json(self) -> dict:
         return {

@@ -435,8 +435,9 @@ def is_square_free(f: BinaryForm) -> bool:
 
     f is read as a binary form, u^k p(t) with p(t) = f(1, t): it is
     square-free iff k <= 1 and p is square-free.  The first is read off the
-    coefficients.  The second is proved by gcd(p, p') = 1 modulo one of
-    the first two primes that do not divide lc(p)
+    coefficients, and so is a double root at (1:0), t^2 | f, that is p[0] =
+    p[1] = 0.  Otherwise p is square-free iff gcd(p, p') = 1, which is
+    proved modulo one of the first two primes that do not divide lc(p)
     (``ratfactor.proves_squarefree``; von zur Gathen and Gerhard, *Modern
     Computer Algebra*, §5.10).  A nontrivial gcd modulo both proves
     nothing, so then the degree of the exact gcd, taken in the integers,
@@ -444,7 +445,7 @@ def is_square_free(f: BinaryForm) -> bool:
     if f.is_zero():
         raise ZeroFormError("square-free test on the zero form")
     k, p = f.tau_poly()
-    if k > 1:
+    if k > 1 or not any(f.coeffs[:2]):
         return False
     p = linalg.canonical_vector(p)
     if ratfactor.proves_squarefree(p):

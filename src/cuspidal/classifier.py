@@ -65,7 +65,7 @@ from .binform import (
     is_square_free,
     random_form,
 )
-from .projection import ProjectionFrame, cusp_curve_images, project, x_rank
+from .projection import ProjectedPoint, ProjectionFrame, cusp_curve_images, fiber_scan, x_rank
 
 
 class ClassifierError(ValueError):
@@ -398,9 +398,9 @@ def _verdict(
     return ClassifierVerdict(case.theorem, tag, lo, hi, witness, inputs, notes)
 
 
-def _guard_form(f: BinaryForm) -> ProjectionFrame:
-    """The frame of a classifiable form: nonzero, degree n+1 with n >= 3, and
-    not the center of projection."""
+def _guard_form(f: BinaryForm) -> tuple[tuple[Fraction, ...], ProjectionFrame]:
+    """The apolar vector and the frame of a classifiable form: nonzero,
+    degree n+1 with n >= 3, and not the center of projection."""
     if f.is_zero():
         raise ZeroFormError("classification of the zero form")
     if f.degree < 4:
@@ -408,12 +408,12 @@ def _guard_form(f: BinaryForm) -> ProjectionFrame:
     a = apolar_coeffs(f).entries
     if not any(c for i, c in enumerate(a) if i != 1):
         raise ClassifierError("the form is the center of projection")
-    return ProjectionFrame(f.degree - 1)
+    return a, ProjectionFrame(f.degree - 1)
 
 
 def classify_e4(M: BinaryForm) -> ClassifierVerdict:
     """Prediction when rank equals border rank with a reduced computing set."""
-    return _classify_e4(_guard_form(M), sylvester_rank(M))
+    return _classify_e4(_guard_form(M)[1], sylvester_rank(M))
 
 
 def _classify_e4(frame: ProjectionFrame, cert: RankCertificate) -> ClassifierVerdict:
@@ -434,12 +434,11 @@ def _classify_e4(frame: ProjectionFrame, cert: RankCertificate) -> ClassifierVer
 
 def classify_e3(B: BinaryForm) -> ClassifierVerdict:
     """Prediction when border rank w is strictly below rank (non-reduced W)."""
-    return _classify_e3(B, _guard_form(B), sylvester_rank(B))
+    return _classify_e3(*_guard_form(B), sylvester_rank(B))
 
 
-def _classify_e3(
-    B: BinaryForm, frame: ProjectionFrame, cert: RankCertificate
-) -> ClassifierVerdict:
+def _classify_e3(a, frame: ProjectionFrame, cert: RankCertificate) -> ClassifierVerdict:
+    """The border-gap verdict of the form with apolar vector a."""
     n = frame.n
     if cert.rank == cert.border_rank:
         raise ClassifierError(
@@ -462,7 +461,7 @@ def _classify_e3(
         reduced = BinaryForm(w - 1, g.coeffs[1:])  # g/t, the reduced scheme of W
         if w == 2:  # W = 2A
             return _verdict(n, w, inputs, ("e3_3_cusp",), reduced)
-        inputs["sigma_member"] = _in_center_extended_span(s2, apolar_coeffs(B).entries)
+        inputs["sigma_member"] = _in_center_extended_span(s2, a)
         if inputs["sigma_member"]:
             return _verdict(n, w, inputs, ("e3_3_wminus2",), s2)
         return _verdict(n, w, inputs, ("e3_3_wminus1",), reduced)
@@ -473,15 +472,13 @@ def _classify_e3(
 
 def classify(f: BinaryForm) -> ClassifierVerdict:
     """Dispatch on the border-rank gap."""
-    return _classify(f, _guard_form(f), sylvester_rank(f))
+    return _classify(*_guard_form(f), sylvester_rank(f))
 
 
-def _classify(
-    f: BinaryForm, frame: ProjectionFrame, cert: RankCertificate
-) -> ClassifierVerdict:
+def _classify(a, frame: ProjectionFrame, cert: RankCertificate) -> ClassifierVerdict:
     if cert.rank == cert.border_rank:
         return _classify_e4(frame, cert)
-    return _classify_e3(f, frame, cert)
+    return _classify_e3(a, frame, cert)
 
 
 # -- instance generation -------------------------------------------------------
@@ -611,7 +608,7 @@ def generate_instance(spec: InstanceSpec) -> GeneratedInstance:
         # witness never passes
         if cert.border_rank != k or cert.witness_form != W.product_form():
             continue
-        truth = _classify_e3(B, frame, cert)
+        truth = _classify_e3(avec, frame, cert)
         if truth.case_tag != spec.case_tag:
             continue
         return GeneratedInstance(spec=spec, form=B, scheme=W, truth=truth)
@@ -685,10 +682,16 @@ def crosscheck(f: BinaryForm) -> dict:
     Disagreement is reported, never raised: "match" is True/False for exact
     predictions (including generic-only ones, which consumers aggregate),
     containment for intervals, and None when no prediction applies.
+
+    f is the lift of its image P at lambda = d a_1(f): off the cusp its
+    certificate comes from the scan of P, at the cusp from ``apolarity.rank``.
     """
-    frame = _guard_form(f)
+    a, frame = _guard_form(f)
     n = frame.n
-    cert = sylvester_rank(f)
+    P = ProjectedPoint(n, (a[0],) + a[2:])
+    scan = fiber_scan(P) if any(a[2:]) else None  # B'' = 0 at the cusp
+    cert = scan.certificate(frame.d * a[1]) if scan else sylvester_rank(f)
+    res = scan.result if scan else x_rank(P)
     report: dict = {
         "n": n,
         "w": cert.border_rank,
@@ -697,7 +700,7 @@ def crosscheck(f: BinaryForm) -> dict:
     }
     verdict = None
     try:
-        verdict = _classify(f, frame, cert)
+        verdict = _classify(a, frame, cert)
         report["theorem"] = verdict.theorem
         report["case"] = verdict.case_tag
         report["prediction"] = verdict.prediction
@@ -713,7 +716,6 @@ def crosscheck(f: BinaryForm) -> dict:
     except SpanCriterionDisagreement as err:
         report["o_span"] = {"case": "e3_1_info", "agree": False, "detail": str(err)}
 
-    res = x_rank(project(f))
     report["fiber_value"] = res.value
     report["fiber_complete"] = True  # kept for readers of the earlier schema
     if verdict is None or verdict.lo is None:

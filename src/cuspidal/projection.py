@@ -45,6 +45,10 @@ factor, P projected once more, from the tangent line at A.
   levels are pruned exactly once the running minimum is that small.
 * B'' = 0 exactly when P is the cusp, the image of A: the lift at
   lambda = 0 is a power of u, of rank 1.
+
+Off the cusp :func:`fiber_scan` keeps the scan as a :class:`FiberScan`.  A
+form B is the lift of its own image at lambda = d a_1(B), so
+``FiberScan.certificate`` certifies B with no first kernel of its own.
 """
 
 from __future__ import annotations
@@ -450,17 +454,46 @@ def _generic_certificate(pencil: _Pencil, seen: set) -> tuple[RankCertificate, F
         cert = pencil.certificate(lam)
         if best is None or cert.witness_kind == "squarefree":
             best, best_lam = cert, lam
-        if cert.witness_kind == "squarefree" or (
-            cert.kernel_dimension == 1 and not any(cert.witness_form.coeffs[:2])
-        ):
+        if cert.witness_kind == "squarefree" or _fixed(cert):
             break
     return best, best_lam
 
 
-def x_rank(P: ProjectedPoint) -> XRankResult:
-    """Exact minimum of the rank of B(lambda) over the fiber pencil, by the
-    scan of the module docstring; every lift is certified from the pencil at
-    its first kernel level, and the generic value is proved, not sampled.
+def _fixed(cert: RankCertificate) -> bool:
+    """One kernel form g with t^2 | g: the same at every nonspecial lambda."""
+    return cert.kernel_dimension == 1 and not any(cert.witness_form.coeffs[:2])
+
+
+@dataclass(frozen=True)
+class FiberScan:
+    """The scan of a point off the cusp: levels below w_gen as (pencil, fresh
+    special lambda), their keys ``seen``, the w_gen pencil, the generic
+    certificate and lambda, every certificate kept, by (level, lambda), and
+    the minimum ``x_rank`` returns."""
+
+    levels: list[tuple[_Pencil, list]]
+    seen: set
+    generic: _Pencil
+    generic_certificate: RankCertificate
+    generic_lambda: Fraction
+    certificates: dict[tuple[int, object], object]
+    result: XRankResult
+
+    def certificate(self, lam) -> RankCertificate:
+        """``apolarity.rank`` of the lift at a rational lam, from its first
+        kernel level (lam's first special level, else w_gen): a kept one, the
+        generic one at a nonspecial lam if ``_fixed``, else a new one."""
+        pencil = next((pen for pen, fresh in self.levels if lam in fresh), self.generic)
+        if (pencil.r, lam) not in self.certificates:
+            if pencil is self.generic and _fixed(self.generic_certificate):
+                return self.generic_certificate
+            self.certificates[pencil.r, lam] = pencil.certificate(lam)
+        return self.certificates[pencil.r, lam]
+
+
+def fiber_scan(P: ProjectedPoint) -> FiberScan:
+    """The scan of the module docstring off the cusp (B'' != 0): each lift
+    certified at its first kernel level, the generic value proved.
 
     Off ``seen``, the special lambda below w_gen, a lift has no kernel below
     w_gen, so its rank is w_gen or d+2-w_gen; a two-dimensional kernel at
@@ -470,9 +503,8 @@ def x_rank(P: ProjectedPoint) -> XRankResult:
     2 (2 w_gen - 2) lambda, or at all, and the 4 w_gen + 2 grid points of
     ``_generic_certificate`` outside ``seen`` find the least rank there.
     """
-    if not any(P.coords[1:]):  # B'' = 0: the cusp
-        cert = sylvester_rank(lift(P, 0))
-        return XRankResult(cert.rank, Fraction(0), cert, P.n)
+    if not any(P.coords[1:]):
+        raise ProjectionError("the cusp has no pencil to scan; its lift at 0 has rank 1")
     cap = (P.n + 3) // 2
     gens = _ideal_generators(P.coords[1:])
     w = len(gens[0]) - 1
@@ -488,25 +520,31 @@ def x_rank(P: ProjectedPoint) -> XRankResult:
         raise CertificateError(f"no generic kernel level among {w}..{w + 2}")
 
     generic_cert, generic_lam = _generic_certificate(pencil, seen)
-    candidates = [(generic_cert.rank, generic_lam, generic_cert)]
+    certificates = {(pencil.r, generic_lam): generic_cert}  # min keeps the first of ties
 
     # special lambda, by level, with exact pruning
     best = generic_cert.rank
     for level, fresh in levels:
         if best <= level.r:
             break
-        fields: dict[tuple, FieldCertificate] = {}
+        minpolys = {lam.minpoly for lam in fresh if not isinstance(lam, Fraction)}
+        fields = {m: level.field_certificate(m) for m in minpolys}  # one per conjugate pair
         for lam in fresh:
-            if isinstance(lam, Fraction):
-                cert = level.certificate(lam)
-            else:
-                if lam.minpoly not in fields:
-                    fields[lam.minpoly] = level.field_certificate(lam.minpoly)
-                cert = fields[lam.minpoly]
-            candidates.append((cert.rank, lam, cert))
+            cert = level.certificate(lam) if isinstance(lam, Fraction) else fields[lam.minpoly]
+            certificates[level.r, lam] = cert
             best = min(best, cert.rank)
 
-    value, lam_star, cert_star = min(
-        candidates, key=lambda c: _certificate_sort_key(c[0], c[2], c[1])
+    (_r, lam_star), cert_star = min(
+        certificates.items(), key=lambda kc: _certificate_sort_key(kc[1].rank, kc[1], kc[0][1])
     )
-    return XRankResult(value, lam_star, cert_star, P.n)
+    return FiberScan(levels, seen, pencil, generic_cert, generic_lam, certificates,
+                     XRankResult(cert_star.rank, lam_star, cert_star, P.n))
+
+
+def x_rank(P: ProjectedPoint) -> XRankResult:
+    """Exact minimum of the rank of B(lambda) over the fiber pencil: the
+    rank 1 of the lift at 0 at the cusp, else that of ``fiber_scan``."""
+    if not any(P.coords[1:]):  # B'' = 0: the cusp
+        cert = sylvester_rank(lift(P, 0))
+        return XRankResult(cert.rank, Fraction(0), cert, P.n)
+    return fiber_scan(P).result

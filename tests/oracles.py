@@ -1356,7 +1356,7 @@ def _scheme_verdict(n: int, level: int, inputs: dict, tags, W: ZeroScheme | None
 def classify_by_factoring(f: BinaryForm) -> ClassifierVerdict:
     """``classifier.classify`` with the shape of the scheme read off the
     factored witness scheme."""
-    frame = classifier._guard_form(f)
+    _a, frame = classifier._guard_form(f)
     n = frame.n
     cert = rank(f)
     if cert.rank == cert.border_rank:

@@ -437,18 +437,19 @@ class TestRank:
 
     def test_witness_scheme_built_on_first_read(self, monkeypatch):
         calls = []
+        post_init = ZeroScheme.__post_init__
 
-        def counted(g):
-            calls.append(g)
-            return squarefree_decompose(g)
+        def counted(scheme):
+            calls.append(scheme.factors)
+            post_init(scheme)
 
-        monkeypatch.setattr(apolarity, "squarefree_decompose", counted)
+        monkeypatch.setattr(ZeroScheme, "__post_init__", counted)
         cert = rank(U4T)
         assert calls == []
         scheme = cert.witness_scheme
-        assert scheme == squarefree_decompose(cert.witness_form)
         assert cert.witness_scheme is scheme
-        assert calls == [cert.witness_form]
+        assert calls == [((cert.witness_form, 1),)]
+        assert scheme == squarefree_decompose(cert.witness_form)
 
     def test_one_first_kernel_per_form(self, monkeypatch):
         """The rank, the border rank, the border scheme and a decomposition
@@ -595,8 +596,8 @@ class TestDecompose:
         def refuse(*args, **kwargs):
             raise AssertionError("the witness was factored twice")
 
-        for module in (binform, apolarity):
-            monkeypatch.setattr(module, "squarefree_decompose", refuse)
+        monkeypatch.setattr(binform, "squarefree_decompose", refuse)
+        monkeypatch.setattr(ZeroScheme, "__post_init__", refuse)
         coeffs = tuple(F(x) * comb(5, i) for i, x in enumerate((1, 0, 0, -1, 1, -1)))
         f = BinaryForm(5, coeffs)
         dec = decompose(f, 192)

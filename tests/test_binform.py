@@ -199,6 +199,28 @@ def test_square_free_matches_gcd_and_decomposition(f):
     assert got == squarefree_decompose(f).is_reduced()
 
 
+@st.composite
+def _double_root_at_an_end(draw):
+    """u^k t^2 h or u^2 h, h of degree 0..10 with small coefficients."""
+    d = draw(st.integers(0, 10))
+    h = BinaryForm(d, tuple(draw(st.lists(st.integers(-6, 6), min_size=d + 1, max_size=d + 1))))
+    if h.is_zero():
+        h = BinaryForm(d, (1,) * (d + 1))
+    if draw(st.booleans()):
+        return h * form(0, 0, 1) * form(1, 0).power(draw(st.integers(0, 3)))
+    return h * form(1, 0, 0)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_double_root_at_an_end())
+def test_a_double_root_at_either_end_is_not_square_free(f):
+    """A square of t or of u, read off the coefficients, agrees with the
+    resultant of the partials and with the exact square-free decomposition."""
+    assert is_square_free(f) is False
+    assert resultant_of_partials(linalg.canonical_vector(f.coeffs)) == 0
+    assert not squarefree_decompose(f).is_reduced()
+
+
 def _chart_form(k, *factors):
     """u^k times the homogenized product of the chart polynomials given."""
     p = [1]
@@ -217,14 +239,14 @@ N3 = prod(ratfactor.PRIMES[:3])
     (_chart_form(1, [-2, 0, 0, 1], [5, 3]), True, False),                  # u exactly divides f
     (_chart_form(2, [-2, 0, 0, 1], [5, 3]), False, False),                 # u^2 divides f
     (_chart_form(0, [-2, 0, 0, 1], [5, 3], [5, 3]), False, True),          # a square in the chart
-    (_chart_form(1, [0, 1], [0, 1], [1, 1, 1]), False, True),              # t^2 divides f
+    (_chart_form(1, [0, 1], [0, 1], [1, 1, 1]), False, False),             # t^2 divides f
     (_chart_form(0, [0, 1], [P1, 1], [-2, 0, 0, 1]), True, False),         # P1 | disc, P2 does not
 ])
 def test_square_free_modular_and_exact_routes(f, square_free, exact, monkeypatch):
     """A nontrivial gcd modulo each of the first two listed primes that do
     not divide the leading coefficient sends the test to the exact gcd in
     the integers, and a trivial one modulo either proves square-freeness;
-    u^2 | f is read off the coefficients."""
+    u^2 | f and t^2 | f are read off the coefficients."""
     calls = []
     gcd = univar.gcd
     monkeypatch.setattr(univar, "gcd", lambda p, q: calls.append(p) or gcd(p, q))

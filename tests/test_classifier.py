@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspidal import apolarity, binform, classifier, ratfactor
+from cuspidal import apolarity, binform, classifier, projection, ratfactor
 from cuspidal.apolarity import CertificateError
 from cuspidal.binform import (
     POINT_A,
@@ -34,7 +34,7 @@ from cuspidal.classifier import (
     span_center_routes,
     span_matrix,
 )
-from cuspidal.projection import ProjectionFrame, cusp_curve_point, project, x_rank
+from cuspidal.projection import ProjectionFrame, cusp_curve_point, lift, project, x_rank
 from oracles import classify_by_factoring, in_span
 from test_classifier_digests import seeded_forms
 from test_corpus import corpus_forms
@@ -644,7 +644,8 @@ def test_classify_matches_the_factoring_oracle_on_every_branch():
 
 
 def _counting(monkeypatch):
-    """Count the calls of the factoring entry points made outside x_rank."""
+    """Count the calls of the factoring entry points made outside the fiber
+    scan (``fiber_scan``, and ``x_rank`` at the cusp)."""
     calls = collections.Counter()
     inside = [0]
 
@@ -655,17 +656,20 @@ def _counting(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def scan(P):
-        inside[0] += 1
-        try:
-            return x_rank(P)
-        finally:
-            inside[0] -= 1
+    def exempt(fn):
+        def scan(P):
+            inside[0] += 1
+            try:
+                return fn(P)
+            finally:
+                inside[0] -= 1
+        return scan
 
     for module, name in [(ratfactor, "irreducible_factors"), (ratfactor, "rational_roots"),
-                         (binform, "squarefree_decompose"), (apolarity, "squarefree_decompose")]:
+                         (binform, "squarefree_decompose")]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    monkeypatch.setattr(classifier, "x_rank", scan)
+    for name in ("x_rank", "fiber_scan"):
+        monkeypatch.setattr(classifier, name, exempt(getattr(classifier, name)))
     return calls
 
 
@@ -679,6 +683,36 @@ def test_classify_and_crosscheck_factor_only_what_they_publish(monkeypatch):
     report = crosscheck(forms["e4_i/6/2/0"])
     assert report["witness_match"] is True
     assert calls == {"rational_roots": 2}
+
+
+def test_crosscheck_takes_the_certificate_of_b_from_the_scan(monkeypatch):
+    """Off the cusp, crosscheck builds no first kernel: B is the lift of its
+    image at lambda_B, certified by the fiber scan.  At the cusp it builds
+    one for B, and x_rank one for the lift at 0.  Off the cusp the apolar
+    vector of B is formed once, for the guard, the image and the span test."""
+    kernels, vectors = [], []
+    first_kernel = apolarity._first_kernel
+    monkeypatch.setattr(apolarity, "_first_kernel", lambda f: kernels.append(f) or first_kernel(f))
+    apolar_coeffs = binform.apolar_coeffs
+    for module in (apolarity, binform, classifier, projection):
+        monkeypatch.setattr(module, "apolar_coeffs", lambda f: vectors.append(f) or apolar_coeffs(f))
+    firsts = {}
+    for key, f in corpus_forms():
+        firsts.setdefault(key.split("/")[0], f)
+    assert len(firsts) == 10
+    for tag, f in firsts.items():
+        apolarity.rank.cache_clear()
+        kernels.clear()
+        vectors.clear()
+        report = crosscheck(f)
+        formed = vectors.count(f)
+        if tag == "e3_3_cusp":
+            assert kernels == [f, lift(project(f), 0)]
+            assert formed == 2  # the guard's, and the first kernel's
+        else:
+            assert kernels == [], tag
+            assert formed == 1, tag
+        assert report["case"] == tag and report["r"] == apolarity.rank(f).rank
 
 
 def test_verdict_witness_scheme_built_on_first_read(monkeypatch):

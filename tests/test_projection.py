@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -19,6 +20,7 @@ from cuspidal.projection import (
     ProjectedPoint,
     ProjectionError,
     cusp_curve_point,
+    fiber_scan,
     lift,
     project,
     special_lambdas,
@@ -968,6 +970,62 @@ class TestGenericValueProbes:
             _assert_probes_match_the_generic_certificate(project(f))
 
 
+def _scan_route(scan, lam) -> str:
+    """How ``FiberScan.certificate`` reaches the certificate at lam: one the
+    scan kept ("kept"), the pencil of a special level the pruning skipped
+    ("pruned"), the fixed generic kernel ("fixed"), or the w_gen pencil."""
+    level = next((pen.r for pen, fresh in scan.levels if lam in fresh), None)
+    if level is None:
+        if (scan.generic.r, lam) in scan.certificates:
+            return "kept"
+        return "fixed" if projection._fixed(scan.generic_certificate) else "generic"
+    return "kept" if (level, lam) in scan.certificates else "pruned"
+
+
+class TestFiberScanCertificates:
+    """``FiberScan.certificate`` against ``apolarity.rank`` of the lift, the
+    independent check, field for field: at lambda_B, at every rational
+    special lambda of every visited level, pruned levels included, and at
+    the first three grid points outside ``seen``."""
+
+    def test_every_non_cusp_corpus_instance(self):
+        routes = collections.Counter()
+        instances = 0
+        for key, f in corpus_forms():
+            P = project(f)
+            if not any(P.coords[1:]):
+                continue
+            instances += 1
+            scan = fiber_scan(P)
+            assert scan.result == x_rank(P), key
+            lam_b = f.coeffs[1]
+            assert lift(P, lam_b) == f, key
+            zigzag = (F(z) for k in itertools.count() for z in ((k, -k) if k else (0,)))
+            lams = [lam_b] + [lam for _pen, fresh in scan.levels for lam in fresh
+                              if isinstance(lam, F)]
+            lams += itertools.islice((z for z in zigzag if z not in scan.seen), 3)
+            for lam in lams:
+                routes[_scan_route(scan, lam)] += 1
+                assert scan.certificate(lam) == rank(lift(P, lam)), (key, lam)
+        assert instances == 672 - 72
+        # a special lambda at level w' makes the level-(w'+1) block vanish
+        # there, so its determinant has no other root: no pruned level holds one
+        assert routes["pruned"] == 0
+        assert min(routes[r] for r in ("kept", "fixed", "generic")) >= 100, routes
+
+    def test_a_reused_certificate_is_the_one_kept(self):
+        f = next(f for key, f in corpus_forms() if key.startswith("e3_2/"))
+        scan = fiber_scan(project(f))
+        lam = F(f.coeffs[1])
+        assert scan.certificate(lam) is scan.certificate(lam)
+
+    def test_the_cusp_has_no_scan(self):
+        P = ProjectedPoint(4, (F(3), F(0), F(0), F(0), F(0)))
+        with pytest.raises(ProjectionError, match="cusp"):
+            fiber_scan(P)
+        assert x_rank(P).value == 1
+
+
 class TestWitnessImagesOnRead:
     """``x_rank`` factors its winning witness only when its images on the
     curve are read."""
@@ -980,11 +1038,7 @@ class TestWitnessImagesOnRead:
             factored.append(scheme)
             post_init(scheme)
 
-        decompose = apolarity.squarefree_decompose
         monkeypatch.setattr(ZeroScheme, "__post_init__", counting_post_init)
-        monkeypatch.setattr(
-            apolarity, "squarefree_decompose", lambda f: factored.append(f) or decompose(f)
-        )
         rng = random.Random(2121)
         points = []
         for d in range(7, 13):  # e4_ii at odd d, e4_iii at even d
