@@ -16,13 +16,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, isqrt, lcm
-
-import mpmath
-from mpmath.libmp import from_man_exp, fzero, round_ceiling, round_nearest, to_rational
 
 from . import linalg, ratfactor, univar
 from .binform import (
@@ -272,6 +269,8 @@ class Decomposition:
     ``residual`` is the exact relative residual of the terms as stored,
     rounded up (``verify_decomposition``), so it is a proved upper bound, and
     ``to_json`` prints it rounded up again, to 8 significant digits.
+    ``exact_terms``, their ``_exact_terms`` triples, is formed on first read
+    or passed as ``exact`` by ``decompose``, which certified them.
     """
 
     degree: int
@@ -279,8 +278,19 @@ class Decomposition:
     residual: object
     field_tag: str
     precision_bits: int
+    exact: InitVar[tuple | None] = None
+
+    def __post_init__(self, exact) -> None:
+        if exact is not None:
+            self.__dict__["exact_terms"] = exact
+
+    @cached_property
+    def exact_terms(self) -> tuple:
+        return _exact_terms(self.terms)
 
     def to_json(self) -> dict:
+        import mpmath
+
         def num(x) -> object:
             if isinstance(x, (int, Fraction)):
                 return str(Fraction(x))
@@ -310,6 +320,7 @@ class Decomposition:
         bits = int(blob.get("precision_bits", 192))
         if bits < 64:
             raise GrammarError(f'"precision_bits" must be at least 64, got {bits}')
+        import mpmath
 
         def num(x):
             if isinstance(x, str):
@@ -333,9 +344,9 @@ def _gaussian(x) -> tuple[int, int, int]:
     signed mantissas and exponents of its parts, over one power of 2."""
     if isinstance(x, (int, Fraction)):
         return x.numerator, 0, x.denominator
-    if not mpmath.isfinite(x):
+    (s1, m1, e1, _), (s2, m2, e2, _) = getattr(x, "_mpc_", None) or (x._mpf_, (0, 0, 0, 0))
+    if not m1 and e1 or not m2 and e2:  # mantissa 0, exponent not: an inf or a nan
         raise ValueError(f"a decomposition term is not finite: {x}")
-    (s1, m1, e1, _), (s2, m2, e2, _) = getattr(x, "_mpc_", None) or (x._mpf_, fzero)
     e = min(e1 if m1 else 0, e2 if m2 else 0, 0)
     return (-m1 if s1 else m1) << (e1 - e), (-m2 if s2 else m2) << (e2 - e), 1 << -e
 
@@ -419,23 +430,24 @@ def verify_decomposition(f: BinaryForm, dec: Decomposition):
     integers, so the residual is exact; it is returned as an mpf of
     ``RESIDUAL_BITS`` bits rounded up, a proved upper bound that is 0
     exactly when the terms reconstruct f.  The exact residual is the memo
-    of ``_residual_squared``, keyed by those exact values: a complex or
-    algebraic decomposition checked right after ``decompose`` built it is
-    not reconstructed a second time.
+    of ``_residual_squared``, keyed by those exact values: a decomposition
+    checked right after ``decompose`` built it is neither read nor
+    reconstructed a second time.
     """
     if f.degree != dec.degree:
         raise ValueError("degree mismatch between form and decomposition")
     if f.is_zero():
         raise ZeroFormError("verification against the zero form")
-    return _upper_root(*_residual_squared(f, _exact_terms(dec.terms)))
+    return _upper_root(*_residual_squared(f, dec.exact_terms))
 
 
 def _upper_root(num: int, den: int):
     """sqrt(num / den) rounded up to an mpf of ``RESIDUAL_BITS`` bits: the
     integer square root of num 2^(2k) / den, both rounded up, has at least
     RESIDUAL_BITS + 2 bits, over 2^k."""
-    if not num:
-        return mpmath.mpf(0)
+    import mpmath
+    from mpmath.libmp import from_man_exp, round_ceiling
+
     k = (2 * RESIDUAL_BITS + 4 + den.bit_length() - num.bit_length()) // 2
     q = -(-(num << 2 * k) // den) if k >= 0 else -(-num // (den << -2 * k))
     s = isqrt(q)
@@ -447,6 +459,9 @@ def residual_string(x, digits: int) -> str:
     """x, a nonnegative rational or mpf, rounded up to ``digits``
     significant decimal digits and printed as ``mpmath.nstr`` prints that
     decimal, so that the printed number is never below x."""
+    import mpmath
+    from mpmath.libmp import to_rational
+
     q = Fraction(x) if isinstance(x, (int, Fraction)) else Fraction(*to_rational(x._mpf_))
     if not q:
         return mpmath.nstr(mpmath.mpf(0), digits)
@@ -511,17 +526,6 @@ def _horner(c: list[int], zr: int, zi: int, q: int) -> tuple[int, int]:
     return xr, xi
 
 
-def _gaussian_power(zr: int, zi: int, d: int) -> tuple[int, int]:
-    """(zr + i zi)^d, by square and multiply."""
-    pr, pi = 1, 0
-    while d:
-        if d & 1:
-            pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
-        zr, zi = zr * zr - zi * zi, 2 * zr * zi
-        d >>= 1
-    return pr, pi
-
-
 def _residue_scalars(f: BinaryForm, g: BinaryForm, points) -> list[tuple[int, int, int]]:
     """The scalar s of each point (a:b), a in {0, 1}, of the square-free
     witness g in f = sum s (a u + b t)^d, with no linear solve, exactly at
@@ -560,7 +564,7 @@ def _residue_scalars(f: BinaryForm, g: BinaryForm, points) -> list[tuple[int, in
         nr, ni = _horner(num, zr, zi, y)
         dr, di = _horner(der, zr, zi, y)
         if flip:
-            pr, pi = _gaussian_power(zr, zi, d)
+            pr, pi = _gaussian_powers(1, 0, zr, zi, d)[d]
             nr, ni, dr, di = nr * q**d, ni * q**d, dr * pr - di * pi, dr * pi + di * pr
         if di:
             out.append((nr * dr + ni * di, ni * dr - nr * di, den * (dr * dr + di * di)))
@@ -597,14 +601,17 @@ def _decompose_exact(f: BinaryForm, g: BinaryForm, points, quad, bits: int) -> D
     published in mpc at bits + 32, gamma the larger real root or the one
     with positive imaginary part.
     """
+    import mpmath
+
     d = f.degree
     scalars = [Fraction(re, q) for re, _, q in _residue_scalars(f, g, points)]
     terms = tuple(zip(scalars, points))
+    exact = _exact_terms(terms)
     if quad is None:
-        if _residual_squared(f, _exact_terms(terms))[0]:
+        if _residual_squared(f, exact)[0]:
             raise CertificateError("the power sum does not reconstruct the form")
-        return Decomposition(d, terms, mpmath.mpf(0), "rational", bits)
-    den, real, _ = _reconstruct_in_integers(_exact_terms(terms), d)
+        return Decomposition(d, terms, mpmath.mpf(0), "rational", bits, exact)
+    den, real, _ = _reconstruct_in_integers(exact, d)
     a = [Fraction(c.numerator * den - x * c.denominator, c.denominator * den * comb(d, i))
          for i, (c, x) in enumerate(zip(f.coeffs, real))]
     q, p = quad[0], quad[1]
@@ -622,24 +629,25 @@ def _decompose_exact(f: BinaryForm, g: BinaryForm, points, quad, bits: int) -> D
                               + mpmath.mpf(x.numerator) / x.denominator)
 
         one = mpmath.mpc(1)
-        terms += (
+        pair = (
             (at(alpha, beta), (one, at(0, 1))),
             (at(alpha - p * beta, -beta), (one, at(-p, -1))),
         )
-    residual = _upper_root(*_residual_squared(f, _exact_terms(terms)))
-    return Decomposition(d, terms, residual, "algebraic", bits)
+    exact += _exact_terms(pair)
+    residual = _upper_root(*_residual_squared(f, exact))
+    return Decomposition(d, terms + pair, residual, "algebraic", bits, exact)
 
 
-def _nearest(num: int, den: int, prec: int) -> tuple:
-    """The raw mpf of ``prec`` bits nearest num / den, den > 0: a quotient
-    of at least prec + 2 bits with a sticky bit for the remainder, rounded
-    once by ``from_man_exp``."""
+def _sticky_quotient(num: int, den: int, prec: int) -> tuple[int, int]:
+    """(man, exp) for num / den, den > 0: man 2^exp is the quotient to at
+    least prec + 2 bits with a sticky bit for the remainder, which
+    ``from_man_exp`` rounds once to the nearest ``prec``-bit mpf."""
     if not num:
-        return fzero
+        return 0, 0
     shift = prec + 3 - num.bit_length() + den.bit_length()
     q, r = divmod(abs(num) << shift, den) if shift >= 0 else divmod(abs(num), den << -shift)
     man = 2 * q + (r > 0)
-    return from_man_exp(man if num > 0 else -man, -shift - 1, prec, round_nearest)
+    return man if num > 0 else -man, -shift - 1
 
 
 def _decompose_numeric(
@@ -656,16 +664,24 @@ def _decompose_numeric(
     modulus is at most 1, so that its own powers, not the other roots',
     carry the rows it is read from, and each part is rounded once, to
     nearest, at bits + 32; the residual check below is the certificate."""
+    import mpmath
+    from mpmath.libmp import from_man_exp, round_nearest
+
     with mpmath.workprec(bits + 64):
         roots = [+z for z in approximate_roots(linalg.canonical_vector(cofactor), bits + 96)]
     roots.sort(key=lambda z: (z.real, z.imag))
     with mpmath.workprec(bits + 32):
         pts = sorted(rational_points) + [(mpmath.mpc(1), mpmath.mpc(z)) for z in roots]
+
+    def nearest(num, den):  # the raw mpf of bits + 32 bits nearest num / den
+        return from_man_exp(*_sticky_quotient(num, den, bits + 32), bits + 32, round_nearest)
+
     terms = tuple(
-        (mpmath.mp.make_mpc((_nearest(re, q, bits + 32), _nearest(im, q, bits + 32))), p)
+        (mpmath.mp.make_mpc((nearest(re, q), nearest(im, q))), p)
         for (re, im, q), p in zip(_residue_scalars(f, g, pts), pts)
     )
-    num, den = _residual_squared(f, _exact_terms(terms))
+    exact = _exact_terms(terms)
+    num, den = _residual_squared(f, exact)
     if not num << 2 * ((bits + 1) // 2) < den:
         raise PrecisionError("decomposition residual above the precision target")
-    return Decomposition(f.degree, terms, _upper_root(num, den), "complex", bits)
+    return Decomposition(f.degree, terms, _upper_root(num, den), "complex", bits, exact)

@@ -18,9 +18,6 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-import mpmath
-from mpmath.libmp import from_man_exp
-
 from . import linalg, ratfactor, univar
 from .ratfactor import CertificateError  # noqa: F401  public here too, as before
 
@@ -503,7 +500,9 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     deg = univar.degree(p)
     top = max(abs(c) for c in p)
     fl = [float(c / top) for c in p]
+    import mpmath
     import numpy
+    from mpmath.libmp import from_man_exp
 
     seeds = [complex(z) for z in numpy.roots(fl[::-1])]
     zs = [z for z in seeds if cmath.isfinite(z)]

@@ -7,10 +7,11 @@ subcommand refuses them as a usage error.  Every input line gives exactly one
 output record, its result or a structured error, and a bad line does not
 stop the batch.  Exit codes: 0 all checks passed, 1 some line failed or a
 check failed (structured error JSON on stdout) or stdout was closed early
-(the rest of the output is dropped, with no traceback), 2 usage.  The
-numeric oracle is imported only by the subcommands that run it; numpy is
-imported by it, and for the seeds of the roots of a witness cofactor of
-degree 3 or more that a decomposition refines.
+(the rest of the output is dropped, with no traceback), 2 usage.  Each
+subcommand imports what it runs: ``rank``, ``borderrank`` and ``scheme``
+load no mpmath, numpy, ``classifier``, ``projection`` or ``oracle``; mpmath
+comes with decompositions and the JSON of quadratic irrational lambda, numpy
+with the oracle and the root seeds of a decomposition (see the README).
 
 Forms are accepted in the text grammar ``d=<int>; [q0,q1,...]`` or as JSON
 records carrying "degree" and "coeffs" (either at the top level or under
@@ -32,18 +33,9 @@ import json
 import os
 import sys
 
-import mpmath
-
 from . import apolarity
 from .apolarity import Decomposition, decompose, residual_string, verify_decomposition
 from .binform import BinaryForm, GrammarError, _check_degree, _coefficient, parse_form
-from .classifier import (
-    InstanceSpec,
-    classify,
-    crosscheck,
-    generate_instance,
-)
-from .projection import ProjectedPoint, project, x_rank
 
 ENV_PRECISION = "CUSPIDAL_PRECISION_BITS"
 ENV_SEED = "CUSPIDAL_SEED"
@@ -83,16 +75,14 @@ def _parse_form_text(line: str) -> BinaryForm:
 
 
 def _input_lines(args) -> list[str]:
-    inline = getattr(args, "input", None)
-    if inline:
-        return [inline]
-    path = getattr(args, "file", None)
-    if path:
+    if args.input:
+        return [args.input]
+    if args.file:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise GrammarError(f"cannot read --file {path}: {exc}") from None
+            raise GrammarError(f"cannot read --file {args.file}: {exc}") from None
     else:
         text = sys.stdin.read()
     return [ln for ln in text.splitlines() if ln.strip()]
@@ -122,15 +112,11 @@ def _for_each_form(args, handler) -> int:
 
 
 def cmd_rank(args) -> int:
-    return _for_each_form(
-        args, lambda f: {"d": f.degree, **apolarity.rank(f).to_json()}
-    )
+    return _for_each_form(args, lambda f: {"d": f.degree, **apolarity.rank(f).to_json()})
 
 
 def cmd_borderrank(args) -> int:
-    return _for_each_form(
-        args, lambda f: {"d": f.degree, "w": apolarity.border_rank(f)}
-    )
+    return _for_each_form(args, lambda f: {"d": f.degree, "w": apolarity.border_rank(f)})
 
 
 def cmd_scheme(args) -> int:
@@ -152,6 +138,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify_decomp(args) -> int:
+    import mpmath
+
     def handler(line):
         rec = json.loads(line)
         if not isinstance(rec, dict):
@@ -179,28 +167,30 @@ def cmd_verify_decomp(args) -> int:
 
 
 def cmd_project(args) -> int:
+    from .projection import project
+
     return _for_each_form(args, lambda f: project(f).to_json())
 
 
-def _point(args, line: str | None) -> ProjectedPoint:
-    """The point of one input line, or of --coords when line is None."""
-    if line is not None:
-        return ProjectedPoint.from_json(json.loads(line))
-    if args.n is None:
-        raise GrammarError("--coords needs --n")
-    _check_degree(args.n + 1)
-    return ProjectedPoint(args.n, tuple(_coefficient(c) for c in args.coords.split(",")))
-
-
 def cmd_xrank(args) -> int:
-    def handler(line):
-        P = _point(args, line)
+    from .projection import ProjectedPoint, x_rank
+
+    def handler(line):  # one input line, or --coords when line is None
+        if line is not None:
+            P = ProjectedPoint.from_json(json.loads(line))
+        elif args.n is None:
+            raise GrammarError("--coords needs --n")
+        else:
+            _check_degree(args.n + 1)
+            P = ProjectedPoint(args.n, tuple(_coefficient(c) for c in args.coords.split(",")))
         return {"n": P.n, **x_rank(P).to_json()}
 
     return _for_each_line([None] if args.coords else _input_lines(args), handler)
 
 
 def cmd_classify(args) -> int:
+    from .classifier import classify
+
     def handler(f):
         v = classify(f)
         blob = v.to_json()
@@ -213,6 +203,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .classifier import InstanceSpec, generate_instance
+
     try:
         for k in range(args.count):
             spec = InstanceSpec(args.case, args.n, args.level, seed=args.seed + k)
@@ -258,23 +250,17 @@ _VERIFY_BATTERY = [
 
 
 def cmd_verify(args) -> int:
-    failed = 0
-    total = 0
+    from .classifier import InstanceSpec, crosscheck, generate_instance
+
+    oks = []
 
     def check(blob: dict, ok: bool) -> None:
-        nonlocal failed, total
-        total += 1
-        failed += 0 if ok else 1
+        oks.append(ok)
         _emit({**blob, "ok": ok})
 
-    has_input = bool(getattr(args, "input", None) or getattr(args, "file", None))
-    if not has_input and not sys.stdin.isatty():
-        stdin_lines = [ln for ln in sys.stdin.read().splitlines() if ln.strip()]
-    else:
-        stdin_lines = []
-
-    if has_input or stdin_lines:
-        lines = _input_lines(args) if has_input else stdin_lines
+    has_input = bool(args.input or args.file)
+    lines = _input_lines(args) if has_input or not sys.stdin.isatty() else []
+    if has_input or lines:
         for line in lines:
             try:
                 rep = crosscheck(_parse_form_text(line))
@@ -311,8 +297,8 @@ def cmd_verify(args) -> int:
             except _FAILURES as exc:
                 check({**blob, **_error(exc)}, False)
 
-    _emit({"check": "summary", "records": total, "failed": failed})
-    return 0 if failed == 0 else 1
+    _emit({"check": "summary", "records": len(oks), "failed": oks.count(False)})
+    return 0 if all(oks) else 1
 
 
 # -- parser --------------------------------------------------------------------

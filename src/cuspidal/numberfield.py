@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from . import linalg, univar
 
 
@@ -32,6 +30,8 @@ def _quadratic_root(ints: tuple[int, ...], upper: bool, bits: int):
     a > 0) by the quadratic formula at 2 * bits bits, rounded to ``bits``:
     the larger real root, or the one with positive imaginary part, when
     ``upper``, and the other one otherwise.  Returns mpf or mpc."""
+    import mpmath
+
     c, b, a = ints
     disc = b * b - 4 * a * c
     with mpmath.workprec(2 * bits):
@@ -79,6 +79,8 @@ class AlgebraicNumber:
     def to_json(self) -> dict:
         """The exact name, with the root to 20 significant digits for
         reading."""
+        import mpmath
+
         z = self.value(64)
         return {
             "minpoly": list(self.minpoly),

@@ -41,8 +41,6 @@ factor, P projected once more, from the tangent line at A.
   h is a rational form, square-free exactly when g is (the proof is at
   ``_Pencil.field_certificate``), so ``binform.is_square_free`` decides the
   rank at gamma and at its conjugate, as at every rational lambda.
-* A lift first acquiring a kernel at level r has rank at least r, so whole
-  levels are pruned exactly once the running minimum is that small.
 * B'' = 0 exactly when P is the cusp, the image of A: the lift at
   lambda = 0 is a power of u, of rank 1.
 
@@ -139,7 +137,11 @@ class ProjectedPoint:
         if not any(vec):
             raise ProjectionError("a projective point has a nonzero coordinate")
         object.__setattr__(self, "coords", vec)
-        object.__setattr__(self, "canonical", linalg.canonical_vector(vec))
+
+    @cached_property
+    def canonical(self) -> tuple[int, ...]:
+        """The primitive integer vector of coords, read by ``==`` and ``hash``."""
+        return linalg.canonical_vector(self.coords)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjectedPoint):
@@ -481,11 +483,11 @@ class FiberScan:
 
     def certificate(self, lam) -> RankCertificate:
         """``apolarity.rank`` of the lift at a rational lam, from its first
-        kernel level (lam's first special level, else w_gen): a kept one, the
-        generic one at a nonspecial lam if ``_fixed``, else a new one."""
+        kernel level: the one kept at every special lam, else the generic one
+        if ``_fixed``, else a new one from the w_gen pencil."""
         pencil = next((pen for pen, fresh in self.levels if lam in fresh), self.generic)
         if (pencil.r, lam) not in self.certificates:
-            if pencil is self.generic and _fixed(self.generic_certificate):
+            if _fixed(self.generic_certificate):
                 return self.generic_certificate
             self.certificates[pencil.r, lam] = pencil.certificate(lam)
         return self.certificates[pencil.r, lam]
@@ -522,17 +524,12 @@ def fiber_scan(P: ProjectedPoint) -> FiberScan:
     generic_cert, generic_lam = _generic_certificate(pencil, seen)
     certificates = {(pencil.r, generic_lam): generic_cert}  # min keeps the first of ties
 
-    # special lambda, by level, with exact pruning
-    best = generic_cert.rank
     for level, fresh in levels:
-        if best <= level.r:
-            break
         minpolys = {lam.minpoly for lam in fresh if not isinstance(lam, Fraction)}
         fields = {m: level.field_certificate(m) for m in minpolys}  # one per conjugate pair
         for lam in fresh:
             cert = level.certificate(lam) if isinstance(lam, Fraction) else fields[lam.minpoly]
             certificates[level.r, lam] = cert
-            best = min(best, cert.rank)
 
     (_r, lam_star), cert_star = min(
         certificates.items(), key=lambda kc: _certificate_sort_key(kc[1].rank, kc[1], kc[0][1])

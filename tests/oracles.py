@@ -552,7 +552,9 @@ def nullspace_pencil(P: ProjectedPoint, r: int) -> _Pencil:
 
 def upward_x_rank(P: ProjectedPoint) -> XRankResult:
     """``projection.x_rank`` by the upward scan from level 1, one
-    ``nullspace_pencil`` per level, with the same certificates and pruning.
+    ``nullspace_pencil`` per level, with the same certificates, and the
+    exact pruning the scan once did: a level r is skipped once the running
+    minimum is at most r.
     The witness images are computed here, at once, by the rule the result
     once applied when it was built; ``XRankResult`` computes them on first
     read."""

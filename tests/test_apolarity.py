@@ -1199,9 +1199,42 @@ class TestVerifyDecomposition:
             verify_decomposition(form(1, 0, 0, 0), dec)
 
     def test_a_term_that_is_not_finite_is_refused(self):
-        """An infinite or NaN part has no exact value to reconstruct from."""
-        for bad in (mpmath.inf, mpmath.mpc(1, mpmath.nan)):
-            for term in ((bad, (F(1), F(0))), (F(1), (mpmath.mpc(1), bad))):
-                dec = Decomposition(3, (term,), mpmath.mpf(0), "complex", 96)
-                with pytest.raises(ValueError, match="not finite"):
-                    verify_decomposition(CUBE_SUM, dec)
+        """An infinite or NaN part has no exact value to reconstruct from.
+        ``_gaussian`` reads the raw parts: an mpf with mantissa 0 and a
+        nonzero exponent is refused as a real mpf and as the real or the
+        imaginary part of an mpc, in the scalar and in either coordinate of
+        the linear form; a finite zero part, mantissa and exponent 0, reads
+        as 0."""
+        for x in (mpmath.inf, -mpmath.inf, mpmath.nan):
+            for bad in (x, mpmath.mpc(x, 0), mpmath.mpc(1, x)):
+                for term in ((bad, (F(1), F(0))), (F(1), (bad, F(0))),
+                             (F(1), (mpmath.mpc(1), bad))):
+                    dec = Decomposition(3, (term,), mpmath.mpf(0), "complex", 96)
+                    with pytest.raises(ValueError, match="not finite"):
+                        verify_decomposition(CUBE_SUM, dec)
+        one = mpmath.mpc(1, 0)
+        terms = ((one, (one, mpmath.mpf(0))), (F(1), (F(0), one)))
+        assert verify_decomposition(CUBE_SUM, Decomposition(3, terms, 0, "complex", 96)) == 0
+
+    def test_verify_reads_the_triples_decompose_certified(self, monkeypatch):
+        """A decomposition carries the ``_gaussian`` triples of its terms:
+        ``decompose`` reads each part of every term once, and the point of
+        each term it solves a scalar for once more, and checking the result
+        right after reads none again, on each of the three paths.  A
+        decomposition read back from its JSON reads each part once."""
+        calls = []
+        gaussian = apolarity._gaussian
+        monkeypatch.setattr(apolarity, "_gaussian", lambda x: calls.append(x) or gaussian(x))
+        cubic = BinaryForm(5, tuple(F(x) * comb(5, i) for i, x in enumerate((1, 0, 0, -1, 1, -1))))
+        for f, tag, solved in ((CUBE_SUM, "rational", 2), (POINT_AND_PAIR, "algebraic", 1),
+                               (cubic, "complex", 3)):
+            calls.clear()
+            dec = decompose(f, 128)
+            assert dec.field_tag == tag
+            assert len(calls) == 3 * len(dec.terms) + solved
+            calls.clear()
+            assert verify_decomposition(f, dec) == dec.residual
+            assert calls == []
+            back = Decomposition.from_json(dec.to_json())
+            assert verify_decomposition(f, back) <= mpmath.mpf(2) ** -64
+            assert len(calls) == 3 * len(dec.terms)

@@ -226,6 +226,18 @@ class TestDecomposePipeline:
         assert code2 == 1
         assert recs2[0]["error"]["type"] == "GrammarError"
 
+    @pytest.mark.parametrize("scalar", [["inf", "0"], ["1", "nan"]])
+    def test_verify_decomp_refuses_a_term_that_is_not_finite(self, capsys, monkeypatch, scalar):
+        """An infinite or NaN part of a complex scalar has no exact value:
+        one ValueError record, exit 1."""
+        code, recs = run(capsys, monkeypatch, ["decompose", "d=5; [1,0,0,-10,5,-1]"])
+        assert code == 0 and recs[0]["decomposition"]["field"] == "complex"
+        recs[0]["decomposition"]["terms"][0]["scalar"] = scalar
+        code2, recs2 = run(capsys, monkeypatch, ["verify-decomp"], stdin=json.dumps(recs[0]))
+        assert code2 == 1
+        assert len(recs2) == 1 and recs2[0]["error"]["type"] == "ValueError"
+        assert "not finite" in recs2[0]["error"]["message"]
+
     @pytest.mark.parametrize(
         "form", ["d=3; [1,0,0,1]", "d=3; [0,1,-1,0]", "d=5; [1,0,0,-10,5,-1]"]
     )
@@ -372,6 +384,49 @@ class TestImports:
         assert (got["recs"][0]["w"], got["recs"][0]["r"]) == (4, 5)
         assert got["recs"][1]["witness"]["factors"] == [["u^2-u*t-t^2", 1]]
         assert got["loaded"] == []
+
+    def test_each_subcommand_loads_only_what_it_runs(self):
+        """rank, borderrank and scheme run on the exact engine alone: no
+        mpmath, numpy, classifier, projection or oracle, also for the error
+        record of scheme on u^2 + t^2, whose level-2 kernel has dimension 2.
+        classify loads no mpmath, and decompose on a complex path loads it,
+        with its record unchanged."""
+        child = textwrap.dedent(
+            """
+            import contextlib, hashlib, io, json, sys
+            from cuspidal.cli import main
+            HEAVY = ("mpmath", "numpy", "cuspidal.classifier", "cuspidal.projection",
+                     "cuspidal.oracle")
+
+            def run(argv):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                return code, out.getvalue()
+
+            codes = [run([sub, form])[0] for sub in ("rank", "borderrank", "scheme")
+                     for form in ("d=7; [0,0,0,1,0,0,0,0]", "d=2; [1,0,1]")]
+            exact = sorted(m for m in HEAVY if m in sys.modules)
+            code, _ = run(["classify", "d=7; [0,0,0,1,0,0,0,0]"])
+            codes.append(code)
+            classify = "mpmath" in sys.modules
+            code, out = run(["decompose", "d=5; [1,0,0,-10,5,-1]"])
+            codes.append(code)
+            print(json.dumps({"codes": codes, "exact": exact, "classify": classify,
+                              "decompose": "mpmath" in sys.modules,
+                              "record": hashlib.sha256(out.encode()).hexdigest()}))
+            """
+        )
+        src = Path(projection.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == {
+            "codes": [0, 0, 0, 0, 0, 1, 0, 0], "exact": [], "classify": False, "decompose": True,
+            "record": "99295298d7d8721b3841836fd512ea13472e97a896c1b0dd2e064741ff1ac539",
+        }
 
     def test_unserved_polynomials_load_no_sympy(self):
         """Polynomials that no prime of ``ratfactor.PRIMES`` serves are split

@@ -972,8 +972,9 @@ class TestGenericValueProbes:
 
 def _scan_route(scan, lam) -> str:
     """How ``FiberScan.certificate`` reaches the certificate at lam: one the
-    scan kept ("kept"), the pencil of a special level the pruning skipped
-    ("pruned"), the fixed generic kernel ("fixed"), or the w_gen pencil."""
+    scan kept ("kept"), the pencil of a special level whose certificate the
+    scan did not keep ("pruned"), the fixed generic kernel ("fixed"), or the
+    w_gen pencil."""
     level = next((pen.r for pen, fresh in scan.levels if lam in fresh), None)
     if level is None:
         if (scan.generic.r, lam) in scan.certificates:
@@ -985,7 +986,7 @@ def _scan_route(scan, lam) -> str:
 class TestFiberScanCertificates:
     """``FiberScan.certificate`` against ``apolarity.rank`` of the lift, the
     independent check, field for field: at lambda_B, at every rational
-    special lambda of every visited level, pruned levels included, and at
+    special lambda of every visited level, and at
     the first three grid points outside ``seen``."""
 
     def test_every_non_cusp_corpus_instance(self):
@@ -1009,7 +1010,8 @@ class TestFiberScanCertificates:
                 assert scan.certificate(lam) == rank(lift(P, lam)), (key, lam)
         assert instances == 672 - 72
         # a special lambda at level w' makes the level-(w'+1) block vanish
-        # there, so its determinant has no other root: no pruned level holds one
+        # there, so its determinant has no other root: pruning a level would
+        # skip no special lambda, and the scan keeps every one it meets
         assert routes["pruned"] == 0
         assert min(routes[r] for r in ("kept", "fixed", "generic")) >= 100, routes
 
