@@ -404,13 +404,6 @@ class ZeroScheme:
         pts.sort(key=lambda pm: (pm[0].a, pm[0].b))
         return pts
 
-    def maximal_proper_subschemes(self) -> list["ZeroScheme"]:
-        """All degree-(w-1) subschemes; requires rational linear factors only."""
-        pts = self.rational_points()
-        if pts is None:
-            raise ValueError("subscheme enumeration needs rational points")
-        return [self.remove_point(p, 1) for p, _ in pts]
-
     def to_json(self) -> dict:
         return {
             "factors": [[g.pretty(), m] for g, m in self.factors],

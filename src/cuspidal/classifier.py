@@ -60,6 +60,7 @@ from .binform import (
     P1Point,
     ZeroFormError,
     ZeroScheme,
+    _check_degree,
     apolar_coeffs,
     form_from_apolar,
     is_square_free,
@@ -499,6 +500,7 @@ class InstanceSpec:
             raise ClassifierError(f"no generation recipe for {self.case_tag!r}")
         if self.n < 3:
             raise ClassifierError("instances need n >= 3")
+        _check_degree(self.n + 1)
         if not case.band(self.n, self.level):
             raise ClassifierError(
                 f"{self.case_tag} does not admit (n={self.n}, level={self.level})"
@@ -549,127 +551,69 @@ def _nonzero_coeff(rng: random.Random) -> Fraction:
     return Fraction(c)
 
 
-def _scheme(pairs) -> ZeroScheme:
-    return ZeroScheme(tuple((p.linear_form(), m) for p, m in pairs))
+# (multiplicity at A, whether the first other point is double) of the
+# scheme W that each recipe draws; e3_2 trades m_A = 3 for (2, True) on a
+# fair coin when w >= 4
+_SHAPES = {
+    "e4_i": (0, False), "e4_ii": (0, False), "e3_2": (3, False),
+    "e3_3_wminus1": (2, False), "e3_3_wminus2": (2, False), "e3_3_cusp": (2, False),
+    "e3_4_exact": (0, True), "e3_4_interval": (0, True), "e3_5": (1, True),
+}
 
 
-def _in_any_subscheme_span(W: ZeroScheme, avec) -> bool:
-    return any(
-        not any(_contract(sub.product_form(), avec))
-        for sub in W.maximal_proper_subschemes()
-    )
+def _recipe(spec: InstanceSpec, rng: random.Random) -> tuple[BinaryForm, ZeroScheme | None]:
+    """One candidate for spec: a form and the scheme W its witness must be,
+    or None for e4_iii, where any computing set of size ρ will do.
+
+    W is A with multiplicity m_A plus distinct rational points off A.  The
+    form combines, with nonzero coefficients, the d-th powers of W's points
+    (e4_i, e4_ii), a basis of ⟨W - 2A⟩ and O (e3_3_wminus2), or a basis of
+    ⟨W⟩ (the other e3 cases).
+    """
+    tag, k, d = spec.case_tag, spec.level, spec.n + 1
+    if tag == "e4_iii":
+        return random_form(d, rng, bound=30), None
+    m_A, double = (2, True) if tag == "e3_2" and k >= 4 and rng.random() < 0.5 else _SHAPES[tag]
+    pts = _distinct_points(rng, k - m_A - double)
+    pairs = [(POINT_A, m_A)] if m_A else []
+    pairs += [(p, 2 if double and i == 0 else 1) for i, p in enumerate(pts)]
+    W = ZeroScheme(tuple((p.linear_form(), m) for p, m in pairs))
+    if CASES[tag].theorem == "e4":  # (u + τt)^d has apolar coordinates τ^i
+        vectors = [[p.tau**i for i in range(d + 1)] for p in pts]
+    elif tag == "e3_3_wminus2":
+        vectors = scheme_span_basis(W.remove_point(POINT_A, 2), d) + [_center_vector(d)]
+    else:
+        vectors = scheme_span_basis(W, d)
+    coeffs = [_nonzero_coeff(rng) for _ in vectors]
+    avec = [sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(d + 1)]
+    return form_from_apolar(avec), W
 
 
 def generate_instance(spec: InstanceSpec) -> GeneratedInstance:
     """Construct a form realizing the target case, ground truth recomputed.
 
-    Rejection sampling: a candidate is accepted only when it avoids the span
-    of every maximal proper subscheme of the target scheme, its recomputed
-    border certificate reproduces that scheme, and the classifier lands on
-    the target case.
+    Rejection sampling over _recipe: a candidate is accepted when the
+    witness of its rank certificate is W's product form (both normalized),
+    or, for e4_iii, when its rank and border rank both equal the level, and
+    the classifier then lands on the target case.  No candidate in the span
+    of a subscheme W' of W of degree w-1 passes: the product form of W'
+    annihilates it (the apolarity lemma), so its witness has degree below w.
+    An e3_3_wminus1 candidate in ⟨W - 2A⟩ + O classifies as e3_3_wminus2.
     """
     rng = random.Random(f"cuspidal:{spec.case_tag}:{spec.n}:{spec.level}:{spec.seed}")
-    n, k = spec.n, spec.level
-    d = n + 1
-    frame = ProjectionFrame(n)
-
-    if CASES[spec.case_tag].theorem == "e4":
-        return _generate_e4(spec, rng, frame)
-
+    frame = ProjectionFrame(spec.n)
     for _ in range(_RETRIES):
-        if spec.case_tag == "e3_3_cusp":
-            avec = [Fraction(0)] * (d + 1)
-            avec[0] = _nonzero_coeff(rng)
-            avec[1] = _nonzero_coeff(rng)
-            W = _scheme([(POINT_A, 2)])
-        else:
-            W = _target_scheme(spec, rng)
-            if spec.case_tag == "e3_3_wminus2":
-                s2 = W.remove_point(POINT_A, 2)
-                vectors = scheme_span_basis(s2, d) + [_center_vector(d)]
-            else:
-                vectors = scheme_span_basis(W, d)
-            coeffs = [_nonzero_coeff(rng) for _ in vectors]
-            avec = [
-                sum(c * v[i] for c, v in zip(coeffs, vectors))
-                for i in range(d + 1)
-            ]
-        if not any(avec):
-            continue
-        if spec.case_tag != "e3_3_cusp" and _in_any_subscheme_span(W, avec):
-            continue
-        if spec.case_tag == "e3_3_wminus1" and _in_center_extended_span(
-            W.remove_point(POINT_A, 2).product_form(), avec
-        ):
-            continue
-        B = form_from_apolar(avec)
+        B, W = _recipe(spec, rng)
         cert = sylvester_rank(B)
-        # both forms are normalized; W is non-reduced, so a square-free
-        # witness never passes
-        if cert.border_rank != k or cert.witness_form != W.product_form():
+        if W is None:
+            if not cert.rank == cert.border_rank == spec.level:
+                continue
+            W = cert.witness_scheme
+        elif cert.witness_form != W.product_form():
             continue
-        truth = _classify_e3(avec, frame, cert)
-        if truth.case_tag != spec.case_tag:
-            continue
-        return GeneratedInstance(spec=spec, form=B, scheme=W, truth=truth)
-    raise GenerationError(f"retry budget exhausted for {spec}")
-
-
-def _target_scheme(spec: InstanceSpec, rng: random.Random) -> ZeroScheme:
-    k = spec.level
-    tag = spec.case_tag
-    if tag == "e3_2":
-        if k >= 4 and rng.random() < 0.5:
-            pts = _distinct_points(rng, k - 3)
-            return _scheme(
-                [(POINT_A, 2), (pts[0], 2)] + [(p, 1) for p in pts[1:]]
-            )
-        pts = _distinct_points(rng, k - 3)
-        return _scheme([(POINT_A, 3)] + [(p, 1) for p in pts])
-    if tag in ("e3_3_wminus1", "e3_3_wminus2"):
-        pts = _distinct_points(rng, k - 2)
-        return _scheme([(POINT_A, 2)] + [(p, 1) for p in pts])
-    if tag in ("e3_4_exact", "e3_4_interval"):
-        pts = _distinct_points(rng, k - 1)
-        return _scheme([(pts[0], 2)] + [(p, 1) for p in pts[1:]])
-    if tag == "e3_5":
-        pts = _distinct_points(rng, k - 2)
-        return _scheme([(POINT_A, 1), (pts[0], 2)] + [(p, 1) for p in pts[1:]])
-    raise AssertionError(tag)
-
-
-def _generate_e4(
-    spec: InstanceSpec, rng: random.Random, frame: ProjectionFrame
-) -> GeneratedInstance:
-    n, rho = spec.n, spec.level
-    d = n + 1
-    for _ in range(_RETRIES):
-        if spec.case_tag == "e4_iii":
-            M = random_form(d, rng, bound=30)
-            E = None  # any computing set of size rho will do
-        else:
-            pts = _distinct_points(rng, rho)
-            E = _scheme([(p, 1) for p in pts])
-            # a sum of d-th powers of the linear forms p.a u + p.b t
-            M = BinaryForm(d, (0,) * (d + 1))
-            for p in pts:
-                M = M + BinaryForm(1, (p.a, p.b)).power(d).scaled(_nonzero_coeff(rng))
-        cert = sylvester_rank(M)
-        if (
-            cert.rank != rho
-            or cert.border_rank != rho
-            or cert.witness_kind != "squarefree"
-            or (E is not None and cert.witness_form != E.product_form())
-        ):
-            continue
-        E = cert.witness_scheme
-        try:
-            truth = _classify_e4(frame, cert)
-        except ClassifierError:
-            continue
-        if truth.case_tag != spec.case_tag:
-            continue
-        return GeneratedInstance(spec=spec, form=M, scheme=E, truth=truth)
+        truth = _classify(apolar_coeffs(B).entries, frame, cert)
+        if truth.case_tag == spec.case_tag:
+            return GeneratedInstance(spec=spec, form=B, scheme=W, truth=truth)
     raise GenerationError(f"retry budget exhausted for {spec}")
 
 

@@ -17,7 +17,7 @@ Three oracles, none of which shares code with the exact pipeline:
 
 * secant_dimension_probe measures the dimension of a secant variety of the
   cuspidal curve as the rank of the parametrization Jacobian at a random
-  point, computed in floats and confirmed in exact rational arithmetic.
+  point, computed in exact rational arithmetic.
 
 * dichotomy_fuzz hammers the rank dichotomy on random forms and aborts with
   a serialized counterexample on any violation.
@@ -43,7 +43,7 @@ from itertools import accumulate
 import numpy as np
 
 from .apolarity import rank as sylvester_rank
-from .binform import random_form
+from .binform import _check_degree, random_form
 from . import linalg
 from .projection import ProjectedPoint
 
@@ -394,41 +394,31 @@ def xrank_upper_search(P: ProjectedPoint, cfg: SearchConfig) -> SpanWitness | No
 def secant_dimension_probe(s: int, n: int, seed=0) -> int:
     """Observed projective dimension of the s-th secant variety of the curve.
 
-    Rank of the Jacobian of (parameters, scalars) -> sum of scaled curve
-    points at a random sample, computed numerically and confirmed exactly;
-    degenerate samples retry with a derived seed.
+    Exact rank, minus one, of the Jacobian of (parameters, scalars) -> sum
+    of scaled curve points at one seeded random sample.
     """
     if not 1 <= s <= n:
         raise ValueError("cardinality outside 1..n")
+    _check_degree(n + 1)
     slots = _slots(n)
-    for attempt in range(6):
-        rng = random.Random(f"secant-probe:{seed}:{attempt}")
-        taus = set()
-        while len(taus) < s:
-            t = Fraction(rng.randint(1, 60), rng.randint(1, 7)) * (
-                1 if rng.random() < 0.5 else -1
-            )
-            taus.add(t)
-        taus = sorted(taus)
-        alphas = [Fraction(rng.randint(1, 9)) for _ in range(s)]
-        cols = []
-        for t, a in zip(taus, alphas):
-            cols.append([t**k for k in slots])
-            cols.append([a * k * t ** (k - 1) if k else Fraction(0) for k in slots])
-        exact_rank = linalg.rank(cols)
-        M = np.array([[float(x) for x in col] for col in cols], dtype=float)
-        sv = np.linalg.svd(M, compute_uv=False)
-        tol = max(M.shape) * np.finfo(float).eps * sv[0]
-        numeric_rank = int((sv > tol).sum())
-        if numeric_rank == exact_rank:
-            return exact_rank - 1
-    raise RuntimeError("persistently degenerate secant samples")
+    rng = random.Random(f"secant-probe:{seed}:0")
+    taus = set()
+    while len(taus) < s:
+        t = Fraction(rng.randint(1, 60), rng.randint(1, 7)) * (1 if rng.random() < 0.5 else -1)
+        taus.add(t)
+    alphas = [Fraction(rng.randint(1, 9)) for _ in range(s)]
+    cols = []
+    for t, a in zip(sorted(taus), alphas):
+        cols.append([t**k for k in slots])
+        cols.append([a * k * t ** (k - 1) if k else Fraction(0) for k in slots])
+    return linalg.rank(cols) - 1
 
 
 def dichotomy_fuzz(degree: int, samples: int, seed=0) -> dict:
     """Hammer the rank dichotomy on random forms; violations abort."""
     if degree < 2:
         raise ValueError("fuzzing needs degree at least 2")
+    _check_degree(degree)
     rng = random.Random(f"dichotomy-fuzz:{degree}:{seed}")
     counts: Counter[int] = Counter()
     done = 0

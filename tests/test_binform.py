@@ -335,16 +335,6 @@ class TestSchemeOps:
         assert smaller.multiplicity_at(at_infinity) == 1
         assert ZeroScheme(smaller.factors + ((at_infinity.linear_form(), 1),)) == scheme
 
-    def test_maximal_proper_subschemes(self):
-        # 2A + one simple point
-        t = form(0, 1)
-        q = form(1, -3)
-        scheme = ZeroScheme(((t, 2), (q, 1)))
-        subs = scheme.maximal_proper_subschemes()
-        assert len(subs) == 2
-        degrees = sorted(s.degree for s in subs)
-        assert degrees == [2, 2]
-
     def test_rational_points_none_for_irrational(self):
         f = form(1, 0, 1)  # u^2 + t^2
         scheme = squarefree_decompose(f)

@@ -200,8 +200,7 @@ def _combination(rng, basis, d):
 def test_contraction_matches_the_elimination_oracle():
     """Every span decision of the classifier against oracles.in_span over
     scheme_span_basis, on targets inside and outside: membership in <W>,
-    the center route, membership in the span of some maximal proper
-    subscheme, and membership in <W> + O."""
+    the center route, and membership in <W> + O."""
     rng = random.Random("contraction-vs-elimination")
     seen = collections.Counter()
     for n in range(3, 11):
@@ -223,20 +222,13 @@ def test_contraction_matches_the_elimination_oracle():
                     want = in_span(basis, v)
                     assert (not any(classifier._contract(h, v))) == want, (n, W, v)
                     seen["span", want] += 1
-                # every other rational scheme: the subscheme oracle is the costliest
-                if i % 2 == 0 and all(g.degree == 1 for g, _ in W.factors):
-                    subs = [scheme_span_basis(s, d) for s in W.maximal_proper_subschemes()]
-                    v = _combination(rng, rng.choice(subs), d) if subs and i % 4 == 0 else inside
-                    want = any(in_span(b, v) for b in subs)
-                    assert classifier._in_any_subscheme_span(W, v) == want, (n, W, v)
-                    seen["subscheme", want] += 1
                 if W.multiplicity_at(POINT_A) == 0 and 1 <= deg <= n:
                     k = rng.choice((-2, 3))
                     for v in (outside, [a + k * c for a, c in zip(inside, center)]):
                         want = in_span(basis + [center], v)
                         assert classifier._in_center_extended_span(h, v) == want, (n, W, v)
                         seen["extended", want] += 1
-    kinds = ("center", "span", "subscheme", "extended")
+    kinds = ("center", "span", "extended")
     assert all(seen[kind, ans] >= 100 for kind in kinds for ans in (True, False)), seen
 
 
@@ -469,6 +461,46 @@ class TestGeneration:
             assert cert.border_rank == level and cert.rank > level
             assert cert.witness_scheme == inst.scheme
 
+    def test_no_instance_lies_in_a_smaller_span(self):
+        """What the witness test guarantees, decided by elimination: B lies in
+        no <W - p> for a point p of W, and no e3_3_wminus1 instance lies in
+        <W - 2A> + O.  On every corpus instance, regenerated from its cell,
+        and on seeds 0..2 of every admissible cell with n <= 8, wherever W
+        has only rational points: every case but e4_iii."""
+        corpus = dict(corpus_forms())
+        specs = [
+            InstanceSpec(tag, int(n), int(level), seed=int(seed))
+            for tag, n, level, seed in (key.split("/") for key in corpus)
+        ]
+        specs += [
+            InstanceSpec(tag, n, level, seed=seed)
+            for tag, case in CASES.items()
+            if case.band is not None
+            for n in range(3, 9)
+            for level in range(1, n + 4)
+            if case.band(n, level)
+            for seed in range(3)
+        ]
+        seen = collections.Counter()
+        for spec in specs:
+            inst = generate_instance(spec)
+            key = f"{spec.case_tag}/{spec.n}/{spec.level}/{spec.seed}"
+            assert corpus.get(key, inst.form) == inst.form, key
+            W, d = inst.scheme, inst.form.degree
+            points = W.rational_points()
+            if points is None:
+                continue
+            a = apolar_coeffs(inst.form).entries
+            for p, _ in points:
+                assert not in_span(scheme_span_basis(W.remove_point(p, 1), d), a), (key, p)
+            if spec.case_tag == "e3_3_wminus1":
+                center = [int(i == 1) for i in range(d + 1)]
+                residual = scheme_span_basis(W.remove_point(POINT_A, 2), d)
+                assert not in_span(residual + [center], a), key
+            seen[spec.case_tag] += 1
+        # a random form's computing set (e4_iii) has only rational points by chance
+        assert len(seen) == 9 and min(seen.values()) >= 70, seen
+
     def test_instance_json_roundtrippable(self):
         inst = generate_instance(InstanceSpec("e4_i", 6, 2, seed=0))
         blob = inst.to_json()
@@ -492,6 +524,8 @@ class TestGeneration:
             InstanceSpec("e3_1_info", 7, 3)  # no recipe
         with pytest.raises(ClassifierError):
             InstanceSpec("bogus", 7, 3)
+        with pytest.raises(binform.GrammarError, match="degree 141 above the limit 128"):
+            InstanceSpec("e4_i", 140, 2)
 
 
 class TestCrosscheck:

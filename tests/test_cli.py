@@ -790,6 +790,37 @@ class TestProbeAndVerify:
         }
         assert recs[-1] == {"check": "summary", "records": len(recs) - 1, "failed": 1}
 
+    def test_probe_where_floats_lose_rank(self, capsys, monkeypatch):
+        code, recs = run(capsys, monkeypatch, ["probe", "--s", "6", "--n", "13"])
+        assert code == 0
+        assert recs == [{"s": 6, "n": 13, "dimension": 11, "expected": 11, "ok": True}]
+
+    @pytest.mark.parametrize(
+        "argv,degree",
+        [
+            (["generate", "--case", "e4_i", "--n", "140", "--level", "2"], 141),
+            (["probe", "--s", "2", "--n", "300"], 301),
+        ],
+    )
+    def test_size_limit_is_one_error_record(self, capsys, monkeypatch, argv, degree):
+        code, recs = run(capsys, monkeypatch, argv)
+        assert code == 1
+        message = f"degree {degree} above the limit {MAX_DEGREE}"
+        assert recs == [{"error": {"type": "GrammarError", "message": message}}]
+
+    def test_verify_refuses_a_fuzz_degree_above_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr("cuspidal.cli._VERIFY_BATTERY", [])
+        code, recs = run(
+            capsys, monkeypatch, ["verify", "--fuzz-degrees", "400", "--probe-max-n", "2"]
+        )
+        assert code == 1
+        message = f"degree 400 above the limit {MAX_DEGREE}"
+        assert recs == [
+            {"check": "fuzz", "degree": 400, "ok": False,
+             "error": {"type": "GrammarError", "message": message}},
+            {"check": "summary", "records": 1, "failed": 1},
+        ]
+
     def test_verify_reports_a_probe_error_as_a_record(self, capsys, monkeypatch):
         def fail(s, n, seed=0):
             raise RuntimeError(f"no rank at s = {s}")

@@ -12,6 +12,7 @@ if the change is meant, regenerate the digests and say why in the ledger:
 
 import hashlib
 import json
+import runpy
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -63,6 +64,15 @@ def test_corpus_json_unchanged():
     changed = [f"{key} {field}" for key in want for field in want[key]
                if got[key][field] != want[key][field]]
     assert not changed, f"{len(changed)} changed, first: {changed[:10]}"
+
+
+def test_make_corpus_reproduces_the_pinned_corpus(capsys):
+    """``bench/make_corpus.py`` prints the committed corpus byte for byte,
+    so the generator still builds every instance the benchmark measures.
+    run_path compiles the script without writing bytecode beside it."""
+    script = runpy.run_path(str(HERE.parent / "bench" / "make_corpus.py"), run_name="make_corpus")
+    assert script["main"]() == 0
+    assert capsys.readouterr().out.encode() == CORPUS.read_bytes()
 
 
 def test_square_free_witness_scheme_is_its_decomposition():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cuspidal.binform import BinaryForm, P1Point
+from cuspidal.binform import BinaryForm, GrammarError, P1Point
 from cuspidal.classifier import InstanceSpec, generate_instance
 from cuspidal import oracle
 from cuspidal.oracle import (
@@ -381,6 +381,17 @@ class TestSecantProbe:
                     got = secant_dimension_probe(s, n, seed=seed)
                     assert got == min(n, 2 * s - 1), (n, s, seed)
 
+    def test_expected_dimension_where_floats_lose_rank(self):
+        """At n >= 13 the Jacobian's entries reach 60^n and a float SVD cut at
+        eps * sigma_0 drops rank; the exact rank does not."""
+        for n in range(13, 17):
+            for s in range(1, (n + 2) // 2 + 1):
+                assert secant_dimension_probe(s, n, seed=0) == min(n, 2 * s - 1), (n, s)
+
+    def test_degree_limit(self):
+        with pytest.raises(GrammarError, match="degree 301 above the limit 128"):
+            secant_dimension_probe(2, 300)
+
     def test_bad_cardinality(self):
         with pytest.raises(ValueError):
             secant_dimension_probe(0, 5)
@@ -407,3 +418,7 @@ class TestDichotomyFuzz:
     def test_degree_floor(self):
         with pytest.raises(ValueError):
             dichotomy_fuzz(1, 10)
+
+    def test_degree_limit(self):
+        with pytest.raises(GrammarError, match="degree 400 above the limit 128"):
+            dichotomy_fuzz(400, 10)
