@@ -11,7 +11,8 @@ check failed (structured error JSON on stdout) or stdout was closed early
 subcommand imports what it runs: ``rank``, ``borderrank`` and ``scheme``
 load no mpmath, numpy, ``classifier``, ``projection`` or ``oracle``; mpmath
 comes with decompositions and the JSON of quadratic irrational lambda, numpy
-with the oracle and the root seeds of a decomposition (see the README).
+with the root seeds of a complex decomposition and nothing else: ``probe``
+and the ``verify`` battery run the oracle's exact checks (see the README).
 
 Forms are accepted in the text grammar ``d=<int>; [q0,q1,...]`` or as JSON
 records carrying "degree" and "coeffs" (either at the top level or under
@@ -235,6 +236,8 @@ def _crosscheck_ok(rep: dict) -> bool:
     return True
 
 
+_BATTERY_DEFAULTS = {"fuzz_samples": 150, "fuzz_degrees": [2, 3, 4, 5, 6], "probe_max_n": 7}
+
 _VERIFY_BATTERY = [
     ("e4_i", 6, 2),
     ("e4_ii", 7, 4),
@@ -259,7 +262,7 @@ def cmd_verify(args) -> int:
         _emit({**blob, "ok": ok})
 
     has_input = bool(args.input or args.file)
-    lines = _input_lines(args) if has_input or not sys.stdin.isatty() else []
+    lines = _input_lines(args) if has_input or not (args.battery or sys.stdin.isatty()) else []
     if has_input or lines:
         for line in lines:
             try:
@@ -376,10 +379,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="crosscheck records, or run the built-in battery")
     common(p, seed=True)
-    p.add_argument("--fuzz-samples", type=int, default=150)
-    p.add_argument("--fuzz-degrees", type=lambda s: [int(x) for x in s.split(",")],
-                   default=[2, 3, 4, 5, 6])
-    p.add_argument("--probe-max-n", type=int, default=7)
+    p.add_argument("--fuzz-samples", type=int)
+    p.add_argument("--fuzz-degrees", type=lambda s: [int(x) for x in s.split(",")])
+    p.add_argument("--probe-max-n", type=int)
     p.set_defaults(fn=cmd_verify)
 
     return parser
@@ -390,6 +392,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "count", 1) < 1:
         parser.error(f"argument --count: must be at least 1, got {args.count}")
+    if args.fn is cmd_verify:  # any battery flag given selects the battery
+        given = {k: v for k in _BATTERY_DEFAULTS if (v := getattr(args, k)) is not None}
+        if given and (args.input or args.file):
+            parser.error("the battery flags of verify take no input record")
+        vars(args).update(_BATTERY_DEFAULTS, **given, battery=bool(given))
     for dest, name, fallback in (("precision_bits", ENV_PRECISION, 192), ("seed", ENV_SEED, 0)):
         if getattr(args, dest, fallback) is None:  # the subcommand takes the flag
             setattr(args, dest, _env_int(parser, name, fallback))

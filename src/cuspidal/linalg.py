@@ -16,6 +16,7 @@ from typing import Sequence
 
 
 Matrix = Sequence[Sequence[Fraction]]
+_PRIME = 2**61 - 1  # the modulus of rank_mod
 
 
 def _int_rows(rows: Matrix) -> list[list[int]]:
@@ -63,6 +64,22 @@ def rank(rows: Matrix) -> int:
         return 0
     _, pivots = _bareiss(_int_rows(rows))
     return len(pivots)
+
+
+def rank_mod(rows: Matrix) -> int:
+    """Rank modulo ``_PRIME`` of the rows with their denominators cleared:
+    at most the rational rank, and below it only when the prime divides
+    every nonzero minor of maximal size."""
+    m, r = [[c % _PRIME for c in row] for row in _int_rows(rows)], 0
+    for col in range(len(m[0]) if m else 0):
+        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if sel is not None:
+            m[r], m[sel], inv = m[sel], m[r], pow(m[sel][col], -1, _PRIME)
+            for row in m[r + 1:]:
+                f = row[col] * inv % _PRIME
+                row[col:] = [(a - f * b) % _PRIME for a, b in zip(row[col:], m[r][col:])]
+            r += 1
+    return r
 
 
 def canonical_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:

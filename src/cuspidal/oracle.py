@@ -13,11 +13,11 @@ Three oracles, none of which shares code with the exact pipeline:
   witness residual is an estimate at that noise floor, not a proved bound.
   Exact lower bounds only ever come from the fiber scan: the cuspidal curve
   is singular, so catalecticant-style lower bounds for smooth curves do not
-  transfer.
+  transfer.  Only the search uses numpy, imported inside its functions.
 
 * secant_dimension_probe measures the dimension of a secant variety of the
   cuspidal curve as the rank of the parametrization Jacobian at a random
-  point, computed in exact rational arithmetic.
+  point, exactly: modulo one prime where that proves it, else over Q.
 
 * dichotomy_fuzz hammers the rank dichotomy on random forms and aborts with
   a serialized counterexample on any violation.
@@ -39,8 +39,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-
-import numpy as np
 
 from .apolarity import rank as sylvester_rank
 from .binform import _check_degree, random_form
@@ -109,13 +107,10 @@ def _slots(n: int) -> tuple[int, ...]:
     return (0,) + tuple(range(2, n + 2))
 
 
-def _design(taus: np.ndarray, slots: tuple[int, ...]) -> np.ndarray:
-    cols = [np.array([t**k for k in slots]) for t in taus]
-    return np.stack(cols, axis=1)
+def _residual_vec(taus, v, slots):
+    import numpy as np
 
-
-def _residual_vec(taus: np.ndarray, v: np.ndarray, slots) -> np.ndarray:
-    A = _design(taus, slots)
+    A = np.stack([np.array([t**k for k in slots]) for t in taus], axis=1)
     # column equilibration leaves the column span (and so the residual)
     # unchanged while taming the Vandermonde-style conditioning
     A = A / np.linalg.norm(A, axis=0)
@@ -123,9 +118,11 @@ def _residual_vec(taus: np.ndarray, v: np.ndarray, slots) -> np.ndarray:
     return v - A @ coef
 
 
-def _lm_float(taus: np.ndarray, v: np.ndarray, slots, max_iter: int = 80):
+def _lm_float(taus, v, slots, max_iter: int = 80):
     """Levenberg-Marquardt with a finite-difference Jacobian of the
     variable-projection residual; scalars are eliminated by least squares."""
+    import numpy as np
+
     taus = taus.astype(float)
     mu = 1e-3
     res = _residual_vec(taus, v, slots)
@@ -282,6 +279,8 @@ def _moment_seeds(P: ProjectedPoint, r: int):
     polynomials; their real roots seed the optimizer.  Returns the null
     basis (rows of V^T) or None when too few rows are known.
     """
+    import numpy as np
+
     d = P.n + 1
     known = {0: float(P.coords[0])}
     for k in range(2, d + 1):
@@ -298,8 +297,10 @@ def _moment_seeds(P: ProjectedPoint, r: int):
     return vt[-null_dim:]
 
 
-def _roots_of(poly_ascending: np.ndarray) -> list[float]:
+def _roots_of(poly_ascending) -> list[float]:
     """Real roots of a polynomial given by ascending coefficients."""
+    import numpy as np
+
     coeffs = np.array(poly_ascending, dtype=float)
     top = np.abs(coeffs).max()
     if top == 0:
@@ -332,6 +333,8 @@ def xrank_upper_search(P: ProjectedPoint, cfg: SearchConfig) -> SpanWitness | No
     order, or None when every start fails; None proves nothing about the
     rank.
     """
+    import numpy as np
+
     if not 1 <= cfg.r <= P.n:
         raise ValueError("target cardinality outside 1..n")
     rng = random.Random(f"span-search:{cfg.seed}:{cfg.r}")
@@ -395,7 +398,9 @@ def secant_dimension_probe(s: int, n: int, seed=0) -> int:
     """Observed projective dimension of the s-th secant variety of the curve.
 
     Exact rank, minus one, of the Jacobian of (parameters, scalars) -> sum
-    of scaled curve points at one seeded random sample.
+    of scaled curve points at one seeded random sample: ``linalg.rank_mod``,
+    when it reaches the bound min(2s, n+1) of the rational rank, else
+    ``linalg.rank``.
     """
     if not 1 <= s <= n:
         raise ValueError("cardinality outside 1..n")
@@ -411,7 +416,8 @@ def secant_dimension_probe(s: int, n: int, seed=0) -> int:
     for t, a in zip(sorted(taus), alphas):
         cols.append([t**k for k in slots])
         cols.append([a * k * t ** (k - 1) if k else Fraction(0) for k in slots])
-    return linalg.rank(cols) - 1
+    bound = min(2 * s, n + 1)
+    return (bound if linalg.rank_mod(cols) == bound else linalg.rank(cols)) - 1
 
 
 def dichotomy_fuzz(degree: int, samples: int, seed=0) -> dict:

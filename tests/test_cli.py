@@ -389,8 +389,10 @@ class TestImports:
         """rank, borderrank and scheme run on the exact engine alone: no
         mpmath, numpy, classifier, projection or oracle, also for the error
         record of scheme on u^2 + t^2, whose level-2 kernel has dimension 2.
-        classify loads no mpmath, and decompose on a complex path loads it,
-        with its record unchanged."""
+        classify loads no mpmath.  Importing the oracle, probe and a small
+        verify battery load no numpy, and the span search on an e4_i point
+        loads it.  decompose on a complex path loads mpmath, with its
+        record unchanged."""
         child = textwrap.dedent(
             """
             import contextlib, hashlib, io, json, sys
@@ -410,9 +412,22 @@ class TestImports:
             code, _ = run(["classify", "d=7; [0,0,0,1,0,0,0,0]"])
             codes.append(code)
             classify = "mpmath" in sys.modules
+            import cuspidal.oracle
+            numpy = ["numpy" in sys.modules]
+            for argv in (["probe", "--s", "3", "--n", "6"],
+                         ["verify", "--fuzz-samples", "2", "--fuzz-degrees", "4",
+                          "--probe-max-n", "4"]):
+                codes.append(run(argv)[0])
+                numpy.append("numpy" in sys.modules)
+            from cuspidal.classifier import InstanceSpec, generate_instance
+            from cuspidal.projection import project
+            point = project(generate_instance(InstanceSpec("e4_i", 6, 2, seed=7)).form)
+            found = cuspidal.oracle.xrank_upper_search(point, cuspidal.oracle.SearchConfig(r=2))
+            numpy.append("numpy" in sys.modules)
             code, out = run(["decompose", "d=5; [1,0,0,-10,5,-1]"])
             codes.append(code)
             print(json.dumps({"codes": codes, "exact": exact, "classify": classify,
+                              "numpy": numpy, "found": found is not None,
                               "decompose": "mpmath" in sys.modules,
                               "record": hashlib.sha256(out.encode()).hexdigest()}))
             """
@@ -424,7 +439,8 @@ class TestImports:
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) == {
-            "codes": [0, 0, 0, 0, 0, 1, 0, 0], "exact": [], "classify": False, "decompose": True,
+            "codes": [0, 0, 0, 0, 0, 1, 0, 0, 0, 0], "exact": [], "classify": False,
+            "numpy": [False, False, False, True], "found": True, "decompose": True,
             "record": "99295298d7d8721b3841836fd512ea13472e97a896c1b0dd2e064741ff1ac539",
         }
 
@@ -820,6 +836,35 @@ class TestProbeAndVerify:
              "error": {"type": "GrammarError", "message": message}},
             {"check": "summary", "records": 1, "failed": 1},
         ]
+
+    def test_verify_battery_does_not_read_an_open_stdin(self):
+        """A battery flag selects the battery, so a child whose stdin is a
+        pipe that never closes still runs it: one summary record, exit 0."""
+        src = Path(projection.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = [sys.executable, "-m", "cuspidal.cli", "verify", "--fuzz-samples", "5",
+                "--fuzz-degrees", "2", "--probe-max-n", "3"]
+        read_end, write_end = os.pipe()
+        try:
+            out = subprocess.run(argv, env=env, stdin=read_end, capture_output=True,
+                                 text=True, timeout=60)
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert out.returncode == 0, out.stderr
+        recs = [json.loads(ln) for ln in out.stdout.splitlines()]
+        assert [r for r in recs if r["check"] == "summary"] == [
+            {"check": "summary", "records": len(recs) - 1, "failed": 0}
+        ]
+
+    @pytest.mark.parametrize("flag", [["--fuzz-samples", "5"], ["--fuzz-degrees", "2"],
+                                      ["--probe-max-n", "3"]])
+    @pytest.mark.parametrize("record", [["d=3; [1,0,0,1]"], ["--file", "forms.txt"]])
+    def test_verify_battery_flag_with_a_record_is_a_usage_error(self, capsys, flag, record):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *flag, *record])
+        assert exc.value.code == 2
+        assert "battery flags of verify take no input record" in capsys.readouterr().err
 
     def test_verify_reports_a_probe_error_as_a_record(self, capsys, monkeypatch):
         def fail(s, n, seed=0):

@@ -222,3 +222,15 @@ def test_det_matches_leibniz_formula():
             inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
             want += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
         assert det(m) == want
+
+
+def test_rank_mod_is_at_most_the_rational_rank():
+    """Modulo 2^61 - 1 the rank agrees with Bareiss over Q on random
+    rational matrices, and drops where the prime divides every maximal
+    minor: diag(1/3, p/5) has rank 2 over Q and 1 modulo p."""
+    rng = random.Random(11)
+    for _ in range(200):
+        m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        assert linalg.rank_mod(m) == linalg.rank(m)
+    drop = [[F(1, 3), F(0)], [F(0), F(linalg._PRIME, 5)]]
+    assert (linalg.rank(drop), linalg.rank_mod(drop)) == (2, 1)

@@ -9,7 +9,7 @@ import pytest
 
 from cuspidal.binform import BinaryForm, GrammarError, P1Point
 from cuspidal.classifier import InstanceSpec, generate_instance
-from cuspidal import oracle
+from cuspidal import linalg, oracle
 from cuspidal.oracle import (
     CLUSTER_RADIUS,
     GUARD_BITS,
@@ -387,6 +387,34 @@ class TestSecantProbe:
         for n in range(13, 17):
             for s in range(1, (n + 2) // 2 + 1):
                 assert secant_dimension_probe(s, n, seed=0) == min(n, 2 * s - 1), (n, s)
+
+    def test_modular_rank_matches_bareiss(self, monkeypatch):
+        """The rank modulo one prime gives the dimension that Bareiss over Q
+        (``linalg.rank``, the route taken when the modular rank falls short)
+        gives on every (s, n) with n <= 16, at seeds 0-2."""
+        got = {(s, n, seed): secant_dimension_probe(s, n, seed=seed)
+               for n in range(1, 17) for s in range(1, n + 1) for seed in range(3)}
+        monkeypatch.setattr(linalg, "rank_mod", lambda rows: -1)
+        for (s, n, seed), dim in got.items():
+            assert dim == secant_dimension_probe(s, n, seed=seed) == min(n, 2 * s - 1)
+
+    def test_rank_that_drops_modulo_the_prime_falls_back(self, monkeypatch):
+        """With the first Jacobian row scaled by the prime, the rank modulo
+        the prime falls one short of the bound, so the probe ranks the
+        Jacobian over Q and still gives the expected dimension."""
+        real_mod, real_rank, ranked = linalg.rank_mod, linalg.rank, []
+
+        def scaled_mod(rows):
+            return real_mod([[c * linalg._PRIME for c in rows[0]]] + rows[1:])
+
+        def counted_rank(rows):
+            ranked.append(len(rows))
+            return real_rank(rows)
+
+        monkeypatch.setattr(linalg, "rank_mod", scaled_mod)
+        monkeypatch.setattr(linalg, "rank", counted_rank)
+        assert secant_dimension_probe(3, 7, seed=0) == 5
+        assert ranked == [6]
 
     def test_degree_limit(self):
         with pytest.raises(GrammarError, match="degree 301 above the limit 128"):

@@ -3,7 +3,9 @@
 Certificate checks are explicit raises, so that they still run under
 ``python -O``, which strips every ``assert`` statement: the package holds
 none.  The package factors every polynomial itself, so no module of it
-imports sympy, which only the test oracle uses.
+imports sympy, which only the test oracle uses.  numpy serves only the span
+search and the root seeds of a complex decomposition, so it is imported
+inside the functions that compute with it and never when a module loads.
 """
 
 import ast
@@ -21,6 +23,19 @@ def _nodes():
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             yield path.name, node
+
+
+def _load_time_nodes(tree):
+    """The nodes of a module that run when it is imported: all but the
+    bodies of its functions."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(
+            child for child in ast.iter_child_nodes(node)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        )
 
 
 def test_the_package_has_no_assert_statements():
@@ -43,3 +58,13 @@ def test_no_module_imports_sympy():
         if any(module.split(".")[0] == "sympy" for module in _imported(node))
     ]
     assert found == [], f"sympy imports in the package: {found}"
+
+
+def test_no_module_imports_numpy_when_it_loads():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in _load_time_nodes(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if any(module.split(".")[0] == "numpy" for module in _imported(node))
+    ]
+    assert found == [], f"numpy imported at module level: {found}"
