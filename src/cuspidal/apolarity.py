@@ -107,11 +107,22 @@ def _dot(x, y) -> int:
     return sum(p * q for p, q in zip(x, y))
 
 
+@lru_cache(maxsize=64)
+def _integer_apolar(f: BinaryForm) -> tuple[tuple[int, ...], int]:
+    """(ints, den) with ints / den the apolar vector of f, den the lcm of
+    its denominators.  Kept for the last 64 forms, as ``rank`` keeps their
+    certificates, so that the rank and the scalars of a decomposition of
+    one form build it once."""
+    a = apolar_coeffs(f).entries
+    den = lcm(*(c.denominator for c in a))
+    return tuple(c.numerator * (den // c.denominator) for c in a), den
+
+
 def _first_kernel(f: BinaryForm) -> tuple[int, list[BinaryForm]]:
     """Border rank w and the level-w kernel basis of f, by ``_border_kernel``."""
     if f.is_zero():
         raise ZeroFormError("rank of the zero form")
-    w, basis = _border_kernel(linalg.canonical_vector(apolar_coeffs(f).entries))
+    w, basis = _border_kernel(linalg.canonical_vector(_integer_apolar(f)[0]))
     return w, [BinaryForm(w, v) for v in basis]
 
 
@@ -545,9 +556,7 @@ def _residue_scalars(f: BinaryForm, g: BinaryForm, points) -> list[tuple[int, in
     PrecisionError.  Nothing else is checked: callers reconstruct f from
     the terms.
     """
-    a = apolar_coeffs(f).entries
-    den = lcm(*(c.denominator for c in a))
-    ints = [c.numerator * (den // c.denominator) for c in a]
+    ints, den = _integer_apolar(f)
     d = f.degree
     charts: dict[bool, tuple[list, list]] = {}
     out = []

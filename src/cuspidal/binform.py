@@ -12,10 +12,11 @@ its exact residual.
 from __future__ import annotations
 
 import cmath
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, exp, gcd, log, log2, pi
 from typing import Sequence
 
 from . import linalg, ratfactor, univar
@@ -459,11 +460,18 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     rational polynomial p (low to high, degree >= 1), refined at ``bits``
     bits; the caller works at ``bits`` or above.  Roots that are close
     relative to their size keep far fewer correct bits: for
-    (x - M)^2 - 3 with M = 10^30 + 7, asked for 224 bits, the two real
-    roots come back with imaginary parts near 4e-7.
+    (x - M)^2 - 3 with M = 10^30 + 7, asked for 128 bits, the two real
+    roots come back real, but about 3e12 from the true ones, inside the
+    stopping rule's slack below.
 
-    The seeds are ``numpy.roots`` of the coefficients scaled by their largest,
-    as floats; a root lost to underflow is seeded on a spiral.
+    The seeds are float roots from the primitive integer coefficients,
+    started on the circles of their Newton polygon (``_float_seeds``), and
+    made exactly real or conjugate, so that real roots stay real below.
+    Disks that hold the roots tell which seeds stand for real roots
+    (``_real_flags``); in a cluster near the real axis, which floats cannot
+    resolve, the real roots are counted exactly (``_real_root_count``) and
+    the seeds nearest the axis stand for them.  Seeds within
+    2^-20 max(1, |z|) of another start apart, real ones along the axis.
     Newton steps with Aberth's correction, which keeps two approximations
     from settling on one root, then refine all roots together while the
     working precision P doubles from 106 bits to ``bits`` (Bini, Numer.
@@ -490,25 +498,26 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     raises PrecisionError when the roots are too poor.  The roots of exact
     quadratics, in ``numberfield``, come from the quadratic formula instead.
     """
-    deg = univar.degree(p)
-    top = max(abs(c) for c in p)
-    fl = [float(c / top) for c in p]
     import mpmath
-    import numpy
     from mpmath.libmp import from_man_exp
 
-    seeds = [complex(z) for z in numpy.roots(fl[::-1])]
-    zs = [z for z in seeds if cmath.isfinite(z)]
-    zs += [(0.4 + 0.9j) ** k for k in range(len(zs), deg)]
-    # seeds too close for floats to tell two real roots from a conjugate
-    # pair would stay trapped in that symmetry: they start off it
-    zs = [
-        z * (1 + 2**-20 * cmath.exp(1j * k))
-        if any(abs(z - w) <= 2**-20 * max(1, abs(z)) for w in zs[:k] + zs[k + 1:])
-        else z
-        for k, z in enumerate(zs)
-    ]
     cs = linalg.canonical_vector(univar.trim(p))
+    deg = len(cs) - 1
+    zs = _float_seeds(cs)
+    real = _real_flags(cs, zs)
+    if real is None:
+        zs.sort(key=lambda z: abs(z.imag) / (abs(z) or 1))
+        count = _real_root_count(cs)
+        real = [k < count for k in range(deg)]
+    upper = [z for z, r in zip(zs, real) if not r and z.imag > 0]
+    if sum(real) + 2 * len(upper) == deg:
+        zs = [complex(z.real) for z, r in zip(zs, real) if r] + upper
+        zs += [z.conjugate() for z in upper]
+    # seeds too close to part in the sweeps start apart, and so off their
+    # conjugate symmetry unless they are real
+    zs = [z * (1 + 2**-20 * (cmath.exp(1j * k) if z.imag else k))
+          if any(abs(z - w) <= 2**-20 * max(1, abs(z)) for w in zs[:k] + zs[k + 1:]) else z
+          for k, z in enumerate(zs)]
     low = next(abs(c) for c in cs if c)
     guard = ((low + max(abs(c) for c in cs)) // low).bit_length()
     prec = min(106, bits)
@@ -522,6 +531,120 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
         step = min(2 * prec, bits) - prec
         prec, scale = prec + step, scale + step
         zs = [(x << step, y << step) for x, y in zs]
+
+
+def _real_flags(cs: tuple[int, ...], zs: list[complex]) -> list[bool] | None:
+    """For each float root z in zs of the integer polynomial cs, whether
+    the root it stands for is real, or None when floats cannot tell.
+
+    Every connected union of m of the disks about z_i of radius
+    deg |W_i|, W_i = p(z_i) / (c_deg prod_(j != i) (z_i - z_j)), holds
+    exactly m roots (Carstensen, Numer. Math. 59, 1991).  The radii here
+    are twice that, with |p(z_i)| enlarged by a bound on its rounding
+    error, formed in logarithms.  A disk off the real axis holds no real
+    root.  A disk that meets it, and meets no other disk nor the mirror
+    image of one, holds one root, which its own conjugate must be, so
+    that root is real.  Any other disk that meets the axis, or two equal
+    seeds, gives None."""
+    deg = len(cs) - 1
+    top = max(abs(c) for c in cs)
+    fl = [c / top for c in cs]
+    radii = []
+    for i, z in enumerate(zs):
+        gaps = [abs(z - v) for j, v in enumerate(zs) if j != i]
+        if not all(gaps):
+            return None
+        a, _, s, far = _chart(fl, z)
+        bound = abs(a) + 4 * deg * 2**-53 * s
+        if not bound:
+            radii.append(0.0)
+            continue
+        radii.append(exp(min(700, log(2 * deg * bound) + log(top) - log(abs(cs[-1]))
+                             + far * deg * log(abs(z)) - sum(map(log, gaps)))))
+    real = [abs(z.imag) <= r for z, r in zip(zs, radii)]
+    for i, (z, r) in enumerate(zip(zs, radii)):
+        if real[i] and any(min(abs(z - v), abs(z.conjugate() - v)) <= r + q
+                           for j, (v, q) in enumerate(zip(zs, radii)) if j != i):
+            return None
+    return real
+
+
+def _real_root_count(cs: tuple[int, ...]) -> int:
+    """The number of real roots of the square-free integer polynomial cs
+    (low to high), by Sturm's theorem: the sign changes of the leading
+    coefficients of its Sturm sequence at -infinity less those at
+    +infinity.  Each remainder is formed in integers with positive
+    multipliers and divided by its content, which keeps its sign."""
+    p, q = list(cs), univar.derivative(cs)
+    signs = [(len(p) - 1, p[-1] > 0)]
+    while q:
+        signs.append((len(q) - 1, q[-1] > 0))
+        r, m, s = p, abs(q[-1]), 1 if q[-1] > 0 else -1
+        while len(r) >= len(q):
+            f, shift = s * r[-1], len(r) - len(q)
+            r = univar.trim([c * m - (f * q[i - shift] if i >= shift else 0)
+                             for i, c in enumerate(r[:-1])])
+        g = gcd(*r)
+        p, q = q, [-c // g for c in r]
+    at_minus = [sign == (deg % 2 == 0) for deg, sign in signs]
+    plus = [sign for _, sign in signs]
+    return sum(map(operator.ne, at_minus, at_minus[1:])) - sum(map(operator.ne, plus, plus[1:]))
+
+
+def _float_seeds(cs: tuple[int, ...]) -> list[complex]:
+    """Float approximations of the roots of the integer polynomial cs (low
+    to high), from seeds on its Newton polygon (Bini, Numer. Algorithms 13,
+    1996): one at 0 for each leading zero coefficient, and for each edge
+    from i to j of the upper convex hull of the points (k, log2 |c_k|),
+    j - i on the circle of radius (|c_i| / |c_j|)^(1/(j-i)), clipped to
+    floats, at the angles 2 pi (k/(j-i) + i/deg) + 0.7.  Aberth's method
+    in Python complex, one root at a time, moves them until every step h
+    has |h| <= 1e-14 |z|, for at most 100 sweeps; a root that does not stay
+    finite, or every root when a division fails, keeps its seed.  The
+    coefficients are scaled by their largest, and p / p' at |z| > 1 is
+    z q / (deg q - q' / z) for the reversed polynomial q at 1/z."""
+    deg = len(cs) - 1
+    hull: list[tuple[int, float]] = []
+    for k, y in ((k, log2(abs(c))) for k, c in enumerate(cs) if c):
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])):
+            hull.pop()
+        hull.append((k, y))
+    seeds = [0j] * hull[0][0]
+    for (i, yi), (j, yj) in zip(hull, hull[1:]):
+        radius = 2 ** max(-1000, min(1000, (yi - yj) / (j - i)))
+        seeds += [cmath.rect(radius, 2 * pi * (k / (j - i) + i / deg) + 0.7)
+                  for k in range(j - i)]
+    top = max(abs(c) for c in cs)
+    fl = [c / top for c in cs]
+    zs = list(seeds)
+    try:
+        for _ in range(100):
+            done = True
+            for i, z in enumerate(zs):
+                a, b, _, far = _chart(fl, z)
+                ratio = z * a / (deg * a - b / z) if far else a / b
+                h = ratio / (1 - ratio * sum(1 / (z - v) for j, v in enumerate(zs) if j != i))
+                zs[i] = z - h
+                done = done and abs(h) <= 1e-14 * abs(zs[i])
+            if done:
+                break
+    except (ZeroDivisionError, OverflowError):
+        return seeds
+    return [z if cmath.isfinite(z) else s for z, s in zip(zs, seeds)]
+
+
+def _chart(fl: list[float], z: complex) -> tuple[complex, complex, float, bool]:
+    """p(z), p'(z) and the sum of |c_k| |z|^k from the float coefficients
+    fl (low to high) when |z| <= 1, and when |z| > 1 (far) the same for the
+    reversed polynomial at 1/z, so that nothing overflows."""
+    far = abs(z) > 1
+    w = 1 / z if far else z
+    a = b = 0j
+    s, size = 0.0, abs(w)
+    for c in fl if far else reversed(fl):
+        a, b, s = a * w + c, b * w + a, s * size + abs(c)
+    return a, b, s, far
 
 
 def _aberth_sweeps(cs: tuple[int, ...], zs: list, scale: int, prec: int) -> list:

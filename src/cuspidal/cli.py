@@ -11,8 +11,9 @@ check failed (structured error JSON on stdout) or stdout was closed early
 subcommand imports what it runs: ``rank``, ``borderrank`` and ``scheme``
 load no mpmath, numpy, ``classifier``, ``projection`` or ``oracle``; mpmath
 comes with decompositions and the JSON of quadratic irrational lambda, numpy
-with the root seeds of a complex decomposition and nothing else: ``probe``
-and the ``verify`` battery run the oracle's exact checks (see the README).
+with the span search of ``oracle`` and nothing else: ``decompose`` seeds its
+roots in pure Python, and ``probe`` and the ``verify`` battery run the
+oracle's exact checks (see the README).
 
 Forms are accepted in the text grammar ``d=<int>; [q0,q1,...]`` or as JSON
 records carrying "degree" and "coeffs" (either at the top level or under

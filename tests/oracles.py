@@ -99,7 +99,8 @@
   reciprocal once.
 * ``mp_aberth_roots``: ``binform.approximate_roots`` once ran its sweeps in
   mpmath ``mpc`` at the working precision, from the coefficients rounded to
-  it.  It backs the fixed-point sweeps in Python ints.
+  it, and seeded them by ``numpy.roots``.  It backs the fixed-point sweeps
+  in Python ints and their seeds on the Newton polygon.
 * ``mp_decomposition_residual``: ``apolarity.verify_decomposition`` once
   formed the power sum of inexact terms in ``mpc`` at precision_bits + 32,
   an estimate at the noise level of that arithmetic.  ``fraction_power_sum``
@@ -1077,7 +1078,7 @@ def fraction_reconstruct(terms, d: int) -> list[Fraction]:
 
 
 def per_root_aberth_roots(p, bits: int) -> list:
-    """``binform.approximate_roots`` with the reciprocals of the Aberth
+    """``mp_aberth_roots`` with the reciprocals of the Aberth
     correction taken once per ordered pair: the same seeds, precision
     ladder, Jacobi update, ``fsum`` order and stopping rule."""
     deg = univar.degree(p)
@@ -1125,7 +1126,8 @@ def per_root_aberth_roots(p, bits: int) -> list:
 
 def mp_aberth_roots(p, bits: int) -> list:
     """``binform.approximate_roots`` before its sweeps moved to fixed-point
-    integers: the same seeds, precision ladder, stopping rule and 100-sweep
+    integers and its seeds to the Newton polygon: seeds from
+    ``numpy.roots``, the same precision ladder, stopping rule and 100-sweep
     cap, with every sweep in mpmath ``mpc`` arithmetic at the working
     precision and p, p' evaluated from the rational coefficients rounded
     to it.  Each sweep takes 1/(z_i - z_j) once per pair and its negative

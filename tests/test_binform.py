@@ -7,7 +7,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import linalg, ratfactor, univar
+from cuspidal import binform, linalg, ratfactor, univar
 from cuspidal.binform import (
     MAX_COEFFICIENT_BITS,
     MAX_DEGREE,
@@ -425,6 +425,12 @@ class TestFormArithmetic:
         assert form(0, F(2, 3), 0).pretty() == "2/3*u*t"
 
 
+def _wide_coefficients(degree: int) -> list[int]:
+    """Seeded integer coefficients of 1 to 1000 bits and random signs."""
+    rng = random.Random("wide-coefficients")
+    return [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 1000)) for _ in range(degree + 1)]
+
+
 class TestNumericRoots:
     """Roots of forms: the rational ones read off the zero scheme, the rest
     refined by ``approximate_roots``."""
@@ -549,19 +555,76 @@ class TestNumericRoots:
                     err = min(abs(y - z) for y in got)
                     assert err <= mpmath.mpf(2) ** (8 - bits) * abs(z), (p, bits, z)
 
-    def test_seeds_lost_to_underflow(self, monkeypatch):
-        """Roots numpy.roots does not return are seeded on a spiral and
-        still refined to the roots."""
-        import numpy
-
-        p = [F(c) for c in (7, -3, 0, 5, 2, 1)]
-        want = approximate_roots(p, 128)
-        monkeypatch.setattr(numpy, "roots", lambda cs: numpy.array([complex(want[0])]))
+    @pytest.mark.parametrize("p", [
+        univar.mul([-10**200, 0, 0, 0, 0, 1], [-3, 0, 0, 0, 0, 10**200]),
+        _wide_coefficients(48),
+        [-10**300] + [0] * 23 + [1],
+        [-1] + [0] * 23 + [10**300],
+    ], ids=["moduli-1e40-and-1e-40", "degree-48-1000-bits", "moduli-3e12", "moduli-3e-13"])
+    def test_seeds_for_coefficients_floats_cannot_hold(self, p):
+        """Coefficients whose ratios floats cannot hold: the Newton polygon
+        seeds each root on a circle of its modulus, and the float pass reads
+        |z| > 1 from the reversed polynomial.  Refined at 128 bits, the
+        roots are the degree in number, pairwise apart, and each one's
+        Newton step, at 2000 bits, is at most 2^-131 of its modulus."""
+        p = [F(c) for c in p]
         got = approximate_roots(p, 128)
-        with mpmath.workprec(128):
-            assert len(got) == 5
-            for z in want:
-                assert min(abs(z - y) for y in got) < mpmath.mpf(2) ** -100
+        assert len(got) == univar.degree(p)
+        with mpmath.workprec(2000):
+            cs = [mpmath.mpf(c.numerator) for c in p]
+            ds = [mpmath.mpf(c.numerator) for c in univar.derivative(p)]
+            for i, z in enumerate(got):
+                step = univar.evaluate(cs, z) / univar.evaluate(ds, z)
+                assert abs(step) <= mpmath.mpf(2) ** -131 * abs(z), (i, z)
+                assert all(abs(z - y) > mpmath.mpf(2) ** -64 * abs(z) for y in got[i + 1:])
+
+    def test_real_seeds_match_the_real_roots(self):
+        """On the polynomials of ``_aberth_polynomials`` and on the clusters
+        (x - M)^2 -+ 3, the Sturm count ``_real_root_count`` is the number
+        of real roots that mpmath's Durand-Kerner finds at 400 bits, and
+        wherever ``_real_flags`` is sure of the float seeds, it marks that
+        many of them real.  It is unsure on clusters near the real axis."""
+        M = 10**30 + 7
+        polys = [p for p, _, _ in _aberth_polynomials()]
+        polys += [[F(M * M + c), F(-2 * M), F(1)] for c in (3, -3)]
+        unsure = 0
+        for p in polys:
+            cs = linalg.canonical_vector(p)
+            with mpmath.workprec(400):
+                want = sum(abs(z.imag) < mpmath.mpf(2) ** -200 for z in mp_polyroots(p, 400))
+            assert binform._real_root_count(cs) == want, p
+            flags = binform._real_flags(cs, binform._float_seeds(cs))
+            assert flags is None or sum(flags) == want, p
+            unsure += flags is None
+        assert 2 < unsure < len(polys) // 2
+
+    @pytest.mark.parametrize("bits", [128, 224])
+    def test_real_roots_of_a_cluster_stay_real(self, bits):
+        """(x - M)^2 - 3, M = 10^30 + 7: floats cannot resolve the two roots
+        2 sqrt(3) apart, but the exact count of real roots makes both seeds
+        real, and the fixed-point sweeps keep them real, so both imaginary
+        parts are exactly 0.  The real parts keep the stopping rule's
+        slack: at 128 bits they are about 3e12 from M -+ sqrt(3), inside
+        2^(8 - bits/2) |z| = 1.4e13."""
+        M = 10**30 + 7
+        got = approximate_roots([F(M * M - 3), F(-2 * M), F(1)], bits)
+        assert [z.imag for z in got] == [0, 0]
+        with mpmath.workprec(2 * bits):
+            for root in (M - mpmath.sqrt(3), M + mpmath.sqrt(3)):
+                err = min(abs(z - root) for z in got)
+                assert err <= mpmath.mpf(2) ** (8 - bits // 2) * root
+
+    @pytest.mark.parametrize("M, bits", [(10**9 + 7, 128), (10**15 + 7, 128), (10**30 + 7, 224)])
+    def test_complex_roots_of_a_cluster_are_found(self, M, bits):
+        """(x - M)^2 + 3, the conjugate twin of the cluster above: its float
+        roots lie near the real axis, but the seeds must not stand for two
+        real roots, which the sweeps would keep real; each root M +- i sqrt(3)
+        is found to within 2^(8 - bits/2) |z|."""
+        got = approximate_roots([F(M * M + 3), F(-2 * M), F(1)], bits)
+        with mpmath.workprec(2 * bits):
+            for root in (M - mpmath.sqrt(3) * 1j, M + mpmath.sqrt(3) * 1j):
+                err = min(abs(z - root) for z in got)
+                assert err <= mpmath.mpf(2) ** (8 - bits // 2) * abs(root)
 
 
 def _aberth_polynomials():

@@ -389,10 +389,11 @@ class TestImports:
         """rank, borderrank and scheme run on the exact engine alone: no
         mpmath, numpy, classifier, projection or oracle, also for the error
         record of scheme on u^2 + t^2, whose level-2 kernel has dimension 2.
-        classify loads no mpmath.  Importing the oracle, probe and a small
-        verify battery load no numpy, and the span search on an e4_i point
-        loads it.  decompose on a complex path loads mpmath, with its
-        record unchanged."""
+        classify loads no mpmath.  decompose on a cubic witness and on an
+        irreducible quintic one, and verify-decomp of the quintic's record,
+        load mpmath and no numpy, with their records unchanged.  Importing
+        the oracle, probe and a small verify battery load no numpy either,
+        and the span search on an e4_i point loads it."""
         child = textwrap.dedent(
             """
             import contextlib, hashlib, io, json, sys
@@ -412,6 +413,14 @@ class TestImports:
             code, _ = run(["classify", "d=7; [0,0,0,1,0,0,0,0]"])
             codes.append(code)
             classify = "mpmath" in sys.modules
+            records = []
+            for form in ("d=5; [1,0,0,-10,5,-1]", "d=9; [-1,2,-2,0,-2,1,1,1,1,-1]"):
+                code, out = run(["decompose", form])
+                codes.append(code)
+                records.append(hashlib.sha256(out.encode()).hexdigest())
+            code, checked = run(["verify-decomp", out.strip()])
+            codes.append(code)
+            decompose = ["mpmath" in sys.modules, "numpy" in sys.modules]
             import cuspidal.oracle
             numpy = ["numpy" in sys.modules]
             for argv in (["probe", "--s", "3", "--n", "6"],
@@ -424,12 +433,10 @@ class TestImports:
             point = project(generate_instance(InstanceSpec("e4_i", 6, 2, seed=7)).form)
             found = cuspidal.oracle.xrank_upper_search(point, cuspidal.oracle.SearchConfig(r=2))
             numpy.append("numpy" in sys.modules)
-            code, out = run(["decompose", "d=5; [1,0,0,-10,5,-1]"])
-            codes.append(code)
             print(json.dumps({"codes": codes, "exact": exact, "classify": classify,
-                              "numpy": numpy, "found": found is not None,
-                              "decompose": "mpmath" in sys.modules,
-                              "record": hashlib.sha256(out.encode()).hexdigest()}))
+                              "decompose": decompose, "records": records,
+                              "verified": json.loads(checked)["ok"],
+                              "numpy": numpy, "found": found is not None}))
             """
         )
         src = Path(projection.__file__).resolve().parents[1]
@@ -439,9 +446,11 @@ class TestImports:
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) == {
-            "codes": [0, 0, 0, 0, 0, 1, 0, 0, 0, 0], "exact": [], "classify": False,
-            "numpy": [False, False, False, True], "found": True, "decompose": True,
-            "record": "99295298d7d8721b3841836fd512ea13472e97a896c1b0dd2e064741ff1ac539",
+            "codes": [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0], "exact": [], "classify": False,
+            "decompose": [True, False], "records": [
+                "99295298d7d8721b3841836fd512ea13472e97a896c1b0dd2e064741ff1ac539",
+                "d73538c847e5986fcd8fc5532a98980e2f8c4e3c12b920b218ab8dd902adf499",
+            ], "verified": True, "numpy": [False, False, False, True], "found": True,
         }
 
     def test_unserved_polynomials_load_no_sympy(self):

@@ -4,8 +4,9 @@ Certificate checks are explicit raises, so that they still run under
 ``python -O``, which strips every ``assert`` statement: the package holds
 none.  The package factors every polynomial itself, so no module of it
 imports sympy, which only the test oracle uses.  numpy serves only the span
-search and the root seeds of a complex decomposition, so it is imported
-inside the functions that compute with it and never when a module loads.
+search of ``oracle``: no other module names it, and the oracle imports it
+inside the functions that compute with it, never when the module loads.
+Complex roots are seeded from the Newton polygon in pure Python.
 """
 
 import ast
@@ -68,3 +69,13 @@ def test_no_module_imports_numpy_when_it_loads():
         if any(module.split(".")[0] == "numpy" for module in _imported(node))
     ]
     assert found == [], f"numpy imported at module level: {found}"
+
+
+def test_only_the_oracle_names_numpy():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if name != "oracle.py"
+        and any(module.split(".")[0] == "numpy" for module in _imported(node))
+    ]
+    assert found == [], f"numpy imported outside oracle.py: {found}"
