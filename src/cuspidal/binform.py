@@ -12,11 +12,10 @@ its exact residual.
 from __future__ import annotations
 
 import cmath
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, gcd, log, log2, pi
+from math import comb, exp, log, log2, pi
 from typing import Sequence
 
 from . import linalg, ratfactor, univar
@@ -78,10 +77,12 @@ def _check_degree(degree: int) -> None:
 
 
 def _exact(c) -> int | Fraction:
-    """The value of c as an int when it is integral, else as a Fraction."""
+    """The value of c as an int when it is integral, else as a Fraction; a
+    Fraction that is not integral comes back as the very object given."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    if type(c) is not Fraction:
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -294,13 +295,13 @@ class P1Point:
     b: Fraction
 
     def __post_init__(self) -> None:
-        a, b = Fraction(self.a), Fraction(self.b)
+        a, b = (x if type(x) is Fraction else Fraction(x) for x in (self.a, self.b))
         if a == 0 and b == 0:
             raise ValueError("(0:0) is not a point")
-        if a != 0:
-            a, b = Fraction(1), b / a
-        else:
+        if a == 0:
             a, b = Fraction(0), Fraction(1)
+        elif a != 1:
+            a, b = Fraction(1), b / a
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -336,7 +337,10 @@ class ZeroScheme:
     ``prod g_i^{m_i}``.
 
     Invariant: every factor is an irreducible, primitive integer form whose
-    first nonzero coefficient is positive.  So a factor vanishes at a
+    first nonzero coefficient is positive.  The pieces arrive as primitive
+    integer vectors from ``ratfactor.primitive_factors``; each has a nonzero
+    constant term or is t = (0, 1), so fixing the sign of the constant term
+    is all the canonical form asks.  So a factor vanishes at a
     rational point p exactly when it equals ``p.linear_form()``, and a factor
     of degree 2 or more has no rational point.  The point methods read their
     answers off the factors and factor nothing again.
@@ -357,8 +361,8 @@ class ZeroScheme:
             if k:
                 ufac = BinaryForm(1, (1, 0))
                 acc[ufac] = acc.get(ufac, 0) + k * int(m)
-            for q, e in ratfactor.irreducible_factors(p):
-                piece = BinaryForm(len(q) - 1, linalg.canonical_vector(q))
+            for q, e in ratfactor.primitive_factors(p):
+                piece = BinaryForm(len(q) - 1, q if q[0] >= 0 else tuple(-c for c in q))
                 acc[piece] = acc.get(piece, 0) + e * int(m)
         canon = sorted(acc.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
         object.__setattr__(self, "factors", tuple(canon))
@@ -447,7 +451,7 @@ def is_square_free(f: BinaryForm) -> bool:
 def squarefree_decompose(f: BinaryForm) -> ZeroScheme:
     """The zero scheme of f: its irreducible factors over Q with their
     multiplicities, a factor supported at (0:1) included.  ``ZeroScheme``
-    finds them with ``ratfactor.irreducible_factors``, which runs Yun's
+    finds them with ``ratfactor.primitive_factors``, which runs Yun's
     square-free decomposition only when no listed prime proves f(1, t)
     square-free."""
     if f.is_zero():
@@ -489,7 +493,8 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     on the modulus of a nonzero root, c_j the lowest nonzero coefficient,
     so that the smallest roots keep P bits relative to their size.  A zero
     denominator, some z_i = z_j or a vanishing p' or Aberth factor, raises
-    PrecisionError.  The roots are returned as mpc values equal to the
+    PrecisionError, and so does a root modulus above 2^1000, which no float
+    seed reaches.  The roots are returned as mpc values equal to the
     final integers over 2^(P + g).
 
     The seeds only start the iteration; nothing here is certified.
@@ -571,24 +576,64 @@ def _real_flags(cs: tuple[int, ...], zs: list[complex]) -> list[bool] | None:
 
 def _real_root_count(cs: tuple[int, ...]) -> int:
     """The number of real roots of the square-free integer polynomial cs
-    (low to high), by Sturm's theorem: the sign changes of the leading
-    coefficients of its Sturm sequence at -infinity less those at
-    +infinity.  Each remainder is formed in integers with positive
-    multipliers and divided by its content, which keeps its sign."""
-    p, q = list(cs), univar.derivative(cs)
-    signs = [(len(p) - 1, p[-1] > 0)]
-    while q:
-        signs.append((len(q) - 1, q[-1] > 0))
-        r, m, s = p, abs(q[-1]), 1 if q[-1] > 0 else -1
-        while len(r) >= len(q):
-            f, shift = s * r[-1], len(r) - len(q)
-            r = univar.trim([c * m - (f * q[i - shift] if i >= shift else 0)
-                             for i, c in enumerate(r[:-1])])
-        g = gcd(*r)
-        p, q = q, [-c // g for c in r]
-    at_minus = [sign == (deg % 2 == 0) for deg, sign in signs]
-    plus = [sign for _, sign in signs]
-    return sum(map(operator.ne, at_minus, at_minus[1:])) - sum(map(operator.ne, plus, plus[1:]))
+    (low to high), by Descartes' rule of signs with bisection in integers
+    (Vincent-Collins-Akritas; Collins and Akritas, SYMSAC 1976): a root at
+    0, then the roots of p(x) and of p(-x) in (0, 2^k), 2^k above
+    Fujiwara's bound 2 max_i |c_(n-i) / c_n|^(1/i) on their moduli, each
+    counted as the roots in (0, 1) of the integer polynomial p(+-2^k x)."""
+    count = 0 if cs[0] else 1
+    p = list(cs if cs[0] else cs[1:])
+    n, lead = len(p) - 1, p[-1].bit_length()
+    k = 1 + max([0] + [-(-(abs(c).bit_length() - lead + 1) // (n - i))
+                        for i, c in enumerate(p[:-1]) if c])
+    for sign in (1, -1):
+        count += _unit_interval_roots([c * sign**i << k * i for i, c in enumerate(p)])
+    return count
+
+
+def _unit_interval_roots(q: list[int]) -> int:
+    """The number of roots in (0, 1) of the square-free integer polynomial q
+    (low to high).  The sign changes of the coefficients of
+    (x + 1)^n q(1 / (x + 1)) bound that number and have its parity, so 0 or
+    1 of them decides it; otherwise (0, 1) is halved, 2^n q(x / 2) on the
+    left and its Taylor shift by 1 on the right, a root at 1/2 counted on
+    its own.  An interval short against the distance between the roots
+    has 0 or 1 sign changes (the one- and two-circle theorems), so halving
+    ends by the depth at which the intervals fall below Mahler's bound on
+    that distance; a q that goes deeper is not square-free, and raises
+    ValueError."""
+    limit = len(q) * (max(abs(c) for c in q).bit_length() + 2 * len(q).bit_length()) + 4
+    count, stack = 0, [(q, 0)]
+    while stack:
+        q, depth = stack.pop()
+        changes = _sign_changes(_taylor_shift(q[::-1]))
+        if changes < 2:
+            count += changes
+            continue
+        if depth > limit:
+            raise ValueError("real root count of a polynomial that is not square-free")
+        n = len(q) - 1
+        left = [c << n - i for i, c in enumerate(q)]
+        right = _taylor_shift(left)
+        if not right[0]:
+            count += 1
+            right = right[1:]
+        stack += [(left, depth + 1), (right, depth + 1)]
+    return count
+
+
+def _taylor_shift(q: list[int]) -> list[int]:
+    """The coefficients of q(x + 1), q low to high, by repeated Horner steps."""
+    q = list(q)
+    for i in range(len(q) - 1):
+        for j in range(len(q) - 2, i - 1, -1):
+            q[j] += q[j + 1]
+    return q
+
+
+def _sign_changes(q: list[int]) -> int:
+    signs = [c > 0 for c in q if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _float_seeds(cs: tuple[int, ...]) -> list[complex]:
@@ -596,8 +641,11 @@ def _float_seeds(cs: tuple[int, ...]) -> list[complex]:
     to high), from seeds on its Newton polygon (Bini, Numer. Algorithms 13,
     1996): one at 0 for each leading zero coefficient, and for each edge
     from i to j of the upper convex hull of the points (k, log2 |c_k|),
-    j - i on the circle of radius (|c_i| / |c_j|)^(1/(j-i)), clipped to
-    floats, at the angles 2 pi (k/(j-i) + i/deg) + 0.7.  Aberth's method
+    j - i on the circle of radius (|c_i| / |c_j|)^(1/(j-i)) at the angles
+    2 pi (k/(j-i) + i/deg) + 0.7.  A radius below 2^-1000 is raised to it,
+    and the fixed-point sweeps, whose guard bits reach the smallest root,
+    carry such a seed in; a radius above 2^1000 raises PrecisionError, since
+    a seed clipped there walks away from its root.  Aberth's method
     in Python complex, one root at a time, moves them until every step h
     has |h| <= 1e-14 |z|, for at most 100 sweeps; a root that does not stay
     finite, or every root when a division fails, keeps its seed.  The
@@ -612,7 +660,9 @@ def _float_seeds(cs: tuple[int, ...]) -> list[complex]:
         hull.append((k, y))
     seeds = [0j] * hull[0][0]
     for (i, yi), (j, yj) in zip(hull, hull[1:]):
-        radius = 2 ** max(-1000, min(1000, (yi - yj) / (j - i)))
+        if (yi - yj) / (j - i) > 1000:
+            raise PrecisionError("a root modulus above 2^1000 is beyond the float seeds")
+        radius = 2 ** max(-1000, (yi - yj) / (j - i))
         seeds += [cmath.rect(radius, 2 * pi * (k / (j - i) + i / deg) + 0.7)
                   for k in range(j - i)]
     top = max(abs(c) for c in cs)

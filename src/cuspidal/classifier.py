@@ -153,11 +153,18 @@ def _center_vector(d: int) -> list[int]:
 def _contract(h: BinaryForm, vec) -> list:
     """The rows of span_matrix(h, len(vec) - 1) times vec.  vec lies in the
     span of the divisor of h iff every entry is zero; at deg h = len(vec)
-    there are no rows and the span is the whole space."""
-    return [
-        sum(c * vec[m + j] for j, c in enumerate(h.coeffs))
-        for m in range(len(vec) - h.degree)
-    ]
+    there are no rows and the span is the whole space.
+
+    Row m is sum_j h_j vec[m+j]; it is accumulated over the nonzero entries
+    of vec alone, as out[k-j] += h_j vec[k], so the center, one unit
+    vector, costs one column of the matrix."""
+    rows = len(vec) - h.degree
+    out = [0] * max(rows, 0)
+    for k, v in enumerate(vec):
+        if v:
+            for j in range(max(0, k - rows + 1), min(k, h.degree) + 1):
+                out[k - j] += h.coeffs[j] * v
+    return out
 
 
 def _in_center_extended_span(h: BinaryForm, avec) -> bool:

@@ -1,7 +1,9 @@
 """Irreducible factorization of univariate rational polynomials.
 
-Inputs and outputs are plain low-to-high coefficient lists; the factors come
-back monic with Fraction coefficients, sorted by (length, coefficients).
+Inputs and outputs are plain low-to-high coefficient lists.  The factors of
+``primitive_factors`` are primitive integer vectors; those of
+``irreducible_factors`` come back monic with Fraction coefficients, sorted by
+(length, coefficients).
 Internally a polynomial is its primitive integer vector with a positive
 leading coefficient, and the factorization is proved modulo primes (von zur
 Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed.):
@@ -404,8 +406,10 @@ def _check(g: Ints, factors: list[tuple[Ints, int]]) -> None:
         raise CertificateError("the factors do not multiply back to the polynomial")
 
 
-def irreducible_factors(p: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Monic irreducible factors with multiplicities; the constant is dropped.
+def primitive_factors(p: Sequence) -> list[tuple[Ints, int]]:
+    """Irreducible factors with multiplicities, each a primitive integer
+    vector with a positive leading coefficient, checked by ``_check``; a
+    root at 0 gives the factor (0, 1).  The constant is dropped.
 
     The zero polynomial is rejected; constants factor into nothing.
     """
@@ -416,7 +420,16 @@ def irreducible_factors(p: Sequence[Fraction]) -> list[tuple[list[Fraction], int
     k = next(i for i, c in enumerate(g) if c)
     factors = ([((0, 1), k)] if k else []) + _factor(g[k:])
     _check(g, factors)
-    out = [([Fraction(c, fac[-1]) for c in fac], m) for fac, m in factors]
+    return factors
+
+
+def irreducible_factors(p: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
+    """Monic irreducible factors with multiplicities, the monic view of
+    ``primitive_factors``; the constant is dropped.
+
+    The zero polynomial is rejected; constants factor into nothing.
+    """
+    out = [([Fraction(c, fac[-1]) for c in fac], m) for fac, m in primitive_factors(p)]
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
 

@@ -4,9 +4,12 @@ under every pytest import mode, and start every test with empty memos of
 certificate or residual cached by an earlier test hides a fault a later one
 plants or serves a call a later one counts.  The fixture
 ``no_irreducibility_proof`` makes ``ratfactor._cofactor_factors`` raise for
-the tests that must not reach it."""
+the tests that must not reach it.  Each test item records when its setup
+began, module fixtures included, as ``started_at``, for the wall times of
+the acceptance checks."""
 
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,11 @@ import pytest
 from cuspidal import apolarity, ratfactor
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_setup(item):
+    item.started_at = time.perf_counter()
 
 
 @pytest.fixture(autouse=True)

@@ -124,6 +124,16 @@
   and curve images from the start.  Here the sigma test is the elimination ``in_span`` over
   ``scheme_span_basis``.  It backs ``classifier._classify``, which reads
   the shape off the witness form and factors only on first read.
+* ``sturm_real_root_count``: the real roots of a cluster were once counted
+  by Sturm's theorem on a primitive remainder sequence, whose coefficients
+  grow with the degree.  It backs ``binform._real_root_count``, Descartes'
+  rule of signs with bisection.
+* ``dense_contract``: the contraction by a product form once formed every
+  product h_j vec[m+j].  It backs ``classifier._contract``, which sums over
+  the nonzero entries of vec alone.
+* ``monic_route_factors``: ``ZeroScheme`` once took its pieces monic from
+  ``ratfactor.irreducible_factors`` and made them primitive again.  It
+  backs the pieces it now reads from ``ratfactor.primitive_factors``.
 """
 
 from __future__ import annotations
@@ -131,10 +141,11 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Sequence
 
 import mpmath
@@ -1402,3 +1413,53 @@ def classify_by_factoring(f: BinaryForm) -> ClassifierVerdict:
     if m == 0:
         return _scheme_verdict(n, w, inputs, ("e3_4_exact", "e3_4_interval"))
     return _scheme_verdict(n, w, inputs, ("e3_5",))
+
+
+def sturm_real_root_count(cs: tuple[int, ...]) -> int:
+    """``binform._real_root_count`` before Descartes' rule: the number of
+    real roots of the square-free integer polynomial cs (low to high), by
+    Sturm's theorem: the sign changes of the leading coefficients of its
+    Sturm sequence at -infinity less those at +infinity.  Each remainder is
+    formed in integers with positive multipliers and divided by its
+    content, which keeps its sign."""
+    p, q = list(cs), univar.derivative(cs)
+    signs = [(len(p) - 1, p[-1] > 0)]
+    while q:
+        signs.append((len(q) - 1, q[-1] > 0))
+        r, m, s = p, abs(q[-1]), 1 if q[-1] > 0 else -1
+        while len(r) >= len(q):
+            f, shift = s * r[-1], len(r) - len(q)
+            r = univar.trim([c * m - (f * q[i - shift] if i >= shift else 0)
+                             for i, c in enumerate(r[:-1])])
+        g = gcd(*r)
+        p, q = q, [-c // g for c in r]
+    at_minus = [sign == (deg % 2 == 0) for deg, sign in signs]
+    plus = [sign for _, sign in signs]
+    return sum(map(operator.ne, at_minus, at_minus[1:])) - sum(map(operator.ne, plus, plus[1:]))
+
+
+def dense_contract(h: BinaryForm, vec) -> list:
+    """``classifier._contract`` before it summed over the nonzero entries of
+    vec alone: every row of span_matrix(h, len(vec) - 1) times vec, formed
+    as sum_j h_j vec[m+j] over every j."""
+    return [
+        sum(c * vec[m + j] for j, c in enumerate(h.coeffs))
+        for m in range(len(vec) - h.degree)
+    ]
+
+
+def monic_route_factors(factors) -> tuple:
+    """The factors of ``ZeroScheme(factors)`` before it read primitive
+    integer vectors: each piece came monic, in Fractions, from
+    ``ratfactor.irreducible_factors`` and was made primitive again by
+    ``linalg.canonical_vector``."""
+    acc: dict[BinaryForm, int] = {}
+    for g, m in factors:
+        k, p = g.tau_poly()
+        if k:
+            ufac = BinaryForm(1, (1, 0))
+            acc[ufac] = acc.get(ufac, 0) + k * m
+        for q, e in ratfactor.irreducible_factors(p):
+            piece = BinaryForm(len(q) - 1, linalg.canonical_vector(q))
+            acc[piece] = acc.get(piece, 0) + e * m
+    return tuple(sorted(acc.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs)))

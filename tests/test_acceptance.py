@@ -89,14 +89,21 @@ def _rewrite_summary(idx: int, line: str | None) -> None:
     SUMMARY_PATH.write_text("".join(ln + "\n" for ln in sorted(kept)))
 
 
+_started_at = [0.0]  # when the running check's setup began
+
+
 @pytest.fixture(autouse=True)
 def _summary_slot(request):
-    """A check that runs replaces its own summary line and no other."""
+    """A check that runs replaces its own summary line and no other, and
+    its wall time counts from the start of its setup, so a check that
+    builds a shared pool pays for it."""
+    _started_at[0] = request.node.started_at
     _rewrite_summary(int(request.node.name[len("test_c"):][:2]), None)
 
 
 def _verdict(idx: int, ok: bool, detail: str) -> None:
-    line = f"[acceptance {idx:02d}] {'PASS' if ok else 'FAIL'} | {detail}"
+    wall = time.perf_counter() - _started_at[0]
+    line = f"[acceptance {idx:02d}] {'PASS' if ok else 'FAIL'} | {detail} | wall {wall:.1f} s"
     print(line, flush=True)
     _rewrite_summary(idx, line)
     assert ok, f"acceptance {idx:02d}: {detail}"

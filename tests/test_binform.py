@@ -1,5 +1,7 @@
+import collections
 import json
 import random
+import time
 from fractions import Fraction
 from math import comb, prod
 
@@ -7,7 +9,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import binform, linalg, ratfactor, univar
+from cuspidal import apolarity, binform, linalg, ratfactor, univar
 from cuspidal.binform import (
     MAX_COEFFICIENT_BITS,
     MAX_DEGREE,
@@ -26,10 +28,12 @@ from cuspidal.binform import (
 )
 from oracles import (
     field_is_square_free,
+    monic_route_factors,
     mp_aberth_roots,
     mp_polyroots,
     per_root_aberth_roots,
     resultant_of_partials,
+    sturm_real_root_count,
     sympy_factors,
 )
 
@@ -415,6 +419,38 @@ class TestSchemeInvariant:
 
         assert count >= 1000
 
+    def test_pieces_match_the_monic_route(self):
+        """On seeded forms of degree <= 8, products of u, t, repeated linear
+        factors and irreducible quadratics, scaled by a non-integral
+        constant, the pieces that ``ZeroScheme`` reads from
+        ``ratfactor.primitive_factors`` are those of the monic route, types
+        and order included."""
+        rng = random.Random("monic-route")
+        kinds = collections.Counter()
+        for _ in range(400):
+            g, pieces = form(F(rng.randint(1, 9), rng.randint(1, 9))), []
+            while g.degree < rng.randint(1, 8):
+                if rng.random() < 0.2:
+                    piece = form(*rng.choice(((1, 0), (0, 1))))
+                elif rng.random() < 0.3:
+                    b, c = rng.randint(-3, 3), rng.randint(1, 5)
+                    piece = form(c, b, 1) if b * b < 4 * c else form(1, -1)
+                else:
+                    piece = form(rng.randint(-6, 6) or 1, rng.randint(-6, 6))
+                e = rng.choice((1, 1, 2, 3))
+                g = g * piece.power(e)
+                pieces.append((piece.degree, e))
+            if g.degree == 0:
+                continue
+            m = rng.randint(1, 2)
+            W = ZeroScheme(((g, m),))
+            assert repr(W.factors) == repr(monic_route_factors(((g, m),))), g.render()
+            kinds.update(("quadratic" if d == 2 else "linear", e > 1) for d, e in pieces)
+            kinds["non-integral"] += any(type(c) is Fraction for c in g.coeffs)
+            kinds["u"] += g.coeffs[-1] == 0
+            kinds["t"] += g.coeffs[0] == 0
+        assert min(kinds.values()) >= 20, kinds
+
 
 class TestFormArithmetic:
     def test_pretty(self):
@@ -580,7 +616,7 @@ class TestNumericRoots:
 
     def test_real_seeds_match_the_real_roots(self):
         """On the polynomials of ``_aberth_polynomials`` and on the clusters
-        (x - M)^2 -+ 3, the Sturm count ``_real_root_count`` is the number
+        (x - M)^2 -+ 3, the exact count ``_real_root_count`` is the number
         of real roots that mpmath's Durand-Kerner finds at 400 bits, and
         wherever ``_real_flags`` is sure of the float seeds, it marks that
         many of them real.  It is unsure on clusters near the real axis."""
@@ -597,6 +633,90 @@ class TestNumericRoots:
             assert flags is None or sum(flags) == want, p
             unsure += flags is None
         assert 2 < unsure < len(polys) // 2
+
+    def test_real_root_count_matches_sturm(self):
+        """Descartes' rule with bisection, ``_real_root_count``, counts the
+        real roots that the Sturm sequence of ``sturm_real_root_count``
+        counts, on the inputs of this class (the wide coefficients at degree
+        16, where Sturm takes 13 s at 48) and on seeded square-free
+        polynomials: random ones, products of distinct linear factors
+        (roots at 0 and at powers of two, the midpoints of the bisection,
+        included) or of quadratics with no real root, coefficients of widely
+        spread sizes, and clusters."""
+        M = 10**30 + 7
+        polys = [p for p, _, _ in _aberth_polynomials()]
+        polys += [[F(M * M + c), F(-2 * M), F(1)] for c in (3, -3)]
+        polys += [[F(-2), 0, 0, F(10**40)], [F(3), F(10**30), 0, 0, F(10**60)],
+                  univar.mul([-10**200, 0, 0, 0, 0, 1], [-3, 0, 0, 0, 0, 10**200]),
+                  _wide_coefficients(16), [-10**300] + [0] * 23 + [1]]
+        rng = random.Random("real-root-count")
+        for n in range(240):
+            deg = rng.randint(1, 14)
+            if n % 4 == 0:
+                p = [rng.randint(-2**40, 2**40) for _ in range(deg)] + [rng.randint(1, 99)]
+            elif n % 8 == 1:
+                roots = rng.sample([F(a, b) for a in range(-16, 17) for b in (1, 2, 3, 5)], deg)
+                p = [1]
+                for r in dict.fromkeys(roots):
+                    p = univar.mul(p, [-r.numerator, r.denominator])
+            elif n % 8 == 5:
+                p = [1]
+                for c in rng.sample(range(1, 40), (deg + 1) // 2):
+                    p = univar.mul(p, [c, rng.randint(-1, 1), 1])
+            elif n % 4 == 2:
+                p = [rng.choice((-1, 1)) * 10 ** rng.randint(0, 120) for _ in range(deg + 1)]
+            else:
+                k, c = rng.randint(2, 4), rng.randint(-5, 5) or 1
+                cluster = [comb(k, i) * (-10**12) ** (k - i) for i in range(k + 1)]
+                cluster[0] -= c
+                p = univar.mul(cluster, [rng.randint(-9, 9) for _ in range(deg)] + [1])
+            p = univar.trim([F(c) for c in p])
+            if len(p) > 1 and univar.degree(univar.gcd(p, univar.derivative(p))) == 0:
+                polys.append(p)
+        counts = collections.Counter()
+        for p in polys:
+            cs = linalg.canonical_vector([F(c) for c in p])
+            want = sturm_real_root_count(cs)
+            assert binform._real_root_count(cs) == want, p
+            counts[min(want, 3)] += 1
+        assert len(polys) > 250 and min(counts.values()) >= 20, counts
+
+    def test_real_root_count_of_a_wide_cofactor_is_fast(self, monkeypatch):
+        """The degree-31 cofactor, 3095-bit coefficients, that ``decompose``
+        hands ``approximate_roots`` for a seeded degree-60 form: Sturm's
+        count of its 5 real roots took 18.6 s on a 2-core machine, and the
+        count by Descartes' rule must take under 0.05 s (best of 3)."""
+        cofactors = []
+        approximate = apolarity.approximate_roots
+        monkeypatch.setattr(apolarity, "approximate_roots",
+                            lambda p, bits: cofactors.append(p) or approximate(p, bits))
+        apolarity.decompose(random_form(60, random.Random(60), bound=100))
+        (cs,) = cofactors
+        assert (len(cs) - 1, max(abs(c) for c in cs).bit_length()) == (31, 3095)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert binform._real_root_count(cs) == 5
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.05, times
+
+    def test_a_root_beyond_float_seeds_raises(self):
+        """(x - 3^700)(x^2 + 1): no float seed reaches the root near 2^1109,
+        and a seed clipped to 2^1000 walks away from it, so the call raises
+        PrecisionError.  Its mirror (3^700 x - 1)(x^2 + 1), a root near
+        2^-1109, is reached from the seed at 2^-1000: at 128 bits each root's
+        Newton step, at 4000 bits, is at most 2^-120 of its modulus."""
+        with pytest.raises(PrecisionError):
+            approximate_roots([F(c) for c in univar.mul([-3**700, 1], [1, 0, 1])], 128)
+        p = univar.mul([-1, 3**700], [1, 0, 1])
+        got = approximate_roots([F(c) for c in p], 128)
+        assert len(got) == 3
+        with mpmath.workprec(4000):
+            cs = [mpmath.mpf(c) for c in p]
+            ds = [mpmath.mpf(c) for c in univar.derivative(p)]
+            for z in got:
+                step = univar.evaluate(cs, z) / univar.evaluate(ds, z)
+                assert abs(step) <= mpmath.mpf(2) ** -120 * abs(z), z
 
     @pytest.mark.parametrize("bits", [128, 224])
     def test_real_roots_of_a_cluster_stay_real(self, bits):
@@ -686,6 +806,34 @@ class TestIntFractionParity:
             assert json.dumps(sa.to_json()) == json.dumps(sb.to_json())
             assert sa.product_form() == sb.product_form()
             assert all(type(c) is int for c in sa.product_form().coeffs)
+
+    def test_exact_keeps_the_fraction_it_is_given(self):
+        """``binform._exact`` hands back a non-integral Fraction as the very
+        object given and an integral one as an int, and converts an int, a
+        bool or a string as the route that rebuilt every Fraction did."""
+
+        def rebuilt(c):
+            if type(c) is int:
+                return c
+            c = Fraction(c)
+            return c.numerator if c.denominator == 1 else c
+
+        x = F(-7, 4)
+        assert binform._exact(x) is x
+        for c in (F(6, 3), F(-5), F(0), x, 7, -2**70, 0, True, False, "3/4", "-6/2", " 5 ", "0"):
+            got = binform._exact(c)
+            assert (type(got), got) == (type(rebuilt(c)), rebuilt(c)), c
+
+    def test_points_store_fractions(self):
+        """A point keeps Fraction coordinates, normalized as before, whatever
+        exact type they came in, and equal points hash alike."""
+        for a, b in [(1, 5), (F(1), F(5, 2)), (2, 3), (F(-3, 2), 1), (0, 7), (0, F(-2)),
+                     (F(1), 0), (3, 0), (F(1), F(0)), (True, 2)]:
+            p = P1Point(a, b)
+            assert type(p.a) is Fraction and type(p.b) is Fraction, (a, b)
+            want = (F(0), F(1)) if a == 0 else (F(1), F(b) / F(a))
+            assert (p.a, p.b) == want
+            assert hash(p) == hash(P1Point(*want)) and p == P1Point(*want)
 
     def test_kernels_render_alike(self):
         rows = [[2, -4, 6, 0], [1, 0, -3, 5]]

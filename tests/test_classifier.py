@@ -35,7 +35,7 @@ from cuspidal.classifier import (
     span_matrix,
 )
 from cuspidal.projection import ProjectionFrame, cusp_curve_point, lift, project, x_rank
-from oracles import classify_by_factoring, in_span
+from oracles import classify_by_factoring, dense_contract, in_span
 from test_classifier_digests import seeded_forms
 from test_corpus import corpus_forms
 
@@ -164,6 +164,33 @@ class TestOInSpan:
         W = scheme_of([(pt(k), 1) for k in (1, 2, 3, 4, 5)])
         by_span, by_mult = span_center_routes(W, frame)
         assert by_span is True and by_mult is False
+
+
+def test_contraction_matches_the_dense_rows():
+    """``_contract`` sums over the nonzero entries of vec alone.  On seeded
+    h of degree 1..n+2, with and without t | h, and on dense, sparse and
+    center vectors, it gives the rows of the dense oracle, none when
+    deg h = len(vec)."""
+    rng = random.Random("contract")
+    kinds = collections.Counter()
+    for n in range(3, 11):
+        d = n + 1
+        for _ in range(60):
+            deg = rng.randint(1, n + 2)
+            cs = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(deg + 1)]
+            cs[-1] = cs[-1] or F(1)
+            lead = min(rng.choice((0, 0, 1, 2)), deg)
+            cs[:lead] = [0] * lead
+            h = BinaryForm(deg, tuple(cs))
+            dense = [F(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice((-1, 1))
+                     for _ in range(d + 1)]
+            sparse = [rng.randint(-5, 5) if rng.random() < 0.3 else 0 for _ in range(d + 1)]
+            for kind, vec in (("dense", dense), ("sparse", sparse),
+                              ("center", classifier._center_vector(d))):
+                got = classifier._contract(h, vec)
+                assert got == dense_contract(h, vec), (h, vec)
+                kinds[kind, h.coeffs[0] == 0, deg == d + 1] += 1
+    assert len(kinds) == 12 and min(kinds.values()) >= 5, kinds
 
 
 def _oracle_scheme(rng, deg):
@@ -699,8 +726,8 @@ def _counting(monkeypatch):
                 inside[0] -= 1
         return scan
 
-    for module, name in [(ratfactor, "irreducible_factors"), (ratfactor, "rational_roots"),
-                         (binform, "squarefree_decompose")]:
+    for module, name in [(ratfactor, "primitive_factors"), (ratfactor, "irreducible_factors"),
+                         (ratfactor, "rational_roots"), (binform, "squarefree_decompose")]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     for name in ("x_rank", "fiber_scan"):
         monkeypatch.setattr(classifier, name, exempt(getattr(classifier, name)))
@@ -758,7 +785,7 @@ def test_verdict_witness_scheme_built_on_first_read(monkeypatch):
     assert v.witness_scheme is scheme
     points = v.witness_points
     assert v.witness_points is points and len(points) == 4 - 1
-    assert calls == {"irreducible_factors": 1}
+    assert calls == {"primitive_factors": 1}
     assert scheme == ZeroScheme(((v.witness_form, 1),))
 
 
