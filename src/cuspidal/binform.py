@@ -15,7 +15,7 @@ import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, log, log2, pi
+from math import comb, log2, pi
 from typing import Sequence
 
 from . import linalg, ratfactor, univar
@@ -471,10 +471,9 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     The seeds are float roots from the primitive integer coefficients,
     started on the circles of their Newton polygon (``_float_seeds``), and
     made exactly real or conjugate, so that real roots stay real below.
-    Disks that hold the roots tell which seeds stand for real roots
-    (``_real_flags``); in a cluster near the real axis, which floats cannot
-    resolve, the real roots are counted exactly (``_real_root_count``) and
-    the seeds nearest the axis stand for them.  Seeds within
+    The real roots are counted exactly, and as many seeds, those of least
+    |Im z| / |z|, stand for them (``_real_seeds``); picking them leaves the
+    seeds in their order, which sets the bits of the sweeps.  Seeds within
     2^-20 max(1, |z|) of another start apart, real ones along the axis.
     Newton steps with Aberth's correction, which keeps two approximations
     from settling on one root, then refine all roots together while the
@@ -509,11 +508,7 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     cs = linalg.canonical_vector(univar.trim(p))
     deg = len(cs) - 1
     zs = _float_seeds(cs)
-    real = _real_flags(cs, zs)
-    if real is None:
-        zs.sort(key=lambda z: abs(z.imag) / (abs(z) or 1))
-        count = _real_root_count(cs)
-        real = [k < count for k in range(deg)]
+    real = _real_seeds(cs, zs)
     upper = [z for z, r in zip(zs, real) if not r and z.imag > 0]
     if sum(real) + 2 * len(upper) == deg:
         zs = [complex(z.real) for z, r in zip(zs, real) if r] + upper
@@ -538,56 +533,27 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
         zs = [(x << step, y << step) for x, y in zs]
 
 
-def _real_flags(cs: tuple[int, ...], zs: list[complex]) -> list[bool] | None:
-    """For each float root z in zs of the integer polynomial cs, whether
-    the root it stands for is real, or None when floats cannot tell.
-
-    Every connected union of m of the disks about z_i of radius
-    deg |W_i|, W_i = p(z_i) / (c_deg prod_(j != i) (z_i - z_j)), holds
-    exactly m roots (Carstensen, Numer. Math. 59, 1991).  The radii here
-    are twice that, with |p(z_i)| enlarged by a bound on its rounding
-    error, formed in logarithms.  A disk off the real axis holds no real
-    root.  A disk that meets it, and meets no other disk nor the mirror
-    image of one, holds one root, which its own conjugate must be, so
-    that root is real.  Any other disk that meets the axis, or two equal
-    seeds, gives None."""
-    deg = len(cs) - 1
-    top = max(abs(c) for c in cs)
-    fl = [c / top for c in cs]
-    radii = []
-    for i, z in enumerate(zs):
-        gaps = [abs(z - v) for j, v in enumerate(zs) if j != i]
-        if not all(gaps):
-            return None
-        a, _, s, far = _chart(fl, z)
-        bound = abs(a) + 4 * deg * 2**-53 * s
-        if not bound:
-            radii.append(0.0)
-            continue
-        radii.append(exp(min(700, log(2 * deg * bound) + log(top) - log(abs(cs[-1]))
-                             + far * deg * log(abs(z)) - sum(map(log, gaps)))))
-    real = [abs(z.imag) <= r for z, r in zip(zs, radii)]
-    for i, (z, r) in enumerate(zip(zs, radii)):
-        if real[i] and any(min(abs(z - v), abs(z.conjugate() - v)) <= r + q
-                           for j, (v, q) in enumerate(zip(zs, radii)) if j != i):
-            return None
-    return real
+def _real_seeds(cs: tuple[int, ...], zs: list[complex]) -> list[bool]:
+    """For each float root z in zs of the square-free integer polynomial cs,
+    whether it stands for a real root: the ``_real_root_count(cs)`` of least
+    |Im z| / |z|, zs left in its order."""
+    by_axis = sorted(range(len(zs)), key=lambda k: abs(zs[k].imag) / (abs(zs[k]) or 1))
+    nearest = set(by_axis[:_real_root_count(cs)])
+    return [k in nearest for k in range(len(zs))]
 
 
 def _real_root_count(cs: tuple[int, ...]) -> int:
     """The number of real roots of the square-free integer polynomial cs
     (low to high), by Descartes' rule of signs with bisection in integers
     (Vincent-Collins-Akritas; Collins and Akritas, SYMSAC 1976): a root at
-    0, then the roots of p(x) and of p(-x) in (0, 2^k), 2^k above
-    Fujiwara's bound 2 max_i |c_(n-i) / c_n|^(1/i) on their moduli, each
-    counted as the roots in (0, 1) of the integer polynomial p(+-2^k x)."""
+    0, then for q(x) = p(x) and p(-x) the roots of q in (0, 1), a root at 1
+    (the coefficients of q sum to 0), and the roots in (1, oo), which are
+    the roots in (0, 1) of the reversed q."""
     count = 0 if cs[0] else 1
     p = list(cs if cs[0] else cs[1:])
-    n, lead = len(p) - 1, p[-1].bit_length()
-    k = 1 + max([0] + [-(-(abs(c).bit_length() - lead + 1) // (n - i))
-                        for i, c in enumerate(p[:-1]) if c])
     for sign in (1, -1):
-        count += _unit_interval_roots([c * sign**i << k * i for i, c in enumerate(p)])
+        q = [c * sign**i for i, c in enumerate(p)]
+        count += _unit_interval_roots(q) + (sum(q) == 0) + _unit_interval_roots(q[::-1])
     return count
 
 
@@ -672,7 +638,7 @@ def _float_seeds(cs: tuple[int, ...]) -> list[complex]:
         for _ in range(100):
             done = True
             for i, z in enumerate(zs):
-                a, b, _, far = _chart(fl, z)
+                a, b, far = _chart(fl, z)
                 ratio = z * a / (deg * a - b / z) if far else a / b
                 h = ratio / (1 - ratio * sum(1 / (z - v) for j, v in enumerate(zs) if j != i))
                 zs[i] = z - h
@@ -684,17 +650,16 @@ def _float_seeds(cs: tuple[int, ...]) -> list[complex]:
     return [z if cmath.isfinite(z) else s for z, s in zip(zs, seeds)]
 
 
-def _chart(fl: list[float], z: complex) -> tuple[complex, complex, float, bool]:
-    """p(z), p'(z) and the sum of |c_k| |z|^k from the float coefficients
-    fl (low to high) when |z| <= 1, and when |z| > 1 (far) the same for the
-    reversed polynomial at 1/z, so that nothing overflows."""
+def _chart(fl: list[float], z: complex) -> tuple[complex, complex, bool]:
+    """p(z) and p'(z) from the float coefficients fl (low to high) when
+    |z| <= 1, and when |z| > 1 (far) the same for the reversed polynomial at
+    1/z, so that nothing overflows."""
     far = abs(z) > 1
     w = 1 / z if far else z
     a = b = 0j
-    s, size = 0.0, abs(w)
     for c in fl if far else reversed(fl):
-        a, b, s = a * w + c, b * w + a, s * size + abs(c)
-    return a, b, s, far
+        a, b = a * w + c, b * w + a
+    return a, b, far
 
 
 def _aberth_sweeps(cs: tuple[int, ...], zs: list, scale: int, prec: int) -> list:

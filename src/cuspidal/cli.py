@@ -391,8 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "count", 1) < 1:
-        parser.error(f"argument --count: must be at least 1, got {args.count}")
+    for flag in ("count", "fuzz_samples"):
+        if (value := getattr(args, flag, None)) is not None and value < 1:
+            parser.error(f"argument --{flag.replace('_', '-')}: must be at least 1, got {value}")
     if args.fn is cmd_verify:  # any battery flag given selects the battery
         given = {k: v for k in _BATTERY_DEFAULTS if (v := getattr(args, k)) is not None}
         if given and (args.input or args.file):

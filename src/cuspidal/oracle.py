@@ -424,6 +424,8 @@ def dichotomy_fuzz(degree: int, samples: int, seed=0) -> dict:
     """Hammer the rank dichotomy on random forms; violations abort."""
     if degree < 2:
         raise ValueError("fuzzing needs degree at least 2")
+    if samples < 1:
+        raise ValueError(f"fuzzing needs at least 1 sample, got {samples}")
     _check_degree(degree)
     rng = random.Random(f"dichotomy-fuzz:{degree}:{seed}")
     counts: Counter[int] = Counter()

@@ -373,7 +373,9 @@ def _pencil(P: ProjectedPoint, r: int, gens: list[tuple[int, ...]]) -> _Pencil:
 def special_lambdas(P: ProjectedPoint, r: int):
     """Exact lambda values where the level-r kernel of the pencil jumps, or
     ALL_LAMBDA: rationals first in increasing order, then algebraic numbers
-    grouped by minimal polynomial."""
+    grouped by minimal polynomial.  ``fiber_scan`` reads its pencil's
+    special values directly; this stays public because the benchmark's
+    tracer names it as a layer."""
     got = _pencil(P, r, _ideal_generators(P.coords[1:])).special_values()
     return got if got is ALL_LAMBDA else [lam for _key, lam in got]
 

@@ -458,8 +458,3 @@ def rational_roots(p: Sequence[Fraction]) -> tuple[list[Fraction], Ints]:
         raise ValueError("rational roots of a polynomial that is not square-free")
     roots, h = split
     return sorted([*roots, *[Fraction(0)] * k]), h
-
-
-def is_irreducible(p: Sequence[Fraction]) -> bool:
-    facs = irreducible_factors(p)
-    return len(facs) == 1 and facs[0][1] == 1 and len(facs[0][0]) == len(univar.trim(list(p)))

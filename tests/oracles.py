@@ -128,6 +128,15 @@
   by Sturm's theorem on a primitive remainder sequence, whose coefficients
   grow with the degree.  It backs ``binform._real_root_count``, Descartes'
   rule of signs with bisection.
+* ``real_flags``: which float seeds stand for real roots was once decided
+  by Carstensen's inclusion disks about them, with float radii and
+  rounding bounds in logarithms, and counted exactly only where the disks
+  were unsure.  Wherever the disks are sure, it backs ``binform._real_seeds``,
+  which marks the exact count's seeds of least |Im z| / |z| real.
+* ``is_irreducible``: irreducibility over the rationals as one factor of
+  ``ratfactor.irreducible_factors``, once public in ``ratfactor`` though only
+  tests called it.  It checks the moduli of ``QuadraticNumber`` and the
+  inputs of ``isolate_roots``.
 * ``dense_contract``: the contraction by a product form once formed every
   product h_j vec[m+j].  It backs ``classifier._contract``, which sums over
   the nonzero entries of vec alone.
@@ -145,7 +154,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, exp, gcd, lcm, log
 from typing import Sequence
 
 import mpmath
@@ -212,7 +221,7 @@ class QuadraticNumber:
         """gamma for the modulus given low to high; raises NumberFieldError
         unless it is an irreducible quadratic."""
         mod = univar.trim([Fraction(c) for c in modulus])
-        if len(mod) != 3 or not ratfactor.is_irreducible(mod):
+        if len(mod) != 3 or not is_irreducible(mod):
             raise NumberFieldError("modulus must be an irreducible quadratic")
         return cls(Fraction(0), Fraction(1), mod[1] / mod[2], mod[0] / mod[2])
 
@@ -677,7 +686,7 @@ def isolate_roots(poly, precision_bits: int) -> list[DiskRoot]:
         raise NumberFieldError("constant polynomial has no roots")
     if len(p) > 3:
         raise NumberFieldError("only polynomials of degree 1 or 2 are isolated")
-    if not ratfactor.is_irreducible(p):
+    if not is_irreducible(p):
         raise NumberFieldError("polynomial is reducible; isolate factors separately")
     ints = linalg.canonical_vector(p)
     if ints[-1] < 0:
@@ -1436,6 +1445,66 @@ def sturm_real_root_count(cs: tuple[int, ...]) -> int:
     at_minus = [sign == (deg % 2 == 0) for deg, sign in signs]
     plus = [sign for _, sign in signs]
     return sum(map(operator.ne, at_minus, at_minus[1:])) - sum(map(operator.ne, plus, plus[1:]))
+
+
+def real_flags(cs: tuple[int, ...], zs: list[complex]) -> list[bool] | None:
+    """``binform._real_flags``, which once decided which float seeds stand
+    for real roots before the exact count alone did: for each float root z
+    in zs of the integer polynomial cs, whether the root it stands for is
+    real, or None when floats cannot tell.
+
+    Every connected union of m of the disks about z_i of radius
+    deg |W_i|, W_i = p(z_i) / (c_deg prod_(j != i) (z_i - z_j)), holds
+    exactly m roots (Carstensen, Numer. Math. 59, 1991).  The radii here
+    are twice that, with |p(z_i)| enlarged by a bound on its rounding
+    error, formed in logarithms.  A disk off the real axis holds no real
+    root.  A disk that meets it, and meets no other disk nor the mirror
+    image of one, holds one root, which its own conjugate must be, so
+    that root is real.  Any other disk that meets the axis, or two equal
+    seeds, gives None."""
+    deg = len(cs) - 1
+    top = max(abs(c) for c in cs)
+    fl = [c / top for c in cs]
+    radii = []
+    for i, z in enumerate(zs):
+        gaps = [abs(z - v) for j, v in enumerate(zs) if j != i]
+        if not all(gaps):
+            return None
+        a, _, s, far = _chart_with_sum(fl, z)
+        bound = abs(a) + 4 * deg * 2**-53 * s
+        if not bound:
+            radii.append(0.0)
+            continue
+        radii.append(exp(min(700, log(2 * deg * bound) + log(top) - log(abs(cs[-1]))
+                             + far * deg * log(abs(z)) - sum(map(log, gaps)))))
+    real = [abs(z.imag) <= r for z, r in zip(zs, radii)]
+    for i, (z, r) in enumerate(zip(zs, radii)):
+        if real[i] and any(min(abs(z - v), abs(z.conjugate() - v)) <= r + q
+                           for j, (v, q) in enumerate(zip(zs, radii)) if j != i):
+            return None
+    return real
+
+
+def _chart_with_sum(fl: list[float], z: complex) -> tuple[complex, complex, float, bool]:
+    """``binform._chart`` with the sum that ``real_flags`` reads: p(z), p'(z)
+    and the sum of |c_k| |z|^k from the float coefficients fl (low to high)
+    when |z| <= 1, and when |z| > 1 (far) the same for the reversed
+    polynomial at 1/z, so that nothing overflows."""
+    far = abs(z) > 1
+    w = 1 / z if far else z
+    a = b = 0j
+    s, size = 0.0, abs(w)
+    for c in fl if far else reversed(fl):
+        a, b, s = a * w + c, b * w + a, s * size + abs(c)
+    return a, b, s, far
+
+
+def is_irreducible(p: Sequence[Fraction]) -> bool:
+    """``ratfactor.is_irreducible``, which only tests called: whether p is
+    irreducible over the rationals, read off ``ratfactor.irreducible_factors``
+    as one factor of multiplicity 1 and the degree of p."""
+    facs = ratfactor.irreducible_factors(p)
+    return len(facs) == 1 and facs[0][1] == 1 and len(facs[0][0]) == len(univar.trim(list(p)))
 
 
 def dense_contract(h: BinaryForm, vec) -> list:

@@ -48,6 +48,7 @@ from oracles import (
     fraction_power_sum,
     fraction_reconstruct,
     fraction_residual_squared,
+    is_irreducible,
     kernel_basis,
     mp_decomposition_residual,
     mpc_residue_scalars,
@@ -615,7 +616,7 @@ class TestDecompose:
         returns three terms with a residual below 2^(-bits/2).  With the
         scalars exact at the stored roots, the cluster no longer raises
         PrecisionError at any of these precisions."""
-        assert ratfactor.is_irreducible([F(c) for c in monic] + [F(1)])
+        assert is_irreducible([F(c) for c in monic] + [F(1)])
         f = _trace_form(7, monic, F(1), F(0))
         assert rank(f).rank == 3
         for bits in (64, 80, 96, 128, 160, 192, 256):

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import random
 import time
@@ -32,6 +33,7 @@ from oracles import (
     mp_aberth_roots,
     mp_polyroots,
     per_root_aberth_roots,
+    real_flags,
     resultant_of_partials,
     sturm_real_root_count,
     sympy_factors,
@@ -618,8 +620,10 @@ class TestNumericRoots:
         """On the polynomials of ``_aberth_polynomials`` and on the clusters
         (x - M)^2 -+ 3, the exact count ``_real_root_count`` is the number
         of real roots that mpmath's Durand-Kerner finds at 400 bits, and
-        wherever ``_real_flags`` is sure of the float seeds, it marks that
-        many of them real.  It is unsure on clusters near the real axis."""
+        wherever the inclusion disks of the oracle ``real_flags`` are sure
+        of the float seeds, they mark that many of them real: exactly the
+        seeds of least |Im z| / |z| that ``_real_seeds`` marks.  The disks
+        are unsure on clusters near the real axis."""
         M = 10**30 + 7
         polys = [p for p, _, _ in _aberth_polynomials()]
         polys += [[F(M * M + c), F(-2 * M), F(1)] for c in (3, -3)]
@@ -629,8 +633,10 @@ class TestNumericRoots:
             with mpmath.workprec(400):
                 want = sum(abs(z.imag) < mpmath.mpf(2) ** -200 for z in mp_polyroots(p, 400))
             assert binform._real_root_count(cs) == want, p
-            flags = binform._real_flags(cs, binform._float_seeds(cs))
+            zs = binform._float_seeds(cs)
+            flags = real_flags(cs, zs)
             assert flags is None or sum(flags) == want, p
+            assert flags is None or flags == binform._real_seeds(cs, zs), p
             unsure += flags is None
         assert 2 < unsure < len(polys) // 2
 
@@ -642,13 +648,24 @@ class TestNumericRoots:
         polynomials: random ones, products of distinct linear factors
         (roots at 0 and at powers of two, the midpoints of the bisection,
         included) or of quadratics with no real root, coefficients of widely
-        spread sizes, and clusters."""
+        spread sizes, and clusters.  Products of up to three roots from 0,
+        +-1 and +-1/2, where the bisection splits (0, oo) and halves (0, 1),
+        from 1 +- 10^-12 beside the split, and from +-10^30 and 10^-30, some
+        times x^2 + 1, test the split point."""
         M = 10**30 + 7
         polys = [p for p, _, _ in _aberth_polynomials()]
         polys += [[F(M * M + c), F(-2 * M), F(1)] for c in (3, -3)]
         polys += [[F(-2), 0, 0, F(10**40)], [F(3), F(10**30), 0, 0, F(10**60)],
                   univar.mul([-10**200, 0, 0, 0, 0, 1], [-3, 0, 0, 0, 0, 10**200]),
                   _wide_coefficients(16), [-10**300] + [0] * 23 + [1]]
+        split = [F(0), F(1), F(-1), F(1, 2), F(-1, 2), 1 + F(1, 10**12), 1 - F(1, 10**12),
+                 F(10**30), F(-10**30), F(1, 10**30)]
+        for k in (1, 2, 3):
+            for n, roots in enumerate(itertools.combinations(split, k)):
+                p = [1, 0, 1] if n % 2 else [1]
+                for r in roots:
+                    p = univar.mul(p, [-r.numerator, r.denominator])
+                polys.append(p)
         rng = random.Random("real-root-count")
         for n in range(240):
             deg = rng.randint(1, 14)

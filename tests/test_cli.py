@@ -875,6 +875,16 @@ class TestProbeAndVerify:
         assert exc.value.code == 2
         assert "battery flags of verify take no input record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_verify_refuses_fuzz_samples_below_one(self, capsys, samples):
+        """A battery of no fuzz samples checks nothing, so it is refused
+        rather than reported ok."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--fuzz-samples", samples])
+        assert exc.value.code == 2
+        assert (f"argument --fuzz-samples: must be at least 1, got {samples}"
+                in capsys.readouterr().err)
+
     def test_verify_reports_a_probe_error_as_a_record(self, capsys, monkeypatch):
         def fail(s, n, seed=0):
             raise RuntimeError(f"no rank at s = {s}")

@@ -450,3 +450,8 @@ class TestDichotomyFuzz:
     def test_degree_limit(self):
         with pytest.raises(GrammarError, match="degree 400 above the limit 128"):
             dichotomy_fuzz(400, 10)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sample_floor(self, samples):
+        with pytest.raises(ValueError, match=f"at least 1 sample, got {samples}"):
+            dichotomy_fuzz(4, samples)
