@@ -9,11 +9,11 @@ stop the batch.  Exit codes: 0 all checks passed, 1 some line failed or a
 check failed (structured error JSON on stdout) or stdout was closed early
 (the rest of the output is dropped, with no traceback), 2 usage.  Each
 subcommand imports what it runs: ``rank``, ``borderrank`` and ``scheme``
-load no mpmath, numpy, ``classifier``, ``projection`` or ``oracle``; mpmath
-comes with decompositions and the JSON of quadratic irrational lambda, numpy
-with the span search of ``oracle`` and nothing else: ``decompose`` seeds its
-roots in pure Python, and ``probe`` and the ``verify`` battery run the
-oracle's exact checks (see the README).
+load no mpmath, ``classifier``, ``projection`` or ``oracle``; mpmath comes
+with decompositions and the JSON of quadratic irrational lambda.  No
+subcommand loads numpy: ``decompose`` seeds its roots in pure Python, the
+span search of ``oracle`` runs in Python floats, and ``probe`` and the
+``verify`` battery run the oracle's exact checks (see the README).
 
 Forms are accepted in the text grammar ``d=<int>; [q0,q1,...]`` or as JSON
 records carrying "degree" and "coeffs" (either at the top level or under
@@ -391,9 +391,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for flag in ("count", "fuzz_samples"):
-        if (value := getattr(args, flag, None)) is not None and value < 1:
-            parser.error(f"argument --{flag.replace('_', '-')}: must be at least 1, got {value}")
+    # below these a count, the fuzzer or the probes (which start at n = 3) do nothing
+    for flag, least in (("count", 1), ("fuzz_samples", 1), ("probe_max_n", 3)):
+        if (value := getattr(args, flag, None)) is not None and value < least:
+            parser.error(f"argument --{flag.replace('_', '-')}: must be at least {least}, "
+                         f"got {value}")
     if args.fn is cmd_verify:  # any battery flag given selects the battery
         given = {k: v for k in _BATTERY_DEFAULTS if (v := getattr(args, k)) is not None}
         if given and (args.input or args.file):

@@ -13,7 +13,10 @@ Three oracles, none of which shares code with the exact pipeline:
   witness residual is an estimate at that noise floor, not a proved bound.
   Exact lower bounds only ever come from the fiber scan: the cuspidal curve
   is singular, so catalecticant-style lower bounds for smooth curves do not
-  transfer.  Only the search uses numpy, imported inside its functions.
+  transfer.  The float stage is pure Python: starts are seeded by the real
+  roots of polynomials in the exact kernel of the moment rows
+  (linalg.nullspace), found by binform's Aberth iteration, and the fits
+  use Gram-Schmidt and a partial-pivot solve in Python floats.
 
 * secant_dimension_probe measures the dimension of a secant variety of the
   cuspidal curve as the rank of the parametrization Jacobian at a random
@@ -41,13 +44,13 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .apolarity import rank as sylvester_rank
-from .binform import _check_degree, random_form
+from .binform import _check_degree, _float_seeds, random_form
 from . import linalg
 from .projection import ProjectedPoint
 
 CLUSTER_RADIUS = 1e-8
 # fixed-point bits of the polish beyond the requested precision
-GUARD_BITS = 32
+GUARD_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -107,45 +110,79 @@ def _slots(n: int) -> tuple[int, ...]:
     return (0,) + tuple(range(2, n + 2))
 
 
-def _residual_vec(taus, v, slots):
-    import numpy as np
+def _fdot(a, b) -> float:
+    return sum(x * y for x, y in zip(a, b))
 
-    A = np.stack([np.array([t**k for k in slots]) for t in taus], axis=1)
-    # column equilibration leaves the column span (and so the residual)
-    # unchanged while taming the Vandermonde-style conditioning
-    A = A / np.linalg.norm(A, axis=0)
-    coef, *_ = np.linalg.lstsq(A, v, rcond=None)
-    return v - A @ coef
+
+def _residual_vec(taus, v, slots):
+    """v minus its least-squares fit by the curve columns at taus, in
+    floats, by modified Gram-Schmidt applied twice.  Each column is
+    normalized first, which leaves the span (and so the residual) unchanged
+    while taming the Vandermonde-style conditioning; a column whose part
+    outside the earlier ones is at most len(v) ulps long is dropped, the
+    cutoff of a least-squares solve at the default rcond."""
+    qs = []
+    for t in taus:
+        a = [t**k for k in slots]
+        norm = math.hypot(*a)
+        a = [x / norm for x in a]
+        for _ in range(2):
+            for q in qs:
+                c = _fdot(q, a)
+                a = [x - c * y for x, y in zip(a, q)]
+        norm = math.hypot(*a)
+        if norm > len(v) * 2.0**-52:
+            qs.append([x / norm for x in a])
+    res = list(v)
+    for _ in range(2):
+        for q in qs:
+            c = _fdot(q, res)
+            res = [x - c * y for x, y in zip(res, q)]
+    return res
+
+
+def _solve_damped(H, mu: float, g):
+    """(H + mu I) x = g by Gaussian elimination with partial pivoting in
+    floats; a zero pivot raises ZeroDivisionError."""
+    n = len(g)
+    A = [row[:i] + [row[i] + mu] + row[i + 1:] + [b] for i, (row, b) in enumerate(zip(H, g))]
+    for j in range(n):
+        pj = max(range(j, n), key=lambda i: abs(A[i][j]))
+        A[j], A[pj] = A[pj], A[j]
+        for row in A[j + 1:]:
+            f = row[j] / A[j][j]
+            row[j:] = [x - f * y for x, y in zip(row[j:], A[j][j:])]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (A[i][n] - _fdot(A[i][i + 1:n], x[i + 1:])) / A[i][i]
+    return x
 
 
 def _lm_float(taus, v, slots, max_iter: int = 80):
     """Levenberg-Marquardt with a finite-difference Jacobian of the
-    variable-projection residual; scalars are eliminated by least squares."""
-    import numpy as np
-
-    taus = taus.astype(float)
+    variable-projection residual; scalars are eliminated by least squares.
+    A step whose solve is singular or whose residual overflows counts as a
+    failed step."""
     mu = 1e-3
     res = _residual_vec(taus, v, slots)
-    best = float(res @ res)
+    best = _fdot(res, res)
     for _ in range(max_iter):
-        J = np.empty((len(v), len(taus)))
-        for i in range(len(taus)):
-            h = 1e-6 * max(1.0, abs(taus[i]))
-            bumped = taus.copy()
-            bumped[i] += h
-            J[:, i] = (_residual_vec(bumped, v, slots) - res) / h
-        g = J.T @ res
-        H = J.T @ J
+        J = []
+        for i, t in enumerate(taus):
+            h = 1e-6 * max(1.0, abs(t))
+            bumped = taus[:i] + [t + h] + taus[i + 1:]
+            J.append([(x - y) / h for x, y in zip(_residual_vec(bumped, v, slots), res)])
+        g = [-_fdot(a, res) for a in J]
+        H = [[_fdot(a, b) for b in J] for a in J]
         stepped = False
         for _ in range(8):
             try:
-                delta = np.linalg.solve(H + mu * np.eye(len(taus)), -g)
-            except np.linalg.LinAlgError:
+                cand = [t + d for t, d in zip(taus, _solve_damped(H, mu, g))]
+                cres = _residual_vec(cand, v, slots)
+            except (ZeroDivisionError, OverflowError):
                 mu *= 10
                 continue
-            cand = taus + delta
-            cres = _residual_vec(cand, v, slots)
-            cval = float(cres @ cres)
+            cval = _fdot(cres, cres)
             if cval < best:
                 taus, res, best = cand, cres, cval
                 mu = max(mu / 3, 1e-12)
@@ -275,49 +312,36 @@ def _moment_seeds(P: ProjectedPoint, r: int):
 
     The coordinates of P are power sums sum_i alpha_i t_i^k with the k=1
     entry missing, so the moment matrix rows (a_{j+k})_k for j >= 2 avoid the
-    unknown entry entirely.  Its float null space carries candidate root
-    polynomials; their real roots seed the optimizer.  Returns the null
-    basis (rows of V^T) or None when too few rows are known.
+    unknown entry entirely.  Whenever r curve points (1:t_i) span P, the
+    root polynomial prod (x - t_i) lies in the exact kernel of these rows;
+    the real roots of kernel polynomials seed the optimizer.  Returns the
+    integer kernel basis of linalg.nullspace, or None when too few rows are
+    known or the kernel is trivial.
     """
-    import numpy as np
-
     d = P.n + 1
-    known = {0: float(P.coords[0])}
-    for k in range(2, d + 1):
-        known[k] = float(P.coords[k - 1])
     if d - r - 1 < 1:
         return None
-    rows = [[known[j + k] for k in range(r + 1)] for j in range(2, d - r + 1)]
-    A = np.array(rows, dtype=float)
-    scale = np.abs(A).max()
-    if not np.isfinite(scale) or scale == 0:
-        return None
-    _, _, vt = np.linalg.svd(A / scale)
-    null_dim = max(1, (r + 1) - len(rows))
-    return vt[-null_dim:]
+    # a_m sits at coords[m - 1] for m >= 2
+    rows = [[P.coords[j + k - 1] for k in range(r + 1)] for j in range(2, d - r + 1)]
+    return linalg.nullspace(rows) or None
 
 
 def _roots_of(poly_ascending) -> list[float]:
-    """Real roots of a polynomial given by ascending coefficients."""
-    import numpy as np
-
-    coeffs = np.array(poly_ascending, dtype=float)
-    top = np.abs(coeffs).max()
+    """Real roots of a polynomial given by ascending float coefficients,
+    from the pure-Python Aberth iteration of binform._float_seeds; a root
+    counts as real when |Im z| <= 1e-6 (1 + |z|)."""
+    top = max(map(abs, poly_ascending))
     if top == 0:
         return []
-    coeffs = coeffs / top
+    coeffs = [c / top for c in poly_ascending]
     # drop numerically-zero leading coefficients (roots at infinity)
     k = len(coeffs)
     while k > 1 and abs(coeffs[k - 1]) < 1e-10:
         k -= 1
     if k <= 1:
         return []
-    roots = np.roots(coeffs[:k][::-1])
-    out = []
-    for z in roots:
-        if abs(z.imag) <= 1e-6 * (1.0 + abs(z)):
-            out.append(float(z.real))
-    return out
+    return [z.real for z in _float_seeds(tuple(coeffs[:k]))
+            if abs(z.imag) <= 1e-6 * (1.0 + abs(z))]
 
 
 def xrank_upper_search(P: ProjectedPoint, cfg: SearchConfig) -> SpanWitness | None:
@@ -333,14 +357,15 @@ def xrank_upper_search(P: ProjectedPoint, cfg: SearchConfig) -> SpanWitness | No
     order, or None when every start fails; None proves nothing about the
     rank.
     """
-    import numpy as np
-
     if not 1 <= cfg.r <= P.n:
         raise ValueError("target cardinality outside 1..n")
     rng = random.Random(f"span-search:{cfg.seed}:{cfg.r}")
     slots = _slots(P.n)
-    base = np.array([float(c) for c in P.coords], dtype=float)
+    base = [float(c) for c in P.coords]
     null_basis = _moment_seeds(P, cfg.r)
+    if null_basis is not None:
+        # largest entry 1, so that gaussian combinations stay in float range
+        null_basis = [[c / max(map(abs, b)) for c in b] for b in null_basis]
 
     polish_budget = 8
     for start in range(cfg.starts):
@@ -349,8 +374,8 @@ def xrank_upper_search(P: ProjectedPoint, cfg: SearchConfig) -> SpanWitness | No
             if len(null_basis) == 1:
                 poly = null_basis[0]
             else:
-                combo = np.array([rng.gauss(0.0, 1.0) for _ in null_basis])
-                poly = combo @ null_basis
+                combo = [rng.gauss(0.0, 1.0) for _ in null_basis]
+                poly = [_fdot(combo, column) for column in zip(*null_basis)]
             taus0 = _roots_of(poly)[: cfg.r]
             # grow the perturbation with the start index so repeated seeds
             # explore around a near-miss instead of repeating it
@@ -362,16 +387,16 @@ def xrank_upper_search(P: ProjectedPoint, cfg: SearchConfig) -> SpanWitness | No
         while len(taus0) < cfg.r:
             taus0.append(rng.uniform(-2.8, 2.8))
         spread = max(1.0, max(abs(t) for t in taus0))
-        s = (1.0 / spread) * float(np.exp(rng.uniform(-0.15, 0.15)))
+        s = (1.0 / spread) * math.exp(rng.uniform(-0.15, 0.15))
         if rng.random() < 0.5:
             s = -s
-        scaled = base * np.array([s**k for k in slots])
-        big = np.abs(scaled).max()
-        if not np.isfinite(big) or big == 0:
+        scaled = [x * s**k for x, k in zip(base, slots)]
+        big = max(map(abs, scaled))
+        if not math.isfinite(big) or big == 0:
             continue
-        v = scaled / big
-        v = v / np.linalg.norm(v)
-        taus, val = _lm_float(np.array(taus0) * s, v, slots)
+        v = [x / big for x in scaled]
+        norm = math.hypot(*v)
+        taus, val = _lm_float([t * s for t in taus0], [x / norm for x in v], slots)
         if val >= 1e-18:
             continue
         # polish on hit; the first acceptance in start order is the

@@ -172,7 +172,7 @@ from cuspidal.binform import (
 )
 from cuspidal.classifier import ClassifierError, ClassifierVerdict, scheme_span_basis
 from cuspidal.numberfield import AlgebraicNumber, NumberFieldError, _quadratic_root
-from cuspidal.oracle import _slots
+from cuspidal.oracle import GUARD_BITS, _slots
 from cuspidal.projection import (
     ALL_LAMBDA,
     FieldCertificate,
@@ -867,7 +867,8 @@ def _mp_norm(x):
 
 def mp_polish(P: ProjectedPoint, taus0, precision_bits: int, tolerance: float):
     """Gauss-Newton on the variable-projection residual (I - P_A(tau)) v at
-    full precision, with the analytic Jacobian of mp_fit; returns (taus,
+    precision_bits + GUARD_BITS, the working precision of the fixed-point
+    polish it checks, with the analytic Jacobian of mp_fit; returns (taus,
     residual), or None when the starting columns are degenerate.
 
     Each iteration tries the undamped step first, which converges
@@ -876,7 +877,7 @@ def mp_polish(P: ProjectedPoint, taus0, precision_bits: int, tolerance: float):
     residual.  A step is taken only when it lowers the residual, and the
     Jacobian is built only where the next step starts.
     """
-    with mpmath.workprec(precision_bits):
+    with mpmath.workprec(precision_bits + GUARD_BITS):
         v = mp_target(P)
         slots = _slots(P.n)
         taus = [mpmath.mpf(t) for t in taus0]

@@ -392,8 +392,8 @@ class TestImports:
         classify loads no mpmath.  decompose on a cubic witness and on an
         irreducible quintic one, and verify-decomp of the quintic's record,
         load mpmath and no numpy, with their records unchanged.  Importing
-        the oracle, probe and a small verify battery load no numpy either,
-        and the span search on an e4_i point loads it."""
+        the oracle, probe, a small verify battery and the span search on an
+        e4_i point load no numpy either: no part of the package uses it."""
         child = textwrap.dedent(
             """
             import contextlib, hashlib, io, json, sys
@@ -450,7 +450,7 @@ class TestImports:
             "decompose": [True, False], "records": [
                 "99295298d7d8721b3841836fd512ea13472e97a896c1b0dd2e064741ff1ac539",
                 "d73538c847e5986fcd8fc5532a98980e2f8c4e3c12b920b218ab8dd902adf499",
-            ], "verified": True, "numpy": [False, False, False, True], "found": True,
+            ], "verified": True, "numpy": [False, False, False, False], "found": True,
         }
 
     def test_unserved_polynomials_load_no_sympy(self):
@@ -836,15 +836,14 @@ class TestProbeAndVerify:
     def test_verify_refuses_a_fuzz_degree_above_the_limit(self, capsys, monkeypatch):
         monkeypatch.setattr("cuspidal.cli._VERIFY_BATTERY", [])
         code, recs = run(
-            capsys, monkeypatch, ["verify", "--fuzz-degrees", "400", "--probe-max-n", "2"]
+            capsys, monkeypatch, ["verify", "--fuzz-degrees", "400", "--probe-max-n", "3"]
         )
         assert code == 1
         message = f"degree 400 above the limit {MAX_DEGREE}"
-        assert recs == [
-            {"check": "fuzz", "degree": 400, "ok": False,
-             "error": {"type": "GrammarError", "message": message}},
-            {"check": "summary", "records": 1, "failed": 1},
-        ]
+        assert recs[0] == {"check": "fuzz", "degree": 400, "ok": False,
+                           "error": {"type": "GrammarError", "message": message}}
+        assert [r["check"] for r in recs[1:-1]] == ["probe", "probe"]
+        assert recs[-1] == {"check": "summary", "records": 3, "failed": 1}
 
     def test_verify_battery_does_not_read_an_open_stdin(self):
         """A battery flag selects the battery, so a child whose stdin is a
@@ -883,6 +882,16 @@ class TestProbeAndVerify:
             main(["verify", "--fuzz-samples", samples])
         assert exc.value.code == 2
         assert (f"argument --fuzz-samples: must be at least 1, got {samples}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("max_n", ["2", "0", "-1"])
+    def test_verify_refuses_probe_max_n_below_three(self, capsys, max_n):
+        """The probes start at n = 3, so a lower --probe-max-n would run
+        none and report the battery ok; it is refused instead."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--probe-max-n", max_n])
+        assert exc.value.code == 2
+        assert (f"argument --probe-max-n: must be at least 3, got {max_n}"
                 in capsys.readouterr().err)
 
     def test_verify_reports_a_probe_error_as_a_record(self, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Numeric oracles: span search, secant probes, dichotomy fuzzing."""
 
+import math
 import random
 import textwrap
 from fractions import Fraction
@@ -17,14 +18,17 @@ from cuspidal.oracle import (
     SpanWitness,
     _fit,
     _lu_solver,
+    _moment_seeds,
     _polish,
+    _residual_vec,
     _slots,
+    _solve_damped,
     dichotomy_fuzz,
     secant_dimension_probe,
     xrank_upper_search,
 )
 from cuspidal.projection import ProjectedPoint, cusp_curve_point, project, x_rank
-from oracles import fd_jacobian, mp_polish, mp_residual
+from oracles import det, fd_jacobian, mp_polish, mp_residual
 from test_apolarity import _run_optimized
 
 F = Fraction
@@ -124,7 +128,8 @@ class TestXrankUpperSearch:
 class TestVariableProjectionFit:
     """The polish's fixed-point analytic fit, read back as mpf, against the
     normal-equation residual and the forward-difference Jacobian it
-    replaced, at 192 bits."""
+    replaced, at 192 bits; and the float residual of the search's starts
+    against the same normal-equation residual."""
 
     BITS = 192
     SCALE = BITS + GUARD_BITS
@@ -164,6 +169,22 @@ class TestVariableProjectionFit:
                 want = mp_residual(taus, v, slots)
                 assert self._rel_err(self._mpf(res), want) < 2.0**-50, (n, taus)
 
+    def test_float_residual_matches_normal_equations(self):
+        """The Gram-Schmidt residual in floats, for a random v and for a v
+        in the span of the columns, where it cancels to |v| ulps."""
+        rng = random.Random("vp-float-residual")
+        with mpmath.workprec(self.BITS):
+            for n, taus in self._cases(rng):
+                slots = _slots(n)
+                for in_span in (False, True):
+                    v = [rng.gauss(0.0, 1.0) for _ in slots]
+                    if in_span:
+                        v = [sum(c * float(t) ** k for c, t in zip(v, taus)) for k in slots]
+                    got = _residual_vec([float(t) for t in taus], v, slots)
+                    want = mp_residual(taus, [mpmath.mpf(x) for x in v], slots)
+                    norm = mpmath.sqrt(mpmath.fsum(mpmath.mpf(x) ** 2 for x in v))
+                    assert self._rel_err(got, want, norm) < 2.0**-44, (n, taus, in_span)
+
     def test_jacobian_matches_finite_differences(self):
         """At a point in the span the residual vanishes, and there the
         Kaufman columns -c_i (I - P_A) a_i' are the exact Jacobian.  The
@@ -191,6 +212,20 @@ def _power_sum_point(n, taus, scalars) -> ProjectedPoint:
     are sum s tau^i, and projecting deletes slot 1."""
     a = [sum(s * F(t) ** i for t, s in zip(taus, scalars)) for i in range(n + 2)]
     return ProjectedPoint(n, tuple([a[0]] + a[2:]))
+
+
+def _exact_residual(P: ProjectedPoint, taus, scale: int) -> float:
+    """|(I - P_A) v| / |v| for the coordinates v of P and the curve columns
+    at the parameters taus / scale, exactly, and rounded to a float once:
+    the squared distance of v from the span of the columns is the ratio of
+    the Gram determinants with and without v.  The columns are scaled to
+    integers, which leaves their span unchanged."""
+    top, den = P.n + 1, math.lcm(*(c.denominator for c in P.coords))
+    vecs = [[t**k * scale ** (top - k) for k in _slots(P.n)] for t in taus]
+    vecs.append([c.numerator * (den // c.denominator) for c in P.coords])
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in vecs] for a in vecs]
+    part = det([row[:-1] for row in gram[:-1]])
+    return math.sqrt(F(det(gram), part * gram[-1][-1]))
 
 
 class TestFixedPointPolish:
@@ -230,16 +265,32 @@ class TestFixedPointPolish:
     def test_same_parameters_as_the_mpmath_polish(self, monkeypatch):
         """From the same hand-over both polishes return the same float
         parameters, bit for bit, and residuals below the tolerance that
-        agree to within 2^-(bits-16), at 128, 192 and 256 bits."""
+        agree to within 2^-(bits-16), at 128, 192 and 256 bits; the mpmath
+        polish runs at the working precision of the fixed-point one, bits +
+        GUARD_BITS.  The fixed-point residual is the exact residual at its
+        last accepted fit to within 2^8 units of that precision, plus the
+        float rounding."""
         handovers = self._handovers(monkeypatch)
         assert len(handovers) >= 60
+        fits, fit = [], oracle._fit
+
+        def recording(taus, v, slots, bits):
+            out = fit(taus, v, slots, bits)
+            fits.append((sum(x * x for x in out[0]), taus))
+            return out
+
+        monkeypatch.setattr(oracle, "_fit", recording)
         for bits in (128, 192, 256):
             tol = SearchConfig(r=1, precision_bits=bits).tolerance
+            scale = 1 << (bits + GUARD_BITS)
             for P, taus0 in handovers:
+                fits.clear()
                 got, want = _polish(P, taus0, bits, tol), mp_polish(P, taus0, bits, tol)
                 assert got[0] == want[0], (bits, P, taus0)
                 assert got[1] < tol and want[1] < tol, (bits, P, taus0)
                 assert abs(got[1] - want[1]) < 2.0 ** -(bits - 16), (bits, P, taus0)
+                exact = _exact_residual(P, min(fits)[1], scale)
+                assert abs(got[1] - exact) <= 256 / scale + exact * 2.0**-50, (bits, P, taus0)
 
     # (n, taus, scalars, start, bits): the point of sum s (u + tau t)^(n+1)
     # and a start up to 20% off its parameters, on which the undamped
@@ -361,6 +412,46 @@ class TestFixedPointPolish:
             """
         )
         _run_optimized(child)
+
+
+class TestSearchStarts:
+    """The pieces the search's float starts are made of."""
+
+    def test_moment_kernel_holds_the_root_polynomial(self):
+        """For the point of sum s (u + tau t)^(n+1) at k = r points the
+        kernel annihilates every moment row (a_{j+i})_i, j >= 2, and holds
+        prod (x - tau), on every cell (n, k) of the benchmark's search grid."""
+        rng = random.Random("moment-seeds")
+        for n in range(5, 11):
+            for k in range(2, n // 2 + 1):
+                taus = rng.sample([t for t in range(-12, 13) if t], k)
+                scalars = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in taus]
+                a = [sum(s * F(t) ** i for t, s in zip(taus, scalars)) for i in range(n + 2)]
+                basis = _moment_seeds(_power_sum_point(n, taus, scalars), k)
+                for c in basis:
+                    for j in range(2, n + 2 - k):
+                        assert sum(a[j + i] * c[i] for i in range(k + 1)) == 0, (n, taus, c)
+                root_poly = [1]
+                for t in taus:
+                    root_poly = [x - t * y for x, y in zip([0] + root_poly, root_poly + [0])]
+                assert linalg.rank([*basis, root_poly]) == len(basis), (n, taus)
+
+    def test_moment_seeds_none(self):
+        """No seeds when no moment row is known (r = n), or when the rows
+        have a trivial kernel, as for three points at r = 1."""
+        P = _power_sum_point(8, [1, 2, 3], [1, 1, 1])
+        assert _moment_seeds(P, 8) is None
+        assert _moment_seeds(P, 1) is None
+
+    def test_damped_solve(self):
+        assert _solve_damped([[2.0, 1.0], [1.0, 2.0]], 1.0, [3.0, 6.0]) == pytest.approx(
+            [3 / 8, 15 / 8])
+
+    @pytest.mark.parametrize("H,mu", [([[0.0]], 0.0), ([[1.0, 2.0], [2.0, 4.0]], 0.0),
+                                      ([[-1.0, 0.0], [0.0, 1.0]], 1.0)])
+    def test_singular_damped_solve_raises(self, H, mu):
+        with pytest.raises(ZeroDivisionError):
+            _solve_damped(H, mu, [1.0] * len(H))
 
 
 class TestSecantProbe:
