@@ -5,7 +5,9 @@ Certificate checks are explicit raises, so that they still run under
 none.  The package factors every polynomial itself, so no module of it
 imports sympy, which only the test oracle uses.  No module names numpy
 either: complex roots are seeded from the Newton polygon in pure Python,
-and the span search of ``oracle`` runs in Python floats.
+and the span search of ``oracle`` runs in Python floats.  The two older,
+weaker numpy rules stay as well: none imports it when it loads, and none
+but ``oracle`` names it.
 """
 
 import ast
@@ -23,6 +25,19 @@ def _nodes():
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             yield path.name, node
+
+
+def _load_time_nodes(tree):
+    """The nodes of a module that run when it is imported: all but the
+    bodies of its functions."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(
+            child for child in ast.iter_child_nodes(node)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        )
 
 
 def test_the_package_has_no_assert_statements():
@@ -54,3 +69,23 @@ def test_no_module_imports_sympy():
 def test_no_module_names_numpy():
     found = _importers("numpy")
     assert found == [], f"numpy imports in the package: {found}"
+
+
+def test_no_module_imports_numpy_when_it_loads():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in _load_time_nodes(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if any(module.split(".")[0] == "numpy" for module in _imported(node))
+    ]
+    assert found == [], f"numpy imported at module level: {found}"
+
+
+def test_only_the_oracle_names_numpy():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if name != "oracle.py"
+        and any(module.split(".")[0] == "numpy" for module in _imported(node))
+    ]
+    assert found == [], f"numpy imported outside oracle.py: {found}"
