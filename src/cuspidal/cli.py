@@ -326,13 +326,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True, precision=False, seed=False):
+    def common(p, with_input="form text or JSON record", precision=False, seed=False):
         if precision:
             p.add_argument("--precision-bits", type=int, help="working precision")
         if seed:
             p.add_argument("--seed", type=int)
         if with_input:
-            p.add_argument("input", nargs="?", help="form text or JSON record")
+            p.add_argument("input", nargs="?", help=with_input)
             p.add_argument("--file", help="read inputs from a file")
 
     for name, fn, doc in [
@@ -351,12 +351,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("verify-decomp", help="check a decomposition record")
-    common(p, precision=True)
+    common(p, with_input="JSON decomposition record, with its form or with --form",
+           precision=True)
     p.add_argument("--form", help="form text when records carry none")
     p.set_defaults(fn=cmd_verify_decomp)
 
     p = sub.add_parser("xrank", help="exact rank with respect to the cuspidal curve")
-    common(p)
+    common(p, with_input='JSON projected point {"n", "coords"}, as project prints it')
     p.add_argument("--n", type=int, help="ambient dimension")
     p.add_argument("--coords", help="comma-separated rational coordinates")
     p.set_defaults(fn=cmd_xrank)

@@ -11,6 +11,9 @@ Three oracles, none of which shares code with the exact pipeline:
   in Kaufman's form and Levenberg-Marquardt damping only as a fallback, in
   fixed-point integers with GUARD_BITS guard bits beyond the precision; the
   witness residual is an estimate at that noise floor, not a proved bound.
+  Each stage tests its target before it steps: a start already converged
+  takes no float step, and a hand-over already below the polish's target
+  gets one undamped try and no damped retries.
   Exact lower bounds only ever come from the fiber scan: the cuspidal curve
   is singular, so catalecticant-style lower bounds for smooth curves do not
   transfer.  The float stage is pure Python: starts are seeded by the real
@@ -161,12 +164,15 @@ def _solve_damped(H, mu: float, g):
 def _lm_float(taus, v, slots, max_iter: int = 80):
     """Levenberg-Marquardt with a finite-difference Jacobian of the
     variable-projection residual; scalars are eliminated by least squares.
-    A step whose solve is singular or whose residual overflows counts as a
-    failed step."""
+    The target, a squared residual below 1e-26, is tested before each step,
+    so a start already there takes none.  A step whose solve is singular or
+    whose residual overflows counts as a failed step."""
     mu = 1e-3
     res = _residual_vec(taus, v, slots)
     best = _fdot(res, res)
     for _ in range(max_iter):
+        if best < 1e-26:
+            break
         J = []
         for i, t in enumerate(taus):
             h = 1e-6 * max(1.0, abs(t))
@@ -189,7 +195,7 @@ def _lm_float(taus, v, slots, max_iter: int = 80):
                 stepped = True
                 break
             mu *= 10
-        if not stepped or best < 1e-26:
+        if not stepped:
             break
     return taus, best
 
@@ -265,7 +271,9 @@ def _polish(P: ProjectedPoint, taus0, precision_bits: int, tolerance: float):
     quadratically from the float hand-over, and falls back to
     Levenberg-Marquardt damping only when that step does not lower the
     residual.  A step is taken only when it lowers the residual, and the
-    Jacobian is built only where the next step starts.
+    Jacobian is built only where the next step starts.  The target is
+    tested before each step: from a residual already below it only the
+    undamped step is tried, and when that fails the polish ends.
     """
     p = precision_bits + GUARD_BITS
     den = math.lcm(*(c.denominator for c in P.coords))
@@ -285,7 +293,8 @@ def _polish(P: ProjectedPoint, taus0, precision_bits: int, tolerance: float):
         jac = jacobian()
         H = [[_dot(a, b, p) for b in jac] for a in jac]
         g = [-_dot(a, res, p) for a in jac]
-        for damped in (False,) + (True,) * 10:
+        # below the target a damped retry is not worth its fit
+        for damped in (False,) + (True,) * (10 if best >= target else 0):
             M = [row[:i] + [row[i] + damped * mu] + row[i + 1:] for i, row in enumerate(H)]
             try:
                 cand = [t + d for t, d in zip(taus, _lu_solver(M, precision_bits)(g))]

@@ -162,6 +162,21 @@ class TestRankCommands:
                 assert err.value.code == 2, argv
                 assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,reads", [
+        ("xrank", 'JSON projected point {"n", "coords"}'),
+        ("verify-decomp", "JSON decomposition record"),
+        ("rank", "form text or JSON record"),
+    ])
+    def test_input_help_names_what_is_read(self, capsys, name, reads):
+        """xrank reads only a projected point and verify-decomp only a
+        decomposition record; neither offers form text."""
+        with pytest.raises(SystemExit) as err:
+            main([name, "--help"])
+        assert err.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert reads in text
+        assert (name == "rank") == ("form text or JSON record" in text)
+
 
 class TestDecomposePipeline:
     def test_decompose_then_verify(self, capsys, monkeypatch):

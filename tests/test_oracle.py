@@ -17,6 +17,7 @@ from cuspidal.oracle import (
     SearchConfig,
     SpanWitness,
     _fit,
+    _lm_float,
     _lu_solver,
     _moment_seeds,
     _polish,
@@ -452,6 +453,78 @@ class TestSearchStarts:
     def test_singular_damped_solve_raises(self, H, mu):
         with pytest.raises(ZeroDivisionError):
             _solve_damped(H, mu, [1.0] * len(H))
+
+
+def _grid_points(label):
+    """The point of sum s (u + tau t)^(n+1) at k integer parameters, one
+    for every cell (n, k) of the benchmark's search grid."""
+    rng = random.Random(label)
+    for n in range(5, 11):
+        for k in range(2, n // 2 + 1):
+            taus = rng.sample([t for t in range(-12, 13) if t], k)
+            scalars = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in taus]
+            yield _power_sum_point(n, taus, scalars), taus
+
+
+def _counting(monkeypatch, name):
+    """Replace oracle.<name> by a wrapper that counts its calls."""
+    calls, real = [], getattr(oracle, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+class TestStopsAtTheTarget:
+    """Both stages of the search test their target before they step, so
+    that an exact start is not stepped away from."""
+
+    def test_float_stage_keeps_exact_parameters(self, monkeypatch):
+        """From the exact parameters of a power-sum point the float stage
+        computes one residual and returns those parameters unchanged."""
+        calls = _counting(monkeypatch, "_residual_vec")
+        for P, taus in _grid_points("lm-exact-start"):
+            v = [float(c) for c in P.coords]
+            norm = math.hypot(*v)
+            calls.clear()
+            got, best = _lm_float([float(t) for t in taus], [x / norm for x in v], _slots(P.n))
+            assert len(calls) == 1, (P, taus)
+            assert got == [float(t) for t in taus] and best < 1e-26, (P, taus)
+
+    def test_polish_from_exact_integers(self, monkeypatch):
+        """From a hand-over at the exact integer parameters the polish
+        makes at most two fits, the start and one undamped try, returns
+        those integers, and returns what the mpmath polish returns, bit
+        for bit, at 128, 192 and 256 bits."""
+        calls = _counting(monkeypatch, "_fit")
+        for P, taus in _grid_points("polish-exact-start"):
+            start = [float(t) for t in taus]
+            for bits in (128, 192, 256):
+                tol = SearchConfig(r=1, precision_bits=bits).tolerance
+                calls.clear()
+                got, want = _polish(P, start, bits, tol), mp_polish(P, start, bits, tol)
+                assert len(calls) <= 2, (bits, P, taus)
+                assert got[0] == start == want[0], (bits, P, taus)
+                assert got[1] < tol and want[1] < tol, (bits, P, taus)
+
+    def test_search_on_e4_i_points_steps_once(self, monkeypatch):
+        """On four seeded e4_i points of every cell (n, k) of the
+        benchmark's search grid, at r = k, the exact moment seed is
+        converged: the search computes one float residual and at most two
+        fixed-point fits before it returns the witness."""
+        residuals = _counting(monkeypatch, "_residual_vec")
+        fits = _counting(monkeypatch, "_fit")
+        for n in range(5, 11):
+            for k in range(2, n // 2 + 1):
+                for seed in range(4):
+                    P = project(generate_instance(InstanceSpec("e4_i", n, k, seed=seed)).form)
+                    residuals.clear()
+                    fits.clear()
+                    assert xrank_upper_search(P, SearchConfig(r=k)) is not None, (n, k, seed)
+                    assert len(residuals) == 1 and len(fits) <= 2, (n, k, seed)
 
 
 class TestSecantProbe:
