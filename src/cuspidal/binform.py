@@ -382,11 +382,9 @@ class ZeroScheme:
         return BinaryForm(self.degree, tuple(cs))
 
     def multiplicity_at(self, p: P1Point) -> int:
-        total = 0
-        for g, m in self.factors:
-            if g.evaluate(p.a, p.b) == 0:
-                total += m  # factors are square-free: each root is simple
-        return total
+        """The exponent of p.linear_form() among the factors, by the invariant;
+        nothing is evaluated."""
+        return dict(self.factors).get(p.linear_form(), 0)
 
     def remove_point(self, p: P1Point, k: int) -> "ZeroScheme":
         """Scheme difference: drop k from the multiplicity at the rational point p."""

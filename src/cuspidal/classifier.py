@@ -28,11 +28,12 @@ and its points on first read; crosscheck splits over Q only the two e4_i
 witnesses it compares.
 
 The span-versus-multiplicity equivalence (O ∈ ⟨W⟩ iff m ≥ 2) is exposed as
-an operation computing both routes.  With d = n+1 and h = W.product_form(),
-⟨W⟩ is the kernel of the contraction by h (the apolarity lemma), whose row
-m = 0..d-deg W sends v to sum_j h_j v_{m+j}.  The center O = e_1 contracts
-to (h_1, h_0, 0, ...), cut to those rows, and t² | h exactly when m ≥ 2.
-So, by band:
+an operation computing both routes.  With d = n+1 and h = prod g^e over the
+factors of W, ⟨W⟩ is the kernel of the contraction by h (the apolarity
+lemma), whose row m = 0..d-deg W sends v to sum_j h_j v_{m+j}.  The center
+O = e_1 contracts to (h_1, h_0, 0, ...), cut to those rows, and t² | h
+exactly when m ≥ 2, so both routes read only h mod t² (the 2-jet of h at
+A) and m off the factors, and W is never multiplied out.  By band:
 
 * deg W ≤ n: both rows are present, and O ∈ ⟨W⟩ iff h_0 = h_1 = 0 iff m ≥ 2;
 * deg W = n+1: only row 0 is, and O ∈ ⟨W⟩ iff the u^n t coefficient h_1
@@ -156,8 +157,7 @@ def _contract(h: BinaryForm, vec) -> list:
     there are no rows and the span is the whole space.
 
     Row m is sum_j h_j vec[m+j]; it is accumulated over the nonzero entries
-    of vec alone, as out[k-j] += h_j vec[k], so the center, one unit
-    vector, costs one column of the matrix."""
+    of vec alone, as out[k-j] += h_j vec[k]."""
     rows = len(vec) - h.degree
     out = [0] * max(rows, 0)
     for k, v in enumerate(vec):
@@ -183,25 +183,44 @@ def _mult_at_A(g: BinaryForm) -> int:
     return next(i for i, c in enumerate(g.coeffs) if c)
 
 
-def _center_routes(h: BinaryForm, m: int, frame: ProjectionFrame) -> tuple[bool, bool]:
-    """span_center_routes from a product form h of W and m = mult_A(W)."""
-    if h.degree > frame.n + 2:
+def _center_jet(W: ZeroScheme) -> tuple[int, int, int, int]:
+    """(deg W, h_0, h_1, mult_A W), h_0 + h_1 t = prod (g_0 + g_1 t)^e mod t²
+    over the factors g^e of W, by (g_0 + g_1 t)^e = g_0^e + e g_0^(e-1) g_1 t.
+    The factors are irreducible, so only t has g_0 = 0."""
+    deg, h0, h1, m = 0, 1, 0, 0
+    for g, e in W.factors:
+        g0, g1 = g.coeffs[0], g.coeffs[1]
+        deg += g.degree * e
+        q = g0 ** (e - 1)
+        h0, h1 = h0 * g0 * q, (h1 * g0 + e * h0 * g1) * q
+        if not g0:
+            m = e
+    return deg, h0, h1, m
+
+
+def _center_routes(deg: int, h0, h1, m: int, frame: ProjectionFrame) -> tuple[bool, bool]:
+    """span_center_routes from deg W, the first two coefficients h_0, h_1 of
+    its product form (any scale) and m = mult_A(W).  The contraction by h
+    sends the center to (h_1, h_0, 0, ...), cut to d + 1 - deg W rows."""
+    if deg > frame.n + 2:
         raise SchemeDegreeError("degree beyond the independence regime")
-    return not any(_contract(h, _center_vector(frame.d))), m >= 2
+    rows = frame.d + 1 - deg
+    return not ((rows >= 1 and h1) or (rows >= 2 and h0)), m >= 2
 
 
 def span_center_routes(W: ZeroScheme, frame: ProjectionFrame) -> tuple[bool, bool]:
-    """(contraction answer, multiplicity-criterion answer) for O ∈ ⟨W⟩."""
-    return _center_routes(W.product_form(), W.multiplicity_at(POINT_A), frame)
+    """(contraction answer, multiplicity-criterion answer) for O ∈ ⟨W⟩, read
+    off h mod t² of the factors of W; W is never multiplied out."""
+    return _center_routes(*_center_jet(W), frame)
 
 
-def _center_in_span(h: BinaryForm, m: int, frame: ProjectionFrame) -> bool:
-    """o_in_span from a product form h of W and m = mult_A(W)."""
-    by_span, by_mult = _center_routes(h, m, frame)
+def _center_in_span(deg: int, h0, h1, m: int, frame: ProjectionFrame) -> bool:
+    """o_in_span from the arguments of _center_routes."""
+    by_span, by_mult = _center_routes(deg, h0, h1, m, frame)
     if by_span != by_mult:
         raise SpanCriterionDisagreement(
             f"span says {by_span}, multiplicity says {by_mult} "
-            f"(deg W = {h.degree}, n = {frame.n})"
+            f"(deg W = {deg}, n = {frame.n})"
         )
     return by_span
 
@@ -210,11 +229,11 @@ def o_in_span(W: ZeroScheme, frame: ProjectionFrame) -> bool:
     """Membership of the projection center in the span of W, dual-route.
 
     Both the contraction by the product form and the multiplicity-at-A
-    criterion are evaluated and must agree; disagreement raises.  The
-    equivalence is guaranteed for deg W ≤ n; the module docstring gives the
-    schemes above that on which it fails.
+    criterion are read off h mod t² (see span_center_routes) and must agree;
+    disagreement raises.  The equivalence is guaranteed for deg W ≤ n; the
+    module docstring gives the schemes above that on which it fails.
     """
-    return _center_in_span(W.product_form(), W.multiplicity_at(POINT_A), frame)
+    return _center_in_span(*_center_jet(W), frame)
 
 
 # -- the case table ------------------------------------------------------------
@@ -660,9 +679,10 @@ def crosscheck(f: BinaryForm) -> dict:
         report["classifier_error"] = str(err)
 
     # deg W = w <= floor((n+1)/2) + 1 <= n + 2, inside o_in_span's range
-    m = _mult_at_A(cert.witness_form)
+    g = cert.witness_form
+    m = _mult_at_A(g)
     try:
-        member = _center_in_span(cert.witness_form, m, frame)
+        member = _center_in_span(g.degree, g.coeffs[0], g.coeffs[1], m, frame)
         report["o_span"] = {"case": "e3_1_info", "o_in_span": member, "mult_A": m, "agree": True}
     except SpanCriterionDisagreement as err:
         report["o_span"] = {"case": "e3_1_info", "agree": False, "detail": str(err)}

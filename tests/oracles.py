@@ -140,6 +140,12 @@
 * ``dense_contract``: the contraction by a product form once formed every
   product h_j vec[m+j].  It backs ``classifier._contract``, which sums over
   the nonzero entries of vec alone.
+* ``product_form_center_routes`` and ``evaluation_multiplicity``: the two
+  center routes once multiplied W out (``ZeroScheme.product_form``),
+  contracted the center e_1 by the product form, and found m by evaluating
+  every factor at A.  They back ``classifier.span_center_routes``, which
+  reads h mod t² and m off the factors, and ``ZeroScheme.multiplicity_at``,
+  which looks the point's linear form up among them.
 * ``monic_route_factors``: ``ZeroScheme`` once took its pieces monic from
   ``ratfactor.irreducible_factors`` and made them primitive again.  It
   backs the pieces it now reads from ``ratfactor.primitive_factors``.
@@ -170,7 +176,12 @@ from cuspidal.binform import (
     ZeroScheme,
     apolar_coeffs,
 )
-from cuspidal.classifier import ClassifierError, ClassifierVerdict, scheme_span_basis
+from cuspidal.classifier import (
+    ClassifierError,
+    ClassifierVerdict,
+    SchemeDegreeError,
+    scheme_span_basis,
+)
 from cuspidal.numberfield import AlgebraicNumber, NumberFieldError, _quadratic_root
 from cuspidal.oracle import GUARD_BITS, _slots
 from cuspidal.projection import (
@@ -178,6 +189,7 @@ from cuspidal.projection import (
     FieldCertificate,
     ProjectedPoint,
     ProjectionError,
+    ProjectionFrame,
     XRankResult,
     _certificate_sort_key,
     _generic_certificate,
@@ -1516,6 +1528,24 @@ def dense_contract(h: BinaryForm, vec) -> list:
         sum(c * vec[m + j] for j, c in enumerate(h.coeffs))
         for m in range(len(vec) - h.degree)
     ]
+
+
+def evaluation_multiplicity(W: ZeroScheme, p: P1Point) -> int:
+    """``ZeroScheme.multiplicity_at`` before it looked p.linear_form() up
+    among the factors: the exponents of the factors that vanish at p, each
+    factor evaluated there."""
+    return sum(m for g, m in W.factors if g.evaluate(p.a, p.b) == 0)
+
+
+def product_form_center_routes(W: ZeroScheme, frame: ProjectionFrame) -> tuple[bool, bool]:
+    """``classifier.span_center_routes`` before it read h mod t² off the
+    factors: the center e_1 contracted by every row of the product form of
+    W, and m >= 2 with m by ``evaluation_multiplicity`` at A."""
+    h = W.product_form()
+    if h.degree > frame.n + 2:
+        raise SchemeDegreeError("degree beyond the independence regime")
+    center = [int(i == 1) for i in range(frame.d + 1)]
+    return not any(dense_contract(h, center)), evaluation_multiplicity(W, POINT_A) >= 2
 
 
 def monic_route_factors(factors) -> tuple:

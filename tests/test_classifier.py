@@ -35,7 +35,14 @@ from cuspidal.classifier import (
     span_matrix,
 )
 from cuspidal.projection import ProjectionFrame, cusp_curve_point, lift, project, x_rank
-from oracles import classify_by_factoring, dense_contract, in_span
+from oracles import (
+    classify_by_factoring,
+    dense_contract,
+    evaluation_multiplicity,
+    in_span,
+    product_form_center_routes,
+)
+from test_acceptance import _random_scheme as c09_scheme
 from test_classifier_digests import seeded_forms
 from test_corpus import corpus_forms
 
@@ -789,6 +796,65 @@ def test_verdict_witness_scheme_built_on_first_read(monkeypatch):
     assert scheme == ZeroScheme(((v.witness_form, 1),))
 
 
+def test_center_routes_match_the_product_form_oracle():
+    """span_center_routes, read off h mod t², against the product-form oracle
+    on the first 150 schemes of every cell n = 3..10, deg W = 1..n+2 of c09's
+    generator, the empty scheme, the four-point cancellation at deg n+1 and
+    one scheme of degree n+3 per n; o_in_span raises exactly where the
+    oracle's routes part, and both refuse degree n+3."""
+    frame3 = ProjectionFrame(3)
+    cancel = scheme_of([(pt(1), 1), (pt(-1), 1), (pt(2), 1), (pt(-2), 1)])
+    cases = [(frame3, cancel)]
+    for n in range(3, 11):
+        frame = ProjectionFrame(n)
+        cases.append((frame, ZeroScheme(())))
+        for deg in range(1, n + 3):
+            rng = random.Random(f"accept:c09:{n}:{deg}")
+            cases += [(frame, c09_scheme(rng, deg)) for _ in range(150)]
+        W = c09_scheme(random.Random(f"over:{n}"), n + 3)
+        for route in (span_center_routes, product_form_center_routes, o_in_span):
+            with pytest.raises(SchemeDegreeError):
+                route(W, frame)
+    seen = collections.Counter()
+    for frame, W in cases:
+        want = product_form_center_routes(W, frame)
+        assert span_center_routes(W, frame) == want, (frame.n, W)
+        if want[0] == want[1]:
+            assert o_in_span(W, frame) is want[0]
+        else:
+            with pytest.raises(SpanCriterionDisagreement):
+                o_in_span(W, frame)
+        seen["empty"] += not W.factors
+        seen["quadratic"] += any(g.degree == 2 for g, _ in W.factors)
+        seen["m_A", evaluation_multiplicity(W, POINT_A)] += 1
+        seen["parted", W.degree - frame.n] += want[0] != want[1]
+    assert seen["empty"] == 8 and seen["quadratic"] >= 100, seen
+    assert all(seen["m_A", m] >= 100 for m in range(4)), seen
+    assert seen["parted", 1] >= 1 and seen["parted", 2] >= 100, seen
+    assert not any(seen["parted", k] for k in range(-10, 1)), seen
+
+
+def test_multiplicity_lookup_matches_evaluation():
+    """ZeroScheme.multiplicity_at, a lookup of p.linear_form() among the
+    factors, against evaluating every factor at p: at A = (1:0), (0:1), every
+    rational point of the scheme and points off it, on seeded schemes with
+    repeated linear factors and irreducible quadratics."""
+    rng = random.Random("multiplicity-lookup")
+    at_infinity = P1Point(F(0), F(1))
+    seen = collections.Counter()
+    for _ in range(400):
+        W = _oracle_scheme(rng, rng.randint(0, 10))
+        on = [P1Point(-g.coeffs[1], g.coeffs[0]) for g, _ in W.factors if g.degree == 1]
+        off = [pt(F(rng.randint(-30, 30), rng.randint(1, 5))) for _ in range(3)]
+        for p in on + off + [POINT_A, at_infinity]:
+            m = evaluation_multiplicity(W, p)
+            assert W.multiplicity_at(p) == m, (W, p)
+            seen["on" if m else "off", p in (POINT_A, at_infinity)] += 1
+        seen["quadratic"] += any(g.degree == 2 for g, _ in W.factors)
+        seen["repeated"] += any(e > 1 for g, e in W.factors if g.degree == 1)
+    assert min(seen.values()) >= 20 and len(seen) == 6, seen
+
+
 def test_crosscheck_witness_match_against_the_curve_images():
     """witness_match against the set equality of the curve images of both
     factored witnesses, on e4_i forms whose witnesses split and one whose
@@ -810,8 +876,8 @@ def test_crosscheck_witness_match_against_the_curve_images():
 def test_planted_span_disagreement_reaches_the_report(monkeypatch):
     routes = classifier._center_routes
 
-    def flipped(h, m, frame):
-        by_span, by_mult = routes(h, m, frame)
+    def flipped(deg, h0, h1, m, frame):
+        by_span, by_mult = routes(deg, h0, h1, m, frame)
         return not by_span, by_mult
 
     monkeypatch.setattr(classifier, "_center_routes", flipped)
