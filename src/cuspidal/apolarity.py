@@ -4,12 +4,14 @@ For a nonzero binary form f of degree d, the level-r catalecticant is the
 Hankel matrix of apolar coefficients with d-r+1 rows and r+1 columns.  Its
 right kernel, read back as degree-r forms, is the degree-r slice of the
 apolar ideal.  The first level w with a nontrivial kernel is the border rank;
-since the apolar ideal is a complete intersection, the one kernel at level
-floor(d/2)+1 fixes w and the level-w kernel.  The rank is w when the
-level-w kernel contains a square-free form and d+2-w when it does not.  The
-roots of a square-free kernel form are the linear forms of a minimal
-power-sum decomposition: a root (a:b) contributes the summand
-s*(a*u + b*t)^d, which is the convention every residual check here validates.
+the apolar ideal is a complete intersection (g1, g2) of degrees w <= d+2-w,
+and one remainder sequence of x^(d+1) and S(x) = sum a_k x^k gives both
+(Helmke 1992; von zur Gathen-Gerhard §5.9), so it fixes w and the level-w
+kernel.  The rank is w when the level-w kernel contains a square-free form
+and d+2-w when it does not.  The roots of a square-free kernel form are the
+linear forms of a minimal power-sum decomposition: a root (a:b) contributes
+the summand s*(a*u + b*t)^d, which is the convention every residual check
+here validates.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import random
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 from . import linalg, ratfactor, univar
 from .binform import (
@@ -46,63 +48,6 @@ class NonReducedRank(ValueError):
     """Decomposition requested for a form whose rank witness is non-reduced."""
 
 
-def _hankel(a: tuple, r: int) -> tuple[tuple, ...]:
-    """Level-r Hankel matrix of the vector a = (a_0, ..., a_d)."""
-    d = len(a) - 1
-    if not 0 <= r <= d:
-        raise ValueError(f"catalecticant level {r} out of range for degree {d}")
-    return tuple(a[j : j + r + 1] for j in range(d - r + 1))
-
-
-def _border_kernel(a: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
-    """Border rank w and the level-w kernel basis of the nonzero form with
-    integer apolar vector a, from one kernel K of the level-(m+1)
-    catalecticant, m = floor(d/2).
-
-    The apolar ideal is a complete intersection with generators g1, g2 of
-    degrees w <= d+2-w (Iarrobino-Kanev, LNM 1721), so the level-r
-    catalecticant has rank min(r+1, w, d-r+1), and ``_border_level`` reads
-    w off dim K.  At w = m+1 the level-w kernel is K itself.  Below it,
-    m+1 < d+2-w, so the kernel at level m+1 is g1 S_(m+1-w), the shifts of
-    g1; they end at the consecutive columns e..e+m+1-w, e the last nonzero
-    column of g1, and the basis vector of the first free column e is g1
-    padded with zeros, which is the canonical level-w vector, so the basis
-    is K[0] with those zeros dropped.  That K[0] lies in the level-w kernel
-    is checked, not trusted: w <= m, its entries beyond w vanish, and it
-    annihilates the bottom rows d-m..d-w of the level-w catalecticant,
-    which are the ones the level-(m+1) catalecticant lacks.  For d = 0 the
-    level 1 is out of range."""
-    d = len(a) - 1
-    m = d // 2
-    kernel = linalg.nullspace(_hankel(a, m + 1))
-    w = _border_level(a, kernel)
-    if w == m + 1:
-        return w, kernel
-    g1 = kernel[0][: w + 1]
-    if not 0 <= w <= m or any(kernel[0][w + 1 :]) or any(
-        _dot(row, g1) for row in _hankel(a, w)[d - m :]
-    ):
-        raise CertificateError(f"the first kernel holds no level-{w} kernel vector")
-    return w, [g1]
-
-
-def _border_level(a: tuple[int, ...], kernel: list[tuple[int, ...]]) -> int:
-    """Border rank w from the kernel K of the level-(m+1) catalecticant,
-    m = floor(d/2), whose rank is min(m+2, w, d-m) with w <= m+1.  For odd
-    d that is w, so w = m+2 - dim K.  For even d it is min(w, m): dim K = 2
-    at w = m and at w = m+1, and m+2-w otherwise.  At w = m the basis
-    vector K[0] is g1 padded with one zero (``_border_kernel``), so it ends
-    in 0 and the last row (a_(d-m), ..., a_d) of the level-m catalecticant
-    annihilates K[0][:m+1]; at w = m+1 no such vector exists, since with
-    the rows K annihilates it would lie in the trivial level-m kernel."""
-    d = len(a) - 1
-    m = d // 2
-    if d % 2 or len(kernel) != 2:
-        return m + 2 - len(kernel)
-    g = kernel[0]
-    return m if not g[-1] and not _dot(a[d - m :], g) else m + 1
-
-
 def _dot(x, y) -> int:
     return sum(p * q for p, q in zip(x, y))
 
@@ -119,36 +64,77 @@ def _integer_apolar(f: BinaryForm) -> tuple[tuple[int, ...], int]:
 
 
 def _first_kernel(f: BinaryForm) -> tuple[int, list[BinaryForm]]:
-    """Border rank w and the level-w kernel basis of f, by ``_border_kernel``."""
+    """Border rank w and the level-w kernel basis of f, in the order
+    ``linalg.nullspace`` gives it: g1 alone when w < d+2-w, else the span of
+    g1 and g2, the generators that ``_ideal_generators`` reads off one
+    remainder sequence (Helmke 1992; von zur Gathen-Gerhard §5.9)."""
     if f.is_zero():
         raise ZeroFormError("rank of the zero form")
-    w, basis = _border_kernel(linalg.canonical_vector(_integer_apolar(f)[0]))
+    g1, g2 = _ideal_generators(_integer_apolar(f)[0])
+    w = len(g1) - 1
+    basis = [g1] if 2 * w < f.degree + 2 else linalg.free_column_basis([g1, g2])
     return w, [BinaryForm(w, v) for v in basis]
+
+
+def _remainder_generators(a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """g1 and g2, unchecked, for a nonzero integer vector a of degree m >= 1.
+    The pairs (r_i, t_i), r_i = t_i S mod x^(m+1), start at (x^(m+1), 0) and
+    (S, 1), and each next one is the lc(r_i)^k pseudo-remainder with its
+    cofactor.  Below degree m+1, r_i is t_i S, so only t_i is kept: a step
+    reads the coefficient of r_i it needs as a dot product with a, and t_i
+    is made primitive.  At the first i with deg r_i < deg t_i, t_i has level
+    deg t_i and t_(i-1) level m+2 - deg t_i, as deg t_i = m+1 - deg r_(i-1);
+    each is reversed at its level, the lower level first."""
+    m = len(a) - 1
+    t0, t1 = [], [1]
+    d1 = max(j for j, x in enumerate(a) if x)  # r1 = S, of degree d1
+    top, c, lc = m + 1, 1, a[d1]  # r0 = x^(m+1): degree top, leading c
+    while True:
+        while top >= d1:  # (r0, t0) <- lc (r0, t0) - c x^k (r1, t1)
+            k = top - d1
+            t0 = [x * lc for x in t0] + [0] * (k + len(t1) - len(t0))
+            for j, y in enumerate(t1):
+                t0[k + j] -= c * y
+            top -= 1
+            while top >= min(d1, len(t0) - 1) and not (c := _dot(t0, a[top::-1])):
+                top -= 1
+        if top < len(t0) - 1:
+            break
+        g = gcd(*t0)
+        t0, t1, d1, top, c, lc = t1, [x // g for x in t0], top, d1, lc, c // g
+    pair = t0[::-1], [0] * (m + 4 - len(t0) - len(t1)) + t1[::-1]
+    return tuple(sorted(map(linalg.canonical_vector, pair), key=len))
 
 
 def _ideal_generators(a) -> list[tuple[int, ...]]:
     """Generators of the apolar ideal of the degree-m form with apolar
-    vector a, as coefficient vectors: (1,) when a = 0, else g1, a level-w
-    kernel vector from ``_border_kernel``, and g2 of degree s = m+2-w.  The
-    shifts u^(s-w-i) t^i g1 end at the columns e..e+s-w, e the last nonzero
-    column of g1, so they reduce every level-s kernel form to one vanishing
-    there, and g2 is such a form.  Both annihilate and their degrees sum to
-    m+2, so once checked coprime they generate the ideal, whatever the rank
-    said: the quotient by (g1, g2) is Gorenstein of socle degree m, and a
-    larger ideal would contain its socle and annihilate every form."""
+    vector a: (1,) when a = 0, else g1 and g2 of degrees w <= m+2-w.  A
+    level-L vector q is in the kernel iff q*(x) = sum q_j x^(L-j) has
+    q* S = R mod x^(m+1) with deg R < L, S(x) = sum a_k x^k, a Pade problem
+    that one remainder sequence of x^(m+1) and S solves at every level, g1
+    and g2 being consecutive cofactors (``_remainder_generators``; Helmke,
+    "Waring's problem for binary forms", JPAA 80, 1992; von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, §5.9).  They are checked, not
+    trusted: both annihilate a, their degrees sum to m+2, and they are not
+    both divisible by u and are coprime (modulo a prime, else by the exact
+    gcd).  Then they generate the ideal, whatever computed them: the
+    quotient by (g1, g2) is Gorenstein of socle degree m, and a larger ideal
+    would contain its socle and annihilate every form."""
     if not any(a):
         return [(1,)]
     a = linalg.canonical_vector(a)
     m = len(a) - 1
-    w, basis = _border_kernel(a)
-    g1, s = basis[0], m + 2 - w
-    e = max(i for i, c in enumerate(g1) if c)
-    keep = [j for j in range(s + 1) if not e <= j <= e + s - w]
-    found = linalg.nullspace([[a[i + j] for j in keep] for i in range(m - s + 1)], ncols=len(keep))
-    if not found:
-        raise CertificateError(f"no level-{s} kernel form beyond the multiples of g1")
-    g2 = tuple(dict(zip(keep, found[0])).get(j, 0) for j in range(s + 1))
-    if univar.degree(univar.gcd(g1, g2)) > 0 or not (g1[-1] or g2[-1]):
+    if not m:
+        raise ValueError("catalecticant level 1 out of range for degree 0")
+    g1, g2 = _remainder_generators(a)
+    w, s = len(g1) - 1, len(g2) - 1
+    if w + s != m + 2 or w > s:
+        raise CertificateError(f"generators of degrees {w} and {s} for a form of degree {m}")
+    for g in g1, g2:
+        if any(_dot(a[i:], g) for i in range(m + 2 - len(g))):
+            raise CertificateError(f"the level-{len(g) - 1} generator does not annihilate")
+    g, h = (g1, g2) if g1[-1] else (g2, g1)
+    if not g[-1] or not ratfactor.proves_coprime(g, h) and univar.degree(univar.gcd(g, h)):
         raise CertificateError(f"the generators of degrees {w} and {s} share a factor")
     return [g1, g2]
 

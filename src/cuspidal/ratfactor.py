@@ -118,12 +118,20 @@ def _serves(g: Ints, p: int) -> bool:
 
 
 def proves_squarefree(g: Ints) -> bool:
-    """True when gcd(g, g') = 1 modulo one of the first two primes of
+    """``proves_coprime(g, g')``, which proves the integer polynomial g (low
+    to high) square-free over Q.  A second prime rescues the rare g whose
+    discriminant the first divides, at the cost of one more gcd mod p when
+    g is not square-free."""
+    return proves_coprime(g, univar.derivative(g))
+
+
+def proves_coprime(g: Ints, h: Ints) -> bool:
+    """True when gcd(g, h) = 1 modulo one of the first two primes of
     ``PRIMES`` that do not divide lc(g), which proves the integer
-    polynomial g (low to high) square-free over Q.  A second prime rescues
-    the rare g whose discriminant the first divides, at the cost of one
-    more gcd mod p when g is not square-free.  False proves nothing."""
-    return any(_serves(g, p) for p in [p for p in PRIMES if g[-1] % p][:2])
+    polynomials g and h coprime over Q: a common factor keeps its degree
+    modulo such a prime, and divides both there.  False proves nothing."""
+    primes = [p for p in PRIMES if g[-1] % p][:2]
+    return any(len(_gcd_p(_mod(g, p), _mod(h, p), p)) == 1 for p in primes)
 
 
 def _powmod_p(a: list[int], e: int, f: list[int], p: int) -> list[int]:

@@ -24,14 +24,20 @@
   (``field_lift``), and scanning its catalecticant levels upward by
   elimination over that field.  It shares no kernel code with the
   pencil's quadratic certificate.
-* ``catalecticant``, ``kernel_basis`` and ``first_kernel_scan``: the
-  border rank and first kernel were once found by scanning the
-  catalecticant levels upward, one kernel per level, until one was
-  nontrivial.  They back ``apolarity._first_kernel``.
+* ``hankel``, ``catalecticant``, ``kernel_basis`` and
+  ``first_kernel_scan``: the border rank and first kernel were once found
+  by scanning the catalecticant levels upward, one kernel per level, until
+  one was nontrivial.  They back ``apolarity._first_kernel``.
 * ``border_kernel_two_eliminations``: the border rank was once the rank of
   the middle catalecticant, and the level-w kernel a second elimination at
-  that level.  It backs ``apolarity._border_kernel``, which reads both off
-  the one kernel at level floor(d/2)+1.
+  that level.
+* ``border_kernel_middle_level``: later both were read off the one Bareiss
+  kernel of the catalecticant at level floor(d/2)+1, by a parity case
+  analysis of its dimension, and the fiber scan took g2 from a second
+  kernel of a column-deleted Hankel block.  With the two eliminations it
+  backs ``apolarity._ideal_generators``, which reads g1 and g2 off one
+  remainder sequence, and ``apolarity._first_kernel``, which reads the
+  level-w kernel off them.
 * ``grid_generic_certificate``: the generic certificate of the fiber scan
   was once the whole zigzag grid of 4 w_gen + 2 integer lambda, each lift
   certified, the first square-free one kept, else the first.  Here every
@@ -166,7 +172,7 @@ from typing import Sequence
 import mpmath
 
 from cuspidal import classifier, linalg, ratfactor, univar
-from cuspidal.apolarity import CertificateError, _gaussian, _hankel, _residue_numerator, rank
+from cuspidal.apolarity import CertificateError, _gaussian, _residue_numerator, rank
 from cuspidal.binform import (
     POINT_A,
     BinaryForm,
@@ -511,9 +517,17 @@ class CatalecticantMatrix:
         return self.r + 1
 
 
+def hankel(a: tuple, r: int) -> tuple[tuple, ...]:
+    """Level-r Hankel matrix of the vector a = (a_0, ..., a_d)."""
+    d = len(a) - 1
+    if not 0 <= r <= d:
+        raise ValueError(f"catalecticant level {r} out of range for degree {d}")
+    return tuple(a[j : j + r + 1] for j in range(d - r + 1))
+
+
 def catalecticant(f: BinaryForm, r: int) -> CatalecticantMatrix:
     """Level-r Hankel matrix of the apolar coefficients of f."""
-    return CatalecticantMatrix(f.degree, r, _hankel(apolar_coeffs(f).entries, r))
+    return CatalecticantMatrix(f.degree, r, hankel(apolar_coeffs(f).entries, r))
 
 
 def kernel_basis(m: CatalecticantMatrix) -> list[BinaryForm]:
@@ -535,8 +549,62 @@ def first_kernel_scan(f):
 def border_kernel_two_eliminations(a) -> tuple[int, list[tuple[int, ...]]]:
     """(w, basis) for the integer apolar vector a: w the rank of the middle
     catalecticant, the basis the kernel at level w."""
-    w = linalg.rank(_hankel(a, (len(a) - 1) // 2))
-    return w, linalg.nullspace(_hankel(a, w))
+    w = linalg.rank(hankel(a, (len(a) - 1) // 2))
+    return w, linalg.nullspace(hankel(a, w))
+
+
+def _dot(x, y) -> int:
+    return sum(p * q for p, q in zip(x, y))
+
+
+def border_kernel_middle_level(a: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+    """Border rank w and the level-w kernel basis of the nonzero form with
+    integer apolar vector a, from one kernel K of the level-(m+1)
+    catalecticant, m = floor(d/2).
+
+    The apolar ideal is a complete intersection with generators g1, g2 of
+    degrees w <= d+2-w (Iarrobino-Kanev, LNM 1721), so the level-r
+    catalecticant has rank min(r+1, w, d-r+1), and ``_border_level`` reads
+    w off dim K.  At w = m+1 the level-w kernel is K itself.  Below it,
+    m+1 < d+2-w, so the kernel at level m+1 is g1 S_(m+1-w), the shifts of
+    g1; they end at the consecutive columns e..e+m+1-w, e the last nonzero
+    column of g1, and the basis vector of the first free column e is g1
+    padded with zeros, which is the canonical level-w vector, so the basis
+    is K[0] with those zeros dropped.  That K[0] lies in the level-w kernel
+    is checked, not trusted: w <= m, its entries beyond w vanish, and it
+    annihilates the bottom rows d-m..d-w of the level-w catalecticant,
+    which are the ones the level-(m+1) catalecticant lacks.  For d = 0 the
+    level 1 is out of range."""
+    d = len(a) - 1
+    m = d // 2
+    kernel = linalg.nullspace(hankel(a, m + 1))
+    w = _border_level(a, kernel)
+    if w == m + 1:
+        return w, kernel
+    g1 = kernel[0][: w + 1]
+    if not 0 <= w <= m or any(kernel[0][w + 1 :]) or any(
+        _dot(row, g1) for row in hankel(a, w)[d - m :]
+    ):
+        raise CertificateError(f"the first kernel holds no level-{w} kernel vector")
+    return w, [g1]
+
+
+def _border_level(a: tuple[int, ...], kernel: list[tuple[int, ...]]) -> int:
+    """Border rank w from the kernel K of the level-(m+1) catalecticant,
+    m = floor(d/2), whose rank is min(m+2, w, d-m) with w <= m+1.  For odd
+    d that is w, so w = m+2 - dim K.  For even d it is min(w, m): dim K = 2
+    at w = m and at w = m+1, and m+2-w otherwise.  At w = m the basis
+    vector K[0] is g1 padded with one zero (``border_kernel_middle_level``),
+    so it ends in 0 and the last row (a_(d-m), ..., a_d) of the level-m
+    catalecticant annihilates K[0][:m+1]; at w = m+1 no such vector exists,
+    since with the rows K annihilates it would lie in the trivial level-m
+    kernel."""
+    d = len(a) - 1
+    m = d // 2
+    if d % 2 or len(kernel) != 2:
+        return m + 2 - len(kernel)
+    g = kernel[0]
+    return m if not g[-1] and not _dot(a[d - m :], g) else m + 1
 
 
 def grid_generic_certificate(P: ProjectedPoint):

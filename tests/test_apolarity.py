@@ -40,6 +40,7 @@ from cuspidal.binform import (
 )
 from oracles import (
     QuadraticNumber,
+    border_kernel_middle_level,
     border_kernel_two_eliminations,
     catalecticant,
     exact_parts,
@@ -48,6 +49,7 @@ from oracles import (
     fraction_power_sum,
     fraction_reconstruct,
     fraction_residual_squared,
+    hankel,
     is_irreducible,
     kernel_basis,
     mp_decomposition_residual,
@@ -197,8 +199,8 @@ def _first_kernel_forms(draw):
 @settings(derandomize=True, database=None, max_examples=250, deadline=None)
 @given(_first_kernel_forms())
 def test_first_kernel_matches_the_level_scan(f):
-    """One rank at the middle level and one kernel give the same border
-    rank and basis as the upward scan of catalecticant kernels."""
+    """The generators of one remainder sequence give the same border rank
+    and basis as the upward scan of catalecticant kernels."""
     assert apolarity._first_kernel(f) == first_kernel_scan(f)
 
 
@@ -215,7 +217,7 @@ def test_ideal_generators_span_every_kernel_level(f):
         shifts = [
             (0,) * i + g + (0,) * (r + 1 - len(g) - i) for g in gens for i in range(r + 2 - len(g))
         ]
-        rows = apolarity._hankel(a, r)
+        rows = hankel(a, r)
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows for v in shifts)
         assert len(shifts) == len(linalg.nullspace(rows)) == (linalg.rank(shifts) if shifts else 0)
 
@@ -251,19 +253,50 @@ def _apolar_vector(f):
 
 
 def _kernel_dimension(a):
-    """dim of the kernel at level floor(d/2)+1, the one ``_border_kernel`` reads."""
-    return len(linalg.nullspace(apolarity._hankel(a, (len(a) - 1) // 2 + 1)))
+    """dim of the kernel at level floor(d/2)+1, the one
+    ``border_kernel_middle_level`` reads."""
+    return len(linalg.nullspace(hankel(a, (len(a) - 1) // 2 + 1)))
+
+
+_HONEST_GENERATORS = apolarity._remainder_generators
+
+
+def _planted(shift):
+    """A stand-in for ``apolarity._remainder_generators`` that moves g1 one
+    level up (shift 1: g1 times u, g2 cut by its last entry) or down
+    (shift -1: g1 cut, g2 times u), so that the degrees still sum to d+2:
+    a generator one level too high or too low."""
+
+    def planted(a):
+        g1, g2 = _HONEST_GENERATORS(a)
+        return (g1 + (0,), g2[:-1]) if shift > 0 else (g1[:-1], g2 + (0,))
+
+    return planted
+
+
+def _assert_planted_levels_raise(f):
+    """Both planted levels fail the checks of ``_ideal_generators``, on the
+    rank's route through ``_first_kernel`` and on the fiber scan's."""
+    for shift in (-1, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(apolarity, "_remainder_generators", _planted(shift))
+            with pytest.raises(CertificateError):
+                apolarity._first_kernel(f)
+            with pytest.raises(CertificateError):
+                apolarity._ideal_generators(_apolar_vector(f))
 
 
 def test_border_kernel_matches_two_eliminations():
     """Seeded vectors of every degree 1..26, random, power sums of 1..d/2+1
     terms, sparse, and slices a[j:] of another form's vector, the apolar
-    vectors of its derivatives: the one kernel gives the border rank and
-    the basis of the middle rank and the level-w kernel.  Both even-degree
-    branches with a two-dimensional kernel are met."""
+    vectors of its derivatives: the first kernel read off the generators
+    gives the border rank, the rank of the middle catalecticant, and the
+    basis of the level-w kernel; generators planted one level too high or
+    too low raise.  Both even-degree branches with a two-dimensional middle
+    kernel are met."""
     rng = random.Random("border-kernel:two-eliminations")
     branches = set()
-    for _ in range(60):
+    for trial in range(60):
         for d in range(1, 27):
             kind = rng.choice(("random", "powers", "sparse", "derivative"))
             if kind == "random":
@@ -285,10 +318,12 @@ def test_border_kernel_matches_two_eliminations():
             if f.is_zero():
                 continue
             a = _apolar_vector(f)
-            got = apolarity._border_kernel(a)
-            assert got == border_kernel_two_eliminations(a), f
+            w, basis = border_kernel_two_eliminations(a)
+            assert apolarity._first_kernel(f) == (w, [BinaryForm(w, v) for v in basis]), f
             if d % 2 == 0 and _kernel_dimension(a) == 2:
-                branches.add(got[0] - d // 2)
+                branches.add(w - d // 2)
+            if trial < 3:
+                _assert_planted_levels_raise(f)
     assert branches == {0, 1}
 
 
@@ -303,31 +338,116 @@ def test_border_kernel_matches_two_eliminations():
 ], ids=["d-over-2-powers", "random-even", "linear", "square", "u2t"])
 def test_border_kernel_named_cases(f, w):
     a = _apolar_vector(f)
-    got = apolarity._border_kernel(a)
-    assert got == border_kernel_two_eliminations(a) and got[0] == w
+    want = border_kernel_two_eliminations(a)
+    assert want == border_kernel_middle_level(a) and want[0] == w
+    assert apolarity._first_kernel(f) == (w, [BinaryForm(w, v) for v in want[1]])
     if f.degree in (8, 10):
         assert _kernel_dimension(a) == 2
+    _assert_planted_levels_raise(f)
 
 
-def test_border_kernel_refuses_degree_zero():
-    with pytest.raises(ValueError, match="catalecticant level 1 out of range for degree 0"):
-        apolarity._border_kernel((3,))
+def test_border_kernel_refuses_degree_zero(monkeypatch):
+    """A nonzero constant is refused with the level scan's message before
+    any remainder sequence runs."""
+    monkeypatch.setattr(apolarity, "_remainder_generators",
+                        lambda a: pytest.fail("the remainder sequence ran on a constant"))
+    for refuse in (apolarity._ideal_generators, border_kernel_middle_level):
+        with pytest.raises(ValueError, match="catalecticant level 1 out of range for degree 0"):
+            refuse((3,))
 
 
-def test_a_planted_border_level_raises(monkeypatch):
-    """A border level one too low claims a level-w vector that is not in
-    the level-w kernel, and one above floor(d/2)+1 exceeds the bound: the
-    explicit checks of ``_border_kernel`` raise CertificateError.  (One too
-    high below the bound gives g1 times a linear form, a true kernel vector
-    there, which the coprimality check of ``_ideal_generators`` refuses.)"""
-    honest = apolarity._border_level
+def test_a_planted_border_level_raises():
+    """A generator one level too low is no kernel vector there, or leaves
+    both generators divisible by u; one level too high makes g1 times u and
+    a g2 that is no kernel vector, or a multiple of g1, or below g1.  The
+    explicit checks of ``_ideal_generators`` raise CertificateError either
+    way, and ``_first_kernel`` passes the error on."""
     forms = (form(1, 0, 0, 0, 1), form(0, 1, 0, 0, 0, 0), CUBE_SUM, form(1, 0, 0),
-             random_form(10, random.Random(3), bound=100), form(0, 1, 0, 0))
-    for shift, fs in ((-1, forms), (1, forms[-2:])):
-        monkeypatch.setattr(apolarity, "_border_level", lambda a, k: honest(a, k) + shift)
-        for f in fs:
-            with pytest.raises(CertificateError):
-                apolarity._border_kernel(_apolar_vector(f))
+             random_form(10, random.Random(3), bound=100), form(0, 1, 0, 0),
+             form(1, 0, 0, 0, 0, 0, 0).scaled(3) + form(1, 1).power(6) + form(1, -2).power(6))
+    for f in forms:
+        _assert_planted_levels_raise(f)
+
+
+def test_coprimality_falls_back_to_the_exact_gcd(monkeypatch):
+    """When no prime proves the generators coprime, one exact gcd in the
+    integers decides: it accepts the honest pair and refuses a planted
+    pair that shares a factor, which no prime proves coprime either."""
+    f = random_form(4, random.Random("coprime-fallback"), bound=100)
+    a = _apolar_vector(f)
+    honest = apolarity._ideal_generators(a)
+    g1 = honest[0]
+    assert [len(g) - 1 for g in honest] == [3, 3] and g1[-1]
+    calls = []
+    gcd = univar.gcd
+    monkeypatch.setattr(univar, "gcd", lambda p, q: calls.append(len(p)) or gcd(p, q))
+    assert apolarity._ideal_generators(a) == honest and calls == []
+    with monkeypatch.context() as m:
+        m.setattr(ratfactor, "proves_coprime", lambda g, h: False)
+        assert apolarity._ideal_generators(a) == honest and calls == [4]
+    monkeypatch.setattr(apolarity, "_remainder_generators", lambda a: (g1, g1))
+    with pytest.raises(CertificateError, match="share a factor"):
+        apolarity._ideal_generators(a)
+    assert calls == [4, 4]
+
+
+def test_generators_match_the_bareiss_oracles():
+    """Seeded forms of every degree 0..40: random, power sums, sparse,
+    power sums with the summand u^d (t | g1), and powers of one linear form
+    (g2 of level d+1).  ``_first_kernel`` equals the middle-level kernel and
+    the two eliminations; g1 equals their one vector when w < d+2-w, and g1,
+    g2 span their two-dimensional kernel otherwise; with the shifts of g1,
+    g2 spans the level-(d+2-w) kernel.  Both even-degree branches with a
+    two-dimensional middle kernel are met.  Degree 0 raises the level
+    scan's message on every route."""
+    rng = random.Random("remainder-sequence:bareiss")
+    branches, t_divides = set(), 0
+    for d in range(41):
+        for kind in ("random", "powers", "sparse", "with-u^d", "one-power"):
+            points = [(1, rng.randint(-6, 6)) for _ in range(rng.randint(1, d // 2 + 1))]
+            if kind == "random":
+                f = random_form(d, rng, bound=rng.choice((3, 100)))
+            elif kind == "sparse":
+                coeffs = [0] * (d + 1)
+                for _ in range(rng.randint(1, 3)):
+                    coeffs[rng.randint(0, d)] = rng.randint(-5, 5)
+                f = form(*coeffs)
+            elif kind == "one-power":
+                f = form(rng.randint(1, 5), rng.randint(-5, 5)).power(d)
+            else:
+                if kind == "with-u^d":
+                    points[0] = (1, 0)
+                f = form(*[0] * (d + 1))
+                for p in points:
+                    f = f + form(*p).power(d).scaled(rng.randint(1, 5))
+            if f.is_zero():
+                continue
+            a = _apolar_vector(f)
+            if d == 0:
+                for refuse, arg in ((apolarity._first_kernel, f), (apolarity._ideal_generators, a),
+                                    (border_kernel_middle_level, a)):
+                    with pytest.raises(ValueError, match="level 1 out of range for degree 0"):
+                        refuse(arg)
+                continue
+            w, basis = border_kernel_middle_level(a)
+            assert (w, basis) == border_kernel_two_eliminations(a), f
+            assert apolarity._first_kernel(f) == (w, [BinaryForm(w, v) for v in basis]), f
+            g1, g2 = apolarity._ideal_generators(a)
+            s = d + 2 - w
+            assert (len(g1) - 1, len(g2) - 1) == (w, s)
+            if w < s:
+                assert [g1] == basis
+            else:
+                assert linalg.rank([g1, g2]) == 2 == linalg.rank([g1, g2, *basis])
+            kernel = linalg.nullspace(hankel(a, s) if s <= d else [], ncols=s + 1)
+            span = [(0,) * i + g1 + (0,) * (s - w - i) for i in range(s - w + 1)] + [g2]
+            assert linalg.rank(span) == len(kernel) == linalg.rank(kernel + span), f
+            if kind == "one-power":
+                assert (w, s) == (1, d + 1)
+            if d % 2 == 0 and _kernel_dimension(a) == 2:
+                branches.add(w - d // 2)
+            t_divides += g1[0] == 0
+    assert branches == {0, 1} and t_divides >= 10
 
 
 class TestBorderScheme:

@@ -890,11 +890,11 @@ class TestCertificateChecks:
             x_rank(ProjectedPoint(3, (F(1), F(0), F(0), F(1))))
 
     def test_wrong_border_rank_of_second_derivative_raises_under_python_O(self):
-        """A border rank of B'' planted one too low, where ``_border_kernel``
-        reads it off the first kernel, claims a level-w vector that is not
-        in the level-w kernel; one too high makes both generators multiples
-        of the true g1, or claims a border rank above floor(m/2)+1.  Both
-        raise CertificateError under ``python -O``."""
+        """Generators of Ann(B'') planted one level too low or too high
+        through ``apolarity._remainder_generators``, their degrees still
+        summing to d: one is no kernel vector at its level, or both share a
+        factor, or g1 lies above g2.  The explicit checks of
+        ``_ideal_generators`` raise CertificateError under ``python -O``."""
         child = textwrap.dedent(
             """
             import sys
@@ -905,19 +905,25 @@ class TestCertificateChecks:
                 sys.exit("not running under -O")
             forms = [(3, -1, 4, 1, -5, 9, 2, -6), (2, 0, 7, -1, 8, 2, -8, 1, 8)]
             forms += [(1, 0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 1, 0, 0, 0, 0, 0, 1)]
-            honest = apolarity._border_level
+            honest = apolarity._remainder_generators
+
+            def planted(shift):
+                def generators(a):
+                    g1, g2 = honest(a)
+                    return (g1 + (0,), g2[:-1]) if shift > 0 else (g1[:-1], g2 + (0,))
+                return generators
+
             for coeffs in forms:
                 P = projection.project(BinaryForm(len(coeffs) - 1, coeffs))
                 for shift in (-1, 1):
-                    apolarity.rank.cache_clear()
-                    apolarity._border_level = lambda a, kernel: honest(a, kernel) + shift
+                    apolarity._remainder_generators = planted(shift)
                     try:
                         projection.x_rank(P)
                     except apolarity.CertificateError:
                         continue
                     finally:
-                        apolarity._border_level = honest
-                    sys.exit(f"a border rank off by {shift} went unnoticed on {coeffs}")
+                        apolarity._remainder_generators = honest
+                    sys.exit(f"a generator off by {shift} level went unnoticed on {coeffs}")
             """
         )
         _run_optimized(child)

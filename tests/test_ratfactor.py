@@ -153,6 +153,26 @@ def test_lc_and_discriminant_skip_the_first_primes():
     assert [ratfactor._serves(g, p) for p in ratfactor.PRIMES[:4]] == [False] * 3 + [True]
 
 
+@pytest.mark.parametrize("g, h, proved, coprime", [
+    ([1, 1], [2, 1], True, True),                    # x + 1, x + 2
+    ([5], [0, 0, 1], True, True),                    # a nonzero constant and x^2
+    # resultant 101 * 103: x and x - 10403 meet modulo both first primes
+    ([0, 1], [-101 * 103, 1], False, True),
+    # lc(g) = 101 skips that prime, and the next two see no common root
+    ([-101 * 103, 101], [0, 1], True, True),
+    # lc(g) = 101 skips that prime, and 103 and 107 both see one
+    ([-101 * 103 * 107, 101], [0, 1], False, True),
+    (_product([-1, 1], [2, 1]), _product([-1, 1], [5, 1]), False, False),  # x - 1 shared
+])
+def test_proves_coprime_modulo_the_first_two_serving_primes(g, h, proved, coprime):
+    """A trivial gcd modulo either of the first two primes that do not
+    divide lc(g) proves coprimality; a resultant both divide proves
+    nothing, and the exact gcd decides; a shared factor is never proved
+    away."""
+    assert ratfactor.proves_coprime(g, h) is proved
+    assert (univar.degree(univar.gcd(g, h)) == 0) is coprime
+
+
 N12 = math.prod(ratfactor.PRIMES)
 
 
