@@ -116,10 +116,10 @@ def _ideal_generators(a) -> list[tuple[int, ...]]:
     "Waring's problem for binary forms", JPAA 80, 1992; von zur Gathen and
     Gerhard, *Modern Computer Algebra*, §5.9).  They are checked, not
     trusted: both annihilate a, their degrees sum to m+2, and they are not
-    both divisible by u and are coprime (modulo a prime, else by the exact
-    gcd).  Then they generate the ideal, whatever computed them: the
-    quotient by (g1, g2) is Gorenstein of socle degree m, and a larger ideal
-    would contain its socle and annihilate every form."""
+    both divisible by u and are coprime (modulo one of the listed primes,
+    else by the exact gcd).  Then they generate the ideal, whatever computed
+    them: the quotient by (g1, g2) is Gorenstein of socle degree m, and a
+    larger ideal would contain its socle and annihilate every form."""
     if not any(a):
         return [(1,)]
     a = linalg.canonical_vector(a)
@@ -134,7 +134,10 @@ def _ideal_generators(a) -> list[tuple[int, ...]]:
         if any(_dot(a[i:], g) for i in range(m + 2 - len(g))):
             raise CertificateError(f"the level-{len(g) - 1} generator does not annihilate")
     g, h = (g1, g2) if g1[-1] else (g2, g1)
-    if not g[-1] or not ratfactor.proves_coprime(g, h) and univar.degree(univar.gcd(g, h)):
+    # every listed prime: the generators of a large form can share factors
+    # modulo several of them, and a gcd mod p costs far less than the exact one
+    tries = len(ratfactor.PRIMES)
+    if not g[-1] or not ratfactor.proves_coprime(g, h, tries) and univar.degree(univar.gcd(g, h)):
         raise CertificateError(f"the generators of degrees {w} and {s} share a factor")
     return [g1, g2]
 

@@ -136,15 +136,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def evaluate(self, a, b) -> int | Fraction:
-        # after step i, acc = sum over j <= i of c_j a^(i-j) b^j
-        a, b = _exact(a), _exact(b)
-        acc, b_pow = 0, 1
-        for c in self.coeffs:
-            acc = acc * a + c * b_pow
-            b_pow *= b
-        return acc
-
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
@@ -161,12 +152,6 @@ class BinaryForm:
     def scaled(self, c) -> "BinaryForm":
         c = _exact(c)
         return BinaryForm(self.degree, tuple(c * x for x in self.coeffs))
-
-    def power(self, k: int) -> "BinaryForm":
-        cs = [1]
-        for _ in range(k):
-            cs = _convolve(cs, self.coeffs)
-        return BinaryForm(self.degree * k, tuple(cs))
 
     def normalized(self) -> "BinaryForm":
         """Primitive int coefficients, first nonzero coefficient positive."""
@@ -185,9 +170,6 @@ class BinaryForm:
         return k, p
 
     # -- rendering ---------------------------------------------------------
-
-    def render(self) -> str:
-        return f"d={self.degree}; [{','.join(str(c) for c in self.coeffs)}]"
 
     def pretty(self) -> str:
         if self.is_zero():
@@ -380,11 +362,6 @@ class ZeroScheme:
             for _ in range(m):
                 cs = _convolve(cs, g.coeffs)
         return BinaryForm(self.degree, tuple(cs))
-
-    def multiplicity_at(self, p: P1Point) -> int:
-        """The exponent of p.linear_form() among the factors, by the invariant;
-        nothing is evaluated."""
-        return dict(self.factors).get(p.linear_form(), 0)
 
     def remove_point(self, p: P1Point, k: int) -> "ZeroScheme":
         """Scheme difference: drop k from the multiplicity at the rational point p."""

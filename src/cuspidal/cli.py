@@ -2,18 +2,17 @@
 
 One subcommand per library operation, JSON on stdout (JSON lines for batch
 input), deterministic given --seed.  Only decompose and verify-decomp take
---precision-bits, and only generate, probe and verify take --seed; any other
-subcommand refuses them as a usage error.  Every input line gives exactly one
-output record, its result or a structured error, and a bad line does not
-stop the batch.  Exit codes: 0 all checks passed, 1 some line failed or a
-check failed (structured error JSON on stdout) or stdout was closed early
-(the rest of the output is dropped, with no traceback), 2 usage.  Each
-subcommand imports what it runs: ``rank``, ``borderrank`` and ``scheme``
-load no mpmath, ``classifier``, ``projection`` or ``oracle``; mpmath comes
-with decompositions and the JSON of quadratic irrational lambda.  No
-subcommand loads numpy: ``decompose`` seeds its roots in pure Python, the
-span search of ``oracle`` runs in Python floats, and ``probe`` and the
-``verify`` battery run the oracle's exact checks (see the README).
+--precision-bits, and only generate takes --seed; any other subcommand
+refuses them as a usage error.  Every input line gives exactly one output
+record, its result or a structured error, and a bad line does not stop the
+batch; verify adds one summary record after them.  Exit codes: 0 all checks
+passed, 1 some line failed or a check failed (structured error JSON on
+stdout) or stdout was closed early (the rest of the output is dropped, with
+no traceback), 2 usage.  Each subcommand imports what it runs: ``rank``,
+``borderrank`` and ``scheme`` load no mpmath, ``classifier`` or
+``projection``; mpmath comes with decompositions and the JSON of quadratic
+irrational lambda.  No subcommand loads numpy: ``decompose`` seeds its roots
+in pure Python.
 
 Forms are accepted in the text grammar ``d=<int>; [q0,q1,...]`` or as JSON
 records carrying "degree" and "coeffs" (either at the top level or under
@@ -216,19 +215,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_probe(args) -> int:
-    from .oracle import secant_dimension_probe
-
-    try:
-        dim = secant_dimension_probe(args.s, args.n, seed=args.seed)
-    except _FAILURES as exc:
-        return _fail(exc)
-    expected = min(args.n, 2 * args.s - 1)
-    ok = dim == expected
-    _emit({"s": args.s, "n": args.n, "dimension": dim, "expected": expected, "ok": ok})
-    return 0 if ok else 1
-
-
 def _crosscheck_ok(rep: dict) -> bool:
     if rep.get("match") is False and rep.get("case") != "e4_iii":
         return False
@@ -237,70 +223,18 @@ def _crosscheck_ok(rep: dict) -> bool:
     return True
 
 
-_BATTERY_DEFAULTS = {"fuzz_samples": 150, "fuzz_degrees": [2, 3, 4, 5, 6], "probe_max_n": 7}
-
-_VERIFY_BATTERY = [
-    ("e4_i", 6, 2),
-    ("e4_ii", 7, 4),
-    ("e4_iii", 5, 4),
-    ("e3_2", 7, 3),
-    ("e3_3_wminus1", 7, 4),
-    ("e3_3_wminus2", 7, 4),
-    ("e3_3_cusp", 5, 2),
-    ("e3_4_exact", 9, 4),
-    ("e3_4_interval", 8, 4),
-    ("e3_5", 8, 4),
-]
-
-
 def cmd_verify(args) -> int:
-    from .classifier import InstanceSpec, crosscheck, generate_instance
+    from .classifier import crosscheck
 
     oks = []
-
-    def check(blob: dict, ok: bool) -> None:
+    for line in _input_lines(args):
+        try:
+            rep = crosscheck(_parse_form_text(line))
+            blob, ok = {"check": "crosscheck", **rep}, _crosscheck_ok(rep)
+        except _FAILURES as exc:
+            blob, ok = {"check": "crosscheck", **_error(exc)}, False
         oks.append(ok)
         _emit({**blob, "ok": ok})
-
-    has_input = bool(args.input or args.file)
-    lines = _input_lines(args) if has_input or not (args.battery or sys.stdin.isatty()) else []
-    if has_input or lines:
-        for line in lines:
-            try:
-                rep = crosscheck(_parse_form_text(line))
-                check({"check": "crosscheck", **rep}, _crosscheck_ok(rep))
-            except _FAILURES as exc:
-                check({"check": "crosscheck", **_error(exc)}, False)
-    else:
-        from .oracle import dichotomy_fuzz, secant_dimension_probe
-
-        for d in args.fuzz_degrees:
-            try:
-                rep = dichotomy_fuzz(d, args.fuzz_samples, seed=args.seed)
-                check({"check": "fuzz", **rep}, rep["violations"] == 0)
-            except AssertionError as exc:
-                check({"check": "fuzz", "degree": d, "detail": str(exc)}, False)
-            except _FAILURES as exc:
-                check({"check": "fuzz", "degree": d, **_error(exc)}, False)
-        for n in range(3, args.probe_max_n + 1):
-            for s in range(1, (n + 2) // 2 + 1):
-                blob = {"check": "probe", "s": s, "n": n}
-                try:
-                    dim = secant_dimension_probe(s, n, seed=args.seed)
-                except _FAILURES as exc:
-                    check({**blob, **_error(exc)}, False)
-                    continue
-                expected = min(n, 2 * s - 1)
-                check({**blob, "dimension": dim, "expected": expected}, dim == expected)
-        for tag, n, level in _VERIFY_BATTERY:
-            blob = {"check": "crosscheck", "case_expected": tag}
-            try:
-                inst = generate_instance(InstanceSpec(tag, n, level, seed=args.seed))
-                rep = crosscheck(inst.form)
-                check({**blob, **rep}, rep.get("case") == tag and _crosscheck_ok(rep))
-            except _FAILURES as exc:
-                check({**blob, **_error(exc)}, False)
-
     _emit({"check": "summary", "records": len(oks), "failed": oks.count(False)})
     return 0 if all(oks) else 1
 
@@ -373,17 +307,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1)
     p.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser("probe", help="secant dimension probe")
-    common(p, with_input=False, seed=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=cmd_probe)
-
-    p = sub.add_parser("verify", help="crosscheck records, or run the built-in battery")
-    common(p, seed=True)
-    p.add_argument("--fuzz-samples", type=int)
-    p.add_argument("--fuzz-degrees", type=lambda s: [int(x) for x in s.split(",")])
-    p.add_argument("--probe-max-n", type=int)
+    p = sub.add_parser("verify", help="crosscheck the case prediction against the fiber scan")
+    common(p)
     p.set_defaults(fn=cmd_verify)
 
     return parser
@@ -392,16 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # below these a count, the fuzzer or the probes (which start at n = 3) do nothing
-    for flag, least in (("count", 1), ("fuzz_samples", 1), ("probe_max_n", 3)):
-        if (value := getattr(args, flag, None)) is not None and value < least:
-            parser.error(f"argument --{flag.replace('_', '-')}: must be at least {least}, "
-                         f"got {value}")
-    if args.fn is cmd_verify:  # any battery flag given selects the battery
-        given = {k: v for k in _BATTERY_DEFAULTS if (v := getattr(args, k)) is not None}
-        if given and (args.input or args.file):
-            parser.error("the battery flags of verify take no input record")
-        vars(args).update(_BATTERY_DEFAULTS, **given, battery=bool(given))
+    if getattr(args, "count", 1) < 1:  # a count below one would emit nothing
+        parser.error(f"argument --count: must be at least 1, got {args.count}")
     for dest, name, fallback in (("precision_bits", ENV_PRECISION, 192), ("seed", ENV_SEED, 0)):
         if getattr(args, dest, fallback) is None:  # the subcommand takes the flag
             setattr(args, dest, _env_int(parser, name, fallback))

@@ -1,10 +1,11 @@
-"""Exact linear algebra for small dense systems.
+"""Exact kernels of small dense systems.
 
 The rational path clears denominators once per row and then stays in the
 integers: fraction-free (Bareiss) elimination gives the echelon form, and
 kernel vectors are back-substituted in integers.  Integer rows skip the
 denominator pass, and kernel vectors come back as primitive integer vectors,
-so no floating point ever enters a rank decision.
+so no floating point ever enters a kernel.  ``free_column_basis`` gives the
+basis ``nullspace`` would, from kernel vectors known in advance.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Sequence
 
 
 Matrix = Sequence[Sequence[Fraction]]
-_PRIME = 2**61 - 1  # the modulus of rank_mod
 
 
 def _int_rows(rows: Matrix) -> list[list[int]]:
@@ -57,29 +57,6 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         pivots.append(col)
         prow += 1
     return m, pivots
-
-
-def rank(rows: Matrix) -> int:
-    if not rows:
-        return 0
-    _, pivots = _bareiss(_int_rows(rows))
-    return len(pivots)
-
-
-def rank_mod(rows: Matrix) -> int:
-    """Rank modulo ``_PRIME`` of the rows with their denominators cleared:
-    at most the rational rank, and below it only when the prime divides
-    every nonzero minor of maximal size."""
-    m, r = [[c % _PRIME for c in row] for row in _int_rows(rows)], 0
-    for col in range(len(m[0]) if m else 0):
-        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if sel is not None:
-            m[r], m[sel], inv = m[sel], m[r], pow(m[sel][col], -1, _PRIME)
-            for row in m[r + 1:]:
-                f = row[col] * inv % _PRIME
-                row[col:] = [(a - f * b) % _PRIME for a, b in zip(row[col:], m[r][col:])]
-            r += 1
-    return r
 
 
 def canonical_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:

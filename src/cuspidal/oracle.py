@@ -1,32 +1,26 @@
-"""Independent numeric verification paths for the exact machinery.
+"""A numeric search for upper bounds on the rank with respect to the
+cuspidal curve.  No subcommand runs it, and it publishes no number; it backs
+the numeric recovery of the acceptance checks and the benchmark's search
+workload.
 
-Three oracles, none of which shares code with the exact pipeline:
-
-* xrank_upper_search runs a multi-start nonlinear least-squares search for a
-  small set of curve points whose span hits a projected point.  Success
-  certifies an upper bound on the rank with respect to the cuspidal curve
-  (numerically, to the configured tolerance); failure certifies nothing.
-  Starts converge in floats; a hit is then polished by Gauss-Newton on the
-  variable-projection residual (Golub-Pereyra), with the analytic Jacobian
-  in Kaufman's form and Levenberg-Marquardt damping only as a fallback, in
-  fixed-point integers with GUARD_BITS guard bits beyond the precision; the
-  witness residual is an estimate at that noise floor, not a proved bound.
-  Each stage tests its target before it steps: a start already converged
-  takes no float step, and a hand-over already below the polish's target
-  gets one undamped try and no damped retries.
-  Exact lower bounds only ever come from the fiber scan: the cuspidal curve
-  is singular, so catalecticant-style lower bounds for smooth curves do not
-  transfer.  The float stage is pure Python: starts are seeded by the real
-  roots of polynomials in the exact kernel of the moment rows
-  (linalg.nullspace), found by binform's Aberth iteration, and the fits
-  use Gram-Schmidt and a partial-pivot solve in Python floats.
-
-* secant_dimension_probe measures the dimension of a secant variety of the
-  cuspidal curve as the rank of the parametrization Jacobian at a random
-  point, exactly: modulo one prime where that proves it, else over Q.
-
-* dichotomy_fuzz hammers the rank dichotomy on random forms and aborts with
-  a serialized counterexample on any violation.
+xrank_upper_search runs a multi-start nonlinear least-squares search for a
+small set of curve points whose span hits a projected point.  Success
+certifies an upper bound on the rank with respect to the cuspidal curve
+(numerically, to the configured tolerance); failure certifies nothing.
+Starts converge in floats; a hit is then polished by Gauss-Newton on the
+variable-projection residual (Golub-Pereyra), with the analytic Jacobian in
+Kaufman's form and Levenberg-Marquardt damping only as a fallback, in
+fixed-point integers with GUARD_BITS guard bits beyond the precision; the
+witness residual is an estimate at that noise floor, not a proved bound.
+Each stage tests its target before it steps: a start already converged
+takes no float step, and a hand-over already below the polish's target gets
+one undamped try and no damped retries.  Exact lower bounds only ever come
+from the fiber scan: the cuspidal curve is singular, so catalecticant-style
+lower bounds for smooth curves do not transfer.  The float stage is pure
+Python: starts are seeded by the real roots of polynomials in the exact
+kernel of the moment rows (linalg.nullspace), found by binform's Aberth
+iteration, and the fits use Gram-Schmidt and a partial-pivot solve in
+Python floats.
 
 The search works in the chart of real parameters tau for curve points
 (1:tau); the cusp tau=0 is an ordinary rank-1 point and needs no special
@@ -38,16 +32,13 @@ by tau -> tau/s.
 
 from __future__ import annotations
 
-import json
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .apolarity import rank as sylvester_rank
-from .binform import _check_degree, _float_seeds, random_form
+from .binform import _float_seeds
 from . import linalg
 from .projection import ProjectedPoint
 
@@ -107,10 +98,6 @@ class SpanWitness:
             "residual": self.residual,
             "matched": self.matched.to_json(),
         }
-
-
-def _slots(n: int) -> tuple[int, ...]:
-    return (0,) + tuple(range(2, n + 2))
 
 
 def _fdot(a, b) -> float:
@@ -280,7 +267,7 @@ def _polish(P: ProjectedPoint, taus0, precision_bits: int, tolerance: float):
     w = [c.numerator * (den // c.denominator) for c in P.coords]
     norm = math.isqrt(sum(x * x for x in w) << 2 * p)  # |w| 2^p
     v = [(x << 2 * p) // norm for x in w]
-    slots = _slots(P.n)
+    slots = P.slots
     taus = [int(Fraction(t) * (1 << p)) for t in taus0]
     try:
         res, jacobian = _fit(taus, v, slots, precision_bits)
@@ -369,7 +356,7 @@ def xrank_upper_search(P: ProjectedPoint, cfg: SearchConfig) -> SpanWitness | No
     if not 1 <= cfg.r <= P.n:
         raise ValueError("target cardinality outside 1..n")
     rng = random.Random(f"span-search:{cfg.seed}:{cfg.r}")
-    slots = _slots(P.n)
+    slots = P.slots
     base = [float(c) for c in P.coords]
     null_basis = _moment_seeds(P, cfg.r)
     if null_basis is not None:
@@ -426,61 +413,3 @@ def xrank_upper_search(P: ProjectedPoint, cfg: SearchConfig) -> SpanWitness | No
             continue
         return SpanWitness(tuple(ps), resid, P)
     return None
-
-
-def secant_dimension_probe(s: int, n: int, seed=0) -> int:
-    """Observed projective dimension of the s-th secant variety of the curve.
-
-    Exact rank, minus one, of the Jacobian of (parameters, scalars) -> sum
-    of scaled curve points at one seeded random sample: ``linalg.rank_mod``,
-    when it reaches the bound min(2s, n+1) of the rational rank, else
-    ``linalg.rank``.
-    """
-    if not 1 <= s <= n:
-        raise ValueError("cardinality outside 1..n")
-    _check_degree(n + 1)
-    slots = _slots(n)
-    rng = random.Random(f"secant-probe:{seed}:0")
-    taus = set()
-    while len(taus) < s:
-        t = Fraction(rng.randint(1, 60), rng.randint(1, 7)) * (1 if rng.random() < 0.5 else -1)
-        taus.add(t)
-    alphas = [Fraction(rng.randint(1, 9)) for _ in range(s)]
-    cols = []
-    for t, a in zip(sorted(taus), alphas):
-        cols.append([t**k for k in slots])
-        cols.append([a * k * t ** (k - 1) if k else Fraction(0) for k in slots])
-    bound = min(2 * s, n + 1)
-    return (bound if linalg.rank_mod(cols) == bound else linalg.rank(cols)) - 1
-
-
-def dichotomy_fuzz(degree: int, samples: int, seed=0) -> dict:
-    """Hammer the rank dichotomy on random forms; violations abort."""
-    if degree < 2:
-        raise ValueError("fuzzing needs degree at least 2")
-    if samples < 1:
-        raise ValueError(f"fuzzing needs at least 1 sample, got {samples}")
-    _check_degree(degree)
-    rng = random.Random(f"dichotomy-fuzz:{degree}:{seed}")
-    counts: Counter[int] = Counter()
-    done = 0
-    while done < samples:
-        f = random_form(degree, rng, bound=120)
-        if f.is_zero():
-            continue
-        cert = sylvester_rank(f)
-        w, r = cert.border_rank, cert.rank
-        if r not in (w, degree + 2 - w) or w > r:
-            raise AssertionError(
-                "dichotomy violated: "
-                + json.dumps({"degree": degree, "coeffs": [str(c) for c in f.coeffs],
-                              "border": w, "rank": r})
-            )
-        counts[r] += 1
-        done += 1
-    return {
-        "degree": degree,
-        "samples": samples,
-        "violations": 0,
-        "rank_counts": {str(k): counts[k] for k in sorted(counts)},
-    }

@@ -101,8 +101,10 @@ ALL_LAMBDA = _AllLambda()
 class ProjectionFrame:
     """Ambient data: curve degree d = n+1, cusp preimage A = (1:0), and the
     projection center fixed as the slot-1 coordinate point of the tangent
-    line at A (any other point of that tangent line off A is equivalent
-    under reparametrization; see ProjectedPoint.reparametrized)."""
+    line at A.  Any other point of that tangent line off A is equivalent:
+    the chart change t -> s*t of the parameter line fixes the cusp, slides
+    the center along the tangent line, and scales the coordinate of slot i
+    by s^i."""
 
     n: int
 
@@ -164,17 +166,6 @@ class ProjectedPoint:
             full[j + 1] = self.coords[j]
         full[1] = slot1_value
         return full
-
-    def reparametrized(self, s) -> "ProjectedPoint":
-        """Image under the chart change t -> s*t of the parameter line, which
-        fixes the cusp and slides the center along the tangent line: the
-        coordinate of original slot i picks up a factor s^i."""
-        s = Fraction(s)
-        if not s:
-            raise ProjectionError("reparametrization needs s != 0")
-        return ProjectedPoint(
-            self.n, tuple(c * s**i for c, i in zip(self.coords, self.slots))
-        )
 
     def to_json(self) -> dict:
         return {

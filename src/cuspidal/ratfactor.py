@@ -125,12 +125,12 @@ def proves_squarefree(g: Ints) -> bool:
     return proves_coprime(g, univar.derivative(g))
 
 
-def proves_coprime(g: Ints, h: Ints) -> bool:
-    """True when gcd(g, h) = 1 modulo one of the first two primes of
+def proves_coprime(g: Ints, h: Ints, tries: int = 2) -> bool:
+    """True when gcd(g, h) = 1 modulo one of the first ``tries`` primes of
     ``PRIMES`` that do not divide lc(g), which proves the integer
     polynomials g and h coprime over Q: a common factor keeps its degree
     modulo such a prime, and divides both there.  False proves nothing."""
-    primes = [p for p in PRIMES if g[-1] % p][:2]
+    primes = [p for p in PRIMES if g[-1] % p][:tries]
     return any(len(_gcd_p(_mod(g, p), _mod(h, p), p)) == 1 for p in primes)
 
 

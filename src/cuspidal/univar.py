@@ -138,13 +138,6 @@ def derivative(p: Sequence) -> list:
     return trim([c * i for i, c in enumerate(p)][1:])
 
 
-def evaluate(p: Sequence, x):
-    acc = None
-    for c in reversed(trim(p)):
-        acc = c if acc is None else acc * x + c
-    return acc
-
-
 def yun(p: Sequence) -> list[tuple[list, int]]:
     """Square-free decomposition (Yun, characteristic 0) of a rational
     polynomial.

@@ -155,15 +155,29 @@
 * ``monic_route_factors``: ``ZeroScheme`` once took its pieces monic from
   ``ratfactor.irreducible_factors`` and made them primitive again.  It
   backs the pieces it now reads from ``ratfactor.primitive_factors``.
+* ``secant_dimension_probe`` and ``dichotomy_fuzz``: two classical inputs
+  to the paper's argument, once run by the ``probe`` subcommand and the
+  built-in battery of ``verify``.  The first measures the dimension of the
+  s-th secant variety of the cuspidal curve, the second the rank dichotomy
+  of Comas and Seiguer on random forms.  ``bareiss_rank`` and ``rank_mod``,
+  the ranks the probe takes over Q and modulo ``PRIME``, left
+  ``linalg`` with them.
+* ``evaluate_form``, ``evaluate_poly``, ``render``, ``power``,
+  ``multiplicity_at``, ``reparametrized`` and ``point_slots``: helpers that
+  only tests call, once methods or functions of the package.
+  ``reparametrized`` is the chart change t -> s*t, under which any point of
+  the tangent line at A off A serves as the projection center.
 """
 
 from __future__ import annotations
 
 import cmath
 import itertools
+import json
 import math
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, exp, gcd, lcm, log
@@ -180,7 +194,11 @@ from cuspidal.binform import (
     PrecisionError,
     ZeroFormError,
     ZeroScheme,
+    _check_degree,
+    _convolve,
+    _exact,
     apolar_coeffs,
+    random_form,
 )
 from cuspidal.classifier import (
     ClassifierError,
@@ -189,7 +207,7 @@ from cuspidal.classifier import (
     scheme_span_basis,
 )
 from cuspidal.numberfield import AlgebraicNumber, NumberFieldError, _quadratic_root
-from cuspidal.oracle import GUARD_BITS, _slots
+from cuspidal.oracle import GUARD_BITS
 from cuspidal.projection import (
     ALL_LAMBDA,
     FieldCertificate,
@@ -549,7 +567,7 @@ def first_kernel_scan(f):
 def border_kernel_two_eliminations(a) -> tuple[int, list[tuple[int, ...]]]:
     """(w, basis) for the integer apolar vector a: w the rank of the middle
     catalecticant, the basis the kernel at level w."""
-    w = linalg.rank(hankel(a, (len(a) - 1) // 2))
+    w = bareiss_rank(hankel(a, (len(a) - 1) // 2))
     return w, linalg.nullspace(hankel(a, w))
 
 
@@ -959,7 +977,7 @@ def mp_polish(P: ProjectedPoint, taus0, precision_bits: int, tolerance: float):
     """
     with mpmath.workprec(precision_bits + GUARD_BITS):
         v = mp_target(P)
-        slots = _slots(P.n)
+        slots = P.slots
         taus = [mpmath.mpf(t) for t in taus0]
         try:
             res, jacobian = mp_fit(taus, v, slots)
@@ -1085,7 +1103,7 @@ def residue_scalars(f: BinaryForm, g: BinaryForm, points, lift, outside=None) ->
             )
         num, der = charts[flip]
         x = (1 / beta if alpha else lift(0)) if flip else beta
-        s = univar.evaluate(num, x) / univar.evaluate(der, x)
+        s = evaluate_poly(num, x) / evaluate_poly(der, x)
         out.append(s * x**d if flip and alpha else s)
     return out
 
@@ -1212,7 +1230,7 @@ def per_root_aberth_roots(p, bits: int) -> list:
                 steps = []
                 try:
                     for i, z in enumerate(zs):
-                        ratio = univar.evaluate(cs, z) / univar.evaluate(ds, z)
+                        ratio = evaluate_poly(cs, z) / evaluate_poly(ds, z)
                         near = mpmath.fsum(1 / (z - w) for j, w in enumerate(zs) if j != i)
                         steps.append(ratio / (1 - ratio * near))
                 except ZeroDivisionError:
@@ -1271,7 +1289,7 @@ def mp_aberth_roots(p, bits: int) -> list:
                             inv[i][j] = 1 / (zs[i] - zs[j])
                             inv[j][i] = -inv[i][j]
                     for i, z in enumerate(zs):
-                        ratio = univar.evaluate(cs, z) / univar.evaluate(ds, z)
+                        ratio = evaluate_poly(cs, z) / evaluate_poly(ds, z)
                         near = mpmath.fsum(x for j, x in enumerate(inv[i]) if j != i)
                         steps.append(ratio / (1 - ratio * near))
                 except ZeroDivisionError:
@@ -1472,7 +1490,7 @@ def classify_by_factoring(f: BinaryForm) -> ClassifierVerdict:
             )
         rho = cert.rank
         E = cert.witness_scheme
-        m = E.multiplicity_at(POINT_A)
+        m = multiplicity_at(E, POINT_A)
         inputs = {"n": n, "rho": rho, "r": rho, "mult_A": m, "witness_reduced": True}
         verdict = _scheme_verdict(n, rho, inputs, ("e4_i", "e4_ii", "e4_iii"), E)
         if verdict.case_tag == "out_of_scope":
@@ -1485,7 +1503,7 @@ def classify_by_factoring(f: BinaryForm) -> ClassifierVerdict:
             f"{cert.kernel_dimension} and border rank {w} at n = {n}"
         )
     W = cert.witness_scheme
-    m = W.multiplicity_at(POINT_A)
+    m = multiplicity_at(W, POINT_A)
     inputs = {"n": n, "w": w, "r": cert.rank, "mult_A": m, "witness_reduced": False}
     if W == _TWO_A:
         return _scheme_verdict(n, w, inputs, ("e3_3_cusp",), _ONE_A)
@@ -1599,10 +1617,10 @@ def dense_contract(h: BinaryForm, vec) -> list:
 
 
 def evaluation_multiplicity(W: ZeroScheme, p: P1Point) -> int:
-    """``ZeroScheme.multiplicity_at`` before it looked p.linear_form() up
-    among the factors: the exponents of the factors that vanish at p, each
+    """``multiplicity_at`` before it looked p.linear_form() up among the
+    factors: the exponents of the factors that vanish at p, each
     factor evaluated there."""
-    return sum(m for g, m in W.factors if g.evaluate(p.a, p.b) == 0)
+    return sum(m for g, m in W.factors if evaluate_form(g, p.a, p.b) == 0)
 
 
 def product_form_center_routes(W: ZeroScheme, frame: ProjectionFrame) -> tuple[bool, bool]:
@@ -1631,3 +1649,145 @@ def monic_route_factors(factors) -> tuple:
             piece = BinaryForm(len(q) - 1, linalg.canonical_vector(q))
             acc[piece] = acc.get(piece, 0) + e * m
     return tuple(sorted(acc.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs)))
+
+
+# -- helpers only tests call ----------------------------------------------------
+
+
+def evaluate_form(f: BinaryForm, a, b) -> int | Fraction:
+    """f(a, b), by Horner in both variables."""
+    # after step i, acc = sum over j <= i of c_j a^(i-j) b^j
+    a, b = _exact(a), _exact(b)
+    acc, b_pow = 0, 1
+    for c in f.coeffs:
+        acc = acc * a + c * b_pow
+        b_pow *= b
+    return acc
+
+
+def evaluate_poly(p: Sequence, x):
+    """p(x) for low-to-high coefficients p, by Horner."""
+    acc = None
+    for c in reversed(univar.trim(p)):
+        acc = c if acc is None else acc * x + c
+    return acc
+
+
+def render(f: BinaryForm) -> str:
+    """f in the text grammar ``d=<int>; [q0,q1,...]``."""
+    return f"d={f.degree}; [{','.join(str(c) for c in f.coeffs)}]"
+
+
+def power(f: BinaryForm, k: int) -> BinaryForm:
+    cs = [1]
+    for _ in range(k):
+        cs = _convolve(cs, f.coeffs)
+    return BinaryForm(f.degree * k, tuple(cs))
+
+
+def multiplicity_at(W: ZeroScheme, p: P1Point) -> int:
+    """The exponent of p.linear_form() among the factors of W, by the
+    invariant; nothing is evaluated."""
+    return dict(W.factors).get(p.linear_form(), 0)
+
+
+def reparametrized(P: ProjectedPoint, s) -> ProjectedPoint:
+    """Image under the chart change t -> s*t of the parameter line, which
+    fixes the cusp and slides the center along the tangent line: the
+    coordinate of original slot i picks up a factor s^i."""
+    s = Fraction(s)
+    if not s:
+        raise ProjectionError("reparametrization needs s != 0")
+    return ProjectedPoint(P.n, tuple(c * s**i for c, i in zip(P.coords, P.slots)))
+
+
+def point_slots(n: int) -> tuple[int, ...]:
+    """``ProjectedPoint.slots`` of a point of P^n."""
+    return (0,) + tuple(range(2, n + 2))
+
+
+# -- classical inputs: secant dimensions and the rank dichotomy -----------------
+
+PRIME = 2**61 - 1  # the modulus of rank_mod
+
+
+def bareiss_rank(rows) -> int:
+    """Rank over Q, by the Bareiss echelon form of ``linalg``."""
+    if not rows:
+        return 0
+    _, pivots = linalg._bareiss(linalg._int_rows(rows))
+    return len(pivots)
+
+
+def rank_mod(rows) -> int:
+    """Rank modulo ``PRIME`` of the rows with their denominators cleared:
+    at most the rational rank, and below it only when the prime divides
+    every nonzero minor of maximal size."""
+    m, r = [[c % PRIME for c in row] for row in linalg._int_rows(rows)], 0
+    for col in range(len(m[0]) if m else 0):
+        sel = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if sel is not None:
+            m[r], m[sel], inv = m[sel], m[r], pow(m[sel][col], -1, PRIME)
+            for row in m[r + 1:]:
+                f = row[col] * inv % PRIME
+                row[col:] = [(a - f * b) % PRIME for a, b in zip(row[col:], m[r][col:])]
+            r += 1
+    return r
+
+
+def secant_dimension_probe(s: int, n: int, seed=0) -> int:
+    """Observed projective dimension of the s-th secant variety of the curve.
+
+    Exact rank, minus one, of the Jacobian of (parameters, scalars) -> sum
+    of scaled curve points at one seeded random sample: ``rank_mod``, when
+    it reaches the bound min(2s, n+1) of the rational rank, else
+    ``bareiss_rank``.
+    """
+    if not 1 <= s <= n:
+        raise ValueError("cardinality outside 1..n")
+    _check_degree(n + 1)
+    slots = point_slots(n)
+    rng = random.Random(f"secant-probe:{seed}:0")
+    taus = set()
+    while len(taus) < s:
+        t = Fraction(rng.randint(1, 60), rng.randint(1, 7)) * (1 if rng.random() < 0.5 else -1)
+        taus.add(t)
+    alphas = [Fraction(rng.randint(1, 9)) for _ in range(s)]
+    cols = []
+    for t, a in zip(sorted(taus), alphas):
+        cols.append([t**k for k in slots])
+        cols.append([a * k * t ** (k - 1) if k else Fraction(0) for k in slots])
+    bound = min(2 * s, n + 1)
+    return (bound if rank_mod(cols) == bound else bareiss_rank(cols)) - 1
+
+
+def dichotomy_fuzz(degree: int, samples: int, seed=0) -> dict:
+    """Hammer the rank dichotomy on random forms; violations abort."""
+    if degree < 2:
+        raise ValueError("fuzzing needs degree at least 2")
+    if samples < 1:
+        raise ValueError(f"fuzzing needs at least 1 sample, got {samples}")
+    _check_degree(degree)
+    rng = random.Random(f"dichotomy-fuzz:{degree}:{seed}")
+    counts: Counter[int] = Counter()
+    done = 0
+    while done < samples:
+        f = random_form(degree, rng, bound=120)
+        if f.is_zero():
+            continue
+        cert = rank(f)
+        w, r = cert.border_rank, cert.rank
+        if r not in (w, degree + 2 - w) or w > r:
+            raise AssertionError(
+                "dichotomy violated: "
+                + json.dumps({"degree": degree, "coeffs": [str(c) for c in f.coeffs],
+                              "border": w, "rank": r})
+            )
+        counts[r] += 1
+        done += 1
+    return {
+        "degree": degree,
+        "samples": samples,
+        "violations": 0,
+        "rank_counts": {str(k): counts[k] for k in sorted(counts)},
+    }

@@ -41,8 +41,10 @@ from cuspidal.binform import (
 from oracles import (
     QuadraticNumber,
     border_kernel_middle_level,
+    bareiss_rank,
     border_kernel_two_eliminations,
     catalecticant,
+    evaluate_form,
     exact_parts,
     exact_value,
     first_kernel_scan,
@@ -55,9 +57,11 @@ from oracles import (
     mp_decomposition_residual,
     mpc_residue_scalars,
     nullspace_plain,
+    power,
     power_sum_scalars,
     qr_power_sum_scalars,
     reconstruct_by_columns,
+    render,
     residue_scalars,
 )
 from test_binform import _moved
@@ -185,10 +189,10 @@ def _first_kernel_forms(draw):
                                min_size=k, max_size=k, unique=True))
         f = BinaryForm(d, (0,) * (d + 1))
         for a, b in points:
-            f = f + form(a, b).power(d).scaled(draw(st.integers(1, 5)))
+            f = f + power(form(a, b), d).scaled(draw(st.integers(1, 5)))
         return f
     a = draw(st.integers(0, d))
-    f = form(1, 0).power(a) * form(0, 1).power(d - a)
+    f = power(form(1, 0), a) * power(form(0, 1), d - a)
     if kind == "monomial":
         return f
     a, b, c, e = draw(st.lists(st.integers(-4, 4), min_size=4, max_size=4).filter(
@@ -219,7 +223,7 @@ def test_ideal_generators_span_every_kernel_level(f):
         ]
         rows = hankel(a, r)
         assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rows for v in shifts)
-        assert len(shifts) == len(linalg.nullspace(rows)) == (linalg.rank(shifts) if shifts else 0)
+        assert len(shifts) == len(linalg.nullspace(rows)) == (bareiss_rank(shifts) if shifts else 0)
 
 
 def test_the_zero_vector_has_the_unit_ideal():
@@ -304,7 +308,7 @@ def test_border_kernel_matches_two_eliminations():
             elif kind == "powers":
                 f = form(*[0] * (d + 1))
                 for _ in range(rng.randint(1, d // 2 + 1)):
-                    f = f + form(1, rng.randint(-4, 4)).power(d).scaled(rng.randint(-5, 5))
+                    f = f + power(form(1, rng.randint(-4, 4)), d).scaled(rng.randint(-5, 5))
             elif kind == "sparse":
                 coeffs = [0] * (d + 1)
                 for _ in range(rng.randint(1, 3)):
@@ -329,7 +333,7 @@ def test_border_kernel_matches_two_eliminations():
 
 @pytest.mark.parametrize("f, w", [
     # d = 8 and d/2 powers: w = d/2 with a two-dimensional kernel at d/2+1
-    (sum((form(1, tau).power(8) for tau in (1, 2, 3)), form(1, -1).power(8)), 4),
+    (sum((power(form(1, tau), 8) for tau in (1, 2, 3)), power(form(1, -1), 8)), 4),
     # a random form of even degree: w = d/2+1, the kernel at d/2+1 itself
     (random_form(10, random.Random(3), bound=100), 6),
     (form(1, 0), 1),  # d = 1
@@ -364,9 +368,29 @@ def test_a_planted_border_level_raises():
     way, and ``_first_kernel`` passes the error on."""
     forms = (form(1, 0, 0, 0, 1), form(0, 1, 0, 0, 0, 0), CUBE_SUM, form(1, 0, 0),
              random_form(10, random.Random(3), bound=100), form(0, 1, 0, 0),
-             form(1, 0, 0, 0, 0, 0, 0).scaled(3) + form(1, 1).power(6) + form(1, -2).power(6))
+             form(1, 0, 0, 0, 0, 0, 0).scaled(3) + power(form(1, 1), 6) + power(form(1, -2), 6))
     for f in forms:
         _assert_planted_levels_raise(f)
+
+
+def test_the_generator_pair_tries_every_listed_prime(monkeypatch):
+    """x - 1 and x - 10404 meet modulo 101 and 103, the first two primes
+    (10403 = 101 * 103), but not modulo 107, so every listed prime proves
+    them coprime where two prove nothing.  The generators of the apolar
+    vector (13, -3, -19, 6, -13) both vanish at 0 modulo 101 and 103, and
+    ``_ideal_generators`` proves them coprime with no exact gcd."""
+    g, h = [-1, 1], [-10404, 1]
+    assert not ratfactor.proves_coprime(g, h)
+    assert ratfactor.proves_coprime(g, h, tries=len(ratfactor.PRIMES))
+    a = (13, -3, -19, 6, -13)
+    g1, g2 = apolarity._remainder_generators(a)
+    assert g1[0] == 101 * 103 and g2[0] == 0 and not ratfactor.proves_coprime(g1, g2)
+
+    def no_gcd(p, q):
+        raise AssertionError("the exact gcd ran")
+
+    monkeypatch.setattr(univar, "gcd", no_gcd)
+    assert apolarity._ideal_generators(a) == [g1, g2]
 
 
 def test_coprimality_falls_back_to_the_exact_gcd(monkeypatch):
@@ -383,7 +407,7 @@ def test_coprimality_falls_back_to_the_exact_gcd(monkeypatch):
     monkeypatch.setattr(univar, "gcd", lambda p, q: calls.append(len(p)) or gcd(p, q))
     assert apolarity._ideal_generators(a) == honest and calls == []
     with monkeypatch.context() as m:
-        m.setattr(ratfactor, "proves_coprime", lambda g, h: False)
+        m.setattr(ratfactor, "proves_coprime", lambda g, h, tries=2: False)
         assert apolarity._ideal_generators(a) == honest and calls == [4]
     monkeypatch.setattr(apolarity, "_remainder_generators", lambda a: (g1, g1))
     with pytest.raises(CertificateError, match="share a factor"):
@@ -413,13 +437,13 @@ def test_generators_match_the_bareiss_oracles():
                     coeffs[rng.randint(0, d)] = rng.randint(-5, 5)
                 f = form(*coeffs)
             elif kind == "one-power":
-                f = form(rng.randint(1, 5), rng.randint(-5, 5)).power(d)
+                f = power(form(rng.randint(1, 5), rng.randint(-5, 5)), d)
             else:
                 if kind == "with-u^d":
                     points[0] = (1, 0)
                 f = form(*[0] * (d + 1))
                 for p in points:
-                    f = f + form(*p).power(d).scaled(rng.randint(1, 5))
+                    f = f + power(form(*p), d).scaled(rng.randint(1, 5))
             if f.is_zero():
                 continue
             a = _apolar_vector(f)
@@ -438,10 +462,10 @@ def test_generators_match_the_bareiss_oracles():
             if w < s:
                 assert [g1] == basis
             else:
-                assert linalg.rank([g1, g2]) == 2 == linalg.rank([g1, g2, *basis])
+                assert bareiss_rank([g1, g2]) == 2 == bareiss_rank([g1, g2, *basis])
             kernel = linalg.nullspace(hankel(a, s) if s <= d else [], ncols=s + 1)
             span = [(0,) * i + g1 + (0,) * (s - w - i) for i in range(s - w + 1)] + [g2]
-            assert linalg.rank(span) == len(kernel) == linalg.rank(kernel + span), f
+            assert bareiss_rank(span) == len(kernel) == bareiss_rank(kernel + span), f
             if kind == "one-power":
                 assert (w, s) == (1, d + 1)
             if d % 2 == 0 and _kernel_dimension(a) == 2:
@@ -652,12 +676,12 @@ class TestRank:
         for pt in [(F(1), F(0)), (F(0), F(1)), (F(2), F(-3))]:
             d = 6
             lin = BinaryForm(1, pt)
-            cert = rank(lin.power(d))
+            cert = rank(power(lin, d))
             assert cert.rank == 1 and cert.border_rank == 1
-            scheme, unique = border_scheme(lin.power(d))
+            scheme, unique = border_scheme(power(lin, d))
             assert unique and scheme.degree == 1
             (factor, m), = scheme.factors
-            assert factor.evaluate(pt[0], pt[1]) == 0 and m == 1
+            assert evaluate_form(factor, pt[0], pt[1]) == 0 and m == 1
 
 
 class TestDecompose:
@@ -670,7 +694,7 @@ class TestDecompose:
         assert verify_decomposition(CUBE_SUM, dec) == 0
 
     def test_single_power(self):
-        f = form(1, 1).power(4)
+        f = power(form(1, 1), 4)
         dec = decompose(f, 96)
         assert len(dec.terms) == 1 and dec.field_tag == "rational"
         s, (a, b) = dec.terms[0]
@@ -968,7 +992,7 @@ class TestResidueScalars:
             f = pair + BinaryForm(d, tuple(_power_sum(d, extra, F(1)))) if count else pair
             seen.clear()
             dec = decompose(f, 128)
-            assert dec.field_tag == "algebraic" and len(dec.terms) == count + 2, f.render()
+            assert dec.field_tag == "algebraic" and len(dec.terms) == count + 2, render(f)
             g = rank(f).witness_form
             (quad,) = [c for c, _ in ratfactor.irreducible_factors(g.tau_poly()[1]) if len(c) == 3]
             gamma = QuadraticNumber.generator(quad)
@@ -1035,7 +1059,7 @@ class TestResidueScalars:
             want = mpc_residue_scalars(f, rank(f).witness_form, pts, bits)
             with mpmath.workprec(bits + 64):
                 for (s, _), w in zip(dec.terms, want):
-                    assert abs(s - w) <= mpmath.mpf(2) ** -(bits + 8) * abs(w), f.render()
+                    assert abs(s - w) <= mpmath.mpf(2) ** -(bits + 8) * abs(w), render(f)
         assert checked >= 15
 
     def test_numeric_against_qr(self):
@@ -1050,7 +1074,7 @@ class TestResidueScalars:
             want = qr_power_sum_scalars(f, [(_to_mpc(a), _to_mpc(b)) for _, (a, b) in dec.terms], 512)
             with mpmath.workprec(512):
                 for (s, _), w in zip(dec.terms, want):
-                    assert abs(s - w) <= mpmath.mpf(2) ** -150 * abs(w), f.render()
+                    assert abs(s - w) <= mpmath.mpf(2) ** -150 * abs(w), render(f)
 
     @pytest.mark.parametrize("text", [
         "d=10; [-64/7,35/82,-42/31,23/40,11/62,2/11,-48/7,-29/16,-38/11,-21/20,95/36]",
@@ -1142,7 +1166,7 @@ class TestCertificateChecks:
                     continue
                 finally:
                     setattr(apolarity, name, honest)
-                sys.exit(f"wrong scalars in {name} went unnoticed for {f.render()}")
+                sys.exit(f"wrong scalars in {name} went unnoticed for {render(f)}")
             """
         )
         _run_optimized(child)
@@ -1255,8 +1279,8 @@ class TestExactResidual:
                 u = mpmath.mpf(2) ** -(bits + 32)
                 bound = 2 * u * ((2 * d + r + 6) * max(sums) * scale.denominator
                                  / scale.numerator + 1 + 4 * oracle)
-                assert exact >= oracle - bound, (f.render(), bits)
-                assert oracle >= exact - bound, (f.render(), bits)
+                assert exact >= oracle - bound, (render(f), bits)
+                assert oracle >= exact - bound, (render(f), bits)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -28,12 +28,17 @@ from cuspidal.binform import (
     squarefree_decompose,
 )
 from oracles import (
+    evaluate_form,
+    evaluate_poly,
     field_is_square_free,
     monic_route_factors,
     mp_aberth_roots,
     mp_polyroots,
+    multiplicity_at,
     per_root_aberth_roots,
+    power,
     real_flags,
+    render,
     resultant_of_partials,
     sturm_real_root_count,
     sympy_factors,
@@ -75,7 +80,7 @@ class TestParsing:
         rng = random.Random(3)
         for _ in range(50):
             f = random_form(rng.randint(1, 9), rng)
-            assert parse_form(f.render()) == f
+            assert parse_form(render(f)) == f
 
     def test_json_roundtrip(self):
         f = form(1, F(-2, 3), 0)
@@ -172,7 +177,7 @@ def _moved(f, a, b, c, e):
     """f(a u + b t, c u + e t)."""
     out = BinaryForm(f.degree, (0,) * (f.degree + 1))
     for i, x in enumerate(f.coeffs):
-        out = out + (form(a, b).power(f.degree - i) * form(c, e).power(i)).scaled(x)
+        out = out + (power(form(a, b), f.degree - i) * power(form(c, e), i)).scaled(x)
     return out
 
 
@@ -213,7 +218,7 @@ def _double_root_at_an_end(draw):
     if h.is_zero():
         h = BinaryForm(d, (1,) * (d + 1))
     if draw(st.booleans()):
-        return h * form(0, 0, 1) * form(1, 0).power(draw(st.integers(0, 3)))
+        return h * form(0, 0, 1) * power(form(1, 0), draw(st.integers(0, 3)))
     return h * form(1, 0, 0)
 
 
@@ -322,14 +327,14 @@ class TestDecompose:
 
 class TestMultiplicity:
     def test_spec_example(self):
-        assert squarefree_decompose(U2T).multiplicity_at(POINT_A) == 1
+        assert multiplicity_at(squarefree_decompose(U2T), POINT_A) == 1
 
     def test_at_infinity_chart(self):
-        assert squarefree_decompose(U2T).multiplicity_at(P1Point(F(0), F(1))) == 2
+        assert multiplicity_at(squarefree_decompose(U2T), P1Point(F(0), F(1))) == 2
 
     def test_scheme_dispatch(self):
         # a point off the scheme has multiplicity 0
-        assert squarefree_decompose(U2T).multiplicity_at(P1Point(F(1), F(5))) == 0
+        assert multiplicity_at(squarefree_decompose(U2T), P1Point(F(1), F(5))) == 0
 
 
 class TestSchemeOps:
@@ -338,7 +343,7 @@ class TestSchemeOps:
         at_infinity = P1Point(F(0), F(1))
         smaller = scheme.remove_point(at_infinity, 1)
         assert smaller.degree == 2
-        assert smaller.multiplicity_at(at_infinity) == 1
+        assert multiplicity_at(smaller, at_infinity) == 1
         assert ZeroScheme(smaller.factors + ((at_infinity.linear_form(), 1),)) == scheme
 
     def test_rational_points_none_for_irrational(self):
@@ -440,13 +445,13 @@ class TestSchemeInvariant:
                 else:
                     piece = form(rng.randint(-6, 6) or 1, rng.randint(-6, 6))
                 e = rng.choice((1, 1, 2, 3))
-                g = g * piece.power(e)
+                g = g * power(piece, e)
                 pieces.append((piece.degree, e))
             if g.degree == 0:
                 continue
             m = rng.randint(1, 2)
             W = ZeroScheme(((g, m),))
-            assert repr(W.factors) == repr(monic_route_factors(((g, m),))), g.render()
+            assert repr(W.factors) == repr(monic_route_factors(((g, m),))), render(g)
             kinds.update(("quadratic" if d == 2 else "linear", e > 1) for d, e in pieces)
             kinds["non-integral"] += any(type(c) is Fraction for c in g.coeffs)
             kinds["u"] += g.coeffs[-1] == 0
@@ -495,7 +500,7 @@ class TestNumericRoots:
         # (u - 2t)^2 * (u^2 + t^2); the rational root sits at (2:1) = (1:1/2)
         f = form(1, -2) * form(1, -2) * form(1, 0, 1)
         (lin, m), (quad, one) = squarefree_decompose(f).factors
-        assert (lin.evaluate(2, 1), m, one) == (0, 2, 1)
+        assert (evaluate_form(lin, 2, 1), m, one) == (0, 2, 1)
         assert len(approximate_roots(quad.tau_poly()[1], 96)) == 2
 
     @pytest.mark.parametrize("seed, count, degrees, bound, precisions", [
@@ -523,7 +528,7 @@ class TestNumericRoots:
                 with mpmath.workprec(2 * prec + 64):
                     for z in want:
                         err = min(abs(mpmath.mpc(y) - z) for y in got)
-                        assert err <= mpmath.mpf(2) ** (8 - prec) * max(1, abs(z)), f.render()
+                        assert err <= mpmath.mpf(2) ** (8 - prec) * max(1, abs(z)), render(f)
                 compared += len(want)
         assert compared >= count
 
@@ -612,7 +617,7 @@ class TestNumericRoots:
             cs = [mpmath.mpf(c.numerator) for c in p]
             ds = [mpmath.mpf(c.numerator) for c in univar.derivative(p)]
             for i, z in enumerate(got):
-                step = univar.evaluate(cs, z) / univar.evaluate(ds, z)
+                step = evaluate_poly(cs, z) / evaluate_poly(ds, z)
                 assert abs(step) <= mpmath.mpf(2) ** -131 * abs(z), (i, z)
                 assert all(abs(z - y) > mpmath.mpf(2) ** -64 * abs(z) for y in got[i + 1:])
 
@@ -732,7 +737,7 @@ class TestNumericRoots:
             cs = [mpmath.mpf(c) for c in p]
             ds = [mpmath.mpf(c) for c in univar.derivative(p)]
             for z in got:
-                step = univar.evaluate(cs, z) / univar.evaluate(ds, z)
+                step = evaluate_poly(cs, z) / evaluate_poly(ds, z)
                 assert abs(step) <= mpmath.mpf(2) ** -120 * abs(z), z
 
     @pytest.mark.parametrize("bits", [128, 224])
@@ -798,7 +803,7 @@ class TestIntFractionParity:
         for degree, ints in self.INTS:
             a, b = self._pair(degree, ints)
             assert a == b and hash(a) == hash(b)
-            assert a.render() == b.render()
+            assert render(a) == render(b)
             assert a.pretty() == b.pretty()
             assert json.dumps(a.to_json()) == json.dumps(b.to_json())
             assert all(type(c) is int for c in b.coeffs)
@@ -806,13 +811,13 @@ class TestIntFractionParity:
     def test_non_integral_coefficients_stay_fractions(self):
         f = BinaryForm(2, (F(1, 2), 3, F(6, 3)))
         assert [type(c) for c in f.coeffs] == [Fraction, int, int]
-        assert f.render() == "d=2; [1/2,3,2]"
+        assert render(f) == "d=2; [1/2,3,2]"
 
     def test_arithmetic_stays_integral(self):
         a, b = self._pair(4, self.INTS[0][1])
-        for g in (a * a, a.power(3), a.normalized(), a + b, a.scaled(F(4, 2))):
+        for g in (a * a, power(a, 3), a.normalized(), a + b, a.scaled(F(4, 2))):
             assert all(type(c) is int for c in g.coeffs)
-        assert a * a == b * b and a.power(3) == b.power(3)
+        assert a * a == b * b and power(a, 3) == power(b, 3)
 
     def test_schemes_compare_and_key_alike(self):
         for degree, ints in self.INTS[:3]:

@@ -40,6 +40,7 @@ from oracles import (
     dense_contract,
     evaluation_multiplicity,
     in_span,
+    multiplicity_at,
     product_form_center_routes,
 )
 from test_acceptance import _random_scheme as c09_scheme
@@ -256,7 +257,7 @@ def test_contraction_matches_the_elimination_oracle():
                     want = in_span(basis, v)
                     assert (not any(classifier._contract(h, v))) == want, (n, W, v)
                     seen["span", want] += 1
-                if W.multiplicity_at(POINT_A) == 0 and 1 <= deg <= n:
+                if multiplicity_at(W, POINT_A) == 0 and 1 <= deg <= n:
                     k = rng.choice((-2, 3))
                     for v in (outside, [a + k * c for a, c in zip(inside, center)]):
                         want = in_span(basis + [center], v)
@@ -848,7 +849,7 @@ def test_multiplicity_lookup_matches_evaluation():
         off = [pt(F(rng.randint(-30, 30), rng.randint(1, 5))) for _ in range(3)]
         for p in on + off + [POINT_A, at_infinity]:
             m = evaluation_multiplicity(W, p)
-            assert W.multiplicity_at(p) == m, (W, p)
+            assert multiplicity_at(W, p) == m, (W, p)
             seen["on" if m else "off", p in (POINT_A, at_infinity)] += 1
         seen["quadratic"] += any(g.degree == 2 for g, _ in W.factors)
         seen["repeated"] += any(e > 1 for g, e in W.factors if g.degree == 1)

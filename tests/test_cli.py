@@ -143,15 +143,14 @@ class TestRankCommands:
 
     def test_precision_and_seed_only_where_read(self, capsys):
         """--precision-bits goes to decompose and verify-decomp, --seed to
-        generate, probe and verify; everywhere else they are usage errors."""
+        generate; everywhere else they are usage errors."""
         parser = _build_parser()
-        required = {"generate": ["--case", "e4_i", "--n", "6", "--rho", "2"],
-                    "probe": ["--s", "2", "--n", "5"]}
+        required = {"generate": ["--case", "e4_i", "--n", "6", "--rho", "2"]}
         for name in ("rank", "borderrank", "scheme", "decompose", "verify-decomp", "project",
-                     "xrank", "classify", "generate", "probe", "verify"):
+                     "xrank", "classify", "generate", "verify"):
             for flag, dest, takers in (
                 ("--precision-bits", "precision_bits", {"decompose", "verify-decomp"}),
-                ("--seed", "seed", {"generate", "probe", "verify"}),
+                ("--seed", "seed", {"generate"}),
             ):
                 argv = [name, *required.get(name, []), flag, "7"]
                 if name in takers:
@@ -373,8 +372,7 @@ class TestBatchSemantics:
 
 class TestImports:
     def test_rank_loads_neither_sympy_nor_numpy(self):
-        """Linear and quadratic witnesses are factored in closed form, and
-        only the numeric subcommands import the oracle."""
+        """Linear and quadratic witnesses are factored in closed form."""
         child = textwrap.dedent(
             """
             import contextlib, io, json, sys
@@ -407,8 +405,8 @@ class TestImports:
         classify loads no mpmath.  decompose on a cubic witness and on an
         irreducible quintic one, and verify-decomp of the quintic's record,
         load mpmath and no numpy, with their records unchanged.  Importing
-        the oracle, probe, a small verify battery and the span search on an
-        e4_i point load no numpy either: no part of the package uses it."""
+        the oracle and the span search on an e4_i point load no numpy
+        either: no part of the package uses it."""
         child = textwrap.dedent(
             """
             import contextlib, hashlib, io, json, sys
@@ -438,11 +436,6 @@ class TestImports:
             decompose = ["mpmath" in sys.modules, "numpy" in sys.modules]
             import cuspidal.oracle
             numpy = ["numpy" in sys.modules]
-            for argv in (["probe", "--s", "3", "--n", "6"],
-                         ["verify", "--fuzz-samples", "2", "--fuzz-degrees", "4",
-                          "--probe-max-n", "4"]):
-                codes.append(run(argv)[0])
-                numpy.append("numpy" in sys.modules)
             from cuspidal.classifier import InstanceSpec, generate_instance
             from cuspidal.projection import project
             point = project(generate_instance(InstanceSpec("e4_i", 6, 2, seed=7)).form)
@@ -461,11 +454,11 @@ class TestImports:
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) == {
-            "codes": [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0], "exact": [], "classify": False,
+            "codes": [0, 0, 0, 0, 0, 1, 0, 0, 0, 0], "exact": [], "classify": False,
             "decompose": [True, False], "records": [
                 "99295298d7d8721b3841836fd512ea13472e97a896c1b0dd2e064741ff1ac539",
                 "d73538c847e5986fcd8fc5532a98980e2f8c4e3c12b920b218ab8dd902adf499",
-            ], "verified": True, "numpy": [False, False, False, False], "found": True,
+            ], "verified": True, "numpy": [False, False], "found": True,
         }
 
     def test_unserved_polynomials_load_no_sympy(self):
@@ -739,12 +732,25 @@ class TestClassifyAndGenerate:
 
 
 class TestProbeAndVerify:
-    def test_probe_matches_expected(self, capsys, monkeypatch):
-        code, recs = run(
-            capsys, monkeypatch, ["probe", "--s", "2", "--n", "5"]
-        )
+    """verify crosschecks the records it is given and nothing else; the
+    probe subcommand and the built-in battery of verify have left the CLI,
+    and their flags are usage errors."""
+
+    def test_verify_of_no_records_is_the_summary_alone(self, capsys, monkeypatch):
+        code, recs = run(capsys, monkeypatch, ["verify"], stdin="")
         assert code == 0
-        assert recs[0]["dimension"] == 3 and recs[0]["ok"] is True
+        assert recs == [{"check": "summary", "records": 0, "failed": 0}]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["probe", "--s", "2", "--n", "5"], "invalid choice: 'probe'"),
+        (["verify", "--seed", "3"], "unrecognized arguments: --seed"),
+    ], ids=["probe", "verify-seed"])
+    def test_probe_and_the_seed_of_verify_exit_2(self, capsys, argv, message):
+        """The other flags of the battery are refused below, one test each."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_verify_consumes_generate_records(self, capsys, monkeypatch):
         code, recs = run(
@@ -803,43 +809,11 @@ class TestProbeAndVerify:
         assert code3 == 0, recs3
         assert recs3[0]["case"] == tag
 
-    def test_verify_battery_small(self, capsys, monkeypatch):
-        code, recs = run(
-            capsys, monkeypatch,
-            ["verify", "--fuzz-samples", "30",
-             "--fuzz-degrees", "2,4", "--probe-max-n", "4"],
-        )
-        assert code == 0
-        kinds = [r["check"] for r in recs]
-        assert "fuzz" in kinds and "probe" in kinds and "crosscheck" in kinds
-        assert recs[-1]["check"] == "summary"
-        assert recs[-1]["failed"] == 0
-
-    def test_verify_reports_a_fuzz_error_as_a_record(self, capsys, monkeypatch):
-        """A degree the fuzzer refuses gives a failed fuzz record with the
-        error, and the battery still runs to its summary."""
-        code, recs = run(
-            capsys, monkeypatch, ["verify", "--fuzz-degrees", "1", "--probe-max-n", "3"]
-        )
-        assert code == 1
-        assert recs[0] == {
-            "check": "fuzz",
-            "degree": 1,
-            "error": {"type": "ValueError", "message": "fuzzing needs degree at least 2"},
-            "ok": False,
-        }
-        assert recs[-1] == {"check": "summary", "records": len(recs) - 1, "failed": 1}
-
-    def test_probe_where_floats_lose_rank(self, capsys, monkeypatch):
-        code, recs = run(capsys, monkeypatch, ["probe", "--s", "6", "--n", "13"])
-        assert code == 0
-        assert recs == [{"s": 6, "n": 13, "dimension": 11, "expected": 11, "ok": True}]
-
     @pytest.mark.parametrize(
         "argv,degree",
         [
             (["generate", "--case", "e4_i", "--n", "140", "--level", "2"], 141),
-            (["probe", "--s", "2", "--n", "300"], 301),
+            (["generate", "--case", "e3_2", "--n", "300", "--level", "3"], 301),
         ],
     )
     def test_size_limit_is_one_error_record(self, capsys, monkeypatch, argv, degree):
@@ -848,25 +822,21 @@ class TestProbeAndVerify:
         message = f"degree {degree} above the limit {MAX_DEGREE}"
         assert recs == [{"error": {"type": "GrammarError", "message": message}}]
 
-    def test_verify_refuses_a_fuzz_degree_above_the_limit(self, capsys, monkeypatch):
-        monkeypatch.setattr("cuspidal.cli._VERIFY_BATTERY", [])
-        code, recs = run(
-            capsys, monkeypatch, ["verify", "--fuzz-degrees", "400", "--probe-max-n", "3"]
-        )
-        assert code == 1
-        message = f"degree 400 above the limit {MAX_DEGREE}"
-        assert recs[0] == {"check": "fuzz", "degree": 400, "ok": False,
-                           "error": {"type": "GrammarError", "message": message}}
-        assert [r["check"] for r in recs[1:-1]] == ["probe", "probe"]
-        assert recs[-1] == {"check": "summary", "records": 3, "failed": 1}
+    def test_verify_refuses_a_fuzz_degree_above_the_limit(self, capsys):
+        """The fuzzer left verify with the battery, so --fuzz-degrees is a
+        usage error whatever its value."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--fuzz-degrees", "400"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fuzz-degrees" in capsys.readouterr().err
 
-    def test_verify_battery_does_not_read_an_open_stdin(self):
-        """A battery flag selects the battery, so a child whose stdin is a
-        pipe that never closes still runs it: one summary record, exit 0."""
+    def test_verify_of_a_record_does_not_read_an_open_stdin(self):
+        """A record given on the command line is all verify reads, so a
+        child whose stdin is a pipe that never closes still answers: one
+        crosscheck record and the summary, exit 0."""
         src = Path(projection.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
-        argv = [sys.executable, "-m", "cuspidal.cli", "verify", "--fuzz-samples", "5",
-                "--fuzz-degrees", "2", "--probe-max-n", "3"]
+        argv = [sys.executable, "-m", "cuspidal.cli", "verify", "d=6; [1,0,0,0,0,0,1]"]
         read_end, write_end = os.pipe()
         try:
             out = subprocess.run(argv, env=env, stdin=read_end, capture_output=True,
@@ -876,53 +846,35 @@ class TestProbeAndVerify:
             os.close(write_end)
         assert out.returncode == 0, out.stderr
         recs = [json.loads(ln) for ln in out.stdout.splitlines()]
-        assert [r for r in recs if r["check"] == "summary"] == [
-            {"check": "summary", "records": len(recs) - 1, "failed": 0}
-        ]
+        assert [r["check"] for r in recs] == ["crosscheck", "summary"]
+        assert recs[-1] == {"check": "summary", "records": 1, "failed": 0}
 
     @pytest.mark.parametrize("flag", [["--fuzz-samples", "5"], ["--fuzz-degrees", "2"],
-                                      ["--probe-max-n", "3"]])
+                                      ["--probe-max-n", "3"], ["--seed", "3"]])
     @pytest.mark.parametrize("record", [["d=3; [1,0,0,1]"], ["--file", "forms.txt"]])
     def test_verify_battery_flag_with_a_record_is_a_usage_error(self, capsys, flag, record):
         with pytest.raises(SystemExit) as exc:
             main(["verify", *flag, *record])
         assert exc.value.code == 2
-        assert "battery flags of verify take no input record" in capsys.readouterr().err
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_verify_refuses_fuzz_samples_below_one(self, capsys, samples):
-        """A battery of no fuzz samples checks nothing, so it is refused
-        rather than reported ok."""
+        """--fuzz-samples left verify with the battery: any value, a count
+        of no samples included, is a usage error, never a vacuous pass."""
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--fuzz-samples", samples])
         assert exc.value.code == 2
-        assert (f"argument --fuzz-samples: must be at least 1, got {samples}"
-                in capsys.readouterr().err)
+        assert "unrecognized arguments: --fuzz-samples" in capsys.readouterr().err
 
     @pytest.mark.parametrize("max_n", ["2", "0", "-1"])
     def test_verify_refuses_probe_max_n_below_three(self, capsys, max_n):
-        """The probes start at n = 3, so a lower --probe-max-n would run
-        none and report the battery ok; it is refused instead."""
+        """--probe-max-n left verify with the battery: any value is a usage
+        error, so no run of verify reports probes that never ran."""
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--probe-max-n", max_n])
         assert exc.value.code == 2
-        assert (f"argument --probe-max-n: must be at least 3, got {max_n}"
-                in capsys.readouterr().err)
-
-    def test_verify_reports_a_probe_error_as_a_record(self, capsys, monkeypatch):
-        def fail(s, n, seed=0):
-            raise RuntimeError(f"no rank at s = {s}")
-
-        monkeypatch.setattr("cuspidal.oracle.secant_dimension_probe", fail)
-        monkeypatch.setattr("cuspidal.cli._VERIFY_BATTERY", [])
-        code, recs = run(
-            capsys, monkeypatch,
-            ["verify", "--fuzz-samples", "5", "--fuzz-degrees", "2", "--probe-max-n", "3"],
-        )
-        assert code == 1
-        error = {"type": "RuntimeError", "message": "no rank at s = 2"}
-        assert recs[2] == {"check": "probe", "s": 2, "n": 3, "error": error, "ok": False}
-        assert recs[-1] == {"check": "summary", "records": 3, "failed": 2}
+        assert "unrecognized arguments: --probe-max-n" in capsys.readouterr().err
 
 
 class TestConfiguration:
@@ -958,15 +910,14 @@ class TestConfiguration:
     def test_bad_env_value_exits(self, capsys, monkeypatch):
         """A variable that is not an integer is a usage error, exit 2, for
         the subcommands that take its flag, unless the flag is given; the
-        others never read it, so rank answers."""
+        others never read it, so rank answers, and verify gives the error
+        record of its empty JSON record."""
         monkeypatch.setenv("CUSPIDAL_PRECISION_BITS", "lots")
         monkeypatch.setenv("CUSPIDAL_SEED", "many")
         for argv, name in (
             (["decompose", "d=4; [1,0,0,0,1]"], "CUSPIDAL_PRECISION_BITS"),
             (["verify-decomp", "{}"], "CUSPIDAL_PRECISION_BITS"),
             (["generate", "--case", "e4_i", "--n", "6", "--rho", "2"], "CUSPIDAL_SEED"),
-            (["probe", "--s", "2", "--n", "5"], "CUSPIDAL_SEED"),
-            (["verify", "{}"], "CUSPIDAL_SEED"),
         ):
             with pytest.raises(SystemExit) as err:
                 main(argv)
@@ -974,6 +925,10 @@ class TestConfiguration:
             assert f"invalid {name}=" in capsys.readouterr().err
         code, recs = run(capsys, monkeypatch, ["rank", "d=4; [1,0,0,0,1]"])
         assert code == 0 and recs[0]["r"] == 2
+        code, recs = run(capsys, monkeypatch, ["verify", "{}"])
+        assert code == 1 and recs[0]["check"] == "crosscheck" and recs[0]["ok"] is False
+        assert recs[0]["error"]["type"] == "GrammarError"
+        assert recs[1:] == [{"check": "summary", "records": 1, "failed": 1}]
         code, recs = run(capsys, monkeypatch,
                          ["decompose", "--precision-bits", "96", "d=4; [1,0,0,0,1]"])
         assert code == 0 and recs[0]["decomposition"]["precision_bits"] == 96

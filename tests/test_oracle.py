@@ -10,7 +10,7 @@ import pytest
 
 from cuspidal.binform import BinaryForm, GrammarError, P1Point
 from cuspidal.classifier import InstanceSpec, generate_instance
-from cuspidal import linalg, oracle
+from cuspidal import oracle
 from cuspidal.oracle import (
     CLUSTER_RADIUS,
     GUARD_BITS,
@@ -22,14 +22,21 @@ from cuspidal.oracle import (
     _moment_seeds,
     _polish,
     _residual_vec,
-    _slots,
     _solve_damped,
-    dichotomy_fuzz,
-    secant_dimension_probe,
     xrank_upper_search,
 )
 from cuspidal.projection import ProjectedPoint, cusp_curve_point, project, x_rank
-from oracles import det, fd_jacobian, mp_polish, mp_residual
+import oracles
+from oracles import (
+    bareiss_rank,
+    det,
+    dichotomy_fuzz,
+    fd_jacobian,
+    mp_polish,
+    mp_residual,
+    point_slots,
+    secant_dimension_probe,
+)
 from test_apolarity import _run_optimized
 
 F = Fraction
@@ -164,7 +171,7 @@ class TestVariableProjectionFit:
         rng = random.Random("vp-fit-residual")
         with mpmath.workprec(self.BITS):
             for n, taus in self._cases(rng):
-                slots = _slots(n)
+                slots = point_slots(n)
                 v = [mpmath.mpf(rng.gauss(0.0, 1.0)) for _ in slots]
                 res, _ = _fit(self._fixed(taus), self._fixed(v), slots, self.BITS)
                 want = mp_residual(taus, v, slots)
@@ -176,7 +183,7 @@ class TestVariableProjectionFit:
         rng = random.Random("vp-float-residual")
         with mpmath.workprec(self.BITS):
             for n, taus in self._cases(rng):
-                slots = _slots(n)
+                slots = point_slots(n)
                 for in_span in (False, True):
                     v = [rng.gauss(0.0, 1.0) for _ in slots]
                     if in_span:
@@ -195,7 +202,7 @@ class TestVariableProjectionFit:
         rng = random.Random("vp-fit-jacobian")
         with mpmath.workprec(self.BITS):
             for n, taus in self._cases(rng):
-                slots = _slots(n)
+                slots = point_slots(n)
                 v = [mpmath.mpf(0)] * len(slots)
                 for t in taus:
                     c = rng.choice([-1, 1]) * rng.uniform(0.25, 2.0)
@@ -222,7 +229,7 @@ def _exact_residual(P: ProjectedPoint, taus, scale: int) -> float:
     the Gram determinants with and without v.  The columns are scaled to
     integers, which leaves their span unchanged."""
     top, den = P.n + 1, math.lcm(*(c.denominator for c in P.coords))
-    vecs = [[t**k * scale ** (top - k) for k in _slots(P.n)] for t in taus]
+    vecs = [[t**k * scale ** (top - k) for k in P.slots] for t in taus]
     vecs.append([c.numerator * (den // c.denominator) for c in P.coords])
     gram = [[sum(x * y for x, y in zip(a, b)) for b in vecs] for a in vecs]
     part = det([row[:-1] for row in gram[:-1]])
@@ -435,7 +442,7 @@ class TestSearchStarts:
                 root_poly = [1]
                 for t in taus:
                     root_poly = [x - t * y for x, y in zip([0] + root_poly, root_poly + [0])]
-                assert linalg.rank([*basis, root_poly]) == len(basis), (n, taus)
+                assert bareiss_rank([*basis, root_poly]) == len(basis), (n, taus)
 
     def test_moment_seeds_none(self):
         """No seeds when no moment row is known (r = n), or when the rows
@@ -490,7 +497,7 @@ class TestStopsAtTheTarget:
             v = [float(c) for c in P.coords]
             norm = math.hypot(*v)
             calls.clear()
-            got, best = _lm_float([float(t) for t in taus], [x / norm for x in v], _slots(P.n))
+            got, best = _lm_float([float(t) for t in taus], [x / norm for x in v], P.slots)
             assert len(calls) == 1, (P, taus)
             assert got == [float(t) for t in taus] and best < 1e-26, (P, taus)
 
@@ -554,11 +561,11 @@ class TestSecantProbe:
 
     def test_modular_rank_matches_bareiss(self, monkeypatch):
         """The rank modulo one prime gives the dimension that Bareiss over Q
-        (``linalg.rank``, the route taken when the modular rank falls short)
+        (``bareiss_rank``, the route taken when the modular rank falls short)
         gives on every (s, n) with n <= 16, at seeds 0-2."""
         got = {(s, n, seed): secant_dimension_probe(s, n, seed=seed)
                for n in range(1, 17) for s in range(1, n + 1) for seed in range(3)}
-        monkeypatch.setattr(linalg, "rank_mod", lambda rows: -1)
+        monkeypatch.setattr(oracles, "rank_mod", lambda rows: -1)
         for (s, n, seed), dim in got.items():
             assert dim == secant_dimension_probe(s, n, seed=seed) == min(n, 2 * s - 1)
 
@@ -566,17 +573,17 @@ class TestSecantProbe:
         """With the first Jacobian row scaled by the prime, the rank modulo
         the prime falls one short of the bound, so the probe ranks the
         Jacobian over Q and still gives the expected dimension."""
-        real_mod, real_rank, ranked = linalg.rank_mod, linalg.rank, []
+        real_mod, real_rank, ranked = oracles.rank_mod, oracles.bareiss_rank, []
 
         def scaled_mod(rows):
-            return real_mod([[c * linalg._PRIME for c in rows[0]]] + rows[1:])
+            return real_mod([[c * oracles.PRIME for c in rows[0]]] + rows[1:])
 
         def counted_rank(rows):
             ranked.append(len(rows))
             return real_rank(rows)
 
-        monkeypatch.setattr(linalg, "rank_mod", scaled_mod)
-        monkeypatch.setattr(linalg, "rank", counted_rank)
+        monkeypatch.setattr(oracles, "rank_mod", scaled_mod)
+        monkeypatch.setattr(oracles, "bareiss_rank", counted_rank)
         assert secant_dimension_probe(3, 7, seed=0) == 5
         assert ranked == [6]
 

@@ -7,15 +7,27 @@ imports sympy, which only the test oracle uses.  No module names numpy
 either: complex roots are seeded from the Newton polygon in pure Python,
 and the span search of ``oracle`` runs in Python floats.  The two older,
 weaker numpy rules stay as well: none imports it when it loads, and none
-but ``oracle`` names it.
+but ``oracle`` names it.  Every function of the package has a caller in
+the package or the benchmark, or a stated reason to be public: code that
+only tests call lives in ``tests/oracles.py``.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import cuspidal
 
 PACKAGE = Path(cuspidal.__file__).resolve().parent
+BENCH = PACKAGE.parents[1] / "bench"
+
+# functions no code of the package or the benchmark calls, kept public
+PUBLIC_UNCALLED = {
+    "o_in_span": "the classifier's dual-route span test, a library entry point the README names",
+    "classify_e3": "the border-gap classification alone, a library entry point the README names",
+    "classify_e4": "the reduced-set classification alone, a library entry point the README names",
+}
 
 
 def _nodes():
@@ -89,3 +101,42 @@ def test_only_the_oracle_names_numpy():
         and any(module.split(".")[0] == "numpy" for module in _imported(node))
     ]
     assert found == [], f"numpy imported outside oracle.py: {found}"
+
+
+def _named(tree):
+    """Each identifier the code of tree names: a variable, an attribute, an
+    imported name, and each part of a dotted string such as the benchmark
+    tracer's layer names ("projection.special_lambdas").  Docstrings and
+    other prose are not dotted names, so they name nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"\w+(\.\w+)+", node.value)):
+            yield from node.value.split(".")
+
+
+def test_every_function_has_a_caller_outside_the_tests():
+    """Every function and method of the package but the dunders is named in
+    the package or the benchmark outside its own definition, or is listed in
+    ``PUBLIC_UNCALLED`` with its reason; a listed function that gains a
+    caller, or goes, leaves the list."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(PACKAGE.rglob("*.py")) + sorted(BENCH.rglob("*.py"))}
+    named = Counter(name for tree in trees.values() for name in _named(tree))
+    uncalled = {
+        node.name: f"{path.name}:{node.lineno}"
+        for path, tree in trees.items() if PACKAGE in path.parents
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and named[node.name] == Counter(_named(node))[node.name]
+    }
+    only_tests = sorted(f"{where} {name}" for name, where in uncalled.items()
+                        if name not in PUBLIC_UNCALLED)
+    assert only_tests == [], f"functions only tests call: {only_tests}"
+    assert sorted(PUBLIC_UNCALLED) == sorted(uncalled)
