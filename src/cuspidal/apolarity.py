@@ -370,24 +370,39 @@ def _reconstruct_in_integers(terms, d: int) -> tuple[int, list[int], list[int]]:
     folds its scalar s_n den / q into the running power s_n (den / q) B^k,
     one Gaussian product per k; a power of 2 for A, as at every point (1:b)
     that ``decompose`` builds in mpmath, is applied by shifts; and C(d,k)
-    multiplies each coefficient once, after the sum over the terms."""
+    multiplies each coefficient once, after the sum over the terms.  A
+    term and its exact conjugate, every part conjugated, add up to twice
+    the real part of either, so such a pair is formed once."""
     qs = [sq * (aq * bq) ** d for (_, _, sq), (_, _, aq), (_, _, bq) in terms]
     den = lcm(*qs)
     real, imag = [0] * (d + 1), [0] * (d + 1)
-    for ((sr, si, _), (ar, ai, aq), (br, bi, bq)), q in zip(terms, qs):
+    pending: dict[tuple, int] = {}
+    for term in terms:
+        pending[term] = pending.get(term, 0) + 1
+    for term, q in zip(terms, qs):
+        if not pending[term]:
+            continue  # formed with its conjugate
+        pending[term] -= 1
+        twin = tuple((re, -im, q_) for re, im, q_ in term)
+        pair = twin != term and pending.get(twin, 0) > 0
+        if pair:
+            pending[twin] -= 1
+        (sr, si, _), (ar, ai, aq), (br, bi, bq) = term
         sbk = _gaussian_powers(sr * (den // q), si * (den // q), br * aq, bi * aq, d)
         ar, ai = ar * bq, ai * bq
         if not ai and ar > 0 and not ar & (ar - 1):
             e = ar.bit_length() - 1
             for k, (x, y) in enumerate(sbk):
-                real[k] += x << e * (d - k)
-                imag[k] += y << e * (d - k)
+                real[k] += x << e * (d - k) + pair
+                if not pair:
+                    imag[k] += y << e * (d - k)
             continue
         apow = _gaussian_powers(1, 0, ar, ai, d)
         for k, (x, y) in enumerate(sbk):
             u, v = apow[d - k]
-            real[k] += x * u - y * v
-            imag[k] += x * v + y * u
+            real[k] += x * u - y * v << pair
+            if not pair:
+                imag[k] += x * v + y * u
     return (den, [comb(d, k) * x for k, x in enumerate(real)],
             [comb(d, k) * y for k, y in enumerate(imag)])
 
@@ -540,17 +555,25 @@ def _residue_scalars(f: BinaryForm, g: BinaryForm, points) -> list[tuple[int, in
     denominator D of the a_k, the residue numerator R and poly' have
     integer coefficients, and ``_horner`` evaluates both at x homogeneously
     of degree deg poly - 1 (in the chart u/t on the reversed coefficients),
-    so that the denominators of x cancel in R(x) / (D poly'(x)).  A poly'
+    so that the denominators of x cancel in R(x) / (D poly'(x)); in the
+    chart u/t, z^d and q^d are each formed once, by squaring.  A poly'
     that vanishes at a point, which no root of g can make it do, raises
-    PrecisionError.  Nothing else is checked: callers reconstruct f from
-    the terms.
+    PrecisionError.  Since f and g are rational, the scalar at the exact
+    conjugate of a point is the conjugate of its scalar: a point whose
+    conjugate came earlier in the list takes that, with no evaluation.
+    Nothing else is checked: callers reconstruct f from the terms.
     """
     ints, den = _integer_apolar(f)
     d = f.degree
     charts: dict[bool, tuple[list, list]] = {}
+    seen: dict[tuple, tuple[int, int, int]] = {}
     out = []
     for alpha, beta in points:
         zr, zi, q = _gaussian(beta)
+        twin = seen.get((not alpha, zr, -zi, q))
+        if twin:
+            out.append((twin[0], -twin[1], twin[2]))
+            continue
         flip = not alpha or zr * zr + zi * zi > q * q
         if flip not in charts:
             poly = univar.trim(list(g.coeffs[::-1] if flip else g.coeffs))
@@ -562,15 +585,27 @@ def _residue_scalars(f: BinaryForm, g: BinaryForm, points) -> list[tuple[int, in
         nr, ni = _horner(num, zr, zi, y)
         dr, di = _horner(der, zr, zi, y)
         if flip:
-            pr, pi = _gaussian_powers(1, 0, zr, zi, d)[d]
-            nr, ni, dr, di = nr * q**d, ni * q**d, dr * pr - di * pi, dr * pi + di * pr
+            pr, pi, qd = *_gaussian_power(zr, zi, d), q**d
+            nr, ni, dr, di = nr * qd, ni * qd, dr * pr - di * pi, dr * pi + di * pr
         if di:
-            out.append((nr * dr + ni * di, ni * dr - nr * di, den * (dr * dr + di * di)))
+            scalar = (nr * dr + ni * di, ni * dr - nr * di, den * (dr * dr + di * di))
         elif dr:
-            out.append((nr, ni, den * dr) if dr > 0 else (-nr, -ni, -den * dr))
+            scalar = (nr, ni, den * dr) if dr > 0 else (-nr, -ni, -den * dr)
         else:
             raise PrecisionError("the witness's derivative vanishes at a point")
+        seen[not alpha, zr, zi, q] = scalar
+        out.append(scalar)
     return out
+
+
+def _gaussian_power(zr: int, zi: int, d: int) -> tuple[int, int]:
+    """(zr + i zi)^d as its real and imaginary parts, by squaring."""
+    pr, pi = 1, 0
+    for bit in bin(d)[2:]:
+        pr, pi = pr * pr - pi * pi, 2 * pr * pi
+        if bit == "1":
+            pr, pi = pr * zr - pi * zi, pr * zi + pi * zr
+    return pr, pi
 
 
 def _pair_scalar(a0: Fraction, a1: Fraction, p: Fraction, q: Fraction) -> tuple[Fraction, Fraction]:

@@ -339,6 +339,10 @@ class ZeroScheme:
                 raise ValueError("zero factor in a zero scheme")
             if g.degree < 1:
                 raise ValueError("constant factor in a zero scheme")
+            if g.degree == 1:  # irreducible already: only the canonical form is asked
+                piece = BinaryForm(1, linalg.canonical_vector(g.coeffs))
+                acc[piece] = acc.get(piece, 0) + int(m)
+                continue
             k, p = g.tau_poly()
             if k:
                 ufac = BinaryForm(1, (1, 0))
@@ -448,8 +452,12 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     made exactly real or conjugate, so that real roots stay real below.
     The real roots are counted exactly, and as many seeds, those of least
     |Im z| / |z|, stand for them (``_real_seeds``); picking them leaves the
-    seeds in their order, which sets the bits of the sweeps.  Seeds within
-    2^-20 max(1, |z|) of another start apart, real ones along the axis.
+    seeds in their order, which sets the bits of the sweeps.  When the
+    rest pair up, the seeds are laid out as the reals, then the roots of
+    positive imaginary part, then their conjugates, and the sweeps update
+    the first two blocks and mirror the third.  Seeds within 2^-20
+    max(1, |z|) of another start apart, real ones along the axis, complex
+    ones off their conjugate symmetry, and then every root is swept.
     Newton steps with Aberth's correction, which keeps two approximations
     from settling on one root, then refine all roots together while the
     working precision P doubles from 106 bits to ``bits`` (Bini, Numer.
@@ -460,9 +468,9 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     The sweeps run in fixed point: each root is a pair of Python ints
     scaled by 2^(P + g), p and p' are evaluated by Horner from the
     primitive integer coefficients of p, every product and quotient is
-    rounded to nearest at that scale, so that real roots stay real and
-    conjugate pairs conjugate, and the stopping rule compares exact
-    squared norms.
+    rounded to nearest at that scale, so that real roots stay real, and
+    the stopping rule compares exact squared norms.  Conjugate pairs laid
+    out as above are conjugate by construction.
     The g guard bits come from the lower bound |c_j| / (|c_j| + max |c_k|)
     on the modulus of a nonzero root, c_j the lowest nonzero coefficient,
     so that the smallest roots keep P bits relative to their size.  A zero
@@ -640,34 +648,60 @@ def _chart(fl: list[float], z: complex) -> tuple[complex, complex, bool]:
 def _aberth_sweeps(cs: tuple[int, ...], zs: list, scale: int, prec: int) -> list:
     """Aberth sweeps on the roots zs, pairs of ints over 2^scale, of the
     integer polynomial cs, until the stopping rule at precision ``prec``
-    holds or 100 sweeps have run; see ``approximate_roots``.  Each sweep
-    takes 1/(z_i - z_j) once per pair and its negative for (j, i).  Every
-    product and quotient is rounded to nearest, which commutes with
-    negation away from ties, so that a real root stays real and a
-    conjugate pair stays conjugate, as in exact arithmetic."""
+    holds or 100 sweeps have run; see ``approximate_roots``.  Every product
+    and quotient is rounded to nearest, which commutes with negation away
+    from ties, so the sweep maps a real root to a real one and a conjugate
+    pair to a conjugate pair, as in exact arithmetic.
+
+    So when zs is r real roots, then u roots, then their exact conjugates,
+    only the first r + u are updated and the last u are their conjugates.
+    The reciprocals 1/(z_i - z_j) of those r + u are taken once per pair,
+    and used negated for (j, i); 1/(z_i - conj z_j) is the conjugate of
+    1/(z_i - z_j) for a real z_i, and 1/(z_j - conj z_i) is -conj of
+    1/(z_i - conj z_j) for two of the u.  Any other zs gets the full sweep
+    of all deg roots.  Away from ties both give the same bits."""
     deg = len(cs) - 1
     one, half = 1 << scale, 1 << (scale - 1)
     top = cs[-1] << scale
     # a z + c_k rounded in one shift: c_k 2^(2 scale) + half
     shifted = [(c << 2 * scale) + half for c in cs[-2::-1]]
     tol = 2 * (prec // 2) - 16  # |h|^2 2^tol <= max(1, |z|^2), all over 2^(2 scale)
+    r = next((k for k, (_, y) in enumerate(zs) if y), deg)
+    u = (deg - r) // 2
+    if (deg - r) % 2 or zs[deg - u:] != [(x, -y) for x, y in zs[r:r + u]]:
+        r, u = deg, 0
+    n = deg - u
 
     def quotient(x, y, n2):  # (x + i y) 2^scale / n2, rounded
         return ((x << scale + 1) + n2) // (2 * n2), ((y << scale + 1) + n2) // (2 * n2)
 
+    def reciprocal(dx, dy):  # 1 / (dx + i dy) over 2^scale: quotient(dx, -dy) 2^scale
+        n2 = dx * dx + dy * dy
+        if not n2:
+            raise PrecisionError("root refinement met a zero denominator")
+        return ((dx << 2 * scale + 1) + n2) // (2 * n2), ((-dy << 2 * scale + 1) + n2) // (2 * n2)
+
     for _ in range(100):
-        near = [[0, 0] for _ in zs]
-        for i, (xi, yi) in enumerate(zs):
-            for j in range(i + 1, deg):
-                dx, dy = xi - zs[j][0], yi - zs[j][1]
-                n2 = dx * dx + dy * dy
-                if not n2:
-                    raise PrecisionError("root refinement met a zero denominator")
-                ix, iy = quotient(dx << scale, -dy << scale, n2)
-                near[i][0] += ix
-                near[i][1] += iy
+        near = [[0, 0] for _ in range(n)]
+        for i in range(n):
+            xi, yi = zs[i]
+            for j in range(i + 1, n):
+                ix, iy = reciprocal(xi - zs[j][0], yi - zs[j][1])
                 near[j][0] -= ix
                 near[j][1] -= iy
+                if j < r or i >= r:
+                    near[i][0] += ix
+                    near[i][1] += iy
+                else:  # z_i real: the conjugate for conj z_j
+                    near[i][0] += 2 * ix
+            if i >= r:
+                for j in range(i, n):
+                    ix, iy = reciprocal(xi - zs[j][0], yi + zs[j][1])
+                    near[i][0] += ix
+                    near[i][1] += iy
+                    if j > i:
+                        near[j][0] -= ix
+                        near[j][1] += iy
         out, done = [], True
         for (x, y), (nx, ny) in zip(zs, near):
             # Horner for p (a) and p' (b) together
@@ -691,7 +725,7 @@ def _aberth_sweeps(cs: tuple[int, ...], zs: list, scale: int, prec: int) -> list
             h2, z2 = hx * hx + hy * hy, max(one * one, x * x + y * y)
             if h2 << max(tol, 0) > z2 << max(-tol, 0):
                 done = False
-        zs = out
+        zs = out + [(x, -y) for x, y in out[r:]]
         if done:
             break
     return zs

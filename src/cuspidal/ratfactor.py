@@ -21,13 +21,18 @@ Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed.):
   log|lc(g) disc(g)| / log 163 of those lie past the list.
 * Rational roots (§5.10, §15.4).  A rational root a/b of a square-free
   primitive g has b | lc(g) and a | g(0), and reduces to a simple root mod a
-  serving p.  Each root mod p is Hensel-lifted until p^k > 2 |g(0)| lc(g),
-  where rational reconstruction returns the only candidate a/b within those
-  bounds; it is kept when b x - a divides g exactly.  This finds every
-  rational root.  ``rational_roots`` stops here and returns the roots with
-  the cofactor left after them, for callers that need no more: a cofactor
-  of degree 2 is then irreducible, and one of higher degree is left as it
-  is, with no proof that it does not split further.
+  serving p, and to a root modulo every prime that does not divide lc(g).
+  The roots of g modulo a prime are read off one evaluation of g at all
+  residues at once, packed in the slots of one integer.  When g has none
+  modulo p or one of the next ``SIEVE_PRIMES`` listed primes, it has no
+  rational root.  Otherwise each root mod p is Hensel-lifted until
+  p^k > 2 |g(0)| lc(g), where rational reconstruction returns the only
+  candidate a/b within those bounds; it is kept when b x - a divides g
+  exactly.  This finds every rational root.  ``rational_roots`` stops here
+  and returns the roots with the cofactor left after them, for callers
+  that need no more: a cofactor of degree 2 is then irreducible, and one of
+  higher degree is left as it is, with no proof that it does not split
+  further.
 * Irreducibility (§14.2; Musser, "On the efficiency of a polynomial
   irreducibility test", J. ACM 25, 1978).  The cofactor h left after the
   roots has no factor of degree 1 or deg h - 1.  The degree of any factor of
@@ -49,6 +54,7 @@ input, and the factors with their multiplicities must multiply back to it.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, count, islice
@@ -62,6 +68,12 @@ Ints = tuple[int, ...]
 # Discriminants of structured inputs (binomial weights, small integer roots)
 # tend to carry every small prime, so the list starts above 100.
 PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
+
+# Listed primes past the serving one that must each leave g a root before
+# its roots mod the serving prime are lifted (``_rational_roots``).  About
+# 1/e of polynomials have no root modulo a prime; each further prime costs
+# one packed evaluation on every g with a rational root.
+SIEVE_PRIMES = 3
 
 
 class CertificateError(ArithmeticError):
@@ -97,6 +109,21 @@ def _divmod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]
     return q, univar.trim(a[:db])
 
 
+def _rem_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b over F_p, the remainder of ``_divmod_p`` with no quotient
+    built."""
+    a = [c % p for c in a]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    low = b[:db]  # the top coefficient only clears a[k], which is dropped
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k] * inv % p
+        if c:
+            for j, bj in enumerate(low, k - db):
+                a[j] = (a[j] - c * bj) % p
+    return univar.trim(a[:db])
+
+
 def _monic_p(a: list[int], p: int) -> list[int]:
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
@@ -105,7 +132,7 @@ def _monic_p(a: list[int], p: int) -> list[int]:
 def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd over F_p; a is nonzero."""
     while b:
-        a, b = b, _divmod_p(a, b, p)[1]
+        a, b = b, _rem_p(a, b, p)
     return _monic_p(a, p)
 
 
@@ -139,8 +166,8 @@ def _powmod_p(a: list[int], e: int, f: list[int], p: int) -> list[int]:
     acc = [1]
     while e:
         if e & 1:
-            acc = _divmod_p(univar.mul(acc, a), f, p)[1]
-        a = _divmod_p(univar.mul(a, a), f, p)[1]
+            acc = _rem_p(univar.mul(acc, a), f, p)
+        a = _rem_p(univar.mul(a, a), f, p)
         e >>= 1
     return acc
 
@@ -169,7 +196,7 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
         if len(g) > 1:
             out.append((g, i))
             f = _divmod_p(f, g, p)[0]
-            w = _divmod_p(w, f, p)[1]
+            w = _rem_p(w, f, p)
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
@@ -240,14 +267,48 @@ def _divide(g: Ints, d: Ints) -> Ints | None:
     return tuple(q) if q and not any(g[:dd]) else None
 
 
+@lru_cache(maxsize=16)
+def _packed_powers(p: int, n: int) -> tuple[int, ...]:
+    """T_k for k < n: the residues r^k mod p, r = 0..p-1, in 32-bit slots
+    of one integer, slot r at byte 4r of its ``sys.byteorder`` bytes."""
+    row, table = [1] * p, []
+    for _ in range(n):
+        table.append(int.from_bytes(b"".join(v.to_bytes(4, sys.byteorder) for v in row),
+                                    sys.byteorder))
+        row = [v * r % p for r, v in enumerate(row)]
+    return tuple(table)
+
+
+def _roots_mod_p(g: Ints, p: int) -> list[int]:
+    """The roots r = 0..p-1 of g mod p, ascending, read off one packed
+    evaluation: slot r of sum_k (g_k mod p) T_k is g(r) mod p up to a
+    multiple of p, and below (deg g + 1)(p - 1)^2, so no slot carries into
+    the next while that bound is below 2^32.  Past it, g is evaluated by
+    Horner at each residue.  The tables are kept for the last few (p, n),
+    n the power of 2 above deg g, at least 16."""
+    if len(g) * (p - 1) ** 2 >> 32:
+        return [r for r in range(p) if not _eval_mod(g, r, p)]
+    table = _packed_powers(p, 1 << max(4, (len(g) - 1).bit_length()))
+    total = sum((c % p) * t for c, t in zip(g, table))
+    slots = memoryview(total.to_bytes(4 * p, sys.byteorder)).cast("I")
+    return [r for r, v in enumerate(slots) if not v % p]
+
+
 def _rational_roots(g: Ints, p: int) -> tuple[list[Fraction], Ints]:
     """The rational roots of g, square-free, primitive, with g(0) != 0 and p
-    serving it, and the cofactor left after dividing them out."""
+    serving it, and the cofactor left after dividing them out.  Each root
+    a/b has b | lc(g), so it reduces to a root of g modulo every prime that
+    does not divide lc(g).  So g has none when it has no root mod p, or
+    none modulo one of the first ``SIEVE_PRIMES`` such primes of ``PRIMES``
+    other than p, and then nothing is lifted.  Otherwise every root mod p,
+    ascending, is lifted and reconstructed, and kept when it divides."""
+    residues = _roots_mod_p(g, p)
+    sieve = islice((q for q in PRIMES if q != p and g[-1] % q), SIEVE_PRIMES)
+    if not residues or not all(_roots_mod_p(g, q) for q in sieve):
+        return [], g
     bound = 2 * abs(g[0]) * g[-1]
     roots, h = [], g
-    for r in range(p):
-        if _eval_mod(g, r, p):
-            continue
+    for r in residues:
         cand = _reconstruct(*_lift_root(g, r, p, bound), abs(g[0]), g[-1])
         if cand is not None:
             q = _divide(h, (-cand.numerator, cand.denominator))

@@ -162,6 +162,15 @@
   of Comas and Seiguer on random forms.  ``bareiss_rank`` and ``rank_mod``,
   the ranks the probe takes over Q and modulo ``PRIME``, left
   ``linalg`` with them.
+* ``full_aberth_sweeps``: the fixed-point Aberth sweeps once updated all
+  deg roots, each conjugate of a pair on its own.  It backs
+  ``binform._aberth_sweeps``, which updates the real roots and one root
+  of each exactly conjugate pair and mirrors the rest.
+* ``scan_roots_mod_p`` and ``scan_rational_roots``: the rational roots of
+  a square-free g were once found by evaluating g by Horner at every
+  residue mod the serving prime and lifting each root found there.  They
+  back the packed evaluation ``ratfactor._roots_mod_p`` and the prime
+  sieve of ``ratfactor._rational_roots``.
 * ``evaluate_form``, ``evaluate_poly``, ``render``, ``power``,
   ``multiplicity_at``, ``reparametrized`` and ``point_slots``: helpers that
   only tests call, once methods or functions of the package.
@@ -1791,3 +1800,85 @@ def dichotomy_fuzz(degree: int, samples: int, seed=0) -> dict:
         "violations": 0,
         "rank_counts": {str(k): counts[k] for k in sorted(counts)},
     }
+
+
+def full_aberth_sweeps(cs: tuple[int, ...], zs: list, scale: int, prec: int) -> list:
+    """``binform._aberth_sweeps`` on all deg roots, whatever their layout:
+    Aberth sweeps on the roots zs, pairs of ints over 2^scale, of the
+    integer polynomial cs, until the stopping rule at precision ``prec``
+    holds or 100 sweeps have run; see ``approximate_roots``.  Each sweep
+    takes 1/(z_i - z_j) once per pair and its negative for (j, i).  Every
+    product and quotient is rounded to nearest, which commutes with
+    negation away from ties, so that a real root stays real and a
+    conjugate pair stays conjugate, as in exact arithmetic."""
+    deg = len(cs) - 1
+    one, half = 1 << scale, 1 << (scale - 1)
+    top = cs[-1] << scale
+    # a z + c_k rounded in one shift: c_k 2^(2 scale) + half
+    shifted = [(c << 2 * scale) + half for c in cs[-2::-1]]
+    tol = 2 * (prec // 2) - 16  # |h|^2 2^tol <= max(1, |z|^2), all over 2^(2 scale)
+
+    def quotient(x, y, n2):  # (x + i y) 2^scale / n2, rounded
+        return ((x << scale + 1) + n2) // (2 * n2), ((y << scale + 1) + n2) // (2 * n2)
+
+    for _ in range(100):
+        near = [[0, 0] for _ in zs]
+        for i, (xi, yi) in enumerate(zs):
+            for j in range(i + 1, deg):
+                dx, dy = xi - zs[j][0], yi - zs[j][1]
+                n2 = dx * dx + dy * dy
+                if not n2:
+                    raise PrecisionError("root refinement met a zero denominator")
+                ix, iy = quotient(dx << scale, -dy << scale, n2)
+                near[i][0] += ix
+                near[i][1] += iy
+                near[j][0] -= ix
+                near[j][1] -= iy
+        out, done = [], True
+        for (x, y), (nx, ny) in zip(zs, near):
+            # Horner for p (a) and p' (b) together
+            ax, ay, bx, by = top, 0, 0, 0
+            for c in shifted:
+                bx, by = (((bx * x - by * y + half) >> scale) + ax,
+                          ((bx * y + by * x + half) >> scale) + ay)
+                ax, ay = (ax * x - ay * y + c) >> scale, (ax * y + ay * x + half) >> scale
+            n2 = bx * bx + by * by
+            if not n2:
+                raise PrecisionError("root refinement met a zero denominator")
+            rx, ry = quotient(ax * bx + ay * by, ay * bx - ax * by, n2)
+            ex = one - ((rx * nx - ry * ny + half) >> scale)
+            ey = -((rx * ny + ry * nx + half) >> scale)
+            n2 = ex * ex + ey * ey
+            if not n2:
+                raise PrecisionError("root refinement met a zero denominator")
+            hx, hy = quotient(rx * ex + ry * ey, ry * ex - rx * ey, n2)
+            x, y = x - hx, y - hy
+            out.append((x, y))
+            h2, z2 = hx * hx + hy * hy, max(one * one, x * x + y * y)
+            if h2 << max(tol, 0) > z2 << max(-tol, 0):
+                done = False
+        zs = out
+        if done:
+            break
+    return zs
+
+
+def scan_roots_mod_p(g: Sequence[int], p: int) -> list[int]:
+    """The roots of the integer polynomial g (low to high) mod p, ascending,
+    one Horner evaluation per residue."""
+    return [r for r in range(p) if not ratfactor._eval_mod(g, r, p)]
+
+
+def scan_rational_roots(g: tuple[int, ...], p: int) -> tuple[list[Fraction], tuple[int, ...]]:
+    """``ratfactor._rational_roots`` with no sieve: every root of g mod p
+    found by ``scan_roots_mod_p`` is lifted and reconstructed."""
+    bound = 2 * abs(g[0]) * g[-1]
+    roots, h = [], g
+    for r in scan_roots_mod_p(g, p):
+        cand = ratfactor._reconstruct(*ratfactor._lift_root(g, r, p, bound), abs(g[0]), g[-1])
+        if cand is not None:
+            q = ratfactor._divide(h, (-cand.numerator, cand.denominator))
+            if q is not None:
+                roots.append(cand)
+                h = q
+    return roots, h

@@ -852,8 +852,10 @@ class TestReconstruct:
 
     def test_the_folded_power_sum_is_the_column_sum(self):
         """Seeded terms, scalars and points mpc, mpf, Fraction or int, with
-        a in {1, 2^k, other}: folding the scalar into the running power of
-        b gives the triple of the term-by-term columns exactly."""
+        a in {1, 2^k, other}, some with their exact conjugate or a repeat
+        among them: folding the scalar into the running power of b, and
+        forming a term and its conjugate once, gives the triple of the
+        term-by-term columns exactly."""
         rng = random.Random("reconstruct:columns")
 
         def dyadic():
@@ -872,11 +874,39 @@ class TestReconstruct:
             return rng.choice((mpmath.mpc(1), F(1), 1, 2**k, mpmath.mpf(2**k), F(2**k),
                                F(1, 2**k), value(), value()))
 
+        def conjugate(x):
+            if isinstance(x, mpmath.mpc):
+                return mpmath.mp.make_mpc((x._mpc_[0], mpmath.libmp.mpf_neg(x._mpc_[1])))
+            return x
+
+        pairs = 0
         for _ in range(150):
             d = rng.randint(0, 16)
             terms = [(value(), (alpha(), value())) for _ in range(rng.randint(0, 6))]
+            # exact conjugates and repeats of some terms, formed as pairs
+            for s, (a, b) in terms[: rng.randint(0, len(terms))]:
+                terms.insert(rng.randint(0, len(terms)),
+                             (conjugate(s), (conjugate(a), conjugate(b))) if rng.random() < 0.8
+                             else (s, (a, b)))
+                pairs += isinstance(b, mpmath.mpc)
             got = apolarity._reconstruct_in_integers(apolarity._exact_terms(terms), d)
             assert got == reconstruct_by_columns(terms, d)
+        assert pairs >= 50
+
+    def test_a_conjugate_pair_is_formed_once(self, monkeypatch):
+        """The terms of a complex decomposition, rational points then
+        conjugate pairs at (1:b): each pair takes one run of powers, and
+        the triple is that of the term-by-term columns."""
+        f = random_form(9, random.Random("one-kernel"), bound=100)
+        dec = decompose(f, 128)
+        pairs = sum(b.imag < 0 for _, (_, b) in dec.terms)
+        assert pairs
+        runs = []
+        powers = apolarity._gaussian_powers
+        monkeypatch.setattr(apolarity, "_gaussian_powers", lambda *a: runs.append(a) or powers(*a))
+        got = apolarity._reconstruct_in_integers(dec.exact_terms, f.degree)
+        assert len(runs) == len(dec.terms) - pairs
+        assert got == reconstruct_by_columns(dec.terms, f.degree)
 
     def test_a_decomposition_is_reconstructed_once(self, monkeypatch):
         """``verify_decomposition`` right after ``decompose`` reads the exact
@@ -1040,6 +1070,42 @@ class TestResidueScalars:
                 for part, exact in zip(exact_parts(s), (w.a, w.b)):
                     assert abs(part - exact) <= abs(exact) / 2 ** (dec.precision_bits + 32)
         assert flipped >= 5
+
+    def test_twin_scalars_are_the_direct_evaluation(self, monkeypatch):
+        """On seeded complex decompositions, the scalar of each point whose
+        exact conjugate came earlier, taken as the conjugate of that
+        point's scalar, is the one the point alone evaluates to, and only
+        the other points are evaluated; on the same points with each
+        conjugate's imaginary part moved by 2^-(bits+40), which leaves no
+        exact conjugate, every scalar is evaluated, and again each equals
+        the point's alone."""
+        rng = random.Random("residue:twins")
+        checked = twins = 0
+        evaluations = []
+        horner = apolarity._horner
+        monkeypatch.setattr(apolarity, "_horner", lambda *a: evaluations.append(a) or horner(*a))
+        while checked < 12:
+            f = random_form(rng.randint(5, 12), rng, bound=rng.choice((9, 100)))
+            dec = decompose(f, rng.choice((64, 128)))
+            if dec.field_tag != "complex":
+                continue
+            checked += 1
+            g = rank(f).witness_form
+            pts = [p for _, p in dec.terms]
+            with mpmath.workprec(dec.precision_bits + 96):
+                nudge = mpmath.mpf(2) ** -(dec.precision_bits + 40) * 1j
+                forged = [(a, b - nudge if b.imag < 0 else b) for a, b in pts]
+            got = []
+            pairs = sum(b.imag < 0 for _, b in pts)
+            for points, evaluated in ((pts, len(pts) - pairs), (forged, len(pts))):
+                alone = [apolarity._residue_scalars(f, g, [p])[0] for p in points]
+                evaluations.clear()
+                got.append(apolarity._residue_scalars(f, g, points))
+                assert got[-1] == alone
+                assert len(evaluations) == 2 * evaluated  # R and poly' at each point
+            assert (got[0] != got[1]) is bool(pairs)
+            twins += pairs
+        assert twins >= 10
 
     @pytest.mark.parametrize("bits", [64, 128, 192, 256])
     def test_agrees_with_the_mpc_oracle(self, bits):

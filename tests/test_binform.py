@@ -29,6 +29,7 @@ from cuspidal.binform import (
 )
 from oracles import (
     evaluate_form,
+    full_aberth_sweeps,
     evaluate_poly,
     field_is_square_free,
     monic_route_factors,
@@ -430,8 +431,9 @@ class TestSchemeInvariant:
         """On seeded forms of degree <= 8, products of u, t, repeated linear
         factors and irreducible quadratics, scaled by a non-integral
         constant, the pieces that ``ZeroScheme`` reads from
-        ``ratfactor.primitive_factors`` are those of the monic route, types
-        and order included."""
+        ``ratfactor.primitive_factors``, or for a linear form from its
+        canonical vector, are those of the monic route, types and order
+        included, for the form and for its factors given one by one."""
         rng = random.Random("monic-route")
         kinds = collections.Counter()
         for _ in range(400):
@@ -446,13 +448,15 @@ class TestSchemeInvariant:
                     piece = form(rng.randint(-6, 6) or 1, rng.randint(-6, 6))
                 e = rng.choice((1, 1, 2, 3))
                 g = g * power(piece, e)
-                pieces.append((piece.degree, e))
+                pieces.append((piece.scaled(F(rng.randint(-9, 9) or 1, rng.randint(1, 9))), e))
             if g.degree == 0:
                 continue
             m = rng.randint(1, 2)
             W = ZeroScheme(((g, m),))
             assert repr(W.factors) == repr(monic_route_factors(((g, m),))), render(g)
-            kinds.update(("quadratic" if d == 2 else "linear", e > 1) for d, e in pieces)
+            # the pieces one by one, each scaled
+            assert repr(ZeroScheme(tuple(pieces)).factors) == repr(monic_route_factors(pieces))
+            kinds.update(("quadratic" if p.degree == 2 else "linear", e > 1) for p, e in pieces)
             kinds["non-integral"] += any(type(c) is Fraction for c in g.coeffs)
             kinds["u"] += g.coeffs[-1] == 0
             kinds["t"] += g.coeffs[0] == 0
@@ -579,6 +583,80 @@ class TestNumericRoots:
                         assert err <= mpmath.mpf(2) ** (8 - bits) * max(1, abs(z)), (p, bits)
             compared += not clustered
         assert compared >= 40
+
+    def test_mirrored_sweeps_match_the_full_sweeps(self, monkeypatch):
+        """On the polynomials of ``_aberth_polynomials`` and on 1500 seeded
+        square-free polynomials of degree 1..16, with coefficients of up to
+        2^64, ``approximate_roots`` returns the bits, or the PrecisionError,
+        of the full sweeps of all deg roots; most calls start from seeds
+        laid out as reals, upper roots and their exact conjugates, which
+        the sweeps keep exactly conjugate."""
+        rng = random.Random("mirrored-sweeps")
+        polys = [(p, bits) for p, bits, _ in _aberth_polynomials()]
+        while len(polys) < 1560:
+            bound = rng.choice((9, 99, 2**64))
+            deg = rng.randint(1, 16)
+            p = [F(rng.randint(-bound, bound), rng.randint(1, 9)) for _ in range(deg)]
+            p = univar.trim(p + [F(rng.randint(1, 9))])
+            if univar.degree(univar.gcd(p, univar.derivative(p))) == 0:
+                polys.append((p, rng.choice((64, 128, 224))))
+        mirrored = 0
+        for p, bits in polys:
+            outcomes = []
+            for sweeps in (binform._aberth_sweeps, full_aberth_sweeps):
+                monkeypatch.setattr(binform, "_aberth_sweeps", sweeps)
+                try:
+                    outcomes.append([z._mpc_ for z in approximate_roots(p, bits)])
+                except PrecisionError:
+                    outcomes.append("PrecisionError")
+            monkeypatch.undo()
+            assert outcomes[0] == outcomes[1], (p, bits)
+            if outcomes[0] != "PrecisionError":
+                parts = outcomes[0]
+                upper = [(re, im) for re, im in parts if im[0] == 0 and im[1]]
+                mirrored += bool(upper) and parts[len(parts) - len(upper):] == [
+                    (re, mpmath.libmp.mpf_neg(im)) for re, im in upper]
+        assert mirrored >= 1200, mirrored
+
+    def test_seeds_off_conjugate_symmetry_take_the_full_sweeps(self):
+        """Roots laid out as reals, upper roots and conjugates, and the same
+        roots with one conjugate moved by 2^-scale, or with the reals not
+        first: the sweeps return the bits of the full sweeps on each, and
+        only on the first layout do they update the real and upper roots
+        alone, from the reciprocals of their pairs and of one conjugate
+        each, and mirror the rest."""
+        cs = (1, 1, 0, 0, 0, 1)  # (x^2 + x + 1)(x^3 - x^2 + 1): one real root
+        scale = 140
+        zs = binform._float_seeds(cs)
+        flags = binform._real_seeds(cs, zs)
+        real = [(int(Fraction(z.real) * 2**scale), 0) for z, r in zip(zs, flags) if r]
+        upper = [tuple(int(Fraction(v) * 2**scale) for v in (z.real, z.imag))
+                 for z, r in zip(zs, flags) if not r and z.imag > 0]
+        assert (len(real), len(upper)) == (1, 2)
+        layouts = [real + upper + [(x, -y) for x, y in upper]]
+        layouts.append(layouts[0][:-1] + [(layouts[0][-1][0] + 1, layouts[0][-1][1])])
+        layouts.append(layouts[0][1:] + real)
+        class Counted(int):  # counts the differences and sums the first sweep forms
+            ops = 0
+
+            def __sub__(self, other):
+                Counted.ops += 1
+                return int(self) - int(other)
+
+            def __add__(self, other):
+                return self - -other
+
+        # two per reciprocal taken and per root updated: the real root and
+        # the 2 upper ones give 3 + 3 reciprocals and 3 updates, all 5 roots
+        # 10 reciprocals and 5 updates
+        for zs, ops in zip(layouts, (2 * 9, 2 * 15, 2 * 15)):
+            want = full_aberth_sweeps(cs, zs, scale, 128)
+            assert binform._aberth_sweeps(cs, zs, scale, 128) == want
+            Counted.ops = 0
+            binform._aberth_sweeps(cs, [(Counted(x), Counted(y)) for x, y in zs], scale, 128)
+            assert Counted.ops == ops
+        got = binform._aberth_sweeps(cs, layouts[0], scale, 128)
+        assert got[3:] == [(x, -y) for x, y in got[1:3]]
 
     @pytest.mark.parametrize("p", [
         (-2, 0, 0, 10**40),

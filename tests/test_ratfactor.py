@@ -1,6 +1,7 @@
 """ratfactor's closed forms and modular certificates against sympy's
 factorization, the oracle of ``oracles.sympy_factors``."""
 
+import itertools
 import json
 import math
 import random
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from hypothesis import given, settings, strategies as st
-from oracles import is_irreducible, sympy_factors
+from oracles import is_irreducible, scan_rational_roots, scan_roots_mod_p, sympy_factors
 
 from cuspidal import ratfactor, univar
 
@@ -323,3 +324,123 @@ def test_rational_roots_without_a_serving_prime(no_irreducibility_proof):
     for bad in ([0, 0, 1], _product([-1, 1], [-1, 1], [-1 - N12, 1], [-1 - N12, 1])):
         with pytest.raises(ValueError, match="not square-free"):
             ratfactor.rational_roots(bad)
+
+
+# -- roots modulo a prime -----------------------------------------------------
+
+
+def _is_prime(n):
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def _slot_edge(length):
+    """The largest prime p with length (p - 1)^2 below 2^32, the bound of
+    one slot of the packed evaluation, and the next prime, past it."""
+    p = math.isqrt((2**32 - 1) // length) + 1
+    while not _is_prime(p) or length * (p - 1) ** 2 >> 32:
+        p -= 1
+    q = p + 1
+    while not _is_prime(q):
+        q += 1
+    return p, q
+
+
+def test_roots_mod_p_match_the_scan():
+    """The packed evaluation finds the roots that one Horner evaluation
+    per residue finds, modulo every prime of ``PRIMES`` and the later 163,
+    at every degree 0..128, on seeded coefficients of up to 100 bits; and
+    at the slot-width edge, the primes on either side of
+    (deg + 1)(p - 1)^2 = 2^32, where the first is packed and the second
+    scanned, on seeded coefficients with a root at 1 and on coefficients
+    that are all p - 1; and at the first prime past it where those fill a
+    slot beyond 2^32."""
+    rng = random.Random("roots-mod-p")
+    found = 0
+    for deg in range(129):
+        for p in ratfactor.PRIMES + (163,):
+            g = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 100)) for _ in range(deg + 1)]
+            want = scan_roots_mod_p(g, p)
+            assert ratfactor._roots_mod_p(g, p) == want, (g, p)
+            found += bool(want)
+    assert found > 1000
+    for deg in (1, 15, 128):
+        packed, scanned = _slot_edge(deg + 1)
+        assert not (deg + 1) * (packed - 1) ** 2 >> 32 and (deg + 1) * (scanned - 1) ** 2 >> 32
+        for p in (packed, scanned):
+            g = [rng.randrange(p) for _ in range(deg)] + [p - 1]
+            g[0] = -sum(g[1:]) % p  # a root at 1
+            for h in (g, [p - 1] * (deg + 1)):
+                assert ratfactor._roots_mod_p(h, p) == scan_roots_mod_p(h, p), (deg, p)
+    # all coefficients p - 1 fill the slot of r = p - 1 to (p - 1)(E + O (p - 1)),
+    # E and O the even and odd k <= deg: past 2^32 at this prime, which is scanned
+    deg = 128
+    p = next(p for p in itertools.count(_slot_edge(deg + 1)[1]) if _is_prime(p)
+             and (p - 1) * (deg // 2 + 1 + deg // 2 * (p - 1)) >> 32)
+    assert ratfactor._roots_mod_p([p - 1] * (deg + 1), p) == scan_roots_mod_p([p - 1] * (deg + 1), p)
+    ratfactor._packed_powers.cache_clear()
+
+
+def test_planted_rational_roots_are_found():
+    """Seeded products of distinct factors b x - a (|a| up to 2^40, b up
+    to 2^20) and a random cofactor: every planted root is among the
+    rational roots, and roots and cofactor are those of the scan that
+    lifts every root modulo the serving prime."""
+    rng = random.Random("planted-roots")
+    checked = 0
+    for _ in range(400):
+        bound = rng.choice((20, 2**20))
+        planted = {F(rng.randint(-bound * bound, bound * bound) or 1, rng.randint(1, bound))
+                   for _ in range(rng.randint(1, 5))}
+        p = [rng.randint(-9, 9) for _ in range(rng.randint(0, 8))] + [rng.randint(1, 9)]
+        for r in planted:
+            p = univar.mul(p, [-r.numerator, r.denominator])
+        g = ratfactor._primitive(univar.trim(p))
+        if not g[0] or univar.degree(g) < 3:
+            continue
+        q = next((q for q in ratfactor.PRIMES if ratfactor._serves(g, q)), None)
+        if q is None:
+            continue
+        roots, h = ratfactor._rational_roots(g, q)
+        assert planted <= set(roots), (p, planted)
+        assert (roots, h) == scan_rational_roots(g, q), p
+        checked += 1
+    assert checked >= 300
+
+
+def test_rational_roots_match_the_scan():
+    """On seeded square-free polynomials of degree 3..20, most with no
+    rational root, the sieve and the packed evaluation return the roots,
+    in their order, and the cofactor of the scan that lifts every root
+    modulo the serving prime."""
+    rng = random.Random("sieve")
+    rootless = compared = 0
+    while compared < 600:
+        deg = rng.randint(3, 20)
+        g = [rng.randint(-10**6, 10**6) for _ in range(deg)] + [rng.randint(1, 10**6)]
+        if rng.random() < 0.3:
+            g = univar.mul(g, [rng.randint(-99, 99), rng.randint(1, 99)])
+        g = ratfactor._primitive(g)
+        q = next((q for q in ratfactor.PRIMES if ratfactor._serves(g, q)), None)
+        if not g[0] or q is None:
+            continue
+        got = ratfactor._rational_roots(g, q)
+        assert got == scan_rational_roots(g, q), g
+        rootless += not got[0]
+        compared += 1
+    assert rootless > 300
+
+
+@pytest.mark.parametrize("g, lifted", [
+    ((-2, 0, 0, 1), False),   # x^3 - 2: a root mod 101, none mod 103
+    ((-3, 2, 3, 1), True),    # a root mod 101, 103, 107 and 109, none rational
+])
+def test_the_sieve_lifts_only_past_it(g, lifted, monkeypatch):
+    """A polynomial with no root modulo one of the ``SIEVE_PRIMES`` primes
+    after the serving one has no rational root, and no root mod p is
+    lifted; one with a root modulo each is lifted, and has none either."""
+    lifts = []
+    run = ratfactor._lift_root
+    monkeypatch.setattr(ratfactor, "_lift_root", lambda *a: lifts.append(a) or run(*a))
+    assert ratfactor._rational_roots(g, 101) == ([], g)
+    assert bool(lifts) is lifted
+
