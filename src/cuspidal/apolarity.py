@@ -137,7 +137,7 @@ def _ideal_generators(a) -> list[tuple[int, ...]]:
     # every listed prime: the generators of a large form can share factors
     # modulo several of them, and a gcd mod p costs far less than the exact one
     tries = len(ratfactor.PRIMES)
-    if not g[-1] or not ratfactor.proves_coprime(g, h, tries) and univar.degree(univar.gcd(g, h)):
+    if not g[-1] or not ratfactor.coprime(g, h, tries):
         raise CertificateError(f"the generators of degrees {w} and {s} share a factor")
     return [g1, g2]
 

@@ -367,18 +367,6 @@ class ZeroScheme:
                 cs = _convolve(cs, g.coeffs)
         return BinaryForm(self.degree, tuple(cs))
 
-    def remove_point(self, p: P1Point, k: int) -> "ZeroScheme":
-        """Scheme difference: drop k from the multiplicity at the rational point p."""
-        lin = p.linear_form()
-        m = dict(self.factors).get(lin, 0)
-        if k > 0 and not m:
-            raise ValueError(f"{p} does not lie on the scheme")
-        if m < k:
-            raise ValueError(f"multiplicity at {p} is {m} < {k}")
-        return ZeroScheme(
-            tuple((g, e - k if g == lin else e) for g, e in self.factors if g != lin or e > k)
-        )
-
     def rational_points(self) -> list[tuple[P1Point, int]] | None:
         """Points with multiplicities when every factor is linear; None when a
         factor of degree 2 or more, which has no rational point, is present."""
@@ -412,19 +400,16 @@ def is_square_free(f: BinaryForm) -> bool:
     coefficients, and so is a double root at (1:0), t^2 | f, that is p[0] =
     p[1] = 0.  Otherwise p is square-free iff gcd(p, p') = 1, which is
     proved modulo one of the first two primes that do not divide lc(p)
-    (``ratfactor.proves_squarefree``; von zur Gathen and Gerhard, *Modern
-    Computer Algebra*, §5.10).  A nontrivial gcd modulo both proves
-    nothing, so then the degree of the exact gcd, taken in the integers,
-    decides."""
+    (``ratfactor.coprime``; von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, §5.10).  A nontrivial gcd modulo both proves nothing, so then
+    the degree of the exact gcd, taken in the integers, decides."""
     if f.is_zero():
         raise ZeroFormError("square-free test on the zero form")
     k, p = f.tau_poly()
     if k > 1 or not any(f.coeffs[:2]):
         return False
     p = linalg.canonical_vector(p)
-    if ratfactor.proves_squarefree(p):
-        return True
-    return univar.degree(univar.gcd(p, univar.derivative(p))) == 0
+    return ratfactor.coprime(p, univar.derivative(p))
 
 
 def squarefree_decompose(f: BinaryForm) -> ZeroScheme:

@@ -52,6 +52,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 
 from . import linalg, ratfactor
 from .apolarity import CertificateError, RankCertificate, rank as sylvester_rank
@@ -105,59 +106,14 @@ CASE_TAGS = (
 # -- spans of divisors on the power curve -------------------------------------
 
 
-def span_matrix(h: BinaryForm, ambient_degree: int) -> list[list[int | Fraction]]:
-    """Contraction matrix whose kernel is the affine span of the divisor of h
-    inside degree-ambient_degree forms, in apolar coordinates.
-
-    Row m expresses coefficient m of the contraction of the ambient form by
-    h; the kernel consists of the forms annihilated by h, which for
-    deg h <= ambient_degree is exactly the span of the divisor.
-    """
-    w = h.degree
-    d = ambient_degree
-    if h.is_zero():
-        raise ZeroFormError("span of the zero form")
-    if w > d:
-        raise SchemeDegreeError("divisor degree exceeds the ambient degree")
-    rows = []
-    for m in range(d - w + 1):
-        row = [
-            h.coeffs[i - m] if 0 <= i - m <= w else 0
-            for i in range(d + 1)
-        ]
-        rows.append(row)
-    return rows
-
-
-def scheme_span_basis(
-    W: ZeroScheme, ambient_degree: int
-) -> list[tuple[int, ...]]:
-    """Spanning set (apolar coordinates) of the affine span of W, as
-    primitive integer vectors.
-
-    Valid through degree ambient_degree + 1, the independence regime: a
-    divisor of full degree ambient_degree + 1 spans everything.
-    """
-    d = ambient_degree
-    w = W.degree
-    if w > d + 1:
-        raise SchemeDegreeError("divisor degree beyond the independence regime")
-    if w == d + 1:
-        return linalg.nullspace([], ncols=d + 1)  # no equations: unit vectors
-    return linalg.nullspace(span_matrix(W.product_form(), d), ncols=d + 1)
-
-
-def _center_vector(d: int) -> list[int]:
-    return [int(i == 1) for i in range(d + 1)]
-
-
 def _contract(h: BinaryForm, vec) -> list:
-    """The rows of span_matrix(h, len(vec) - 1) times vec.  vec lies in the
-    span of the divisor of h iff every entry is zero; at deg h = len(vec)
-    there are no rows and the span is the whole space.
+    """The contraction of vec by h, whose row m = 0..len(vec)-1-deg h is
+    sum_j h_j vec[m+j].  vec lies in the span of the divisor of h iff every
+    entry is zero (the apolarity lemma); at deg h = len(vec) there are no
+    rows and the span is the whole space.
 
-    Row m is sum_j h_j vec[m+j]; it is accumulated over the nonzero entries
-    of vec alone, as out[k-j] += h_j vec[k]."""
+    Each row is accumulated over the nonzero entries of vec alone, as
+    out[k-j] += h_j vec[k]."""
     rows = len(vec) - h.degree
     out = [0] * max(rows, 0)
     for k, v in enumerate(vec):
@@ -570,6 +526,18 @@ def _distinct_points(rng: random.Random, k: int) -> list[P1Point]:
     return [P1Point(Fraction(1), t) for t in sorted(taus)]
 
 
+def _osculating(pairs: list[tuple[P1Point, int]], d: int) -> list[list[Fraction]]:
+    """The osculating vectors of the points (1:τ) of multiplicity m, which
+    span the scheme they make (the apolarity lemma): the derivatives
+    (C(i, j) τ^(i-j))_i of the power vector (τ^i)_i for j < m.  At A = (1:0)
+    they are e_0..e_(m-1)."""
+    return [
+        [comb(i, j) * p.tau ** (i - j) if i >= j else 0 for i in range(d + 1)]
+        for p, m in pairs
+        for j in range(m)
+    ]
+
+
 def _nonzero_coeff(rng: random.Random) -> Fraction:
     c = 0
     while not c:
@@ -594,7 +562,8 @@ def _recipe(spec: InstanceSpec, rng: random.Random) -> tuple[BinaryForm, ZeroSch
     W is A with multiplicity m_A plus distinct rational points off A.  The
     form combines, with nonzero coefficients, the d-th powers of W's points
     (e4_i, e4_ii), a basis of ⟨W - 2A⟩ and O (e3_3_wminus2), or a basis of
-    ⟨W⟩ (the other e3 cases).
+    ⟨W⟩ (the other e3 cases), each the free-column basis of the osculating
+    vectors of the points.
     """
     tag, k, d = spec.case_tag, spec.level, spec.n + 1
     if tag == "e4_iii":
@@ -605,11 +574,11 @@ def _recipe(spec: InstanceSpec, rng: random.Random) -> tuple[BinaryForm, ZeroSch
     pairs += [(p, 2 if double and i == 0 else 1) for i, p in enumerate(pts)]
     W = ZeroScheme(tuple((p.linear_form(), m) for p, m in pairs))
     if CASES[tag].theorem == "e4":  # (u + τt)^d has apolar coordinates τ^i
-        vectors = [[p.tau**i for i in range(d + 1)] for p in pts]
-    elif tag == "e3_3_wminus2":
-        vectors = scheme_span_basis(W.remove_point(POINT_A, 2), d) + [_center_vector(d)]
+        vectors = _osculating(pairs, d)
+    elif tag == "e3_3_wminus2":  # W - 2A drops pairs[0] = (A, 2); O = e_1
+        vectors = linalg.free_column_basis(_osculating(pairs[1:], d)) + [[0, 1] + [0] * (d - 1)]
     else:
-        vectors = scheme_span_basis(W, d)
+        vectors = linalg.free_column_basis(_osculating(pairs, d))
     coeffs = [_nonzero_coeff(rng) for _ in vectors]
     avec = [sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(d + 1)]
     return form_from_apolar(avec), W

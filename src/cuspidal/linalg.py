@@ -4,8 +4,10 @@ The rational path clears denominators once per row and then stays in the
 integers: fraction-free (Bareiss) elimination gives the echelon form, and
 kernel vectors are back-substituted in integers.  Integer rows skip the
 denominator pass, and kernel vectors come back as primitive integer vectors,
-so no floating point ever enters a kernel.  ``free_column_basis`` gives the
-basis ``nullspace`` would, from kernel vectors known in advance.
+so no floating point ever enters a kernel.  ``nullspace`` takes a matrix of
+at least one row; ``free_column_basis`` gives the basis it would, from
+kernel vectors known in advance, as the osculating vectors of a scheme's
+points are.
 """
 
 from __future__ import annotations
@@ -70,18 +72,16 @@ def canonical_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def nullspace(rows: Matrix, ncols: int | None = None) -> list[tuple[int, ...]]:
-    """Basis of the right kernel, canonicalized, one vector per free column.
+def nullspace(rows: Matrix) -> list[tuple[int, ...]]:
+    """Basis of the right kernel of a matrix with at least one row,
+    canonicalized, one vector per free column.
 
     Each vector is back-substituted in integers from the Bareiss echelon
     form: x starts as the unit vector of its free column, and at each pivot
     x is rescaled so that the pivot entry comes out integral.
     """
-    rows = [list(r) for r in rows]
     if not rows:
-        if ncols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return [tuple(int(i == j) for i in range(ncols)) for j in range(ncols)]
+        raise ValueError("an empty matrix has no column count")
     ncols = len(rows[0])
     ech, pivots = _bareiss(_int_rows(rows))
     free = [j for j in range(ncols) if j not in pivots]

@@ -144,14 +144,6 @@ def _serves(g: Ints, p: int) -> bool:
     return len(_gcd_p(gp, _mod([i * c for i, c in enumerate(gp)][1:], p), p)) == 1
 
 
-def proves_squarefree(g: Ints) -> bool:
-    """``proves_coprime(g, g')``, which proves the integer polynomial g (low
-    to high) square-free over Q.  A second prime rescues the rare g whose
-    discriminant the first divides, at the cost of one more gcd mod p when
-    g is not square-free."""
-    return proves_coprime(g, univar.derivative(g))
-
-
 def proves_coprime(g: Ints, h: Ints, tries: int = 2) -> bool:
     """True when gcd(g, h) = 1 modulo one of the first ``tries`` primes of
     ``PRIMES`` that do not divide lc(g), which proves the integer
@@ -159,6 +151,13 @@ def proves_coprime(g: Ints, h: Ints, tries: int = 2) -> bool:
     modulo such a prime, and divides both there.  False proves nothing."""
     primes = [p for p in PRIMES if g[-1] % p][:tries]
     return any(len(_gcd_p(_mod(g, p), _mod(h, p), p)) == 1 for p in primes)
+
+
+def coprime(g: Ints, h: Ints, tries: int = 2) -> bool:
+    """Whether the integer polynomials g and h are coprime over Q: proved
+    modulo a prime by ``proves_coprime`` with ``tries``, else decided by
+    the degree of their exact gcd in the integers."""
+    return proves_coprime(g, h, tries) or univar.degree(univar.gcd(g, h)) == 0
 
 
 def _powmod_p(a: list[int], e: int, f: list[int], p: int) -> list[int]:

@@ -1,7 +1,14 @@
 """Replaced routes, kept as independent oracles for the ones in the package.
 
 * ``nullspace_plain``: textbook Gauss-Jordan over Fraction, against the
-  integer Bareiss kernel of ``linalg.nullspace``.
+  integer Bareiss kernel of ``linalg.nullspace``.  It also gives the unit
+  vectors of an empty matrix with a given column count, which
+  ``linalg.nullspace`` refuses.
+* ``span_matrix`` and ``scheme_span_basis``: the instance generator once
+  built the span of a scheme W by multiplying W out, writing the matrix of
+  the contraction by the product form and taking its Bareiss kernel.  They
+  back ``classifier._osculating``, whose osculating vectors of W's points
+  give the same basis through ``linalg.free_column_basis``.
 * ``in_span``: span membership by one Bareiss elimination of the spanning
   vectors, the target reduced against the echelon rows.  The classifier
   once decided every span test this way; it backs the contraction by the
@@ -172,8 +179,9 @@
   back the packed evaluation ``ratfactor._roots_mod_p`` and the prime
   sieve of ``ratfactor._rational_roots``.
 * ``evaluate_form``, ``evaluate_poly``, ``render``, ``power``,
-  ``multiplicity_at``, ``reparametrized`` and ``point_slots``: helpers that
-  only tests call, once methods or functions of the package.
+  ``multiplicity_at``, ``remove_point``, ``reparametrized`` and
+  ``point_slots``: helpers that only tests call, once methods or functions
+  of the package.
   ``reparametrized`` is the chart change t -> s*t, under which any point of
   the tangent line at A off A serves as the projection center.
 """
@@ -209,12 +217,7 @@ from cuspidal.binform import (
     apolar_coeffs,
     random_form,
 )
-from cuspidal.classifier import (
-    ClassifierError,
-    ClassifierVerdict,
-    SchemeDegreeError,
-    scheme_span_basis,
-)
+from cuspidal.classifier import ClassifierError, ClassifierVerdict, SchemeDegreeError
 from cuspidal.numberfield import AlgebraicNumber, NumberFieldError, _quadratic_root
 from cuspidal.oracle import GUARD_BITS
 from cuspidal.projection import (
@@ -353,11 +356,13 @@ class QuadraticNumber:
 
 
 def nullspace_plain(rows, ncols=None) -> list[tuple[Fraction, ...]]:
-    """Independent kernel oracle: textbook Gauss-Jordan over Fraction."""
+    """Independent kernel oracle: textbook Gauss-Jordan over Fraction.  An
+    empty matrix needs ncols, and its kernel has the unit vectors as basis."""
     rows = [[Fraction(c) for c in r] for r in rows]
-    if not rows:
-        return linalg.nullspace(rows, ncols)
-    ncols = len(rows[0])
+    if rows:
+        ncols = len(rows[0])
+    elif ncols is None:
+        raise ValueError("empty matrix needs an explicit column count")
     pivots: list[int] = []
     prow = 0
     for col in range(ncols):
@@ -399,6 +404,48 @@ def in_span(vectors, target) -> bool:
             piv = row[pc]
             t = [a * piv - c * b for a, b in zip(t, row)]
     return not any(t)
+
+
+def span_matrix(h: BinaryForm, ambient_degree: int) -> list[list[int | Fraction]]:
+    """Contraction matrix whose kernel is the affine span of the divisor of h
+    inside degree-ambient_degree forms, in apolar coordinates.
+
+    Row m expresses coefficient m of the contraction of the ambient form by
+    h; the kernel consists of the forms annihilated by h, which for
+    deg h <= ambient_degree is exactly the span of the divisor.
+    """
+    w = h.degree
+    d = ambient_degree
+    if h.is_zero():
+        raise ZeroFormError("span of the zero form")
+    if w > d:
+        raise SchemeDegreeError("divisor degree exceeds the ambient degree")
+    rows = []
+    for m in range(d - w + 1):
+        row = [
+            h.coeffs[i - m] if 0 <= i - m <= w else 0
+            for i in range(d + 1)
+        ]
+        rows.append(row)
+    return rows
+
+
+def scheme_span_basis(
+    W: ZeroScheme, ambient_degree: int
+) -> list[tuple[int, ...]]:
+    """Spanning set (apolar coordinates) of the affine span of W, as
+    primitive integer vectors.
+
+    Valid through degree ambient_degree + 1, the independence regime: a
+    divisor of full degree ambient_degree + 1 spans everything.
+    """
+    d = ambient_degree
+    w = W.degree
+    if w > d + 1:
+        raise SchemeDegreeError("divisor degree beyond the independence regime")
+    if w == d + 1:
+        return nullspace_plain([], ncols=d + 1)  # no equations: unit vectors
+    return linalg.nullspace(span_matrix(W.product_form(), d))
 
 
 def nullspace_field(rows, ncols=None) -> list[tuple]:
@@ -539,10 +586,6 @@ class CatalecticantMatrix:
     r: int
     rows: tuple[tuple[Fraction, ...], ...]
 
-    @property
-    def ncols(self) -> int:
-        return self.r + 1
-
 
 def hankel(a: tuple, r: int) -> tuple[tuple, ...]:
     """Level-r Hankel matrix of the vector a = (a_0, ..., a_d)."""
@@ -559,7 +602,7 @@ def catalecticant(f: BinaryForm, r: int) -> CatalecticantMatrix:
 
 def kernel_basis(m: CatalecticantMatrix) -> list[BinaryForm]:
     """Exact basis of the right kernel, as degree-r forms; empty iff injective."""
-    vecs = linalg.nullspace([list(row) for row in m.rows], ncols=m.ncols)
+    vecs = linalg.nullspace(m.rows)
     return [BinaryForm(m.r, v) for v in vecs]
 
 
@@ -665,9 +708,8 @@ def nullspace_pencil(P: ProjectedPoint, r: int) -> _Pencil:
     if not 1 <= r <= (d + 2) // 2:
         raise ProjectionError(f"level must lie in 1..{(d + 2) // 2}")
     a = P.apolar_with_slot(None)
-    kernel = linalg.nullspace(
-        [[a[j + k] for k in range(r + 1)] for j in range(2, d - r + 1)], ncols=r + 1
-    )
+    constant = [[a[j + k] for k in range(r + 1)] for j in range(2, d - r + 1)]
+    kernel = linalg.nullspace(constant) if constant else nullspace_plain([], r + 1)
     rows = [
         (
             (sum(a[k] * v[k] for k in range(r + 1) if k != 1), Fraction(v[1], d)),
@@ -1516,7 +1558,7 @@ def classify_by_factoring(f: BinaryForm) -> ClassifierVerdict:
     inputs = {"n": n, "w": w, "r": cert.rank, "mult_A": m, "witness_reduced": False}
     if W == _TWO_A:
         return _scheme_verdict(n, w, inputs, ("e3_3_cusp",), _ONE_A)
-    s2 = W.remove_point(POINT_A, 2) if m == 2 else None
+    s2 = remove_point(W, POINT_A, 2) if m == 2 else None
     if m >= 3 or (m == 2 and not s2.is_reduced()):
         return _scheme_verdict(n, w, inputs, ("e3_2",))
     if m == 2:
@@ -1698,6 +1740,19 @@ def multiplicity_at(W: ZeroScheme, p: P1Point) -> int:
     """The exponent of p.linear_form() among the factors of W, by the
     invariant; nothing is evaluated."""
     return dict(W.factors).get(p.linear_form(), 0)
+
+
+def remove_point(W: ZeroScheme, p: P1Point, k: int) -> ZeroScheme:
+    """Scheme difference: drop k from the multiplicity at the rational point p."""
+    lin = p.linear_form()
+    m = dict(W.factors).get(lin, 0)
+    if k > 0 and not m:
+        raise ValueError(f"{p} does not lie on the scheme")
+    if m < k:
+        raise ValueError(f"multiplicity at {p} is {m} < {k}")
+    return ZeroScheme(
+        tuple((g, e - k if g == lin else e) for g, e in W.factors if g != lin or e > k)
+    )
 
 
 def reparametrized(P: ProjectedPoint, s) -> ProjectedPoint:

@@ -463,7 +463,7 @@ def test_generators_match_the_bareiss_oracles():
                 assert [g1] == basis
             else:
                 assert bareiss_rank([g1, g2]) == 2 == bareiss_rank([g1, g2, *basis])
-            kernel = linalg.nullspace(hankel(a, s) if s <= d else [], ncols=s + 1)
+            kernel = linalg.nullspace(hankel(a, s)) if s <= d else nullspace_plain([], s + 1)
             span = [(0,) * i + g1 + (0,) * (s - w - i) for i in range(s - w + 1)] + [g2]
             assert bareiss_rank(span) == len(kernel) == bareiss_rank(kernel + span), f
             if kind == "one-power":

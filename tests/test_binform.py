@@ -39,6 +39,7 @@ from oracles import (
     per_root_aberth_roots,
     power,
     real_flags,
+    remove_point,
     render,
     resultant_of_partials,
     sturm_real_root_count,
@@ -342,7 +343,7 @@ class TestSchemeOps:
     def test_remove_and_add_point(self):
         scheme = squarefree_decompose(U2T)
         at_infinity = P1Point(F(0), F(1))
-        smaller = scheme.remove_point(at_infinity, 1)
+        smaller = remove_point(scheme, at_infinity, 1)
         assert smaller.degree == 2
         assert multiplicity_at(smaller, at_infinity) == 1
         assert ZeroScheme(smaller.factors + ((at_infinity.linear_form(), 1),)) == scheme
@@ -417,13 +418,13 @@ class TestSchemeInvariant:
 
             for pt, m in mult.items():
                 for j in range(1, m + 1):
-                    rest = W.remove_point(pt, j)
+                    rest = remove_point(W, pt, j)
                     assert ZeroScheme(rest.factors + ((pt.linear_form(), j),)) == W
                 with pytest.raises(ValueError):
-                    W.remove_point(pt, m + 1)
+                    remove_point(W, pt, m + 1)
             for pt in off[:2]:
                 with pytest.raises(ValueError):
-                    W.remove_point(pt, 1)
+                    remove_point(W, pt, 1)
 
         assert count >= 1000
 

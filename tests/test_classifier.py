@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspidal import apolarity, binform, classifier, projection, ratfactor
+from cuspidal import apolarity, binform, classifier, linalg, projection, ratfactor
 from cuspidal.apolarity import CertificateError
 from cuspidal.binform import (
     POINT_A,
@@ -30,9 +30,7 @@ from cuspidal.classifier import (
     crosscheck,
     generate_instance,
     o_in_span,
-    scheme_span_basis,
     span_center_routes,
-    span_matrix,
 )
 from cuspidal.projection import ProjectionFrame, cusp_curve_point, lift, project, x_rank
 from oracles import (
@@ -42,6 +40,9 @@ from oracles import (
     in_span,
     multiplicity_at,
     product_form_center_routes,
+    remove_point,
+    scheme_span_basis,
+    span_matrix,
 )
 from test_acceptance import _random_scheme as c09_scheme
 from test_classifier_digests import seeded_forms
@@ -194,11 +195,59 @@ def test_contraction_matches_the_dense_rows():
                      for _ in range(d + 1)]
             sparse = [rng.randint(-5, 5) if rng.random() < 0.3 else 0 for _ in range(d + 1)]
             for kind, vec in (("dense", dense), ("sparse", sparse),
-                              ("center", classifier._center_vector(d))):
+                              ("center", [int(i == 1) for i in range(d + 1)])):
                 got = classifier._contract(h, vec)
                 assert got == dense_contract(h, vec), (h, vec)
                 kinds[kind, h.coeffs[0] == 0, deg == d + 1] += 1
     assert len(kinds) == 12 and min(kinds.values()) >= 5, kinds
+
+
+def test_osculating_vectors_give_the_kernel_basis(monkeypatch):
+    """Every scheme whose span ``_recipe`` builds while generating seeds
+    0..5 of every admitted (tag, n, level), n = 3..10, has the kernel basis
+    of the contraction by its product form (oracles.scheme_span_basis) as
+    the free-column basis of its osculating vectors: W for e3 cases, W - 2A
+    for e3_3_wminus2, and W for e4 cases, whose power vectors they are."""
+    drawn = []
+    osculating = classifier._osculating
+    monkeypatch.setattr(classifier, "_osculating",
+                        lambda pairs, d: drawn.append((pairs, d)) or osculating(pairs, d))
+    for tag, case in CASES.items():
+        if case.band is None:
+            continue
+        for n in range(3, 11):
+            for level in range(1, n + 3):
+                if case.band(n, level):
+                    for seed in range(6):
+                        generate_instance(InstanceSpec(tag, n, level, seed))
+    seen = collections.Counter()
+    for pairs, d in drawn:
+        vectors = osculating(pairs, d)
+        W = scheme_of(pairs)
+        assert linalg.free_column_basis(vectors) == scheme_span_basis(W, d), (pairs, d)
+        if W.is_reduced():
+            assert vectors == [[p.tau**i for i in range(d + 1)] for p, _ in pairs], (pairs, d)
+        seen[multiplicity_at(W, POINT_A), W.is_reduced()] += 1
+    assert len(drawn) >= 600, len(drawn)
+    assert set(seen) == {(0, True), (0, False), (1, False), (2, False), (3, False)}, seen
+
+
+def test_generation_runs_no_kernel_elimination(monkeypatch):
+    """Generation builds every span from the points it draws: each tag,
+    at every admitted level of n = 7, with ``linalg.nullspace`` refusing."""
+
+    def refuse(rows):
+        raise AssertionError("linalg.nullspace ran")
+
+    monkeypatch.setattr(linalg, "nullspace", refuse)
+    tags = set()
+    for tag, case in CASES.items():
+        if case.band is not None:
+            for level in range(1, 10):
+                if case.band(7, level):
+                    assert generate_instance(InstanceSpec(tag, 7, level)).truth.case_tag == tag
+                    tags.add(tag)
+    assert len(tags) == 10
 
 
 def _oracle_scheme(rng, deg):
@@ -527,10 +576,10 @@ class TestGeneration:
                 continue
             a = apolar_coeffs(inst.form).entries
             for p, _ in points:
-                assert not in_span(scheme_span_basis(W.remove_point(p, 1), d), a), (key, p)
+                assert not in_span(scheme_span_basis(remove_point(W, p, 1), d), a), (key, p)
             if spec.case_tag == "e3_3_wminus1":
                 center = [int(i == 1) for i in range(d + 1)]
-                residual = scheme_span_basis(W.remove_point(POINT_A, 2), d)
+                residual = scheme_span_basis(remove_point(W, POINT_A, 2), d)
                 assert not in_span(residual + [center], a), key
             seen[spec.case_tag] += 1
         # a random form's computing set (e4_iii) has only rational points by chance

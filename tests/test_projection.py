@@ -37,6 +37,7 @@ from oracles import (
     grid_generic_certificate,
     isolate_roots,
     nullspace_pencil,
+    nullspace_plain,
     power,
     power_cusp_curve_point,
     probe_generic_value,
@@ -320,7 +321,7 @@ def _constant_kernel_dim(P, r):
     d = P.n + 1
     a = P.apolar_with_slot(None)
     rows = [[a[j + k] for k in range(r + 1)] for j in range(2, d - r + 1)]
-    return len(linalg.nullspace(rows, ncols=r + 1))
+    return len(nullspace_plain(rows, r + 1))
 
 
 def _assert_matches_oracle(P):

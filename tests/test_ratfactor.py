@@ -165,13 +165,18 @@ def test_lc_and_discriminant_skip_the_first_primes():
     ([-101 * 103 * 107, 101], [0, 1], False, True),
     (_product([-1, 1], [2, 1]), _product([-1, 1], [5, 1]), False, False),  # x - 1 shared
 ])
-def test_proves_coprime_modulo_the_first_two_serving_primes(g, h, proved, coprime):
+def test_proves_coprime_modulo_the_first_two_serving_primes(g, h, proved, coprime, monkeypatch):
     """A trivial gcd modulo either of the first two primes that do not
     divide lc(g) proves coprimality; a resultant both divide proves
     nothing, and the exact gcd decides; a shared factor is never proved
-    away."""
+    away.  ``coprime`` takes the exact gcd only when no prime proves it."""
     assert ratfactor.proves_coprime(g, h) is proved
     assert (univar.degree(univar.gcd(g, h)) == 0) is coprime
+    calls = []
+    gcd = univar.gcd
+    monkeypatch.setattr(univar, "gcd", lambda p, q: calls.append(p) or gcd(p, q))
+    assert ratfactor.coprime(g, h) is coprime
+    assert len(calls) == (not proved)
 
 
 N12 = math.prod(ratfactor.PRIMES)

@@ -9,7 +9,8 @@ and the span search of ``oracle`` runs in Python floats.  The two older,
 weaker numpy rules stay as well: none imports it when it loads, and none
 but ``oracle`` names it.  Every function of the package has a caller in
 the package or the benchmark, or a stated reason to be public: code that
-only tests call lives in ``tests/oracles.py``.
+only tests call lives in ``tests/oracles.py``.  Only the functions listed
+in ``NULLSPACE_CALLERS``, each with its reason, name ``linalg.nullspace``.
 """
 
 import ast
@@ -27,6 +28,13 @@ PUBLIC_UNCALLED = {
     "o_in_span": "the classifier's dual-route span test, a library entry point the README names",
     "classify_e3": "the border-gap classification alone, a library entry point the README names",
     "classify_e4": "the reduced-set classification alone, a library entry point the README names",
+}
+
+# the functions of the package that may call linalg.nullspace; every other
+# kernel is built from the structure the mathematics gives
+NULLSPACE_CALLERS = {
+    "projection._Pencil.kernel_at": "the 2 x dim K block of the pencil at one lambda, dim K <= 4 at w_gen",
+    "oracle._moment_seeds": "the moment rows of the numeric span search, which leaves the package",
 }
 
 
@@ -140,3 +148,27 @@ def test_every_function_has_a_caller_outside_the_tests():
                         if name not in PUBLIC_UNCALLED)
     assert only_tests == [], f"functions only tests call: {only_tests}"
     assert sorted(PUBLIC_UNCALLED) == sorted(uncalled)
+
+
+def _owners(tree, owner):
+    """(owner, node) for each node of tree below it, the owner being the
+    dotted name of the innermost class or function around the node."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _owners(child, f"{owner}.{child.name}")
+        else:
+            yield owner, child
+            yield from _owners(child, owner)
+
+
+def test_only_the_listed_functions_call_nullspace():
+    """A function of the package that names ``nullspace`` is listed in
+    ``NULLSPACE_CALLERS``, and a listed function names it."""
+    found = {
+        owner
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for owner, node in _owners(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        and "nullspace" in _named(node)
+    }
+    assert sorted(found) == sorted(NULLSPACE_CALLERS)
