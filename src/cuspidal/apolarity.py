@@ -25,6 +25,7 @@ from math import comb, gcd, isqrt, lcm
 
 from . import linalg, ratfactor, univar
 from .binform import (
+    MAX_PRECISION_BITS,
     BinaryForm,
     CertificateError,
     GrammarError,
@@ -313,13 +314,17 @@ class Decomposition:
     @classmethod
     def from_json(cls, blob: dict) -> "Decomposition":
         """Raises GrammarError for a "degree" or "precision_bits" that is not
-        an integer, or a precision below 64 bits, instead of truncating."""
+        an integer, or a precision below 64 bits or above
+        ``MAX_PRECISION_BITS``, instead of truncating."""
         for key in ("degree", "precision_bits"):
             if key in blob and not is_integer_literal(blob[key]):
                 raise GrammarError(f'"{key}" must be an integer, got {blob[key]!r}')
         bits = int(blob.get("precision_bits", 192))
         if bits < 64:
             raise GrammarError(f'"precision_bits" must be at least 64, got {bits}')
+        if bits > MAX_PRECISION_BITS:
+            raise GrammarError(
+                f'"precision_bits" must be at most {MAX_PRECISION_BITS}, got {bits}')
         import mpmath
 
         def num(x):
@@ -502,10 +507,13 @@ def decompose(f: BinaryForm, precision_bits: int = 192) -> Decomposition:
     is checked in rationals (``_decompose_exact``).  Otherwise the roots of
     the cofactor are approximated and their scalars rounded to big-float
     complex (``_decompose_numeric``).  Raises NonReducedRank when the rank
-    witness is a non-reduced scheme.
+    witness is a non-reduced scheme, and ValueError for a precision below 64
+    bits or above ``MAX_PRECISION_BITS``.
     """
     if precision_bits < 64:
         raise ValueError("precision_bits must be at least 64")
+    if precision_bits > MAX_PRECISION_BITS:
+        raise ValueError(f"precision_bits must be at most {MAX_PRECISION_BITS}")
     cert = rank(f)
     if cert.witness_kind != "squarefree":
         raise NonReducedRank(

@@ -38,6 +38,10 @@ class PrecisionError(ArithmeticError):
 # constructor itself takes any size
 MAX_DEGREE = 128
 MAX_COEFFICIENT_BITS = 1024
+# the working precision that ``apolarity.decompose`` and
+# ``Decomposition.from_json`` accept at most; the numeric path's time
+# grows faster than linearly in it
+MAX_PRECISION_BITS = 4096
 _MAX_DIGITS = len(str(2**MAX_COEFFICIENT_BITS))
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -258,8 +262,14 @@ class ApolarCoeffs:
 
 
 def apolar_coeffs(f: BinaryForm) -> ApolarCoeffs:
+    """a_i exact: an int where the binomial divides an int c_i, else a
+    Fraction."""
     d = f.degree
-    return ApolarCoeffs(d, tuple(univar.quo(f.coeffs[i], comb(d, i)) for i in range(d + 1)))
+    out = []
+    for i, c in enumerate(f.coeffs):
+        b = comb(d, i)
+        out.append(c // b if type(c) is int and not c % b else Fraction(c, b))
+    return ApolarCoeffs(d, tuple(out))
 
 
 def form_from_apolar(a: Sequence) -> BinaryForm:

@@ -16,9 +16,8 @@ number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import linalg, univar
+from . import univar
 
 
 class NumberFieldError(ValueError):
@@ -65,11 +64,10 @@ class AlgebraicNumber:
     upper: bool
 
     def __post_init__(self) -> None:
-        poly = univar.trim([Fraction(c) for c in self.minpoly])
-        if len(poly) != 3:
+        ints = univar.primitive(self.minpoly)
+        if len(ints) != 3:
             raise NumberFieldError("an algebraic number here is a root of a quadratic")
-        ints = linalg.canonical_vector(poly)
-        object.__setattr__(self, "minpoly", ints if ints[-1] > 0 else tuple(-c for c in ints))
+        object.__setattr__(self, "minpoly", ints)
 
     def value(self, bits: int):
         """The root rounded to bits + 48 bits, from the closed form; returns

@@ -276,11 +276,11 @@ class _Pencil:
         if univar.degree(g) == 0:
             return []
         # g has degree at most 2: rational roots, or one conjugate pair
-        factors = [fac for fac, _mult in ratfactor.irreducible_factors(g)]
+        factors = [fac for fac, _mult in ratfactor.primitive_factors(g)]
         if len(factors[0]) == 3:
             roots = [AlgebraicNumber(factors[0], upper) for upper in (False, True)]
             return [((z.minpoly, z.upper), z) for z in roots]
-        return [(lam, lam) for lam in sorted(-fac[0] / fac[1] for fac in factors)]
+        return [(lam, lam) for lam in sorted(Fraction(-fac[0], fac[1]) for fac in factors)]
 
     def kernel_at(self, lam: Fraction) -> list[tuple[Fraction, ...]]:
         """Level-r kernel of the lift at rational lam, basis for basis as
@@ -333,8 +333,8 @@ class _Pencil:
         # h is u^k h(1, t) with k = r - max deg, so N / h has degree 2r - k - deg h(1, t)
         deg = self.r + max(univar.degree(g0.coeffs), univar.degree(g1.coeffs)) - univar.degree(h)
         quot = univar.div_exact(norm.coeffs, h)
-        modulus = tuple(univar.monic([Fraction(c) for c in minpoly]))
-        if is_square_free(BinaryForm(deg, quot + [0] * (deg + 1 - len(quot)))):
+        modulus = tuple(Fraction(c, c2) for c in minpoly)
+        if is_square_free(BinaryForm(deg, quot + (0,) * (deg + 1 - len(quot)))):
             return FieldCertificate(self.r, self.r, "squarefree", modulus)
         return FieldCertificate(self.r, self.d + 2 - self.r, "nonreduced", modulus)
 
@@ -342,7 +342,8 @@ class _Pencil:
 def _pencil(P: ProjectedPoint, r: int, gens: list[tuple[int, ...]]) -> _Pencil:
     """The level-r pencil of P, for gens = ``_ideal_generators`` of B''.  Rows
     0 and 1, where only a_1 = lambda/d moves, are scaled into integers by
-    d * lcm(denominators of P); canonical kernels and monic factors hide it."""
+    d * lcm(denominators of P); canonical kernels and primitive factors hide
+    it."""
     d = P.n + 1
     if not 1 <= r <= (d + 2) // 2:
         raise ProjectionError(f"level must lie in 1..{(d + 2) // 2}")
@@ -359,16 +360,6 @@ def _pencil(P: ProjectedPoint, r: int, gens: list[tuple[int, ...]]) -> _Pencil:
         for v in kernel
     ]
     return _Pencil(d, r, kernel, rows)
-
-
-def special_lambdas(P: ProjectedPoint, r: int):
-    """Exact lambda values where the level-r kernel of the pencil jumps, or
-    ALL_LAMBDA: rationals first in increasing order, then algebraic numbers
-    grouped by minimal polynomial.  ``fiber_scan`` reads its pencil's
-    special values directly; this stays public because the benchmark's
-    tracer names it as a layer."""
-    got = _pencil(P, r, _ideal_generators(P.coords[1:])).special_values()
-    return got if got is ALL_LAMBDA else [lam for _key, lam in got]
 
 
 @dataclass(frozen=True)

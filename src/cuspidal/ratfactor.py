@@ -1,12 +1,10 @@
 """Irreducible factorization of univariate rational polynomials.
 
-Inputs and outputs are plain low-to-high coefficient lists.  The factors of
-``primitive_factors`` are primitive integer vectors; those of
-``irreducible_factors`` come back monic with Fraction coefficients, sorted by
-(length, coefficients).
-Internally a polynomial is its primitive integer vector with a positive
-leading coefficient, and the factorization is proved modulo primes (von zur
-Gathen and Gerhard, *Modern Computer Algebra*, 3rd ed.):
+Inputs are plain low-to-high coefficient lists.  A polynomial is read as
+its primitive integer vector with a positive leading coefficient
+(``univar.primitive``), the format of every factor that ``primitive_factors``
+returns, and the factorization is proved modulo primes (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, 3rd ed.):
 
 * A root at 0 is split off first.  Degrees 1 and 2 are factored in closed
   form: a quadratic splits over the rationals exactly when its integer
@@ -61,9 +59,9 @@ from itertools import combinations, count, islice
 from math import isqrt
 from typing import Iterator, Sequence
 
-from . import linalg, univar
+from . import univar
 
-Ints = tuple[int, ...]
+Ints = univar.Ints
 
 # Discriminants of structured inputs (binomial weights, small integer roots)
 # tend to carry every small prime, so the list starts above 100.
@@ -252,20 +250,6 @@ def _reconstruct(u: int, m: int, a_max: int, b_max: int) -> Fraction | None:
     return Fraction(r1, t1) if 0 < abs(t1) <= b_max else None
 
 
-def _divide(g: Ints, d: Ints) -> Ints | None:
-    """g / d in integers, or None when the primitive d does not divide g."""
-    g, dd = list(g), len(d) - 1
-    q = [0] * max(len(g) - dd, 0)
-    for k in range(len(q) - 1, -1, -1):
-        q[k], rem = divmod(g[k + dd], d[-1])
-        if rem:
-            return None
-        if q[k]:
-            for j, c in enumerate(d):
-                g[k + j] -= q[k] * c
-    return tuple(q) if q and not any(g[:dd]) else None
-
-
 @lru_cache(maxsize=16)
 def _packed_powers(p: int, n: int) -> tuple[int, ...]:
     """T_k for k < n: the residues r^k mod p, r = 0..p-1, in 32-bit slots
@@ -310,7 +294,7 @@ def _rational_roots(g: Ints, p: int) -> tuple[list[Fraction], Ints]:
     for r in residues:
         cand = _reconstruct(*_lift_root(g, r, p, bound), abs(g[0]), g[-1])
         if cand is not None:
-            q = _divide(h, (-cand.numerator, cand.denominator))
+            q = univar.divide(h, (-cand.numerator, cand.denominator))
             if q is not None:
                 roots.append(cand)
                 h = q
@@ -318,11 +302,6 @@ def _rational_roots(g: Ints, p: int) -> tuple[list[Fraction], Ints]:
 
 
 # -- factorization ----------------------------------------------------------
-
-
-def _primitive(p: Sequence) -> Ints:
-    ints = linalg.canonical_vector(p)
-    return tuple(-c for c in ints) if ints[-1] < 0 else ints
 
 
 def _factor_low_degree(coeffs: Ints) -> list[tuple[Ints, int]]:
@@ -336,7 +315,7 @@ def _factor_low_degree(coeffs: Ints) -> list[tuple[Ints, int]]:
     if s * s != disc:
         return [(coeffs, 1)]
     # roots (-c1 -+ s) / (2 c2), each the factor b x - a of a root a/b
-    lo, hi = (_primitive((c1 + e, 2 * c2)) for e in (-s, s))
+    lo, hi = (univar.primitive((c1 + e, 2 * c2)) for e in (-s, s))
     return [(lo, 2)] if not s else [(lo, 1), (hi, 1)]
 
 
@@ -384,8 +363,8 @@ def _zassenhaus(
             g = [h[-1]]
             for i in subset:
                 g = _mod(univar.mul(g, mods[i]), m)
-            g = _primitive([c - m if 2 * c > m else c for c in g])
-            q = _divide(h, g)
+            g = univar.primitive([c - m if 2 * c > m else c for c in g])
+            q = univar.divide(h, g)
             if q is not None:
                 out.append((g, 1))
                 h = q
@@ -454,7 +433,7 @@ def _factor(g: Ints) -> list[tuple[Ints, int]]:
         return _factor_low_degree(g) if len(g) > 1 else []
     split = _split(g)
     if split is None:
-        return [(fac, e * m) for q, m in univar.yun(g) for fac, e in _factor(_primitive(q))]
+        return [(fac, e * m) for q, m in univar.yun(g) for fac, e in _factor(q)]
     roots, h = split
     linear = [((-r.numerator, r.denominator), 1) for r in roots]
     return linear + (_cofactor_factors(h) if len(h) > 1 else [])
@@ -464,7 +443,7 @@ def _check(g: Ints, factors: list[tuple[Ints, int]]) -> None:
     """Raise CertificateError unless every linear factor's root vanishes on
     g and the factors with multiplicities multiply back to g."""
     for fac, _ in factors:
-        if len(fac) == 2 and _divide(g, fac) is None:
+        if len(fac) == 2 and univar.divide(g, fac) is None:
             raise CertificateError(f"{Fraction(-fac[0], fac[1])} is not a root")
     prod = [1]
     for fac, m in factors:
@@ -484,22 +463,11 @@ def primitive_factors(p: Sequence) -> list[tuple[Ints, int]]:
     q = univar.trim(list(p))
     if not q:
         raise ValueError("factorization of the zero polynomial")
-    g = _primitive(q)
+    g = univar.primitive(q)
     k = next(i for i, c in enumerate(g) if c)
     factors = ([((0, 1), k)] if k else []) + _factor(g[k:])
     _check(g, factors)
     return factors
-
-
-def irreducible_factors(p: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Monic irreducible factors with multiplicities, the monic view of
-    ``primitive_factors``; the constant is dropped.
-
-    The zero polynomial is rejected; constants factor into nothing.
-    """
-    out = [([Fraction(c, fac[-1]) for c in fac], m) for fac, m in primitive_factors(p)]
-    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
-    return out
 
 
 def rational_roots(p: Sequence[Fraction]) -> tuple[list[Fraction], Ints]:
@@ -513,7 +481,7 @@ def rational_roots(p: Sequence[Fraction]) -> tuple[list[Fraction], Ints]:
     q = univar.trim(list(p))
     if not q:
         raise ValueError("rational roots of the zero polynomial")
-    g = _primitive(q)
+    g = univar.primitive(q)
     k = next(i for i, c in enumerate(g) if c)
     h = g[k:]
     if len(h) > 3:

@@ -1,28 +1,23 @@
-"""Dense univariate polynomial arithmetic over exact fields.
+"""Dense univariate polynomials, kept in primitive integers.
 
 Coefficient lists run from degree 0 upward and are kept trimmed (no trailing
-zeros; the zero polynomial is the empty list).  Entries may be
-``int``, ``fractions.Fraction`` or any exact field type implementing
-``+ - * /``, equality and truthiness; the needed 0 and 1 elements are derived
-from the inputs, so no field object is threaded through.  Every division goes
-through :func:`quo`, so integer inputs stay exact.
+zeros; the zero polynomial is the empty list).  ``add``, ``sub``, ``mul``
+and ``derivative`` take the entries of any ring, residues modulo a prime
+included.  The exact routines work in one format, the primitive integer
+vector with a positive leading coefficient that ``primitive`` gives: a
+rational polynomial is read as its primitive part, and by Gauss's lemma the
+quotient of an integer polynomial by a primitive divisor over Q is integral
+(von zur Gathen and Gerhard, *Modern Computer Algebra*, §6.12), so
+``divide``, ``gcd`` and ``yun`` never leave the integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 
-
-def quo(a, b):
-    """Exact a / b.  Two ints give an int when b divides a and a Fraction
-    otherwise; any other pair divides as its own type defines."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    return a / b
+Ints = tuple[int, ...]
 
 
 def trim(p: Sequence) -> list:
@@ -30,10 +25,6 @@ def trim(p: Sequence) -> list:
     while q and not q[-1]:
         q.pop()
     return q
-
-
-def is_zero(p: Sequence) -> bool:
-    return all(not c for c in p)
 
 
 def degree(p: Sequence) -> int:
@@ -50,20 +41,15 @@ def add(p: Sequence, q: Sequence) -> list:
     return trim(out)
 
 
-def neg(p: Sequence) -> list:
-    return [-c for c in p]
-
-
 def sub(p: Sequence, q: Sequence) -> list:
-    return add(p, neg(q))
+    return add(p, [-c for c in q])
 
 
 def mul(p: Sequence, q: Sequence) -> list:
     p, q = trim(p), trim(q)
     if not p or not q:
         return []
-    zero = p[0] - p[0]
-    out = [zero] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if not a:
             continue
@@ -72,52 +58,50 @@ def mul(p: Sequence, q: Sequence) -> list:
     return trim(out)
 
 
-def divmod_(p: Sequence, q: Sequence) -> tuple[list, list]:
-    """Polynomial division with remainder; q must be nonzero."""
-    p, q = trim(p), trim(q)
+def derivative(p: Sequence) -> list:
+    return trim([c * i for i, c in enumerate(p)][1:])
+
+
+def primitive(p: Sequence) -> Ints:
+    """The rational polynomial p scaled to a primitive integer vector with a
+    positive leading coefficient; () for the zero polynomial."""
+    q = trim(p)
     if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    zero = q[-1] - q[-1]
-    rem = list(p)
-    if len(rem) < len(q):
-        return [], trim(rem)
-    quot = [zero] * (len(rem) - len(q) + 1)
-    lead = q[-1]
-    for k in range(len(rem) - len(q), -1, -1):
-        c = rem[k + len(q) - 1]
-        if not c:
-            continue
-        c = quo(c, lead)
-        quot[k] = c
-        for j, b in enumerate(q):
-            rem[k + j] = rem[k + j] - c * b
-    return trim(quot), trim(rem)
+        return ()
+    ints = linalg.canonical_vector(q)
+    return tuple(-c for c in ints) if ints[-1] < 0 else ints
 
 
-def div_exact(p: Sequence, q: Sequence) -> list:
-    quot, rem = divmod_(p, q)
-    if rem:
+def divide(g: Sequence[int], d: Sequence[int]) -> Ints | None:
+    """g / d for integer polynomials g and d, d nonzero, or None when the
+    quotient is not an integer polynomial; for a primitive d that is when d
+    does not divide g over Q."""
+    g, dd = trim(g), len(d) - 1
+    q = [0] * max(len(g) - dd, 0)
+    for k in range(len(q) - 1, -1, -1):
+        q[k], rem = divmod(g[k + dd], d[-1])
+        if rem:
+            return None
+        if q[k]:
+            for j, c in enumerate(d):
+                g[k + j] -= q[k] * c
+    return tuple(q) if not any(g[:dd]) else None
+
+
+def div_exact(g: Sequence[int], d: Sequence[int]) -> Ints:
+    """``divide``, for a d known to divide g; raises ArithmeticError, also
+    under ``python -O``, when it does not."""
+    q = divide(g, d)
+    if q is None:
         raise ArithmeticError("inexact polynomial division")
-    return quot
+    return q
 
 
-def monic(p: Sequence) -> list:
-    p = trim(p)
-    if not p:
-        return []
-    lead = p[-1]
-    return [quo(c, lead) for c in p]
-
-
-def _primitive(p: Sequence) -> list:
-    return list(linalg.canonical_vector(p)) if p else []
-
-
-def _integer_gcd(p: Sequence, q: Sequence) -> list:
-    """Primitive gcd of two rational polynomials by the primitive
-    pseudo-remainder sequence, in the integers (von zur Gathen and Gerhard,
-    *Modern Computer Algebra*, §6.12)."""
-    a, b = _primitive(trim(p)), _primitive(trim(q))
+def gcd(p: Sequence, q: Sequence) -> Ints:
+    """Primitive gcd of two rational polynomials, with a positive leading
+    coefficient, by the primitive pseudo-remainder sequence in the
+    integers; () when both are zero."""
+    a, b = primitive(p), primitive(q)
     while b:
         while len(a) >= len(b):  # a <- lc(b)^k a mod b
             c, k = a[-1], len(a) - len(b)
@@ -125,41 +109,32 @@ def _integer_gcd(p: Sequence, q: Sequence) -> list:
             for j, y in enumerate(b):
                 a[k + j] -= c * y
             a = trim(a)
-        a, b = b, _primitive(a)
+        a, b = b, primitive(a)
     return a
 
 
-def gcd(p: Sequence, q: Sequence) -> list:
-    """Monic gcd of two rational polynomials, taken in the integers."""
-    return monic(_integer_gcd(p, q))
-
-
-def derivative(p: Sequence) -> list:
-    return trim([c * i for i, c in enumerate(p)][1:])
-
-
-def yun(p: Sequence) -> list[tuple[list, int]]:
+def yun(p: Sequence) -> list[tuple[Ints, int]]:
     """Square-free decomposition (Yun, characteristic 0) of a rational
-    polynomial.
+    polynomial, in primitive integers.
 
-    Returns [(g_i, m_i), ...] with p = const * prod g_i**m_i, the g_i monic,
-    square-free, pairwise coprime, deg g_i >= 1.  It runs on primitive
-    integer polynomials, whose quotients by primitive divisors are integral
-    (Gauss's lemma).
+    Returns [(g_i, m_i), ...] with p = const * prod g_i**m_i, the g_i
+    primitive with positive leading coefficients, square-free, pairwise
+    coprime, deg g_i >= 1.  Every quotient is by a primitive gcd, so it is
+    integral, and ``div_exact`` raises if it is not.
     """
-    p = _primitive(trim(p))
+    p = primitive(p)
     if degree(p) <= 0:
         return []
     dp = derivative(p)
-    g = _integer_gcd(p, dp)
+    g = gcd(p, dp)
     w = div_exact(p, g)
     z = sub(div_exact(dp, g), derivative(w))
-    out: list[tuple[list, int]] = []
+    out: list[tuple[Ints, int]] = []
     i = 1
     while degree(w) > 0:
-        gi = _integer_gcd(w, z)
+        gi = gcd(w, z)
         if degree(gi) > 0:
-            out.append((monic(gi), i))
+            out.append((gi, i))
         w = div_exact(w, gi)
         z = sub(div_exact(z, gi), derivative(w))
         i += 1

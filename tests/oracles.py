@@ -22,9 +22,33 @@
   ``field_lift``.
 * ``rank_field`` and ``nullspace_field``: Gaussian elimination over any
   exact field, the quadratic fields of ``QuadraticNumber`` included.
+* ``field_divmod``, ``field_div_exact``, ``field_monic`` and ``is_zero``:
+  the generic-field layer that ``univar`` kept for any exact field type
+  (``divmod_``, ``div_exact``, ``monic``, ``is_zero``) before it worked in
+  primitive integers alone.  ``euclid_gcd``, ``fraction_yun``,
+  ``discriminant_field_certificate`` and the Bareiss helpers over
+  Fraction of ``test_projection.py`` divide with it, in Fractions and in
+  the quadratic fields of ``QuadraticNumber``.
 * ``euclid_gcd``: the Euclidean algorithm over any exact field, which
   ``univar.gcd`` ran on Fractions before it moved to the primitive
-  pseudo-remainder sequence in the integers.
+  pseudo-remainder sequence in the integers.  Made primitive, it backs
+  ``univar.gcd``.
+* ``fraction_yun``: Yun's square-free decomposition with monic gcds and
+  Fraction quotients, which ``univar.yun`` returned before it divided in
+  integers by ``univar.div_exact``.  Made primitive, its factors back
+  those of ``univar.yun``.
+* ``irreducible_factors``: the monic Fraction view of
+  ``ratfactor.primitive_factors``, sorted by (length, coefficients), once
+  public in ``ratfactor`` though the pencil's special values were its only
+  caller in the package.  It gives ``sympy_factors``'s format to the
+  comparisons of ``test_ratfactor.py``.
+* ``special_lambdas`` and ``monic_special_values``: the special lambda of
+  one level as a list, once public in ``projection`` only because the
+  benchmark's tracer named it; and the special values as
+  ``_Pencil.special_values`` once found them, from the monic gcd over
+  Fraction and ``irreducible_factors``.  The second backs
+  ``_Pencil.special_values``, which reads the roots of the integer gcd or
+  determinant off ``ratfactor.primitive_factors``.
 * ``field_rank_certificate``: before the fiber scan read every lift's
   kernel off the pencil, an algebraic lambda was certified by forming the
   lift over Q(gamma), gamma a root of its minimal polynomial
@@ -147,8 +171,8 @@
   were unsure.  Wherever the disks are sure, it backs ``binform._real_seeds``,
   which marks the exact count's seeds of least |Im z| / |z| real.
 * ``is_irreducible``: irreducibility over the rationals as one factor of
-  ``ratfactor.irreducible_factors``, once public in ``ratfactor`` though only
-  tests called it.  It checks the moduli of ``QuadraticNumber`` and the
+  ``irreducible_factors``, once public in ``ratfactor`` though only tests
+  called it.  It checks the moduli of ``QuadraticNumber`` and the
   inputs of ``isolate_roots``.
 * ``dense_contract``: the contraction by a product form once formed every
   product h_j vec[m+j].  It backs ``classifier._contract``, which sums over
@@ -160,7 +184,7 @@
   reads h mod t² and m off the factors, and ``ZeroScheme.multiplicity_at``,
   which looks the point's linear form up among them.
 * ``monic_route_factors``: ``ZeroScheme`` once took its pieces monic from
-  ``ratfactor.irreducible_factors`` and made them primitive again.  It
+  ``irreducible_factors`` and made them primitive again.  It
   backs the pieces it now reads from ``ratfactor.primitive_factors``.
 * ``secant_dimension_probe`` and ``dichotomy_fuzz``: two classical inputs
   to the paper's argument, once run by the ``probe`` subcommand and the
@@ -203,7 +227,13 @@ from typing import Sequence
 import mpmath
 
 from cuspidal import classifier, linalg, ratfactor, univar
-from cuspidal.apolarity import CertificateError, _gaussian, _residue_numerator, rank
+from cuspidal.apolarity import (
+    CertificateError,
+    _gaussian,
+    _ideal_generators,
+    _residue_numerator,
+    rank,
+)
 from cuspidal.binform import (
     POINT_A,
     BinaryForm,
@@ -230,9 +260,9 @@ from cuspidal.projection import (
     _certificate_sort_key,
     _generic_certificate,
     _Pencil,
+    _pencil,
     cusp_curve_images,
     lift,
-    special_lambdas,
 )
 
 
@@ -528,12 +558,79 @@ def field_lift(P: ProjectedPoint, lam: AlgebraicNumber) -> FieldForm:
     return FieldForm(gamma, d, coeffs)
 
 
+def _field_quo(a, b):
+    """Exact a / b over any exact field; two ints divide as Fractions."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
+def is_zero(p: Sequence) -> bool:
+    return all(not c for c in p)
+
+
+def field_divmod(p: Sequence, q: Sequence) -> tuple[list, list]:
+    """Polynomial division with remainder over any exact field; q must be
+    nonzero."""
+    p, q = univar.trim(p), univar.trim(q)
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p)
+    if len(rem) < len(q):
+        return [], rem
+    quot = [q[-1] - q[-1]] * (len(rem) - len(q) + 1)
+    for k in range(len(rem) - len(q), -1, -1):
+        c = rem[k + len(q) - 1]
+        if not c:
+            continue
+        c = _field_quo(c, q[-1])
+        quot[k] = c
+        for j, b in enumerate(q):
+            rem[k + j] = rem[k + j] - c * b
+    return univar.trim(quot), univar.trim(rem)
+
+
+def field_div_exact(p: Sequence, q: Sequence) -> list:
+    quot, rem = field_divmod(p, q)
+    if rem:
+        raise ArithmeticError("inexact polynomial division")
+    return quot
+
+
+def field_monic(p: Sequence) -> list:
+    p = univar.trim(p)
+    return [_field_quo(c, p[-1]) for c in p]
+
+
 def euclid_gcd(p, q) -> list:
     """Monic gcd by the Euclidean algorithm over any exact field."""
     a, b = univar.trim(p), univar.trim(q)
     while b:
-        a, b = b, univar.divmod_(a, b)[1]
-    return univar.monic(a)
+        a, b = b, field_divmod(a, b)[1]
+    return field_monic(a)
+
+
+def fraction_yun(p) -> list[tuple[list, int]]:
+    """Yun's square-free decomposition over the rationals, every gcd monic
+    by ``euclid_gcd`` and every quotient by ``field_div_exact``: pairs (g_i,
+    m_i), the g_i monic."""
+    p = univar.trim([Fraction(c) for c in p])
+    if univar.degree(p) <= 0:
+        return []
+    dp = univar.derivative(p)
+    g = euclid_gcd(p, dp)
+    w = field_div_exact(p, g)
+    z = univar.sub(field_div_exact(dp, g), univar.derivative(w))
+    out, i = [], 1
+    while univar.degree(w) > 0:
+        gi = euclid_gcd(w, z)
+        if univar.degree(gi) > 0:
+            out.append((gi, i))
+        w = field_div_exact(w, gi)
+        z = univar.sub(field_div_exact(z, gi), univar.derivative(w))
+        i += 1
+    return out
 
 
 def field_is_square_free(coeffs: list, degree: int) -> bool:
@@ -675,6 +772,42 @@ def _border_level(a: tuple[int, ...], kernel: list[tuple[int, ...]]) -> int:
         return m + 2 - len(kernel)
     g = kernel[0]
     return m if not g[-1] and not _dot(a[d - m :], g) else m + 1
+
+
+def special_lambdas(P: ProjectedPoint, r: int):
+    """Exact lambda values where the level-r kernel of the pencil jumps, or
+    ALL_LAMBDA: rationals first in increasing order, then algebraic numbers
+    grouped by minimal polynomial; the public view of
+    ``_Pencil.special_values`` that the package once kept."""
+    got = _pencil(P, r, _ideal_generators(P.coords[1:])).special_values()
+    return got if got is ALL_LAMBDA else [lam for _key, lam in got]
+
+
+def monic_special_values(pencil: _Pencil):
+    """``_Pencil.special_values`` before it read the integer polynomial's
+    roots off ``ratfactor.primitive_factors``: the gcd or determinant made
+    monic by ``euclid_gcd`` over Fraction, its roots from the monic factors
+    of ``irreducible_factors``."""
+    if len(pencil.kernel) >= 3:
+        return ALL_LAMBDA
+    if not pencil.kernel:
+        return []
+    polys = [([Fraction(c) for c in univar.trim(p)], [Fraction(c) for c in univar.trim(q)])
+             for p, q in pencil.rows]
+    if len(polys) == 1:
+        g = euclid_gcd(*polys[0])
+    else:
+        (p0, p1), (q0, q1) = polys
+        g = univar.sub(univar.mul(p0, q1), univar.mul(p1, q0))
+    if not g:
+        return ALL_LAMBDA
+    if univar.degree(g) == 0:
+        return []
+    factors = [fac for fac, _mult in irreducible_factors(g)]
+    if len(factors[0]) == 3:
+        roots = [AlgebraicNumber(factors[0], upper) for upper in (False, True)]
+        return [((z.minpoly, z.upper), z) for z in roots]
+    return [(lam, lam) for lam in sorted(-fac[0] / fac[1] for fac in factors)]
 
 
 def grid_generic_certificate(P: ProjectedPoint):
@@ -1506,8 +1639,8 @@ def discriminant_field_certificate(pencil: _Pencil, minpoly) -> FieldCertificate
     v1 = [y[1] * a - x[1] * b for a, b in zip(k0, k1)]
     if not any(v0) and not any(v1):
         raise CertificateError("the kernel vector vanishes at an algebraic lambda")
-    modulus = tuple(univar.monic([Fraction(c) for c in minpoly]))
-    _, rem = univar.divmod_(discriminant(v0, v1), modulus)
+    modulus = tuple(field_monic([Fraction(c) for c in minpoly]))
+    _, rem = field_divmod(discriminant(v0, v1), modulus)
     if rem:
         return FieldCertificate(pencil.r, pencil.r, "squarefree", modulus)
     return FieldCertificate(pencil.r, pencil.d + 2 - pencil.r, "nonreduced", modulus)
@@ -1649,11 +1782,20 @@ def _chart_with_sum(fl: list[float], z: complex) -> tuple[complex, complex, floa
     return a, b, s, far
 
 
+def irreducible_factors(p: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
+    """``ratfactor.irreducible_factors``: monic irreducible factors with
+    multiplicities, the monic view of ``ratfactor.primitive_factors``,
+    sorted by (length, coefficients); the constant is dropped."""
+    out = [([Fraction(c, fac[-1]) for c in fac], m) for fac, m in ratfactor.primitive_factors(p)]
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return out
+
+
 def is_irreducible(p: Sequence[Fraction]) -> bool:
     """``ratfactor.is_irreducible``, which only tests called: whether p is
-    irreducible over the rationals, read off ``ratfactor.irreducible_factors``
-    as one factor of multiplicity 1 and the degree of p."""
-    facs = ratfactor.irreducible_factors(p)
+    irreducible over the rationals, read off ``irreducible_factors`` as one
+    factor of multiplicity 1 and the degree of p."""
+    facs = irreducible_factors(p)
     return len(facs) == 1 and facs[0][1] == 1 and len(facs[0][0]) == len(univar.trim(list(p)))
 
 
@@ -1688,7 +1830,7 @@ def product_form_center_routes(W: ZeroScheme, frame: ProjectionFrame) -> tuple[b
 def monic_route_factors(factors) -> tuple:
     """The factors of ``ZeroScheme(factors)`` before it read primitive
     integer vectors: each piece came monic, in Fractions, from
-    ``ratfactor.irreducible_factors`` and was made primitive again by
+    ``irreducible_factors`` and was made primitive again by
     ``linalg.canonical_vector``."""
     acc: dict[BinaryForm, int] = {}
     for g, m in factors:
@@ -1696,7 +1838,7 @@ def monic_route_factors(factors) -> tuple:
         if k:
             ufac = BinaryForm(1, (1, 0))
             acc[ufac] = acc.get(ufac, 0) + k * m
-        for q, e in ratfactor.irreducible_factors(p):
+        for q, e in irreducible_factors(p):
             piece = BinaryForm(len(q) - 1, linalg.canonical_vector(q))
             acc[piece] = acc.get(piece, 0) + e * m
     return tuple(sorted(acc.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs)))
@@ -1932,7 +2074,7 @@ def scan_rational_roots(g: tuple[int, ...], p: int) -> tuple[list[Fraction], tup
     for r in scan_roots_mod_p(g, p):
         cand = ratfactor._reconstruct(*ratfactor._lift_root(g, r, p, bound), abs(g[0]), g[-1])
         if cand is not None:
-            q = ratfactor._divide(h, (-cand.numerator, cand.denominator))
+            q = univar.divide(h, (-cand.numerator, cand.denominator))
             if q is not None:
                 roots.append(cand)
                 h = q

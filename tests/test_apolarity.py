@@ -1024,7 +1024,7 @@ class TestResidueScalars:
             dec = decompose(f, 128)
             assert dec.field_tag == "algebraic" and len(dec.terms) == count + 2, render(f)
             g = rank(f).witness_form
-            (quad,) = [c for c, _ in ratfactor.irreducible_factors(g.tau_poly()[1]) if len(c) == 3]
+            (quad,) = [c for c, _ in ratfactor.primitive_factors(g.tau_poly()[1]) if len(c) == 3]
             gamma = QuadraticNumber.generator(quad)
             one = gamma.lift(1)
             points = [p for _, p in dec.terms[:-2]]
@@ -1256,7 +1256,7 @@ class TestCertificateChecks:
                     return plant(roots), cofactor
                 ratfactor._rational_roots = planted
                 try:
-                    ratfactor.irreducible_factors(g)
+                    ratfactor.primitive_factors(g)
                 except ratfactor.CertificateError:
                     continue
                 sys.exit("a planted root went unnoticed")

@@ -783,8 +783,8 @@ def _counting(monkeypatch):
                 inside[0] -= 1
         return scan
 
-    for module, name in [(ratfactor, "primitive_factors"), (ratfactor, "irreducible_factors"),
-                         (ratfactor, "rational_roots"), (binform, "squarefree_decompose")]:
+    for module, name in [(ratfactor, "primitive_factors"), (ratfactor, "rational_roots"),
+                         (binform, "squarefree_decompose")]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     for name in ("x_rank", "fiber_scan"):
         monkeypatch.setattr(classifier, name, exempt(getattr(classifier, name)))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import projection
-from cuspidal.binform import MAX_COEFFICIENT_BITS, MAX_DEGREE
+from cuspidal.binform import MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_PRECISION_BITS
 from cuspidal.cli import _build_parser, main
 
 
@@ -212,7 +212,8 @@ class TestDecomposePipeline:
     @pytest.mark.parametrize(
         "key, value",
         [("degree", 3.7), ("degree", True), ("degree", "3.0"),
-         ("precision_bits", -5), ("precision_bits", 63), ("precision_bits", 96.5)],
+         ("precision_bits", -5), ("precision_bits", 63), ("precision_bits", 96.5),
+         ("precision_bits", MAX_PRECISION_BITS + 1)],
     )
     def test_verify_decomp_refuses_bad_header(self, capsys, monkeypatch, key, value):
         """A truncated "degree" once verified a cubic's decomposition as
@@ -262,6 +263,28 @@ class TestDecomposePipeline:
         assert recs[0]["error"] == {
             "type": "ValueError", "message": "precision_bits must be at least 64"
         }
+
+    @pytest.mark.parametrize(
+        "form", ["d=3; [1,0,0,1]", "d=3; [0,1,-1,0]", "d=5; [1,0,0,-10,5,-1]"]
+    )
+    def test_decompose_precision_limit(self, capsys, monkeypatch, form):
+        """The rational, quadratic and complex paths all take
+        ``MAX_PRECISION_BITS`` and refuse one bit more, from the flag and
+        from CUSPIDAL_PRECISION_BITS alike; verify-decomp reads the record
+        made at the limit."""
+        top = str(MAX_PRECISION_BITS)
+        code, recs = run(capsys, monkeypatch, ["decompose", "--precision-bits", top, form])
+        assert code == 0 and recs[0]["decomposition"]["precision_bits"] == MAX_PRECISION_BITS
+        code, checked = run(capsys, monkeypatch, ["verify-decomp"], stdin=json.dumps(recs[0]))
+        assert code == 0 and checked[0]["ok"] is True
+        refused = {"type": "ValueError",
+                   "message": f"precision_bits must be at most {MAX_PRECISION_BITS}"}
+        above = str(MAX_PRECISION_BITS + 1)
+        code, recs = run(capsys, monkeypatch, ["decompose", "--precision-bits", above, form])
+        assert code == 1 and recs[0]["error"] == refused
+        monkeypatch.setenv("CUSPIDAL_PRECISION_BITS", above)
+        code, recs = run(capsys, monkeypatch, ["decompose", form])
+        assert code == 1 and recs[0]["error"] == refused
 
 
 class TestBatchSemantics:
@@ -476,7 +499,7 @@ class TestImports:
             squared = univar.mul(univar.mul(unserved, unserved), [-2, 0, 0, 1])
             polys = [unserved, quartic, squared]
             print(json.dumps({
-                "factors": [len(ratfactor.irreducible_factors(p)) for p in polys],
+                "factors": [len(ratfactor.primitive_factors(p)) for p in polys],
                 "roots": [len(ratfactor.rational_roots(p)[0]) for p in polys[:2]],
                 "schemes": [len(binform.squarefree_decompose(
                     binform.BinaryForm(len(p) - 1, p)).factors) for p in polys],

@@ -10,8 +10,15 @@ from cuspidal import numberfield
 from cuspidal.apolarity import decompose
 from cuspidal.binform import BinaryForm, PrecisionError, approximate_roots
 from cuspidal.numberfield import AlgebraicNumber, NumberFieldError
-from cuspidal.projection import ProjectedPoint, special_lambdas, x_rank
-from oracles import QuadraticNumber, euclid_gcd, exact_value, isolate_roots, nullspace_field
+from cuspidal.projection import ProjectedPoint, x_rank
+from oracles import (
+    QuadraticNumber,
+    euclid_gcd,
+    exact_value,
+    isolate_roots,
+    nullspace_field,
+    special_lambdas,
+)
 
 
 SQRT2 = QuadraticNumber.generator([-2, 0, 1])

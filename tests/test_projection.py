@@ -9,7 +9,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import apolarity, linalg, projection, ratfactor, univar
+from cuspidal import apolarity, linalg, projection, univar
 from cuspidal.apolarity import CertificateError, RankCertificate, _ideal_generators, rank
 from cuspidal.binform import BinaryForm, P1Point, ZeroFormError, ZeroScheme, random_form
 from cuspidal.classifier import InstanceSpec, generate_instance
@@ -23,7 +23,6 @@ from cuspidal.projection import (
     fiber_scan,
     lift,
     project,
-    special_lambdas,
     x_rank,
 )
 from oracles import (
@@ -34,14 +33,19 @@ from oracles import (
     field_is_square_free,
     field_lift,
     field_rank_certificate,
+    field_div_exact,
     grid_generic_certificate,
+    irreducible_factors,
+    is_zero,
     isolate_roots,
+    monic_special_values,
     nullspace_pencil,
     nullspace_plain,
     power,
     power_cusp_curve_point,
     probe_generic_value,
     reparametrized,
+    special_lambdas,
     upward_x_rank,
 )
 import oracles
@@ -251,7 +255,7 @@ def _poly_rank(rows):
     prev = [F(1)]
     rank_ = 0
     for col in range(nc):
-        piv = next((i for i in range(rank_, nr) if not univar.is_zero(m[i][col])), None)
+        piv = next((i for i in range(rank_, nr) if not is_zero(m[i][col])), None)
         if piv is None:
             continue
         m[rank_], m[piv] = m[piv], m[rank_]
@@ -261,7 +265,7 @@ def _poly_rank(rows):
                     univar.mul(m[rank_][col], m[i][j]),
                     univar.mul(m[i][col], m[rank_][j]),
                 )
-                m[i][j] = univar.div_exact(num, prev)
+                m[i][j] = field_div_exact(num, prev)
             m[i][col] = []
         prev = m[rank_][col]
         rank_ += 1
@@ -274,7 +278,7 @@ def _poly_det(rows):
     m = [[list(e) for e in row] for row in rows]
     prev = [F(1)]
     for col in range(k):
-        piv = next((i for i in range(col, k) if not univar.is_zero(m[i][col])), None)
+        piv = next((i for i in range(col, k) if not is_zero(m[i][col])), None)
         if piv is None:
             return []
         m[col], m[piv] = m[piv], m[col]
@@ -284,7 +288,7 @@ def _poly_det(rows):
                     univar.mul(m[col][col], m[i][j]),
                     univar.mul(m[i][col], m[col][j]),
                 )
-                m[i][j] = univar.div_exact(num, prev)
+                m[i][j] = field_div_exact(num, prev)
             m[i][col] = []
         prev = m[col][col]
     return m[k - 1][k - 1]
@@ -306,7 +310,7 @@ def _minor_gcd_lambdas(P, r):
     if univar.degree(g) == 0:
         return []
     rats, algs = [], []
-    for fac, _mult in ratfactor.irreducible_factors(g):
+    for fac, _mult in irreducible_factors(g):
         if len(fac) == 2:
             rats.append(-fac[0] / fac[1])
         else:
@@ -418,7 +422,7 @@ class TestSpecialLambdas:
         zero = []
         rows = [[one, x4], [x4, zero], [zero, zero], [zero, zero]]
         g = _hand_minor_gcd(rows)
-        assert g == [F(0), F(0), F(1)]  # x^2, so the only root is 0
+        assert g == (0, 0, 1)  # x^2, so the only root is 0
 
         got = special_lambdas(project(U4), 1)
         assert got == [F(0)]
@@ -717,6 +721,49 @@ def _algebraic_lambdas(P):
             return
         yield from ((pen, lam) for key, lam in got if key not in seen and not isinstance(lam, F))
         seen.update(key for key, _lam in got)
+
+
+def _scan_pencils(P):
+    """The pencils of P at levels w'-1..w'+3, capped at (n+3)/2, w' the
+    border rank of B''."""
+    gens = _ideal_generators(P.coords[1:])
+    w = len(gens[0]) - 1
+    for r in range(max(1, w - 1), min(w + 3, (P.n + 3) // 2) + 1):
+        yield projection._pencil(P, r, gens)
+
+
+def test_integer_special_values_match_the_fraction_route():
+    """``special_values``, the roots of the integer gcd or determinant read
+    off ``ratfactor.primitive_factors``, against the route over Fraction
+    (``monic_special_values``), at every level of ``_scan_pencils`` of
+    every corpus instance and of 600 seeded forms with coefficients in
+    {-1, 0, 1, 2}; at each quadratic lambda ``field_certificate``, which
+    divides the norm by the primitive gcd in integers, against the
+    discriminant route."""
+    points = [project(f) for _key, f in corpus_forms()]
+    rng = random.Random("special-values")
+    for _ in range(600):
+        d = rng.randint(4, 12)
+        try:
+            points.append(project(BinaryForm(d, tuple(rng.choice((-1, 0, 1, 2))
+                                                      for _ in range(d + 1)))))
+        except (ProjectionError, ZeroFormError):
+            continue
+    pencils = quadratic = 0
+    for P in points:
+        if not any(P.coords[1:]):
+            continue
+        for pen in _scan_pencils(P):
+            pencils += 1
+            got, want = pen.special_values(), monic_special_values(pen)
+            assert got == want, (P, pen.r)
+            if got is ALL_LAMBDA:
+                continue
+            minpolys = {key[0] for key, _lam in got if isinstance(key, tuple)}
+            quadratic += bool(minpolys)
+            for m in minpolys:
+                assert pen.field_certificate(m) == discriminant_field_certificate(pen, m), (P, m)
+    assert pencils >= 4000 and quadratic >= 300
 
 
 U, T = form(1, 0), form(0, 1)

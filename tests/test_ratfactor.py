@@ -11,7 +11,13 @@ from pathlib import Path
 import pytest
 
 from hypothesis import given, settings, strategies as st
-from oracles import is_irreducible, scan_rational_roots, scan_roots_mod_p, sympy_factors
+from oracles import (
+    irreducible_factors,
+    is_irreducible,
+    scan_rational_roots,
+    scan_roots_mod_p,
+    sympy_factors,
+)
 
 from cuspidal import ratfactor, univar
 
@@ -48,7 +54,7 @@ def _same(p):
     """ratfactor's answer equals sympy's, types included, with no split
     modulo a prime past ``PRIMES``."""
     misses = ratfactor._factor_cached.cache_info().misses
-    got = ratfactor.irreducible_factors(p)
+    got = irreducible_factors(p)
     assert ratfactor._factor_cached.cache_info().misses == misses
     want = sympy_factors(p)
     assert repr(got) == repr(want), p
@@ -81,8 +87,8 @@ def test_seeded_random_quadratics_and_linears():
 
 
 def test_rational_roots_and_irreducibility_follow():
-    assert ratfactor.irreducible_factors(PINNED[0]) == [([F(-2, 3), F(1)], 2)]
-    assert ratfactor.irreducible_factors(PINNED[11]) == [
+    assert irreducible_factors(PINNED[0]) == [([F(-2, 3), F(1)], 2)]
+    assert irreducible_factors(PINNED[11]) == [
         ([F(-(BIG + 1)), F(1)], 1),
         ([F(BIG + 1), F(1)], 1),
     ]
@@ -120,7 +126,7 @@ def streamed_splits():
 
 
 def _matches_sympy(p):
-    got = ratfactor.irreducible_factors(p)
+    got = irreducible_factors(p)
     assert repr(got) == repr(sympy_factors(p)), p
     return got
 
@@ -150,7 +156,7 @@ def test_modular_factors_match_sympy_without_it(streamed_splits):
 
 
 def test_lc_and_discriminant_skip_the_first_primes():
-    g = ratfactor._primitive(MODULAR[7])
+    g = univar.primitive(MODULAR[7])
     assert [ratfactor._serves(g, p) for p in ratfactor.PRIMES[:4]] == [False] * 3 + [True]
 
 
@@ -218,7 +224,7 @@ def test_unlisted_primes_serve(p, primes, streamed_splits, monkeypatch):
     """A polynomial that no prime of PRIMES serves is split modulo the
     first later prime that does, found by trial division, with one
     streamed split per square-free part that needs it."""
-    assert not any(ratfactor._serves(ratfactor._primitive(p), q) for q in ratfactor.PRIMES)
+    assert not any(ratfactor._serves(univar.primitive(p), q) for q in ratfactor.PRIMES)
     seen = []
     for name in ("_rational_roots", "_zassenhaus"):
         def spy(g, q, *rest, name=name, run=getattr(ratfactor, name)):
@@ -277,7 +283,7 @@ def test_seeded_unserved_products_match_sympy(streamed_splits):
             for _ in range(rng.randint(1, 3)):
                 p = univar.mul(p, fac)
         got = _matches_sympy(p)
-        ratfactor._check(ratfactor._primitive(p), [(ratfactor._primitive(f), m) for f, m in got])
+        ratfactor._check(univar.primitive(p), [(univar.primitive(f), m) for f, m in got])
     # a pair left alone in its Yun part is split in closed form instead
     assert streamed_splits() >= 10
 
@@ -285,13 +291,13 @@ def test_seeded_unserved_products_match_sympy(streamed_splits):
 def _split_by_factors(p):
     """The rational roots, ascending, and the primitive cofactor of a
     square-free p, read off ``irreducible_factors``."""
-    factors = ratfactor.irreducible_factors(p)
+    factors = irreducible_factors(p)
     roots = sorted(-c[0] for c, _ in factors if len(c) == 2)
     cofactor = [1]
     for c, _ in factors:
         if len(c) > 2:
             cofactor = univar.mul(cofactor, c)
-    return roots, ratfactor._primitive(cofactor)
+    return roots, univar.primitive(cofactor)
 
 
 def test_rational_roots_are_the_linear_factors(request):
@@ -312,7 +318,7 @@ def test_rational_roots_are_the_linear_factors(request):
             p = univar.mul(p, fac)
         seeded.append(p)
     polys = [p for p in sample["fiber"] + sample["waring"] + MODULAR + seeded
-             if all(m == 1 for _, m in ratfactor.irreducible_factors(p))]
+             if all(m == 1 for _, m in irreducible_factors(p))]
     assert len(polys) >= 60
     want = [_split_by_factors(p) for p in polys]
     request.getfixturevalue("no_irreducibility_proof")
@@ -399,7 +405,7 @@ def test_planted_rational_roots_are_found():
         p = [rng.randint(-9, 9) for _ in range(rng.randint(0, 8))] + [rng.randint(1, 9)]
         for r in planted:
             p = univar.mul(p, [-r.numerator, r.denominator])
-        g = ratfactor._primitive(univar.trim(p))
+        g = univar.primitive(univar.trim(p))
         if not g[0] or univar.degree(g) < 3:
             continue
         q = next((q for q in ratfactor.PRIMES if ratfactor._serves(g, q)), None)
@@ -424,7 +430,7 @@ def test_rational_roots_match_the_scan():
         g = [rng.randint(-10**6, 10**6) for _ in range(deg)] + [rng.randint(1, 10**6)]
         if rng.random() < 0.3:
             g = univar.mul(g, [rng.randint(-99, 99), rng.randint(1, 99)])
-        g = ratfactor._primitive(g)
+        g = univar.primitive(g)
         q = next((q for q in ratfactor.PRIMES if ratfactor._serves(g, q)), None)
         if not g[0] or q is None:
             continue

@@ -11,6 +11,8 @@ but ``oracle`` names it.  Every function of the package has a caller in
 the package or the benchmark, or a stated reason to be public: code that
 only tests call lives in ``tests/oracles.py``.  Only the functions listed
 in ``NULLSPACE_CALLERS``, each with its reason, name ``linalg.nullspace``.
+Polynomials have one exact format, the primitive integer vector: ``univar``
+names no ``Fraction``, and it alone defines the primitive part.
 """
 
 import ast
@@ -114,7 +116,7 @@ def test_only_the_oracle_names_numpy():
 def _named(tree):
     """Each identifier the code of tree names: a variable, an attribute, an
     imported name, and each part of a dotted string such as the benchmark
-    tracer's layer names ("projection.special_lambdas").  Docstrings and
+    tracer's layer names ("projection.x_rank").  Docstrings and
     other prose are not dotted names, so they name nothing."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -172,3 +174,24 @@ def test_only_the_listed_functions_call_nullspace():
         and "nullspace" in _named(node)
     }
     assert sorted(found) == sorted(NULLSPACE_CALLERS)
+
+
+def test_univar_names_no_fraction():
+    """``univar`` works in primitive integers: it imports nothing from
+    ``fractions`` and names no ``Fraction``."""
+    tree = ast.parse((PACKAGE / "univar.py").read_text(encoding="utf-8"))
+    imports = [m for node in ast.walk(tree) for m in _imported(node)]
+    assert not [m for m in imports if m.split(".")[0] == "fractions"]
+    assert "Fraction" not in set(_named(tree))
+
+
+def test_only_univar_defines_the_primitive_part():
+    """A function named ``primitive`` or ``_primitive`` is defined in
+    ``univar`` only; every other module calls ``univar.primitive``."""
+    found = {
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.lstrip("_") == "primitive"
+    }
+    assert len(found) == 1 and found.pop().startswith("univar.py:")
