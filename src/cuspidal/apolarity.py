@@ -22,6 +22,7 @@ from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, gcd, isqrt, lcm
+from operator import mul
 
 from . import linalg, ratfactor, univar
 from .binform import (
@@ -50,7 +51,7 @@ class NonReducedRank(ValueError):
 
 
 def _dot(x, y) -> int:
-    return sum(p * q for p, q in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 @lru_cache(maxsize=64)
@@ -240,7 +241,8 @@ def rank(f: BinaryForm) -> RankCertificate:
 
 def _certify(degree: int, w: int, basis: list[BinaryForm]) -> RankCertificate:
     """The dichotomy for a degree-``degree`` form whose first kernel level is
-    w, from that kernel's basis in the order ``linalg.nullspace`` gives it.
+    w, from that kernel's basis of canonical vectors, in the order
+    ``linalg.nullspace`` gives it.
 
     The apolar ideal of a binary form is a complete intersection
     (Comas-Seiguer, arXiv:math/0112311), so the first kernel has dimension 1
@@ -255,10 +257,12 @@ def _certify(degree: int, w: int, basis: list[BinaryForm]) -> RankCertificate:
         raise CertificateError(f"first kernel of dimension {len(basis)} at level {w}")
     g = find_squarefree_in_kernel(basis)
     if g is not None:
-        return RankCertificate(w, w, "squarefree", g.normalized(), len(basis))
+        # a basis vector is canonical already; a member of a pencil is not
+        witness = g if len(basis) == 1 else g.normalized()
+        return RankCertificate(w, w, "squarefree", witness, len(basis))
     if len(basis) == 2:
         raise CertificateError(f"two-dimensional kernel at level {w} with no square-free member")
-    return RankCertificate(w, degree + 2 - w, "nonreduced", basis[0].normalized(), 1)
+    return RankCertificate(w, degree + 2 - w, "nonreduced", basis[0], 1)
 
 
 @dataclass(frozen=True)
@@ -495,6 +499,16 @@ def residual_string(x, digits: int) -> str:
         return mpmath.nstr(mpmath.mpf(f"{n}e{e}"), digits)
 
 
+def check_precision(bits: int) -> None:
+    """The working precisions of ``decompose`` and of the bound of
+    ``cuspidal verify-decomp``: ValueError below 64 bits or above
+    ``MAX_PRECISION_BITS``."""
+    if bits < 64:
+        raise ValueError("precision_bits must be at least 64")
+    if bits > MAX_PRECISION_BITS:
+        raise ValueError(f"precision_bits must be at most {MAX_PRECISION_BITS}")
+
+
 def decompose(f: BinaryForm, precision_bits: int = 192) -> Decomposition:
     """Minimal power-sum decomposition for forms with a square-free witness.
 
@@ -510,10 +524,7 @@ def decompose(f: BinaryForm, precision_bits: int = 192) -> Decomposition:
     witness is a non-reduced scheme, and ValueError for a precision below 64
     bits or above ``MAX_PRECISION_BITS``.
     """
-    if precision_bits < 64:
-        raise ValueError("precision_bits must be at least 64")
-    if precision_bits > MAX_PRECISION_BITS:
-        raise ValueError(f"precision_bits must be at most {MAX_PRECISION_BITS}")
+    check_precision(precision_bits)
     cert = rank(f)
     if cert.witness_kind != "squarefree":
         raise NonReducedRank(

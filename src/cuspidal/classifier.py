@@ -667,12 +667,13 @@ def crosscheck(f: BinaryForm) -> dict:
 
     if verdict is not None and verdict.case_tag == "e4_i":
         # None unless both square-free witnesses split over Q; the curve map
-        # is injective, so then their images agree iff the forms do up to scale
+        # is injective, so then their images agree iff the forms do up to
+        # scale, and forms equal up to scale split together
         E, theirs = verdict.witness_form, res.witness_certificate
-        split = (
-            isinstance(res.witness_lambda, Fraction)
-            and theirs.witness_kind == "squarefree"
-            and all(ratfactor.rational_roots(h.coeffs)[1] == (1,) for h in (E, theirs.witness_form))
-        )
-        report["witness_match"] = E.normalized() == theirs.witness_form.normalized() if split else None
+        report["witness_match"] = None
+        if isinstance(res.witness_lambda, Fraction) and theirs.witness_kind == "squarefree":
+            same = E.normalized() == theirs.witness_form.normalized()
+            forms = (E,) if same else (E, theirs.witness_form)
+            if all(ratfactor.rational_roots(h.coeffs)[1] == (1,) for h in forms):
+                report["witness_match"] = same
     return report

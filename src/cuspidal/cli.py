@@ -2,7 +2,8 @@
 
 One subcommand per library operation, JSON on stdout (JSON lines for batch
 input), deterministic given --seed.  Only decompose and verify-decomp take
---precision-bits, and only generate takes --seed; any other subcommand
+--precision-bits, and both refuse one outside 64..``MAX_PRECISION_BITS``
+with an error record; only generate takes --seed; any other subcommand
 refuses them as a usage error.  Every input line gives exactly one output
 record, its result or a structured error, and a bad line does not stop the
 batch; verify adds one summary record after them.  Exit codes: 0 all checks
@@ -55,6 +56,22 @@ def _error(exc: Exception) -> dict:
 def _fail(exc: Exception) -> int:
     _emit(_error(exc))
     return 1
+
+
+def _to_json(result) -> dict:
+    """result.to_json() with Python's limit on int-to-str conversion (4300
+    digits by default) lifted: an exact answer, such as a witness of a form
+    with 1000-bit coefficients, can exceed it.  The limit guards parsing,
+    and stays on there: the text grammar caps the digits of a coefficient
+    before int(), and json.loads reads JSON input under the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python before 3.10.7
+        return result.to_json()
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return result.to_json()
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _form_json(f: BinaryForm) -> dict:
@@ -113,7 +130,7 @@ def _for_each_form(args, handler) -> int:
 
 
 def cmd_rank(args) -> int:
-    return _for_each_form(args, lambda f: {"d": f.degree, **apolarity.rank(f).to_json()})
+    return _for_each_form(args, lambda f: {"d": f.degree, **_to_json(apolarity.rank(f))})
 
 
 def cmd_borderrank(args) -> int:
@@ -123,7 +140,7 @@ def cmd_borderrank(args) -> int:
 def cmd_scheme(args) -> int:
     def handler(f):
         scheme, unique = apolarity.border_scheme(f)
-        return {"d": f.degree, "scheme": scheme.to_json(), "unique": unique}
+        return {"d": f.degree, "scheme": _to_json(scheme), "unique": unique}
 
     return _for_each_form(args, handler)
 
@@ -133,7 +150,7 @@ def cmd_decompose(args) -> int:
         args,
         lambda f: {
             "form": _form_json(f),
-            "decomposition": decompose(f, args.precision_bits).to_json(),
+            "decomposition": _to_json(decompose(f, args.precision_bits)),
         },
     )
 
@@ -142,6 +159,7 @@ def cmd_verify_decomp(args) -> int:
     import mpmath
 
     def handler(line):
+        apolarity.check_precision(args.precision_bits)  # the bound is 2^-(bits/2)
         rec = json.loads(line)
         if not isinstance(rec, dict):
             raise GrammarError("a decomposition record is a JSON object")
@@ -170,7 +188,7 @@ def cmd_verify_decomp(args) -> int:
 def cmd_project(args) -> int:
     from .projection import project
 
-    return _for_each_form(args, lambda f: project(f).to_json())
+    return _for_each_form(args, lambda f: _to_json(project(f)))
 
 
 def cmd_xrank(args) -> int:
@@ -184,7 +202,7 @@ def cmd_xrank(args) -> int:
         else:
             _check_degree(args.n + 1)
             P = ProjectedPoint(args.n, tuple(_coefficient(c) for c in args.coords.split(",")))
-        return {"n": P.n, **x_rank(P).to_json()}
+        return {"n": P.n, **_to_json(x_rank(P))}
 
     return _for_each_line([None] if args.coords else _input_lines(args), handler)
 
@@ -194,7 +212,7 @@ def cmd_classify(args) -> int:
 
     def handler(f):
         v = classify(f)
-        blob = v.to_json()
+        blob = _to_json(v)
         blob["form"] = _form_json(f)
         if args.explain:
             blob["explain"] = v.explain()
@@ -209,7 +227,7 @@ def cmd_generate(args) -> int:
     try:
         for k in range(args.count):
             spec = InstanceSpec(args.case, args.n, args.level, seed=args.seed + k)
-            _emit(generate_instance(spec).to_json())
+            _emit(_to_json(generate_instance(spec)))
     except _FAILURES as exc:
         return _fail(exc)
     return 0

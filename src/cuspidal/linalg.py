@@ -63,8 +63,11 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 
 def canonical_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale to primitive integer entries with the first nonzero entry positive."""
-    (ints,) = _int_rows([vec])
-    g = int_gcd(*ints)
+    try:  # integer entries need no denominator pass
+        g, ints = int_gcd(*vec), vec
+    except TypeError:
+        (ints,) = _int_rows([vec])
+        g = int_gcd(*ints)
     if g:
         if next(c for c in ints if c) < 0:
             g = -g

@@ -35,12 +35,16 @@ factor, P projected once more, from the tangent line at A.
   a kernel.  So the scan visits only w'..w'+2 up to the cap, stops at the
   first generic level w_gen, and reports each lambda at its first kernel
   level, the first level where it appears.
+* At a rational lambda the block is a 2 x dim K integer matrix, and its
+  kernel is read off its 2 x 2 minors (``_block_kernel``): no elimination.
 * A special lambda that is not rational is a root gamma of an irreducible
   quadratic, where the block has rank one and its kernel form is g = v0 +
-  gamma v1 with v0, v1 rational.  With h = gcd(v0, v1), the norm g g~ over
-  h is a rational form, square-free exactly when g is (the proof is at
-  ``_Pencil.field_certificate``), so ``binform.is_square_free`` decides the
-  rank at gamma and at its conjugate, as at every rational lambda.
+  gamma v1 with v0, v1 rational.  With h = gcd(v0, v1), the norm N = g g~
+  over h is a rational form, square-free exactly when g is (the proof is at
+  ``_Pencil.field_certificate``).  N square-free modulo a listed prime
+  proves h = 1 and g square-free, so the rank at gamma and at its conjugate
+  comes from N mod p; only when no listed prime proves it does
+  ``binform.is_square_free`` of N / h decide, as at every rational lambda.
 * B'' = 0 exactly when P is the cusp, the image of A: the lift at
   lambda = 0 is a power of u, of rank 1.
 
@@ -58,7 +62,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from . import linalg, ratfactor, univar
-from .apolarity import CertificateError, RankCertificate, _certify, _ideal_generators
+from .apolarity import CertificateError, RankCertificate, _certify, _dot, _ideal_generators
 from .apolarity import rank as sylvester_rank
 from .binform import (
     BinaryForm,
@@ -133,7 +137,7 @@ class ProjectedPoint:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ProjectionError("projected point needs n >= 3")
-        vec = tuple(Fraction(c) for c in self.coords)
+        vec = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
         if len(vec) != self.n + 1:
             raise ProjectionError(f"expected {self.n + 1} coordinates, got {len(vec)}")
         if not any(vec):
@@ -144,6 +148,13 @@ class ProjectedPoint:
     def canonical(self) -> tuple[int, ...]:
         """The primitive integer vector of coords, read by ``==`` and ``hash``."""
         return linalg.canonical_vector(self.coords)
+
+    @cached_property
+    def _cleared(self) -> tuple[int, tuple[int, ...]]:
+        """D, the lcm of the denominators of coords, and D times the apolar
+        vector with slot 1 at 0: the integers of every level's pencil."""
+        D = math.lcm(*(c.denominator for c in self.coords))
+        return D, tuple(c.numerator * (D // c.denominator) for c in self.apolar_with_slot(0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjectedPoint):
@@ -245,6 +256,36 @@ def cusp_curve_images(n: int, scheme: ZeroScheme):
 # -- the pencil of one level -------------------------------------------------
 
 
+def _block_kernel(x: list, y: list) -> list[list]:
+    """A basis of the kernel of the 2 x k matrix with rows x and y, read off
+    its 2 x 2 minors: the unit vectors at rank 0; at rank 1, with z the
+    first nonzero row and p its first nonzero column, z_p e_j - z_j e_p for
+    j != p; at rank 2, with m = x_p y_q - x_q y_p the first nonzero minor,
+    the Cramer vectors m e_j - [j, q] e_p - [p, j] e_q for j != p, q, [i, j]
+    the minor of columns i and j."""
+    k = len(x)
+
+    def vector(*terms):  # sum of c e_i over the (c, i) given
+        vec = [0] * k
+        for c, i in terms:
+            vec[i] = c
+        return vec
+
+    def minor(i, j):
+        return x[i] * y[j] - x[j] * y[i]
+
+    minors = ((p, q, minor(p, q)) for p, q in itertools.combinations(range(k), 2))
+    p, q, m = next((pqm for pqm in minors if pqm[2]), (0, 0, 0))
+    if m:
+        return [vector((m, j), (-minor(j, q), p), (-minor(p, j), q))
+                for j in range(k) if j not in (p, q)]
+    z = x if any(x) else y
+    p = next((i for i, c in enumerate(z) if c), None)
+    if p is None:
+        return [vector((1, j)) for j in range(k)]
+    return [vector((z[p], j), (-z[j], p)) for j in range(k) if j != p]
+
+
 @dataclass(frozen=True)
 class _Pencil:
     """Level-r structure of the lift pencil of a degree-d point: a basis K of
@@ -284,12 +325,16 @@ class _Pencil:
 
     def kernel_at(self, lam: Fraction) -> list[tuple[Fraction, ...]]:
         """Level-r kernel of the lift at rational lam, basis for basis as
-        ``linalg.nullspace`` gives it for the lift's catalecticant."""
-        block = [[lam.denominator * c + lam.numerator * s for c, s in pair]
-                 for pair in zip(*self.rows)]
-        combos = linalg.nullspace(block) if self.kernel else []
-        vecs = [[sum(c * v[i] for c, v in zip(cs, self.kernel)) for i in range(self.r + 1)]
-                for cs in combos]
+        ``linalg.nullspace`` gives it for the lift's catalecticant: K c for
+        c in ``_block_kernel`` of the 2 x dim K block at lam, put in the
+        free-column basis, which depends only on their span."""
+        if not self.kernel:
+            return []
+        x, y = ([lam.denominator * c + lam.numerator * s for c, s in row]
+                for row in zip(*self.rows))
+        vecs = [[_dot(cs, col) for col in zip(*self.kernel)] for cs in _block_kernel(x, y)]
+        if len(vecs) == 1:
+            return [linalg.canonical_vector(vecs[0])]
         return linalg.free_column_basis(vecs)
 
     def certificate(self, lam: Fraction) -> RankCertificate:
@@ -312,6 +357,15 @@ class _Pencil:
         (g~/h), where g/h and g~/h are conjugate and coprime and h is
         rational: it is square-free iff h and g/h are square-free and
         coprime, that is iff g is.
+
+        Scaled to integers, N is first tested modulo the primes of
+        ``ratfactor.PRIMES`` (``_norm_square_free_mod``).  Square-free mod p
+        proves N square-free over Q: a factor G^2 | N with G primitive in
+        Z[u, t] gives N = G^2 H with H integral (Gauss), so N mod p = G~^2 H~
+        with G~ a nonzero form of the degree of G, which has a double root
+        on P^1 over the closure of F_p.  Then h = 1, as h^2 | N, and g is
+        square-free.  When no listed prime proves it, the exact gcd h and
+        ``is_square_free`` of N / h decide.
         """
         if len(self.kernel) != 2:
             raise CertificateError(f"algebraic lambda with dim K = {len(self.kernel)}")
@@ -326,6 +380,9 @@ class _Pencil:
             raise CertificateError("the kernel vector vanishes at an algebraic lambda")
         # one integer scale for v0 and v1, and the norm times lc(minpoly)
         ints = linalg.canonical_vector(v0 + v1)
+        modulus = tuple(Fraction(c, minpoly[2]) for c in minpoly)
+        if any(_norm_square_free_mod(ints, minpoly, p) for p in ratfactor.PRIMES):
+            return FieldCertificate(self.r, self.r, "squarefree", modulus)
         g0, g1 = BinaryForm(self.r, ints[: self.r + 1]), BinaryForm(self.r, ints[self.r + 1 :])
         c0, c1, c2 = minpoly
         norm = (g0 * g0).scaled(c2) - (g0 * g1).scaled(c1) + (g1 * g1).scaled(c0)
@@ -333,31 +390,46 @@ class _Pencil:
         # h is u^k h(1, t) with k = r - max deg, so N / h has degree 2r - k - deg h(1, t)
         deg = self.r + max(univar.degree(g0.coeffs), univar.degree(g1.coeffs)) - univar.degree(h)
         quot = univar.div_exact(norm.coeffs, h)
-        modulus = tuple(Fraction(c, c2) for c in minpoly)
         if is_square_free(BinaryForm(deg, quot + (0,) * (deg + 1 - len(quot)))):
             return FieldCertificate(self.r, self.r, "squarefree", modulus)
         return FieldCertificate(self.r, self.d + 2 - self.r, "nonreduced", modulus)
 
 
+def _norm_square_free_mod(ints: tuple[int, ...], minpoly: tuple[int, ...], p: int) -> bool:
+    """Whether N = c2 v0^2 - c1 v0 v1 + c0 v1^2 mod p, for ints = (v0, v1)
+    two level-r vectors and minpoly = (c0, c1, c2), is square-free as a
+    binary form of degree 2r: neither t^2 nor u^2 divides it (N = 0
+    included), and N(1, t) has no multiple root (``ratfactor._serves``)."""
+    half = len(ints) // 2
+    v0, v1 = [c % p for c in ints[:half]], [c % p for c in ints[half:]]
+    c0, c1, c2 = minpoly
+    norm = [0] * (2 * half - 1)
+    for c, f, g in ((c2 % p, v0, v0), (-c1 % p, v0, v1), (c0 % p, v1, v1)):
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g, i):
+                    norm[j] += c * a * b
+    norm = [c % p for c in norm]
+    if not any(norm[:2]) or not any(norm[-2:]):
+        return False
+    return ratfactor._serves(univar.trim(norm), p)
+
+
 def _pencil(P: ProjectedPoint, r: int, gens: list[tuple[int, ...]]) -> _Pencil:
     """The level-r pencil of P, for gens = ``_ideal_generators`` of B''.  Rows
     0 and 1, where only a_1 = lambda/d moves, are scaled into integers by
-    d * lcm(denominators of P); canonical kernels and primitive factors hide
-    it."""
+    d * lcm(denominators of P), formed once per point; canonical kernels and
+    primitive factors hide it."""
     d = P.n + 1
     if not 1 <= r <= (d + 2) // 2:
         raise ProjectionError(f"level must lie in 1..{(d + 2) // 2}")
-    D = math.lcm(*(c.denominator for c in P.coords))
-    a = [c.numerator * (D // c.denominator) for c in P.apolar_with_slot(0)]
-    kernel = [
-        (0,) * i + g + (0,) * (r + 1 - len(g) - i) for g in gens for i in range(r + 2 - len(g))
-    ]
+    D, a = P._cleared
+    shifts = [(i, g) for g in gens for i in range(r + 2 - len(g))]
+    kernel = [(0,) * i + g + (0,) * (r + 1 - len(g) - i) for i, g in shifts]
+    # row j = 0, 1 of Hankel times g shifted by i is sum_k a_(i+j+k) g_k, as a_1 = 0
     rows = [
-        (
-            (d * sum(a[k] * v[k] for k in range(r + 1)), D * v[1]),
-            (d * sum(a[k + 1] * v[k] for k in range(1, r + 1)), D * v[0]),
-        )
-        for v in kernel
+        ((d * _dot(a[i:], g), D * v[1]), (d * _dot(a[i + 1:], g), D * v[0]))
+        for (i, g), v in zip(shifts, kernel)
     ]
     return _Pencil(d, r, kernel, rows)
 
@@ -492,7 +564,7 @@ def fiber_scan(P: ProjectedPoint) -> FiberScan:
     if not any(P.coords[1:]):
         raise ProjectionError("the cusp has no pencil to scan; its lift at 0 has rank 1")
     cap = (P.n + 3) // 2
-    gens = _ideal_generators(P.coords[1:])
+    gens = _ideal_generators(P._cleared[1][2:])  # B'' in integers
     w = len(gens[0]) - 1
     levels, seen = [], set()  # (pencil, new special lambda) per level below w_gen
     for r in range(w, min(w + 2, cap) + 1):

@@ -4,9 +4,12 @@ import contextlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import projection
-from cuspidal.binform import MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_PRECISION_BITS
+from cuspidal.apolarity import rank
+from cuspidal.binform import MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_PRECISION_BITS, parse_form
 from cuspidal.cli import _build_parser, main
 
 
@@ -285,6 +289,59 @@ class TestDecomposePipeline:
         monkeypatch.setenv("CUSPIDAL_PRECISION_BITS", above)
         code, recs = run(capsys, monkeypatch, ["decompose", form])
         assert code == 1 and recs[0]["error"] == refused
+
+    @pytest.mark.parametrize("bits, message", [
+        (10, "precision_bits must be at least 64"),
+        (63, "precision_bits must be at least 64"),
+        (64, None),
+        (MAX_PRECISION_BITS, None),
+        (MAX_PRECISION_BITS + 1, f"precision_bits must be at most {MAX_PRECISION_BITS}"),
+    ])
+    def test_verify_decomp_precision_range(self, capsys, monkeypatch, bits, message):
+        """verify-decomp takes decompose's range of precisions, from the flag
+        and from CUSPIDAL_PRECISION_BITS alike, and refuses the rest with
+        decompose's error record: its bound is 2^-(bits/2), so at 10 bits a
+        decomposition off by 3% would verify."""
+        code, recs = run(capsys, monkeypatch, ["decompose", "d=3; [1,0,0,1]"])
+        line = json.dumps(recs[0])
+        for argv in (["verify-decomp", "--precision-bits", str(bits)], ["verify-decomp"]):
+            if len(argv) == 1:
+                monkeypatch.setenv("CUSPIDAL_PRECISION_BITS", str(bits))
+            code, checked = run(capsys, monkeypatch, argv, stdin=line)
+            if message is None:
+                assert code == 0 and checked[0]["ok"] is True, argv
+            else:
+                assert code == 1, argv
+                assert checked == [{"error": {"type": "ValueError", "message": message}}], argv
+
+
+class TestLargeAnswers:
+    """An answer whose integers exceed Python's limit on int-to-str
+    conversion (4300 digits) is printed; input stays under the limit."""
+
+    def test_rank_prints_a_witness_above_the_limit(self, capsys, monkeypatch):
+        """A degree-10 form with 1000-bit numerators and denominators, inside
+        the grammar, has a witness with integers above 4300 digits."""
+        rng = random.Random(7)
+        coeffs = [Fraction(rng.getrandbits(1000), rng.getrandbits(1000) | 1) for _ in range(11)]
+        text = "d=10; [" + ",".join(map(str, coeffs)) + "]"
+        limit = sys.get_int_max_str_digits()
+        code, recs = run(capsys, monkeypatch, ["rank", text])
+        assert sys.get_int_max_str_digits() == limit
+        assert code == 0 and recs[0]["r"] == 6
+        assert max(map(len, re.findall(r"\d+", json.dumps(recs[0])))) > 4300
+        sys.set_int_max_str_digits(0)
+        try:
+            want = rank(parse_form(text)).to_json()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert recs[0] == {"d": 10, **want}
+
+    def test_json_input_keeps_the_limit(self, capsys, monkeypatch):
+        record = '{"degree": 2, "coeffs": [' + "1" * 4301 + ", 0, 1]}"
+        code, recs = run(capsys, monkeypatch, ["rank"], stdin=record)
+        assert code == 1 and recs[0]["error"]["type"] == "ValueError"
+        assert "4300" in recs[0]["error"]["message"]
 
 
 class TestBatchSemantics:

@@ -1171,3 +1171,131 @@ def test_x_rank_invariant_under_reparametrization_and_scaling(P, s, c):
     value = x_rank(P).value
     assert x_rank(reparametrized(P, s)).value == value
     assert x_rank(ProjectedPoint(P.n, tuple(c * x for x in P.coords))).value == value
+
+
+_ENTRIES = st.integers(-9, 9)
+
+
+@st.composite
+def _two_row_blocks(draw):
+    """2 x k integer blocks, k = 1..5, of every rank: both rows zero, one
+    row zero, proportional rows, and two free rows (rank 2 when k >= 2)."""
+    k = draw(st.integers(1, 5))
+    row = st.lists(_ENTRIES, min_size=k, max_size=k)
+    shape = draw(st.sampled_from(("zero", "x zero", "y zero", "proportional", "free")))
+    x, y = draw(row), draw(row)
+    if shape == "zero":
+        return [0] * k, [0] * k
+    if shape == "x zero":
+        return [0] * k, y
+    if shape == "y zero":
+        return x, [0] * k
+    if shape == "proportional":
+        return x, [draw(_ENTRIES) * c for c in x]
+    return x, y
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_two_row_blocks())
+def test_block_kernel_matches_gauss_jordan(block):
+    """``_block_kernel``, read off the 2 x 2 minors, is a basis of the same
+    kernel as Gauss-Jordan elimination over Fraction gives: its vectors are
+    independent (``free_column_basis`` refuses dependent ones), annihilate
+    both rows, and have the same free-column basis."""
+    x, y = block
+    got = projection._block_kernel(x, y)
+    assert all(not apolarity._dot(row, v) for row in (x, y) for v in got)
+    assert linalg.free_column_basis(got) == nullspace_plain([x, y])
+
+
+def _quadratic_pencil_cases(points):
+    """(point, pencil, minpoly) for every quadratic special lambda of every
+    level of ``_scan_pencils`` of each point off the cusp."""
+    for P in points:
+        if not any(P.coords[1:]):
+            continue
+        for pen in _scan_pencils(P):
+            got = pen.special_values()
+            if got is not ALL_LAMBDA:
+                minpolys = sorted({key[0] for key, _lam in got if isinstance(key, tuple)})
+                yield from ((P, pen, m) for m in minpolys)
+
+
+def _seeded_points(seed, count=300):
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(4, 12)
+        try:
+            yield project(BinaryForm(d, tuple(rng.choice((-1, 0, 1, 2)) for _ in range(d + 1))))
+        except (ProjectionError, ZeroFormError):
+            continue
+
+
+def _spy_norm_proofs(monkeypatch) -> list[bool]:
+    """Record each answer of ``_norm_square_free_mod``, which stays in use."""
+    answers, real = [], projection._norm_square_free_mod
+
+    def spy(ints, minpoly, p):
+        answers.append(real(ints, minpoly, p))
+        return answers[-1]
+
+    monkeypatch.setattr(projection, "_norm_square_free_mod", spy)
+    return answers
+
+
+class TestModularNormProof:
+    """``field_certificate`` proves "squarefree" from the norm modulo a
+    listed prime and falls back to the exact h and ``is_square_free``."""
+
+    def test_same_certificate_as_the_exact_route_and_the_discriminant(self, monkeypatch):
+        """At every quadratic lambda of the benchmark's fiber corpus, of
+        seeded pencils and of planted points on a3 = 0, a0 a4 = -3 a2^2 (the
+        n = 3 points with a non-reduced kernel form there), the certificate
+        equals the one the exact fallback gives with the modular proof
+        patched to fail, and the discriminant route's; the modular proof
+        settles every square-free one."""
+        points = [project(f) for _key, f in corpus_forms()]
+        points += _seeded_points("modular-norm")
+        rng = random.Random("planted-nonreduced")
+        for _ in range(12):
+            a0, a2 = (F(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 3)) for _ in "02")
+            points.append(ProjectedPoint(3, (a0, a2, F(0), -3 * a2**2 / a0)))
+        cases = list(_quadratic_pencil_cases(points))
+        answers = _spy_norm_proofs(monkeypatch)
+        got = [pen.field_certificate(m) for _P, pen, m in cases]
+        monkeypatch.setattr(projection, "_norm_square_free_mod", lambda *args: False)
+        exact = [pen.field_certificate(m) for _P, pen, m in cases]
+        assert got == exact
+        assert got == [discriminant_field_certificate(pen, m) for _P, pen, m in cases]
+        kinds = collections.Counter(cert.witness_kind for cert in got)
+        assert kinds["squarefree"] >= 150 and kinds["nonreduced"] >= 10, kinds
+        assert answers.count(True) == kinds["squarefree"]
+
+    def test_fiber_scan_unchanged_by_the_fallback(self, monkeypatch):
+        """With the modular proof patched to fail, every certificate of the
+        scans of the corpus points with a quadratic lambda is the same."""
+        points = {P for P, _pen, _m in _quadratic_pencil_cases(
+            project(f) for _key, f in corpus_forms())}
+        assert len(points) >= 20
+        want = {P: fiber_scan(P) for P in points}
+        monkeypatch.setattr(projection, "_norm_square_free_mod", lambda *args: False)
+        for P, scan in want.items():
+            got = fiber_scan(P)
+            assert got.certificates == scan.certificates, P
+            assert got.result.to_json() == scan.result.to_json(), P
+
+    def test_nonreduced_quadratic_lambda(self, monkeypatch):
+        """The pinned points whose kernel form is non-reduced at both roots
+        of a quadratic lambda stay "nonreduced": no prime proves a norm
+        with a square factor square-free."""
+        answers = _spy_norm_proofs(monkeypatch)
+        seen = 0
+        for coords in ((-1, -1, 0, 3), (3, -1, 0, -1), (-1, 1, 0, 3)):
+            P = ProjectedPoint(3, tuple(F(c) for c in coords))
+            for pen, lam in _algebraic_lambdas(P):
+                cert = pen.field_certificate(lam.minpoly)
+                assert cert.witness_kind == "nonreduced", (coords, lam)
+                assert cert == field_rank_certificate(field_lift(P, lam))
+                seen += 1
+        assert seen >= 3
+        assert answers and not any(answers)

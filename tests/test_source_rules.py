@@ -35,7 +35,6 @@ PUBLIC_UNCALLED = {
 # the functions of the package that may call linalg.nullspace; every other
 # kernel is built from the structure the mathematics gives
 NULLSPACE_CALLERS = {
-    "projection._Pencil.kernel_at": "the 2 x dim K block of the pencil at one lambda, dim K <= 4 at w_gen",
     "oracle._moment_seeds": "the moment rows of the numeric span search, which leaves the package",
 }
 
