@@ -513,8 +513,8 @@ def decompose(f: BinaryForm, precision_bits: int = 192) -> Decomposition:
     """Minimal power-sum decomposition for forms with a square-free witness.
 
     The witness's rational points and the cofactor left after them come
-    from ``ratfactor.rational_roots``, which proves nothing more about the
-    cofactor.  The scalars are the residue formula of ``_residue_scalars``,
+    from ``ratfactor.rational_roots``; the cofactor has no rational root.
+    The scalars are the residue formula of ``_residue_scalars``,
     exact at the points.  A cofactor of degree 2 has no rational root, so
     it is irreducible and its roots are one conjugate pair, whose scalar
     has a closed form over Q(gamma); then, or with no cofactor, the whole

@@ -322,26 +322,31 @@ def _root_of_linear(g: BinaryForm) -> P1Point:
 class ZeroScheme:
     """Zero scheme of a form: factors with multiplicities.
 
-    Construction canonicalizes: every factor is split into irreducible pieces
-    over the rationals and multiplicities of coinciding pieces accumulate, so
-    two schemes are structurally equal (dataclass ``==``) exactly when they
-    agree as schemes.  The scheme always means the vanishing of
-    ``prod g_i^{m_i}``.
+    Construction canonicalizes: the scheme is split into its square-free
+    parts over C by multiplicity, and each part into its rational points
+    and one cofactor with no rational root, so two schemes are structurally
+    equal (dataclass ``==``) exactly when they agree as schemes.  The
+    scheme always means the vanishing of ``prod g_i^{m_i}``.  The nonlinear
+    factors given are multiplied into one polynomial, with their
+    multiplicities, and ``ratfactor.primitive_factors`` splits it once, so
+    the parts depend only on the scheme and not on how it was given.
 
-    Invariant: every factor is an irreducible, primitive integer form whose
-    first nonzero coefficient is positive.  The pieces arrive as primitive
-    integer vectors from ``ratfactor.primitive_factors``; each has a nonzero
-    constant term or is t = (0, 1), so fixing the sign of the constant term
-    is all the canonical form asks.  So a factor vanishes at a
-    rational point p exactly when it equals ``p.linear_form()``, and a factor
-    of degree 2 or more has no rational point.  The point methods read their
-    answers off the factors and factor nothing again.
+    Invariant: every factor is linear, or square-free with no rational
+    root; each is a primitive integer form whose first nonzero coefficient
+    is positive, and the factors are pairwise coprime.  The pieces arrive
+    as primitive integer vectors from ``ratfactor.primitive_factors``; each
+    has a nonzero constant term or is t = (0, 1), so fixing the sign of the
+    constant term is all the canonical form asks.  So a factor vanishes at
+    a rational point p exactly when it equals ``p.linear_form()``, and a
+    factor of degree 2 or more has no rational point.  The point methods
+    read their answers off the factors and factor nothing again.
     """
 
     factors: tuple[tuple[BinaryForm, int], ...]
 
     def __post_init__(self) -> None:
         acc: dict[BinaryForm, int] = {}
+        curved: list = [1]  # the nonlinear factors' product in t, powers included
         for g, m in self.factors:
             if m <= 0:
                 raise ValueError("multiplicities must be positive")
@@ -349,7 +354,7 @@ class ZeroScheme:
                 raise ValueError("zero factor in a zero scheme")
             if g.degree < 1:
                 raise ValueError("constant factor in a zero scheme")
-            if g.degree == 1:  # irreducible already: only the canonical form is asked
+            if g.degree == 1:  # a rational point already: only the canonical form is asked
                 piece = BinaryForm(1, linalg.canonical_vector(g.coeffs))
                 acc[piece] = acc.get(piece, 0) + int(m)
                 continue
@@ -357,9 +362,13 @@ class ZeroScheme:
             if k:
                 ufac = BinaryForm(1, (1, 0))
                 acc[ufac] = acc.get(ufac, 0) + k * int(m)
-            for q, e in ratfactor.primitive_factors(p):
+            p = univar.primitive(p)
+            for _ in range(int(m)):
+                curved = univar.mul(curved, p)
+        if len(curved) > 1:
+            for q, e in ratfactor.primitive_factors(curved):
                 piece = BinaryForm(len(q) - 1, q if q[0] >= 0 else tuple(-c for c in q))
-                acc[piece] = acc.get(piece, 0) + e * int(m)
+                acc[piece] = acc.get(piece, 0) + e
         canon = sorted(acc.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
         object.__setattr__(self, "factors", tuple(canon))
 
@@ -423,11 +432,11 @@ def is_square_free(f: BinaryForm) -> bool:
 
 
 def squarefree_decompose(f: BinaryForm) -> ZeroScheme:
-    """The zero scheme of f: its irreducible factors over Q with their
-    multiplicities, a factor supported at (0:1) included.  ``ZeroScheme``
-    finds them with ``ratfactor.primitive_factors``, which runs Yun's
-    square-free decomposition only when no listed prime proves f(1, t)
-    square-free."""
+    """The zero scheme of f: for each multiplicity, its rational points and
+    one cofactor over Q with no rational root, a factor supported at (0:1)
+    included.  ``ZeroScheme`` finds them with
+    ``ratfactor.primitive_factors``, which runs Yun's square-free
+    decomposition only when no listed prime proves f(1, t) square-free."""
     if f.is_zero():
         raise ZeroFormError("decomposition of the zero form")
     return ZeroScheme(((f, 1),) if f.degree else ())
@@ -475,8 +484,8 @@ def approximate_roots(p: Sequence[Fraction], bits: int) -> list:
     final integers over 2^(P + g).
 
     The seeds only start the iteration; nothing here is certified.
-    ``apolarity.decompose`` reads the roots of a witness's irreducible
-    factors from it, and its exact residual is what certifies them: it
+    ``apolarity.decompose`` reads the roots of a witness's cofactor with no
+    rational root from it, and its exact residual is what certifies them: it
     raises PrecisionError when the roots are too poor.  The roots of exact
     quadratics, in ``numberfield``, come from the quadratic formula instead.
     """

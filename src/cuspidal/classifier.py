@@ -142,7 +142,7 @@ def _mult_at_A(g: BinaryForm) -> int:
 def _center_jet(W: ZeroScheme) -> tuple[int, int, int, int]:
     """(deg W, h_0, h_1, mult_A W), h_0 + h_1 t = prod (g_0 + g_1 t)^e mod t²
     over the factors g^e of W, by (g_0 + g_1 t)^e = g_0^e + e g_0^(e-1) g_1 t.
-    The factors are irreducible, so only t has g_0 = 0."""
+    Only the factor t vanishes at A, so only it has g_0 = 0."""
     deg, h0, h1, m = 0, 1, 0, 0
     for g, e in W.factors:
         g0, g1 = g.coeffs[0], g.coeffs[1]

@@ -560,6 +560,10 @@ def fiber_scan(P: ProjectedPoint) -> FiberScan:
     <= 2 of the block, so its discriminant vanishes at no more than
     2 (2 w_gen - 2) lambda, or at all, and the 4 w_gen + 2 grid points of
     ``_generic_certificate`` outside ``seen`` find the least rank there.
+
+    The least rank is r_X(P), at most n - dim X + 1 = n for the
+    nondegenerate curve X in P^n (Landsberg and Teitler, Found. Comput.
+    Math. 10, 2010, Prop. 5.1); a larger one raises CertificateError.
     """
     if not any(P.coords[1:]):
         raise ProjectionError("the cusp has no pencil to scan; its lift at 0 has rank 1")
@@ -590,6 +594,8 @@ def fiber_scan(P: ProjectedPoint) -> FiberScan:
     (_r, lam_star), cert_star = min(
         certificates.items(), key=lambda kc: _certificate_sort_key(kc[1].rank, kc[1], kc[0][1])
     )
+    if cert_star.rank > P.n:
+        raise CertificateError(f"X-rank {cert_star.rank} above the bound n = {P.n}")
     return FiberScan(levels, seen, pencil, generic_cert, generic_lam, certificates,
                      XRankResult(cert_star.rank, lam_star, cert_star, P.n))
 

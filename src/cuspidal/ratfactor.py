@@ -1,10 +1,16 @@
-"""Irreducible factorization of univariate rational polynomials.
+"""Square-free parts and rational roots of univariate rational polynomials.
 
 Inputs are plain low-to-high coefficient lists.  A polynomial is read as
 its primitive integer vector with a positive leading coefficient
 (``univar.primitive``), the format of every factor that ``primitive_factors``
-returns, and the factorization is proved modulo primes (von zur Gathen and
-Gerhard, *Modern Computer Algebra*, 3rd ed.):
+returns.  For each multiplicity m, ``primitive_factors`` gives the rational
+linear factors of multiplicity m and one square-free cofactor with no
+rational root: the product of the nonlinear irreducible factors of
+multiplicity m, which it does not split further.  That is the zero scheme
+over C, split into its parts by multiplicity and its rational points, and
+it is canonical, so equal polynomials give equal factors.  The rational
+roots are proved modulo primes (von zur Gathen and Gerhard, *Modern
+Computer Algebra*, 3rd ed.):
 
 * A root at 0 is split off first.  Degrees 1 and 2 are factored in closed
   form: a quadratic splits over the rationals exactly when its integer
@@ -26,36 +32,21 @@ Gerhard, *Modern Computer Algebra*, 3rd ed.):
   rational root.  Otherwise each root mod p is Hensel-lifted until
   p^k > 2 |g(0)| lc(g), where rational reconstruction returns the only
   candidate a/b within those bounds; it is kept when b x - a divides g
-  exactly.  This finds every rational root.  ``rational_roots`` stops here
-  and returns the roots with the cofactor left after them, for callers
-  that need no more: a cofactor of degree 2 is then irreducible, and one of
-  higher degree is left as it is, with no proof that it does not split
-  further.
-* Irreducibility (§14.2; Musser, "On the efficiency of a polynomial
-  irreducibility test", J. ACM 25, 1978).  The cofactor h left after the
-  roots has no factor of degree 1 or deg h - 1.  The degree of any factor of
-  h over Q is a sum of degrees of its irreducible factors mod every serving
-  prime, found by distinct-degree factorization.  When the sums common to
-  the first ``len(PRIMES)`` serving primes leave no proper degree, h is
-  irreducible; a cofactor of degree 3 or less needs no prime.
-* When a proper degree remains, h is split by Zassenhaus's algorithm
-  (§15.6): its factors mod the serving prime with the fewest of them are
-  found by Cantor and Zassenhaus's equal-degree split, Hensel-lifted past
-  twice the Mignotte bound, and recombined, products of fewer factors
-  first, into the factors of h over Z that divide it exactly.
+  exactly.  This finds every rational root, and the cofactor left after
+  them has none: of degree 2 or 3 it is irreducible, above that it may
+  split, and nothing here asks.
 
-The irreducible factors are checked by explicit raises, which run under
-``python -O`` too: every root read off a linear factor must vanish on the
-input, and the factors with their multiplicities must multiply back to it.
+The factors are checked by explicit raises, which run under ``python -O``
+too: every root read off a linear factor must vanish on the input, and the
+factors with their multiplicities must multiply back to it.
 """
 
 from __future__ import annotations
 
-import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, count, islice
+from itertools import count, islice
 from math import isqrt
 from typing import Iterator, Sequence
 
@@ -93,23 +84,8 @@ def _eval_mod(g: Sequence[int], x: int, m: int) -> int:
     return acc
 
 
-def _divmod_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = [c % p for c in a]
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(len(a) - db, 0)
-    for k in range(len(a) - 1 - db, -1, -1):
-        c = a[k + db] * inv % p
-        q[k] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[k + j] = (a[k + j] - c * bj) % p
-    return q, univar.trim(a[:db])
-
-
 def _rem_p(a: list[int], b: list[int], p: int) -> list[int]:
-    """a mod b over F_p, the remainder of ``_divmod_p`` with no quotient
-    built."""
+    """a mod b over F_p, with no quotient built."""
     a = [c % p for c in a]
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
@@ -156,72 +132,6 @@ def coprime(g: Ints, h: Ints, tries: int = 2) -> bool:
     modulo a prime by ``proves_coprime`` with ``tries``, else decided by
     the degree of their exact gcd in the integers."""
     return proves_coprime(g, h, tries) or univar.degree(univar.gcd(g, h)) == 0
-
-
-def _powmod_p(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """a^e mod f over F_p, by square and multiply."""
-    acc = [1]
-    while e:
-        if e & 1:
-            acc = _rem_p(univar.mul(acc, a), f, p)
-        a = _rem_p(univar.mul(a, a), f, p)
-        e >>= 1
-    return acc
-
-
-def _xgcd_p(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """s, t with s a + t b = 1 over F_p, for coprime a and b."""
-    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
-    while r1:
-        q, r = _divmod_p(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _mod(univar.sub(s0, univar.mul(q, s1)), p)
-        t0, t1 = t1, _mod(univar.sub(t0, univar.mul(q, t1)), p)
-    inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
-
-
-def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Distinct-degree factorization (Modern Computer Algebra, Alg. 14.3) of
-    a monic f, square-free mod p: pairs (g, i) where g is the monic product
-    of the irreducible factors of degree i."""
-    out, x, w, i = [], [0, 1], [0, 1], 0
-    while len(f) - 1 >= 2 * (i + 1):
-        i += 1
-        w = _powmod_p(w, p, f, p)  # x^(p^i) mod f
-        g = _gcd_p(f, _mod(univar.sub(w, x), p), p)
-        if len(g) > 1:
-            out.append((g, i))
-            f = _divmod_p(f, g, p)[0]
-            w = _rem_p(w, f, p)
-    if len(f) > 1:
-        out.append((f, len(f) - 1))
-    return out
-
-
-def _degree_sums(ddf: list[tuple[list[int], int]]) -> int:
-    """Bitmask of the degrees of the products of irreducible factors mod p
-    (bit k for degree k), read off a distinct-degree factorization."""
-    sums = 1
-    for g, i in ddf:
-        for _ in range((len(g) - 1) // i):
-            sums |= sums << i
-    return sums
-
-
-def _equal_degree(g: list[int], i: int, p: int, rng: random.Random) -> list[list[int]]:
-    """The monic irreducible factors, all of degree i, of a monic g over
-    F_p, p odd, by Cantor and Zassenhaus's split (Alg. 14.8)."""
-    if len(g) - 1 == i:
-        return [g]
-    while True:
-        a = _mod([rng.randrange(p) for _ in range(len(g) - 1)], p)
-        if len(a) < 2:
-            continue
-        h = _gcd_p(g, _mod(univar.sub(_powmod_p(a, (p**i - 1) // 2, g, p), [1]), p), p)
-        if 1 < len(h) < len(g):
-            rest = _divmod_p(g, h, p)[0]
-            return _equal_degree(h, i, p, rng) + _equal_degree(rest, i, p, rng)
 
 
 # -- rational roots and the cofactor ----------------------------------------
@@ -319,84 +229,6 @@ def _factor_low_degree(coeffs: Ints) -> list[tuple[Ints, int]]:
     return [(lo, 2)] if not s else [(lo, 1), (hi, 1)]
 
 
-def _lift_factor(h: Ints, u: list[int], p: int, bound: int) -> tuple[list[int], int]:
-    """The monic factor of h modulo m = p^(2^j) > bound that reduces to u,
-    a monic factor of h mod p coprime to its cofactor, by quadratic Hensel
-    lifting (Alg. 15.10); returns (factor, m)."""
-    g = _divmod_p(_mod(h, p), u, p)[0]
-    s, t = _xgcd_p(g, u, p)
-    m = p
-    while m <= bound:
-        # from h = g u and s g + t u = 1 mod m to the same mod m^2
-        m *= m
-        e = _mod(univar.sub(h, univar.mul(g, u)), m)
-        q, r = _divmod_p(univar.mul(s, e), u, m)
-        g = _mod(univar.add(univar.add(g, univar.mul(t, e)), univar.mul(q, g)), m)
-        u = _mod(univar.add(u, r), m)
-        b = _mod(univar.sub(univar.add(univar.mul(s, g), univar.mul(t, u)), [1]), m)
-        c, d = _divmod_p(univar.mul(s, b), u, m)
-        s = _mod(univar.sub(s, d), m)
-        t = _mod(univar.sub(t, univar.add(univar.mul(t, b), univar.mul(c, g))), m)
-    return u, m
-
-
-def _zassenhaus(
-    h: Ints, p: int, ddf: list[tuple[list[int], int]], sums: int
-) -> list[tuple[Ints, int]]:
-    """The irreducible factors of a square-free primitive h that p serves,
-    from the distinct-degree factorization ddf of h mod p, by Zassenhaus's
-    algorithm (Alg. 15.19).  A factor g of h over Z, scaled to the leading
-    coefficient of h, has coefficients below lc(h) 2^n |h|_2 (Mignotte), so
-    it is the symmetric residue of lc(h) times a product of the factors
-    lifted mod m > twice that.  Products are tried by the number of their
-    factors, and only at the degrees that the bitmask ``sums`` leaves."""
-    rng = random.Random(p)
-    mods = [u for g, i in ddf for u in _equal_degree(g, i, p, rng)]
-    bound = 2 * h[-1] * (isqrt(sum(c * c for c in h)) + 1) << (len(h) - 1)
-    lifted = [_lift_factor(h, u, p, bound) for u in mods]
-    mods, m = [u for u, _ in lifted], lifted[0][1]
-    out, k = [], 1
-    while 2 * k <= len(mods):
-        for subset in combinations(range(len(mods)), k):
-            if not sums >> sum(len(mods[i]) - 1 for i in subset) & 1:
-                continue
-            g = [h[-1]]
-            for i in subset:
-                g = _mod(univar.mul(g, mods[i]), m)
-            g = univar.primitive([c - m if 2 * c > m else c for c in g])
-            q = univar.divide(h, g)
-            if q is not None:
-                out.append((g, 1))
-                h = q
-                mods = [u for i, u in enumerate(mods) if i not in subset]
-                break
-        else:
-            k += 1
-    return out + [(h, 1)]
-
-
-def _cofactor_factors(h: Ints) -> list[tuple[Ints, int]]:
-    """Factors of a square-free primitive h of degree 2 or more with no
-    rational root: h itself when the degree patterns mod its first
-    ``len(PRIMES)`` serving primes of ``_primes`` prove it irreducible, else
-    Zassenhaus's split modulo the one of them with the fewest factors."""
-    n = len(h) - 1
-    full = 1 | 1 << n
-    sums = ((1 << (n + 1)) - 1) & ~(2 | 1 << (n - 1))  # no factor of degree 1 or n-1
-    serving = islice((p for p in _primes() if _serves(h, p)), len(PRIMES))
-    best = None
-    while sums != full:
-        p = next(serving, None)
-        if p is None:
-            return _zassenhaus(h, *best[1:], sums)
-        ddf = _distinct_degree(_monic_p(_mod(h, p), p), p)
-        sums &= _degree_sums(ddf)
-        nfactors = sum((len(g) - 1) // i for g, i in ddf)
-        if best is None or nfactors < best[0]:
-            best = (nfactors, p, ddf)
-    return [(h, 1)]
-
-
 def _primes() -> Iterator[int]:
     """``PRIMES``, then every later prime, found by trial division."""
     yield from PRIMES
@@ -427,8 +259,10 @@ def _factor_cached(g: Ints) -> tuple[tuple[Fraction, ...], Ints]:
 
 
 def _factor(g: Ints) -> list[tuple[Ints, int]]:
-    """Primitive factors with multiplicities of a primitive g with a positive
-    leading coefficient and g(0) != 0."""
+    """``primitive_factors`` of a primitive g with a positive leading
+    coefficient and g(0) != 0: for each multiplicity, the rational linear
+    factors and the cofactor left after them, from ``_split`` of g or, when
+    g is not square-free, of each of Yun's parts."""
     if len(g) <= 3:
         return _factor_low_degree(g) if len(g) > 1 else []
     split = _split(g)
@@ -436,7 +270,7 @@ def _factor(g: Ints) -> list[tuple[Ints, int]]:
         return [(fac, e * m) for q, m in univar.yun(g) for fac, e in _factor(q)]
     roots, h = split
     linear = [((-r.numerator, r.denominator), 1) for r in roots]
-    return linear + (_cofactor_factors(h) if len(h) > 1 else [])
+    return linear + ([(h, 1)] if len(h) > 1 else [])
 
 
 def _check(g: Ints, factors: list[tuple[Ints, int]]) -> None:
@@ -454,9 +288,13 @@ def _check(g: Ints, factors: list[tuple[Ints, int]]) -> None:
 
 
 def primitive_factors(p: Sequence) -> list[tuple[Ints, int]]:
-    """Irreducible factors with multiplicities, each a primitive integer
-    vector with a positive leading coefficient, checked by ``_check``; a
-    root at 0 gives the factor (0, 1).  The constant is dropped.
+    """The square-free parts of p with their rational points: for each
+    multiplicity m, the linear factors b x - a of the rational roots a/b of
+    multiplicity m, and one square-free cofactor of degree 2 or more with
+    no rational root, the product of the other factors of multiplicity m,
+    when there is one.  Each is a primitive integer vector with a positive
+    leading coefficient, and they are checked by ``_check``; a root at 0
+    gives the factor (0, 1).  The constant is dropped.
 
     The zero polynomial is rejected; constants factor into nothing.
     """
@@ -473,11 +311,9 @@ def primitive_factors(p: Sequence) -> list[tuple[Ints, int]]:
 def rational_roots(p: Sequence[Fraction]) -> tuple[list[Fraction], Ints]:
     """The rational roots of a square-free nonzero p, ascending, and the
     cofactor left after them, a primitive integer vector with a positive
-    leading coefficient.  Nothing is proved about the cofactor beyond its
-    having no rational root: of degree 2 it is irreducible, above that it
-    may split.  The roots come from the closed form in degrees 1 and 2 and
-    from ``_split`` above them.  A p that is not square-free raises
-    ValueError."""
+    leading coefficient, that of ``primitive_factors``.  The roots come from
+    the closed form in degrees 1 and 2 and from ``_split`` above them.  A p
+    that is not square-free raises ValueError."""
     q = univar.trim(list(p))
     if not q:
         raise ValueError("rational roots of the zero polynomial")

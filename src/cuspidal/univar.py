@@ -1,8 +1,8 @@
 """Dense univariate polynomials, kept in primitive integers.
 
 Coefficient lists run from degree 0 upward and are kept trimmed (no trailing
-zeros; the zero polynomial is the empty list).  ``add``, ``sub``, ``mul``
-and ``derivative`` take the entries of any ring, residues modulo a prime
+zeros; the zero polynomial is the empty list).  ``sub``, ``mul`` and
+``derivative`` take the entries of any ring, residues modulo a prime
 included.  The exact routines work in one format, the primitive integer
 vector with a positive leading coefficient that ``primitive`` gives: a
 rational polynomial is read as its primitive part, and by Gauss's lemma the
@@ -32,17 +32,11 @@ def degree(p: Sequence) -> int:
     return len(q) - 1
 
 
-def add(p: Sequence, q: Sequence) -> list:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] = out[i] + c
-    return trim(out)
-
-
 def sub(p: Sequence, q: Sequence) -> list:
-    return add(p, [-c for c in q])
+    out = list(p) + [0] * (len(q) - len(p))
+    for i, c in enumerate(q):
+        out[i] = out[i] - c
+    return trim(out)
 
 
 def mul(p: Sequence, q: Sequence) -> list:

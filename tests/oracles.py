@@ -37,16 +37,16 @@
   Fraction quotients, which ``univar.yun`` returned before it divided in
   integers by ``univar.div_exact``.  Made primitive, its factors back
   those of ``univar.yun``.
-* ``irreducible_factors``: the monic Fraction view of
+* ``scheme_parts``: the monic Fraction view of
   ``ratfactor.primitive_factors``, sorted by (length, coefficients), once
-  public in ``ratfactor`` though the pencil's special values were its only
-  caller in the package.  It gives ``sympy_factors``'s format to the
-  comparisons of ``test_ratfactor.py``.
+  public in ``ratfactor`` as ``irreducible_factors`` though the pencil's
+  special values were its only caller in the package.  It gives
+  ``sympy_factors``'s format to the comparisons of ``test_ratfactor.py``.
 * ``special_lambdas`` and ``monic_special_values``: the special lambda of
   one level as a list, once public in ``projection`` only because the
   benchmark's tracer named it; and the special values as
   ``_Pencil.special_values`` once found them, from the monic gcd over
-  Fraction and ``irreducible_factors``.  The second backs
+  Fraction and ``scheme_parts``.  The second backs
   ``_Pencil.special_values``, which reads the roots of the integer gcd or
   determinant off ``ratfactor.primitive_factors``.
 * ``field_rank_certificate``: before the fiber scan read every lift's
@@ -105,7 +105,15 @@
   backs ``binform.is_square_free``.
 * ``sympy_factors``: sympy's factorization over the rationals, which
   ``ratfactor`` used for every degree before degrees 1 and 2 got their
-  closed forms.
+  closed forms.  ``sympy_scheme_parts`` regroups it by
+  ``group_scheme_parts`` as ``ratfactor.primitive_factors`` groups its
+  factors, which stop at the rational roots and one cofactor for each
+  multiplicity: the irreducible split of that cofactor (Musser's degree
+  test and Zassenhaus's recombination) left the package, because no
+  answer reads it and it takes time exponential in the degree on
+  Swinnerton-Dyer polynomials.
+* ``add``: the sum of two coefficient lists, which ``univar`` kept until
+  that split, its last caller in the package, left.
 * ``solve``, ``power_sum_scalars``, ``qr_power_sum_scalars`` and
   ``mp_polyroots``: the scalars of a power-sum decomposition were once the
   solution of the full (d+1) x r system in the powers of the points, by
@@ -171,8 +179,8 @@
   were unsure.  Wherever the disks are sure, it backs ``binform._real_seeds``,
   which marks the exact count's seeds of least |Im z| / |z| real.
 * ``is_irreducible``: irreducibility over the rationals as one factor of
-  ``irreducible_factors``, once public in ``ratfactor`` though only tests
-  called it.  It checks the moduli of ``QuadraticNumber`` and the
+  ``scheme_parts`` up to degree 3 and of ``sympy_factors`` above it, once
+  public in ``ratfactor`` though only tests called it.  It checks the moduli of ``QuadraticNumber`` and the
   inputs of ``isolate_roots``.
 * ``dense_contract``: the contraction by a product form once formed every
   product h_j vec[m+j].  It backs ``classifier._contract``, which sums over
@@ -183,9 +191,11 @@
   every factor at A.  They back ``classifier.span_center_routes``, which
   reads h mod t² and m off the factors, and ``ZeroScheme.multiplicity_at``,
   which looks the point's linear form up among them.
-* ``monic_route_factors``: ``ZeroScheme`` once took its pieces monic from
-  ``irreducible_factors`` and made them primitive again.  It
-  backs the pieces it now reads from ``ratfactor.primitive_factors``.
+* ``monic_route_factors``: ``ZeroScheme`` once took its pieces monic and
+  irreducible from the package's factorizer and made them primitive
+  again.  Now from ``sympy_factors``, regrouped by ``group_scheme_parts``,
+  it backs the pieces ``ZeroScheme`` reads from one
+  ``ratfactor.primitive_factors`` call.
 * ``secant_dimension_probe`` and ``dichotomy_fuzz``: two classical inputs
   to the paper's argument, once run by the ``probe`` subcommand and the
   built-in battery of ``verify``.  The first measures the dimension of the
@@ -591,6 +601,16 @@ def field_divmod(p: Sequence, q: Sequence) -> tuple[list, list]:
     return univar.trim(quot), univar.trim(rem)
 
 
+def add(p: Sequence, q: Sequence) -> list:
+    """The sum of two coefficient lists over any ring, trimmed."""
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] = out[i] + c
+    return univar.trim(out)
+
+
 def field_div_exact(p: Sequence, q: Sequence) -> list:
     quot, rem = field_divmod(p, q)
     if rem:
@@ -787,7 +807,7 @@ def monic_special_values(pencil: _Pencil):
     """``_Pencil.special_values`` before it read the integer polynomial's
     roots off ``ratfactor.primitive_factors``: the gcd or determinant made
     monic by ``euclid_gcd`` over Fraction, its roots from the monic factors
-    of ``irreducible_factors``."""
+    of ``scheme_parts``."""
     if len(pencil.kernel) >= 3:
         return ALL_LAMBDA
     if not pencil.kernel:
@@ -803,7 +823,7 @@ def monic_special_values(pencil: _Pencil):
         return ALL_LAMBDA
     if univar.degree(g) == 0:
         return []
-    factors = [fac for fac, _mult in irreducible_factors(g)]
+    factors = [fac for fac, _mult in scheme_parts(g)]
     if len(factors[0]) == 3:
         roots = [AlgebraicNumber(factors[0], upper) for upper in (False, True)]
         return [((z.minpoly, z.upper), z) for z in roots]
@@ -1064,6 +1084,28 @@ def sympy_factors(p) -> list[tuple[list[Fraction], int]]:
         out.append((cs, int(mult)))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
+
+
+def group_scheme_parts(factors) -> list[tuple[list[Fraction], int]]:
+    """Monic irreducible factors with multiplicities, distinct, as
+    ``sympy_factors`` gives them, regrouped as ``ratfactor.primitive_factors``
+    groups them: the linear factors stay as they are, and the nonlinear
+    factors of each multiplicity are multiplied into one; sorted by
+    (length, coefficients)."""
+    out = [(fac, m) for fac, m in factors if len(fac) == 2]
+    curved: dict[int, list] = {}
+    for fac, m in factors:
+        if len(fac) > 2:
+            curved[m] = univar.mul(curved.get(m, [1]), fac)
+    out += [([Fraction(c) for c in fac], m) for m, fac in curved.items()]
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return out
+
+
+def sympy_scheme_parts(p) -> list[tuple[list[Fraction], int]]:
+    """The parts of ``ratfactor.primitive_factors``, monic, from sympy's
+    factorization: ``sympy_factors`` regrouped by ``group_scheme_parts``."""
+    return group_scheme_parts(sympy_factors(p))
 
 
 def mp_residual(taus, v, slots):
@@ -1620,7 +1662,7 @@ def discriminant(v0, v1) -> list:
             diffs[i] = (diffs[i] - diffs[i - 1]) / k
     poly: list = []
     for i in range(npts - 1, -1, -1):
-        poly = univar.add(univar.mul(poly, [Fraction(-i), Fraction(1)]), [diffs[i]])
+        poly = add(univar.mul(poly, [Fraction(-i), Fraction(1)]), [diffs[i]])
     return poly
 
 
@@ -1782,10 +1824,11 @@ def _chart_with_sum(fl: list[float], z: complex) -> tuple[complex, complex, floa
     return a, b, s, far
 
 
-def irreducible_factors(p: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """``ratfactor.irreducible_factors``: monic irreducible factors with
-    multiplicities, the monic view of ``ratfactor.primitive_factors``,
-    sorted by (length, coefficients); the constant is dropped."""
+def scheme_parts(p: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
+    """The monic view of ``ratfactor.primitive_factors``, in Fractions and in
+    the format of ``sympy_factors``: for each multiplicity, the monic linear
+    factors of the rational roots and the monic cofactor with no rational
+    root, sorted by (length, coefficients); the constant is dropped."""
     out = [([Fraction(c, fac[-1]) for c in fac], m) for fac, m in ratfactor.primitive_factors(p)]
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
@@ -1793,10 +1836,13 @@ def irreducible_factors(p: Sequence[Fraction]) -> list[tuple[list[Fraction], int
 
 def is_irreducible(p: Sequence[Fraction]) -> bool:
     """``ratfactor.is_irreducible``, which only tests called: whether p is
-    irreducible over the rationals, read off ``irreducible_factors`` as one
-    factor of multiplicity 1 and the degree of p."""
-    facs = irreducible_factors(p)
-    return len(facs) == 1 and facs[0][1] == 1 and len(facs[0][0]) == len(univar.trim(list(p)))
+    irreducible over the rationals, as one factor of multiplicity 1 and the
+    degree of p.  Up to degree 3 the factors are read off ``scheme_parts``,
+    whose cofactor with no rational root is irreducible there, and above it
+    off ``sympy_factors``."""
+    q = univar.trim(list(p))
+    facs = scheme_parts(q) if len(q) <= 4 else sympy_factors(q)
+    return len(facs) == 1 and facs[0][1] == 1 and len(facs[0][0]) == len(q)
 
 
 def dense_contract(h: BinaryForm, vec) -> list:
@@ -1828,19 +1874,23 @@ def product_form_center_routes(W: ZeroScheme, frame: ProjectionFrame) -> tuple[b
 
 
 def monic_route_factors(factors) -> tuple:
-    """The factors of ``ZeroScheme(factors)`` before it read primitive
-    integer vectors: each piece came monic, in Fractions, from
-    ``irreducible_factors`` and was made primitive again by
-    ``linalg.canonical_vector``."""
+    """The factors of ``ZeroScheme(factors)`` by the monic route: each
+    factor split into its monic irreducible factors by ``sympy_factors``,
+    the multiplicities of equal ones added up, the nonlinear ones of each
+    multiplicity multiplied into one by ``group_scheme_parts``, and each
+    piece made primitive by ``linalg.canonical_vector``."""
     acc: dict[BinaryForm, int] = {}
+    monic: dict[tuple, int] = {}
     for g, m in factors:
         k, p = g.tau_poly()
         if k:
             ufac = BinaryForm(1, (1, 0))
             acc[ufac] = acc.get(ufac, 0) + k * m
-        for q, e in irreducible_factors(p):
-            piece = BinaryForm(len(q) - 1, linalg.canonical_vector(q))
-            acc[piece] = acc.get(piece, 0) + e * m
+        for q, e in sympy_factors(p) if len(p) > 1 else []:
+            monic[tuple(q)] = monic.get(tuple(q), 0) + e * m
+    for q, e in group_scheme_parts([(list(q), e) for q, e in monic.items()]):
+        piece = BinaryForm(len(q) - 1, linalg.canonical_vector(q))
+        acc[piece] = acc.get(piece, 0) + e
     return tuple(sorted(acc.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs)))
 
 

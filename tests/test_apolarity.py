@@ -733,10 +733,10 @@ class TestDecompose:
         assert len(dec.terms) == 3
         assert verify_decomposition(f, dec) < mpmath.mpf(2) ** -96
 
-    def test_complex_path_factors_once(self, monkeypatch, no_irreducibility_proof):
+    def test_complex_path_factors_once(self, monkeypatch):
         """The complex path reads its roots from the cofactor that
         ``ratfactor.rational_roots`` leaves: no square-free decomposition
-        and no irreducibility proof of the cofactor."""
+        and no zero scheme."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("the witness was factored twice")
@@ -768,10 +768,10 @@ class TestDecompose:
             assert dec.field_tag == "complex" and len(dec.terms) == 3
             assert verify_decomposition(f, dec) < mpmath.mpf(2) ** (-bits // 2)
 
-    def test_split_cofactor(self, no_irreducibility_proof):
+    def test_split_cofactor(self):
         """A witness whose cofactor after its rational point is the product
-        of two irreducible cubics: Aberth runs once on the sextic, with no
-        irreducibility proof, and the seven terms check at 192 bits."""
+        of two irreducible cubics: Aberth runs once on the sextic, and the
+        seven terms check at 192 bits."""
         d = 13
         f = (_trace_form(d, (-2, 0, 0), F(3, 2), F(-1))
              + _trace_form(d, (1, 1, 0), F(1), F(2))

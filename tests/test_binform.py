@@ -366,7 +366,7 @@ def _irreducible_pool(rng, degree, count):
 
 
 class TestSchemeInvariant:
-    """Points read off the irreducible factors of a scheme, on seeded schemes
+    """Points read off the factors of a scheme, on seeded schemes
     built from rational points (A and (0:1) included), irreducible quadratics
     and cubics, with multiplicities 1-3; sympy's factorization of the
     product form is the independent oracle."""
@@ -433,8 +433,10 @@ class TestSchemeInvariant:
         factors and irreducible quadratics, scaled by a non-integral
         constant, the pieces that ``ZeroScheme`` reads from
         ``ratfactor.primitive_factors``, or for a linear form from its
-        canonical vector, are those of the monic route, types and order
-        included, for the form and for its factors given one by one."""
+        canonical vector, are those of the monic route from sympy's
+        factors, types and order included, for the form and for its
+        factors given one by one: distinct quadratics of one multiplicity
+        make one piece."""
         rng = random.Random("monic-route")
         kinds = collections.Counter()
         for _ in range(400):

@@ -43,6 +43,7 @@ from oracles import (
     remove_point,
     scheme_span_basis,
     span_matrix,
+    sympy_factors,
 )
 from test_acceptance import _random_scheme as c09_scheme
 from test_classifier_digests import seeded_forms
@@ -710,8 +711,9 @@ def branch_forms():
 def _branch(f, v) -> str:
     i = v.inputs
     if v.theorem == "e4":
-        factors = apolarity.rank(f).witness_scheme.factors
-        split = all(g.degree == 1 for g, _ in factors)
+        k, p = apolarity.rank(f).witness_form.tau_poly()
+        factors = [(1, k)] * bool(k) + [(len(fac) - 1, e) for fac, e in sympy_factors(p)]
+        split = all(deg == 1 for deg, _ in factors)
         return f"{v.case_tag}/{'split' if split else 'reducible' if len(factors) > 1 else 'irreducible'}"
     if v.case_tag in ("e3_2", "out_of_scope"):
         return f"{v.case_tag}/m{min(i['mult_A'], 3)}"

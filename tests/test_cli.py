@@ -3,12 +3,14 @@
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import re
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -16,10 +18,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import projection
+from cuspidal import projection, ratfactor, univar
 from cuspidal.apolarity import rank
 from cuspidal.binform import MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_PRECISION_BITS, parse_form
 from cuspidal.cli import _build_parser, main
+from oracles import sympy_scheme_parts
 
 
 def run(capsys, monkeypatch, argv, stdin=""):
@@ -344,6 +347,62 @@ class TestLargeAnswers:
         assert "4300" in recs[0]["error"]["message"]
 
 
+def swinnerton_dyer(primes):
+    """The Swinnerton-Dyer polynomial prod (x +- sqrt p_1 +- ... +- sqrt p_k)
+    in integers, low to high, with no sympy: S_0 = x, and S_{k+1}(x) =
+    S_k(x + sqrt p) S_k(x - sqrt p) = A^2 - p B^2, where S_k(x + sqrt p) =
+    A(x) + sqrt p B(x) is expanded in Z[sqrt p].  It is irreducible over Q
+    and splits into linear and quadratic factors modulo every prime."""
+    s = [0, 1]
+    for p in primes:
+        a, b = [0] * len(s), [0] * len(s)
+        for i, c in enumerate(s):
+            for k in range(i + 1):  # c x^k sqrt(p)^(i - k) from c (x + sqrt p)^i
+                part = b if (i - k) % 2 else a
+                part[k] += c * math.comb(i, k) * p ** ((i - k) // 2)
+        s = univar.sub(univar.mul(a, a), [p * c for c in univar.mul(b, b)])
+    return s
+
+
+def recurrence_form(s):
+    """The form of degree d = 2w - 1, w = deg s, whose apolar vector a is
+    the impulse response of the linear recurrence of the monic s: a_j = 0
+    for j < w - 1, a_(w-1) = 1, and sum_i s_i a_(j+i) = 0 for j <= d - w.
+    Its coefficients are C(d, j) a_j.  The generating function of a is
+    x^(w-1) over the reversal of s, in lowest terms, so s alone spans the
+    level-w kernel, and it is the witness when square-free."""
+    w = len(s) - 1
+    d = 2 * w - 1
+    a = [0] * (w - 1) + [1]
+    for j in range(w, d + 1):
+        a.append(-sum(c * a[j - w + i] for i, c in enumerate(s[:-1])))
+    return {"degree": d, "coeffs": [str(math.comb(d, j) * x) for j, x in enumerate(a)]}
+
+
+class TestSwinnertonDyerWitnesses:
+    """Witnesses that an irreducible split over Q would take time
+    exponential in their degree to factor: Zassenhaus's recombination tries
+    subsets of the factors of a Swinnerton-Dyer polynomial modulo a prime,
+    at least 16 at degree 32 and 32 at degree 64.  A scheme stops at its rational points and one square-free
+    cofactor, so ``cuspidal rank`` prints them at once."""
+
+    @pytest.mark.parametrize("primes", [(2, 3, 5, 7, 11), (2, 3, 5, 7, 11, 13)],
+                             ids=["w32-d63", "w64-d127"])
+    def test_rank_answers_with_one_factor(self, primes, capsys, monkeypatch):
+        s = swinnerton_dyer(primes)
+        assert len(s) - 1 == 2 ** len(primes) and s[-1] == 1
+        record = recurrence_form(s)
+        start = time.perf_counter()
+        code, recs = run(capsys, monkeypatch, ["rank"], stdin=json.dumps(record))
+        assert time.perf_counter() - start < 5
+        w = len(s) - 1
+        assert code == 0 and recs[0]["d"] == 2 * w - 1
+        assert (recs[0]["w"], recs[0]["r"], recs[0]["witness"]["type"]) == (w, w, "squarefree")
+        [[witness, mult]] = recs[0]["witness"]["factors"]
+        assert mult == 1
+        assert parse_form(f"d={w}; [{','.join(map(str, s))}]").pretty() == witness
+
+
 class TestBatchSemantics:
     """Each input line gives exactly one record and a bad line does not
     stop the batch; the exit code is 1 when any line failed."""
@@ -544,7 +603,14 @@ class TestImports:
     def test_unserved_polynomials_load_no_sympy(self):
         """Polynomials that no prime of ``ratfactor.PRIMES`` serves are split
         modulo a later prime: factoring them, reading their rational roots
-        and decomposing their forms import no sympy."""
+        and decomposing their forms import no sympy.  The parent counts
+        the parts with ``oracles.sympy_scheme_parts``."""
+        n12 = math.prod(ratfactor.PRIMES)
+        unserved = univar.mul(univar.mul([-1, 1], [-1 - n12, 1]),
+                              univar.mul([1, 0, 1], [-2, 0, 0, 1]))
+        quartic = univar.mul([1, 0, 1], [n12**2 + 1, -2 * n12, 1])
+        squared = univar.mul(univar.mul(unserved, unserved), [-2, 0, 0, 1])
+        parts = [len(sympy_scheme_parts(p)) for p in (unserved, quartic, squared)]
         child = textwrap.dedent(
             """
             import json, math, sys
@@ -569,8 +635,9 @@ class TestImports:
             [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
         )
         assert out.returncode == 0, out.stderr
+        assert parts == [3, 1, 4]
         assert json.loads(out.stdout) == {
-            "factors": [4, 2, 4], "roots": [2, 0], "schemes": [4, 2, 4], "sympy": False,
+            "factors": parts, "roots": [2, 0], "schemes": parts, "sympy": False,
         }
 
     def test_xrank_with_a_quadratic_lambda_loads_no_numpy(self):

@@ -136,8 +136,8 @@ def decomposition_digests() -> dict[str, dict]:
     return {f"{label}@{bits}": _entry(f, bits) for label, f in digest_forms() for bits in BITS}
 
 
-def test_decompositions_unchanged(no_irreducibility_proof):
-    """Every pinned digest, with no irreducibility proof of a cofactor."""
+def test_decompositions_unchanged():
+    """Every pinned digest."""
     with open(DIGESTS) as fh:
         want = json.load(fh)
     got = decomposition_digests()

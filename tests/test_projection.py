@@ -35,7 +35,6 @@ from oracles import (
     field_rank_certificate,
     field_div_exact,
     grid_generic_certificate,
-    irreducible_factors,
     is_zero,
     isolate_roots,
     monic_special_values,
@@ -46,6 +45,7 @@ from oracles import (
     probe_generic_value,
     reparametrized,
     special_lambdas,
+    sympy_factors,
     upward_x_rank,
 )
 import oracles
@@ -310,7 +310,7 @@ def _minor_gcd_lambdas(P, r):
     if univar.degree(g) == 0:
         return []
     rats, algs = [], []
-    for fac, _mult in irreducible_factors(g):
+    for fac, _mult in sympy_factors(g):
         if len(fac) == 2:
             rats.append(-fac[0] / fac[1])
         else:
@@ -933,6 +933,18 @@ class TestCertificateChecks:
         monkeypatch.setattr(projection._Pencil, "field_certificate", zero_kernel)
         with pytest.raises(CertificateError, match="vanishes"):
             x_rank(QUAD_POINT)
+
+    def test_a_value_above_n_raises(self, monkeypatch):
+        """r_X(P) <= n - dim X + 1 = n (Landsberg-Teitler, Prop. 5.1): with
+        every lift certified at rank n + 1, planted through
+        ``projection._certify``, the scan raises instead of publishing."""
+        P = ProjectedPoint(3, (F(1), F(0), F(0), F(1)))
+        assert x_rank(P).value <= P.n
+        real = projection._certify
+        monkeypatch.setattr(projection, "_certify",
+                            lambda *args: dataclasses.replace(real(*args), rank=P.n + 1))
+        with pytest.raises(CertificateError, match="above the bound n = 3"):
+            fiber_scan(P)
 
     def test_trivial_kernel_at_claimed_level_raises(self, monkeypatch):
         monkeypatch.setattr(projection._Pencil, "kernel_at", lambda pen, lam: [])

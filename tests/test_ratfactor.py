@@ -1,5 +1,7 @@
 """ratfactor's closed forms and modular certificates against sympy's
-factorization, the oracle of ``oracles.sympy_factors``."""
+factorization, the oracle of ``oracles.sympy_factors``, regrouped into
+the parts ``ratfactor.primitive_factors`` returns by
+``oracles.sympy_scheme_parts``."""
 
 import itertools
 import json
@@ -12,11 +14,12 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 from oracles import (
-    irreducible_factors,
     is_irreducible,
     scan_rational_roots,
     scan_roots_mod_p,
+    scheme_parts,
     sympy_factors,
+    sympy_scheme_parts,
 )
 
 from cuspidal import ratfactor, univar
@@ -54,7 +57,7 @@ def _same(p):
     """ratfactor's answer equals sympy's, types included, with no split
     modulo a prime past ``PRIMES``."""
     misses = ratfactor._factor_cached.cache_info().misses
-    got = irreducible_factors(p)
+    got = scheme_parts(p)
     assert ratfactor._factor_cached.cache_info().misses == misses
     want = sympy_factors(p)
     assert repr(got) == repr(want), p
@@ -87,8 +90,8 @@ def test_seeded_random_quadratics_and_linears():
 
 
 def test_rational_roots_and_irreducibility_follow():
-    assert irreducible_factors(PINNED[0]) == [([F(-2, 3), F(1)], 2)]
-    assert irreducible_factors(PINNED[11]) == [
+    assert scheme_parts(PINNED[0]) == [([F(-2, 3), F(1)], 2)]
+    assert scheme_parts(PINNED[11]) == [
         ([F(-(BIG + 1)), F(1)], 1),
         ([F(BIG + 1), F(1)], 1),
     ]
@@ -126,8 +129,8 @@ def streamed_splits():
 
 
 def _matches_sympy(p):
-    got = irreducible_factors(p)
-    assert repr(got) == repr(sympy_factors(p)), p
+    got = scheme_parts(p)
+    assert repr(got) == repr(sympy_scheme_parts(p)), p
     return got
 
 
@@ -200,8 +203,9 @@ N12 = math.prod(ratfactor.PRIMES)
     _product([1, 0, 1], [2, 0, 1], [3, 0, 1], [5, 0, 1], [6, 0, 1], [7, 0, 1]),
 ])
 def test_proper_degrees_split_without_sympy(p, streamed_splits):
-    """Cofactors whose degree patterns leave a proper degree are split by
-    Hensel lifting and recombination, with no streamed split."""
+    """Cofactors with no rational root that split over Q, or split modulo
+    every prime, are left whole: one part per multiplicity, sympy's
+    nonlinear factors multiplied together, with no streamed split."""
     _matches_sympy(p)
     assert streamed_splits() == 0
 
@@ -212,10 +216,10 @@ UNSERVED = _product([-1, 1], [-1 - N12, 1], [1, 0, 1], [-2, 0, 0, 1])
 
 @pytest.mark.parametrize("p, primes", [
     pytest.param(UNSERVED, [("_rational_roots", 163)], id="n12"),
-    # Res(x^2 + 1, (x - N12)^2 + 1) = N12^2 (N12^2 + 4): the cofactor is
-    # served by no listed prime, and Zassenhaus runs modulo a later one
+    # Res(x^2 + 1, (x - N12)^2 + 1) = N12^2 (N12^2 + 4): the quartic is
+    # served by no listed prime, and its roots are sought modulo a later one
     pytest.param(_product([1, 0, 1], [N12**2 + 1, -2 * N12, 1]),
-                 [("_rational_roots", 163), ("_zassenhaus", 163)], id="n12-quartic-cofactor"),
+                 [("_rational_roots", 163)], id="n12-quartic-cofactor"),
     # not square-free: Yun first, then the stream for the part (x - 1)(x - 1 - N12)(x^2 + 1)
     pytest.param(_product(UNSERVED, UNSERVED, [-2, 0, 0, 1]),
                  [("_rational_roots", 163)], id="n12-squared"),
@@ -226,15 +230,50 @@ def test_unlisted_primes_serve(p, primes, streamed_splits, monkeypatch):
     streamed split per square-free part that needs it."""
     assert not any(ratfactor._serves(univar.primitive(p), q) for q in ratfactor.PRIMES)
     seen = []
-    for name in ("_rational_roots", "_zassenhaus"):
-        def spy(g, q, *rest, name=name, run=getattr(ratfactor, name)):
-            seen.append((name, q))
-            return run(g, q, *rest)
+    run = ratfactor._rational_roots
 
-        monkeypatch.setattr(ratfactor, name, spy)
+    def spy(g, q):
+        seen.append(("_rational_roots", q))
+        return run(g, q)
+
+    monkeypatch.setattr(ratfactor, "_rational_roots", spy)
     _matches_sympy(p)
     assert streamed_splits() == 1
     assert [(name, q) for name, q in seen if q > ratfactor.PRIMES[-1]] == primes
+
+
+def _shift(q, k):
+    """q(x + k), by Horner's rule."""
+    out = []
+    for c in reversed(q):
+        out = univar.sub(univar.mul(out, [k, 1]), [-c])
+    return out
+
+
+# irreducible quartics: two that split modulo every prime, and two that do not
+QUARTICS = ([1, 0, 0, 0, 1], [1, 0, -10, 0, 1], [-2, 0, 0, 0, 1], [1, 1, 0, 0, 1])
+small = st.integers(-6, 6)
+quadratic = st.tuples(small, small).filter(lambda bc: bc[0] ** 2 < 4 * bc[1]).map(
+    lambda bc: [bc[1], bc[0], 1])  # no real root, so irreducible
+quartic = st.tuples(st.sampled_from(QUARTICS), small).map(lambda qk: _shift(*qk))
+scheme_factor = st.tuples(
+    st.one_of(st.tuples(small, st.integers(1, 4)).map(list), quadratic, quartic),
+    st.integers(1, 3),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.lists(scheme_factor, min_size=1, max_size=5))
+def test_parts_of_products_match_sympy(factors):
+    """Products of linear factors and of repeated and distinct irreducible
+    quadratics and quartics: ``primitive_factors`` gives the rational roots
+    and, for each multiplicity, the product of the nonlinear irreducible
+    factors that sympy finds."""
+    p = [3]
+    for fac, m in factors:
+        for _ in range(m):
+            p = univar.mul(p, fac)
+    _matches_sympy(p)
 
 
 def test_bench_factor_inputs():
@@ -290,8 +329,8 @@ def test_seeded_unserved_products_match_sympy(streamed_splits):
 
 def _split_by_factors(p):
     """The rational roots, ascending, and the primitive cofactor of a
-    square-free p, read off ``irreducible_factors``."""
-    factors = irreducible_factors(p)
+    square-free p, read off ``scheme_parts``."""
+    factors = scheme_parts(p)
     roots = sorted(-c[0] for c, _ in factors if len(c) == 2)
     cofactor = [1]
     for c, _ in factors:
@@ -300,11 +339,10 @@ def _split_by_factors(p):
     return roots, univar.primitive(cofactor)
 
 
-def test_rational_roots_are_the_linear_factors(request):
+def test_rational_roots_are_the_linear_factors():
     """On the benchmark sample, the modular cases and seeded products, the
     square-free polynomials split into the roots of their linear factors
-    and the product of the others, with the irreducibility proof of the
-    cofactor refusing to run."""
+    and the product of the others."""
     sample = json.loads((Path(__file__).parent / "factor_sample.json").read_text())
     rng = random.Random("rational-roots")
     seeded = []
@@ -318,18 +356,16 @@ def test_rational_roots_are_the_linear_factors(request):
             p = univar.mul(p, fac)
         seeded.append(p)
     polys = [p for p in sample["fiber"] + sample["waring"] + MODULAR + seeded
-             if all(m == 1 for _, m in irreducible_factors(p))]
+             if all(m == 1 for _, m in scheme_parts(p))]
     assert len(polys) >= 60
     want = [_split_by_factors(p) for p in polys]
-    request.getfixturevalue("no_irreducibility_proof")
     for p, split in zip(polys, want):
         assert ratfactor.rational_roots(p) == split, p
 
 
-def test_rational_roots_without_a_serving_prime(no_irreducibility_proof):
+def test_rational_roots_without_a_serving_prime():
     """No prime of PRIMES serves ``UNSERVED``: its roots come from a prime
-    past the list, with no proof about the cofactor, and a polynomial that
-    is not square-free is refused."""
+    past the list, and a polynomial that is not square-free is refused."""
     assert ratfactor.rational_roots(UNSERVED) == ([F(1), F(1 + N12)], (-2, 0, -2, 1, 0, 1))
     assert ratfactor.rational_roots([F(3, 2)]) == ([], (1,))
     for bad in ([0, 0, 1], _product([-1, 1], [-1, 1], [-1 - N12, 1], [-1 - N12, 1])):

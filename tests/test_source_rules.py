@@ -2,8 +2,11 @@
 
 Certificate checks are explicit raises, so that they still run under
 ``python -O``, which strips every ``assert`` statement: the package holds
-none.  The package factors every polynomial itself, so no module of it
-imports sympy, which only the test oracle uses.  No module names numpy
+none.  The package finds every rational root itself, so no module of it
+imports sympy, which only the test oracle uses.  A zero scheme stops at its
+rational points and one square-free cofactor per multiplicity, so no
+module imports ``itertools.combinations``, the subset recombination of an
+irreducible split, and ``ratfactor`` imports nothing from ``random``.  No module names numpy
 either: complex roots are seeded from the Newton polygon in pure Python,
 and the span search of ``oracle`` runs in Python floats.  The two older,
 weaker numpy rules stay as well: none imports it when it loads, and none
@@ -85,6 +88,21 @@ def _importers(package):
 def test_no_module_imports_sympy():
     found = _importers("sympy")
     assert found == [], f"sympy imports in the package: {found}"
+
+
+def test_no_subset_recombination_or_randomized_split():
+    """No module imports ``combinations`` from ``itertools``, and
+    ``ratfactor`` imports nothing from ``random``: a zero scheme needs no
+    irreducible split, whose recombination is exponential in the degree."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _nodes()
+        if (isinstance(node, ast.ImportFrom) and node.module == "itertools"
+            and any(alias.name == "combinations" for alias in node.names))
+        or (name == "ratfactor.py"
+            and any(module.split(".")[0] == "random" for module in _imported(node)))
+    ]
+    assert found == [], f"subset recombination or random splits in the package: {found}"
 
 
 def test_no_module_names_numpy():
