@@ -66,10 +66,10 @@ def _integer_apolar(f: BinaryForm) -> tuple[tuple[int, ...], int]:
 
 
 def _first_kernel(f: BinaryForm) -> tuple[int, list[BinaryForm]]:
-    """Border rank w and the level-w kernel basis of f, in the order
-    ``linalg.nullspace`` gives it: g1 alone when w < d+2-w, else the span of
-    g1 and g2, the generators that ``_ideal_generators`` reads off one
-    remainder sequence (Helmke 1992; von zur Gathen-Gerhard §5.9)."""
+    """Border rank w and the free-column basis of the level-w kernel of f
+    (``linalg.free_column_basis``): g1 alone when w < d+2-w, else that of
+    the span of g1 and g2, the generators that ``_ideal_generators`` reads
+    off one remainder sequence (Helmke 1992; von zur Gathen-Gerhard §5.9)."""
     if f.is_zero():
         raise ZeroFormError("rank of the zero form")
     g1, g2 = _ideal_generators(_integer_apolar(f)[0])
@@ -241,8 +241,8 @@ def rank(f: BinaryForm) -> RankCertificate:
 
 def _certify(degree: int, w: int, basis: list[BinaryForm]) -> RankCertificate:
     """The dichotomy for a degree-``degree`` form whose first kernel level is
-    w, from that kernel's basis of canonical vectors, in the order
-    ``linalg.nullspace`` gives it.
+    w, from the free-column basis of that kernel
+    (``linalg.free_column_basis``).
 
     The apolar ideal of a binary form is a complete intersection
     (Comas-Seiguer, arXiv:math/0112311), so the first kernel has dimension 1

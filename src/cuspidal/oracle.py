@@ -18,9 +18,12 @@ one undamped try and no damped retries.  Exact lower bounds only ever come
 from the fiber scan: the cuspidal curve is singular, so catalecticant-style
 lower bounds for smooth curves do not transfer.  The float stage is pure
 Python: starts are seeded by the real roots of polynomials in the exact
-kernel of the moment rows (linalg.nullspace), found by binform's Aberth
-iteration, and the fits use Gram-Schmidt and a partial-pivot solve in
-Python floats.
+kernel of the moment rows, found by binform's Aberth iteration, and the
+fits use Gram-Schmidt and a partial-pivot solve in Python floats.  That
+kernel is read off the apolar ideal, not eliminated: the moment rows are
+the catalecticant of B'', so their kernel is spanned by the shifts of the
+two generators of its apolar ideal, put in their free-column basis
+(linalg.free_column_basis).
 
 The search works in the chart of real parameters tau for curve points
 (1:tau); the cusp tau=0 is an ordinary rank-1 point and needs no special
@@ -37,10 +40,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import mul
 
-from .binform import _float_seeds
 from . import linalg
-from .projection import ProjectedPoint
+from .apolarity import _ideal_generators
+from .binform import _float_seeds
+from .projection import ProjectedPoint, _shifts
 
 CLUSTER_RADIUS = 1e-8
 # fixed-point bits of the polish beyond the requested precision
@@ -188,7 +193,7 @@ def _lm_float(taus, v, slots, max_iter: int = 80):
 
 
 def _dot(a, b, p: int) -> int:
-    return sum(x * y for x, y in zip(a, b)) >> p
+    return sum(map(mul, a, b)) >> p
 
 
 def _lu_solver(M, bits: int):
@@ -310,16 +315,18 @@ def _moment_seeds(P: ProjectedPoint, r: int):
     entry missing, so the moment matrix rows (a_{j+k})_k for j >= 2 avoid the
     unknown entry entirely.  Whenever r curve points (1:t_i) span P, the
     root polynomial prod (x - t_i) lies in the exact kernel of these rows;
-    the real roots of kernel polynomials seed the optimizer.  Returns the
-    integer kernel basis of linalg.nullspace, or None when too few rows are
-    known or the kernel is trivial.
+    the real roots of kernel polynomials seed the optimizer.  The rows are
+    the level-r catalecticant of B'', so their kernel is Ann(B'')_r, spanned
+    by the level-r shifts of the generators g1, g2 of the apolar ideal of
+    B'' (``projection._shifts``; the proof is in the ``projection`` module
+    docstring), and B'' = 0, the cusp, gives every unit vector.  Returns
+    the free-column basis of that kernel (``linalg.free_column_basis``), or
+    None when no row is known (r >= n) or the kernel is trivial.
     """
-    d = P.n + 1
-    if d - r - 1 < 1:
+    if r >= P.n:
         return None
-    # a_m sits at coords[m - 1] for m >= 2
-    rows = [[P.coords[j + k - 1] for k in range(r + 1)] for j in range(2, d - r + 1)]
-    return linalg.nullspace(rows) or None
+    gens = _ideal_generators(P._cleared[1][2:])  # B'' in integers
+    return linalg.free_column_basis(_shifts(gens, r)) or None
 
 
 def _roots_of(poly_ascending) -> list[float]:

@@ -316,18 +316,18 @@ class _Pencil:
             return ALL_LAMBDA
         if univar.degree(g) == 0:
             return []
-        # g has degree at most 2: rational roots, or one conjugate pair
-        factors = [fac for fac, _mult in ratfactor.primitive_factors(g)]
+        # g has degree 1 or 2: rational roots, or one conjugate pair
+        factors = [fac for fac, _mult in ratfactor._factor_low_degree(univar.primitive(g))]
         if len(factors[0]) == 3:
             roots = [AlgebraicNumber(factors[0], upper) for upper in (False, True)]
             return [((z.minpoly, z.upper), z) for z in roots]
         return [(lam, lam) for lam in sorted(Fraction(-fac[0], fac[1]) for fac in factors)]
 
     def kernel_at(self, lam: Fraction) -> list[tuple[Fraction, ...]]:
-        """Level-r kernel of the lift at rational lam, basis for basis as
-        ``linalg.nullspace`` gives it for the lift's catalecticant: K c for
-        c in ``_block_kernel`` of the 2 x dim K block at lam, put in the
-        free-column basis, which depends only on their span."""
+        """Level-r kernel of the lift at rational lam in its free-column
+        basis (``linalg.free_column_basis``): K c for c in ``_block_kernel``
+        of the 2 x dim K block at lam, put in that basis, which depends only
+        on their span."""
         if not self.kernel:
             return []
         x, y = ([lam.denominator * c + lam.numerator * s for c, s in row]
@@ -419,19 +419,24 @@ def _pencil(P: ProjectedPoint, r: int, gens: list[tuple[int, ...]]) -> _Pencil:
     """The level-r pencil of P, for gens = ``_ideal_generators`` of B''.  Rows
     0 and 1, where only a_1 = lambda/d moves, are scaled into integers by
     d * lcm(denominators of P), formed once per point; canonical kernels and
-    primitive factors hide it."""
+    primitive parts hide it."""
     d = P.n + 1
     if not 1 <= r <= (d + 2) // 2:
         raise ProjectionError(f"level must lie in 1..{(d + 2) // 2}")
     D, a = P._cleared
-    shifts = [(i, g) for g in gens for i in range(r + 2 - len(g))]
-    kernel = [(0,) * i + g + (0,) * (r + 1 - len(g) - i) for i, g in shifts]
-    # row j = 0, 1 of Hankel times g shifted by i is sum_k a_(i+j+k) g_k, as a_1 = 0
-    rows = [
-        ((d * _dot(a[i:], g), D * v[1]), (d * _dot(a[i + 1:], g), D * v[0]))
-        for (i, g), v in zip(shifts, kernel)
-    ]
+    kernel = _shifts(gens, r)
+    # row j = 0, 1 of Hankel times v is sum_k a_(j+k) v_k, as a_1 = 0
+    rows = [((d * _dot(a, v), D * v[1]), (d * _dot(a[1:], v), D * v[0])) for v in kernel]
     return _Pencil(d, r, kernel, rows)
+
+
+def _shifts(gens: list[tuple[int, ...]], r: int) -> list[tuple[int, ...]]:
+    """The level-r shifts u^(r-i-deg g) t^i g of the generators gens of an
+    apolar ideal, those of g1 first, each i ascending: a basis of the
+    ideal's level-r slice at every level below the degree of its first
+    syzygy (module docstring), and every unit vector for gens = [(1,)]."""
+    return [(0,) * i + g + (0,) * (r + 1 - len(g) - i)
+            for g in gens for i in range(r + 2 - len(g))]
 
 
 @dataclass(frozen=True)

@@ -84,30 +84,21 @@ def _eval_mod(g: Sequence[int], x: int, m: int) -> int:
     return acc
 
 
-def _rem_p(a: list[int], b: list[int], p: int) -> list[int]:
-    """a mod b over F_p, with no quotient built."""
-    a = [c % p for c in a]
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    low = b[:db]  # the top coefficient only clears a[k], which is dropped
-    for k in range(len(a) - 1, db - 1, -1):
-        c = a[k] * inv % p
-        if c:
-            for j, bj in enumerate(low, k - db):
-                a[j] = (a[j] - c * bj) % p
-    return univar.trim(a[:db])
-
-
-def _monic_p(a: list[int], p: int) -> list[int]:
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _gcd_p(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd over F_p; a is nonzero."""
+def _gcd_degree_p(a: list[int], b: list[int], p: int) -> int:
+    """The degree of gcd(a, b) over F_p, for a nonzero and both reduced mod
+    p and trimmed.  Each divisor is made monic once, and each remainder is
+    reduced mod p once, when its division ends."""
     while b:
-        a, b = b, _rem_p(a, b, p)
-    return _monic_p(a, p)
+        inv = pow(b[-1], -1, p)
+        low = [c * inv % p for c in b[:-1]]  # the monic top only clears rem[k]
+        rem, db = list(a), len(low)
+        for k in range(len(rem) - 1, db - 1, -1):
+            c = rem[k] % p
+            if c:
+                for j, bj in enumerate(low, k - db):
+                    rem[j] -= c * bj
+        a, b = b, univar.trim([c % p for c in rem[:db]])
+    return len(a) - 1
 
 
 def _serves(g: Ints, p: int) -> bool:
@@ -115,7 +106,7 @@ def _serves(g: Ints, p: int) -> bool:
     if g[-1] % p == 0:
         return False
     gp = _mod(g, p)
-    return len(_gcd_p(gp, _mod([i * c for i, c in enumerate(gp)][1:], p), p)) == 1
+    return _gcd_degree_p(gp, _mod([i * c for i, c in enumerate(gp)][1:], p), p) == 0
 
 
 def proves_coprime(g: Ints, h: Ints, tries: int = 2) -> bool:
@@ -124,7 +115,7 @@ def proves_coprime(g: Ints, h: Ints, tries: int = 2) -> bool:
     polynomials g and h coprime over Q: a common factor keeps its degree
     modulo such a prime, and divides both there.  False proves nothing."""
     primes = [p for p in PRIMES if g[-1] % p][:tries]
-    return any(len(_gcd_p(_mod(g, p), _mod(h, p), p)) == 1 for p in primes)
+    return any(_gcd_degree_p(_mod(g, p), _mod(h, p), p) == 0 for p in primes)
 
 
 def coprime(g: Ints, h: Ints, tries: int = 2) -> bool:
@@ -311,22 +302,10 @@ def primitive_factors(p: Sequence) -> list[tuple[Ints, int]]:
 def rational_roots(p: Sequence[Fraction]) -> tuple[list[Fraction], Ints]:
     """The rational roots of a square-free nonzero p, ascending, and the
     cofactor left after them, a primitive integer vector with a positive
-    leading coefficient, that of ``primitive_factors``.  The roots come from
-    the closed form in degrees 1 and 2 and from ``_split`` above them.  A p
-    that is not square-free raises ValueError."""
-    q = univar.trim(list(p))
-    if not q:
-        raise ValueError("rational roots of the zero polynomial")
-    g = univar.primitive(q)
-    k = next(i for i, c in enumerate(g) if c)
-    h = g[k:]
-    if len(h) > 3:
-        split = _split(h)
-    else:
-        factors = _factor(h)
-        roots = [Fraction(-fac[0], fac[1]) for fac, _ in factors if len(fac) == 2]
-        split = (roots, (1,) if roots else h) if all(m == 1 for _, m in factors) else None
-    if k > 1 or split is None:
+    leading coefficient, read off ``primitive_factors``.  A p that is not
+    square-free raises ValueError."""
+    factors = primitive_factors(p)
+    if any(m > 1 for _fac, m in factors):
         raise ValueError("rational roots of a polynomial that is not square-free")
-    roots, h = split
-    return sorted([*roots, *[Fraction(0)] * k]), h
+    roots = sorted(Fraction(-fac[0], fac[1]) for fac, _m in factors if len(fac) == 2)
+    return roots, next((fac for fac, _m in factors if len(fac) > 2), (1,))

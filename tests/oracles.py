@@ -1,9 +1,17 @@
 """Replaced routes, kept as independent oracles for the ones in the package.
 
+* ``nullspace`` and ``_bareiss``: the exact kernel of a matrix by
+  fraction-free (Bareiss) elimination and back-substitution in integers,
+  once ``linalg.nullspace``.  Every kernel of the package came to be read
+  off the structure the mathematics gives, the last being the moment rows
+  of the span search, whose kernel ``oracle._moment_seeds`` reads off the
+  apolar ideal of B''.  ``nullspace`` backs ``linalg.free_column_basis``,
+  which gives its basis from kernel vectors known in advance, and every
+  kernel built from them.
 * ``nullspace_plain``: textbook Gauss-Jordan over Fraction, against the
-  integer Bareiss kernel of ``linalg.nullspace``.  It also gives the unit
+  integer Bareiss kernel of ``nullspace``.  It also gives the unit
   vectors of an empty matrix with a given column count, which
-  ``linalg.nullspace`` refuses.
+  ``nullspace`` refuses.
 * ``span_matrix`` and ``scheme_span_basis``: the instance generator once
   built the span of a scheme W by multiplying W out, writing the matrix of
   the contraction by the product form and taking its Bareiss kernel.  They
@@ -48,7 +56,7 @@
   ``_Pencil.special_values`` once found them, from the monic gcd over
   Fraction and ``scheme_parts``.  The second backs
   ``_Pencil.special_values``, which reads the roots of the integer gcd or
-  determinant off ``ratfactor.primitive_factors``.
+  determinant off the closed form ``ratfactor._factor_low_degree``.
 * ``field_rank_certificate``: before the fiber scan read every lift's
   kernel off the pencil, an algebraic lambda was certified by forming the
   lift over Q(gamma), gamma a root of its minimal polynomial
@@ -76,7 +84,7 @@
   ``projection._generic_certificate``, which stops at the first point when
   that point's kernel is fixed for all lambda.
 * ``nullspace_pencil`` and ``upward_x_rank``: the fiber scan once took the
-  kernel K of the constant Hankel rows by ``linalg.nullspace`` at every
+  kernel K of the constant Hankel rows by ``nullspace`` at every
   level, scanning upward from level 1 to the first level generic for every
   lambda, with the pencil rows in Fractions and the witness images computed
   when the result was built.  They back ``projection._pencil``, which spans
@@ -395,6 +403,64 @@ class QuadraticNumber:
         return " + ".join(parts) if parts else "0"
 
 
+def _bareiss(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form.  Returns (echelon rows, pivot columns)."""
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots: list[int] = []
+    prev = 1
+    prow = 0
+    for col in range(ncols):
+        if prow >= len(m):
+            break
+        sel = next((i for i in range(prow, len(m)) if m[i][col]), None)
+        if sel is None:
+            continue
+        m[prow], m[sel] = m[sel], m[prow]
+        piv = m[prow][col]
+        for i in range(prow + 1, len(m)):
+            for j in range(col + 1, ncols):
+                m[i][j] = (m[i][j] * piv - m[i][col] * m[prow][j]) // prev
+            m[i][col] = 0
+        prev = piv
+        pivots.append(col)
+        prow += 1
+    return m, pivots
+
+
+def nullspace(rows) -> list[tuple[int, ...]]:
+    """Basis of the right kernel of a matrix with at least one row,
+    canonicalized, one vector per free column.
+
+    Each vector is back-substituted in integers from the Bareiss echelon
+    form: x starts as the unit vector of its free column, and at each pivot
+    x is rescaled so that the pivot entry comes out integral.
+    """
+    if not rows:
+        raise ValueError("an empty matrix has no column count")
+    ncols = len(rows[0])
+    ech, pivots = _bareiss(linalg._int_rows(rows))
+    free = [j for j in range(ncols) if j not in pivots]
+    basis = []
+    for f in free:
+        x = [0] * ncols
+        x[f] = 1
+        for k in range(len(pivots) - 1, -1, -1):
+            pc = pivots[k]
+            row = ech[k]
+            acc = sum(row[j] * x[j] for j in range(pc + 1, ncols))
+            if acc:
+                g = gcd(acc, row[pc])
+                scale = row[pc] // g
+                if scale != 1:
+                    x = [c * scale for c in x]
+                x[pc] = -acc // g
+        basis.append(linalg.canonical_vector(x))
+    return basis
+
+
 def nullspace_plain(rows, ncols=None) -> list[tuple[Fraction, ...]]:
     """Independent kernel oracle: textbook Gauss-Jordan over Fraction.  An
     empty matrix needs ncols, and its kernel has the unit vectors as basis."""
@@ -437,7 +503,7 @@ def in_span(vectors, target) -> bool:
     integers and lies in the span iff nothing is left.
     """
     (t,) = linalg._int_rows([target])
-    ech, pivots = linalg._bareiss(linalg._int_rows(vectors))
+    ech, pivots = _bareiss(linalg._int_rows(vectors))
     for row, pc in zip(ech, pivots):
         c = t[pc]
         if c:
@@ -485,7 +551,7 @@ def scheme_span_basis(
         raise SchemeDegreeError("divisor degree beyond the independence regime")
     if w == d + 1:
         return nullspace_plain([], ncols=d + 1)  # no equations: unit vectors
-    return linalg.nullspace(span_matrix(W.product_form(), d))
+    return nullspace(span_matrix(W.product_form(), d))
 
 
 def nullspace_field(rows, ncols=None) -> list[tuple]:
@@ -719,7 +785,7 @@ def catalecticant(f: BinaryForm, r: int) -> CatalecticantMatrix:
 
 def kernel_basis(m: CatalecticantMatrix) -> list[BinaryForm]:
     """Exact basis of the right kernel, as degree-r forms; empty iff injective."""
-    vecs = linalg.nullspace(m.rows)
+    vecs = nullspace(m.rows)
     return [BinaryForm(m.r, v) for v in vecs]
 
 
@@ -737,7 +803,7 @@ def border_kernel_two_eliminations(a) -> tuple[int, list[tuple[int, ...]]]:
     """(w, basis) for the integer apolar vector a: w the rank of the middle
     catalecticant, the basis the kernel at level w."""
     w = bareiss_rank(hankel(a, (len(a) - 1) // 2))
-    return w, linalg.nullspace(hankel(a, w))
+    return w, nullspace(hankel(a, w))
 
 
 def _dot(x, y) -> int:
@@ -764,7 +830,7 @@ def border_kernel_middle_level(a: tuple[int, ...]) -> tuple[int, list[tuple[int,
     level 1 is out of range."""
     d = len(a) - 1
     m = d // 2
-    kernel = linalg.nullspace(hankel(a, m + 1))
+    kernel = nullspace(hankel(a, m + 1))
     w = _border_level(a, kernel)
     if w == m + 1:
         return w, kernel
@@ -855,14 +921,14 @@ def grid_generic_certificate(P: ProjectedPoint):
 
 
 def nullspace_pencil(P: ProjectedPoint, r: int) -> _Pencil:
-    """The level-r pencil with K taken as ``linalg.nullspace`` of the
+    """The level-r pencil with K taken as ``nullspace`` of the
     constant Hankel rows 2.. of the lifts."""
     d = P.n + 1
     if not 1 <= r <= (d + 2) // 2:
         raise ProjectionError(f"level must lie in 1..{(d + 2) // 2}")
     a = P.apolar_with_slot(None)
     constant = [[a[j + k] for k in range(r + 1)] for j in range(2, d - r + 1)]
-    kernel = linalg.nullspace(constant) if constant else nullspace_plain([], r + 1)
+    kernel = nullspace(constant) if constant else nullspace_plain([], r + 1)
     rows = [
         (
             (sum(a[k] * v[k] for k in range(r + 1) if k != 1), Fraction(v[1], d)),
@@ -1968,10 +2034,10 @@ PRIME = 2**61 - 1  # the modulus of rank_mod
 
 
 def bareiss_rank(rows) -> int:
-    """Rank over Q, by the Bareiss echelon form of ``linalg``."""
+    """Rank over Q: the number of pivots of the echelon form of ``_bareiss``."""
     if not rows:
         return 0
-    _, pivots = linalg._bareiss(linalg._int_rows(rows))
+    _, pivots = _bareiss(linalg._int_rows(rows))
     return len(pivots)
 
 

@@ -36,6 +36,7 @@ from oracles import (
     mp_aberth_roots,
     mp_polyroots,
     multiplicity_at,
+    nullspace,
     per_root_aberth_roots,
     power,
     real_flags,
@@ -942,7 +943,7 @@ class TestIntFractionParity:
         rows = [[2, -4, 6, 0], [1, 0, -3, 5]]
         as_fractions = [[F(c) for c in row] for row in rows]
         render = lambda vecs: json.dumps([[str(c) for c in v] for v in vecs])  # noqa: E731
-        assert render(linalg.nullspace(rows)) == render(linalg.nullspace(as_fractions))
+        assert render(nullspace(rows)) == render(nullspace(as_fractions))
         assert render([linalg.canonical_vector(rows[0])]) == render(
             [linalg.canonical_vector(as_fractions[0])]
         )

@@ -233,14 +233,11 @@ def test_osculating_vectors_give_the_kernel_basis(monkeypatch):
     assert set(seen) == {(0, True), (0, False), (1, False), (2, False), (3, False)}, seen
 
 
-def test_generation_runs_no_kernel_elimination(monkeypatch):
-    """Generation builds every span from the points it draws: each tag,
-    at every admitted level of n = 7, with ``linalg.nullspace`` refusing."""
-
-    def refuse(rows):
-        raise AssertionError("linalg.nullspace ran")
-
-    monkeypatch.setattr(linalg, "nullspace", refuse)
+def test_generation_runs_no_kernel_elimination():
+    """Generation builds every span from the points it draws: each tag, at
+    every admitted level of n = 7, lands on its tag.  The package has no
+    kernel elimination left to run
+    (``test_source_rules.py::test_no_code_names_nullspace_or_bareiss``)."""
     tags = set()
     for tag, case in CASES.items():
         if case.band is not None:
@@ -802,7 +799,8 @@ def test_classify_and_crosscheck_factor_only_what_they_publish(monkeypatch):
         assert not calls, (key, calls)
     report = crosscheck(forms["e4_i/6/2/0"])
     assert report["witness_match"] is True
-    assert calls == {"rational_roots": 1}  # E and the scan's witness agree up to scale
+    # E and the scan's witness agree up to scale; rational_roots reads primitive_factors
+    assert calls == {"rational_roots": 1, "primitive_factors": 1}
 
 
 def test_crosscheck_takes_the_certificate_of_b_from_the_scan(monkeypatch):

@@ -444,6 +444,43 @@ class TestSearchStarts:
                     root_poly = [x - t * y for x, y in zip([0] + root_poly, root_poly + [0])]
                 assert bareiss_rank([*basis, root_poly]) == len(basis), (n, taus)
 
+    def test_moment_seeds_match_the_elimination(self):
+        """``_moment_seeds``, the free-column basis of the shifts of the
+        apolar generators of B'', equals the Bareiss kernel of the moment
+        rows (``oracles.nullspace``), or None where no row is known or the
+        kernel is trivial, at every r = 1..n+1: on seeded points with
+        n = 3..12 and integer or rational coordinates, sparse or of low
+        rank, on every monomial point and on the cusp (B'' = 0)."""
+        rng = random.Random("moment-kernel")
+        points = []
+        for _ in range(240):
+            n = rng.randint(3, 12)
+            draw = rng.choice(("dense", "sparse", "rational", "power sum"))
+            if draw == "power sum":
+                k = rng.randint(1, (n + 1) // 2)
+                taus = rng.sample([t for t in range(-9, 10) if t], k)
+                points.append(_power_sum_point(n, taus, [rng.randint(1, 5) for _ in taus]))
+                continue
+            coords = [rng.choice((0, 0, 0, 1, -1, 2)) if draw == "sparse"
+                      else F(rng.randint(-20, 20), rng.randint(1, 6) if draw == "rational" else 1)
+                      for _ in range(n + 1)]
+            if any(coords):
+                points.append(ProjectedPoint(n, tuple(coords)))
+        for n in range(3, 13):
+            points.append(cusp_curve_point(n, P1Point(1, 0)))
+            points.extend(ProjectedPoint(n, tuple(int(i == j) for i in range(n + 1)))
+                          for j in range(n + 1))
+        cusps = kernels = 0
+        for P in points:
+            cusps += not any(P.coords[1:])
+            for r in range(1, P.n + 2):
+                rows = [[P.coords[j + k - 1] for k in range(r + 1)]
+                        for j in range(2, P.n + 2 - r)]
+                want = (oracles.nullspace(rows) or None) if rows else None
+                assert _moment_seeds(P, r) == want, (P, r)
+                kernels += want is not None
+        assert cusps >= 20 and kernels > 1000, (cusps, kernels)
+
     def test_moment_seeds_none(self):
         """No seeds when no moment row is known (r = n), or when the rows
         have a trivial kernel, as for three points at r = 1."""

@@ -9,7 +9,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from cuspidal import apolarity, linalg, projection, univar
+from cuspidal import apolarity, linalg, projection, ratfactor, univar
 from cuspidal.apolarity import CertificateError, RankCertificate, _ideal_generators, rank
 from cuspidal.binform import BinaryForm, P1Point, ZeroFormError, ZeroScheme, random_form
 from cuspidal.classifier import InstanceSpec, generate_instance
@@ -39,6 +39,7 @@ from oracles import (
     isolate_roots,
     monic_special_values,
     nullspace_pencil,
+    nullspace,
     nullspace_plain,
     power,
     power_cusp_curve_point,
@@ -648,7 +649,7 @@ def _assert_pencil_matches_oracles(P, rng) -> tuple[int, int]:
         lams += [lam for _key, lam in keyed if isinstance(lam, F)]
         for lam in lams:
             B = lift(P, lam)
-            assert pen.kernel_at(lam) == linalg.nullspace(catalecticant(B, r).rows), (P, r, lam)
+            assert pen.kernel_at(lam) == nullspace(catalecticant(B, r).rows), (P, r, lam)
             want = rank(B)
             if want.border_rank == r:
                 got_cert = pen.certificate(lam)
@@ -734,12 +735,12 @@ def _scan_pencils(P):
 
 def test_integer_special_values_match_the_fraction_route():
     """``special_values``, the roots of the integer gcd or determinant read
-    off ``ratfactor.primitive_factors``, against the route over Fraction
-    (``monic_special_values``), at every level of ``_scan_pencils`` of
-    every corpus instance and of 600 seeded forms with coefficients in
-    {-1, 0, 1, 2}; at each quadratic lambda ``field_certificate``, which
-    divides the norm by the primitive gcd in integers, against the
-    discriminant route."""
+    off the closed form ``ratfactor._factor_low_degree``, against the route
+    over Fraction (``monic_special_values``), at every level of
+    ``_scan_pencils`` of every corpus instance and of 600 seeded forms
+    with coefficients in {-1, 0, 1, 2}; at each quadratic lambda
+    ``field_certificate``, which divides the norm by the primitive gcd in
+    integers, against the discriminant route."""
     points = [project(f) for _key, f in corpus_forms()]
     rng = random.Random("special-values")
     for _ in range(600):
@@ -764,6 +765,38 @@ def test_integer_special_values_match_the_fraction_route():
             for m in minpolys:
                 assert pen.field_certificate(m) == discriminant_field_certificate(pen, m), (P, m)
     assert pencils >= 4000 and quadratic >= 300
+
+
+def test_special_values_read_the_closed_form():
+    """``special_values`` reads the roots of its polynomial g of degree 1 or
+    2 off the closed form ``ratfactor._factor_low_degree``.  On 20 000
+    seeded integer polynomials, a pencil whose determinant is g gives the
+    keys and lambda that ``ratfactor.primitive_factors`` of g gives, as the
+    scan once read them; a quarter of the inputs have a square
+    discriminant, so that rational, double and zero roots all occur."""
+    rng = random.Random("closed-form-lambda")
+    kinds = collections.Counter()
+    for _ in range(20000):
+        c2 = rng.choice((0, rng.randint(-30, 30)))
+        if rng.random() < 0.25:  # (b x - a)(e x - c), with b = 0 or e = 0 allowed
+            a, b, c, e = (rng.randint(-9, 9) for _ in range(4))
+            g = [a * c, -(a * e + b * c), b * e]
+        else:
+            g = [rng.randint(-30, 30), rng.randint(-30, 30), c2]
+        if univar.degree(univar.trim(g)) < 1:
+            continue
+        # det [[1, lambda], [-g2 lambda, g0 + g1 lambda]] = g
+        pen = projection._Pencil(6, 3, [(1, 0, 0, 0), (0, 1, 0, 0)],
+                                 [((1, 0), (0, 1)), ((0, -g[2]), (g[0], g[1]))])
+        factors = [fac for fac, _m in ratfactor.primitive_factors(g)]
+        if len(factors[0]) == 3:
+            want = [((z.minpoly, z.upper), z)
+                    for z in (AlgebraicNumber(factors[0], upper) for upper in (False, True))]
+        else:
+            want = [(lam, lam) for lam in sorted(F(-fac[0], fac[1]) for fac in factors)]
+        assert pen.special_values() == want, g
+        kinds[len(want), len(factors[0])] += 1
+    assert {(1, 2), (2, 2), (2, 3)} <= set(kinds), kinds
 
 
 U, T = form(1, 0), form(0, 1)
@@ -821,7 +854,7 @@ def _assert_shifts_match_nullspace(P, rng) -> int:
     """At every level 1..cap the pencil spanned by the shifts of the
     generators of Ann(B'') has the kernel K (as a span), the special values,
     the lift kernels at rational lambda and the quadratic certificates of
-    the pencil built by ``linalg.nullspace``.  Returns the number of levels
+    the pencil built by ``oracles.nullspace``.  Returns the number of levels
     where the second generator entered K at a degree above the first."""
     d = P.n + 1
     gens = _ideal_generators(P.coords[1:])
@@ -848,7 +881,7 @@ def _assert_shifts_match_nullspace(P, rng) -> int:
 
 class TestShiftPencil:
     """``projection._pencil`` spans K by the shifts of the two generators of
-    Ann(B''); the pencil of ``linalg.nullspace`` at every level is the
+    Ann(B''); the pencil of ``oracles.nullspace`` at every level is the
     oracle."""
 
     def test_random_and_planted_points_match_the_nullspace_pencil(self):

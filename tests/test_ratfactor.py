@@ -163,6 +163,30 @@ def test_lc_and_discriminant_skip_the_first_primes():
     assert [ratfactor._serves(g, p) for p in ratfactor.PRIMES[:4]] == [False] * 3 + [True]
 
 
+def test_gcd_degree_mod_p_matches_sympy():
+    """``_gcd_degree_p``, the degree of the gcd over F_p that ``_serves``
+    and ``proves_coprime`` read, equals sympy's on 3000 seeded pairs modulo
+    the listed primes, with planted common factors of degree 0..3 and
+    either operand of the larger degree or zero."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    rng = random.Random("gcd-mod-p")
+    degrees = set()
+    for _ in range(3000):
+        p = rng.choice(ratfactor.PRIMES)
+        common = [rng.randrange(p) for _ in range(rng.randint(0, 3))] + [1]
+        a, b = (_product(common, [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [1])
+                for _ in range(2))
+        b = b if rng.random() < 0.9 else [0]
+        a, b = ratfactor._mod(a, p), ratfactor._mod(b, p)
+        got = ratfactor._gcd_degree_p(a, b, p)
+        want = sympy.Poly(a[::-1], x, modulus=p).gcd(sympy.Poly(b[::-1] or [0], x, modulus=p))
+        assert got == want.degree(), (a, b, p)
+        degrees.add(got)
+    assert degrees >= set(range(8)), degrees
+
+
 @pytest.mark.parametrize("g, h, proved, coprime", [
     ([1, 1], [2, 1], True, True),                    # x + 1, x + 2
     ([5], [0, 0, 1], True, True),                    # a nonzero constant and x^2

@@ -12,8 +12,11 @@ and the span search of ``oracle`` runs in Python floats.  The two older,
 weaker numpy rules stay as well: none imports it when it loads, and none
 but ``oracle`` names it.  Every function of the package has a caller in
 the package or the benchmark, or a stated reason to be public: code that
-only tests call lives in ``tests/oracles.py``.  Only the functions listed
-in ``NULLSPACE_CALLERS``, each with its reason, name ``linalg.nullspace``.
+only tests call lives in ``tests/oracles.py``.  No kernel of the package is
+found by elimination, so no code of it names ``nullspace`` or
+``_bareiss``, which ``tests/oracles.py`` keeps as the reference; and the
+special lambda of the fiber scan come from the closed form in degrees 1
+and 2, so ``projection`` names no ``primitive_factors``.
 Polynomials have one exact format, the primitive integer vector: ``univar``
 names no ``Fraction``, and it alone defines the primitive part.
 """
@@ -34,13 +37,6 @@ PUBLIC_UNCALLED = {
     "classify_e3": "the border-gap classification alone, a library entry point the README names",
     "classify_e4": "the reduced-set classification alone, a library entry point the README names",
 }
-
-# the functions of the package that may call linalg.nullspace; every other
-# kernel is built from the structure the mathematics gives
-NULLSPACE_CALLERS = {
-    "oracle._moment_seeds": "the moment rows of the numeric span search, which leaves the package",
-}
-
 
 def _nodes():
     """(file name, node) for every node of every module of the package."""
@@ -169,28 +165,38 @@ def test_every_function_has_a_caller_outside_the_tests():
     assert sorted(PUBLIC_UNCALLED) == sorted(uncalled)
 
 
-def _owners(tree, owner):
-    """(owner, node) for each node of tree below it, the owner being the
-    dotted name of the innermost class or function around the node."""
-    for child in ast.iter_child_nodes(tree):
-        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _owners(child, f"{owner}.{child.name}")
+def _namers(names, module=None):
+    """file:line of each node of the package, or of one module, that names
+    one of names: a definition, or an identifier in the sense of
+    ``_named``."""
+    found = set()
+    for file, node in _nodes():
+        if module is not None and file != f"{module}.py":
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            named = {node.name}
+        elif isinstance(node, (ast.Name, ast.Attribute, ast.alias, ast.Constant)):
+            named = set(_named(node))
         else:
-            yield owner, child
-            yield from _owners(child, owner)
+            continue
+        if named & set(names):
+            found.add(f"{file}:{node.lineno}")
+    return sorted(found)
 
 
-def test_only_the_listed_functions_call_nullspace():
-    """A function of the package that names ``nullspace`` is listed in
-    ``NULLSPACE_CALLERS``, and a listed function names it."""
-    found = {
-        owner
-        for path in sorted(PACKAGE.rglob("*.py"))
-        for owner, node in _owners(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
-        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
-        and "nullspace" in _named(node)
-    }
-    assert sorted(found) == sorted(NULLSPACE_CALLERS)
+def test_no_code_names_nullspace_or_bareiss():
+    """No code of the package defines or names ``nullspace`` or
+    ``_bareiss``: every kernel is read off the structure the mathematics
+    gives, the span search's moment kernel off the apolar ideal of B''."""
+    found = _namers({"nullspace", "_bareiss"})
+    assert found == [], f"kernel elimination in the package: {found}"
+
+
+def test_projection_names_no_primitive_factors():
+    """The special lambda of a level are the roots of a polynomial of
+    degree 1 or 2, read off the closed form, not ``primitive_factors``."""
+    found = _namers({"primitive_factors"}, "projection")
+    assert found == [], f"primitive_factors in projection: {found}"
 
 
 def test_univar_names_no_fraction():
